@@ -61,7 +61,6 @@ fn usage() -> ! {
          \x20 query <addr> <json-request>          one request against a running server\n\
          \x20 bench-serve --addr A [...]           live load harness (closed/open loop)\n\
          \x20 bench-serve --replay [...]           deterministic in-process replay\n\
-         \x20 bench [--reps N] [--quick] [--out F] hot-path micro suite -> BENCH_7.json\n\
          \n\
          sweep and placement also accept --trace PATH / --metrics PATH (event\n\
          journal + metrics registry; byte-identical for every --jobs value)\n\
@@ -1216,41 +1215,6 @@ fn cmd_bench_serve(args: &[String]) {
     println!("{}", report.to_json());
 }
 
-fn cmd_bench(args: &[String]) {
-    let mut config = greenness_bench::perf::BenchConfig::default();
-    let mut out = String::from("BENCH_7.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--reps" => config.reps = parse(it.next().unwrap_or_else(|| usage()), "reps"),
-            "--jobs" => config.jobs = parse(it.next().unwrap_or_else(|| usage()), "jobs"),
-            "--out" => out = it.next().unwrap_or_else(|| usage()).clone(),
-            "--quick" => config.quick = true,
-            _ => usage(),
-        }
-    }
-    if config.reps == 0 || config.jobs == 0 {
-        eprintln!("--reps and --jobs must be at least 1");
-        std::process::exit(2);
-    }
-    eprintln!(
-        "running hot-path suite ({} rep(s){})...",
-        config.reps,
-        if config.quick { ", quick" } else { "" }
-    );
-    let suite = greenness_bench::perf::run_suite(&config).unwrap_or_else(|e| {
-        eprintln!("bench failed: {e}");
-        std::process::exit(2);
-    });
-    print!("{}", greenness_bench::perf::suite_table(&suite));
-    let json = greenness_bench::perf::suite_json(&config, &suite);
-    std::fs::write(&out, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {out}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
@@ -1270,7 +1234,6 @@ fn main() {
         "fleet" => cmd_fleet(&args[1..]),
         "query" => cmd_query(&args[1..]),
         "bench-serve" => cmd_bench_serve(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         _ => usage(),
     }
 }

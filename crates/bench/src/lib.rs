@@ -1,14 +1,13 @@
 //! # greenness-bench
 //!
-//! The benchmark harness: shared runners used by the `repro` binary (which
-//! regenerates every table and figure of the paper) and by the criterion
-//! bench targets (`figures`, `table3_fio`, `ablations`, `micro`).
+//! The reproduction harness: shared runners used by the `repro` binary
+//! (which regenerates every table and figure of the paper) and the
+//! `greenness` operator CLI. Wall-clock measurement lives in the stand-alone
+//! `benchmark/` package, not here.
 //!
 //! All grid execution goes through `greenness_core::sweep`, the
 //! deterministic work-stealing executor: results (and the manifest written
 //! by `repro`) are bit-identical for any `--jobs` value.
-
-pub mod perf;
 
 use greenness_core::sweep::{self, JobResult};
 use greenness_core::{CaseComparison, ExperimentSetup};

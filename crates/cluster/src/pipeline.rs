@@ -30,12 +30,11 @@ use std::collections::VecDeque;
 use greenness_codec::delta::DeltaVarint;
 use greenness_codec::quant::Quant8;
 use greenness_codec::{Codec, CodecCostModel, ScratchCodec};
-use greenness_faults::{FaultInjector, FaultPlan, Site};
+use greenness_faults::{fnv1a64, fnv1a64_extend, FaultInjector, FaultPlan, Site};
 use greenness_heatsim::{Grid, SimCostModel, SolverConfig};
 use greenness_platform::{HardwareSpec, NetModel, Node, Phase, SimTime};
 use greenness_trace::{Tracer, Value};
 use greenness_viz::{encode_ppm, render_field, RenderCostModel, RenderOptions};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{ClusterError, FaultSummary};
 use crate::fabric::{barrier, sync_to, Fabric};
@@ -43,7 +42,7 @@ use crate::pfs::ParallelFs;
 use crate::slab::DecomposedSolver;
 
 /// Which distributed pipeline to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterKind {
     /// Write raw slabs to the PFS; visualize later on a viz node.
     PostProcessing,
@@ -75,7 +74,7 @@ impl ClusterKind {
 }
 
 /// Compression applied to staged slabs on the fabric (in-transit only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireCodec {
     /// Raw little-endian f64 slabs on the wire.
     None,
@@ -124,7 +123,7 @@ impl WireCodec {
 }
 
 /// In-transit staging topology and flow control.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StagingConfig {
     /// Dedicated staging nodes; frames are distributed round-robin.
     pub staging_nodes: usize,
@@ -287,7 +286,7 @@ fn default_solver(nx: usize, ny: usize) -> SolverConfig {
 }
 
 /// Results of one distributed run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// Which pipeline ran.
     pub kind: ClusterKind,
@@ -335,20 +334,6 @@ impl ClusterReport {
             self.work_units / self.total_energy_j
         }
     }
-}
-
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a_with(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_with(FNV_SEED, bytes)
 }
 
 /// Exact pixel-row partition for slab renders: slab rows `[j0, j0+rows)` of
@@ -437,7 +422,7 @@ pub fn run_cluster_traced(
     let mut pfs_bytes = 0u64;
     let mut staging_raw_bytes = 0u64;
     let mut staging_torn_renders = 0u64;
-    let mut image_hash = FNV_SEED;
+    let mut image_hash = fnv1a64(&[]);
     let mut verified = true;
     let mut checksums: Vec<(u64, Vec<u64>)> = Vec::new(); // (step, per-slab fnv)
 
@@ -466,7 +451,7 @@ pub fn run_cluster_traced(
                 let mut sums = Vec::with_capacity(cfg.compute_nodes);
                 for (k, node) in compute.iter_mut().enumerate() {
                     let bytes = solver.slab_bytes(k);
-                    sums.push(fnv1a(&bytes));
+                    sums.push(fnv1a64(&bytes));
                     pfs_bytes += bytes.len() as u64;
                     pfs.write(
                         node,
@@ -498,7 +483,7 @@ pub fn run_cluster_traced(
                         },
                     );
                     let ppm = encode_ppm(&slab_render);
-                    image_hash = fnv1a_with(image_hash, &ppm);
+                    image_hash = fnv1a64_extend(image_hash, &ppm);
                     pfs_bytes += ppm.len() as u64;
                     pfs.write(
                         node,
@@ -545,7 +530,7 @@ pub fn run_cluster_traced(
                 for (k, node) in compute.iter_mut().enumerate() {
                     let raw = solver.slab_bytes(k);
                     let raw_len = raw.len() as u64;
-                    let sum = fnv1a(&raw);
+                    let sum = fnv1a64(&raw);
                     staging_raw_bytes += raw_len;
                     tracer.count("staging.bytes.raw", raw_len);
                     let payload: Vec<u8> = match encoders.get_mut(k) {
@@ -586,7 +571,7 @@ pub fn run_cluster_traced(
                         }
                         None => payload,
                     };
-                    if cfg.staging.wire_codec.lossless() && fnv1a(&raw) != sum {
+                    if cfg.staging.wire_codec.lossless() && fnv1a64(&raw) != sum {
                         verified = false;
                     }
                     slabs.push(raw);
@@ -641,7 +626,7 @@ pub fn run_cluster_traced(
                         ],
                     );
                 }
-                image_hash = fnv1a_with(image_hash, &ppm);
+                image_hash = fnv1a64_extend(image_hash, &ppm);
                 pfs_bytes += ppm.len() as u64;
                 pfs.write(
                     stager,
@@ -679,7 +664,7 @@ pub fn run_cluster_traced(
             for (k, sum) in sums.iter().enumerate() {
                 let bytes =
                     pfs.read(viz, &fabric, &format!("snap{step:04}.n{k:02}"), Phase::Read)?;
-                if fnv1a(&bytes) != *sum {
+                if fnv1a64(&bytes) != *sum {
                     verified = false;
                 }
                 slabs.push(bytes);
@@ -694,7 +679,7 @@ pub fn run_cluster_traced(
             })?;
             viz.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
             let frame = render_field(&grid, &cfg.render);
-            image_hash = fnv1a_with(image_hash, &encode_ppm(&frame));
+            image_hash = fnv1a64_extend(image_hash, &encode_ppm(&frame));
         }
     }
 
@@ -784,7 +769,7 @@ mod tests {
         assert_eq!(r.pfs_bytes, 6 * 128 * 128 * 8);
         assert_eq!(r.bytes_out, r.fabric_bytes + r.pfs_bytes);
         assert!(r.viz_energy_j > 0.0, "viz node never worked");
-        assert_ne!(r.image_hash, FNV_SEED, "no frames were rendered");
+        assert_ne!(r.image_hash, fnv1a64(&[]), "no frames were rendered");
     }
 
     #[test]

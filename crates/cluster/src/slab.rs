@@ -10,10 +10,9 @@
 //! solver, and the tests assert it.
 
 use greenness_heatsim::{Boundary, Grid, SolverConfig};
-use serde::{Deserialize, Serialize};
 
 /// Row-range metadata for one slab.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlabInfo {
     /// First global row this slab owns.
     pub j0: usize,

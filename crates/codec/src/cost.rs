@@ -7,10 +7,9 @@
 //! codecs on 2012-era hardware.
 
 use greenness_platform::Activity;
-use serde::{Deserialize, Serialize};
 
 /// Calibrated conversion from bytes (de)coded to compute activities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodecCostModel {
     /// Flops-equivalent charged per input byte encoded.
     pub encode_flops_per_byte: f64,

@@ -12,8 +12,8 @@
 //! smoothly-varying planes (exponents, high mantissa bytes) collapse to
 //! near-zero delta runs.
 //!
-//! Two hot loops caused the BENCH_5 throughput collapse (0.18 GB/s, 14×
-//! slower than plain RLE), and both are fixed here without changing a
+//! Two hot loops once made this codec 14× slower than plain RLE (0.18 GB/s,
+//! CHANGES.md PR 7), and both are fixed here without changing a
 //! single output byte:
 //!
 //! * **The plane split.** The original implementation gathered each plane
@@ -32,7 +32,7 @@
 //!
 //! The original strided, materialize-everything encoder survives as
 //! [`TransposeRle::encode_reference`], the bit-identity oracle the fast
-//! path is gated on (`tests/bench_trajectory.rs`, codec proptests).
+//! path is gated on (`tests/oracle_equivalence.rs`, codec proptests).
 //!
 //! Stream format:
 //! `n_values: u64 | 8 × (flag: u8 (0=raw, 1=rle, 2=delta+rle) | plane_len: u64 | plane)`.
@@ -132,8 +132,7 @@ impl TransposeRle {
     /// (eight passes over `input`), serial-carry delta, and byte-at-a-time
     /// RLE run scan. Retained as the bit-identity oracle the blocked fast
     /// path in [`Codec::encode_into`] must reproduce exactly — the golden
-    /// energy values are pinned to these bytes — and as the baseline the
-    /// `greenness bench` trajectory measures the transpose fix against.
+    /// energy values are pinned to these bytes.
     pub fn encode_reference(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
         if input.len() % 8 != 0 {
             return Err(CodecError::Misaligned { len: input.len() });

@@ -18,13 +18,12 @@ use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{Node, Phase};
 use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
 use greenness_viz::{encode_ppm, render_field};
-use serde::{Deserialize, Serialize};
 
 use crate::config::PipelineConfig;
 use crate::pipeline::{read_chunked, write_chunked, PipelineError};
 
 /// Adaptive policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptivePolicy {
     /// Re-evaluate every `window_steps` timesteps.
     pub window_steps: u64,
@@ -43,7 +42,7 @@ impl Default for AdaptivePolicy {
 }
 
 /// What the adaptive run did.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveReport {
     /// Step after which the runtime switched to in-situ (`None` = never).
     pub switched_at_step: Option<u64>,

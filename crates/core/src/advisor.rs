@@ -14,10 +14,9 @@
 //! acceptable.
 
 use greenness_platform::{AccessPattern, Activity, HardwareSpec, Node};
-use serde::{Deserialize, Serialize};
 
 /// How the application touches its dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoBehavior {
     /// Streaming passes.
     Sequential,
@@ -29,7 +28,7 @@ pub enum IoBehavior {
 }
 
 /// What the runtime knows about the application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
     /// Bytes written per output pass (one write + later one read each).
     pub pass_bytes: u64,
@@ -45,7 +44,7 @@ pub struct WorkloadProfile {
 }
 
 /// The techniques the advisor chooses among.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Technique {
     /// Visualize alongside the simulation; write only images.
     InSitu,
@@ -61,7 +60,7 @@ pub enum Technique {
 }
 
 /// The advisor's output: per-technique energy estimates and a choice.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Advice {
     /// Energy of the application's I/O as-is, joules.
     pub current_io_j: f64,

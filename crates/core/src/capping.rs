@@ -11,13 +11,12 @@ use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{Node, Phase};
 use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
 use greenness_viz::{encode_ppm, render_field};
-use serde::{Deserialize, Serialize};
 
 use crate::config::PipelineConfig;
 use crate::pipeline::{write_chunked, PipelineError};
 
 /// Result of one capped run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CappedRun {
     /// The full-system budget, watts.
     pub cap_w: f64,

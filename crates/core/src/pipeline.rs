@@ -20,7 +20,7 @@
 //! and *verifies* them against a checksum taken at write time, so any
 //! storage-stack corruption fails loudly.
 
-use greenness_faults::{FaultPlan, Site};
+use greenness_faults::{fnv1a64, FaultPlan, Site};
 use greenness_heatsim::{Grid, HeatSolver, SolverError};
 use greenness_platform::{Activity, Node, Phase};
 use greenness_storage::{FileSystem, FsConfig, FsError, MemBlockDevice};
@@ -153,16 +153,6 @@ pub struct PipelineOutput {
     pub verified: bool,
 }
 
-/// FNV-1a, for cheap snapshot checksums.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 pub(crate) fn write_chunked(
     node: &mut Node,
     fs: &mut FileSystem<MemBlockDevice>,
@@ -283,7 +273,7 @@ pub fn run_with_faults(
             PipelineKind::PostProcessing => {
                 let bytes = solver.grid().to_bytes();
                 let name = format!("snap{step:04}");
-                checksums.push((name.clone(), step, fnv1a(&bytes)));
+                checksums.push((name.clone(), step, fnv1a64(&bytes)));
                 out.bytes_written +=
                     write_chunked(node, &mut fs, &name, &bytes, cfg.chunk_bytes, Phase::Write)?;
             }
@@ -342,7 +332,7 @@ pub fn run_with_faults(
         for (name, step, checksum) in &checksums {
             let bytes = read_chunked(node, &mut fs, name, cfg.chunk_bytes, Phase::Read)?;
             out.bytes_read += bytes.len() as u64;
-            if fnv1a(&bytes) != *checksum {
+            if fnv1a64(&bytes) != *checksum {
                 out.verified = false;
             }
             let grid = Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &bytes)

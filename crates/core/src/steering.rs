@@ -18,7 +18,8 @@
 //! for any solver thread count and across reruns.
 
 use crate::config::PipelineConfig;
-use crate::pipeline::{fnv1a, PipelineError};
+use crate::pipeline::PipelineError;
+use greenness_faults::fnv1a64;
 use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
 use greenness_viz::{encode_ppm, ppm_size_bytes, render_field, Colormap};
@@ -285,7 +286,7 @@ impl SteeringPipeline {
             step: self.step,
             width: self.cfg.render.width,
             height: self.cfg.render.height,
-            hash: fnv1a(&ppm),
+            hash: fnv1a64(&ppm),
             bytes: ppm.len() as u64,
         }
     }

@@ -23,7 +23,9 @@
 //!   binary writes to `repro_out/manifest.json` and the golden tests
 //!   consume.
 
+use greenness_faults::{fnv1a64, splitmix64};
 use greenness_pool::run_pool;
+use greenness_trace::escape_json;
 
 use crate::compare::CaseComparison;
 use crate::config::PipelineConfig;
@@ -437,35 +439,6 @@ pub fn manifest_json(results: &[JobResult]) -> String {
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-fn escape_json(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -21,13 +21,14 @@
 use greenness_codec::quant::Quant16;
 use greenness_codec::transpose::TransposeRle;
 use greenness_codec::{Codec, CodecCostModel, ScratchCodec};
+use greenness_faults::fnv1a64;
 use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{Node, Phase};
 use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
 use greenness_viz::{encode_ppm, render_field, stride_sample, RenderOptions};
 
 use crate::config::PipelineConfig;
-use crate::pipeline::{fnv1a, read_chunked, write_chunked};
+use crate::pipeline::{read_chunked, write_chunked};
 
 /// Which codec a compressed pipeline uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +168,7 @@ fn sampled_post(node: &mut Node, cfg: &PipelineConfig, stride: usize) -> Variant
         let reduced = stride_sample(solver.grid(), stride);
         let bytes = reduced.to_bytes();
         let name = format!("snap{step:04}");
-        names.push((name.clone(), fnv1a(&bytes), reduced.nx(), reduced.ny()));
+        names.push((name.clone(), fnv1a64(&bytes), reduced.nx(), reduced.ny()));
         written += write_chunked(node, &mut fs, &name, &bytes, cfg.chunk_bytes, Phase::Write)
             .expect("device sized for the variant run");
     }
@@ -178,7 +179,7 @@ fn sampled_post(node: &mut Node, cfg: &PipelineConfig, stride: usize) -> Variant
     for (name, sum, nx, ny) in &names {
         let bytes = read_chunked(node, &mut fs, name, cfg.chunk_bytes, Phase::Read)
             .expect("snapshot readable");
-        if fnv1a(&bytes) != *sum {
+        if fnv1a64(&bytes) != *sum {
             verified = false;
         }
         let grid = Grid::from_bytes(*nx, *ny, &bytes).expect("reduced snapshot shape");
@@ -226,7 +227,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
         let name = format!("snap{step:04}");
         names.push((
             name.clone(),
-            fnv1a(&bytes),
+            fnv1a64(&bytes),
             solver.grid().min(),
             solver.grid().max(),
         ));
@@ -253,7 +254,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
         );
         match choice {
             CodecChoice::Lossless => {
-                if fnv1a(&decoded) != *raw_sum {
+                if fnv1a64(&decoded) != *raw_sum {
                     verified = false;
                 }
             }
@@ -402,7 +403,7 @@ fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -
         let bytes = solver.grid().to_bytes();
         raw += bytes.len() as u64;
         let name = format!("snap{step:04}");
-        names.push((name.clone(), fnv1a(&bytes)));
+        names.push((name.clone(), fnv1a64(&bytes)));
         bb.stage(node, &mut fs, &name, &bytes, Phase::Write)
             .expect("buffer sized");
     }
@@ -416,7 +417,7 @@ fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -
     for (name, sum) in &names {
         let size = fs.size(name).expect("drained snapshot exists");
         let bytes = fs.read(node, name, 0, size, Phase::Read).expect("readable");
-        if fnv1a(&bytes) != *sum {
+        if fnv1a64(&bytes) != *sum {
             verified = false;
         }
         let grid = Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &bytes)

@@ -220,10 +220,15 @@ impl FaultInjector {
     }
 }
 
-/// FNV-1a 64-bit — the same constants as `greenness_core::sweep`'s job-key
-/// hash, so fault seeds and RNG seeds share one derivation convention.
+/// FNV-1a 64-bit: the workspace's one non-cryptographic hash (job keys,
+/// fault and RNG seeds, snapshot checksums).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a chain: `fnv1a64_extend(fnv1a64(a), b)` is
+/// `fnv1a64(a ++ b)`, and `fnv1a64(&[])` is the empty chain to start from.
+pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1000_0000_01b3);

@@ -19,12 +19,13 @@
 //! and comes back byte-for-byte the same.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use greenness_faults::{FaultInjector, FaultPlan, Site};
 use greenness_serve::json::Json;
 use greenness_serve::protocol::{self, ErrorCode, Request};
-use greenness_serve::{Disposition, Service, ServiceConfig};
+use greenness_serve::{Disposition, LineHandler, Next, Service, ServiceConfig};
 use greenness_trace::hash::blake2s256;
 use greenness_trace::MetricsRegistry;
 
@@ -619,6 +620,25 @@ impl Fleet {
                 moved,
             }]
         }
+    }
+}
+
+/// The router behind `greenness-serve`'s connection loop: reply lines are
+/// written whole, and a reroute never surfaces as a hang-up.
+impl LineHandler for Fleet {
+    fn answer(&self, line: &str, out: &mut impl Write) -> io::Result<Next> {
+        let outcome = self.handle_line(line);
+        out.write_all(outcome.line.as_bytes())?;
+        out.write_all(b"\n")?;
+        Ok(if outcome.shutdown {
+            Next::Shutdown
+        } else {
+            Next::Continue
+        })
+    }
+
+    fn drain(&self) {
+        self.shutdown();
     }
 }
 

@@ -1,150 +1,40 @@
-//! The fleet's TCP front end: one router listener, one thread per
-//! connection, NDJSON both ways — the same wire discipline as
-//! `greenness-serve`, but every line is answered by [`Fleet::handle_line`],
-//! so clients see reroutes and rebalancing only in the counters, never as a
-//! dropped connection. (Shard-level injected drops are absorbed by the
-//! router's replica reroute; the router itself never hangs up mid-request.)
+//! The fleet's TCP front end: `greenness-serve`'s one accept/connection loop
+//! with every line answered by [`Fleet::handle_line`].
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::SocketAddr;
+use std::sync::Arc;
+
+use greenness_serve::Server;
 
 use crate::fleet::Fleet;
 
-/// How long a connection thread blocks in `read` before re-checking the
-/// stop flag.
-const READ_TICK: Duration = Duration::from_millis(50);
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_TICK: Duration = Duration::from_millis(5);
-
-/// A running fleet router. Call [`FleetServer::shutdown`] (or send a
-/// `shutdown` op) and then [`FleetServer::join`] to stop it.
-pub struct FleetServer {
-    addr: SocketAddr,
-    fleet: Arc<Fleet>,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
+/// A running fleet router: [`Server`] over a [`Fleet`], under fleet names.
+pub struct FleetServer(Server<Fleet>);
 
 impl FleetServer {
     /// Bind `addr` (e.g. `127.0.0.1:0`) and route for `fleet` in background
     /// threads.
     pub fn start(addr: &str, fleet: Arc<Fleet>) -> std::io::Result<FleetServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_thread = {
-            let fleet = Arc::clone(&fleet);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(listener, fleet, stop))
-        };
-        Ok(FleetServer {
-            addr,
-            fleet,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        Server::start_with_service(addr, fleet).map(FleetServer)
     }
-
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
-
     /// The fleet behind the router.
     pub fn fleet(&self) -> &Arc<Fleet> {
-        &self.fleet
+        self.0.service()
     }
-
-    /// Begin draining: close every live shard's gate, then raise the stop
-    /// flag.
+    /// Begin draining: close every live shard's gate, then stop accepting.
     pub fn shutdown(&self) {
-        self.fleet.shutdown();
-        self.stop.store(true, Ordering::SeqCst);
+        self.0.shutdown()
     }
-
     /// Wait until the accept loop and every connection thread exit.
-    pub fn join(mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+    pub fn join(self) {
+        self.0.join()
     }
-
     /// Block until asked to stop, then drain (`greenness fleet`'s main).
     pub fn run_to_completion(self) {
-        while !self.stop.load(Ordering::SeqCst) {
-            std::thread::sleep(READ_TICK);
-        }
-        self.join();
-    }
-}
-
-fn accept_loop(listener: TcpListener, fleet: Arc<Fleet>, stop: Arc<AtomicBool>) {
-    let conns: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let fleet = Arc::clone(&fleet);
-                let stop = Arc::clone(&stop);
-                let handle = std::thread::spawn(move || connection_loop(stream, &fleet, &stop));
-                conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_TICK),
-            Err(_) => break,
-        }
-    }
-    for handle in conns.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        let _ = handle.join();
-    }
-}
-
-fn connection_loop(mut stream: TcpStream, fleet: &Fleet, stop: &AtomicBool) {
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
-                    let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    let outcome = fleet.handle_line(trimmed);
-                    if stream
-                        .write_all(outcome.line.as_bytes())
-                        .and_then(|()| stream.write_all(b"\n"))
-                        .is_err()
-                    {
-                        return;
-                    }
-                    if outcome.shutdown {
-                        let _ = stream.flush();
-                        stop.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+        self.0.run_to_completion()
     }
 }

@@ -12,10 +12,9 @@
 //! in DESIGN.md §1/§4 and EXPERIMENTS.md.
 
 use greenness_platform::Activity;
-use serde::{Deserialize, Serialize};
 
 /// Calibrated conversion from cell updates to platform compute activities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimCostModel {
     /// Floating-point operations charged per interior cell update
     /// (calibrated: implicit FEM step of the paper's proxy ≈ 4.6e5 flops per

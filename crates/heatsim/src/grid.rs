@@ -5,11 +5,8 @@
 //! chunk size at 128 KB (§IV-C); a 512×512 grid (2 MiB) written as 128 KiB
 //! chunks reproduces its per-iteration I/O pattern.
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
-
 /// A row-major 2-D field of `f64` samples on a uniform mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     nx: usize,
     ny: usize,
@@ -110,12 +107,12 @@ impl Grid {
     }
 
     /// Serialize to little-endian `f64`s, row-major.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.cells() * 8);
         for v in &self.data {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        Bytes::from(out)
+        out
     }
 
     /// Deserialize a snapshot produced by [`Grid::to_bytes`].
@@ -132,20 +129,6 @@ impl Grid {
             .collect();
         Some(Grid { nx, ny, data })
     }
-
-    /// Split a serialized snapshot into `chunk_bytes`-sized pieces (the last
-    /// may be short) — the unit the paper's app writes per I/O operation.
-    pub fn chunked(bytes: &Bytes, chunk_bytes: usize) -> Vec<Bytes> {
-        assert!(chunk_bytes > 0, "chunk size must be positive");
-        let mut out = Vec::with_capacity(bytes.len().div_ceil(chunk_bytes));
-        let mut off = 0;
-        while off < bytes.len() {
-            let end = (off + chunk_bytes).min(bytes.len());
-            out.push(bytes.slice(off..end));
-            off = end;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -156,9 +139,7 @@ mod tests {
     fn paper_grid_is_2mib_in_128kib_chunks() {
         let g = Grid::zeros(512, 512);
         assert_eq!(g.snapshot_bytes(), 2 * 1024 * 1024);
-        let chunks = Grid::chunked(&g.to_bytes(), 128 * 1024);
-        assert_eq!(chunks.len(), 16);
-        assert!(chunks.iter().all(|c| c.len() == 128 * 1024));
+        assert_eq!(g.to_bytes().len(), 16 * 128 * 1024);
     }
 
     #[test]
@@ -175,15 +156,6 @@ mod tests {
         let b = g.to_bytes();
         assert!(Grid::from_bytes(8, 8, &b[..b.len() - 1]).is_none());
         assert!(Grid::from_bytes(9, 8, &b).is_none());
-    }
-
-    #[test]
-    fn chunking_preserves_content_and_order() {
-        let g = Grid::from_fn(16, 16, |x, y| x + 100.0 * y);
-        let b = g.to_bytes();
-        let chunks = Grid::chunked(&b, 300); // deliberately unaligned
-        let rejoined: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(&rejoined[..], &b[..]);
     }
 
     #[test]

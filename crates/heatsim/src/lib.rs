@@ -5,8 +5,8 @@
 //! (its ref [4], Reddy & Gartling). We implement a 2-D explicit
 //! finite-difference (FTCS) solver for the heat equation
 //! `∂u/∂t = α ∇²u` with Dirichlet/Neumann boundaries and optional point
-//! sources, parallelized over rows with rayon, and validated against the
-//! analytic separable-series solution.
+//! sources, parallelized over row bands on `greenness-pool`, and validated
+//! against the analytic separable-series solution.
 //!
 //! The solver performs *real* computation — every snapshot that flows into
 //! the storage stack and renderer is genuine solver output — while the

@@ -1,17 +1,15 @@
 //! Explicit (FTCS) finite-difference solver for the 2-D heat equation.
 //!
 //! `∂u/∂t = α ∇²u + q`, advanced with forward-time centered-space stepping on
-//! the unit square. The interior update is parallelized over rows with rayon
-//! (each output row depends only on the previous time level, so rows are
-//! independent). Stability requires the CFL condition
+//! the unit square. Each output row depends only on the previous time level,
+//! so rows are independent. Stability requires the CFL condition
 //! `α·Δt·(1/Δx² + 1/Δy²) ≤ ½`, checked at construction.
 //!
 //! The production [`HeatSolver::step`] splits every row into an interior
 //! fast path (pure indexed 5-point update, no branches, no bounds casts)
 //! plus explicit boundary-column handling; the straight-line
 //! [`HeatSolver::step_reference`] implementation is kept as the bit-for-bit
-//! oracle and as the pre-optimization baseline the `greenness bench`
-//! trajectory measures speedups against.
+//! oracle.
 //!
 //! ## Threading
 //!
@@ -22,20 +20,18 @@
 //! shared previous level and writes only its own disjoint slice, and every
 //! cell's update expression is exactly the sequential one, so results are
 //! **bit-identical for every `jobs` value** (pinned by tests here and by
-//! `tests/bench_trajectory.rs`). With more workers than rows the partition
+//! `tests/oracle_equivalence.rs`). With more workers than rows the partition
 //! degenerates cleanly to one row per band.
 
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
 use greenness_pool::run_pool;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::grid::Grid;
 
 /// Boundary condition applied on all four edges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Boundary {
     /// Fixed edge temperature (heat flows through the walls).
     Dirichlet(f64),
@@ -44,7 +40,7 @@ pub enum Boundary {
 }
 
 /// A continuous point heat source: adds `rate` to one cell per unit time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointSource {
     /// Cell x-index.
     pub i: usize,
@@ -55,7 +51,7 @@ pub struct PointSource {
 }
 
 /// Solver configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
     /// Thermal diffusivity α.
     pub alpha: f64,
@@ -302,8 +298,7 @@ impl HeatSolver {
 
     /// Advance one timestep through the original per-cell closure (match on
     /// `Boundary` + `isize` clamping for every sample). Retained as the
-    /// reference oracle the fast path must match bit-for-bit, and as the
-    /// baseline workload of the `greenness bench` stencil speedup metric.
+    /// reference oracle the fast path must match bit-for-bit.
     pub fn step_reference(&mut self) {
         let nx = self.grid.nx();
         let ny = self.grid.ny();
@@ -337,7 +332,7 @@ impl HeatSolver {
 
         self.scratch
             .as_mut_slice()
-            .par_chunks_mut(nx)
+            .chunks_mut(nx)
             .enumerate()
             .for_each(|(j, row)| {
                 let j = j as isize;
@@ -836,25 +831,5 @@ mod tests {
         assert_eq!(s.jobs(), 1);
         s.step();
         assert_eq!(s.steps_taken(), 1);
-    }
-
-    #[test]
-    fn parallel_and_sequential_results_agree() {
-        // Run the same problem under a single-thread pool and the global
-        // pool; rayon must not change the arithmetic.
-        let cfg = SolverConfig::default();
-        let init = Grid::from_fn(48, 32, |x, y| (x * 3.0).sin() + (y * 5.0).cos());
-        let mut par = solver(init.clone(), cfg.clone());
-        par.run(60);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let seq = pool.install(|| {
-            let mut s = solver(init, cfg);
-            s.run(60);
-            s.grid().clone()
-        });
-        assert_eq!(par.grid(), &seq);
     }
 }

@@ -30,19 +30,6 @@ proptest! {
         prop_assert_eq!(g, g2);
     }
 
-    /// Chunking at any positive size reassembles to the original bytes.
-    #[test]
-    fn chunking_reassembles(g in arb_grid(), chunk in 1usize..4096) {
-        let b = g.to_bytes();
-        let chunks = Grid::chunked(&b, chunk);
-        let rejoined: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        prop_assert_eq!(&rejoined[..], &b[..]);
-        // All chunks except possibly the last are full-size.
-        for c in &chunks[..chunks.len().saturating_sub(1)] {
-            prop_assert_eq!(c.len(), chunk);
-        }
-    }
-
     /// Without sources, the discrete maximum principle holds for any stable
     /// configuration: values stay within the initial range extended by the
     /// wall temperature.

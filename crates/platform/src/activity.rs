@@ -6,12 +6,10 @@
 //! split keeps the computation genuine while the energy accounting stays
 //! deterministic and calibrated.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// How a block of device I/O is laid out on the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// One contiguous streaming transfer.
     Sequential,
@@ -32,7 +30,7 @@ pub enum AccessPattern {
 }
 
 /// One unit of work for the node to execute and account.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Activity {
     /// Floating-point computation on `cores` cores.
     Compute {

@@ -10,10 +10,8 @@
 //! 16 busy cores; package idle is ≈40 W for both sockets combined, consistent
 //! with the ≈53–73 W processor trace of Figure 5.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing and power model for the node's CPU packages (all sockets combined).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     /// Number of sockets (Table I: 2).
     pub sockets: u32,

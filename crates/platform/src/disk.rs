@@ -13,13 +13,11 @@
 //! random 4 KiB reads at ≈2.15 ms/op at +2.5 W, sequential write in 27.0 s at
 //! +10.9 W, random write in ≈31 s at +13.4 W.
 
-use serde::{Deserialize, Serialize};
-
 use crate::activity::AccessPattern;
 use crate::units::GIB;
 
 /// The device technology being modeled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiskKind {
     /// Rotating hard disk (the paper's testbed device).
     Hdd,
@@ -53,7 +51,7 @@ pub struct DiskOpCost {
 }
 
 /// Timing and power model for the node's storage device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskModel {
     /// Device technology.
     pub kind: DiskKind,

@@ -6,10 +6,8 @@
 //! standard ≈0.5 nJ/B figure for DDR3, which reproduces the ≈6 W DRAM
 //! dynamic power of the Figure 5 simulation phase at ≈12.6 GB/s of traffic.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing and power model for the node's memory subsystem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramModel {
     /// Installed capacity in bytes (Table I: 64 GiB).
     pub capacity_bytes: u64,

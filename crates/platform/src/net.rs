@@ -5,10 +5,8 @@
 //! pipeline extension, where raw data is shipped to a staging node instead of
 //! the local disk.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing and power model for the node's NIC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetModel {
     /// Effective bandwidth, bytes/s.
     pub bandwidth_bytes_per_s: f64,

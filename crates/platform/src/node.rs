@@ -2,7 +2,6 @@
 //! records the power timeline.
 
 use greenness_trace::{Tracer, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::activity::Activity;
 use crate::disk::IoDir;
@@ -13,7 +12,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::timeline::{Segment, Timeline};
 
 /// Result of executing one activity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Executed {
     /// When the activity started.
     pub start: SimTime,
@@ -42,7 +41,7 @@ impl Executed {
 }
 
 /// A simulated HPC node: hardware models + virtual clock + power history.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     spec: HardwareSpec,
     now: SimTime,

@@ -10,10 +10,8 @@
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
-use serde::{Deserialize, Serialize};
-
 /// Power drawn by each node subsystem at some instant, in watts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerDraw {
     /// Both CPU packages combined (what RAPL PKG would report, summed).
     pub package_w: f64,
@@ -105,7 +103,7 @@ impl Sum for PowerDraw {
 }
 
 /// Energy accumulated per subsystem, in joules. Mirrors [`PowerDraw`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Energy consumed by the CPU packages.
     pub package_j: f64,

@@ -1,14 +1,12 @@
 //! Whole-node hardware specification (the paper's Table I).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cpu::CpuModel;
 use crate::disk::DiskModel;
 use crate::dram::DramModel;
 use crate::net::NetModel;
 
 /// Complete hardware description of the node under test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareSpec {
     /// Human-readable name for reports.
     pub name: String,

@@ -7,14 +7,12 @@
 //! piecewise-constant function is exact — no quadrature error — so the
 //! instrumentation layer can be validated against closed-form sums.
 
-use serde::{Deserialize, Serialize};
-
 use crate::phase::Phase;
 use crate::power::{EnergyBreakdown, PowerDraw};
 use crate::time::{SimDuration, SimTime};
 
 /// One piecewise-constant span of the node's power history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// When the span begins.
     pub start: SimTime,
@@ -42,7 +40,7 @@ impl Segment {
 }
 
 /// The complete, ordered power history of a node run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     segments: Vec<Segment>,
 }

@@ -17,7 +17,7 @@
 //! an order that does not depend on scheduling. Every user of this pool is
 //! pinned bit-identical across worker counts by its own suite
 //! (`tests/parallel_determinism.rs`, `tests/placement_determinism.rs`, and
-//! the stencil jobs-1-vs-8 tests in `tests/bench_trajectory.rs`).
+//! the stencil jobs-1-vs-8 tests in `tests/oracle_equivalence.rs`).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

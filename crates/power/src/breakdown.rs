@@ -17,7 +17,6 @@
 //! pipeline without giving up exploratory analysis.
 
 use greenness_platform::Timeline;
-use serde::{Deserialize, Serialize};
 
 /// Average dynamic power of an I/O probe run: its mean system power above
 /// the machine's static floor, watts.
@@ -26,7 +25,7 @@ pub fn probe_dynamic_power_w(probe: &Timeline, static_floor_w: f64) -> f64 {
 }
 
 /// The static/dynamic split of the energy one pipeline saves over another.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SavingsBreakdown {
     /// Total energy saved, joules.
     pub total_j: f64,

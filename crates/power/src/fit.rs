@@ -12,8 +12,6 @@
 //!   A runtime can then predict the energy of a planned access pattern
 //!   without executing it, which is what drives technique selection.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::PowerProfile;
 
 /// Estimate the static (idle) floor of a profile as its `q`-quantile system
@@ -31,7 +29,7 @@ pub fn estimate_static_floor_w(profile: &PowerProfile, q: f64) -> f64 {
 
 /// Feature vector of one disk transfer: what the paper says the runtime
 /// model should condition on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskAccessFeatures {
     /// Number of device operations issued.
     pub ops: f64,
@@ -43,7 +41,7 @@ pub struct DiskAccessFeatures {
 
 /// A fitted linear disk-energy model:
 /// `E_dyn ≈ a·ops + b·bytes + c·position_s`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskEnergyModel {
     /// Joules per operation.
     pub per_op_j: f64,

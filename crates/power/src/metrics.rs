@@ -7,10 +7,9 @@
 //! power timeline and a count of useful work units.
 
 use greenness_platform::Timeline;
-use serde::{Deserialize, Serialize};
 
 /// Summary metrics of one pipeline run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GreenMetrics {
     /// Wall-clock (virtual) execution time, seconds.
     pub execution_time_s: f64,

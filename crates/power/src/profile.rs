@@ -7,13 +7,12 @@
 
 use greenness_platform::Timeline;
 use greenness_trace::Tracer;
-use serde::{Deserialize, Serialize};
 
 use crate::rapl::{RaplDomain, RaplMsr, RaplReader};
 use crate::wattsup::WattsupMeter;
 
 /// One row of a profile: power per channel at the end of a sampling interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileSample {
     /// End of the sampling interval, seconds since the run started.
     pub t_s: f64,
@@ -33,7 +32,7 @@ impl ProfileSample {
 }
 
 /// A sampled power profile of one pipeline run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PowerProfile {
     /// Samples in time order, equally spaced.
     pub samples: Vec<ProfileSample>,

@@ -11,10 +11,9 @@
 
 use greenness_platform::{SimTime, Timeline};
 use greenness_trace::{Tracer, Value};
-use serde::{Deserialize, Serialize};
 
 /// A RAPL power domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RaplDomain {
     /// The whole processor package (both sockets summed, as the paper plots).
     Package,
@@ -80,7 +79,7 @@ impl<'a> RaplMsr<'a> {
 /// A software RAPL poller: reads the energy-status MSRs at a fixed period and
 /// reconstructs average power per interval, handling counter wrap-around —
 /// the standard consumer-side algorithm.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RaplReader {
     /// Polling period, seconds (the paper polls at 1 Hz to minimize
     /// interference).

@@ -12,10 +12,9 @@ use greenness_platform::{SimTime, Timeline};
 use greenness_trace::{Tracer, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A simulated Wattsup Pro meter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WattsupMeter {
     /// Sampling period, seconds (the hardware is fixed at 1 Hz).
     pub period_s: f64,

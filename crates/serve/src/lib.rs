@@ -40,5 +40,5 @@ pub use cache::ResultCache;
 pub use client::{query, Client, RetryClient};
 pub use harness::{replay_workload, run_load, run_replay, LoadMode, LoadReport, ReplayOutput};
 pub use protocol::{ErrorCode, SCHEMA};
-pub use server::Server;
+pub use server::{LineHandler, Next, Server};
 pub use service::{Disposition, Outcome, Service, ServiceConfig};

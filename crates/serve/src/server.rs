@@ -8,8 +8,12 @@
 //! hang up *between* responses; each response's segments are written in
 //! order by the stream's single connection thread before the next read, so
 //! output is never torn even mid-drain.
+//!
+//! The loop is generic over a [`LineHandler`]: a single [`Service`] and the
+//! fleet router (`greenness-fleet`) share this one accept/connection loop
+//! and differ only in how a request line becomes a reply.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -24,11 +28,57 @@ const READ_TICK: Duration = Duration::from_millis(50);
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
+/// What the connection loop does once a request line has been handled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    /// The reply is written; keep reading from this connection.
+    Continue,
+    /// Nothing was written: hang up (an injected connection-drop fault; the
+    /// client reconnects and retries).
+    HangUp,
+    /// The reply to a granted `shutdown` op is written and the handler has
+    /// already begun draining: stop the listener.
+    Shutdown,
+}
+
+/// Whatever answers the request lines a [`Server`] reads off its sockets.
+pub trait LineHandler: Send + Sync + 'static {
+    /// Handle one trimmed, non-empty request line, writing exactly one
+    /// newline-terminated reply to `out` (nothing for [`Next::HangUp`]).
+    fn answer(&self, line: &str, out: &mut impl Write) -> io::Result<Next>;
+
+    /// Begin draining: turn queued and new requests away, let in-flight
+    /// ones finish.
+    fn drain(&self);
+}
+
+impl LineHandler for Service {
+    fn answer(&self, line: &str, out: &mut impl Write) -> io::Result<Next> {
+        let outcome = self.handle_line(line);
+        if outcome.dropped {
+            return Ok(Next::HangUp);
+        }
+        // Zero-copy: the response's payload segment is the cache's own
+        // allocation, streamed straight to the socket without assembling
+        // an intermediate line.
+        outcome.response.write_to(out)?;
+        Ok(if outcome.shutdown {
+            Next::Shutdown
+        } else {
+            Next::Continue
+        })
+    }
+
+    fn drain(&self) {
+        self.gate().shutdown();
+    }
+}
+
 /// A running server. Dropping the handle does **not** stop it; call
 /// [`Server::shutdown`] (or send a `shutdown` op) and then [`Server::join`].
-pub struct Server {
+pub struct Server<H: LineHandler = Service> {
     addr: SocketAddr,
-    service: Arc<Service>,
+    service: Arc<H>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
 }
@@ -36,15 +86,17 @@ pub struct Server {
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
     /// serving in background threads.
-    pub fn start(addr: &str, config: ServiceConfig) -> std::io::Result<Server> {
+    pub fn start(addr: &str, config: ServiceConfig) -> io::Result<Server> {
         Server::start_with_service(addr, Arc::new(Service::new(config)))
     }
+}
 
-    /// Bind `addr` and serve an **existing** service instance. The fleet
-    /// uses this to expose a shard's service — cache, gate, and metrics
-    /// included — on its own debug port while the router keeps handling the
-    /// same instance in-process.
-    pub fn start_with_service(addr: &str, service: Arc<Service>) -> std::io::Result<Server> {
+impl<H: LineHandler> Server<H> {
+    /// Bind `addr` and serve an **existing** handler instance. The fleet
+    /// uses this to put its router behind the loop, and to expose a shard's
+    /// service — cache, gate, and metrics included — on its own debug port
+    /// while the router keeps handling the same instance in-process.
+    pub fn start_with_service(addr: &str, service: Arc<H>) -> io::Result<Server<H>> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -67,14 +119,14 @@ impl Server {
         self.addr
     }
 
-    /// The shared service (tests read its metrics).
-    pub fn service(&self) -> &Arc<Service> {
+    /// The shared handler (tests read its metrics).
+    pub fn service(&self) -> &Arc<H> {
         &self.service
     }
 
     /// Begin draining: close the gate, then raise the stop flag.
     pub fn shutdown(&self) {
-        self.service.gate().shutdown();
+        self.service.drain();
         self.stop.store(true, Ordering::SeqCst);
     }
 
@@ -96,14 +148,14 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, service: Arc<Service>, stop: Arc<AtomicBool>) {
+fn accept_loop<H: LineHandler>(listener: TcpListener, service: Arc<H>, stop: Arc<AtomicBool>) {
     let conns: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop);
-                let handle = std::thread::spawn(move || connection_loop(stream, &service, &stop));
+                let handle = std::thread::spawn(move || connection_loop(stream, &*service, &stop));
                 // A connection thread that panicked poisons nothing we care
                 // about — the list is just join handles — so recover.
                 conns
@@ -120,7 +172,7 @@ fn accept_loop(listener: TcpListener, service: Arc<Service>, stop: Arc<AtomicBoo
     }
 }
 
-fn connection_loop(mut stream: TcpStream, service: &Service, stop: &AtomicBool) {
+fn connection_loop(mut stream: TcpStream, service: &impl LineHandler, stop: &AtomicBool) {
     // A plain byte accumulator instead of BufReader: a buffered reader may
     // hold a partial line across a read *timeout*, and we need timeouts to
     // poll the stop flag without dropping bytes.
@@ -141,23 +193,14 @@ fn connection_loop(mut stream: TcpStream, service: &Service, stop: &AtomicBool) 
                     if trimmed.is_empty() {
                         continue;
                     }
-                    let outcome = service.handle_line(trimmed);
-                    if outcome.dropped {
-                        // Injected connection-drop fault: hang up without
-                        // responding; the client reconnects and retries.
-                        return;
-                    }
-                    // Zero-copy: the response's payload segment is the
-                    // cache's own allocation, streamed straight to the
-                    // socket without assembling an intermediate line.
-                    if outcome.response.write_to(&mut stream).is_err() {
-                        return;
-                    }
-                    if outcome.shutdown {
-                        let _ = stream.flush();
-                        service.gate().shutdown();
-                        stop.store(true, Ordering::SeqCst);
-                        return;
+                    match service.answer(trimmed, &mut stream) {
+                        Ok(Next::Continue) => {}
+                        Ok(Next::Shutdown) => {
+                            let _ = stream.flush();
+                            stop.store(true, Ordering::SeqCst);
+                            return;
+                        }
+                        Ok(Next::HangUp) | Err(_) => return,
                     }
                 }
             }

@@ -16,13 +16,12 @@
 //! power paths.
 
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
-use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockDevice, BLOCK_SIZE};
 use crate::error::StorageError;
 
 /// The four Table III job types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FioKind {
     /// Stream the region front to back.
     SequentialRead,
@@ -63,7 +62,7 @@ impl FioKind {
 }
 
 /// One benchmark job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FioJob {
     /// Job type.
     pub kind: FioKind,
@@ -92,7 +91,7 @@ impl FioJob {
 }
 
 /// Table III row set for one job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FioResult {
     /// The job type.
     pub kind: FioKind,

@@ -24,7 +24,6 @@ use greenness_platform::{AccessPattern, Activity, Node, Phase};
 use greenness_trace::Value;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockDevice, MemBlockDevice, NullBlockDevice, BLOCK_SIZE};
 use crate::cache::{CacheStats, PageCache};
@@ -76,7 +75,7 @@ impl std::fmt::Display for FsError {
 impl std::error::Error for FsError {}
 
 /// How the allocator places new blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AllocMode {
     /// First-fit contiguous extents (fresh-filesystem behavior).
     Contiguous,
@@ -89,7 +88,7 @@ pub enum AllocMode {
 }
 
 /// Filesystem tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FsConfig {
     /// Read-ahead window for cold, small buffered reads, bytes.
     pub readahead_bytes: u64,
@@ -243,7 +242,7 @@ impl CostedDevice for NullBlockDevice {
 }
 
 /// A contiguous run of device blocks owned by one file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extent {
     /// First device block.
     pub start: u64,

@@ -9,13 +9,12 @@
 //! charged honestly (one fragmented read + one sequential write).
 
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
-use serde::{Deserialize, Serialize};
 
 use crate::block::BLOCK_SIZE;
 use crate::fs::{CostedDevice, FileSystem, FsError};
 
 /// Outcome of one reorganization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReorgReport {
     /// Contiguous device runs before the pass.
     pub runs_before: usize,

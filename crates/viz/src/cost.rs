@@ -8,10 +8,9 @@
 //! phase ≈22 W below the simulation phase.
 
 use greenness_platform::Activity;
-use serde::{Deserialize, Serialize};
 
 /// Calibrated conversion from pixels shaded to platform compute activities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderCostModel {
     /// Flops charged per output pixel (includes field sampling, mapping, and
     /// contour scanning of the paper's renderer).

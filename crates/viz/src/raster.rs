@@ -1,7 +1,6 @@
 //! Framebuffer and scalar-field rasterization.
 
 use greenness_heatsim::Grid;
-use rayon::prelude::*;
 
 use crate::colormap::{Colormap, Rgb};
 
@@ -110,7 +109,7 @@ impl Default for RenderOptions {
     }
 }
 
-/// Render `field` into an image by bilinear sampling, rows in parallel.
+/// Render `field` into an image by bilinear sampling.
 pub fn render_field(field: &Grid, opts: &RenderOptions) -> Framebuffer {
     let (lo, hi) = opts.range.unwrap_or_else(|| (field.min(), field.max()));
     let span = (hi - lo).max(1e-300);
@@ -118,7 +117,7 @@ pub fn render_field(field: &Grid, opts: &RenderOptions) -> Framebuffer {
     let width = opts.width;
     let cm = opts.colormap;
     fb.pixels
-        .par_chunks_mut(width * 3)
+        .chunks_mut(width * 3)
         .enumerate()
         .for_each(|(y, row)| {
             let v = (y as f64 + 0.5) / opts.height as f64;

@@ -32,8 +32,8 @@ proptest! {
         prop_assert_eq!(back, fb);
     }
 
-    /// Rendering the same field twice is bit-identical (rayon must not leak
-    /// nondeterminism) and every pixel is a valid colormap output.
+    /// Rendering the same field twice is bit-identical and every pixel is a
+    /// valid colormap output.
     #[test]
     fn rendering_is_pure(g in arb_grid()) {
         let opts = RenderOptions { width: 48, height: 48, ..Default::default() };

@@ -1,12 +1,8 @@
-//! Bench-trajectory suite: the `greenness bench` harness must stay
-//! reproducible for its numbers to mean anything across commits.
+//! Oracle-equivalence suite: every optimized hot path must stay
+//! bit-for-bit the retained straight-line reference it replaced.
 //!
-//! Five properties are pinned here:
+//! Three properties are pinned here:
 //!
-//! * the emitted `BENCH_7.json` is parseable, schema-tagged
-//!   `greenness-bench/v1`, and structurally complete;
-//! * workload counters (checksums + work tallies) are identical across
-//!   `--jobs` values — only wall-clock may vary between runs;
 //! * the fast stencil path (including the row-parallel step at any `jobs`
 //!   value) is bit-for-bit the naive reference on arbitrary grids,
 //!   including the thinnest legal slabs;
@@ -17,88 +13,11 @@
 
 use std::process::Command;
 
-use greenness_bench::perf::{run_suite, suite_json, BenchConfig};
 use greenness_codec::transpose::TransposeRle;
 use greenness_codec::Codec;
 use greenness_core::PipelineConfig;
 use greenness_heatsim::{Boundary, Grid, HeatSolver};
-use greenness_serve::json::Json;
 use proptest::prelude::*;
-
-fn quick() -> BenchConfig {
-    BenchConfig {
-        reps: 1,
-        quick: true,
-        jobs: 1,
-    }
-}
-
-#[test]
-fn bench_json_is_schema_valid_and_complete() {
-    let cfg = quick();
-    let suite = run_suite(&cfg).expect("quick suite completes");
-    let text = suite_json(&cfg, &suite);
-    let doc = Json::parse(&text).expect("bench output is valid JSON");
-
-    assert_eq!(
-        doc.get("schema"),
-        Some(&Json::Str("greenness-bench/v1".into()))
-    );
-    assert_eq!(doc.get("bench_id"), Some(&Json::Str("BENCH_7".into())));
-    let Some(Json::Arr(benches)) = doc.get("benches") else {
-        panic!("benches must be an array");
-    };
-    assert_eq!(
-        benches.len(),
-        10,
-        "5 stencil + 2 codec + 1 serve + 2 fleet workloads"
-    );
-    for b in benches {
-        for key in ["name", "workload", "median_wall_s", "throughput", "unit"] {
-            assert!(b.get(key).is_some(), "bench entry missing {key}");
-        }
-        let Some(Json::Obj(counters)) = b.get("counters") else {
-            panic!("counters must be an object");
-        };
-        assert!(
-            counters.iter().any(|(k, _)| k == "checksum"),
-            "every workload must checksum its output"
-        );
-    }
-    // The trajectory's headline numbers: the fast stencil must actually be
-    // faster than the retained naive reference on the same workload.
-    for key in ["stencil_speedup_dirichlet", "stencil_speedup_neumann"] {
-        let speedup = doc
-            .get("derived")
-            .and_then(|d| d.get(key))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("derived.{key} missing"));
-        assert!(speedup > 1.0, "{key} = {speedup}");
-    }
-    // The threaded-scaling ratio only needs to exist and be sane: on a
-    // 1-core CI host thread overhead can push it below 1.0, and that is an
-    // honest number, not a regression.
-    let scaling = doc
-        .get("derived")
-        .and_then(|d| d.get("stencil_threaded_scaling"))
-        .and_then(Json::as_f64)
-        .expect("derived.stencil_threaded_scaling missing");
-    assert!(scaling.is_finite() && scaling > 0.0, "scaling = {scaling}");
-}
-
-#[test]
-fn counters_are_identical_across_jobs_values() {
-    let a = run_suite(&quick()).expect("suite completes at jobs=1");
-    let b = run_suite(&BenchConfig { jobs: 8, ..quick() }).expect("suite completes at jobs=8");
-    for (ma, mb) in a.benches.iter().zip(&b.benches) {
-        assert_eq!(ma.name, mb.name);
-        assert_eq!(
-            ma.counters, mb.counters,
-            "{}: counters must not depend on --jobs",
-            ma.name
-        );
-    }
-}
 
 proptest! {
     /// The interior fast path + boundary peeling in `HeatSolver::step` must

@@ -1,0 +1,116 @@
+//! Workspace-hygiene audit: each job is done exactly once.
+//!
+//! PR 12 deleted five do-nothing dependency shims, the second and third
+//! bench systems, and four private copies of the FNV-1a / splitmix64 hashes.
+//! This test walks the tree and fails if any of them grows back, so "add a
+//! quick local copy" shows up in review instead of in the next inventory.
+
+use std::path::{Path, PathBuf};
+
+fn repo_root() -> PathBuf {
+    // CARGO_MANIFEST_DIR is crates/bench (this test is attached there).
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("repo root")
+        .to_path_buf()
+}
+
+fn sorted_entries(dir: &Path) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    entries.sort();
+    entries
+}
+
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .expect("file name")
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for path in sorted_entries(dir) {
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+#[test]
+fn only_the_rand_and_proptest_shims_remain() {
+    let names: Vec<String> = sorted_entries(&repo_root().join("shims"))
+        .iter()
+        .map(|p| file_name(p))
+        .collect();
+    assert_eq!(names, ["README.md", "proptest", "rand"]);
+}
+
+#[test]
+fn no_crate_manifest_names_a_deleted_dependency() {
+    let manifests: Vec<PathBuf> = sorted_entries(&repo_root().join("crates"))
+        .iter()
+        .map(|krate| krate.join("Cargo.toml"))
+        .collect();
+    assert!(manifests.len() >= 15, "found {} manifests", manifests.len());
+    for path in manifests {
+        for (i, line) in read(&path).lines().enumerate() {
+            for dep in ["serde", "rayon", "bytes", "criterion"] {
+                assert!(
+                    !line.contains(dep),
+                    "{}:{}: names `{dep}`: {line}",
+                    path.display(),
+                    i + 1
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fnv1a_and_splitmix64_are_defined_only_in_greenness_faults() {
+    let crates = repo_root().join("crates");
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+    assert!(sources.len() >= 80, "found {} sources", sources.len());
+    let faults = crates.join("faults");
+    let mut in_faults = 0;
+    for path in sources {
+        for (i, line) in read(&path).lines().enumerate() {
+            if !line.contains("fn fnv1a") && !line.contains("fn splitmix64") {
+                continue;
+            }
+            assert!(
+                path.starts_with(&faults),
+                "{}:{}: private hash copy: {line}",
+                path.display(),
+                i + 1
+            );
+            in_faults += 1;
+        }
+    }
+    assert_eq!(in_faults, 3, "fnv1a64, fnv1a64_extend, splitmix64");
+}
+
+#[test]
+fn no_committed_bench_json_at_the_repo_root() {
+    let stale: Vec<String> = sorted_entries(&repo_root())
+        .iter()
+        .map(|p| file_name(p))
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "benchmark/ is the one bench system: {stale:?}"
+    );
+}
