@@ -704,7 +704,10 @@ fn print_extensions(setup: &ExperimentSetup, jobs: usize) {
         ("image DB (3 views)", Variant::ImageDatabase { views: 3 }),
     ] {
         let mut node = Node::new(setup.spec.clone());
-        let out = run_variant(v, &mut node, &cfg);
+        let out = run_variant(v, &mut node, &cfg).unwrap_or_else(|e| {
+            eprintln!("[repro] variant '{name}' failed: {e}");
+            std::process::exit(1);
+        });
         rows.push(vec![
             name.to_string(),
             report::f(out.execution_time_s, 1),
@@ -736,7 +739,11 @@ fn print_extensions(setup: &ExperimentSetup, jobs: usize) {
     let mut rows = Vec::new();
     for scale in [1.0, 0.8, 0.6, 0.5] {
         let mut node = Node::new(setup.spec.clone());
-        let out = run_variant(Variant::DvfsSim { freq_scale: scale }, &mut node, &cfg);
+        let out = run_variant(Variant::DvfsSim { freq_scale: scale }, &mut node, &cfg)
+            .unwrap_or_else(|e| {
+                eprintln!("[repro] DVFS sweep at {scale} failed: {e}");
+                std::process::exit(1);
+            });
         rows.push(vec![
             format!("{:.0}%", scale * 100.0),
             report::f(out.execution_time_s, 1),

@@ -393,9 +393,7 @@ pub fn run_cluster_traced(
     pfs.set_fault_plan(faults);
     let mut render_inj: Option<FaultInjector> = faults.map(|p| p.injector(Site::StagingRender, 0));
 
-    let initial = Grid::from_fn(cfg.grid_nx, cfg.grid_ny, |x, y| {
-        0.3 * (-((x - 0.5).powi(2) + (y - 0.4).powi(2)) * 40.0).exp()
-    });
+    let initial = Grid::warm_patch(cfg.grid_nx, cfg.grid_ny);
     let mut solver = DecomposedSolver::new(&initial, cfg.solver.clone(), cfg.compute_nodes);
     let ghost = solver.ghost_traffic();
     let pixels = (cfg.render.width * cfg.render.height) as u64;

@@ -345,9 +345,7 @@ mod tests {
     #[test]
     fn beats_plain_bit_delta_on_smooth_fields() {
         use crate::delta::DeltaVarint;
-        let g = Grid::from_fn(64, 64, |x, y| {
-            0.3 * (-((x - 0.5).powi(2) + (y - 0.4).powi(2)) * 40.0).exp()
-        });
+        let g = Grid::warm_patch(64, 64);
         let bytes = g.to_bytes();
         let t = TransposeRle.encode(&bytes).len();
         let d = DeltaVarint.encode(&bytes).len();

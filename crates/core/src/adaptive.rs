@@ -13,14 +13,17 @@
 //! kept on disk are read back and rendered in a final phase, so the
 //! adaptive and never-switch runs deliver identical scientific output and
 //! their energies compare apples to apples.
+//!
+//! On top of the shared single-node driver this module adds only the policy:
+//! it ticks the stepper one step at a time, picks the snapshot or the image
+//! stage per I/O step, and evaluates the window. A policy that never
+//! switches *is* the post-processing pipeline, bit for bit.
 
-use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{Node, Phase};
-use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
-use greenness_viz::{encode_ppm, render_field};
 
 use crate::config::PipelineConfig;
-use crate::pipeline::{read_chunked, write_chunked, PipelineError};
+use crate::driver;
+use crate::pipeline::PipelineError;
 
 /// Adaptive policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,25 +81,10 @@ pub fn run_adaptive(
             policy.io_energy_threshold
         )));
     }
-    if cfg.io_interval == 0 {
-        return Err(PipelineError::Config(
-            "io_interval must be at least 1".to_string(),
-        ));
-    }
-    let mut fs = FileSystem::format(
-        MemBlockDevice::with_capacity_bytes(cfg.device_bytes),
-        FsConfig::default(),
-    );
-    let initial = Grid::from_fn(cfg.grid_nx, cfg.grid_ny, |x, y| {
-        0.3 * (-((x - 0.5).powi(2) + (y - 0.4).powi(2)) * 40.0).exp()
-    });
-    let mut solver = HeatSolver::new(initial, cfg.solver.clone())?;
-    let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
+    let (mut stepper, mut store) = driver::open(cfg, None)?;
 
-    let mut insitu_mode = false;
     let mut switched_at_step = None;
-    let mut snapshots_kept = 0u64;
+    let mut kept = Vec::new();
     let mut images_written = 0u64;
     let mut window_start_energy = 0.0f64;
     let mut window_start_io = 0.0f64;
@@ -106,74 +94,43 @@ pub fn run_adaptive(
             + node.timeline().phase_energy(Phase::CacheControl).system_j()
     };
 
-    for step in 1..=cfg.timesteps {
-        solver.step();
-        node.execute(cfg.sim_cost.activity(cells), Phase::Simulation);
-        if step % cfg.io_interval == 0 {
-            if insitu_mode {
-                node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-                let image = render_field(solver.grid(), &cfg.render);
-                let ppm = encode_ppm(&image);
-                write_chunked(
-                    node,
-                    &mut fs,
-                    &format!("frame{step:04}.ppm"),
-                    &ppm,
-                    cfg.chunk_bytes,
-                    Phase::ImageWrite,
-                )?;
+    while let Some((step, io_due)) = stepper.tick(node, cfg) {
+        if io_due {
+            if switched_at_step.is_some() {
+                let image = driver::render(node, cfg, stepper.grid(), &cfg.render);
+                store.write_frame(node, &driver::frame_name(step), &image)?;
                 images_written += 1;
             } else {
-                let bytes = solver.grid().to_bytes();
-                write_chunked(
-                    node,
-                    &mut fs,
-                    &format!("snap{step:04}"),
-                    &bytes,
-                    cfg.chunk_bytes,
-                    Phase::Write,
-                )?;
-                snapshots_kept += 1;
+                kept.push(store.write_snapshot(node, step, &stepper.grid().to_bytes())?);
             }
         }
         // Policy evaluation at window boundaries, while still writing raw.
-        if !insitu_mode && step % policy.window_steps == 0 {
+        if switched_at_step.is_none() && step % policy.window_steps == 0 {
             let total = node.timeline().total_energy_j();
             let io = io_energy(node);
             let window_total = total - window_start_energy;
             let window_io = io - window_start_io;
             if window_total > 0.0 && window_io / window_total > policy.io_energy_threshold {
-                insitu_mode = true;
                 switched_at_step = Some(step);
             }
             window_start_energy = total;
             window_start_io = io;
         }
     }
-    fs.sync(node, Phase::CacheControl);
-    fs.drop_caches();
+    store.end_phase_one(node);
 
     // Final phase: visualize the snapshots that stayed raw, exactly as the
     // post-processing pipeline would.
-    let mut kept: Vec<String> = fs
-        .list()
-        .into_iter()
-        .filter(|n| n.starts_with("snap"))
-        .collect();
-    kept.sort();
-    for name in kept {
-        let bytes = read_chunked(node, &mut fs, &name, cfg.chunk_bytes, Phase::Read)?;
-        let grid = Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &bytes)
-            .ok_or(PipelineError::CorruptSnapshot { name })?;
-        node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-        let _ = render_field(&grid, &cfg.render);
+    for name in &kept {
+        let bytes = store.read(node, name)?;
+        driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), name, &bytes)?;
     }
 
     Ok(AdaptiveReport {
         switched_at_step,
         execution_time_s: node.now().as_secs_f64(),
         energy_j: node.timeline().total_energy_j(),
-        snapshots_kept,
+        snapshots_kept: kept.len() as u64,
         images_written,
     })
 }

@@ -6,14 +6,16 @@
 //! node never exceeds the cap, and a sweep that quantifies the resulting
 //! time/energy trade for the in-situ pipeline (the peak phase is the same
 //! simulation in both pipelines, so one sweep covers both).
+//!
+//! On top of the shared single-node driver this module adds only the
+//! governor: the capped run is the in-situ composition over a stepper
+//! re-clocked to the scale the bisection picks.
 
-use greenness_heatsim::{Grid, HeatSolver};
-use greenness_platform::{Node, Phase};
-use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
-use greenness_viz::{encode_ppm, render_field};
+use greenness_platform::Node;
 
 use crate::config::PipelineConfig;
-use crate::pipeline::{write_chunked, PipelineError};
+use crate::driver;
+use crate::pipeline::PipelineError;
 
 /// Result of one capped run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,52 +77,16 @@ pub fn run_capped_insitu(
     let Some(freq_scale) = freq_scale_for_cap(&node, cfg, cap_w) else {
         return Ok(None);
     };
-    if cfg.io_interval == 0 {
-        return Err(PipelineError::Config(
-            "io_interval must be at least 1".to_string(),
-        ));
-    }
-    let scaled_spec = {
-        let mut s = node.spec().clone();
-        s.cpu = s.cpu.with_freq_scale(freq_scale);
-        s
-    };
-    let scaled = Node::new(scaled_spec);
+    let (stepper, mut store) = driver::open(cfg, None)?;
+    let mut stepper = stepper.reclocked(&node, freq_scale);
 
-    let mut fs = FileSystem::format(
-        MemBlockDevice::with_capacity_bytes(cfg.device_bytes),
-        FsConfig::default(),
-    );
-    let initial = Grid::from_fn(cfg.grid_nx, cfg.grid_ny, |x, y| {
-        0.3 * (-((x - 0.5).powi(2) + (y - 0.4).powi(2)) * 40.0).exp()
-    });
-    let mut solver = HeatSolver::new(initial, cfg.solver.clone())?;
-    let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
-
-    for step in 1..=cfg.timesteps {
-        solver.step();
-        let (secs, draw) = scaled.cost_of(cfg.sim_cost.activity(cells));
-        node.execute_raw(secs, draw, Phase::Simulation);
-        if step % cfg.io_interval != 0 {
-            continue;
-        }
+    while let Some(step) = stepper.next_io_step(&mut node, cfg) {
         // Rendering is memory-bound; its draw sits far below the cap, so it
         // runs at full clock (race-to-idle within the budget).
-        node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-        let image = render_field(solver.grid(), &cfg.render);
-        let ppm = encode_ppm(&image);
-        write_chunked(
-            &mut node,
-            &mut fs,
-            &format!("frame{step:04}.ppm"),
-            &ppm,
-            cfg.chunk_bytes,
-            Phase::ImageWrite,
-        )?;
+        let image = driver::render(&mut node, cfg, stepper.grid(), &cfg.render);
+        store.write_frame(&mut node, &driver::frame_name(step), &image)?;
     }
-    fs.sync(&mut node, Phase::CacheControl);
-    fs.drop_caches();
+    store.end_phase_one(&mut node);
 
     Ok(Some(CappedRun {
         cap_w,

@@ -1,0 +1,311 @@
+//! The one single-node pipeline driver.
+//!
+//! Every single-node run — the three [`pipeline`](crate::pipeline) kinds, the
+//! five [`variants`](crate::variants), the [`adaptive`](crate::adaptive)
+//! runtime, the [`capping`](crate::capping) governor and a
+//! [`steering`](crate::steering) session — is the same loop in the same
+//! phase order (Figure 2):
+//!
+//! 1. **simulate** one timestep ([`Stepper::tick`]: real stencil update plus
+//!    the calibrated `Simulation` charge);
+//! 2. on an I/O step, **store** what the pipeline keeps — a raw snapshot
+//!    ([`Store::write_snapshot`]) or a frame rendered in memory ([`render`] +
+//!    [`Store::write_frame`]) — in fsync'd chunks;
+//! 3. after the last step, **sync and drop caches**
+//!    ([`Store::end_phase_one`], §IV-C);
+//! 4. **read back** every kept snapshot chunk by chunk ([`Store::read`]) and
+//!    **render** it ([`render_snapshot`]).
+//!
+//! The pipelines differ only in which of these stages they compose and what
+//! they put between them, so each is a short planner over this module and
+//! the solver, the filesystem format, the chunked fsync'd write and the
+//! sync/drop tail exist exactly once (`tests/workspace_hygiene.rs` pins
+//! that). Nothing here branches on which pipeline is calling.
+
+use greenness_faults::{FaultPlan, Site};
+use greenness_heatsim::{Grid, HeatSolver};
+use greenness_platform::{Activity, Node, Phase, PowerDraw};
+use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
+use greenness_trace::Value;
+use greenness_viz::{encode_ppm, render_field, Framebuffer, RenderOptions};
+
+use crate::config::PipelineConfig;
+use crate::pipeline::PipelineError;
+
+/// Start a batch run: the live solver and a freshly formatted store.
+///
+/// # Errors
+/// Whatever [`Stepper::new`] rejects.
+pub(crate) fn open(
+    cfg: &PipelineConfig,
+    faults: Option<FaultPlan>,
+) -> Result<(Stepper, Store), PipelineError> {
+    let stepper = Stepper::new(cfg)?;
+    let mut fs = FileSystem::format(
+        MemBlockDevice::with_capacity_bytes(cfg.device_bytes),
+        FsConfig::default(),
+    );
+    fs.set_fault_injector(faults.map(|plan| plan.injector(Site::StorageFsync, 0)));
+    let store = Store {
+        fs,
+        chunk: cfg.chunk_bytes,
+    };
+    Ok((stepper, store))
+}
+
+/// The one `io_interval` range check (a zero interval divides by zero).
+pub(crate) fn check_io_interval(io_interval: u64) -> Result<(), PipelineError> {
+    if io_interval == 0 {
+        return Err(PipelineError::Config(
+            "io_interval must be at least 1".to_string(),
+        ));
+    }
+    Ok(())
+}
+
+/// The live simulation: solver, step counter, and the per-step charge.
+/// Resumable — a steering session ticks it a slice at a time, and a clone
+/// carries the remaining run onto a scratch node.
+#[derive(Debug, Clone)]
+pub(crate) struct Stepper {
+    solver: HeatSolver,
+    step: u64,
+    sim: Activity,
+    /// The `(seconds, draw)` of `sim` on a DVFS-scaled CPU, when re-clocked.
+    reclocked: Option<(f64, PowerDraw)>,
+}
+
+impl Stepper {
+    /// The solver at step 0 over the workspace's one initial condition.
+    /// This is the constructor every single-node run goes through, so the
+    /// workload parameters that would otherwise hang or divide by zero are
+    /// rejected here, once.
+    ///
+    /// # Errors
+    /// [`PipelineError::Config`] for a zero `io_interval` or `chunk_bytes`;
+    /// [`PipelineError::Solver`] when the solver rejects its configuration.
+    pub(crate) fn new(cfg: &PipelineConfig) -> Result<Stepper, PipelineError> {
+        check_io_interval(cfg.io_interval)?;
+        if cfg.chunk_bytes == 0 {
+            return Err(PipelineError::Config(
+                "chunk_bytes must be at least 1".to_string(),
+            ));
+        }
+        let initial = Grid::warm_patch(cfg.grid_nx, cfg.grid_ny);
+        Ok(Stepper {
+            solver: HeatSolver::new(initial, cfg.solver.clone())?,
+            step: 0,
+            sim: cfg.sim_cost.activity((cfg.grid_nx * cfg.grid_ny) as u64),
+            reclocked: None,
+        })
+    }
+
+    /// Price the simulation step on `node`'s hardware with the CPU clock
+    /// scaled by `freq_scale` (I/O and rendering are disk- and memory-bound
+    /// and stay at full clock).
+    pub(crate) fn reclocked(mut self, node: &Node, freq_scale: f64) -> Stepper {
+        let mut spec = node.spec().clone();
+        spec.cpu = spec.cpu.with_freq_scale(freq_scale);
+        self.reclocked = Some(Node::new(spec).cost_of(self.sim));
+        self
+    }
+
+    /// Solver threads: wall-clock speed only, never output bytes.
+    pub(crate) fn set_jobs(&mut self, jobs: usize) {
+        self.solver.set_jobs(jobs);
+    }
+
+    /// Steps simulated so far.
+    pub(crate) fn step(&self) -> u64 {
+        self.step
+    }
+
+    /// Stencil steps the solver actually executed.
+    pub(crate) fn solver_steps(&self) -> u64 {
+        self.solver.steps_taken()
+    }
+
+    /// The live field.
+    pub(crate) fn grid(&self) -> &Grid {
+        self.solver.grid()
+    }
+
+    /// Charge one simulation step on `node` without running the stencil —
+    /// what [`tick`](Self::tick) charges, and all a schedule replay needs.
+    pub(crate) fn charge(&self, node: &mut Node) {
+        match self.reclocked {
+            Some((secs, draw)) => node.execute_raw(secs, draw, Phase::Simulation),
+            None => node.execute(self.sim, Phase::Simulation),
+        };
+    }
+
+    /// Simulate one step of `cfg`'s run on `node`. Returns the step just
+    /// taken and whether it is an I/O step, or `None` once the timestep
+    /// budget is spent.
+    pub(crate) fn tick(&mut self, node: &mut Node, cfg: &PipelineConfig) -> Option<(u64, bool)> {
+        if self.step >= cfg.timesteps {
+            return None;
+        }
+        self.step += 1;
+        self.solver.step();
+        node.tracer().count("solver.steps", 1);
+        self.charge(node);
+        Some((self.step, self.step % cfg.io_interval == 0))
+    }
+
+    /// Simulate up to and including the next I/O step; `None` when the run
+    /// ends first.
+    pub(crate) fn next_io_step(&mut self, node: &mut Node, cfg: &PipelineConfig) -> Option<u64> {
+        while let Some((step, io_due)) = self.tick(node, cfg) {
+            if io_due {
+                return Some(step);
+            }
+        }
+        None
+    }
+}
+
+/// The run's simulated disk: one formatted filesystem, written and read in
+/// `chunk_bytes` pieces.
+pub(crate) struct Store {
+    fs: FileSystem<MemBlockDevice>,
+    chunk: usize,
+}
+
+impl Store {
+    /// The filesystem itself, for stages that bring their own I/O shape
+    /// (the burst buffer drains whole files).
+    pub(crate) fn fs_mut(&mut self) -> &mut FileSystem<MemBlockDevice> {
+        &mut self.fs
+    }
+
+    /// Write `data` to `name` chunk by chunk, fsyncing each chunk. Returns
+    /// the bytes written.
+    fn write(
+        &mut self,
+        node: &mut Node,
+        name: &str,
+        data: &[u8],
+        phase: Phase,
+    ) -> Result<u64, PipelineError> {
+        for (i, part) in data.chunks(self.chunk).enumerate() {
+            let off = (i * self.chunk) as u64;
+            self.fs
+                .write(node, name, off, part, phase)
+                .map_err(|source| PipelineError::Storage {
+                    op: "write",
+                    source,
+                })?;
+            // Transient fsync faults (when a schedule is installed) are
+            // retried with backoff inside the filesystem; only budget
+            // exhaustion or a genuine metadata error surfaces, and either
+            // is terminal here.
+            self.fs
+                .fsync_with_retry(node, name, phase)
+                .map_err(|source| PipelineError::Storage {
+                    op: "fsync",
+                    source,
+                })?;
+        }
+        Ok(data.len() as u64)
+    }
+
+    /// Read all of `name` back chunk by chunk, in the `Read` phase.
+    pub(crate) fn read(&mut self, node: &mut Node, name: &str) -> Result<Vec<u8>, PipelineError> {
+        let size = self
+            .fs
+            .size(name)
+            .map_err(|source| PipelineError::Storage { op: "stat", source })?;
+        let mut out = Vec::with_capacity(size as usize);
+        let mut off = 0u64;
+        while off < size {
+            let part = self
+                .fs
+                .read(node, name, off, self.chunk as u64, Phase::Read)
+                .map_err(|source| PipelineError::Storage { op: "read", source })?;
+            off += part.len() as u64;
+            out.extend_from_slice(&part);
+        }
+        Ok(out)
+    }
+
+    /// Persist `step`'s snapshot bytes in the `Write` phase. Returns the
+    /// file name to read it back by.
+    pub(crate) fn write_snapshot(
+        &mut self,
+        node: &mut Node,
+        step: u64,
+        bytes: &[u8],
+    ) -> Result<String, PipelineError> {
+        let name = snapshot_name(step);
+        self.write(node, &name, bytes, Phase::Write)?;
+        Ok(name)
+    }
+
+    /// Encode `image` as PPM and persist it in the `ImageWrite` phase.
+    /// Returns the bytes written.
+    pub(crate) fn write_frame(
+        &mut self,
+        node: &mut Node,
+        name: &str,
+        image: &Framebuffer,
+    ) -> Result<u64, PipelineError> {
+        self.write(node, name, &encode_ppm(image), Phase::ImageWrite)
+    }
+
+    /// §IV-C: `sync` and drop caches between the simulation phase and the
+    /// read-back phase, so nothing is served from memory that a separate
+    /// visualization job would have to fetch from disk.
+    pub(crate) fn end_phase_one(&mut self, node: &mut Node) {
+        self.fs.sync(node, Phase::CacheControl);
+        let evicted = self.fs.drop_caches();
+        if node.tracer().is_on() {
+            node.tracer().instant(
+                node.now().as_nanos(),
+                "cache.drop",
+                vec![("evicted", Value::from(evicted))],
+            );
+            self.fs.publish_cache_counters(node);
+        }
+    }
+}
+
+/// The name `step`'s raw snapshot is stored under.
+pub(crate) fn snapshot_name(step: u64) -> String {
+    format!("snap{step:04}")
+}
+
+/// The name `step`'s frame is stored under when there is one per I/O step.
+pub(crate) fn frame_name(step: u64) -> String {
+    format!("frame{step:04}.ppm")
+}
+
+/// Charge one frame's rasterisation (at `cfg`'s resolution) and render
+/// `grid` through `opts`.
+pub(crate) fn render(
+    node: &mut Node,
+    cfg: &PipelineConfig,
+    grid: &Grid,
+    opts: &RenderOptions,
+) -> Framebuffer {
+    let pixels = (cfg.render.width * cfg.render.height) as u64;
+    node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
+    render_field(grid, opts)
+}
+
+/// Rebuild an `nx × ny` field from read-back snapshot `bytes` and render it.
+///
+/// # Errors
+/// [`PipelineError::CorruptSnapshot`] when the bytes do not have that shape.
+pub(crate) fn render_snapshot(
+    node: &mut Node,
+    cfg: &PipelineConfig,
+    (nx, ny): (usize, usize),
+    name: &str,
+    bytes: &[u8],
+) -> Result<Framebuffer, PipelineError> {
+    let grid = Grid::from_bytes(nx, ny, bytes).ok_or_else(|| PipelineError::CorruptSnapshot {
+        name: name.to_string(),
+    })?;
+    Ok(render(node, cfg, &grid, &cfg.render))
+}

@@ -31,6 +31,11 @@
 //!   technique.
 //! * [`report`] — fixed-width table rendering shared by the `repro` binary.
 //!
+//! Every single-node run ([`pipeline`], [`variants`], [`adaptive`],
+//! [`capping`], [`steering`]) is a composition of one private `driver`
+//! module — the live solver stepper, the formatted store, and the
+//! simulate → store → sync/drop → read-back → render phase order.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -51,6 +56,7 @@ pub mod capping;
 pub mod cluster_sweep;
 pub mod compare;
 pub mod config;
+mod driver;
 pub mod experiment;
 pub mod pipeline;
 pub mod placement;

@@ -15,19 +15,25 @@
 //!   and does no local rendering. Only the compute-node side is metered,
 //!   matching the single-node scope of the paper.
 //!
+//! The loop itself — solver, store, phase order, the `sync; drop_caches`
+//! between phases — is the crate's one private `driver`; this module adds
+//! only what each kind does on an I/O step (write the snapshot / hand the
+//! field to the renderer and write the image / ship the field) and the
+//! post-processing checksum verification.
+//!
 //! Data honesty: snapshots are real solver output; the post-processing
 //! pipeline re-renders from the bytes it reads back from the simulated disk
 //! and *verifies* them against a checksum taken at write time, so any
 //! storage-stack corruption fails loudly.
 
-use greenness_faults::{fnv1a64, FaultPlan, Site};
-use greenness_heatsim::{Grid, HeatSolver, SolverError};
+use greenness_faults::{fnv1a64, FaultPlan};
+use greenness_heatsim::SolverError;
 use greenness_platform::{Activity, Node, Phase};
-use greenness_storage::{FileSystem, FsConfig, FsError, MemBlockDevice};
-use greenness_trace::Value;
-use greenness_viz::{encode_ppm, render_field, Framebuffer};
+use greenness_storage::FsError;
+use greenness_viz::Framebuffer;
 
 use crate::config::PipelineConfig;
+use crate::driver;
 
 /// Why a pipeline run could not complete. All of these are reachable from
 /// caller-supplied configuration (and, through the serve layer, from network
@@ -153,57 +159,6 @@ pub struct PipelineOutput {
     pub verified: bool,
 }
 
-pub(crate) fn write_chunked(
-    node: &mut Node,
-    fs: &mut FileSystem<MemBlockDevice>,
-    name: &str,
-    data: &[u8],
-    chunk: usize,
-    phase: Phase,
-) -> Result<u64, PipelineError> {
-    let mut off = 0usize;
-    while off < data.len() {
-        let end = (off + chunk).min(data.len());
-        fs.write(node, name, off as u64, &data[off..end], phase)
-            .map_err(|source| PipelineError::Storage {
-                op: "write",
-                source,
-            })?;
-        // Transient fsync faults (when a schedule is installed) are retried
-        // with backoff inside the filesystem; only budget exhaustion or a
-        // genuine metadata error surfaces, and either is terminal here.
-        fs.fsync_with_retry(node, name, phase)
-            .map_err(|source| PipelineError::Storage {
-                op: "fsync",
-                source,
-            })?;
-        off = end;
-    }
-    Ok(data.len() as u64)
-}
-
-pub(crate) fn read_chunked(
-    node: &mut Node,
-    fs: &mut FileSystem<MemBlockDevice>,
-    name: &str,
-    chunk: usize,
-    phase: Phase,
-) -> Result<Vec<u8>, PipelineError> {
-    let size = fs
-        .size(name)
-        .map_err(|source| PipelineError::Storage { op: "stat", source })?;
-    let mut out = Vec::with_capacity(size as usize);
-    let mut off = 0u64;
-    while off < size {
-        let part = fs
-            .read(node, name, off, chunk as u64, phase)
-            .map_err(|source| PipelineError::Storage { op: "read", source })?;
-        off += part.len() as u64;
-        out.extend_from_slice(&part);
-    }
-    Ok(out)
-}
-
 /// Run the chosen pipeline over `node`. The node accumulates the power
 /// timeline; the returned output carries the data-side results.
 ///
@@ -231,24 +186,7 @@ pub fn run_with_faults(
     cfg: &PipelineConfig,
     faults: Option<FaultPlan>,
 ) -> Result<PipelineOutput, PipelineError> {
-    if cfg.io_interval == 0 {
-        return Err(PipelineError::Config(
-            "io_interval must be at least 1".to_string(),
-        ));
-    }
-    let mut fs = FileSystem::format(
-        MemBlockDevice::with_capacity_bytes(cfg.device_bytes),
-        FsConfig::default(),
-    );
-    fs.set_fault_injector(faults.map(|plan| plan.injector(Site::StorageFsync, 0)));
-    let initial = Grid::from_fn(cfg.grid_nx, cfg.grid_ny, |x, y| {
-        // A warm Gaussian patch on a cold plate.
-        0.3 * (-((x - 0.5).powi(2) + (y - 0.4).powi(2)) * 40.0).exp()
-    });
-    let mut solver = HeatSolver::new(initial, cfg.solver.clone())?;
-    let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
-
+    let (mut stepper, mut store) = driver::open(cfg, faults)?;
     let mut out = PipelineOutput {
         kind,
         work_units: cfg.work_units(),
@@ -261,21 +199,14 @@ pub fn run_with_faults(
     let mut checksums: Vec<(String, u64, u64)> = Vec::new();
 
     // ---- Phase 1: simulation (+ per-step I/O or in-situ visualization) ----
-    for step in 1..=cfg.timesteps {
-        solver.step();
-        node.tracer().count("solver.steps", 1);
-        node.execute(cfg.sim_cost.activity(cells), Phase::Simulation);
-        if step % cfg.io_interval != 0 {
-            continue;
-        }
+    while let Some(step) = stepper.next_io_step(node, cfg) {
         out.io_steps += 1;
         match kind {
             PipelineKind::PostProcessing => {
-                let bytes = solver.grid().to_bytes();
-                let name = format!("snap{step:04}");
-                checksums.push((name.clone(), step, fnv1a64(&bytes)));
-                out.bytes_written +=
-                    write_chunked(node, &mut fs, &name, &bytes, cfg.chunk_bytes, Phase::Write)?;
+                let bytes = stepper.grid().to_bytes();
+                let name = store.write_snapshot(node, step, &bytes)?;
+                out.bytes_written += bytes.len() as u64;
+                checksums.push((name, step, fnv1a64(&bytes)));
             }
             PipelineKind::InSitu => {
                 // Hand the live field to the renderer (in-memory).
@@ -285,23 +216,14 @@ pub fn run_with_faults(
                     },
                     Phase::Visualization,
                 );
-                node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-                let image = render_field(solver.grid(), &cfg.render);
-                let ppm = encode_ppm(&image);
-                out.bytes_written += write_chunked(
-                    node,
-                    &mut fs,
-                    &format!("frame{step:04}.ppm"),
-                    &ppm,
-                    cfg.chunk_bytes,
-                    Phase::ImageWrite,
-                )?;
+                let image = driver::render(node, cfg, stepper.grid(), &cfg.render);
+                out.bytes_written += store.write_frame(node, &driver::frame_name(step), &image)?;
                 if cfg.keep_frames {
                     out.frames.push(FrameRecord { step, image });
                 }
             }
             PipelineKind::InTransit => {
-                let bytes = solver.grid().to_bytes();
+                let bytes = stepper.grid().to_bytes();
                 let messages = bytes.len().div_ceil(cfg.chunk_bytes) as u32;
                 node.execute(
                     Activity::NetTransfer {
@@ -314,34 +236,18 @@ pub fn run_with_faults(
             }
         }
     }
-
-    // §IV-C: sync and drop caches between phases.
-    fs.sync(node, Phase::CacheControl);
-    let evicted = fs.drop_caches();
-    if node.tracer().is_on() {
-        node.tracer().instant(
-            node.now().as_nanos(),
-            "cache.drop",
-            vec![("evicted", Value::from(evicted))],
-        );
-        fs.publish_cache_counters(node);
-    }
+    store.end_phase_one(node);
 
     // ---- Phase 2 (post-processing only): read back and visualize ----
-    if kind == PipelineKind::PostProcessing {
-        for (name, step, checksum) in &checksums {
-            let bytes = read_chunked(node, &mut fs, name, cfg.chunk_bytes, Phase::Read)?;
-            out.bytes_read += bytes.len() as u64;
-            if fnv1a64(&bytes) != *checksum {
-                out.verified = false;
-            }
-            let grid = Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &bytes)
-                .ok_or_else(|| PipelineError::CorruptSnapshot { name: name.clone() })?;
-            node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-            let image = render_field(&grid, &cfg.render);
-            if cfg.keep_frames {
-                out.frames.push(FrameRecord { step: *step, image });
-            }
+    for (name, step, checksum) in checksums {
+        let bytes = store.read(node, &name)?;
+        out.bytes_read += bytes.len() as u64;
+        if fnv1a64(&bytes) != checksum {
+            out.verified = false;
+        }
+        let image = driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), &name, &bytes)?;
+        if cfg.keep_frames {
+            out.frames.push(FrameRecord { step, image });
         }
     }
 
@@ -458,6 +364,25 @@ mod tests {
         let mut node = Node::new(HardwareSpec::table1());
         let err = run(PipelineKind::InSitu, &mut node, &cfg).expect_err("bad interval");
         assert!(matches!(err, PipelineError::Config(_)), "{err}");
+    }
+
+    #[test]
+    fn zero_chunk_bytes_is_an_error_not_a_hang() {
+        let mut cfg = PipelineConfig::small(1);
+        cfg.chunk_bytes = 0;
+        for kind in [
+            PipelineKind::PostProcessing,
+            PipelineKind::InSitu,
+            PipelineKind::InTransit,
+        ] {
+            let mut node = Node::new(HardwareSpec::table1());
+            let err = run(kind, &mut node, &cfg).expect_err("bad chunk size");
+            assert!(matches!(err, PipelineError::Config(_)), "{kind:?}: {err}");
+            assert!(
+                node.timeline().is_empty(),
+                "{kind:?} charged before failing"
+            );
+        }
     }
 
     #[test]

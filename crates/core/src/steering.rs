@@ -12,15 +12,21 @@
 //! this model are state-independent, so the replay is bit-identical to a
 //! full recompute while doing none of the stencil or rasterization work.
 //!
+//! A session holds the shared single-node driver's stepper open instead of
+//! running it to completion. What this module adds: the adjustable
+//! configuration, the per-frame charge made directly on the node (one
+//! `charge_frame` for the live render, the full recompute and the replay —
+//! no filesystem, so the cost is state-independent), and the replay itself.
+//!
 //! Everything here is deterministic. Frames are hashed with the same FNV-1a
 //! the batch pipelines use for snapshot checksums, so two sessions that apply
 //! the same adjustments at the same steps produce byte-identical transcripts
 //! for any solver thread count and across reruns.
 
 use crate::config::PipelineConfig;
+use crate::driver::{check_io_interval, Stepper};
 use crate::pipeline::PipelineError;
 use greenness_faults::fnv1a64;
-use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
 use greenness_viz::{encode_ppm, ppm_size_bytes, render_field, Colormap};
 
@@ -124,8 +130,7 @@ impl WhatIfDelta {
 pub struct SteeringPipeline {
     cfg: PipelineConfig,
     node: Node,
-    solver: HeatSolver,
-    step: u64,
+    stepper: Stepper,
     frames_rendered: u64,
     bytes_written: u64,
 }
@@ -135,25 +140,15 @@ impl SteeringPipeline {
     /// count changes wall-clock speed only — never output bytes.
     ///
     /// # Errors
-    /// [`PipelineError::Config`] for a zero `io_interval`, and solver
-    /// validation errors as [`PipelineError::Solver`].
+    /// [`PipelineError::Config`] for a zero `io_interval` or `chunk_bytes`,
+    /// and solver validation errors as [`PipelineError::Solver`].
     pub fn new(cfg: &PipelineConfig, jobs: usize) -> Result<SteeringPipeline, PipelineError> {
-        if cfg.io_interval == 0 {
-            return Err(PipelineError::Config(
-                "io_interval must be at least 1".to_string(),
-            ));
-        }
-        let initial = Grid::from_fn(cfg.grid_nx, cfg.grid_ny, |x, y| {
-            // Same warm Gaussian patch the batch pipelines start from.
-            0.3 * (-((x - 0.5).powi(2) + (y - 0.4).powi(2)) * 40.0).exp()
-        });
-        let mut solver = HeatSolver::new(initial, cfg.solver.clone())?;
-        solver.set_jobs(jobs.max(1));
+        let mut stepper = Stepper::new(cfg)?;
+        stepper.set_jobs(jobs.max(1));
         Ok(SteeringPipeline {
             cfg: cfg.clone(),
             node: Node::new(greenness_platform::HardwareSpec::table1()),
-            solver,
-            step: 0,
+            stepper,
             frames_rendered: 0,
             bytes_written: 0,
         })
@@ -161,7 +156,7 @@ impl SteeringPipeline {
 
     /// Current simulation step (0 before the first [`advance`](Self::advance)).
     pub fn step(&self) -> u64 {
-        self.step
+        self.stepper.step()
     }
 
     /// Total steps the run was configured for.
@@ -171,7 +166,7 @@ impl SteeringPipeline {
 
     /// True once the configured timestep budget is exhausted.
     pub fn finished(&self) -> bool {
-        self.step >= self.cfg.timesteps
+        self.step() >= self.cfg.timesteps
     }
 
     /// Virtual seconds elapsed on the session node.
@@ -187,7 +182,7 @@ impl SteeringPipeline {
     /// Stencil steps actually executed (the expensive work what-if replay
     /// avoids).
     pub fn solver_steps(&self) -> u64 {
-        self.solver.steps_taken()
+        self.stepper.solver_steps()
     }
 
     /// Frames rendered so far (scheduled and on-demand).
@@ -211,47 +206,19 @@ impl SteeringPipeline {
     /// [`PipelineError::Config`] for a zero interval or a zero-pixel
     /// resolution.
     pub fn adjust(&mut self, adj: &Adjustment) -> Result<(), PipelineError> {
-        match *adj {
-            Adjustment::IoInterval(n) => {
-                if n == 0 {
-                    return Err(PipelineError::Config(
-                        "io_interval must be at least 1".to_string(),
-                    ));
-                }
-                self.cfg.io_interval = n;
-            }
-            Adjustment::Resolution { width, height } => {
-                if width == 0 || height == 0 {
-                    return Err(PipelineError::Config(format!(
-                        "render resolution must be at least 1x1, got {width}x{height}"
-                    )));
-                }
-                self.cfg.render.width = width;
-                self.cfg.render.height = height;
-            }
-            Adjustment::Camera { colormap, range } => {
-                self.cfg.render.colormap = colormap;
-                self.cfg.render.range = range;
-            }
-        }
-        Ok(())
+        apply(&mut self.cfg, adj)
     }
 
     /// Advance up to `steps` simulation steps (clamped to the configured
     /// budget), rendering at every step divisible by the live `io_interval`.
     /// Returns the stamps of the frames produced, in step order.
     pub fn advance(&mut self, steps: u64) -> Vec<FrameStamp> {
-        let cells = (self.cfg.grid_nx * self.cfg.grid_ny) as u64;
-        let stop = self.cfg.timesteps.min(self.step.saturating_add(steps));
         let mut frames = Vec::new();
-        while self.step < stop {
-            self.step += 1;
-            self.solver.step();
-            self.node.tracer().count("solver.steps", 1);
-            self.node
-                .execute(self.cfg.sim_cost.activity(cells), Phase::Simulation);
-            if self.step % self.cfg.io_interval == 0 {
-                frames.push(self.render_frame());
+        for _ in 0..steps {
+            match self.stepper.tick(&mut self.node, &self.cfg) {
+                Some((_, true)) => frames.push(self.render_frame()),
+                Some(_) => {}
+                None => break,
             }
         }
         frames
@@ -265,25 +232,12 @@ impl SteeringPipeline {
     }
 
     fn render_frame(&mut self) -> FrameStamp {
-        let pixels = (self.cfg.render.width * self.cfg.render.height) as u64;
-        self.node.execute(
-            Activity::MemTraffic {
-                bytes: self.cfg.snapshot_bytes(),
-            },
-            Phase::Visualization,
-        );
-        self.node
-            .execute(self.cfg.render_cost.activity(pixels), Phase::Visualization);
-        let image = render_field(self.solver.grid(), &self.cfg.render);
-        let ppm = encode_ppm(&image);
-        self.node.execute(
-            frame_write_activity(ppm.len() as u64, self.cfg.chunk_bytes),
-            Phase::ImageWrite,
-        );
+        let ppm = encode_ppm(&render_field(self.stepper.grid(), &self.cfg.render));
+        charge_frame(&mut self.node, &self.cfg, ppm.len() as u64);
         self.frames_rendered += 1;
         self.bytes_written += ppm.len() as u64;
         FrameStamp {
-            step: self.step,
+            step: self.step(),
             width: self.cfg.render.width,
             height: self.cfg.render.height,
             hash: fnv1a64(&ppm),
@@ -294,7 +248,7 @@ impl SteeringPipeline {
     /// Projected energy to finish the run under the live parameters, J.
     /// Pure schedule replay: no solver or renderer work.
     pub fn projected_remaining_j(&self) -> f64 {
-        replay_remaining(&self.node, &self.cfg, self.step)
+        self.replay_remaining(&self.cfg)
     }
 
     /// What-if: projected remaining energy before/after `adj`, without
@@ -304,11 +258,11 @@ impl SteeringPipeline {
     /// # Errors
     /// Same validation as [`adjust`](Self::adjust).
     pub fn whatif(&self, adj: &Adjustment) -> Result<WhatIfDelta, PipelineError> {
-        let mut trial = self.clone_cfg_only();
-        trial.adjust(adj)?;
+        let mut trial = self.cfg.clone();
+        apply(&mut trial, adj)?;
         Ok(WhatIfDelta {
-            baseline_j: replay_remaining(&self.node, &self.cfg, self.step),
-            adjusted_j: replay_remaining(&self.node, &trial.cfg, self.step),
+            baseline_j: self.replay_remaining(&self.cfg),
+            adjusted_j: self.replay_remaining(&trial),
         })
     }
 
@@ -318,84 +272,80 @@ impl SteeringPipeline {
     /// because per-step costs are state-independent — but it pays for every
     /// stencil update and rasterized pixel the replay skips.
     pub fn full_recompute_remaining_j(&self, cfg: &PipelineConfig) -> f64 {
-        let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
-        let pixels = (cfg.render.width * cfg.render.height) as u64;
-        let mut solver = self.solver.clone();
+        let mut stepper = self.stepper.clone();
         let mut probe = Node::new(self.node.spec().clone());
-        for k in self.step + 1..=cfg.timesteps {
-            solver.step();
-            probe.execute(cfg.sim_cost.activity(cells), Phase::Simulation);
-            if k % cfg.io_interval == 0 {
-                probe.execute(
-                    Activity::MemTraffic {
-                        bytes: cfg.snapshot_bytes(),
-                    },
-                    Phase::Visualization,
-                );
-                probe.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-                let ppm = encode_ppm(&render_field(solver.grid(), &cfg.render));
-                probe.execute(
-                    frame_write_activity(ppm.len() as u64, cfg.chunk_bytes),
-                    Phase::ImageWrite,
-                );
-            }
+        while stepper.next_io_step(&mut probe, cfg).is_some() {
+            let ppm = encode_ppm(&render_field(stepper.grid(), &cfg.render));
+            charge_frame(&mut probe, cfg, ppm.len() as u64);
         }
         probe.timeline().total_energy_j()
     }
 
-    /// A copy that shares configuration but owns nothing live — used to
-    /// validate trial adjustments without touching the session.
-    fn clone_cfg_only(&self) -> SteeringPipeline {
-        SteeringPipeline {
-            cfg: self.cfg.clone(),
-            node: Node::new(self.node.spec().clone()),
-            solver: self.solver.clone(),
-            step: self.step,
-            frames_rendered: 0,
-            bytes_written: 0,
+    /// Replay the remaining activity schedule of `cfg` on a scratch node and
+    /// return its total energy. Frame sizes come from [`ppm_size_bytes`],
+    /// which is exact for the PPM encoder, so the replayed charges are the
+    /// same bytes the live path would write.
+    fn replay_remaining(&self, cfg: &PipelineConfig) -> f64 {
+        let frame_bytes = ppm_size_bytes(cfg.render.width, cfg.render.height) as u64;
+        let mut probe = Node::new(self.node.spec().clone());
+        for k in self.step() + 1..=cfg.timesteps {
+            self.stepper.charge(&mut probe);
+            if k % cfg.io_interval == 0 {
+                charge_frame(&mut probe, cfg, frame_bytes);
+            }
+        }
+        probe.timeline().total_energy_j()
+    }
+}
+
+/// Validate `adj` and fold it into `cfg`.
+fn apply(cfg: &mut PipelineConfig, adj: &Adjustment) -> Result<(), PipelineError> {
+    match *adj {
+        Adjustment::IoInterval(n) => {
+            check_io_interval(n)?;
+            cfg.io_interval = n;
+        }
+        Adjustment::Resolution { width, height } => {
+            if width == 0 || height == 0 {
+                return Err(PipelineError::Config(format!(
+                    "render resolution must be at least 1x1, got {width}x{height}"
+                )));
+            }
+            cfg.render.width = width;
+            cfg.render.height = height;
+        }
+        Adjustment::Camera { colormap, range } => {
+            cfg.render.colormap = colormap;
+            cfg.render.range = range;
         }
     }
+    Ok(())
 }
 
-/// The per-frame image-write charge. Steering charges the activity directly
-/// (no [`greenness_storage::FileSystem`]) precisely so that per-frame cost is
-/// independent of filesystem state and the schedule replay stays exact.
-fn frame_write_activity(bytes: u64, chunk_bytes: usize) -> Activity {
-    Activity::DiskWrite {
-        bytes,
-        pattern: AccessPattern::Chunked {
-            op_bytes: chunk_bytes as u64,
-        },
-        buffered: true,
-    }
-}
-
-/// Replay the remaining activity schedule of `cfg` from `step` on a scratch
-/// node and return its total energy. Frame sizes come from
-/// [`ppm_size_bytes`], which is exact for the PPM encoder, so the replayed
-/// charges are the same bytes the live path would write.
-fn replay_remaining(node: &Node, cfg: &PipelineConfig, step: u64) -> f64 {
-    let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
+/// Charge one in-situ frame of `frame_bytes` encoded bytes: the in-memory
+/// hand-off, the rasterisation, and the chunked image write. Steering
+/// charges the write activity directly (no [`greenness_storage::FileSystem`])
+/// precisely so that per-frame cost is independent of filesystem state and
+/// the schedule replay stays exact.
+fn charge_frame(node: &mut Node, cfg: &PipelineConfig, frame_bytes: u64) {
     let pixels = (cfg.render.width * cfg.render.height) as u64;
-    let frame_bytes = ppm_size_bytes(cfg.render.width, cfg.render.height) as u64;
-    let mut probe = Node::new(node.spec().clone());
-    for k in step + 1..=cfg.timesteps {
-        probe.execute(cfg.sim_cost.activity(cells), Phase::Simulation);
-        if k % cfg.io_interval == 0 {
-            probe.execute(
-                Activity::MemTraffic {
-                    bytes: cfg.snapshot_bytes(),
-                },
-                Phase::Visualization,
-            );
-            probe.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-            probe.execute(
-                frame_write_activity(frame_bytes, cfg.chunk_bytes),
-                Phase::ImageWrite,
-            );
-        }
-    }
-    probe.timeline().total_energy_j()
+    node.execute(
+        Activity::MemTraffic {
+            bytes: cfg.snapshot_bytes(),
+        },
+        Phase::Visualization,
+    );
+    node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
+    node.execute(
+        Activity::DiskWrite {
+            bytes: frame_bytes,
+            pattern: AccessPattern::Chunked {
+                op_bytes: cfg.chunk_bytes as u64,
+            },
+            buffered: true,
+        },
+        Phase::ImageWrite,
+    );
 }
 
 #[cfg(test)]
@@ -484,6 +434,31 @@ mod tests {
         assert!((wi.adjusted_j - full_adj).abs() <= 1e-9, "adjusted drifted");
         // Thinning I/O from every 2nd to every 5th step must save energy.
         assert!(wi.delta_j() < 0.0);
+    }
+
+    #[test]
+    fn a_steered_session_conserves_energy_across_phases() {
+        let mut s = session();
+        s.advance(3);
+        s.adjust(&Adjustment::Resolution {
+            width: 96,
+            height: 80,
+        })
+        .expect("valid");
+        s.render_now();
+        s.adjust(&Adjustment::IoInterval(3)).expect("valid");
+        s.advance(100);
+        assert!(s.finished());
+        let timeline = s.node.timeline();
+        let by_phase: f64 = Phase::ALL
+            .iter()
+            .map(|&p| timeline.phase_energy(p).system_j())
+            .sum();
+        let total = s.energy_j();
+        assert!(
+            (by_phase - total).abs() <= 1e-9 + 1e-12 * total,
+            "phases sum to {by_phase} J, timeline total {total} J"
+        );
     }
 
     #[test]

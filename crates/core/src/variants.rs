@@ -17,18 +17,23 @@
 //! Every variant runs the real solver, real storage stack, and (where
 //! applicable) real codecs; post-processing variants verify their read-back
 //! data (bit-exact for lossless paths, bounded-error for quantization).
+//!
+//! Each variant is the shared single-node driver's phase order plus one
+//! thing: a decimation before the snapshot write, a codec around it, a
+//! re-clocked stepper, several views per I/O step, or a burst buffer in
+//! front of the store.
 
 use greenness_codec::quant::Quant16;
 use greenness_codec::transpose::TransposeRle;
 use greenness_codec::{Codec, CodecCostModel, ScratchCodec};
 use greenness_faults::fnv1a64;
-use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{Node, Phase};
-use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
-use greenness_viz::{encode_ppm, render_field, stride_sample, RenderOptions};
+use greenness_storage::BurstBuffer;
+use greenness_viz::{stride_sample, RenderOptions};
 
 use crate::config::PipelineConfig;
-use crate::pipeline::{read_chunked, write_chunked};
+use crate::driver;
+use crate::pipeline::PipelineError;
 
 /// Which codec a compressed pipeline uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,246 +116,142 @@ impl VariantOutput {
 }
 
 /// Run a variant over `node` with the given workload.
-pub fn run_variant(variant: Variant, node: &mut Node, cfg: &PipelineConfig) -> VariantOutput {
-    match variant {
-        Variant::SampledPost { stride } => sampled_post(node, cfg, stride),
-        Variant::CompressedPost { codec } => compressed_post(node, cfg, codec),
-        Variant::DvfsSim { freq_scale } => dvfs_insitu(node, cfg, freq_scale),
-        Variant::ImageDatabase { views } => image_database(node, cfg, views),
-        Variant::BurstBufferPost { buffer_bytes } => burst_buffer_post(node, cfg, buffer_bytes),
-    }
-}
-
-fn initial_field(cfg: &PipelineConfig) -> Grid {
-    Grid::from_fn(cfg.grid_nx, cfg.grid_ny, |x, y| {
-        0.3 * (-((x - 0.5).powi(2) + (y - 0.4).powi(2)) * 40.0).exp()
-    })
-}
-
-fn finish(
+///
+/// # Errors
+/// [`PipelineError::Config`] for a zero stride or view count or a burst
+/// buffer smaller than one snapshot; otherwise the usual pipeline
+/// solver/storage errors.
+pub fn run_variant(
     variant: Variant,
-    node: &Node,
-    bytes_written: u64,
-    raw_bytes: u64,
-    verified: bool,
-) -> VariantOutput {
-    VariantOutput {
+    node: &mut Node,
+    cfg: &PipelineConfig,
+) -> Result<VariantOutput, PipelineError> {
+    let (bytes_written, raw_bytes, verified) = match variant {
+        Variant::SampledPost { stride } => sampled_post(node, cfg, stride)?,
+        Variant::CompressedPost { codec } => compressed_post(node, cfg, codec)?,
+        Variant::DvfsSim { freq_scale } => dvfs_insitu(node, cfg, freq_scale)?,
+        Variant::ImageDatabase { views } => image_database(node, cfg, views)?,
+        Variant::BurstBufferPost { buffer_bytes } => burst_buffer_post(node, cfg, buffer_bytes)?,
+    };
+    Ok(VariantOutput {
         variant,
         execution_time_s: node.now().as_secs_f64(),
         energy_j: node.timeline().total_energy_j(),
         bytes_written,
         raw_bytes,
         verified,
-    }
+    })
 }
 
-fn sampled_post(node: &mut Node, cfg: &PipelineConfig, stride: usize) -> VariantOutput {
-    assert!(stride >= 1, "stride must be at least 1");
-    let mut fs = FileSystem::format(
-        MemBlockDevice::with_capacity_bytes(cfg.device_bytes),
-        FsConfig::default(),
-    );
-    let mut solver = HeatSolver::new(initial_field(cfg), cfg.solver.clone())
-        .expect("library-built solver config");
-    let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
-    let mut written = 0u64;
-    let mut raw = 0u64;
-    let mut names: Vec<(String, u64, usize, usize)> = Vec::new();
+/// What each variant reports back: `(bytes_written, raw_bytes, verified)`.
+type Tally = Result<(u64, u64, bool), PipelineError>;
 
-    for step in 1..=cfg.timesteps {
-        solver.step();
-        node.execute(cfg.sim_cost.activity(cells), Phase::Simulation);
-        if step % cfg.io_interval != 0 {
-            continue;
-        }
-        raw += cfg.snapshot_bytes();
-        let reduced = stride_sample(solver.grid(), stride);
-        let bytes = reduced.to_bytes();
-        let name = format!("snap{step:04}");
-        names.push((name.clone(), fnv1a64(&bytes), reduced.nx(), reduced.ny()));
-        written += write_chunked(node, &mut fs, &name, &bytes, cfg.chunk_bytes, Phase::Write)
-            .expect("device sized for the variant run");
+fn sampled_post(node: &mut Node, cfg: &PipelineConfig, stride: usize) -> Tally {
+    if stride == 0 {
+        return Err(PipelineError::Config(
+            "stride must be at least 1".to_string(),
+        ));
     }
-    fs.sync(node, Phase::CacheControl);
-    fs.drop_caches();
+    let (mut stepper, mut store) = driver::open(cfg, None)?;
+    let (mut written, mut raw) = (0u64, 0u64);
+    let mut kept = Vec::new(); // name, checksum, reduced shape
+
+    while let Some(step) = stepper.next_io_step(node, cfg) {
+        raw += cfg.snapshot_bytes();
+        let reduced = stride_sample(stepper.grid(), stride);
+        let bytes = reduced.to_bytes();
+        let name = store.write_snapshot(node, step, &bytes)?;
+        written += bytes.len() as u64;
+        kept.push((name, fnv1a64(&bytes), (reduced.nx(), reduced.ny())));
+    }
+    store.end_phase_one(node);
 
     let mut verified = true;
-    for (name, sum, nx, ny) in &names {
-        let bytes = read_chunked(node, &mut fs, name, cfg.chunk_bytes, Phase::Read)
-            .expect("snapshot readable");
-        if fnv1a64(&bytes) != *sum {
-            verified = false;
-        }
-        let grid = Grid::from_bytes(*nx, *ny, &bytes).expect("reduced snapshot shape");
-        node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-        let _ = render_field(&grid, &cfg.render);
+    for (name, sum, shape) in kept {
+        let bytes = store.read(node, &name)?;
+        verified &= fnv1a64(&bytes) == sum;
+        driver::render_snapshot(node, cfg, shape, &name, &bytes)?;
     }
-    finish(
-        Variant::SampledPost { stride },
-        node,
-        written,
-        raw,
-        verified,
-    )
+    Ok((written, raw, verified))
 }
 
-fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -> VariantOutput {
+fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -> Tally {
     // Encoding sits on the per-iteration dump path; the scratch wrapper
     // keeps it allocation-free at steady state.
     let mut codec = ScratchCodec::new(choice.codec());
     let codec_cost = CodecCostModel::default();
-    let mut fs = FileSystem::format(
-        MemBlockDevice::with_capacity_bytes(cfg.device_bytes),
-        FsConfig::default(),
-    );
-    let mut solver = HeatSolver::new(initial_field(cfg), cfg.solver.clone())
-        .expect("library-built solver config");
-    let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
-    let mut written = 0u64;
-    let mut raw = 0u64;
-    let mut names: Vec<(String, u64, f64, f64)> = Vec::new(); // name, raw fnv, min, max
+    let (mut stepper, mut store) = driver::open(cfg, None)?;
+    let (mut written, mut raw) = (0u64, 0u64);
+    let mut kept = Vec::new(); // name, raw checksum, min, max
 
-    for step in 1..=cfg.timesteps {
-        solver.step();
-        node.execute(cfg.sim_cost.activity(cells), Phase::Simulation);
-        if step % cfg.io_interval != 0 {
-            continue;
-        }
-        let bytes = solver.grid().to_bytes();
+    while let Some(step) = stepper.next_io_step(node, cfg) {
+        let bytes = stepper.grid().to_bytes();
         raw += bytes.len() as u64;
         node.execute(codec_cost.encode_activity(bytes.len() as u64), Phase::Write);
         let encoded = codec
             .try_encode(&bytes)
-            .expect("solver fields are finite f64 streams");
-        let name = format!("snap{step:04}");
-        names.push((
-            name.clone(),
-            fnv1a64(&bytes),
-            solver.grid().min(),
-            solver.grid().max(),
-        ));
-        written += write_chunked(node, &mut fs, &name, encoded, cfg.chunk_bytes, Phase::Write)
-            .expect("device sized for the variant run");
+            .map_err(|e| PipelineError::Config(format!("snapshot is not encodable: {e}")))?;
+        let name = store.write_snapshot(node, step, encoded)?;
+        written += encoded.len() as u64;
+        let grid = stepper.grid();
+        kept.push((name, fnv1a64(&bytes), grid.min(), grid.max()));
     }
-    fs.sync(node, Phase::CacheControl);
-    fs.drop_caches();
+    store.end_phase_one(node);
 
     let mut verified = true;
-    for (name, raw_sum, lo, hi) in &names {
-        let encoded = read_chunked(node, &mut fs, name, cfg.chunk_bytes, Phase::Read)
-            .expect("snapshot readable");
-        let decoded = match codec.decode(&encoded) {
-            Some(d) => d,
-            None => {
-                verified = false;
-                continue;
-            }
+    for (name, raw_sum, lo, hi) in kept {
+        let encoded = store.read(node, &name)?;
+        let Some(decoded) = codec.decode(&encoded) else {
+            verified = false;
+            continue;
         };
         node.execute(
             codec_cost.decode_activity(decoded.len() as u64),
             Phase::Read,
         );
         match choice {
-            CodecChoice::Lossless => {
-                if fnv1a64(&decoded) != *raw_sum {
-                    verified = false;
-                }
-            }
+            CodecChoice::Lossless => verified &= fnv1a64(&decoded) == raw_sum,
             CodecChoice::Quantized => {
                 // The decoded field must stay within the quantizer's bound
                 // of the value range recorded at write time.
                 let bound = Quant16::max_error(hi - lo) * 1.001;
+                let mut word = [0u8; 8];
                 for chunk in decoded.chunks_exact(8) {
-                    let v = f64::from_le_bytes(chunk.try_into().expect("chunks_exact"));
+                    word.copy_from_slice(chunk);
+                    let v = f64::from_le_bytes(word);
                     if v < lo - bound || v > hi + bound {
                         verified = false;
                     }
                 }
             }
         }
-        let grid =
-            Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &decoded).expect("decoded snapshot shape");
-        node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-        let _ = render_field(&grid, &cfg.render);
+        driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), &name, &decoded)?;
     }
-    finish(
-        Variant::CompressedPost { codec: choice },
-        node,
-        written,
-        raw,
-        verified,
-    )
+    Ok((written, raw, verified))
 }
 
-fn dvfs_insitu(node: &mut Node, cfg: &PipelineConfig, freq_scale: f64) -> VariantOutput {
-    // Re-clock only the simulation activity: the cost model runs against a
-    // scaled CPU. (I/O stages are disk-bound and unaffected by core clocks.)
-    let scaled_spec = {
-        let mut s = node.spec().clone();
-        s.cpu = s.cpu.with_freq_scale(freq_scale);
-        s
-    };
-    let scaled_node_template = Node::new(scaled_spec);
-    let mut fs = FileSystem::format(
-        MemBlockDevice::with_capacity_bytes(cfg.device_bytes),
-        FsConfig::default(),
-    );
-    let mut solver = HeatSolver::new(initial_field(cfg), cfg.solver.clone())
-        .expect("library-built solver config");
-    let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
-    let mut written = 0u64;
-    let mut raw = 0u64;
+fn dvfs_insitu(node: &mut Node, cfg: &PipelineConfig, freq_scale: f64) -> Tally {
+    let (stepper, mut store) = driver::open(cfg, None)?;
+    let mut stepper = stepper.reclocked(node, freq_scale);
+    let (mut written, mut raw) = (0u64, 0u64);
 
-    for step in 1..=cfg.timesteps {
-        solver.step();
-        // Charge the sim step at the scaled clock: compute the scaled cost
-        // and replay it on this node as an explicit (duration, draw) span.
-        let (secs, draw) = scaled_node_template.cost_of(cfg.sim_cost.activity(cells));
-        node.execute_raw(secs, draw, Phase::Simulation);
-        if step % cfg.io_interval != 0 {
-            continue;
-        }
+    while let Some(step) = stepper.next_io_step(node, cfg) {
         raw += cfg.snapshot_bytes();
-        node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-        let image = render_field(solver.grid(), &cfg.render);
-        let ppm = encode_ppm(&image);
-        written += write_chunked(
-            node,
-            &mut fs,
-            &format!("frame{step:04}.ppm"),
-            &ppm,
-            cfg.chunk_bytes,
-            Phase::ImageWrite,
-        )
-        .expect("device sized for the variant run");
+        let image = driver::render(node, cfg, stepper.grid(), &cfg.render);
+        written += store.write_frame(node, &driver::frame_name(step), &image)?;
     }
-    fs.sync(node, Phase::CacheControl);
-    fs.drop_caches();
-    finish(Variant::DvfsSim { freq_scale }, node, written, raw, true)
+    store.end_phase_one(node);
+    Ok((written, raw, true))
 }
 
-fn image_database(node: &mut Node, cfg: &PipelineConfig, views: usize) -> VariantOutput {
-    assert!(views >= 1, "need at least one view");
-    let mut fs = FileSystem::format(
-        MemBlockDevice::with_capacity_bytes(cfg.device_bytes),
-        FsConfig::default(),
-    );
-    let mut solver = HeatSolver::new(initial_field(cfg), cfg.solver.clone())
-        .expect("library-built solver config");
-    let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
-    let mut written = 0u64;
-    let mut raw = 0u64;
+fn image_database(node: &mut Node, cfg: &PipelineConfig, views: usize) -> Tally {
+    if views == 0 {
+        return Err(PipelineError::Config("need at least one view".to_string()));
+    }
+    let (mut stepper, mut store) = driver::open(cfg, None)?;
+    let (mut written, mut raw) = (0u64, 0u64);
 
-    for step in 1..=cfg.timesteps {
-        solver.step();
-        node.execute(cfg.sim_cost.activity(cells), Phase::Simulation);
-        if step % cfg.io_interval != 0 {
-            continue;
-        }
+    while let Some(step) = stepper.next_io_step(node, cfg) {
         raw += cfg.snapshot_bytes();
         for view in 0..views {
             // Each "camera" renders a different normalization window — a
@@ -361,77 +262,53 @@ fn image_database(node: &mut Node, cfg: &PipelineConfig, views: usize) -> Varian
                 range: Some((0.0 - 0.2 * t, 1.0 - 0.5 * t)),
                 ..cfg.render
             };
-            node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-            let image = render_field(solver.grid(), &opts);
-            let ppm = encode_ppm(&image);
-            written += write_chunked(
-                node,
-                &mut fs,
-                &format!("frame{step:04}.v{view:02}.ppm"),
-                &ppm,
-                cfg.chunk_bytes,
-                Phase::ImageWrite,
-            )
-            .expect("device sized for the variant run");
+            let image = driver::render(node, cfg, stepper.grid(), &opts);
+            let name = format!("frame{step:04}.v{view:02}.ppm");
+            written += store.write_frame(node, &name, &image)?;
         }
     }
-    fs.sync(node, Phase::CacheControl);
-    fs.drop_caches();
-    finish(Variant::ImageDatabase { views }, node, written, raw, true)
+    store.end_phase_one(node);
+    Ok((written, raw, true))
 }
 
-fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -> VariantOutput {
-    use greenness_storage::BurstBuffer;
-    let mut fs = FileSystem::format(
-        MemBlockDevice::with_capacity_bytes(cfg.device_bytes),
-        FsConfig::default(),
-    );
+fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -> Tally {
+    if buffer_bytes < cfg.snapshot_bytes() {
+        return Err(PipelineError::Config(format!(
+            "burst buffer ({buffer_bytes} B) is smaller than one snapshot ({} B)",
+            cfg.snapshot_bytes()
+        )));
+    }
+    let storage = |op| move |source| PipelineError::Storage { op, source };
+    let (mut stepper, mut store) = driver::open(cfg, None)?;
     let mut bb = BurstBuffer::new(buffer_bytes);
-    let mut solver = HeatSolver::new(initial_field(cfg), cfg.solver.clone())
-        .expect("library-built solver config");
-    let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
     let mut raw = 0u64;
-    let mut names: Vec<(String, u64)> = Vec::new();
+    let mut kept = Vec::new(); // name, checksum
 
-    for step in 1..=cfg.timesteps {
-        solver.step();
-        node.execute(cfg.sim_cost.activity(cells), Phase::Simulation);
-        if step % cfg.io_interval != 0 {
-            continue;
-        }
-        let bytes = solver.grid().to_bytes();
+    while let Some(step) = stepper.next_io_step(node, cfg) {
+        let bytes = stepper.grid().to_bytes();
         raw += bytes.len() as u64;
-        let name = format!("snap{step:04}");
-        names.push((name.clone(), fnv1a64(&bytes)));
-        bb.stage(node, &mut fs, &name, &bytes, Phase::Write)
-            .expect("buffer sized");
+        let name = driver::snapshot_name(step);
+        bb.stage(node, store.fs_mut(), &name, &bytes, Phase::Write)
+            .map_err(storage("stage"))?;
+        kept.push((name, fnv1a64(&bytes)));
     }
     // End of phase 1: drain the tier, then the paper's sync + drop.
-    bb.drain_all(node, &mut fs, Phase::Write).expect("drain");
-    let written = bb.drained_bytes();
-    fs.sync(node, Phase::CacheControl);
-    fs.drop_caches();
+    bb.drain_all(node, store.fs_mut(), Phase::Write)
+        .map_err(storage("drain"))?;
+    store.end_phase_one(node);
 
+    // The drained files are contiguous, so each is read back in one piece.
     let mut verified = true;
-    for (name, sum) in &names {
-        let size = fs.size(name).expect("drained snapshot exists");
-        let bytes = fs.read(node, name, 0, size, Phase::Read).expect("readable");
-        if fnv1a64(&bytes) != *sum {
-            verified = false;
-        }
-        let grid = Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &bytes)
-            .expect("snapshot has the configured shape");
-        node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-        let _ = render_field(&grid, &cfg.render);
+    for (name, sum) in kept {
+        let fs = store.fs_mut();
+        let size = fs.size(&name).map_err(storage("stat"))?;
+        let bytes = fs
+            .read(node, &name, 0, size, Phase::Read)
+            .map_err(storage("read"))?;
+        verified &= fnv1a64(&bytes) == sum;
+        driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), &name, &bytes)?;
     }
-    finish(
-        Variant::BurstBufferPost { buffer_bytes },
-        node,
-        written,
-        raw,
-        verified,
-    )
+    Ok((bb.drained_bytes(), raw, verified))
 }
 
 #[cfg(test)]
@@ -449,7 +326,7 @@ mod tests {
 
     fn run_on_fresh(variant: Variant) -> VariantOutput {
         let mut node = Node::new(HardwareSpec::table1());
-        run_variant(variant, &mut node, &cfg())
+        run_variant(variant, &mut node, &cfg()).expect("variant runs")
     }
 
     fn baseline_post() -> (f64, f64) {
@@ -562,9 +439,29 @@ mod tests {
             },
             &mut node,
             &cfg,
-        );
+        )
+        .expect("variant runs");
         assert!(v.verified);
         assert_eq!(v.bytes_written, v.raw_bytes);
+    }
+
+    #[test]
+    fn out_of_range_parameters_are_errors_not_panics() {
+        for variant in [
+            Variant::SampledPost { stride: 0 },
+            Variant::ImageDatabase { views: 0 },
+            // One small snapshot is 64 x 64 x 8 = 32 KiB.
+            Variant::BurstBufferPost {
+                buffer_bytes: 32 * 1024 - 1,
+            },
+        ] {
+            let mut node = Node::new(HardwareSpec::table1());
+            let err = run_variant(variant, &mut node, &cfg()).expect_err("bad parameter");
+            assert!(
+                matches!(err, PipelineError::Config(_)),
+                "{variant:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -46,6 +46,15 @@ impl Grid {
         g
     }
 
+    /// The initial condition every pipeline in the workspace starts from: a
+    /// warm Gaussian patch (peak 0.3, centred at `(0.5, 0.4)`) on a cold
+    /// plate.
+    pub fn warm_patch(nx: usize, ny: usize) -> Grid {
+        Grid::from_fn(nx, ny, |x, y| {
+            0.3 * (-((x - 0.5).powi(2) + (y - 0.4).powi(2)) * 40.0).exp()
+        })
+    }
+
     /// Cells along x.
     pub fn nx(&self) -> usize {
         self.nx

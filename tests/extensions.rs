@@ -53,7 +53,8 @@ fn variants_rank_sensibly_against_the_baselines() {
     let insitu = experiment::run(PipelineKind::InSitu, &cfg, &setup).expect("run ok");
 
     let mut node = Node::new(HardwareSpec::table1());
-    let sampled = run_variant(Variant::SampledPost { stride: 4 }, &mut node, &cfg);
+    let sampled =
+        run_variant(Variant::SampledPost { stride: 4 }, &mut node, &cfg).expect("variant runs");
     let mut node = Node::new(HardwareSpec::table1());
     let quant = run_variant(
         Variant::CompressedPost {
@@ -61,7 +62,8 @@ fn variants_rank_sensibly_against_the_baselines() {
         },
         &mut node,
         &cfg,
-    );
+    )
+    .expect("variant runs");
 
     // Both data-reduction variants keep exploration and beat raw
     // post-processing. Note that aggressive sampling can even undercut
@@ -94,7 +96,9 @@ fn dvfs_sweep_has_an_interior_energy_optimum_or_monotone_gain() {
         .iter()
         .map(|&s| {
             let mut node = Node::new(HardwareSpec::table1());
-            run_variant(Variant::DvfsSim { freq_scale: s }, &mut node, &cfg).energy_j
+            run_variant(Variant::DvfsSim { freq_scale: s }, &mut node, &cfg)
+                .expect("variant runs")
+                .energy_j
         })
         .collect();
     let spread = energies.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
@@ -162,7 +166,8 @@ fn full_scale_burst_buffer_beats_even_insitu_while_keeping_raw_data() {
         },
         &mut node,
         &cfg,
-    );
+    )
+    .expect("variant runs");
     assert!(bb.verified);
     assert_eq!(bb.bytes_written, bb.raw_bytes);
     assert!(

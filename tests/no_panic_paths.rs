@@ -9,16 +9,16 @@
 //! future `.unwrap()` cannot sneak back in without showing up here.
 //!
 //! Allowlisted: CLI-only table drivers that are never linked into a serve
-//! op (`greenness cluster` / `greenness placement` and the repro binary's
-//! variant grids). Their expects document impossible states in fixed,
-//! library-built workloads and print tables straight to a terminal.
+//! op (`greenness cluster` / `greenness placement`). Their expects document
+//! impossible states in fixed, library-built workloads and print tables
+//! straight to a terminal.
 
 use std::path::{Path, PathBuf};
 
 /// CLI-only modules in `crates/core` that no serve op calls into. Keep this
 /// list short and justified — anything reachable from `Service::handle_line`
 /// must not be here.
-const ALLOWLIST: [&str; 3] = ["cluster_sweep.rs", "placement.rs", "variants.rs"];
+const ALLOWLIST: [&str; 2] = ["cluster_sweep.rs", "placement.rs"];
 
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)

@@ -1,9 +1,11 @@
 //! Workspace-hygiene audit: each job is done exactly once.
 //!
 //! PR 12 deleted five do-nothing dependency shims, the second and third
-//! bench systems, and four private copies of the FNV-1a / splitmix64 hashes.
-//! This test walks the tree and fails if any of them grows back, so "add a
-//! quick local copy" shows up in review instead of in the next inventory.
+//! bench systems, and four private copies of the FNV-1a / splitmix64 hashes;
+//! PR 13 folded ten copies of the single-node simulate/store/read-back loop
+//! into `crates/core/src/driver.rs`. This test walks the tree and fails if
+//! any of them grows back, so "add a quick local copy" shows up in review
+//! instead of in the next inventory.
 
 use std::path::{Path, PathBuf};
 
@@ -113,4 +115,62 @@ fn no_committed_bench_json_at_the_repo_root() {
         stale.is_empty(),
         "benchmark/ is the one bench system: {stale:?}"
     );
+}
+
+/// The part of a source file above its `#[cfg(test)]` module.
+fn non_test(src: &str) -> &str {
+    src.split_once("#[cfg(test)]").map_or(src, |(code, _)| code)
+}
+
+#[test]
+fn the_single_node_loop_lives_only_in_the_core_driver() {
+    let crates = repo_root().join("crates");
+    let core = crates.join("core").join("src");
+
+    // One solver and one run device, both built by the driver.
+    let built_once = ["HeatSolver::new(", "with_capacity_bytes(cfg.device_bytes)"];
+    for path in sorted_entries(&core) {
+        let src = read(&path);
+        for needle in built_once {
+            let hits = non_test(&src).matches(needle).count();
+            let want = usize::from(file_name(&path) == "driver.rs");
+            assert_eq!(hits, want, "{}: `{needle}`", path.display());
+        }
+    }
+
+    // The pipelines compose driver stages; none steps a solver, formats a
+    // filesystem, or spells the fsync'd write or the sync/drop tail itself.
+    // (`probes.rs` and `placement.rs` drive their own devices.)
+    for name in [
+        "pipeline.rs",
+        "variants.rs",
+        "adaptive.rs",
+        "capping.rs",
+        "steering.rs",
+    ] {
+        let src = read(&core.join(name));
+        for needle in [
+            "solver.step()",
+            "FileSystem::format(",
+            "fsync_with_retry(",
+            ".drop_caches()",
+        ] {
+            assert!(
+                !non_test(&src).contains(needle),
+                "{name}: `{needle}` belongs in driver.rs"
+            );
+        }
+    }
+
+    // One initial condition in the workspace: `Grid::warm_patch`.
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+    let heatsim = crates.join("heatsim");
+    for path in sources {
+        assert!(
+            path.starts_with(&heatsim) || !read(&path).contains("* 40.0).exp()"),
+            "{}: private copy of the initial field",
+            path.display()
+        );
+    }
 }
