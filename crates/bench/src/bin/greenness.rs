@@ -21,6 +21,7 @@
 //! Everything prints fixed-width tables; see the `repro` binary for the
 //! paper's full table/figure set.
 
+use greenness_bench::cli::{parse, Args, GridFlags};
 use greenness_cluster::{ClusterKind, StagingConfig, WireCodec};
 use greenness_core::adaptive::{run_adaptive, AdaptivePolicy};
 use greenness_core::advisor::{recommend, IoBehavior, Technique, WorkloadProfile};
@@ -65,8 +66,8 @@ fn usage() -> ! {
          sweep and placement also accept --trace PATH / --metrics PATH (event\n\
          journal + metrics registry; byte-identical for every --jobs value)\n\
          serve also accepts --cache-bytes B / --slots S / --queue-depth Q\n\
-         fleet also accepts --addr A --ring-seed S --vnodes V --shard-addrs (debug\n\
-         listeners) plus the serve tuning flags, applied per shard\n\
+         fleet also accepts --addr A --ring-seed S --vnodes V --hot-threshold H\n\
+         --shard-addrs (debug listeners) plus the serve tuning flags, applied per shard\n\
          bench-serve accepts --requests N --conns C --mode closed|open --rate R,\n\
          and with --replay: --jobs J --out FILE --metrics-out FILE; adding\n\
          --shards N runs the open-loop fleet replay (--replicas K --ring-seed S\n\
@@ -74,35 +75,25 @@ fn usage() -> ! {
          --sessions N interleaves N scripted steering sessions instead\n\
          sweep, placement, cluster, serve, fleet, and bench-serve --replay accept\n\
          --fault-seed N (seeded fault injection with retry/recovery; deterministic\n\
-         per seed — for fleet this includes shard churn)"
+         per seed — for fleet this includes shard churn)\n\
+         every valued flag may also be spelled --flag=value"
     );
     std::process::exit(2);
 }
 
-fn parse<T: std::str::FromStr>(s: &str, what: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("invalid {what}: {s}");
-        std::process::exit(2);
-    })
-}
-
-fn cmd_case(args: &[String]) {
-    let mut n: u32 = 1;
+fn cmd_case(mut args: Args) {
+    let mut n: Option<u32> = None;
     let mut alpha: Option<f64> = None;
     let mut dt: Option<f64> = None;
-    let mut it = args.iter();
-    let mut saw_n = false;
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
-            "--alpha" => alpha = Some(parse(it.next().unwrap_or_else(|| usage()), "alpha")),
-            "--dt" => dt = Some(parse(it.next().unwrap_or_else(|| usage()), "dt")),
-            s if !saw_n => {
-                n = parse(s, "case number");
-                saw_n = true;
-            }
+            "--alpha" => alpha = Some(args.value("alpha")),
+            "--dt" => dt = Some(args.value("dt")),
+            s if n.is_none() => n = Some(parse(s, "case number")),
             _ => usage(),
         }
     }
+    let n = n.unwrap_or(1);
     if !(1..=3).contains(&n) {
         eprintln!("case studies are 1-3");
         std::process::exit(2);
@@ -157,78 +148,54 @@ fn cmd_case(args: &[String]) {
     println!("energy savings: {}", report::pct(cmp.energy_savings_pct()));
 }
 
-fn cmd_sweep(args: &[String]) {
-    let mut jobs = greenness_bench::default_jobs();
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" | "-j" => {
-                jobs = it
-                    .next()
-                    .map(|s| parse(s, "worker count"))
-                    .unwrap_or_else(|| usage())
-            }
-            "--trace" => trace_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--metrics" => metrics_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--fault-seed" => {
-                fault_seed = Some(
-                    it.next()
-                        .map(|s| parse(s, "fault seed"))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            other => {
-                if let Some(n) = other.strip_prefix("--jobs=") {
-                    jobs = parse(n, "worker count");
-                } else if let Some(p) = other.strip_prefix("--trace=") {
-                    trace_path = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--metrics=") {
-                    metrics_path = Some(p.to_string());
-                } else if let Some(n) = other.strip_prefix("--fault-seed=") {
-                    fault_seed = Some(parse(n, "fault seed"));
-                } else {
-                    usage()
-                }
-            }
-        }
-    }
-    let setup = ExperimentSetup {
-        trace: trace_path.is_some() || metrics_path.is_some(),
-        // Each grid job derives its own schedule from this base plan and its
-        // job key, so results stay byte-identical for every --jobs value.
-        faults: fault_seed.map(FaultPlan::with_seed),
-        ..ExperimentSetup::default()
-    };
-    eprintln!("running the full case-study grid on {jobs} worker(s)...");
+/// Run one grid with `[tag] n/N done` progress lines and the wall-clock
+/// footer; a failed grid exits 1.
+fn timed_grid<R>(
+    tag: &str,
+    name: &str,
+    run: impl FnOnce(sweep::Progress<'_>) -> Result<Vec<R>, sweep::SweepError>,
+) -> Vec<R> {
     let t0 = std::time::Instant::now();
-    let results = greenness_bench::run_case_grid(&setup, jobs, &|done, total, key| {
-        eprintln!("[sweep] {done}/{total} done: {key}");
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("case-study grid failed: {e}");
-        std::process::exit(1);
-    });
+    let results = run(&|done, total, key| eprintln!("[{tag}] {done}/{total} done: {key}"))
+        .unwrap_or_else(|e| {
+            eprintln!("{name} grid failed: {e}");
+            std::process::exit(1);
+        });
     eprintln!(
         "grid finished in {:.2} s host wall-clock",
         t0.elapsed().as_secs_f64()
     );
-    std::fs::create_dir_all("repro_out").expect("create ./repro_out");
-    std::fs::write("repro_out/manifest.json", sweep::manifest_json(&results))
-        .expect("write manifest");
-    eprintln!("wrote repro_out/manifest.json");
-    if let Some(path) = &trace_path {
-        let journal = sweep::sweep_journal(&results).expect("grid ran traced");
-        std::fs::write(path, journal).expect("write trace journal");
-        eprintln!("wrote {path}");
+    results
+}
+
+fn cmd_sweep(mut args: Args) {
+    let mut flags = GridFlags::default();
+    while let Some(a) = args.next_arg() {
+        if !flags.take(&a, &mut args) {
+            usage()
+        }
     }
-    if let Some(path) = &metrics_path {
-        let metrics = sweep::sweep_metrics_json(&results).expect("grid ran traced");
-        std::fs::write(path, metrics).expect("write metrics registry");
-        eprintln!("wrote {path}");
-    }
+    let setup = ExperimentSetup {
+        trace: flags.traced(),
+        // Each grid job derives its own schedule from this base plan and its
+        // job key, so results stay byte-identical for every --jobs value.
+        faults: flags.fault_seed.map(FaultPlan::with_seed),
+        ..ExperimentSetup::default()
+    };
+    eprintln!(
+        "running the full case-study grid on {} worker(s)...",
+        flags.jobs
+    );
+    let results = timed_grid("sweep", "case-study", |progress| {
+        greenness_bench::run_case_grid(&setup, flags.jobs, progress)
+    });
+    flags.write_artifacts(
+        "",
+        "repro_out/manifest.json",
+        sweep::manifest_json(&results),
+        || sweep::sweep_journal(&results),
+        || sweep::sweep_metrics_json(&results),
+    );
     let mut rows = Vec::new();
     for c in sweep::comparisons(&results) {
         rows.push(vec![
@@ -255,98 +222,41 @@ fn cmd_sweep(args: &[String]) {
     );
 }
 
-fn cmd_placement(args: &[String]) {
-    let mut jobs = greenness_bench::default_jobs();
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
+fn cmd_placement(mut args: Args) {
+    let mut flags = GridFlags::default();
     let mut scale = placement::PlacementScale::Small;
-    let parse_scale = |s: &str| {
-        placement::PlacementScale::parse(s).unwrap_or_else(|| {
-            eprintln!("invalid scale: {s} (small|paper)");
-            std::process::exit(2);
-        })
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg() {
+        if flags.take(&a, &mut args) {
+            continue;
+        }
         match a.as_str() {
-            "--jobs" | "-j" => {
-                jobs = it
-                    .next()
-                    .map(|s| parse(s, "worker count"))
-                    .unwrap_or_else(|| usage())
+            "--scale" => {
+                scale = args.choice("scale", "small|paper", placement::PlacementScale::parse)
             }
-            "--trace" => trace_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--metrics" => metrics_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--fault-seed" => {
-                fault_seed = Some(
-                    it.next()
-                        .map(|s| parse(s, "fault seed"))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--scale" => scale = parse_scale(it.next().unwrap_or_else(|| usage())),
-            other => {
-                if let Some(n) = other.strip_prefix("--jobs=") {
-                    jobs = parse(n, "worker count");
-                } else if let Some(p) = other.strip_prefix("--trace=") {
-                    trace_path = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--metrics=") {
-                    metrics_path = Some(p.to_string());
-                } else if let Some(n) = other.strip_prefix("--fault-seed=") {
-                    fault_seed = Some(parse(n, "fault seed"));
-                } else if let Some(s) = other.strip_prefix("--scale=") {
-                    scale = parse_scale(s);
-                } else {
-                    usage()
-                }
-            }
+            _ => usage(),
         }
     }
     let setup = placement::PlacementSetup {
         scale,
-        trace: trace_path.is_some() || metrics_path.is_some(),
-        faults: fault_seed.map(FaultPlan::with_seed),
+        trace: flags.traced(),
+        faults: flags.fault_seed.map(FaultPlan::with_seed),
         ..placement::PlacementSetup::default()
     };
     eprintln!(
-        "running the placement grid ({} scale) on {jobs} worker(s)...",
-        scale.label()
+        "running the placement grid ({} scale) on {} worker(s)...",
+        scale.label(),
+        flags.jobs
     );
-    let t0 = std::time::Instant::now();
-    let results = placement::run_placement(
-        placement::placement_grid(),
-        &setup,
-        jobs,
-        &|done, total, key| {
-            eprintln!("[placement] {done}/{total} done: {key}");
-        },
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("placement grid failed: {e}");
-        std::process::exit(1);
+    let results = timed_grid("placement", "placement", |progress| {
+        placement::run_placement(placement::placement_grid(), &setup, flags.jobs, progress)
     });
-    eprintln!(
-        "grid finished in {:.2} s host wall-clock",
-        t0.elapsed().as_secs_f64()
-    );
-    std::fs::create_dir_all("repro_out").expect("create ./repro_out");
-    std::fs::write(
+    flags.write_artifacts(
+        "",
         "repro_out/placement.json",
         placement::placement_manifest_json(scale, &results),
-    )
-    .expect("write placement manifest");
-    eprintln!("wrote repro_out/placement.json");
-    if let Some(path) = &trace_path {
-        let journal = placement::placement_journal(&results).expect("grid ran traced");
-        std::fs::write(path, journal).expect("write trace journal");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &metrics_path {
-        let metrics = placement::placement_metrics_json(&results).expect("grid ran traced");
-        std::fs::write(path, metrics).expect("write metrics registry");
-        eprintln!("wrote {path}");
-    }
+        || placement::placement_journal(&results),
+        || placement::placement_metrics_json(&results),
+    );
     let mut rows = Vec::new();
     for r in &results {
         rows.push(vec![
@@ -457,125 +367,52 @@ fn cmd_probes() {
     );
 }
 
-fn cmd_cluster(args: &[String]) {
-    let mut jobs = greenness_bench::default_jobs();
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
+fn cmd_cluster(mut args: Args) {
+    let mut flags = GridFlags::default();
     let mut kind: Option<ClusterKind> = None;
     let mut staging = StagingConfig::default();
-    let parse_kind = |s: &str| {
-        ClusterKind::parse(s).unwrap_or_else(|| {
-            eprintln!("invalid kind: {s} (post|insitu|intransit)");
-            std::process::exit(2);
-        })
-    };
-    let parse_codec = |s: &str| {
-        WireCodec::parse(s).unwrap_or_else(|| {
-            eprintln!("invalid wire codec: {s} (none|delta-rle|quant8)");
-            std::process::exit(2);
-        })
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg() {
+        if flags.take(&a, &mut args) {
+            continue;
+        }
         match a.as_str() {
-            "--jobs" | "-j" => {
-                jobs = it
-                    .next()
-                    .map(|s| parse(s, "worker count"))
-                    .unwrap_or_else(|| usage())
+            "--kind" => {
+                kind = Some(args.choice("kind", "post|insitu|intransit", ClusterKind::parse))
             }
-            "--trace" => trace_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--metrics" => metrics_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--fault-seed" => {
-                fault_seed = Some(
-                    it.next()
-                        .map(|s| parse(s, "fault seed"))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--kind" => kind = Some(parse_kind(it.next().unwrap_or_else(|| usage()))),
-            "--staging-nodes" => {
-                staging.staging_nodes = it
-                    .next()
-                    .map(|s| parse(s, "staging node count"))
-                    .unwrap_or_else(|| usage())
-            }
-            "--queue-depth" => {
-                staging.queue_depth = it
-                    .next()
-                    .map(|s| parse(s, "queue depth"))
-                    .unwrap_or_else(|| usage())
-            }
+            "--staging-nodes" => staging.staging_nodes = args.value("staging node count"),
+            "--queue-depth" => staging.queue_depth = args.value("queue depth"),
             "--wire-codec" => {
-                staging.wire_codec = parse_codec(it.next().unwrap_or_else(|| usage()))
+                staging.wire_codec =
+                    args.choice("wire codec", "none|delta-rle|quant8", WireCodec::parse)
             }
-            other => {
-                if let Some(n) = other.strip_prefix("--jobs=") {
-                    jobs = parse(n, "worker count");
-                } else if let Some(p) = other.strip_prefix("--trace=") {
-                    trace_path = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--metrics=") {
-                    metrics_path = Some(p.to_string());
-                } else if let Some(n) = other.strip_prefix("--fault-seed=") {
-                    fault_seed = Some(parse(n, "fault seed"));
-                } else if let Some(k) = other.strip_prefix("--kind=") {
-                    kind = Some(parse_kind(k));
-                } else if let Some(n) = other.strip_prefix("--staging-nodes=") {
-                    staging.staging_nodes = parse(n, "staging node count");
-                } else if let Some(n) = other.strip_prefix("--queue-depth=") {
-                    staging.queue_depth = parse(n, "queue depth");
-                } else if let Some(c) = other.strip_prefix("--wire-codec=") {
-                    staging.wire_codec = parse_codec(c);
-                } else {
-                    usage()
-                }
-            }
+            _ => usage(),
         }
     }
     let setup = cluster_sweep::ClusterSetup {
         staging,
-        faults: fault_seed.map(FaultPlan::with_seed),
-        trace: trace_path.is_some() || metrics_path.is_some(),
+        faults: flags.fault_seed.map(FaultPlan::with_seed),
+        trace: flags.traced(),
     };
     let grid = cluster_sweep::cluster_jobs(kind);
     eprintln!(
         "running the cluster grid ({} cell(s), staging {} node(s), depth {}, wire {}) on \
-         {jobs} worker(s)...",
+         {} worker(s)...",
         grid.len(),
         staging.staging_nodes,
         staging.queue_depth,
-        staging.wire_codec.label()
+        staging.wire_codec.label(),
+        flags.jobs
     );
-    let t0 = std::time::Instant::now();
-    let results = cluster_sweep::run_cluster_sweep(grid, &setup, jobs, &|done, total, key| {
-        eprintln!("[cluster] {done}/{total} done: {key}");
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("cluster grid failed: {e}");
-        std::process::exit(1);
+    let results = timed_grid("cluster", "cluster", |progress| {
+        cluster_sweep::run_cluster_sweep(grid, &setup, flags.jobs, progress)
     });
-    eprintln!(
-        "grid finished in {:.2} s host wall-clock",
-        t0.elapsed().as_secs_f64()
-    );
-    std::fs::create_dir_all("repro_out").expect("create ./repro_out");
-    std::fs::write(
+    flags.write_artifacts(
+        "",
         "repro_out/cluster.json",
         cluster_sweep::cluster_manifest_json(&setup, &results),
-    )
-    .expect("write cluster manifest");
-    eprintln!("wrote repro_out/cluster.json");
-    if let Some(path) = &trace_path {
-        let journal = cluster_sweep::cluster_journal(&results).expect("grid ran traced");
-        std::fs::write(path, journal).expect("write trace journal");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &metrics_path {
-        let metrics = cluster_sweep::cluster_metrics_json(&results).expect("grid ran traced");
-        std::fs::write(path, metrics).expect("write metrics registry");
-        eprintln!("wrote {path}");
-    }
+        || cluster_sweep::cluster_journal(&results),
+        || cluster_sweep::cluster_metrics_json(&results),
+    );
     let mut rows = Vec::new();
     for r in &results {
         if r.summary.total_faults() > 0 {
@@ -759,29 +596,17 @@ fn cmd_advisor(args: &[String]) {
     println!("recommendation     : {verdict}");
 }
 
-fn cmd_serve(args: &[String]) {
+fn cmd_serve(mut args: Args) {
     let mut addr = "127.0.0.1:0".to_string();
     let mut config = ServiceConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |what: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                usage()
-            })
-        };
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
-            "--addr" => addr = take("--addr"),
-            "--jobs" | "-j" => config.jobs = parse(&take("--jobs"), "worker count"),
-            "--cache-bytes" => config.cache_bytes = parse(&take("--cache-bytes"), "cache budget"),
-            "--slots" => config.slots = parse(&take("--slots"), "slot count"),
-            "--queue-depth" => config.queue_depth = parse(&take("--queue-depth"), "queue depth"),
-            "--fault-seed" => {
-                config.faults = Some(FaultPlan::with_seed(parse(
-                    &take("--fault-seed"),
-                    "fault seed",
-                )))
-            }
+            "--addr" => addr = args.text(),
+            "--jobs" | "-j" => config.jobs = args.value("worker count"),
+            "--cache-bytes" => config.cache_bytes = args.value("cache budget"),
+            "--slots" => config.slots = args.value("slot count"),
+            "--queue-depth" => config.queue_depth = args.value("queue depth"),
+            "--fault-seed" => config.faults = Some(FaultPlan::with_seed(args.value("fault seed"))),
             _ => usage(),
         }
     }
@@ -798,37 +623,23 @@ fn cmd_serve(args: &[String]) {
     eprintln!("drained; bye");
 }
 
-fn cmd_fleet(args: &[String]) {
+fn cmd_fleet(mut args: Args) {
     let mut addr = "127.0.0.1:0".to_string();
     let mut config = FleetConfig::default();
     let mut shard_addrs = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |what: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                usage()
-            })
-        };
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
-            "--addr" => addr = take("--addr"),
-            "--shards" => config.shards = parse(&take("--shards"), "shard count"),
-            "--replicas" => config.replicas = parse(&take("--replicas"), "replica count"),
-            "--ring-seed" => config.ring_seed = parse(&take("--ring-seed"), "ring seed"),
-            "--vnodes" => config.vnodes = parse(&take("--vnodes"), "vnode count"),
-            "--jobs" | "-j" => config.jobs = parse(&take("--jobs"), "worker count"),
-            "--cache-bytes" => config.cache_bytes = parse(&take("--cache-bytes"), "cache budget"),
-            "--slots" => config.slots = parse(&take("--slots"), "slot count"),
-            "--queue-depth" => config.queue_depth = parse(&take("--queue-depth"), "queue depth"),
-            "--hot-threshold" => {
-                config.hot_threshold = parse(&take("--hot-threshold"), "hot threshold")
-            }
-            "--fault-seed" => {
-                config.faults = Some(FaultPlan::with_seed(parse(
-                    &take("--fault-seed"),
-                    "fault seed",
-                )))
-            }
+            "--addr" => addr = args.text(),
+            "--shards" => config.shards = args.value("shard count"),
+            "--replicas" => config.replicas = args.value("replica count"),
+            "--ring-seed" => config.ring_seed = args.value("ring seed"),
+            "--vnodes" => config.vnodes = args.value("vnode count"),
+            "--jobs" | "-j" => config.jobs = args.value("worker count"),
+            "--cache-bytes" => config.cache_bytes = args.value("cache budget"),
+            "--slots" => config.slots = args.value("slot count"),
+            "--queue-depth" => config.queue_depth = args.value("queue depth"),
+            "--hot-threshold" => config.hot_threshold = args.value("hot threshold"),
+            "--fault-seed" => config.faults = Some(FaultPlan::with_seed(args.value("fault seed"))),
             "--shard-addrs" => shard_addrs = true,
             _ => usage(),
         }
@@ -932,26 +743,19 @@ fn steer_script(session: &str, id0: u64) -> Vec<String> {
         .collect()
 }
 
-fn cmd_steer(args: &[String]) {
+fn cmd_steer(mut args: Args) {
     let mut shards = 4u32;
     let mut jobs = 1usize;
     let mut session = String::from("s1");
     let mut fault_seed: Option<u64> = None;
     let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |what: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                usage()
-            })
-        };
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
-            "--shards" => shards = parse(&take("--shards"), "shard count"),
-            "--jobs" | "-j" => jobs = parse(&take("--jobs"), "worker count"),
-            "--session" => session = take("--session"),
-            "--fault-seed" => fault_seed = Some(parse(&take("--fault-seed"), "fault seed")),
-            "--out" => out = Some(take("--out")),
+            "--shards" => shards = args.value("shard count"),
+            "--jobs" | "-j" => jobs = args.value("worker count"),
+            "--session" => session = args.text(),
+            "--fault-seed" => fault_seed = Some(args.value("fault seed")),
+            "--out" => out = Some(args.text()),
             _ => usage(),
         }
     }
@@ -993,7 +797,7 @@ fn cmd_steer(args: &[String]) {
     );
 }
 
-fn cmd_bench_serve(args: &[String]) {
+fn cmd_bench_serve(mut args: Args) {
     let mut replay = false;
     let mut addr: Option<String> = None;
     let mut requests = 20usize;
@@ -1012,33 +816,26 @@ fn cmd_bench_serve(args: &[String]) {
     let mut report_out: Option<String> = None;
     let mut shard_metrics_out: Option<String> = None;
     let mut sessions = 0usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |what: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                usage()
-            })
-        };
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
             "--replay" => replay = true,
-            "--addr" => addr = Some(take("--addr")),
-            "--requests" | "-n" => requests = parse(&take("--requests"), "request count"),
-            "--conns" | "-c" => conns = parse(&take("--conns"), "connection count"),
-            "--jobs" | "-j" => jobs = parse(&take("--jobs"), "worker count"),
-            "--mode" => mode = take("--mode"),
-            "--rate" => rate = Some(parse(&take("--rate"), "request rate")),
-            "--out" => out = Some(take("--out")),
-            "--metrics-out" => metrics_out = Some(take("--metrics-out")),
-            "--fault-seed" => fault_seed = Some(parse(&take("--fault-seed"), "fault seed")),
-            "--shards" => shards = Some(parse(&take("--shards"), "shard count")),
-            "--replicas" => replicas = parse(&take("--replicas"), "replica count"),
-            "--ring-seed" => ring_seed = parse(&take("--ring-seed"), "ring seed"),
-            "--universe" => universe = parse(&take("--universe"), "key universe"),
-            "--zipf" => zipf = parse(&take("--zipf"), "zipf exponent"),
-            "--report-out" => report_out = Some(take("--report-out")),
-            "--shard-metrics-out" => shard_metrics_out = Some(take("--shard-metrics-out")),
-            "--sessions" => sessions = parse(&take("--sessions"), "session count"),
+            "--addr" => addr = Some(args.text()),
+            "--requests" | "-n" => requests = args.value("request count"),
+            "--conns" | "-c" => conns = args.value("connection count"),
+            "--jobs" | "-j" => jobs = args.value("worker count"),
+            "--mode" => mode = args.text(),
+            "--rate" => rate = Some(args.value("request rate")),
+            "--out" => out = Some(args.text()),
+            "--metrics-out" => metrics_out = Some(args.text()),
+            "--fault-seed" => fault_seed = Some(args.value("fault seed")),
+            "--shards" => shards = Some(args.value("shard count")),
+            "--replicas" => replicas = args.value("replica count"),
+            "--ring-seed" => ring_seed = args.value("ring seed"),
+            "--universe" => universe = args.value("key universe"),
+            "--zipf" => zipf = args.value("zipf exponent"),
+            "--report-out" => report_out = Some(args.text()),
+            "--shard-metrics-out" => shard_metrics_out = Some(args.text()),
+            "--sessions" => sessions = args.value("session count"),
             _ => usage(),
         }
     }
@@ -1216,24 +1013,25 @@ fn cmd_bench_serve(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
+    let mut argv = std::env::args().skip(1);
+    let Some(cmd) = argv.next() else { usage() };
+    let rest: Vec<String> = argv.collect();
     match cmd.as_str() {
-        "case" => cmd_case(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "placement" => cmd_placement(&args[1..]),
-        "fio" => cmd_fio(&args[1..]),
+        "case" => cmd_case(Args::new(rest)),
+        "sweep" => cmd_sweep(Args::new(rest)),
+        "placement" => cmd_placement(Args::new(rest)),
+        "fio" => cmd_fio(&rest),
         "probes" => cmd_probes(),
-        "cluster" => cmd_cluster(&args[1..]),
-        "cap" => cmd_cap(&args[1..]),
-        "adaptive" => cmd_adaptive(&args[1..]),
-        "advisor" => cmd_advisor(&args[1..]),
-        "trace" => cmd_trace(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "steer" => cmd_steer(&args[1..]),
-        "fleet" => cmd_fleet(&args[1..]),
-        "query" => cmd_query(&args[1..]),
-        "bench-serve" => cmd_bench_serve(&args[1..]),
+        "cluster" => cmd_cluster(Args::new(rest)),
+        "cap" => cmd_cap(&rest),
+        "adaptive" => cmd_adaptive(&rest),
+        "advisor" => cmd_advisor(&rest),
+        "trace" => cmd_trace(&rest),
+        "serve" => cmd_serve(Args::new(rest)),
+        "steer" => cmd_steer(Args::new(rest)),
+        "fleet" => cmd_fleet(Args::new(rest)),
+        "query" => cmd_query(&rest),
+        "bench-serve" => cmd_bench_serve(Args::new(rest)),
         _ => usage(),
     }
 }

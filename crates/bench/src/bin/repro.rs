@@ -21,6 +21,10 @@
 //! the case-study grid runs (both are byte-identical across `--jobs`
 //! values; inspect a journal with `greenness trace summarize PATH`).
 //!
+//! `--fault-seed N` turns on seeded fault injection with retry/recovery
+//! (deterministic per seed). Every valued flag may also be spelled
+//! `--flag=value`.
+//!
 //! `--alpha A` / `--dt D` override the solver's diffusivity and timestep on
 //! every case-study config; overrides are validated up front and a config
 //! that fails [`greenness_heatsim::SolverConfig::validate`] (non-finite,
@@ -28,7 +32,7 @@
 
 use std::collections::BTreeSet;
 
-use greenness_bench::default_jobs;
+use greenness_bench::cli::{Args, GridFlags};
 use greenness_core::breakdown::CaseBreakdown;
 use greenness_core::sweep::{self, SweepJob};
 use greenness_core::whatif::WhatIfAnalysis;
@@ -57,11 +61,9 @@ const ARTIFACTS: &[&str] = &[
 
 struct Lazy {
     setup: ExperimentSetup,
-    jobs: usize,
+    flags: GridFlags,
     alpha: Option<f64>,
     dt: Option<f64>,
-    trace_path: Option<String>,
-    metrics_path: Option<String>,
     cases: Option<Vec<CaseComparison>>,
     nnprobes: Option<(probes::ProbeResult, probes::ProbeResult)>,
 }
@@ -71,7 +73,7 @@ impl Lazy {
         if self.cases.is_none() {
             eprintln!(
                 "[repro] running all case studies (both pipelines x 3) on {} worker(s)...",
-                self.jobs
+                self.flags.jobs
             );
             let t0 = std::time::Instant::now();
             let mut grid = sweep::case_grid(&self.setup, &[1, 2, 3]);
@@ -83,7 +85,7 @@ impl Lazy {
                     job.cfg.solver.dt = d;
                 }
             }
-            let results = sweep::run_sweep(grid, self.jobs, &|done, total, key| {
+            let results = sweep::run_sweep(grid, self.flags.jobs, &|done, total, key| {
                 eprintln!("[sweep] {done}/{total} done: {key}");
             })
             .unwrap_or_else(|e| {
@@ -94,21 +96,15 @@ impl Lazy {
                 "[repro] grid finished in {:.2} s host wall-clock ({} jobs, {} workers)",
                 t0.elapsed().as_secs_f64(),
                 results.len(),
-                self.jobs
+                self.flags.jobs
             );
-            let manifest = sweep::manifest_json(&results);
-            std::fs::write("repro_out/manifest.json", manifest).expect("write manifest");
-            eprintln!("[repro] wrote repro_out/manifest.json");
-            if let Some(path) = &self.trace_path {
-                let journal = sweep::sweep_journal(&results).expect("grid ran traced");
-                std::fs::write(path, journal).expect("write trace journal");
-                eprintln!("[repro] wrote {path}");
-            }
-            if let Some(path) = &self.metrics_path {
-                let metrics = sweep::sweep_metrics_json(&results).expect("grid ran traced");
-                std::fs::write(path, metrics).expect("write metrics registry");
-                eprintln!("[repro] wrote {path}");
-            }
+            self.flags.write_artifacts(
+                "[repro] ",
+                "repro_out/manifest.json",
+                sweep::manifest_json(&results),
+                || sweep::sweep_journal(&results),
+                || sweep::sweep_metrics_json(&results),
+            );
             self.cases = Some(sweep::comparisons(&results));
         }
         self.cases.as_ref().expect("just computed")
@@ -166,99 +162,31 @@ fn emit_pair_table(
     );
 }
 
-/// Parsed command-line options.
-struct Cli {
-    jobs: usize,
-    alpha: Option<f64>,
-    dt: Option<f64>,
-    trace_path: Option<String>,
-    metrics_path: Option<String>,
-    fault_seed: Option<u64>,
-    rest: Vec<String>,
-}
-
-/// Split `--jobs N` / `--jobs=N` / `-j N`, the observability flags
-/// `--trace PATH` / `--metrics PATH`, and `--fault-seed N` out of the raw
-/// argument list.
-fn parse_cli(args: Vec<String>) -> Cli {
-    fn count(s: &str) -> usize {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("invalid worker count: {s}");
-            std::process::exit(2);
-        })
-    }
-    fn seed(s: &str) -> u64 {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("invalid fault seed: {s}");
-            std::process::exit(2);
-        })
-    }
-    fn solver_param(s: &str, what: &str) -> f64 {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("invalid {what}: {s}");
-            std::process::exit(2);
-        })
-    }
-    let mut cli = Cli {
-        jobs: default_jobs(),
-        alpha: None,
-        dt: None,
-        trace_path: None,
-        metrics_path: None,
-        fault_seed: None,
-        rest: Vec::new(),
-    };
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        if a == "--jobs" || a == "-j" {
-            cli.jobs = count(&value(&a));
-        } else if let Some(n) = a.strip_prefix("--jobs=") {
-            cli.jobs = count(n);
-        } else if a == "--trace" {
-            cli.trace_path = Some(value(&a));
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            cli.trace_path = Some(p.to_string());
-        } else if a == "--metrics" {
-            cli.metrics_path = Some(value(&a));
-        } else if let Some(p) = a.strip_prefix("--metrics=") {
-            cli.metrics_path = Some(p.to_string());
-        } else if a == "--fault-seed" {
-            cli.fault_seed = Some(seed(&value(&a)));
-        } else if let Some(n) = a.strip_prefix("--fault-seed=") {
-            cli.fault_seed = Some(seed(n));
-        } else if a == "--alpha" {
-            cli.alpha = Some(solver_param(&value(&a), "alpha"));
-        } else if let Some(v) = a.strip_prefix("--alpha=") {
-            cli.alpha = Some(solver_param(v, "alpha"));
-        } else if a == "--dt" {
-            cli.dt = Some(solver_param(&value(&a), "dt"));
-        } else if let Some(v) = a.strip_prefix("--dt=") {
-            cli.dt = Some(solver_param(v, "dt"));
-        } else {
-            cli.rest.push(a);
+fn main() {
+    let mut flags = GridFlags::default();
+    let (mut alpha, mut dt): (Option<f64>, Option<f64>) = (None, None);
+    let mut names: Vec<String> = Vec::new();
+    let mut args = Args::new(std::env::args().skip(1).collect());
+    while let Some(a) = args.next_arg() {
+        if flags.take(&a, &mut args) {
+            continue;
+        }
+        match a.as_str() {
+            "--alpha" => alpha = Some(args.value("alpha")),
+            "--dt" => dt = Some(args.value("dt")),
+            _ => names.push(a),
         }
     }
-    cli.jobs = cli.jobs.max(1);
-    cli
-}
-
-fn main() {
-    let cli = parse_cli(std::env::args().skip(1).collect());
+    flags.jobs = flags.jobs.max(1);
     // Solver overrides are usage input: validate them against every case
     // config up front so a bad --alpha/--dt exits 2 before any work runs.
-    if cli.alpha.is_some() || cli.dt.is_some() {
+    if alpha.is_some() || dt.is_some() {
         for n in [1, 2, 3] {
             let mut cfg = PipelineConfig::case_study(n);
-            if let Some(a) = cli.alpha {
+            if let Some(a) = alpha {
                 cfg.solver.alpha = a;
             }
-            if let Some(d) = cli.dt {
+            if let Some(d) = dt {
                 cfg.solver.dt = d;
             }
             if let Err(e) = cfg.solver.validate(cfg.grid_nx, cfg.grid_ny) {
@@ -267,36 +195,32 @@ fn main() {
             }
         }
     }
-    let (jobs, args) = (cli.jobs, cli.rest);
-    let wanted: BTreeSet<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
+    let wanted: BTreeSet<String> = if names.is_empty() || names.iter().any(|a| a == "all") {
         ARTIFACTS.iter().map(|s| s.to_string()).collect()
     } else {
-        for a in &args {
-            assert!(
-                ARTIFACTS.contains(&a.as_str()),
-                "unknown artifact '{a}'; available: {ARTIFACTS:?}"
-            );
+        if let Some(a) = names.iter().find(|a| !ARTIFACTS.contains(&a.as_str())) {
+            eprintln!("unknown artifact '{a}'; available: {ARTIFACTS:?}");
+            std::process::exit(2);
         }
-        args.into_iter().collect()
+        names.into_iter().collect()
     };
+    let jobs = flags.jobs;
     // Either observability flag turns on the event journal + metrics
     // registry for every grid job (deterministic: byte-identical output
     // for every --jobs value).
     let setup = ExperimentSetup {
-        trace: cli.trace_path.is_some() || cli.metrics_path.is_some(),
+        trace: flags.traced(),
         // Seeded fault injection: each grid job derives its own fault
         // schedule from this base plan and its job key, so artifacts stay
         // byte-identical for every --jobs value.
-        faults: cli.fault_seed.map(greenness_faults::FaultPlan::with_seed),
+        faults: flags.fault_seed.map(greenness_faults::FaultPlan::with_seed),
         ..ExperimentSetup::default()
     };
     let mut lazy = Lazy {
         setup,
-        jobs,
-        alpha: cli.alpha,
-        dt: cli.dt,
-        trace_path: cli.trace_path,
-        metrics_path: cli.metrics_path,
+        flags,
+        alpha,
+        dt,
         cases: None,
         nnprobes: None,
     };

@@ -5,9 +5,11 @@
 //! `greenness` operator CLI. Wall-clock measurement lives in the stand-alone
 //! `benchmark/` package, not here.
 //!
-//! All grid execution goes through `greenness_core::sweep`, the
-//! deterministic work-stealing executor: results (and the manifest written
-//! by `repro`) are bit-identical for any `--jobs` value.
+//! All grid execution goes through `greenness_core`'s one grid runner:
+//! results (and the manifest written by `repro`) are bit-identical for any
+//! `--jobs` value. Both binaries read their flags through [`cli`].
+
+pub mod cli;
 
 use greenness_core::sweep::{self, JobResult};
 use greenness_core::{CaseComparison, ExperimentSetup};

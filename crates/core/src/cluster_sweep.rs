@@ -1,5 +1,7 @@
-//! The cluster sweep: three case-study workloads × three distributed
-//! pipelines, in one deterministic grid.
+//! The cluster grid: three case-study workloads × three distributed
+//! pipelines, on the crate's one grid runner (the private `grid` module
+//! states the contract — unique keys, submission-order results, key-derived
+//! seeds, lowest-id failure).
 //!
 //! The paper's single-node verdict (in-situ wins because it shortens the
 //! occupied window) gets its cluster-scale counterpart here: post-processing
@@ -8,20 +10,21 @@
 //! channels reported separately. The `greenness cluster` subcommand renders
 //! this sweep as the `greenness-cluster-manifest/v1` artifact.
 //!
-//! Determinism contract (pinned by `tests/determinism.rs`): job keys are
-//! the only seed source — fault schedules derive per-job from the sweep
-//! plan and each job runs on its own virtual cluster — so the manifest,
-//! journal, and metrics are byte-identical for any `--jobs` value and
-//! across repeated runs with the same `--fault-seed`.
+//! What this module adds: each job runs on its own virtual cluster, and the
+//! only per-job randomness is the fault schedule derived from the sweep plan
+//! and the job key (byte-identical artifacts for any `--jobs` value and
+//! across reruns with one `--fault-seed` are pinned by
+//! `tests/determinism.rs`). There is no per-job meter seed, so the journal's
+//! `job` begin event carries none.
 
 use greenness_cluster::{
     run_cluster_traced, ClusterConfig, ClusterKind, ClusterReport, FaultSummary, StagingConfig,
 };
 use greenness_faults::FaultPlan;
 use greenness_platform::SimTime;
-use greenness_pool::run_pool;
 use greenness_trace::{escape_json, MetricsRegistry, Tracer, Value};
 
+use crate::grid::{self, JobView};
 use crate::sweep::{Progress, SweepError};
 
 /// The paper's case-study numbers, grid order.
@@ -98,8 +101,21 @@ pub struct ClusterJobResult {
     pub trace_metrics: Option<MetricsRegistry>,
 }
 
-/// Execute one cell on a fresh virtual cluster.
-fn execute(job: ClusterJob, setup: &ClusterSetup) -> ClusterJobResult {
+impl ClusterJobResult {
+    fn view(&self) -> JobView<'_> {
+        JobView {
+            id: self.id,
+            key: &self.key,
+            seed: None,
+            end_ns: self.end_ns,
+            journal: self.journal.as_deref(),
+            metrics: self.trace_metrics.as_ref(),
+        }
+    }
+}
+
+/// Execute cell `id` on a fresh virtual cluster.
+fn execute(id: usize, job: ClusterJob, setup: &ClusterSetup) -> Result<ClusterJobResult, String> {
     let key = job.key();
     let mut cfg = ClusterConfig::case_study(job.case);
     cfg.staging = setup.staging;
@@ -118,21 +134,18 @@ fn execute(job: ClusterJob, setup: &ClusterSetup) -> ClusterJobResult {
     } else {
         Tracer::off()
     };
-    let (report, summary) = run_cluster_traced(job.kind, &cfg, plan, &tracer)
-        .expect("case-study cluster runs complete under plan-rate faults");
+    let (report, summary) =
+        run_cluster_traced(job.kind, &cfg, plan, &tracer).map_err(|e| e.to_string())?;
     let end_ns = SimTime::from_secs_f64(report.makespan_s).as_nanos();
-    let (journal, trace_metrics) = if tracer.is_on() {
+    if tracer.is_on() {
         tracer.gauge("run.end_s", report.makespan_s);
         tracer.gauge("energy.system_j", report.total_energy_j);
         tracer.snapshot("run");
         tracer.end(end_ns, "run", Vec::new());
-        let out = tracer.drain().expect("tracer is on");
-        (Some(out.journal), Some(out.metrics))
-    } else {
-        (None, None)
-    };
-    ClusterJobResult {
-        id: 0, // assigned by the collector
+    }
+    let (journal, trace_metrics) = tracer.drain().map(|out| (out.journal, out.metrics)).unzip();
+    Ok(ClusterJobResult {
+        id,
         key,
         case: job.case,
         kind: job.kind.label(),
@@ -141,7 +154,7 @@ fn execute(job: ClusterJob, setup: &ClusterSetup) -> ClusterJobResult {
         end_ns,
         journal,
         trace_metrics,
-    }
+    })
 }
 
 /// Run the cluster grid on `workers` threads; results come back in
@@ -149,6 +162,7 @@ fn execute(job: ClusterJob, setup: &ClusterSetup) -> ClusterJobResult {
 ///
 /// # Errors
 /// [`SweepError::DuplicateKey`] when two jobs share a key;
+/// [`SweepError::JobFailed`] when a job's cluster run reported an error;
 /// [`SweepError::JobPanicked`] when a job panicked (lowest id reported).
 pub fn run_cluster_sweep(
     jobs: Vec<ClusterJob>,
@@ -156,95 +170,21 @@ pub fn run_cluster_sweep(
     workers: usize,
     on_done: Progress<'_>,
 ) -> Result<Vec<ClusterJobResult>, SweepError> {
-    let total = jobs.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    {
-        let mut keys: Vec<String> = jobs.iter().map(ClusterJob::key).collect();
-        keys.sort();
-        for pair in keys.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(SweepError::DuplicateKey {
-                    key: pair[0].clone(),
-                });
-            }
-        }
-    }
-    let mut slots: Vec<Option<ClusterJobResult>> = (0..total).map(|_| None).collect();
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut finished = 0usize;
-    run_pool(
-        total,
-        workers,
-        &|idx| execute(jobs[idx], setup),
-        &mut |idx, outcome| match outcome {
-            Ok(mut result) => {
-                finished += 1;
-                on_done(finished, total, &jobs[idx].key());
-                result.id = idx;
-                slots[idx] = Some(result);
-            }
-            Err(message) => failures.push((idx, message)),
-        },
-    );
-    if let Some((id, message)) = failures.into_iter().min_by_key(|(id, _)| *id) {
-        return Err(SweepError::JobPanicked {
-            id,
-            key: jobs[id].key(),
-            message,
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.ok_or_else(|| SweepError::JobLost {
-                id: i,
-                key: jobs[i].key(),
-            })
-        })
-        .collect()
+    let keys: Vec<String> = jobs.iter().map(ClusterJob::key).collect();
+    grid::run_grid(&keys, workers, on_done, &|id| execute(id, jobs[id], setup))
 }
 
 /// Assemble the cluster-sweep journal: schema header, then each traced
 /// job's journal in a `job` span, job-id order — byte-identical across
 /// worker counts. `None` when no job was traced.
 pub fn cluster_journal(results: &[ClusterJobResult]) -> Option<String> {
-    if results.iter().all(|r| r.journal.is_none()) {
-        return None;
-    }
-    let mut s = greenness_trace::journal_header();
-    for r in results {
-        let Some(journal) = &r.journal else {
-            continue;
-        };
-        s.push_str(&format!(
-            "{{\"t_ns\":0,\"ev\":\"begin\",\"name\":\"job\",\"job\":{},\"key\":\"{}\"}}\n",
-            r.id,
-            escape_json(&r.key)
-        ));
-        s.push_str(journal);
-        s.push_str(&format!(
-            "{{\"t_ns\":{},\"ev\":\"end\",\"name\":\"job\",\"job\":{}}}\n",
-            r.end_ns, r.id
-        ));
-    }
-    Some(s)
+    grid::journal(results.iter().map(ClusterJobResult::view))
 }
 
 /// Render the cluster metrics file (`greenness-metrics/v1`): one labeled
 /// registry per traced job, job-id order. `None` when no job was traced.
 pub fn cluster_metrics_json(results: &[ClusterJobResult]) -> Option<String> {
-    let entries: Vec<(String, MetricsRegistry)> = results
-        .iter()
-        .filter_map(|r| r.trace_metrics.clone().map(|m| (r.key.clone(), m)))
-        .collect();
-    if entries.is_empty() {
-        None
-    } else {
-        Some(greenness_trace::metrics_file_json(&entries))
-    }
+    grid::metrics_json(results.iter().map(ClusterJobResult::view))
 }
 
 /// Render the structured cluster manifest (`repro_out/cluster.json`) — a
@@ -334,6 +274,28 @@ mod tests {
         let filtered = cluster_jobs(Some(ClusterKind::InTransit));
         assert_eq!(filtered.len(), 3);
         assert!(filtered.iter().all(|j| j.kind == ClusterKind::InTransit));
+    }
+
+    #[test]
+    fn a_cluster_run_that_cannot_complete_fails_the_job_as_a_value() {
+        // Every fabric transfer faults and a dropped one is never retried, so
+        // no cell survives its first few ghost exchanges.
+        let setup = ClusterSetup {
+            faults: Some(FaultPlan {
+                fabric_fault_rate: 1.0,
+                max_retries: 0,
+                ..FaultPlan::with_seed(1)
+            }),
+            ..ClusterSetup::default()
+        };
+        let err = run_cluster_sweep(cluster_jobs(None), &setup, 2, &|_, _, _| {})
+            .expect_err("no cell can complete");
+        match err {
+            SweepError::JobFailed { id, key, .. } => {
+                assert_eq!((id, key.as_str()), (0, "case1:post"))
+            }
+            other => panic!("expected JobFailed, got {other:?}"),
+        }
     }
 
     #[test]

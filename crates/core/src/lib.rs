@@ -20,9 +20,10 @@
 //! * [`probes`] — the isolated `nnread`/`nnwrite` stages of Figure 6 /
 //!   Table II.
 //! * [`compare`] — head-to-head comparison (Figures 7–11).
-//! * [`sweep`] — deterministic parallel executor for the experiment grid:
-//!   a work-stealing `std::thread` pool whose per-job RNG seeds derive from
-//!   job keys, so results are bit-identical for any worker count.
+//! * [`sweep`] — the case-study experiment grid on the one private `grid`
+//!   runner ([`cluster_sweep`] and [`placement`] are its other two callers):
+//!   per-job seeds derive from job keys, so results are bit-identical for
+//!   any worker count.
 //! * [`breakdown`] — the §V-C static/dynamic energy-savings decomposition.
 //! * [`whatif`] — the §V-D fio-based analysis: in-situ vs data
 //!   reorganization for a random-I/O application.
@@ -58,6 +59,7 @@ pub mod compare;
 pub mod config;
 mod driver;
 pub mod experiment;
+mod grid;
 pub mod pipeline;
 pub mod placement;
 pub mod probes;

@@ -1,4 +1,7 @@
-//! The placement sweep: tiered storage × placement policy × workload.
+//! The placement grid: tiered storage × placement policy × workload, on the
+//! crate's one grid runner (the private `grid` module states the contract —
+//! unique keys, submission-order results, key-derived seeds, lowest-id
+//! failure).
 //!
 //! The paper's §V-D "reorganization" argument is a statement about *where
 //! bytes live*: a random-access visualization against a 7200 rpm disk costs
@@ -10,23 +13,23 @@
 //! under each [`PlacementPolicy`](greenness_storage::PlacementPolicy), and
 //! the sweep reports which policy closes the sequential-vs-random cliff.
 //!
-//! Determinism contract (pinned by `tests/placement_determinism.rs`): job
-//! keys are the only seed source — the random reader derives its access
-//! stream from its key, fault schedules derive per-job from the sweep plan,
-//! and migration decisions are pure functions of (epoch, access stats) — so
-//! the journal, metrics, and manifest are byte-identical for any `--jobs`
-//! value and across repeated runs with the same `--fault-seed`.
+//! What this module adds (pinned by `tests/placement_determinism.rs`): the
+//! random reader derives its access stream from its *workload* label alone,
+//! so every policy sees the identical sequence; fault schedules derive
+//! per-job from the sweep plan; and migration decisions are pure functions
+//! of (epoch, access stats) — so the journal, metrics, and manifest are
+//! byte-identical for any `--jobs` value and across repeated runs with the
+//! same `--fault-seed`.
 
 use greenness_faults::{fnv1a64, splitmix64, FaultPlan, Site};
 use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
 use greenness_storage::{
     EnergyGreedyPolicy, FileSystem, FreqRecencyPolicy, FsConfig, NoopPolicy, PlacementPolicy,
-    TierCounters, TierSpec, TieredStore,
+    StorageError, TierCounters, TierSpec, TieredStore,
 };
 use greenness_trace::{escape_json, MetricsRegistry, Tracer, Value};
 
-use greenness_pool::run_pool;
-
+use crate::grid::{self, JobView};
 use crate::sweep::{Progress, SweepError};
 
 /// Workload scale: `Small` keeps CI and the golden tests fast; `Paper`
@@ -324,6 +327,19 @@ pub struct PlacementResult {
     pub trace_metrics: Option<MetricsRegistry>,
 }
 
+impl PlacementResult {
+    fn view(&self) -> JobView<'_> {
+        JobView {
+            id: self.id,
+            key: &self.key,
+            seed: Some(self.seed),
+            end_ns: self.end_ns,
+            journal: self.journal.as_deref(),
+            metrics: self.trace_metrics.as_ref(),
+        }
+    }
+}
+
 /// The full grid: every workload under every policy, workload-major — the
 /// column order of the placement report.
 pub fn placement_grid() -> Vec<PlacementJob> {
@@ -354,10 +370,13 @@ fn poke_payload(snap: u64, offset: u64, len: usize, chunk_bytes: u64) -> Vec<u8>
         .collect()
 }
 
-/// Execute one placement job on a fresh node. Panics only on simulator
-/// invariant violations (caught by the pool and surfaced as
-/// [`SweepError::JobPanicked`]).
-fn execute(job: PlacementJob, setup: &PlacementSetup) -> PlacementResult {
+/// Execute placement job `id` on a fresh node. A storage error (the workload
+/// outgrew the tier stack, a fault outlasted its retry budget) fails the job.
+fn execute(
+    id: usize,
+    job: PlacementJob,
+    setup: &PlacementSetup,
+) -> Result<PlacementResult, StorageError> {
     let key = job.key();
     let shape = job.workload.shape(setup.scale);
     let mut node = Node::new(setup.spec.clone());
@@ -401,10 +420,8 @@ fn execute(job: PlacementJob, setup: &PlacementSetup) -> PlacementResult {
         let name = snapshot_name(snap);
         for c in 0..chunks_per_snap {
             let data = chunk_payload(snap, c, chunk_len);
-            fs.append(&mut node, &name, &data, Phase::Write)
-                .expect("placement workload fits the tier stack");
-            fs.fsync_with_retry(&mut node, &name, Phase::Write)
-                .expect("bounded retry recovers at plan rates");
+            fs.append(&mut node, &name, &data, Phase::Write)?;
+            fs.fsync_with_retry(&mut node, &name, Phase::Write)?;
             bytes_written += shape.chunk_bytes;
         }
         fs.device_mut().end_epoch(&mut node, Phase::Write);
@@ -436,15 +453,13 @@ fn execute(job: PlacementJob, setup: &PlacementSetup) -> PlacementResult {
                 slot / slots_per_snap,
                 (slot % slots_per_snap) * shape.poke_bytes,
             );
-            let got = fs
-                .read(
-                    &mut node,
-                    &snapshot_name(snap),
-                    offset,
-                    shape.poke_bytes,
-                    Phase::Read,
-                )
-                .expect("poke lands inside a snapshot");
+            let got = fs.read(
+                &mut node,
+                &snapshot_name(snap),
+                offset,
+                shape.poke_bytes,
+                Phase::Read,
+            )?;
             bytes_read += got.len() as u64;
             if got != poke_payload(snap, offset, shape.poke_bytes as usize, shape.chunk_bytes) {
                 verified = false;
@@ -459,9 +474,7 @@ fn execute(job: PlacementJob, setup: &PlacementSetup) -> PlacementResult {
             for snap in 0..shape.snapshots {
                 let name = snapshot_name(snap);
                 if shape.whole_file_reads {
-                    let got = fs
-                        .read(&mut node, &name, 0, shape.snapshot_bytes, Phase::Read)
-                        .expect("snapshot exists");
+                    let got = fs.read(&mut node, &name, 0, shape.snapshot_bytes, Phase::Read)?;
                     bytes_read += got.len() as u64;
                     for c in 0..chunks_per_snap {
                         let lo = (c * shape.chunk_bytes) as usize;
@@ -472,15 +485,13 @@ fn execute(job: PlacementJob, setup: &PlacementSetup) -> PlacementResult {
                     }
                 } else {
                     for c in 0..chunks_per_snap {
-                        let got = fs
-                            .read(
-                                &mut node,
-                                &name,
-                                c * shape.chunk_bytes,
-                                shape.chunk_bytes,
-                                Phase::Read,
-                            )
-                            .expect("chunk exists");
+                        let got = fs.read(
+                            &mut node,
+                            &name,
+                            c * shape.chunk_bytes,
+                            shape.chunk_bytes,
+                            Phase::Read,
+                        )?;
                         bytes_read += got.len() as u64;
                         if got != chunk_payload(snap, c, chunk_len) {
                             verified = false;
@@ -508,19 +519,16 @@ fn execute(job: PlacementJob, setup: &PlacementSetup) -> PlacementResult {
     let read_time_s = timeline.phase_duration(Phase::Read).as_secs_f64();
     let read_energy_j = timeline.phase_energy(Phase::Read).system_j();
     let end_ns = timeline.end().as_nanos();
-    let (journal, trace_metrics) = if tracer.is_on() {
+    if tracer.is_on() {
         tracer.gauge("run.end_s", time_s);
         tracer.gauge("energy.system_j", energy_j);
         tracer.snapshot("run");
         tracer.end(end_ns, "run", Vec::new());
-        let out = tracer.drain().expect("tracer is on");
-        (Some(out.journal), Some(out.metrics))
-    } else {
-        (None, None)
-    };
+    }
+    let (journal, trace_metrics) = tracer.drain().map(|out| (out.journal, out.metrics)).unzip();
 
-    PlacementResult {
-        id: 0, // assigned by the collector
+    Ok(PlacementResult {
+        id,
         key,
         workload: job.workload.label(),
         policy: job.policy.label(),
@@ -542,7 +550,7 @@ fn execute(job: PlacementJob, setup: &PlacementSetup) -> PlacementResult {
         end_ns,
         journal,
         trace_metrics,
-    }
+    })
 }
 
 fn snapshot_name(snap: u64) -> String {
@@ -554,6 +562,7 @@ fn snapshot_name(snap: u64) -> String {
 ///
 /// # Errors
 /// [`SweepError::DuplicateKey`] when two jobs share a key;
+/// [`SweepError::JobFailed`] when a job's storage stack reported an error;
 /// [`SweepError::JobPanicked`] when a job panicked (lowest id reported).
 pub fn run_placement(
     jobs: Vec<PlacementJob>,
@@ -561,55 +570,10 @@ pub fn run_placement(
     workers: usize,
     on_done: Progress<'_>,
 ) -> Result<Vec<PlacementResult>, SweepError> {
-    let total = jobs.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    {
-        let mut keys: Vec<String> = jobs.iter().map(PlacementJob::key).collect();
-        keys.sort();
-        for pair in keys.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(SweepError::DuplicateKey {
-                    key: pair[0].clone(),
-                });
-            }
-        }
-    }
-    let mut slots: Vec<Option<PlacementResult>> = (0..total).map(|_| None).collect();
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut finished = 0usize;
-    run_pool(
-        total,
-        workers,
-        &|idx| execute(jobs[idx], setup),
-        &mut |idx, outcome| match outcome {
-            Ok(mut result) => {
-                finished += 1;
-                on_done(finished, total, &jobs[idx].key());
-                result.id = idx;
-                slots[idx] = Some(result);
-            }
-            Err(message) => failures.push((idx, message)),
-        },
-    );
-    if let Some((id, message)) = failures.into_iter().min_by_key(|(id, _)| *id) {
-        return Err(SweepError::JobPanicked {
-            id,
-            key: jobs[id].key(),
-            message,
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.ok_or_else(|| SweepError::JobLost {
-                id: i,
-                key: jobs[i].key(),
-            })
-        })
-        .collect()
+    let keys: Vec<String> = jobs.iter().map(PlacementJob::key).collect();
+    grid::run_grid(&keys, workers, on_done, &|id| {
+        execute(id, jobs[id], setup).map_err(|e| e.to_string())
+    })
 }
 
 /// Read-phase energy ratio random / sequential under the noop policy — the
@@ -641,41 +605,13 @@ pub fn gap_ratio_under(results: &[PlacementResult], policy: &str) -> Option<f64>
 /// job's journal in a `job` span, job-id order — byte-identical across
 /// worker counts. `None` when no job was traced.
 pub fn placement_journal(results: &[PlacementResult]) -> Option<String> {
-    if results.iter().all(|r| r.journal.is_none()) {
-        return None;
-    }
-    let mut s = greenness_trace::journal_header();
-    for r in results {
-        let Some(journal) = &r.journal else {
-            continue;
-        };
-        s.push_str(&format!(
-            "{{\"t_ns\":0,\"ev\":\"begin\",\"name\":\"job\",\"job\":{},\"key\":\"{}\",\"seed\":{}}}\n",
-            r.id,
-            escape_json(&r.key),
-            r.seed
-        ));
-        s.push_str(journal);
-        s.push_str(&format!(
-            "{{\"t_ns\":{},\"ev\":\"end\",\"name\":\"job\",\"job\":{}}}\n",
-            r.end_ns, r.id
-        ));
-    }
-    Some(s)
+    grid::journal(results.iter().map(PlacementResult::view))
 }
 
 /// Render the placement metrics file (`greenness-metrics/v1`): one labeled
 /// registry per traced job, job-id order. `None` when no job was traced.
 pub fn placement_metrics_json(results: &[PlacementResult]) -> Option<String> {
-    let entries: Vec<(String, MetricsRegistry)> = results
-        .iter()
-        .filter_map(|r| r.trace_metrics.clone().map(|m| (r.key.clone(), m)))
-        .collect();
-    if entries.is_empty() {
-        None
-    } else {
-        Some(greenness_trace::metrics_file_json(&entries))
-    }
+    grid::metrics_json(results.iter().map(PlacementResult::view))
 }
 
 /// Render the structured placement manifest
@@ -826,6 +762,25 @@ mod tests {
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.bytes_read, b.bytes_read);
         assert_eq!(a.bytes_written, b.bytes_written);
+    }
+
+    #[test]
+    fn a_fault_that_outlasts_its_retries_fails_the_job_as_a_value() {
+        let setup = PlacementSetup {
+            faults: Some(FaultPlan {
+                storage_fsync_rate: 1.0,
+                ..FaultPlan::with_seed(1)
+            }),
+            ..PlacementSetup::default()
+        };
+        let err = run_placement(placement_grid(), &setup, 2, &silent_progress())
+            .expect_err("every fsync faults");
+        match err {
+            SweepError::JobFailed { id, key, .. } => {
+                assert_eq!((id, key.as_str()), (0, "case1/noop"))
+            }
+            other => panic!("expected JobFailed, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,35 +1,32 @@
-//! Deterministic parallel sweep executor for the paper's experiment grid.
+//! The case-study grid: the paper's 3 case studies × pipeline kinds ×
+//! hardware/interval variants (Figures 4–11, Tables II–III), submitted
+//! through the crate's one grid runner (the private `grid` module, which
+//! states the contract every grid here shares).
 //!
-//! The paper's results are a grid of *independent* runs — 3 case studies ×
-//! pipeline kinds × hardware/interval variants (Figures 4–11, Tables
-//! II–III) — so reproduction wall-clock should be bounded by the slowest
-//! job, not the sum. This module provides the batch layer everything above
-//! it (the `repro` and `greenness` binaries, the integration tests, and the
-//! extension studies) submits through:
+//! The paper's results are a grid of *independent* runs, so reproduction
+//! wall-clock should be bounded by the slowest job, not the sum. What this
+//! module adds to the runner:
 //!
 //! * a [`SweepJob`] is one pipeline run: `(case, PipelineKind,
-//!   PipelineConfig, ExperimentSetup)`;
-//! * [`run_sweep`] executes a batch on the bounded **work-stealing pool**
-//!   from `greenness-pool` (std-only — the crate registry is not always
-//!   reachable from the build hosts), the same pool the placement sweep and
-//!   the threaded stencil tiles schedule onto;
-//! * results come back **keyed and ordered by job id** (submission order),
-//!   so output never depends on scheduling;
-//! * every job derives its RNG seed from its own *job key* — never from
-//!   worker identity or execution order — so a sweep is **bit-identical for
-//!   any worker count, including 1** (pinned by
+//!   PipelineConfig, ExperimentSetup)`, keyed by all four;
+//! * every job reseeds its meter noise and its fault schedule from its own
+//!   *job key* and the sweep-level base seed, so a sweep is **bit-identical
+//!   for any worker count, including 1** (pinned by
 //!   `tests/parallel_determinism.rs`);
+//! * [`comparisons`] pairs post-processing and in-situ cells back up;
 //! * [`manifest_json`] renders the per-job results manifest the `repro`
 //!   binary writes to `repro_out/manifest.json` and the golden tests
-//!   consume.
+//!   consume;
+//! * [`SweepError`] and [`Progress`] are the error and progress types all
+//!   three grids report through.
 
 use greenness_faults::{fnv1a64, splitmix64};
-use greenness_pool::run_pool;
 use greenness_trace::escape_json;
 
 use crate::compare::CaseComparison;
 use crate::config::PipelineConfig;
 use crate::experiment::{run, ExperimentSetup, PipelineReport};
+use crate::grid::{self, JobView};
 use crate::pipeline::{PipelineError, PipelineKind};
 
 /// One cell of the experiment grid.
@@ -105,6 +102,19 @@ pub struct JobResult {
     pub kind: PipelineKind,
     /// Everything the instrumented run produced.
     pub report: PipelineReport,
+}
+
+impl JobResult {
+    fn view(&self) -> JobView<'_> {
+        JobView {
+            id: self.id,
+            key: &self.key,
+            seed: Some(self.seed),
+            end_ns: self.report.timeline.end().as_nanos(),
+            journal: self.report.journal.as_deref(),
+            metrics: self.report.trace_metrics.as_ref(),
+        }
+    }
 }
 
 /// Progress notification passed to the `on_done` callback of [`run_sweep`]:
@@ -198,65 +208,20 @@ pub fn run_sweep(
     workers: usize,
     on_done: Progress<'_>,
 ) -> Result<Vec<JobResult>, SweepError> {
-    let total = jobs.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    {
-        let mut keys: Vec<String> = jobs.iter().map(SweepJob::key).collect();
-        keys.sort();
-        for pair in keys.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(SweepError::DuplicateKey {
-                    key: pair[0].clone(),
-                });
-            }
-        }
-    }
-    let mut slots: Vec<Option<JobResult>> = (0..total).map(|_| None).collect();
-    let mut failures: Vec<(usize, bool, String)> = Vec::new();
-    let mut finished = 0usize;
-    run_pool(
-        total,
-        workers,
-        &|idx| jobs[idx].execute(),
-        &mut |idx, outcome| match outcome {
-            Ok(Ok(report)) => {
-                finished += 1;
-                on_done(finished, total, &jobs[idx].key());
-                slots[idx] = Some(JobResult {
-                    id: idx,
-                    key: jobs[idx].key(),
-                    group: jobs[idx].group(),
-                    seed: jobs[idx].derived_seed(),
-                    case: jobs[idx].case,
-                    kind: jobs[idx].kind,
-                    report,
-                });
-            }
-            Ok(Err(e)) => failures.push((idx, false, e.to_string())),
-            Err(message) => failures.push((idx, true, message)),
-        },
-    );
-
-    if let Some((id, panicked, message)) = failures.into_iter().min_by_key(|(id, _, _)| *id) {
-        let key = jobs[id].key();
-        return Err(if panicked {
-            SweepError::JobPanicked { id, key, message }
-        } else {
-            SweepError::JobFailed { id, key, message }
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.ok_or_else(|| SweepError::JobLost {
-                id: i,
-                key: jobs[i].key(),
-            })
+    let keys: Vec<String> = jobs.iter().map(SweepJob::key).collect();
+    grid::run_grid(&keys, workers, on_done, &|id| {
+        let job = &jobs[id];
+        let report = job.execute().map_err(|e| e.to_string())?;
+        Ok(JobResult {
+            id,
+            key: keys[id].clone(),
+            group: job.group(),
+            seed: job.derived_seed(),
+            case: job.case,
+            kind: job.kind,
+            report,
         })
-        .collect()
+    })
 }
 
 /// The standard figure grid: both measured pipelines over each requested
@@ -326,43 +291,14 @@ pub fn comparisons(results: &[JobResult]) -> Vec<CaseComparison> {
 /// byte-identical across worker counts (`tests/parallel_determinism.rs`).
 /// Returns `None` when no job was traced.
 pub fn sweep_journal(results: &[JobResult]) -> Option<String> {
-    if results.iter().all(|r| r.report.journal.is_none()) {
-        return None;
-    }
-    let mut s = greenness_trace::journal_header();
-    for r in results {
-        let Some(journal) = &r.report.journal else {
-            continue;
-        };
-        s.push_str(&format!(
-            "{{\"t_ns\":0,\"ev\":\"begin\",\"name\":\"job\",\"job\":{},\"key\":\"{}\",\"seed\":{}}}\n",
-            r.id,
-            escape_json(&r.key),
-            r.seed
-        ));
-        s.push_str(journal);
-        s.push_str(&format!(
-            "{{\"t_ns\":{},\"ev\":\"end\",\"name\":\"job\",\"job\":{}}}\n",
-            r.report.timeline.end().as_nanos(),
-            r.id
-        ));
-    }
-    Some(s)
+    grid::journal(results.iter().map(JobResult::view))
 }
 
 /// Render the sweep-level metrics file (`greenness-metrics/v1`): one labeled
 /// registry per traced job, in job-id order, labeled by job key. Returns
 /// `None` when no job was traced.
 pub fn sweep_metrics_json(results: &[JobResult]) -> Option<String> {
-    let entries: Vec<(String, greenness_trace::MetricsRegistry)> = results
-        .iter()
-        .filter_map(|r| r.report.trace_metrics.clone().map(|m| (r.key.clone(), m)))
-        .collect();
-    if entries.is_empty() {
-        None
-    } else {
-        Some(greenness_trace::metrics_file_json(&entries))
-    }
+    grid::metrics_json(results.iter().map(JobResult::view))
 }
 
 /// Render the structured per-job manifest (`repro_out/manifest.json`).

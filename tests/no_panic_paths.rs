@@ -6,19 +6,11 @@
 //! `crates/serve`; a panic there tears down a worker mid-request instead of
 //! producing a structured error envelope. This test walks the non-test
 //! source of both crates and fails on any surviving panic site, so a
-//! future `.unwrap()` cannot sneak back in without showing up here.
-//!
-//! Allowlisted: CLI-only table drivers that are never linked into a serve
-//! op (`greenness cluster` / `greenness placement`). Their expects document
-//! impossible states in fixed, library-built workloads and print tables
-//! straight to a terminal.
+//! future `.unwrap()` cannot sneak back in without showing up here. There
+//! is no allowlist: the CLI-only grids (`greenness cluster` / `greenness
+//! placement`) report their failures as `SweepError::JobFailed` too.
 
 use std::path::{Path, PathBuf};
-
-/// CLI-only modules in `crates/core` that no serve op calls into. Keep this
-/// list short and justified — anything reachable from `Service::handle_line`
-/// must not be here.
-const ALLOWLIST: [&str; 2] = ["cluster_sweep.rs", "placement.rs"];
 
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -74,18 +66,8 @@ fn no_unwrap_or_expect_on_request_reachable_paths() {
         files.len()
     );
     let mut violations = Vec::new();
-    let mut allowlist_used = [false; ALLOWLIST.len()];
     for path in &files {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .expect("utf-8 file name");
-        let sites = panic_sites(path);
-        if let Some(slot) = ALLOWLIST.iter().position(|a| *a == name) {
-            allowlist_used[slot] = !sites.is_empty();
-            continue;
-        }
-        for site in sites {
+        for site in panic_sites(path) {
             violations.push(format!("{}:{site}", path.display()));
         }
     }
@@ -95,12 +77,4 @@ fn no_unwrap_or_expect_on_request_reachable_paths() {
          instead, or move the code under #[cfg(test)]):\n{}",
         violations.join("\n")
     );
-    // Prune the allowlist when a module comes clean, so it never shadows a
-    // future regression.
-    for (used, name) in allowlist_used.iter().zip(ALLOWLIST) {
-        assert!(
-            used,
-            "{name} no longer has panic sites — remove it from ALLOWLIST"
-        );
-    }
 }

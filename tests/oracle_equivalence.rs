@@ -8,8 +8,10 @@
 //!   including the thinnest legal slabs;
 //! * the blocked single-pass transpose encoder is bit-for-bit the retained
 //!   strided reference on arbitrary payloads;
-//! * an invalid solver config handed to either binary is a *usage* error:
-//!   exit 2 with a structured message, before any work runs.
+//! * bad command-line input handed to either binary (an invalid solver
+//!   config, an unknown artifact, a flag without its value) is a *usage*
+//!   error: exit 2 with a one-line message, before any work runs — and the
+//!   `--flag=value` spelling is accepted by every subcommand.
 
 use std::process::Command;
 
@@ -83,34 +85,60 @@ proptest! {
     }
 }
 
-/// Drive the real binaries: a CFL-violating or non-finite solver override
-/// must be rejected as a usage error (exit 2, structured message) by both
-/// front ends, without running the workload.
+/// Drive the real binaries: each row is `(binary, args, exit code, stderr
+/// needle)`. A CFL-violating or non-finite solver override, an unknown
+/// `repro` artifact and a flag missing its value must be rejected as usage
+/// errors (exit 2, one-line message) without running the workload; the
+/// `--flag=value` spelling must work on a subcommand that used to reject it.
 #[test]
-fn invalid_solver_config_is_a_usage_error_in_both_binaries() {
-    let cases: [(&str, &[&str]); 3] = [
+fn usage_errors_and_flag_spellings_are_uniform_in_both_binaries() {
+    let greenness = env!("CARGO_BIN_EXE_greenness");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let transcript = std::env::temp_dir().join(format!("steer-{}.ndjson", std::process::id()));
+    let transcript = transcript.to_str().expect("utf-8 temp path");
+    let cases: [(&str, &[&str], i32, &str); 6] = [
         (
-            env!("CARGO_BIN_EXE_greenness"),
+            greenness,
             &["case", "1", "--alpha", "nan"],
+            2,
+            "invalid solver config",
         ),
         (
-            env!("CARGO_BIN_EXE_greenness"),
+            greenness,
             &["case", "2", "--dt", "1e9"],
+            2,
+            "invalid solver config",
         ),
-        (env!("CARGO_BIN_EXE_repro"), &["--alpha", "-1.0", "table1"]),
+        (
+            repro,
+            &["--alpha", "-1.0", "table1"],
+            2,
+            "invalid solver config",
+        ),
+        (
+            repro,
+            &["nosuch"],
+            2,
+            "unknown artifact 'nosuch'; available:",
+        ),
+        (greenness, &["sweep", "--jobs"], 2, "--jobs needs a value"),
+        (
+            greenness,
+            &["steer", "--jobs=2", "--out", transcript],
+            0,
+            "op(s) ok",
+        ),
     ];
-    for (bin, args) in cases {
+    for (bin, args, code, needle) in cases {
         let out = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
             out.status.code(),
-            Some(2),
-            "{bin} {args:?} must exit 2, got {:?}",
+            Some(code),
+            "{bin} {args:?} must exit {code}, got {:?}; stderr: {stderr}",
             out.status
         );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("invalid solver config"),
-            "{bin} {args:?} stderr: {stderr}"
-        );
+        assert!(stderr.contains(needle), "{bin} {args:?} stderr: {stderr}");
     }
+    std::fs::remove_file(transcript).expect("steer wrote its transcript");
 }

@@ -3,7 +3,9 @@
 //! PR 12 deleted five do-nothing dependency shims, the second and third
 //! bench systems, and four private copies of the FNV-1a / splitmix64 hashes;
 //! PR 13 folded ten copies of the single-node simulate/store/read-back loop
-//! into `crates/core/src/driver.rs`. This test walks the tree and fails if
+//! into `crates/core/src/driver.rs`; PR 15 folded three copies of the keyed
+//! grid runner into `crates/core/src/grid.rs` and four flag-parsing styles
+//! into `crates/bench/src/cli.rs`. This test walks the tree and fails if
 //! any of them grows back, so "add a quick local copy" shows up in review
 //! instead of in the next inventory.
 
@@ -173,4 +175,83 @@ fn the_single_node_loop_lives_only_in_the_core_driver() {
             path.display()
         );
     }
+}
+
+#[test]
+fn the_grid_runner_lives_only_in_core_grid() {
+    let root = repo_root();
+
+    // One pool call and one `job` span frame in core: grid.rs.
+    let core = root.join("crates").join("core").join("src");
+    for path in sorted_entries(&core) {
+        let src = read(&path);
+        for needle in ["run_pool(", r#"\"ev\":\"begin\",\"name\":\"job\""#] {
+            let found = non_test(&src).contains(needle);
+            assert_eq!(
+                found,
+                file_name(&path) == "grid.rs",
+                "{}: `{needle}`",
+                path.display()
+            );
+        }
+    }
+
+    // One flag path in the binaries: `greenness_bench::cli`.
+    for path in sorted_entries(&root.join("crates/bench/src/bin")) {
+        let src = read(&path);
+        for needle in ["strip_prefix(\"--", "fn parse<"] {
+            assert!(
+                !non_test(&src).contains(needle),
+                "{}: `{needle}` belongs in cli.rs",
+                path.display()
+            );
+        }
+    }
+}
+
+/// Every `"--flag"` string literal in `src`.
+fn flag_literals(src: &str) -> Vec<&str> {
+    src.split('"')
+        .filter(|lit| {
+            lit.strip_prefix("--").is_some_and(|name| {
+                !name.is_empty() && name.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn every_flag_the_binaries_match_on_is_documented() {
+    let bench = repo_root().join("crates/bench/src");
+    let repro_src = read(&bench.join("bin/repro.rs"));
+    let repro_doc: String = repro_src
+        .lines()
+        .take_while(|line| line.starts_with("//!"))
+        .collect();
+    let usage = std::process::Command::new(env!("CARGO_BIN_EXE_greenness"))
+        .output()
+        .expect("greenness runs");
+    assert_eq!(usage.status.code(), Some(2), "no command is a usage error");
+    let usage = String::from_utf8_lossy(&usage.stderr);
+
+    let mut checked = 0;
+    for file in ["bin/greenness.rs", "bin/repro.rs", "cli.rs"] {
+        let src = read(&bench.join(file));
+        for flag in flag_literals(non_test(&src)) {
+            // Whole-word match: `--metrics` must not pass on `--metrics-out`.
+            let documented = |text: &str| {
+                text.match_indices(flag).any(|(at, _)| {
+                    !text[at + flag.len()..]
+                        .starts_with(|c: char| c.is_ascii_lowercase() || c == '-')
+                })
+            };
+            assert!(
+                documented(&usage) || documented(&repro_doc),
+                "{file}: `{flag}` is matched on but neither `greenness` usage \
+                 nor repro.rs's module doc mentions it"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 40, "only {checked} flag literals found");
 }
