@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use greenness_codec::delta::DeltaVarint;
 use greenness_codec::quant::Quant8;
 use greenness_codec::{Codec, CodecCostModel, ScratchCodec};
-use greenness_faults::{fnv1a64, fnv1a64_extend, FaultInjector, FaultPlan, Site};
+use greenness_faults::{checksum64, fnv1a64, fnv1a64_extend, FaultInjector, FaultPlan, Site};
 use greenness_heatsim::{Grid, SimCostModel, SolverConfig};
 use greenness_platform::{HardwareSpec, NetModel, Node, Phase, SimTime};
 use greenness_trace::{Tracer, Value};
@@ -449,7 +449,7 @@ pub fn run_cluster_traced(
                 let mut sums = Vec::with_capacity(cfg.compute_nodes);
                 for (k, node) in compute.iter_mut().enumerate() {
                     let bytes = solver.slab_bytes(k);
-                    sums.push(fnv1a64(&bytes));
+                    sums.push(checksum64(&bytes));
                     pfs_bytes += bytes.len() as u64;
                     pfs.write(
                         node,
@@ -528,7 +528,7 @@ pub fn run_cluster_traced(
                 for (k, node) in compute.iter_mut().enumerate() {
                     let raw = solver.slab_bytes(k);
                     let raw_len = raw.len() as u64;
-                    let sum = fnv1a64(&raw);
+                    let sum = checksum64(&raw);
                     staging_raw_bytes += raw_len;
                     tracer.count("staging.bytes.raw", raw_len);
                     let payload: Vec<u8> = match encoders.get_mut(k) {
@@ -569,7 +569,7 @@ pub fn run_cluster_traced(
                         }
                         None => payload,
                     };
-                    if cfg.staging.wire_codec.lossless() && fnv1a64(&raw) != sum {
+                    if cfg.staging.wire_codec.lossless() && checksum64(&raw) != sum {
                         verified = false;
                     }
                     slabs.push(raw);
@@ -662,7 +662,7 @@ pub fn run_cluster_traced(
             for (k, sum) in sums.iter().enumerate() {
                 let bytes =
                     pfs.read(viz, &fabric, &format!("snap{step:04}.n{k:02}"), Phase::Read)?;
-                if fnv1a64(&bytes) != *sum {
+                if checksum64(&bytes) != *sum {
                     verified = false;
                 }
                 slabs.push(bytes);

@@ -26,7 +26,7 @@
 //! and *verifies* them against a checksum taken at write time, so any
 //! storage-stack corruption fails loudly.
 
-use greenness_faults::{fnv1a64, FaultPlan};
+use greenness_faults::{checksum64, FaultPlan};
 use greenness_heatsim::SolverError;
 use greenness_platform::{Activity, Node, Phase};
 use greenness_storage::FsError;
@@ -206,7 +206,7 @@ pub fn run_with_faults(
                 let bytes = stepper.grid().to_bytes();
                 let name = store.write_snapshot(node, step, &bytes)?;
                 out.bytes_written += bytes.len() as u64;
-                checksums.push((name, step, fnv1a64(&bytes)));
+                checksums.push((name, step, checksum64(&bytes)));
             }
             PipelineKind::InSitu => {
                 // Hand the live field to the renderer (in-memory).
@@ -242,7 +242,7 @@ pub fn run_with_faults(
     for (name, step, checksum) in checksums {
         let bytes = store.read(node, &name)?;
         out.bytes_read += bytes.len() as u64;
-        if fnv1a64(&bytes) != checksum {
+        if checksum64(&bytes) != checksum {
             out.verified = false;
         }
         let image = driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), &name, &bytes)?;

@@ -30,6 +30,10 @@ use greenness_faults::fnv1a64;
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
 use greenness_viz::{encode_ppm, ppm_size_bytes, render_field, Colormap};
 
+/// Largest image, in pixels, a [`Adjustment::Resolution`] may ask for
+/// (16 Mpx: a 48 MiB framebuffer, 32x the paper's 512x512 frame).
+pub const MAX_RENDER_PIXELS: usize = 16 << 20;
+
 /// A parameter change a steering client may apply mid-run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Adjustment {
@@ -39,7 +43,8 @@ pub enum Adjustment {
     Resolution {
         /// New image width, pixels (must be ≥ 1).
         width: usize,
-        /// New image height, pixels (must be ≥ 1).
+        /// New image height, pixels (must be ≥ 1; `width * height` at most
+        /// [`MAX_RENDER_PIXELS`]).
         height: usize,
     },
     /// Re-aim the "camera": colormap and value range of the transfer
@@ -309,6 +314,13 @@ fn apply(cfg: &mut PipelineConfig, adj: &Adjustment) -> Result<(), PipelineError
             if width == 0 || height == 0 {
                 return Err(PipelineError::Config(format!(
                     "render resolution must be at least 1x1, got {width}x{height}"
+                )));
+            }
+            // The product sizes the framebuffer and the render charge;
+            // unchecked, one request line could overflow or exhaust memory.
+            if !matches!(width.checked_mul(height), Some(px) if px <= MAX_RENDER_PIXELS) {
+                return Err(PipelineError::Config(format!(
+                    "render resolution must be at most {MAX_RENDER_PIXELS} pixels, got {width}x{height}"
                 )));
             }
             cfg.render.width = width;

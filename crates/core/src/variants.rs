@@ -26,7 +26,7 @@
 use greenness_codec::quant::Quant16;
 use greenness_codec::transpose::TransposeRle;
 use greenness_codec::{Codec, CodecCostModel, ScratchCodec};
-use greenness_faults::fnv1a64;
+use greenness_faults::checksum64;
 use greenness_platform::{Node, Phase};
 use greenness_storage::BurstBuffer;
 use greenness_viz::{stride_sample, RenderOptions};
@@ -162,14 +162,14 @@ fn sampled_post(node: &mut Node, cfg: &PipelineConfig, stride: usize) -> Tally {
         let bytes = reduced.to_bytes();
         let name = store.write_snapshot(node, step, &bytes)?;
         written += bytes.len() as u64;
-        kept.push((name, fnv1a64(&bytes), (reduced.nx(), reduced.ny())));
+        kept.push((name, checksum64(&bytes), (reduced.nx(), reduced.ny())));
     }
     store.end_phase_one(node);
 
     let mut verified = true;
     for (name, sum, shape) in kept {
         let bytes = store.read(node, &name)?;
-        verified &= fnv1a64(&bytes) == sum;
+        verified &= checksum64(&bytes) == sum;
         driver::render_snapshot(node, cfg, shape, &name, &bytes)?;
     }
     Ok((written, raw, verified))
@@ -194,7 +194,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
         let name = store.write_snapshot(node, step, encoded)?;
         written += encoded.len() as u64;
         let grid = stepper.grid();
-        kept.push((name, fnv1a64(&bytes), grid.min(), grid.max()));
+        kept.push((name, checksum64(&bytes), grid.min(), grid.max()));
     }
     store.end_phase_one(node);
 
@@ -210,7 +210,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
             Phase::Read,
         );
         match choice {
-            CodecChoice::Lossless => verified &= fnv1a64(&decoded) == raw_sum,
+            CodecChoice::Lossless => verified &= checksum64(&decoded) == raw_sum,
             CodecChoice::Quantized => {
                 // The decoded field must stay within the quantizer's bound
                 // of the value range recorded at write time.
@@ -290,7 +290,7 @@ fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -
         let name = driver::snapshot_name(step);
         bb.stage(node, store.fs_mut(), &name, &bytes, Phase::Write)
             .map_err(storage("stage"))?;
-        kept.push((name, fnv1a64(&bytes)));
+        kept.push((name, checksum64(&bytes)));
     }
     // End of phase 1: drain the tier, then the paper's sync + drop.
     bb.drain_all(node, store.fs_mut(), Phase::Write)
@@ -305,7 +305,7 @@ fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -
         let bytes = fs
             .read(node, &name, 0, size, Phase::Read)
             .map_err(storage("read"))?;
-        verified &= fnv1a64(&bytes) == sum;
+        verified &= checksum64(&bytes) == sum;
         driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), &name, &bytes)?;
     }
     Ok((bb.drained_bytes(), raw, verified))

@@ -220,8 +220,9 @@ impl FaultInjector {
     }
 }
 
-/// FNV-1a 64-bit: the workspace's one non-cryptographic hash (job keys,
-/// fault and RNG seeds, snapshot checksums).
+/// FNV-1a 64-bit: the workspace's one non-cryptographic hash for values
+/// that are emitted or seed something (job keys, fault and RNG seeds, image
+/// and frame hashes). Compare-and-discard sums use [`checksum64`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -234,6 +235,23 @@ pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// Integrity checksum for a buffer that is summed, compared and thrown
+/// away (snapshot write-time vs read-back): the FNV-1a mix over 8-byte
+/// little-endian words, the tail through [`fnv1a64_extend`]. One multiply
+/// per word instead of per byte. Both steps of the mix (xor, multiply by an
+/// odd constant) are bijections of the state, so any single-bit flip
+/// changes the sum. Not FNV-1a: never emit it or seed anything with it —
+/// use [`fnv1a64`] for values that leave the process.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in &mut words {
+        h ^= u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    fnv1a64_extend(h, words.remainder())
 }
 
 /// SplitMix64 finalizer: decorrelates structured inputs.
@@ -346,5 +364,49 @@ mod tests {
             (16..=48).contains(&odd),
             "entropy bit 0 is biased: {odd}/64"
         );
+    }
+
+    /// Flip each bit of `buf[pos]` in turn and require a different sum.
+    fn assert_bit_flips_change_the_sum(buf: &mut [u8], pos: usize) {
+        let clean = checksum64(buf);
+        for bit in 0..8 {
+            buf[pos] ^= 1 << bit;
+            assert_ne!(
+                checksum64(buf),
+                clean,
+                "len {} byte {pos} bit {bit}",
+                buf.len()
+            );
+            buf[pos] ^= 1 << bit;
+        }
+    }
+
+    #[test]
+    fn checksum64_sees_every_single_bit_flip() {
+        // Every bit of every length that mixes whole words with a 0..=7 tail.
+        for len in 0..=17usize {
+            let mut buf: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            for pos in 0..len {
+                assert_bit_flips_change_the_sum(&mut buf, pos);
+            }
+        }
+        // A snapshot-sized buffer (512 x 512 f64), sampled positions.
+        let mut snapshot: Vec<u8> = (0..2u64 << 20)
+            .map(|i| (splitmix64(i) >> 56) as u8)
+            .collect();
+        let last = snapshot.len() - 1;
+        for pos in [0, 1, 7, 8, 4095, 4096, last / 2, last - 8, last] {
+            assert_bit_flips_change_the_sum(&mut snapshot, pos);
+        }
+    }
+
+    #[test]
+    fn checksum64_tail_goes_through_the_byte_chain() {
+        // Shorter than a word there is no word step: the sum is plain FNV-1a.
+        assert_eq!(checksum64(&[]), fnv1a64(&[]));
+        assert_eq!(checksum64(b"abc"), fnv1a64(b"abc"));
+        // From one word on the two differ, and length is part of the sum.
+        assert_ne!(checksum64(b"abcdefgh"), fnv1a64(b"abcdefgh"));
+        assert_ne!(checksum64(&[0; 8]), checksum64(&[0; 16]));
     }
 }

@@ -26,5 +26,5 @@ pub use colormap::Colormap;
 pub use contour::contour_lines;
 pub use cost::RenderCostModel;
 pub use image::{decode_ppm, encode_ppm, ppm_size_bytes};
-pub use raster::{render_field, Framebuffer, RenderOptions};
+pub use raster::{render_field, render_field_reference, Framebuffer, RenderOptions};
 pub use sample::{stride_sample, threshold_sample};

@@ -109,8 +109,77 @@ impl Default for RenderOptions {
     }
 }
 
+/// One axis of the bilinear stencil for one output coordinate: the two
+/// source indices and their weights, computed exactly as [`bilinear`] does.
+#[derive(Clone, Copy)]
+struct Tap {
+    i0: usize,
+    i1: usize,
+    w0: f64,
+    w1: f64,
+}
+
+impl Tap {
+    /// The tap of output coordinate `k` of `n_out` over `n_in` source cells.
+    fn new(k: usize, n_out: usize, n_in: usize) -> Tap {
+        let u = (k as f64 + 0.5) / n_out as f64;
+        let f = (u.clamp(0.0, 1.0) * n_in as f64 - 0.5).clamp(0.0, (n_in - 1) as f64);
+        let i0 = f.floor() as usize;
+        let w1 = f - i0 as f64;
+        Tap {
+            i0,
+            i1: (i0 + 1).min(n_in - 1),
+            w0: 1.0 - w1,
+            w1,
+        }
+    }
+}
+
+/// [`bilinear`] from hoisted parts: the sample at column tap `col` between
+/// the source rows `upper` and `lower` that row tap `row` selects.
+#[inline]
+fn sample(upper: &[f64], lower: &[f64], col: &Tap, row: &Tap) -> f64 {
+    let a = upper[col.i0] * col.w0 + upper[col.i1] * col.w1;
+    let b = lower[col.i0] * col.w0 + lower[col.i1] * col.w1;
+    a * row.w0 + b * row.w1
+}
+
 /// Render `field` into an image by bilinear sampling.
+///
+/// Byte-for-byte [`render_field_reference`], with everything that does not
+/// depend on the pixel hoisted out of it: bilinear sampling is separable,
+/// so the column taps are one table per frame (O(width) scratch) and the
+/// row tap and the two source rows are fetched once per scanline; the
+/// colormap is an exact step table built once per process. Each pixel
+/// evaluates the same `f64` expression tree in the same order — `a·(1−tx) +
+/// b·tx` per row, then the rows, then `(v − lo) / span` — so no rounding
+/// differs.
 pub fn render_field(field: &Grid, opts: &RenderOptions) -> Framebuffer {
+    let (lo, hi) = opts.range.unwrap_or_else(|| (field.min(), field.max()));
+    let span = (hi - lo).max(1e-300);
+    let mut fb = Framebuffer::new(opts.width, opts.height);
+    let (nx, ny) = (field.nx(), field.ny());
+    let colors = opts.colormap.table();
+    let columns: Vec<Tap> = (0..opts.width)
+        .map(|x| Tap::new(x, opts.width, nx))
+        .collect();
+    for (y, scanline) in fb.pixels.chunks_exact_mut(opts.width * 3).enumerate() {
+        let row = Tap::new(y, opts.height, ny);
+        let upper = &field.as_slice()[row.i0 * nx..][..nx];
+        let lower = &field.as_slice()[row.i1 * nx..][..nx];
+        for (pixel, col) in scanline.chunks_exact_mut(3).zip(&columns) {
+            let t = (sample(upper, lower, col, &row) - lo) / span;
+            pixel.copy_from_slice(&colors.map(t));
+        }
+    }
+    fb
+}
+
+/// The straight-line renderer [`render_field`] replaced, kept verbatim as
+/// its oracle (the way `HeatSolver::step_reference` is the stencil's): one
+/// [`bilinear`] sample and one [`Colormap::map`] per pixel.
+/// `tests/oracle_equivalence.rs` pins the two byte-for-byte.
+pub fn render_field_reference(field: &Grid, opts: &RenderOptions) -> Framebuffer {
     let (lo, hi) = opts.range.unwrap_or_else(|| (field.min(), field.max()));
     let span = (hi - lo).max(1e-300);
     let mut fb = Framebuffer::new(opts.width, opts.height);
@@ -211,6 +280,52 @@ mod tests {
         let a = render_field(&g, &opts);
         let b = render_field(&g, &opts);
         assert_eq!(a, b);
+    }
+
+    /// The 8-bit image hides all but a few ulp-sized sampling errors, so
+    /// the hoisted taps are pinned against `bilinear` in `f64` bits.
+    #[test]
+    fn hoisted_taps_reproduce_bilinear_bit_for_bit() {
+        for (nx, ny, width, height) in [
+            (3, 3, 1, 1),
+            (3, 17, 40, 5),
+            (31, 3, 7, 64),
+            (24, 24, 24, 24),
+            (40, 25, 13, 70),
+            (9, 33, 70, 11),
+        ] {
+            let g = Grid::from_fn(nx, ny, |x, y| (13.0 * x).sin() / (0.1 + y) + x * y);
+            for y in 0..height {
+                let row = Tap::new(y, height, ny);
+                let upper = &g.as_slice()[row.i0 * nx..][..nx];
+                let lower = &g.as_slice()[row.i1 * nx..][..nx];
+                let v = (y as f64 + 0.5) / height as f64;
+                for x in 0..width {
+                    let u = (x as f64 + 0.5) / width as f64;
+                    let hoisted = sample(upper, lower, &Tap::new(x, width, nx), &row);
+                    assert_eq!(
+                        hoisted.to_bits(),
+                        bilinear(&g, u, v).to_bits(),
+                        "{nx}x{ny} grid, pixel ({x}, {y}) of {width}x{height}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_paper_sized_frame_matches_the_reference_under_every_colormap() {
+        let g = Grid::from_fn(512, 512, |x, y| (9.0 * x).sin() * (7.0 * y).cos());
+        for colormap in crate::colormap::ALL {
+            let opts = RenderOptions {
+                colormap,
+                ..RenderOptions::default()
+            };
+            assert!(
+                render_field(&g, &opts) == render_field_reference(&g, &opts),
+                "{colormap:?}: fast path differs from the reference"
+            );
+        }
     }
 
     #[test]

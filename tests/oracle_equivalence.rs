@@ -1,13 +1,16 @@
 //! Oracle-equivalence suite: every optimized hot path must stay
 //! bit-for-bit the retained straight-line reference it replaced.
 //!
-//! Three properties are pinned here:
+//! Four properties are pinned here:
 //!
 //! * the fast stencil path (including the row-parallel step at any `jobs`
 //!   value) is bit-for-bit the naive reference on arbitrary grids,
 //!   including the thinnest legal slabs;
 //! * the blocked single-pass transpose encoder is bit-for-bit the retained
 //!   strided reference on arbitrary payloads;
+//! * the table-driven rasterizer (`render_field`: per-frame column taps,
+//!   exact colour step table) is byte-for-byte `render_field_reference` on
+//!   arbitrary grid and image shapes, ranges and non-finite cells;
 //! * bad command-line input handed to either binary (an invalid solver
 //!   config, an unknown artifact, a flag without its value) is a *usage*
 //!   error: exit 2 with a one-line message, before any work runs — and the
@@ -19,6 +22,7 @@ use greenness_codec::transpose::TransposeRle;
 use greenness_codec::Codec;
 use greenness_core::PipelineConfig;
 use greenness_heatsim::{Boundary, Grid, HeatSolver};
+use greenness_viz::{render_field, render_field_reference, Colormap, RenderOptions};
 use proptest::prelude::*;
 
 proptest! {
@@ -82,6 +86,69 @@ proptest! {
         let reference = codec.encode_reference(&bytes).expect("aligned input");
         prop_assert_eq!(&fast, &reference);
         prop_assert_eq!(codec.decode(&fast).expect("round trip"), bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `render_field` hoists the column taps into a per-frame table and maps
+    /// colours through an exact step table; `render_field_reference` samples
+    /// and maps pixel by pixel. Same bytes on every shape (square, thin,
+    /// non-square grids; 1x1 images, up- and down-sampling), every colormap,
+    /// every kind of range (auto, fixed, empty, inverted, and spans so large
+    /// or small that `t` overflows to ±inf or collapses to 0) and with
+    /// NaN/±inf cells in the field.
+    #[test]
+    fn fast_raster_matches_reference_byte_for_byte(
+        shape in any::<u64>(),
+        knobs in any::<u64>(),
+        cells in proptest::collection::vec(-2.0f64..3.0, 9..64),
+    ) {
+        let m = 3 + (shape >> 8) as usize % 38;
+        let n = 3 + (shape >> 16) as usize % 38;
+        let (nx, ny) = match shape % 4 {
+            0 => (3, n),
+            1 => (m, 3),
+            2 => (m, m),
+            _ => (m, n),
+        };
+        let width = 1 + (shape >> 24) as usize % 70;
+        let height = match (shape >> 32) % 3 {
+            0 => 1,
+            1 => width,
+            _ => 1 + (shape >> 40) as usize % 70,
+        };
+        let mut field = Grid::from_fn(nx, ny, |x, y| {
+            let k = ((x * 7.0 + y * 13.0) * cells.len() as f64) as usize % cells.len();
+            cells[k] + 0.3 * (x * 5.0).sin() * (y * 3.0).cos()
+        });
+        // Poison up to three cells; bit 2 leaves one field in four finite.
+        if knobs & 4 != 0 {
+            let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            for (k, bad) in poison.iter().enumerate().take((knobs >> 3) as usize % 4) {
+                let at = (knobs >> (8 + 8 * k)) as usize;
+                field.set(at % nx, (at / nx) % ny, *bad);
+            }
+        }
+        let colormap = [Colormap::Viridis, Colormap::Hot, Colormap::CoolWarm, Colormap::Gray]
+            [(knobs & 3) as usize];
+        let range = match (knobs >> 32) % 8 {
+            0 | 1 => None,
+            2 => Some((0.0, 1.0)),
+            3 => Some((0.5, 0.5)),
+            4 => Some((1.0, -1.0)),
+            5 => Some((-f64::MAX, f64::MAX)),
+            6 => Some((-1e300, -1e300)),
+            _ => Some((1e300, 1e300)),
+        };
+        let opts = RenderOptions { width, height, colormap, range };
+        let fast = render_field(&field, &opts);
+        let reference = render_field_reference(&field, &opts);
+        prop_assert!(
+            fast == reference,
+            "{}x{} grid -> {}x{} image, {:?}, range {:?}", nx, ny, width, height, colormap, range
+        );
     }
 }
 

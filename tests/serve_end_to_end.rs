@@ -1,6 +1,7 @@
 //! End-to-end coverage of the `greenness-serve` stack: every request type
 //! over real TCP, warm-vs-cold byte identity, deterministic load shedding,
-//! graceful drain, and replay determinism across `--jobs`.
+//! bounded wire-supplied sizes, graceful drain, and replay determinism
+//! across `--jobs`.
 
 use greenness_faults::FaultPlan;
 use greenness_serve::json::Json;
@@ -65,6 +66,42 @@ fn every_request_type_answers_over_tcp() {
             .expect("savings");
         assert!(savings > 0.0, "in-situ must save energy: {sweep_line}");
     }
+    server.shutdown();
+    server.join();
+}
+
+/// A wire-supplied resolution sizes a framebuffer, so it is bounded before
+/// anything is computed from it: each oversized request gets exactly one
+/// `bad_request` reply (the next reply read is the next request's, by id),
+/// and the same connection and session keep working.
+#[test]
+fn oversized_steering_resolution_gets_one_error_reply_and_the_server_lives_on() {
+    let server = Server::start("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let mut send = |id: u64, body: &str| {
+        let line = client
+            .roundtrip(&request(&format!(r#""id":{id},{body}"#)))
+            .expect("one reply per line, connection still open");
+        let doc = parsed(&line);
+        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(id), "{line}");
+        doc
+    };
+    let attach = r#""op":"steer.attach","params":{"session":"w","interval":2,"timesteps":8}"#;
+    assert!(is_ok(&send(1, attach)));
+    let resolution = |width: u64, height: u64| {
+        format!(
+            r#""op":"steer.adjust","params":{{"session":"w","seq":1,"kind":"resolution","width":{width},"height":{height}}}"#
+        )
+    };
+    // Over the 16 Mpx cap, then a product that overflows usize.
+    assert_eq!(error_code(&send(2, &resolution(65536, 257))), "bad_request");
+    assert_eq!(
+        error_code(&send(3, &resolution(1 << 33, 1 << 33))),
+        "bad_request"
+    );
+    assert!(is_ok(&send(4, &resolution(40, 30))));
+    let render = r#""op":"steer.render","params":{"session":"w","seq":2,"steps":2}"#;
+    assert!(is_ok(&send(5, render)));
     server.shutdown();
     server.join();
 }

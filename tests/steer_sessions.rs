@@ -1,7 +1,8 @@
 //! Steering-session regression suite: the 24-seed chaos sweep, the
-//! cached-delta exactness audit, and the drain/resume guarantee.
+//! cached-delta exactness audit, the drain/resume guarantee, and the bound
+//! on wire-supplied resolutions.
 //!
-//! These pin the three behaviors the steering subsystem promises:
+//! These pin the four behaviors the steering subsystem promises:
 //!
 //! 1. A scripted attach/adjust/render/detach session routed through the
 //!    fleet converges to bit-identical reply bytes under connection drops
@@ -14,6 +15,9 @@
 //! 3. A drain mid-session refuses the op *before* mutating anything,
 //!    hands back a resume token instead of a torn frame, and the session
 //!    re-derived on another instance reproduces the clean transcript.
+//! 4. A resolution adjustment whose pixel count is over the cap, or
+//!    overflows `usize`, is refused as a structured `bad_request` before
+//!    anything is sized from it, and the session carries on.
 
 use greenness_core::steering::Adjustment;
 use greenness_faults::FaultPlan;
@@ -201,4 +205,61 @@ fn drain_mid_session_hands_back_a_resume_token_then_reattach_elsewhere_converges
     // including the ops the drained instance had already applied.
     let elsewhere = run_all(&Service::new(ServiceConfig::default()));
     assert_eq!(clean, elsewhere, "re-derived session diverged");
+}
+
+#[test]
+fn oversized_resolution_is_a_structured_error_and_the_session_stays_usable() {
+    let svc = Service::new(ServiceConfig::default());
+    let send = |id: u32, body: &str| {
+        svc.handle_line(&format!("{{\"schema\":\"{SCHEMA}\",\"id\":{id},{body}}}"))
+            .line()
+    };
+    let adjust = |id: u32, width: u64, height: u64| {
+        send(
+            id,
+            &format!(
+                r#""op":"steer.adjust","params":{{"session":"r","seq":2,"kind":"resolution","width":{width},"height":{height}}}"#
+            ),
+        )
+    };
+    let attach = send(
+        1,
+        r#""op":"steer.attach","params":{"session":"r","interval":2,"timesteps":12}"#,
+    );
+    assert!(attach.contains("\"ok\":true"), "{attach}");
+    let render = |id: u32, seq: u32| {
+        send(
+            id,
+            &format!(r#""op":"steer.render","params":{{"session":"r","seq":{seq},"steps":2}}"#),
+        )
+    };
+    assert!(render(2, 1).contains("\"ok\":true"));
+
+    // One pixel row over the 16 Mpx cap; a product that overflows usize;
+    // and one factor that alone is past any allocation.
+    for (id, width, height) in [(3, 4096, 4097), (4, 1 << 32, 1 << 32), (5, u64::MAX, 1)] {
+        let refused = adjust(id, width, height);
+        assert!(
+            refused.contains("\"code\":\"bad_request\"") && refused.contains("at most"),
+            "{width}x{height} must be refused as a bad request: {refused}"
+        );
+    }
+
+    // The refusals consumed no sequence number and changed nothing: the
+    // same seq with a legal size applies, and rendering carries on.
+    let applied = adjust(6, 4096, 4096);
+    assert!(
+        applied.contains("\"ok\":true") && applied.contains("resolution=4096x4096"),
+        "{applied}"
+    );
+    let shrunk = send(
+        7,
+        r#""op":"steer.adjust","params":{"session":"r","seq":3,"kind":"resolution","width":48,"height":32}"#,
+    );
+    assert!(shrunk.contains("\"ok\":true"), "{shrunk}");
+    let frame = render(8, 4);
+    assert!(
+        frame.contains("\"ok\":true") && frame.contains("48x32"),
+        "{frame}"
+    );
 }
