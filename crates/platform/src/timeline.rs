@@ -120,10 +120,10 @@ impl Timeline {
         if to <= from {
             return e;
         }
-        for seg in &self.segments {
-            if seg.end() <= from {
-                continue;
-            }
+        // Segments are sorted and contiguous, so the first one that overlaps
+        // the window is found by bisection; the ones before it add nothing.
+        let first = self.segments.partition_point(|seg| seg.end() <= from);
+        for seg in &self.segments[first..] {
             if seg.start >= to {
                 break;
             }

@@ -1,5 +1,6 @@
 //! Property-based tests for the platform substrate.
 
+use greenness_platform::power::EnergyBreakdown;
 use greenness_platform::{
     AccessPattern, Activity, HardwareSpec, Node, Phase, PowerDraw, Segment, SimDuration, SimTime,
     Timeline,
@@ -27,22 +28,95 @@ fn arb_phase() -> impl Strategy<Value = Phase> {
     prop::sample::select(Phase::ALL.to_vec())
 }
 
+fn arb_spans() -> impl Strategy<Value = Vec<(u64, PowerDraw, Phase)>> {
+    prop::collection::vec((1u64..5_000_000_000, arb_draw(), arb_phase()), 1..40)
+}
+
+/// Contiguous segments for `spans`, the first one starting at `start`.
+fn timeline_from(start: SimTime, spans: Vec<(u64, PowerDraw, Phase)>) -> Timeline {
+    let mut tl = Timeline::new();
+    let mut t = start;
+    for (ns, draw, phase) in spans {
+        let duration = SimDuration::from_nanos(ns);
+        tl.push(Segment {
+            start: t,
+            duration,
+            draw,
+            phase,
+        });
+        t += duration;
+    }
+    tl
+}
+
 fn arb_timeline() -> impl Strategy<Value = Timeline> {
-    prop::collection::vec((1u64..5_000_000_000, arb_draw(), arb_phase()), 1..40).prop_map(|spans| {
-        let mut tl = Timeline::new();
-        let mut t = SimTime::ZERO;
-        for (ns, draw, phase) in spans {
-            let duration = SimDuration::from_nanos(ns);
-            tl.push(Segment {
-                start: t,
-                duration,
-                draw,
-                phase,
-            });
-            t += duration;
+    arb_spans().prop_map(|spans| timeline_from(SimTime::ZERO, spans))
+}
+
+/// A timeline that may begin mid-run, plus query instants for it: anywhere
+/// from zero to 20 % past `end()`, about half of them snapped onto a segment
+/// boundary or one nanosecond either side of it. In generated order they go
+/// forwards, backwards and repeat.
+fn arb_timeline_and_instants() -> impl Strategy<Value = (Timeline, Vec<SimTime>)> {
+    (
+        prop_oneof![Just(0u64), 1u64..3_000_000_000],
+        arb_spans(),
+        prop::collection::vec((0.0..1.2f64, 0u64..6), 2..40),
+    )
+        .prop_map(|(start, spans, picks)| {
+            let tl = timeline_from(SimTime::from_nanos(start), spans);
+            let end = tl.end().as_nanos();
+            let instants = picks
+                .into_iter()
+                .map(|(frac, snap)| {
+                    let free = (end as f64 * frac) as u64;
+                    let ns = if snap < 3 {
+                        let segs = tl.segments();
+                        let near = segs[(frac * segs.len() as f64) as usize % segs.len()].end();
+                        (near.as_nanos() + snap).saturating_sub(1)
+                    } else {
+                        free
+                    };
+                    SimTime::from_nanos(ns)
+                })
+                .collect();
+            (tl, instants)
+        })
+}
+
+/// `Timeline::energy_between` as it was before it bisected: every segment
+/// from the first, in order. The oracle for the bisecting version, which must
+/// reproduce its `f64`s bit for bit.
+fn energy_between_from_scratch(tl: &Timeline, from: SimTime, to: SimTime) -> EnergyBreakdown {
+    let mut e = EnergyBreakdown::ZERO;
+    if to <= from {
+        return e;
+    }
+    for seg in tl.segments() {
+        if seg.end() <= from {
+            continue;
         }
-        tl
-    })
+        if seg.start >= to {
+            break;
+        }
+        let lo = seg.start.max(from);
+        let hi = seg.end().min(to);
+        e.accumulate(seg.draw, hi.duration_since(lo).as_secs_f64());
+    }
+    e
+}
+
+fn bits(e: EnergyBreakdown) -> [u64; 5] {
+    [e.package_j, e.dram_j, e.disk_j, e.net_j, e.board_j].map(f64::to_bits)
+}
+
+#[test]
+fn an_empty_timeline_has_no_energy_anywhere() {
+    let tl = Timeline::new();
+    for ns in [0, 1, 1_000_000_000, u64::MAX] {
+        let e = tl.energy_between(SimTime::ZERO, SimTime::from_nanos(ns));
+        assert_eq!(bits(e), bits(EnergyBreakdown::ZERO));
+    }
 }
 
 proptest! {
@@ -66,6 +140,24 @@ proptest! {
         let b = tl.energy_between(cut, end).system_j();
         let total = tl.total_energy_j();
         prop_assert!((a + b - total).abs() <= 1e-6 * total.max(1.0), "{a} + {b} != {total}");
+    }
+
+    /// Bisecting to the first overlapping segment changes no bit of any
+    /// window's energy: forwards, backwards (empty) and degenerate windows,
+    /// `from` before the first segment, `to` past `end()`.
+    #[test]
+    fn energy_between_is_bit_equal_to_the_from_scratch_fold(
+        (tl, instants) in arb_timeline_and_instants(),
+    ) {
+        for pair in instants.windows(2) {
+            for (from, to) in [(pair[0], pair[1]), (pair[1], pair[0]), (pair[0], pair[0])] {
+                prop_assert_eq!(
+                    bits(tl.energy_between(from, to)),
+                    bits(energy_between_from_scratch(&tl, from, to)),
+                    "window {}..{}", from, to
+                );
+            }
+        }
     }
 
     /// Phase durations sum to the full run length, and phase energies to the

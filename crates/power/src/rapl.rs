@@ -9,6 +9,9 @@
 //! so that the downstream profile code is exercised exactly like a real
 //! RAPL consumer.
 
+use std::cell::Cell;
+
+use greenness_platform::power::EnergyBreakdown;
 use greenness_platform::{SimTime, Timeline};
 use greenness_trace::{Tracer, Value};
 
@@ -28,6 +31,9 @@ pub enum RaplDomain {
 #[derive(Debug, Clone)]
 pub struct RaplMsr<'a> {
     timeline: &'a Timeline,
+    /// `(n, energy of the first n segments)` as of the last read: a poller
+    /// reads at increasing instants, so the next read resumes the fold here.
+    folded: Cell<(usize, EnergyBreakdown)>,
     /// Energy-status-unit exponent from `MSR_RAPL_POWER_UNIT` bits 12:8.
     /// Sandy Bridge reports 16 ⇒ quantum `2⁻¹⁶ J`.
     pub energy_unit_exp: u32,
@@ -40,6 +46,7 @@ impl<'a> RaplMsr<'a> {
     pub fn new(timeline: &'a Timeline) -> Self {
         RaplMsr {
             timeline,
+            folded: Cell::new((0, EnergyBreakdown::ZERO)),
             energy_unit_exp: 16,
             uncore_floor_w: 14.0,
         }
@@ -58,9 +65,25 @@ impl<'a> RaplMsr<'a> {
     }
 
     /// True (unquantized, unwrapped) energy consumed by `domain` up to `t`,
-    /// joules.
+    /// joules: `Timeline::energy_between(SimTime::ZERO, t)`, bit for bit.
+    /// Whole segments are folded once, in order, and the one containing `t`
+    /// is added last on a copy: the order and arithmetic of integrating
+    /// afresh (DESIGN.md, `greenness-power`). A read behind the last one
+    /// refolds from the first segment.
     pub fn true_energy_j(&self, domain: RaplDomain, t: SimTime) -> f64 {
-        let e = self.timeline.energy_between(SimTime::ZERO, t);
+        let segments = self.timeline.segments();
+        let (mut n, mut e) = self.folded.get();
+        if n > 0 && segments[n - 1].end() > t {
+            (n, e) = (0, EnergyBreakdown::ZERO);
+        }
+        while let Some(seg) = segments.get(n).filter(|seg| seg.end() <= t) {
+            e.accumulate(seg.draw, seg.duration.as_secs_f64());
+            n += 1;
+        }
+        self.folded.set((n, e));
+        if let Some(seg) = segments.get(n).filter(|seg| seg.start < t) {
+            e.accumulate(seg.draw, t.duration_since(seg.start).as_secs_f64());
+        }
         match domain {
             RaplDomain::Package => e.package_j,
             RaplDomain::Pp0 => (e.package_j - self.uncore_floor_w * t.as_secs_f64()).max(0.0),

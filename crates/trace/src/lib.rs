@@ -33,7 +33,7 @@ mod sink;
 pub mod summarize;
 mod tracer;
 
-pub use json::{escape_json, fmt_f64, parse_flat_object, JsonValue};
+pub use json::{escape_json, fmt_f64};
 pub use metrics::{percentile_nearest_rank, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use sink::{EventKind, JsonlSink, MemoryHandle, MemorySink, TraceEvent, TraceSink, Value};
 pub use tracer::{TraceOutput, Tracer};

@@ -17,6 +17,19 @@ fn bucket_bound(i: usize) -> f64 {
     (2.0f64).powi(i as i32 - 30)
 }
 
+/// The bucket owning `v` (finite, non-negative): the first `i` with
+/// `v <= 2^(i-30)`, the last bucket past every bound. That is
+/// `ceil(log2 v) + 30`, and for a positive `f64` `ceil(log2 v)` is its
+/// unbiased exponent, plus one unless the mantissa is zero (an exact power of
+/// two sits on its own bound). Zero and subnormals come out far below
+/// bucket 0 and clamp into it.
+fn bucket_index(v: f64) -> usize {
+    let bits = v.to_bits();
+    let exponent = (bits >> 52) as i64 - 1023;
+    let above_power_of_two = i64::from(bits & ((1 << 52) - 1) != 0);
+    (exponent + above_power_of_two + 30).clamp(0, HIST_BUCKETS as i64 - 1) as usize
+}
+
 /// A fixed-bucket, log-spaced histogram of non-negative observations.
 ///
 /// Buckets are compile-time constants, so two histograms fed the same
@@ -54,10 +67,7 @@ impl Histogram {
         } else {
             0.0
         };
-        let idx = (0..HIST_BUCKETS)
-            .find(|&i| v <= bucket_bound(i))
-            .unwrap_or(HIST_BUCKETS - 1);
-        self.counts[idx] += 1;
+        self.counts[bucket_index(v)] += 1;
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -281,6 +291,63 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Histogram::observe`'s bucket search as it was: try every bound in
+    /// turn. The oracle for [`bucket_index`].
+    fn bucket_index_by_scan(v: f64) -> usize {
+        (0..HIST_BUCKETS)
+            .find(|&i| v <= bucket_bound(i))
+            .unwrap_or(HIST_BUCKETS - 1)
+    }
+
+    #[test]
+    fn bucket_index_matches_the_linear_scan() {
+        let check = |v: f64| assert_eq!(bucket_index(v), bucket_index_by_scan(v), "{v:e}");
+        // Every bound, one ulp either side of it, and well past both ends.
+        for i in -40..=40 {
+            let bound = (2.0f64).powi(i);
+            for v in [
+                f64::from_bits(bound.to_bits() - 1),
+                bound,
+                f64::from_bits(bound.to_bits() + 1),
+            ] {
+                check(v);
+            }
+        }
+        // What `observe` clamps to, subnormals, and the finite extremes.
+        for v in [
+            0.0,
+            f64::from_bits(1),
+            1e-310,
+            f64::MIN_POSITIVE,
+            1e300,
+            f64::MAX,
+        ] {
+            check(v);
+        }
+        // A million points log-spread over 2^-45 .. 2^45.
+        for k in 0..1_000_000u32 {
+            check((2.0f64).powf(-45.0 + 90.0 * f64::from(k) / 1e6));
+        }
+    }
+
+    #[test]
+    fn observe_clamps_what_it_cannot_bucket() {
+        let mut h = Histogram::default();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, -0.0, 0.0] {
+            h.observe(v);
+        }
+        assert_eq!(
+            h.counts[0], 6,
+            "zero, negative and non-finite land in bucket 0"
+        );
+        h.observe(1e300);
+        assert_eq!(
+            h.counts[HIST_BUCKETS - 1],
+            1,
+            "overflow lands in the last bucket"
+        );
+    }
 
     #[test]
     fn histogram_quantiles_bracket_the_data() {

@@ -1,8 +1,9 @@
 //! Trace events and the sinks that receive them.
 
+use std::fmt::Write;
 use std::sync::{Arc, Mutex};
 
-use crate::json::{escape_json, fmt_f64};
+use crate::json::{push_escaped, push_f64};
 
 /// A field value attached to a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,18 +18,6 @@ pub enum Value {
     Str(String),
     /// Boolean.
     Bool(bool),
-}
-
-impl Value {
-    fn render(&self) -> String {
-        match self {
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::F64(v) => fmt_f64(*v),
-            Value::Str(s) => format!("\"{}\"", escape_json(s)),
-            Value::Bool(b) => b.to_string(),
-        }
-    }
 }
 
 impl From<u64> for Value {
@@ -109,19 +98,42 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
+    /// Append this event to `buf` as one JSONL line (no trailing newline).
+    /// The one place an event becomes JSON: it renders in place, with no
+    /// intermediate string per event, field or value.
+    fn write_jsonl(&self, buf: &mut String) {
+        const INFALLIBLE: &str = "a String accepts every write";
+        let (ev, name) = (self.kind.label(), self.name);
+        write!(
+            buf,
+            "{{\"t_ns\":{},\"ev\":\"{ev}\",\"name\":\"{name}\"",
+            self.t_ns
+        )
+        .expect(INFALLIBLE);
+        for (k, v) in &self.fields {
+            buf.push_str(",\"");
+            buf.push_str(k);
+            buf.push_str("\":");
+            match v {
+                Value::U64(v) => write!(buf, "{v}").expect(INFALLIBLE),
+                Value::I64(v) => write!(buf, "{v}").expect(INFALLIBLE),
+                Value::F64(v) => push_f64(buf, *v),
+                Value::Str(s) => {
+                    buf.push('"');
+                    push_escaped(buf, s);
+                    buf.push('"');
+                }
+                Value::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),
+            }
+        }
+        buf.push('}');
+    }
+
     /// Render as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        let mut s = format!(
-            "{{\"t_ns\":{},\"ev\":\"{}\",\"name\":\"{}\"",
-            self.t_ns,
-            self.kind.label(),
-            self.name
-        );
-        for (k, v) in &self.fields {
-            s.push_str(&format!(",\"{}\":{}", k, v.render()));
-        }
-        s.push('}');
-        s
+        let mut line = String::new();
+        self.write_jsonl(&mut line);
+        line
     }
 }
 
@@ -155,7 +167,7 @@ impl JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn record(&mut self, ev: &TraceEvent) {
-        self.buf.push_str(&ev.to_jsonl());
+        ev.write_jsonl(&mut self.buf);
         self.buf.push('\n');
     }
 
@@ -203,5 +215,122 @@ impl TraceSink for MemorySink {
             .lock()
             .expect("memory sink lock")
             .push(ev.clone());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::reference::{escape_json, fmt_f64};
+    use proptest::prelude::*;
+
+    /// `TraceEvent::to_jsonl` as it was: a `format!` per event, per field and
+    /// per value over the allocating formatters. The oracle for the writer.
+    fn to_jsonl_reference(ev: &TraceEvent) -> String {
+        let mut s = format!(
+            "{{\"t_ns\":{},\"ev\":\"{}\",\"name\":\"{}\"",
+            ev.t_ns,
+            ev.kind.label(),
+            ev.name
+        );
+        for (k, v) in &ev.fields {
+            let rendered = match v {
+                Value::U64(v) => v.to_string(),
+                Value::I64(v) => v.to_string(),
+                Value::F64(v) => fmt_f64(*v),
+                Value::Str(s) => format!("\"{}\"", escape_json(s)),
+                Value::Bool(b) => b.to_string(),
+            };
+            s.push_str(&format!(",\"{k}\":{rendered}"));
+        }
+        s.push('}');
+        s
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        let text = prop::collection::vec(
+            prop::sample::select(vec![
+                "simulation",
+                "disk_read",
+                " ",
+                "é",
+                "日本",
+                "🔥",
+                "\"",
+                "\\",
+                "/",
+                "\n",
+                "\r",
+                "\t",
+                "\u{0}",
+                "\u{8}",
+                "\u{1f}",
+                "\u{7f}",
+            ]),
+            0..6,
+        );
+        prop_oneof![
+            any::<u64>().prop_map(Value::U64),
+            prop::sample::select(vec![0, 1, u64::MAX]).prop_map(Value::U64),
+            any::<i64>().prop_map(Value::I64),
+            prop::sample::select(vec![0, -1, i64::MIN, i64::MAX]).prop_map(Value::I64),
+            any::<u64>().prop_map(|bits| Value::F64(f64::from_bits(bits))),
+            prop::sample::select(vec![
+                0.0,
+                -0.0,
+                0.25,
+                1e-300,
+                1e21,
+                143.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ])
+            .prop_map(Value::F64),
+            text.prop_map(|atoms| Value::Str(atoms.concat())),
+            any::<bool>().prop_map(Value::Bool),
+        ]
+    }
+
+    fn arb_event() -> impl Strategy<Value = TraceEvent> {
+        (
+            any::<u64>(),
+            prop::sample::select(vec![EventKind::Begin, EventKind::End, EventKind::Instant]),
+            prop::sample::select(vec!["run", "phase", "activity", "rapl.poll", "segment"]),
+            prop::collection::vec(
+                (
+                    prop::sample::select(vec!["phase", "bytes", "secs", "watts", "ok"]),
+                    arb_value(),
+                ),
+                0..9,
+            ),
+        )
+            .prop_map(|(t_ns, kind, name, fields)| TraceEvent {
+                t_ns,
+                kind,
+                name,
+                fields,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// What lands in the sink is the old `to_jsonl` plus a newline, event
+        /// after event into one buffer, and `to_jsonl` is that same line.
+        #[test]
+        fn sink_bytes_match_the_reference_rendering(
+            events in prop::collection::vec(arb_event(), 1..6),
+        ) {
+            let mut sink = JsonlSink::new();
+            let mut want = String::new();
+            for ev in &events {
+                sink.record(ev);
+                want.push_str(&to_jsonl_reference(ev));
+                want.push('\n');
+                prop_assert_eq!(ev.to_jsonl(), to_jsonl_reference(ev));
+            }
+            prop_assert_eq!(sink.drain_jsonl(), want);
+        }
     }
 }

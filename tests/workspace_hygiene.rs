@@ -5,9 +5,10 @@
 //! PR 13 folded ten copies of the single-node simulate/store/read-back loop
 //! into `crates/core/src/driver.rs`; PR 15 folded three copies of the keyed
 //! grid runner into `crates/core/src/grid.rs` and four flag-parsing styles
-//! into `crates/bench/src/cli.rs`. This test walks the tree and fails if
-//! any of them grows back, so "add a quick local copy" shows up in review
-//! instead of in the next inventory.
+//! into `crates/bench/src/cli.rs`; PR 17 replaced the owned journal parser
+//! with a borrowed scanner and the three event renderers with one writer.
+//! This test walks the tree and fails if any of them grows back, so "add a
+//! quick local copy" shows up in review instead of in the next inventory.
 
 use std::path::{Path, PathBuf};
 
@@ -207,6 +208,37 @@ fn the_grid_runner_lives_only_in_core_grid() {
             );
         }
     }
+}
+
+#[test]
+fn the_journal_has_one_reader_and_one_writer() {
+    let crates = repo_root().join("crates");
+
+    // The owned parser survives only as a test oracle.
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+    for path in &sources {
+        let src = read(path);
+        for needle in ["parse_flat_object", "JsonValue"] {
+            assert!(
+                !non_test(&src).contains(needle),
+                "{}: `{needle}` outside test code; the journal reader is `scan_flat_object`",
+                path.display()
+            );
+        }
+    }
+
+    // One function in `greenness-trace` spells the head of an event line;
+    // the sink and `to_jsonl` both go through it.
+    let writers: Vec<String> = sources
+        .iter()
+        .filter(|path| path.starts_with(crates.join("trace")))
+        .flat_map(|path| {
+            let hits = non_test(&read(path)).matches(r#"\"t_ns\":"#).count();
+            std::iter::repeat(file_name(path)).take(hits)
+        })
+        .collect();
+    assert_eq!(writers, ["sink.rs"], "event-to-JSONL renderers");
 }
 
 /// Every `"--flag"` string literal in `src`.
