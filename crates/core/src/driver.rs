@@ -219,12 +219,10 @@ impl Store {
         let mut out = Vec::with_capacity(size as usize);
         let mut off = 0u64;
         while off < size {
-            let part = self
+            off += self
                 .fs
-                .read(node, name, off, self.chunk as u64, Phase::Read)
+                .read_into(node, name, off, self.chunk as u64, Phase::Read, &mut out)
                 .map_err(|source| PipelineError::Storage { op: "read", source })?;
-            off += part.len() as u64;
-            out.extend_from_slice(&part);
         }
         Ok(out)
     }

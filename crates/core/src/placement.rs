@@ -352,22 +352,38 @@ pub fn placement_grid() -> Vec<PlacementJob> {
     jobs
 }
 
-/// Deterministic chunk payload: a pure function of (snapshot, chunk index),
-/// so verification needs no retained copy.
-fn chunk_payload(snap: u64, chunk: u64, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((snap * 131 + chunk * 29 + i as u64 * 7) % 251) as u8)
-        .collect()
+/// The verification payload is a pure function of (snapshot, chunk index,
+/// byte index) — byte `i` of a chunk is `(snap·131 + chunk·29 + i·7) mod 251`
+/// — so checking a read needs no retained copy. 7 and 251 are coprime, so
+/// every chunk is the same 251-byte period entered at a different point.
+const PERIOD: usize = 251;
+
+/// One period, as it runs from byte `within` of chunk `chunk` of `snap`.
+fn period_at(snap: u64, chunk: u64, within: u64) -> [u8; PERIOD] {
+    let mut next = (snap * 131 + chunk * 29 + within * 7) % PERIOD as u64;
+    std::array::from_fn(|_| {
+        let byte = next as u8;
+        next = (next + 7) % PERIOD as u64;
+        byte
+    })
 }
 
-/// The expected bytes of a sub-chunk poke at `offset` (chunk-aligned pokes
-/// only need the containing chunk's formula shifted by the in-chunk offset).
-fn poke_payload(snap: u64, offset: u64, len: usize, chunk_bytes: u64) -> Vec<u8> {
-    let chunk = offset / chunk_bytes;
-    let within = offset % chunk_bytes;
-    (0..len)
-        .map(|i| ((snap * 131 + chunk * 29 + (within + i as u64) * 7) % 251) as u8)
-        .collect()
+/// Fill `out` with the `len` payload bytes of chunk `chunk` of `snap`.
+fn fill_chunk_payload(out: &mut Vec<u8>, snap: u64, chunk: u64, len: usize) {
+    out.clear();
+    out.extend_from_slice(&period_at(snap, chunk, 0)[..len.min(PERIOD)]);
+    while out.len() < len {
+        // `out` holds whole periods so far, so its own prefix continues it.
+        let more = out.len().min(len - out.len());
+        out.extend_from_within(..more);
+    }
+}
+
+/// Whether `got` is the payload as written from byte `offset` of `snap` on
+/// (within one chunk): every byte is compared, against the period in place.
+fn payload_matches(got: &[u8], snap: u64, offset: u64, chunk_bytes: u64) -> bool {
+    let period = period_at(snap, offset / chunk_bytes, offset % chunk_bytes);
+    got.chunks(PERIOD).all(|part| part == &period[..part.len()])
 }
 
 /// Execute placement job `id` on a fresh node. A storage error (the workload
@@ -416,10 +432,11 @@ fn execute(
 
     // Write phase: every workload produces its snapshots chunk-by-chunk
     // with a durability barrier per chunk (the paper's I/O discipline).
+    let mut data = Vec::with_capacity(chunk_len);
     for snap in 0..shape.snapshots {
         let name = snapshot_name(snap);
         for c in 0..chunks_per_snap {
-            let data = chunk_payload(snap, c, chunk_len);
+            fill_chunk_payload(&mut data, snap, c, chunk_len);
             fs.append(&mut node, &name, &data, Phase::Write)?;
             fs.fsync_with_retry(&mut node, &name, Phase::Write)?;
             bytes_written += shape.chunk_bytes;
@@ -461,9 +478,8 @@ fn execute(
                 Phase::Read,
             )?;
             bytes_read += got.len() as u64;
-            if got != poke_payload(snap, offset, shape.poke_bytes as usize, shape.chunk_bytes) {
-                verified = false;
-            }
+            verified &= got.len() as u64 == shape.poke_bytes
+                && payload_matches(&got, snap, offset, shape.chunk_bytes);
             fs.drop_caches();
             if shape.epoch_every_reads > 0 && (i + 1) % shape.epoch_every_reads == 0 {
                 fs.device_mut().end_epoch(&mut node, Phase::Read);
@@ -476,12 +492,10 @@ fn execute(
                 if shape.whole_file_reads {
                     let got = fs.read(&mut node, &name, 0, shape.snapshot_bytes, Phase::Read)?;
                     bytes_read += got.len() as u64;
-                    for c in 0..chunks_per_snap {
-                        let lo = (c * shape.chunk_bytes) as usize;
-                        let hi = lo + chunk_len;
-                        if got[lo..hi] != chunk_payload(snap, c, chunk_len) {
-                            verified = false;
-                        }
+                    verified &= got.len() as u64 == shape.snapshot_bytes;
+                    for (c, chunk) in (0..).zip(got.chunks(chunk_len)) {
+                        let offset = c * shape.chunk_bytes;
+                        verified &= payload_matches(chunk, snap, offset, shape.chunk_bytes);
                     }
                 } else {
                     for c in 0..chunks_per_snap {
@@ -493,9 +507,9 @@ fn execute(
                             Phase::Read,
                         )?;
                         bytes_read += got.len() as u64;
-                        if got != chunk_payload(snap, c, chunk_len) {
-                            verified = false;
-                        }
+                        let offset = c * shape.chunk_bytes;
+                        verified &= got.len() == chunk_len
+                            && payload_matches(&got, snap, offset, shape.chunk_bytes);
                     }
                 }
                 fs.device_mut().end_epoch(&mut node, Phase::Read);
@@ -683,6 +697,60 @@ pub fn placement_manifest_json(scale: PlacementScale, results: &[PlacementResult
 mod tests {
     use super::*;
     use crate::sweep::silent_progress;
+
+    /// The payload as it was generated before the period was reused: the formula,
+    /// byte by byte. `within` shifts it to a poke inside the chunk.
+    fn payload_reference(snap: u64, chunk: u64, within: u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| ((snap * 131 + chunk * 29 + (within + i as u64) * 7) % 251) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn period_payload_equals_the_per_byte_formula() {
+        let mut out = Vec::new();
+        // Every start residue (snap·131 covers all 251) at every edge length.
+        for snap in 0..251u64 {
+            for len in [0usize, 1, 250, 251, 252, 8_192, 131_072] {
+                let chunk = snap % 5;
+                fill_chunk_payload(&mut out, snap, chunk, len);
+                let want = payload_reference(snap, chunk, 0, len);
+                assert_eq!(out, want, "snap {snap} len {len}");
+                let offset = chunk * 131_072;
+                assert!(payload_matches(&want, snap, offset, 131_072));
+            }
+        }
+        // Every poke offset of a 1 MiB snapshot, as the random reader draws them.
+        let (chunk_bytes, poke) = (128 * 1024u64, 8 * 1024u64);
+        for snap in [0u64, 3, 250] {
+            for offset in (0..1024 * 1024).step_by(poke as usize) {
+                let want = payload_reference(
+                    snap,
+                    offset / chunk_bytes,
+                    offset % chunk_bytes,
+                    poke as usize,
+                );
+                assert!(
+                    payload_matches(&want, snap, offset, chunk_bytes),
+                    "snap {snap} offset {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn payload_check_sees_every_byte() {
+        let (snap, offset, chunk_bytes) = (7u64, 3 * 131_072 + 8_192, 131_072u64);
+        let good = payload_reference(snap, 3, 8_192, 8_192);
+        assert!(payload_matches(&good, snap, offset, chunk_bytes));
+        for at in [0usize, 1, 250, 251, 4_095, 8_191] {
+            let mut bad = good.clone();
+            bad[at] ^= 1;
+            assert!(!payload_matches(&bad, snap, offset, chunk_bytes), "{at}");
+        }
+        assert!(!payload_matches(&good, snap + 1, offset, chunk_bytes));
+        assert!(!payload_matches(&good, snap, offset + 8_192, chunk_bytes));
+    }
 
     fn small_run(policy: PolicyKind, workload: PlacementWorkload) -> PlacementResult {
         let mut r = run_placement(

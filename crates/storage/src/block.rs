@@ -1,8 +1,33 @@
 //! Block devices: real byte storage under the filesystem.
+//!
+//! A stored block is a [`Block`]: one immutable, shared 4 KiB allocation.
+//! Nobody mutates a block once anyone else can see it. The page cache owns
+//! the only handle to a *dirty* page and may write into it; write-back hands
+//! the device a second handle to the same allocation (a clean page *is* the
+//! device block), and from then on a change to the page either replaces the
+//! handle (full-block write) or copies it first (partial write) — see
+//! [`crate::cache::PageCache::write_block`]. Devices only ever swap handles.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Device block (and page-cache page) size in bytes, matching the Linux page
 /// size of the paper's testbed.
 pub const BLOCK_SIZE: u64 = 4096;
+
+/// The content of one block, shared between whoever currently holds it
+/// (page cache, device, a tier of a [`crate::TieredStore`]).
+pub type Block = Arc<[u8; BLOCK_SIZE as usize]>;
+
+/// A fresh block holding a copy of `data`: one allocation, one copy.
+///
+/// # Panics
+/// If `data` is not exactly [`BLOCK_SIZE`] bytes.
+pub fn block_from(data: &[u8]) -> Block {
+    Arc::<[u8]>::from(data)
+        .try_into()
+        .expect("a block is BLOCK_SIZE bytes")
+}
 
 /// A fixed-geometry array of blocks. Devices store *data only*; all timing
 /// and power accounting happens in the layers above via the platform's
@@ -11,12 +36,18 @@ pub trait BlockDevice {
     /// Number of addressable blocks.
     fn block_count(&self) -> u64;
 
-    /// Copy block `idx` into `buf` (`buf.len() == BLOCK_SIZE`). Unwritten
-    /// blocks read as zeros.
-    fn read_block(&self, idx: u64, buf: &mut [u8]);
+    /// The content of block `idx`. Unwritten and discarded blocks read as
+    /// zeros.
+    fn read_block(&self, idx: u64) -> Block;
 
-    /// Overwrite block `idx` with `data` (`data.len() == BLOCK_SIZE`).
-    fn write_block(&mut self, idx: u64, data: &[u8]);
+    /// Make `block` the content of block `idx`. The device keeps the handle;
+    /// it does not copy.
+    fn write_block(&mut self, idx: u64, block: Block);
+
+    /// Block `idx` no longer belongs to any file: forget its content (it
+    /// reads as zeros until written again) and whatever else is kept per
+    /// stored block.
+    fn discard_block(&mut self, idx: u64);
 
     /// Device capacity in bytes.
     fn capacity_bytes(&self) -> u64 {
@@ -27,9 +58,11 @@ pub trait BlockDevice {
 /// An in-memory, sparse block device: blocks materialize on first write and
 /// read back exactly; untouched blocks are zero. This is the device under
 /// the pipelines' filesystem — every snapshot byte is really stored.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MemBlockDevice {
-    blocks: std::collections::HashMap<u64, Box<[u8]>>,
+    blocks: HashMap<u64, Block>,
+    /// What every unwritten block reads as.
+    zero: Block,
     count: u64,
 }
 
@@ -37,7 +70,8 @@ impl MemBlockDevice {
     /// A device with `count` blocks.
     pub fn new(count: u64) -> Self {
         MemBlockDevice {
-            blocks: std::collections::HashMap::new(),
+            blocks: HashMap::new(),
+            zero: Arc::new([0; BLOCK_SIZE as usize]),
             count,
         }
     }
@@ -47,9 +81,17 @@ impl MemBlockDevice {
         Self::new(bytes.div_ceil(BLOCK_SIZE))
     }
 
-    /// Number of blocks actually materialized (written at least once).
+    /// Number of blocks actually materialized (written and not discarded).
     pub fn materialized_blocks(&self) -> usize {
         self.blocks.len()
+    }
+
+    fn check(&self, idx: u64) {
+        assert!(
+            idx < self.count,
+            "block {idx} out of range ({})",
+            self.count
+        );
     }
 }
 
@@ -58,27 +100,18 @@ impl BlockDevice for MemBlockDevice {
         self.count
     }
 
-    fn read_block(&self, idx: u64, buf: &mut [u8]) {
-        assert!(
-            idx < self.count,
-            "block {idx} out of range ({})",
-            self.count
-        );
-        assert_eq!(buf.len() as u64, BLOCK_SIZE);
-        match self.blocks.get(&idx) {
-            Some(b) => buf.copy_from_slice(b),
-            None => buf.fill(0),
-        }
+    fn read_block(&self, idx: u64) -> Block {
+        self.check(idx);
+        Arc::clone(self.blocks.get(&idx).unwrap_or(&self.zero))
     }
 
-    fn write_block(&mut self, idx: u64, data: &[u8]) {
-        assert!(
-            idx < self.count,
-            "block {idx} out of range ({})",
-            self.count
-        );
-        assert_eq!(data.len() as u64, BLOCK_SIZE);
-        self.blocks.insert(idx, data.to_vec().into_boxed_slice());
+    fn write_block(&mut self, idx: u64, block: Block) {
+        self.check(idx);
+        self.blocks.insert(idx, block);
+    }
+
+    fn discard_block(&mut self, idx: u64) {
+        self.blocks.remove(&idx);
     }
 }
 
@@ -108,14 +141,16 @@ impl BlockDevice for NullBlockDevice {
         self.count
     }
 
-    fn read_block(&self, idx: u64, buf: &mut [u8]) {
+    fn read_block(&self, idx: u64) -> Block {
         assert!(idx < self.count);
-        buf.fill(0);
+        Arc::new([0; BLOCK_SIZE as usize])
     }
 
-    fn write_block(&mut self, idx: u64, _data: &[u8]) {
+    fn write_block(&mut self, idx: u64, _block: Block) {
         assert!(idx < self.count);
     }
+
+    fn discard_block(&mut self, _idx: u64) {}
 }
 
 #[cfg(test)]
@@ -125,20 +160,36 @@ mod tests {
     #[test]
     fn mem_device_round_trips_blocks() {
         let mut d = MemBlockDevice::new(16);
-        let data = vec![0xabu8; BLOCK_SIZE as usize];
-        d.write_block(3, &data);
-        let mut buf = vec![0u8; BLOCK_SIZE as usize];
-        d.read_block(3, &mut buf);
-        assert_eq!(buf, data);
+        let data = block_from(&[0xab; BLOCK_SIZE as usize]);
+        d.write_block(3, Arc::clone(&data));
+        assert_eq!(d.read_block(3), data);
         assert_eq!(d.materialized_blocks(), 1);
+    }
+
+    #[test]
+    fn a_stored_block_is_the_callers_allocation_not_a_copy() {
+        let mut d = MemBlockDevice::new(16);
+        let data = block_from(&[7; BLOCK_SIZE as usize]);
+        d.write_block(3, Arc::clone(&data));
+        assert!(Arc::ptr_eq(&d.read_block(3), &data));
+        // Unwritten blocks share the device's one zero block.
+        assert!(Arc::ptr_eq(&d.read_block(0), &d.read_block(9)));
     }
 
     #[test]
     fn unwritten_blocks_read_zero() {
         let d = MemBlockDevice::new(16);
-        let mut buf = vec![0xffu8; BLOCK_SIZE as usize];
-        d.read_block(0, &mut buf);
-        assert!(buf.iter().all(|&b| b == 0));
+        assert!(d.read_block(0).iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn discarded_blocks_read_zero_and_dematerialize() {
+        let mut d = MemBlockDevice::new(16);
+        d.write_block(5, block_from(&[0xaa; BLOCK_SIZE as usize]));
+        d.discard_block(5);
+        d.discard_block(6); // never written: a no-op
+        assert!(d.read_block(5).iter().all(|&b| b == 0));
+        assert_eq!(d.materialized_blocks(), 0);
     }
 
     #[test]
@@ -152,16 +203,19 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_read_panics() {
         let d = MemBlockDevice::new(4);
-        let mut buf = vec![0u8; BLOCK_SIZE as usize];
-        d.read_block(4, &mut buf);
+        d.read_block(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "BLOCK_SIZE bytes")]
+    fn a_short_slice_is_not_a_block() {
+        block_from(&[0; 100]);
     }
 
     #[test]
     fn null_device_discards_and_zeros() {
         let mut d = NullBlockDevice::with_capacity_bytes(8 * BLOCK_SIZE);
-        d.write_block(1, &vec![7u8; BLOCK_SIZE as usize]);
-        let mut buf = vec![9u8; BLOCK_SIZE as usize];
-        d.read_block(1, &mut buf);
-        assert!(buf.iter().all(|&b| b == 0));
+        d.write_block(1, block_from(&[7; BLOCK_SIZE as usize]));
+        assert!(d.read_block(1).iter().all(|&b| b == 0));
     }
 }

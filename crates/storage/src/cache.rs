@@ -8,11 +8,19 @@
 //! that discipline the post-processing read phase would be served from RAM
 //! and the whole I/O cost the paper measures would vanish. The
 //! `ablate_page_cache` bench demonstrates exactly that.
+//!
+//! A page holds a [`Block`] handle, not a private buffer. A clean page shares
+//! its allocation with the device (a read fault clones the device's handle,
+//! write-back hands the device a clone of the page's); a dirty page is the
+//! only holder of its bytes until it is written back. So the one place a
+//! block's bytes change is [`PageCache::write_block`], and only on an
+//! allocation nobody else holds.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::block::{BlockDevice, BLOCK_SIZE};
+use crate::block::{block_from, Block, BlockDevice, BLOCK_SIZE};
 use crate::error::StorageError;
 
 /// Hit/miss/write-back counters.
@@ -30,7 +38,7 @@ pub struct CacheStats {
 
 #[derive(Debug, Clone)]
 struct Page {
-    data: Box<[u8]>,
+    data: Block,
     dirty: bool,
 }
 
@@ -68,24 +76,22 @@ impl PageCache {
     }
 
     /// Read block `idx` through the cache. Returns `(data, was_miss)`; on a
-    /// miss the page is fetched from `dev` and becomes resident.
+    /// miss the page takes the device's handle and becomes resident.
     pub fn read_block(&mut self, dev: &impl BlockDevice, idx: u64) -> (&[u8], bool) {
-        let miss = !self.pages.contains_key(&idx);
-        if miss {
-            let mut buf = vec![0u8; BLOCK_SIZE as usize];
-            dev.read_block(idx, &mut buf);
-            self.pages.insert(
-                idx,
-                Page {
-                    data: buf.into_boxed_slice(),
+        match self.pages.entry(idx) {
+            Entry::Occupied(e) => {
+                self.stats.hits += 1;
+                (&e.into_mut().data[..], false)
+            }
+            Entry::Vacant(e) => {
+                self.stats.misses += 1;
+                let page = e.insert(Page {
+                    data: dev.read_block(idx),
                     dirty: false,
-                },
-            );
-            self.stats.misses += 1;
-        } else {
-            self.stats.hits += 1;
+                });
+                (&page.data[..], true)
+            }
         }
-        (&self.pages[&idx].data, miss)
     }
 
     /// Write `data` into block `idx` at `offset` within the block, marking
@@ -93,6 +99,11 @@ impl PageCache {
     /// in (read-modify-write); returns whether that fault happened so the
     /// caller can charge a device read. A write that would run past the end
     /// of the block is rejected as [`StorageError::WriteExceedsBlock`].
+    ///
+    /// The bytes land in an allocation only this page holds: a full-block
+    /// write into an absent or shared page becomes a fresh block built from
+    /// `data`, a partial write into a shared page copies the block first, and
+    /// a page that is already the sole holder is written in place.
     pub fn write_block(
         &mut self,
         dev: &impl BlockDevice,
@@ -106,25 +117,32 @@ impl PageCache {
                 len: data.len(),
             });
         }
+        let full = data.len() == BLOCK_SIZE as usize;
         let mut faulted = false;
         let page = match self.pages.entry(idx) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let full = offset == 0 && data.len() == BLOCK_SIZE as usize;
-                let mut buf = vec![0u8; BLOCK_SIZE as usize];
-                if !full {
-                    // Read-modify-write: must fetch the rest of the block.
-                    dev.read_block(idx, &mut buf);
-                    self.stats.misses += 1;
-                    faulted = true;
-                }
+            Entry::Vacant(e) if full => {
                 e.insert(Page {
-                    data: buf.into_boxed_slice(),
+                    data: block_from(data),
+                    dirty: true,
+                });
+                return Ok(false);
+            }
+            Entry::Vacant(e) => {
+                // Read-modify-write: must fetch the rest of the block.
+                self.stats.misses += 1;
+                faulted = true;
+                e.insert(Page {
+                    data: dev.read_block(idx),
                     dirty: false,
                 })
             }
         };
-        page.data[offset..offset + data.len()].copy_from_slice(data);
+        if full && Arc::get_mut(&mut page.data).is_none() {
+            page.data = block_from(data);
+        } else {
+            Arc::make_mut(&mut page.data)[offset..offset + data.len()].copy_from_slice(data);
+        }
         page.dirty = true;
         Ok(faulted)
     }
@@ -152,13 +170,14 @@ impl PageCache {
         v
     }
 
-    /// Write the given dirty blocks to the device and mark them clean.
-    /// Blocks that are not resident or not dirty are skipped.
+    /// Hand the given dirty blocks to the device and mark them clean: device
+    /// and page share the allocation from here on. Blocks that are not
+    /// resident or not dirty are skipped.
     pub fn flush_blocks(&mut self, dev: &mut impl BlockDevice, blocks: &[u64]) {
         for &idx in blocks {
             if let Some(page) = self.pages.get_mut(&idx) {
                 if page.dirty {
-                    dev.write_block(idx, &page.data);
+                    dev.write_block(idx, Arc::clone(&page.data));
                     page.dirty = false;
                     self.stats.writebacks += 1;
                 }
@@ -246,27 +265,23 @@ mod tests {
         let mut c = PageCache::new();
         c.write_block(&dev, 1, 0, &filled(0x5a)).unwrap();
         // Device still sees zeros.
-        let mut buf = filled(0);
-        dev.read_block(1, &mut buf);
-        assert!(buf.iter().all(|&b| b == 0));
+        assert!(dev.read_block(1).iter().all(|&b| b == 0));
         assert!(c.is_dirty(1));
         // Sync pushes it through.
         assert_eq!(c.sync(&mut dev), 1);
-        dev.read_block(1, &mut buf);
-        assert!(buf.iter().all(|&b| b == 0x5a));
+        assert!(dev.read_block(1).iter().all(|&b| b == 0x5a));
         assert!(!c.is_dirty(1));
     }
 
     #[test]
     fn partial_write_faults_the_block_in() {
         let mut dev = MemBlockDevice::new(8);
-        dev.write_block(0, &filled(0x11));
+        dev.write_block(0, block_from(&filled(0x11)));
         let mut c = PageCache::new();
         let faulted = c.write_block(&dev, 0, 100, &[0xff; 8]).unwrap();
         assert!(faulted, "partial write to cold page must read-modify-write");
         c.sync(&mut dev);
-        let mut buf = filled(0);
-        dev.read_block(0, &mut buf);
+        let buf = dev.read_block(0);
         assert_eq!(&buf[100..108], &[0xff; 8]);
         assert_eq!(buf[0], 0x11, "untouched bytes preserved");
     }
@@ -278,6 +293,33 @@ mod tests {
         let faulted = c.write_block(&dev, 0, 0, &filled(1)).unwrap();
         assert!(!faulted);
         assert_eq!(c.stats().misses, 0);
+    }
+
+    #[test]
+    fn a_clean_page_is_the_device_block_and_writes_never_reach_it_early() {
+        let mut dev = MemBlockDevice::new(8);
+        let mut c = PageCache::new();
+        c.write_block(&dev, 0, 0, &filled(1)).unwrap();
+        c.sync(&mut dev);
+        let durable = dev.read_block(0);
+        let (page, miss) = c.read_block(&dev, 0);
+        assert!(!miss);
+        assert_eq!(page.as_ptr(), durable.as_ptr(), "write-back shares");
+        // A partial write copies first; a full write replaces the handle.
+        // Neither may show through the handle the device holds.
+        c.write_block(&dev, 0, 10, &[9; 4]).unwrap();
+        assert!(durable.iter().all(|&b| b == 1));
+        c.write_block(&dev, 0, 0, &filled(2)).unwrap();
+        assert!(dev.read_block(0).iter().all(|&b| b == 1));
+        // A dirty page is its bytes' only holder and is written in place.
+        let before = c.read_block(&dev, 0).0.as_ptr();
+        c.write_block(&dev, 0, 0, &filled(3)).unwrap();
+        assert_eq!(c.read_block(&dev, 0).0.as_ptr(), before);
+        // A read fault takes the device's handle instead of copying it.
+        c.discard_dirty();
+        let (page, miss) = c.read_block(&dev, 0);
+        assert!(miss);
+        assert_eq!(page.as_ptr(), durable.as_ptr());
     }
 
     #[test]

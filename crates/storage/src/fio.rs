@@ -15,6 +15,8 @@
 //! meaningless-content raw mode, while exercising the identical timing and
 //! power paths.
 
+use std::sync::Arc;
+
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
 
 use crate::block::{BlockDevice, BLOCK_SIZE};
@@ -153,47 +155,33 @@ pub fn run(
 
     // Data phase (verified jobs only): move real bytes, device-block-sized.
     if job.verify {
-        let mut buf = vec![0u8; BLOCK_SIZE as usize];
+        let pattern_block = |b: u64| Arc::new(std::array::from_fn(|i| pattern_byte(b, i)));
+        let check = |dev: &dyn BlockDevice, b: u64| match (0..)
+            .zip(dev.read_block(b).iter())
+            .find(|&(i, &v)| v != pattern_byte(b, i))
+        {
+            Some((byte, _)) => Err(StorageError::VerifyMismatch { block: b, byte }),
+            None => Ok(()),
+        };
+        let order: Box<dyn Iterator<Item = u64>> = if job.kind.is_random() {
+            Box::new(random_block_order(region_blocks))
+        } else {
+            Box::new(0..region_blocks)
+        };
         if job.kind.is_read() {
             // Pre-populate (fio's layout phase, not charged), then read back.
             for b in 0..region_blocks {
-                for (i, v) in buf.iter_mut().enumerate() {
-                    *v = pattern_byte(b, i);
-                }
-                dev.write_block(b, &buf);
+                dev.write_block(b, pattern_block(b));
             }
-            let order: Box<dyn Iterator<Item = u64>> = if job.kind.is_random() {
-                Box::new(random_block_order(region_blocks))
-            } else {
-                Box::new(0..region_blocks)
-            };
             for b in order {
-                dev.read_block(b, &mut buf);
-                for (i, &v) in buf.iter().enumerate() {
-                    if v != pattern_byte(b, i) {
-                        return Err(StorageError::VerifyMismatch { block: b, byte: i });
-                    }
-                }
+                check(dev, b)?;
             }
         } else {
-            let order: Box<dyn Iterator<Item = u64>> = if job.kind.is_random() {
-                Box::new(random_block_order(region_blocks))
-            } else {
-                Box::new(0..region_blocks)
-            };
             for b in order {
-                for (i, v) in buf.iter_mut().enumerate() {
-                    *v = pattern_byte(b, i);
-                }
-                dev.write_block(b, &buf);
+                dev.write_block(b, pattern_block(b));
             }
             for b in 0..region_blocks {
-                dev.read_block(b, &mut buf);
-                for (i, &v) in buf.iter().enumerate() {
-                    if v != pattern_byte(b, i) {
-                        return Err(StorageError::VerifyMismatch { block: b, byte: i });
-                    }
-                }
+                check(dev, b)?;
             }
         }
     }

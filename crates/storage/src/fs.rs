@@ -16,7 +16,7 @@
 //! write + fsync ≈90 ms (one stream + journal seeks), reproducing the paper's
 //! Figure 4 time split.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use greenness_faults::FaultInjector;
 use greenness_platform::disk::IoDir;
@@ -27,6 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::block::{BlockDevice, MemBlockDevice, NullBlockDevice, BLOCK_SIZE};
 use crate::cache::{CacheStats, PageCache};
+use crate::free::FreeRuns;
 
 /// Filesystem errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,11 +188,11 @@ pub(crate) fn flat_charge_transfer(
         return;
     }
     let bytes = blocks.len() as u64 * BLOCK_SIZE;
-    let runs = runs_of(blocks);
+    let runs = count_runs(blocks);
     // Each discontinuity between runs costs the head one repositioning.
     node.tracer()
-        .count("disk.seeks", runs.len().saturating_sub(1) as u64);
-    let pattern = layout_pattern(cfg, runs.len(), bytes, dir);
+        .count("disk.seeks", runs.saturating_sub(1) as u64);
+    let pattern = layout_pattern(cfg, runs, bytes, dir);
     let activity = match dir {
         IoDir::Read => Activity::DiskRead {
             bytes,
@@ -261,19 +262,21 @@ impl Inode {
         self.extents.iter().map(|e| e.len).sum()
     }
 
-    /// Device block holding file block `fb`.
-    fn map_block(&self, fb: u64) -> u64 {
+    /// Device block holding file block `fb`; `None` beyond the allocation.
+    fn map_block(&self, fb: u64) -> Option<u64> {
         let mut remaining = fb;
         for e in &self.extents {
             if remaining < e.len {
-                return e.start + remaining;
+                return Some(e.start + remaining);
             }
             remaining -= e.len;
         }
-        panic!(
-            "file block {fb} beyond allocation ({} blocks)",
-            self.blocks()
-        );
+        None
+    }
+
+    /// Device blocks holding file blocks `first..=last`, file order.
+    fn map_range(&self, first: u64, last: u64) -> Option<Vec<u64>> {
+        (first..=last).map(|fb| self.map_block(fb)).collect()
     }
 
     /// All device blocks in file order.
@@ -292,8 +295,7 @@ pub struct FileSystem<D: CostedDevice> {
     dev: D,
     cache: PageCache,
     files: HashMap<String, Inode>,
-    /// Free runs: start block → run length.
-    free: BTreeMap<u64, u64>,
+    free: FreeRuns,
     config: FsConfig,
     rng: SmallRng,
     /// Cache counters already published to a tracer (see
@@ -307,10 +309,7 @@ pub struct FileSystem<D: CostedDevice> {
 impl<D: CostedDevice> FileSystem<D> {
     /// Format `dev` with an empty filesystem.
     pub fn format(dev: D, config: FsConfig) -> Self {
-        let mut free = BTreeMap::new();
-        if dev.block_count() > 0 {
-            free.insert(0, dev.block_count());
-        }
+        let free = FreeRuns::new(dev.block_count());
         let seed = match config.alloc_mode {
             AllocMode::Scattered { seed } => seed,
             AllocMode::Contiguous => 0,
@@ -399,7 +398,7 @@ impl<D: CostedDevice> FileSystem<D> {
             .files
             .get(name)
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        Ok(runs_of(&inode.device_blocks()).len())
+        Ok(count_runs(&inode.device_blocks()))
     }
 
     /// File names, sorted.
@@ -411,7 +410,7 @@ impl<D: CostedDevice> FileSystem<D> {
 
     /// Free blocks remaining.
     pub fn free_blocks(&self) -> u64 {
-        self.free.values().sum()
+        self.free.blocks()
     }
 
     fn alloc(&mut self, blocks: u64) -> Result<Vec<Extent>, FsError> {
@@ -431,17 +430,9 @@ impl<D: CostedDevice> FileSystem<D> {
         // First-fit over free runs; spill across runs if no single run fits.
         let mut got = Vec::new();
         while blocks > 0 {
-            let (&start, &len) = self
-                .free
-                .iter()
-                .find(|(_, &len)| len >= blocks)
-                .or_else(|| self.free.iter().next())
-                .ok_or(FsError::NoSpace)?;
+            let (start, len) = self.free.first_fit(blocks).ok_or(FsError::NoSpace)?;
             let take = len.min(blocks);
-            self.free.remove(&start);
-            if take < len {
-                self.free.insert(start + take, len - take);
-            }
+            self.free.take(start, start, take);
             got.push(Extent { start, len: take });
             blocks -= take;
         }
@@ -451,19 +442,16 @@ impl<D: CostedDevice> FileSystem<D> {
     fn alloc_scattered(&mut self, blocks: u64) -> Result<Vec<Extent>, FsError> {
         let mut got = Vec::with_capacity(blocks as usize);
         for _ in 0..blocks {
-            let starts: Vec<u64> = self.free.keys().copied().collect();
-            if starts.is_empty() {
+            let runs = self.free.run_count();
+            if runs == 0 {
                 return Err(FsError::NoSpace);
             }
-            let run_start = starts[self.rng.gen_range(0..starts.len())];
-            let run_len = self.free.remove(&run_start).expect("key just listed");
+            let (run_start, run_len) = self
+                .free
+                .nth_run(self.rng.gen_range(0..runs))
+                .expect("index below the run count");
             let pick = run_start + self.rng.gen_range(0..run_len);
-            if pick > run_start {
-                self.free.insert(run_start, pick - run_start);
-            }
-            if pick + 1 < run_start + run_len {
-                self.free.insert(pick + 1, run_start + run_len - pick - 1);
-            }
+            self.free.take(run_start, pick, 1);
             got.push(Extent {
                 start: pick,
                 len: 1,
@@ -472,23 +460,16 @@ impl<D: CostedDevice> FileSystem<D> {
         Ok(got)
     }
 
+    /// Return `extents` to the allocator and tell the device their blocks
+    /// hold nothing any more, so it can drop the bytes (and a tiered store
+    /// the mapping, the tier slot and the access score).
     fn free_extents(&mut self, extents: &[Extent]) {
         for e in extents {
-            self.free.insert(e.start, e.len);
-        }
-        // Coalesce adjacent free runs.
-        let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-        for (&start, &len) in &self.free {
-            match merged.iter_mut().next_back() {
-                Some((&last_start, last_len)) if last_start + *last_len >= start => {
-                    *last_len = (*last_len).max(start + len - last_start);
-                }
-                _ => {
-                    merged.insert(start, len);
-                }
+            self.free.release(e.start, e.len);
+            for b in e.start..e.start + e.len {
+                self.dev.discard_block(b);
             }
         }
-        self.free = merged;
     }
 
     /// Charge `node` for reading `miss_blocks` (device block indices, file
@@ -520,7 +501,10 @@ impl<D: CostedDevice> FileSystem<D> {
             self.files.entry(name.to_string()).or_default();
             return Ok(());
         }
-        let end = offset + data.len() as u64;
+        // No device can hold a file that ends past `u64::MAX`.
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or(FsError::NoSpace)?;
         let needed_blocks = end.div_ceil(BLOCK_SIZE);
         let have_blocks = self.files.get(name).map_or(0, Inode::blocks);
         if needed_blocks > have_blocks {
@@ -528,29 +512,37 @@ impl<D: CostedDevice> FileSystem<D> {
             // Newly allocated blocks may hold a previous owner's bytes on the
             // device; POSIX holes must read zero, so materialize them as
             // zeroed dirty pages (they reach the device at the next sync).
+            // A block this call overwrites whole needs no zeros first; a
+            // partly covered one does, or the data write below would fault it
+            // in from the device — a cache miss and a charged device read the
+            // zero-filled page never pays.
+            let whole = offset.div_ceil(BLOCK_SIZE)..end / BLOCK_SIZE;
             let zeros = [0u8; BLOCK_SIZE as usize];
+            let mut fb = have_blocks;
             for e in &new {
                 for b in e.start..e.start + e.len {
-                    self.cache
-                        .write_block(&self.dev, b, 0, &zeros)
-                        .expect("full-block zero fill cannot exceed the block");
+                    if !whole.contains(&fb) {
+                        self.cache
+                            .write_block(&self.dev, b, 0, &zeros)
+                            .expect("full-block zero fill cannot exceed the block");
+                    }
+                    fb += 1;
                 }
             }
             let inode = self.files.entry(name.to_string()).or_default();
             inode.extents.extend(new);
         }
         let inode = self.files.get_mut(name).expect("created above");
+        let dev_blocks = inode
+            .map_range(offset / BLOCK_SIZE, (end - 1) / BLOCK_SIZE)
+            .ok_or(FsError::NoSpace)?;
         inode.size = inode.size.max(end);
         // Copy into the cache block by block, collecting RMW faults.
-        let inode = self.files.get(name).expect("exists");
         let mut faults = Vec::new();
         let mut cursor = 0usize;
-        let mut pos = offset;
-        while cursor < data.len() {
-            let fb = pos / BLOCK_SIZE;
-            let in_block = (pos % BLOCK_SIZE) as usize;
+        let mut in_block = (offset % BLOCK_SIZE) as usize;
+        for dev_block in dev_blocks {
             let take = (BLOCK_SIZE as usize - in_block).min(data.len() - cursor);
-            let dev_block = inode.map_block(fb);
             if self
                 .cache
                 .write_block(&self.dev, dev_block, in_block, &data[cursor..cursor + take])
@@ -559,7 +551,7 @@ impl<D: CostedDevice> FileSystem<D> {
                 faults.push(dev_block);
             }
             cursor += take;
-            pos += take as u64;
+            in_block = 0;
         }
         self.charge_read(node, &faults, phase);
         node.execute(
@@ -595,6 +587,23 @@ impl<D: CostedDevice> FileSystem<D> {
         len: u64,
         phase: Phase,
     ) -> Result<Vec<u8>, FsError> {
+        let mut out = Vec::new();
+        self.read_into(node, name, offset, len, phase, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::read`], appending the bytes to `out` instead of returning a
+    /// buffer of their own, so a caller assembling a file chunk by chunk
+    /// copies each byte once. Returns the number of bytes appended.
+    pub fn read_into(
+        &mut self,
+        node: &mut Node,
+        name: &str,
+        offset: u64,
+        len: u64,
+        phase: Phase,
+        out: &mut Vec<u8>,
+    ) -> Result<u64, FsError> {
         let inode = self
             .files
             .get(name)
@@ -607,11 +616,14 @@ impl<D: CostedDevice> FileSystem<D> {
         }
         let len = len.min(inode.size - offset);
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(0);
         }
-        let first_fb = offset / BLOCK_SIZE;
-        let last_fb = (offset + len - 1) / BLOCK_SIZE;
-        let dev_blocks: Vec<u64> = (first_fb..=last_fb).map(|fb| inode.map_block(fb)).collect();
+        let dev_blocks = inode
+            .map_range(offset / BLOCK_SIZE, (offset + len - 1) / BLOCK_SIZE)
+            .ok_or(FsError::BadOffset {
+                offset,
+                size: inode.size,
+            })?;
         let misses: Vec<u64> = dev_blocks
             .iter()
             .copied()
@@ -619,22 +631,19 @@ impl<D: CostedDevice> FileSystem<D> {
             .collect();
         self.charge_read(node, &misses, phase);
         // Assemble the bytes through the cache.
-        let mut out = Vec::with_capacity(len as usize);
-        let mut pos = offset;
-        let mut remaining = len;
-        while remaining > 0 {
-            let fb = pos / BLOCK_SIZE;
-            let in_block = (pos % BLOCK_SIZE) as usize;
-            let take = ((BLOCK_SIZE as usize - in_block) as u64).min(remaining) as usize;
-            let dev_block = dev_blocks[(fb - first_fb) as usize];
+        out.reserve(len as usize);
+        let mut remaining = len as usize;
+        let mut in_block = (offset % BLOCK_SIZE) as usize;
+        for dev_block in dev_blocks {
+            let take = (BLOCK_SIZE as usize - in_block).min(remaining);
             let (page, _) = self.cache.read_block(&self.dev, dev_block);
             out.extend_from_slice(&page[in_block..in_block + take]);
-            pos += take as u64;
-            remaining -= take as u64;
+            remaining -= take;
+            in_block = 0;
         }
         node.execute(Activity::MemTraffic { bytes: len }, phase);
         self.publish_cache_counters(node);
-        Ok(out)
+        Ok(len)
     }
 
     /// Flush `name`'s dirty pages durably: write-back charged by layout plus
@@ -845,15 +854,16 @@ impl<D: CostedDevice> FileSystem<D> {
     }
 }
 
-/// Group sorted-or-not block lists into contiguous ascending runs
-/// `(start, len)`.
-pub(crate) fn runs_of(blocks: &[u64]) -> Vec<(u64, u64)> {
-    let mut runs: Vec<(u64, u64)> = Vec::new();
+/// Number of contiguous ascending runs in `blocks`, taken in the order
+/// given (sorted or not).
+pub(crate) fn count_runs(blocks: &[u64]) -> usize {
+    let mut runs = 0;
+    let mut next = None;
     for &b in blocks {
-        match runs.last_mut() {
-            Some((start, len)) if *start + *len == b => *len += 1,
-            _ => runs.push((b, 1)),
+        if next != Some(b) {
+            runs += 1;
         }
+        next = Some(b + 1);
     }
     runs
 }
@@ -1057,6 +1067,104 @@ mod tests {
     }
 
     #[test]
+    fn a_write_no_device_can_hold_is_no_space_and_changes_nothing() {
+        let mut node = Node::new(HardwareSpec::table1());
+        let mut fs = FileSystem::format(
+            MemBlockDevice::with_capacity_bytes(8 * BLOCK_SIZE),
+            FsConfig::default(),
+        );
+        fs.write(&mut node, "f", 0, &[7u8; 5000], Phase::Write)
+            .unwrap();
+        let before = (fs.size("f"), fs.free_blocks(), fs.cache_stats(), node.now());
+        // (offset, len): an end that overflows `u64`, the largest end that
+        // does not, and an end just past the device on a non-empty file.
+        for (offset, len) in [
+            (u64::MAX - 10, 100),
+            (u64::MAX - 100, 100),
+            (u64::MAX, 1),
+            (8 * BLOCK_SIZE - 1, 2),
+        ] {
+            for name in ["f", "new"] {
+                let r = fs.write(&mut node, name, offset, &vec![1u8; len], Phase::Write);
+                assert_eq!(r, Err(FsError::NoSpace), "{name} at {offset}+{len}");
+            }
+        }
+        assert_eq!(
+            (fs.size("f"), fs.free_blocks(), fs.cache_stats(), node.now()),
+            before
+        );
+        assert!(!fs.exists("new"));
+        let back = fs.read(&mut node, "f", 0, 5000, Phase::Read).unwrap();
+        assert_eq!(back, [7u8; 5000]);
+    }
+
+    #[test]
+    fn unsynced_overwrites_are_lost_in_a_crash_and_the_fsynced_bytes_are_not() {
+        let (mut node, mut fs) = setup();
+        let durable: Vec<u8> = (0..3 * 4096u32).map(|i| (i % 251) as u8).collect();
+        fs.write(&mut node, "f", 0, &durable, Phase::Write).unwrap();
+        fs.fsync(&mut node, "f", Phase::Write).unwrap();
+        // Clean pages now share their bytes with the device. Overwrite block
+        // 0 partially and block 1 fully, without an fsync.
+        fs.write(&mut node, "f", 100, &[0xEE; 50], Phase::Write)
+            .unwrap();
+        fs.write(&mut node, "f", 4096, &[0xDD; 4096], Phase::Write)
+            .unwrap();
+        let seen = fs.read(&mut node, "f", 0, 3 * 4096, Phase::Read).unwrap();
+        assert_eq!(&seen[100..150], &[0xEE; 50]);
+        assert_eq!(&seen[4096..8192], &[0xDD; 4096]);
+        assert_eq!(fs.crash_and_recover(), 2);
+        let back = fs.read(&mut node, "f", 0, 3 * 4096, Phase::Read).unwrap();
+        assert_eq!(back, durable, "an unsynced write reached the device");
+    }
+
+    #[test]
+    fn deleted_blocks_leave_the_device_and_come_back_zeroed() {
+        let (mut node, mut fs) = setup();
+        fs.write(&mut node, "old", 0, &[0xAA; 4 * 4096], Phase::Write)
+            .unwrap();
+        fs.sync(&mut node, Phase::CacheControl);
+        let old_blocks = fs.device_blocks("old").unwrap();
+        assert_eq!(fs.device().materialized_blocks(), 4);
+        fs.delete("old").unwrap();
+        assert_eq!(
+            fs.device().materialized_blocks(),
+            0,
+            "bytes outlived the file"
+        );
+
+        // A 5,000-byte file on the recycled blocks: block 0 is overwritten
+        // whole (no zero-fill needed), block 1 only up to byte 904 — it must
+        // still be zero-filled, so the write faults nothing in.
+        let misses = fs.cache_stats().misses;
+        let t0 = node.now();
+        fs.write(&mut node, "new", 0, &[0x55; 5000], Phase::Write)
+            .unwrap();
+        // One byte two blocks on: block 1's tail and all of block 2 are holes.
+        fs.write(&mut node, "new", 3 * 4096, &[0x66], Phase::Write)
+            .unwrap();
+        assert_eq!(fs.device_blocks("new").unwrap(), old_blocks);
+        assert_eq!(fs.cache_stats().misses, misses, "a read-modify-write fault");
+        // Virtual time moved by the two memory copies and nothing else.
+        let mut probe = Node::new(HardwareSpec::table1());
+        probe.execute(Activity::MemTraffic { bytes: 5000 }, Phase::Write);
+        probe.execute(Activity::MemTraffic { bytes: 1 }, Phase::Write);
+        assert_eq!((node.now() - t0).as_nanos(), probe.now().as_nanos());
+        for drop_first in [false, true] {
+            if drop_first {
+                fs.sync(&mut node, Phase::CacheControl);
+                fs.drop_caches();
+            }
+            let back = fs
+                .read(&mut node, "new", 0, 3 * 4096 + 1, Phase::Read)
+                .unwrap();
+            assert_eq!(&back[..5000], &[0x55; 5000]);
+            assert!(back[5000..3 * 4096].iter().all(|&b| b == 0), "stale bytes");
+            assert_eq!(back[3 * 4096], 0x66);
+        }
+    }
+
+    #[test]
     fn faulted_fsync_is_transient_and_retry_recovers() {
         use greenness_faults::{FaultPlan, Site};
         let (mut node, mut fs) = setup();
@@ -1121,9 +1229,10 @@ mod tests {
 
     #[test]
     fn runs_grouping() {
-        assert_eq!(runs_of(&[]), vec![]);
-        assert_eq!(runs_of(&[5, 6, 7]), vec![(5, 3)]);
-        assert_eq!(runs_of(&[1, 3, 4, 9]), vec![(1, 1), (3, 2), (9, 1)]);
+        assert_eq!(count_runs(&[]), 0);
+        assert_eq!(count_runs(&[5, 6, 7]), 1);
+        assert_eq!(count_runs(&[1, 3, 4, 9]), 3);
+        assert_eq!(count_runs(&[7, 6, 5]), 3, "descending is not a run");
     }
 
     #[test]

@@ -19,12 +19,13 @@ pub mod burst;
 pub mod cache;
 pub mod error;
 pub mod fio;
+mod free;
 pub mod fs;
 pub mod placement;
 pub mod reorg;
 pub mod tier;
 
-pub use block::{BlockDevice, MemBlockDevice, NullBlockDevice, BLOCK_SIZE};
+pub use block::{block_from, Block, BlockDevice, MemBlockDevice, NullBlockDevice, BLOCK_SIZE};
 pub use burst::BurstBuffer;
 pub use cache::{CacheStats, PageCache};
 pub use error::StorageError;

@@ -38,7 +38,10 @@ pub struct TierUsage {
     pub used_blocks: u64,
 }
 
-/// One mapped logical block, as seen by a policy.
+/// One mapped logical block: what a policy plans from (`tier`, `score`),
+/// plus the [`crate::TieredStore`]'s own bookkeeping for it — the store
+/// keeps exactly one map of these and hands it to [`PlacementPolicy::plan`]
+/// as is.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockState {
     /// Tier currently holding the block.
@@ -46,6 +49,23 @@ pub struct BlockState {
     /// Decayed access score (see [`crate::TieredStore`]: at each epoch
     /// boundary `score = score * decay + hits_this_epoch`).
     pub score: f64,
+    /// Physical block on `tier`.
+    pub(crate) phys: u64,
+    /// Device touches since the last epoch boundary.
+    pub(crate) epoch_hits: u64,
+}
+
+impl BlockState {
+    /// A block on `tier` with decayed score `score` (for driving a policy
+    /// directly; a store fills in the rest).
+    pub fn new(tier: usize, score: f64) -> Self {
+        BlockState {
+            tier,
+            score,
+            phys: 0,
+            epoch_hits: 0,
+        }
+    }
 }
 
 /// A planned migration: move `logical` to tier `to`.
@@ -373,22 +393,10 @@ mod tests {
     fn states(hot: &[u64], cold: &[u64]) -> BTreeMap<u64, BlockState> {
         let mut m = BTreeMap::new();
         for &lb in hot {
-            m.insert(
-                lb,
-                BlockState {
-                    tier: 1,
-                    score: 8.0,
-                },
-            );
+            m.insert(lb, BlockState::new(1, 8.0));
         }
         for &lb in cold {
-            m.insert(
-                lb,
-                BlockState {
-                    tier: 1,
-                    score: 0.0,
-                },
-            );
+            m.insert(lb, BlockState::new(1, 0.0));
         }
         m
     }
@@ -430,13 +438,7 @@ mod tests {
         assert!(plan.iter().any(|m| m.to == 0 && m.logical == 1));
         // Barely-warm blocks: migration cost dominates, no moves.
         let mut lukewarm = BTreeMap::new();
-        lukewarm.insert(
-            7,
-            BlockState {
-                tier: 1,
-                score: 1e-6,
-            },
-        );
+        lukewarm.insert(7, BlockState::new(1, 1e-6));
         assert!(p.plan(1, &lukewarm, &tiers()).is_empty());
     }
 

@@ -49,13 +49,13 @@ pub fn reorganize<D: CostedDevice>(
     {
         let mut sweep = file_blocks.clone();
         sweep.sort_unstable();
-        let runs = crate::fs::runs_of(&sweep);
+        let runs = crate::fs::count_runs(&sweep) as u64;
         let bytes = sweep.len() as u64 * BLOCK_SIZE;
-        let pattern = if runs.len() <= 1 {
+        let pattern = if runs <= 1 {
             AccessPattern::Sequential
         } else {
             AccessPattern::Chunked {
-                op_bytes: (bytes / runs.len() as u64).max(BLOCK_SIZE),
+                op_bytes: (bytes / runs).max(BLOCK_SIZE),
             }
         };
         node.execute(

@@ -23,14 +23,16 @@
 //! fault seed ⇒ byte-identical journal at any `--jobs` value.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use greenness_faults::FaultInjector;
 use greenness_platform::disk::{DiskModel, DiskOpCost, IoDir};
 use greenness_platform::{AccessPattern, Node, Phase, PowerDraw};
 use greenness_trace::Value;
 
-use crate::block::{BlockDevice, MemBlockDevice, BLOCK_SIZE};
-use crate::fs::{layout_pattern, runs_of, CostedDevice, FsConfig};
+use crate::block::{Block, BlockDevice, MemBlockDevice, BLOCK_SIZE};
+use crate::free::FreeRuns;
+use crate::fs::{count_runs, layout_pattern, CostedDevice, FsConfig};
 use crate::placement::{BlockState, PlacementPolicy, TierUsage};
 
 /// One epoch's clean migrations, batched by (from, to) tier pair into
@@ -72,13 +74,6 @@ pub struct TierCounters {
     pub hits: u64,
 }
 
-/// Decayed access statistics for one logical block.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockScore {
-    score: f64,
-    hits_this_epoch: u64,
-}
-
 /// Intern a counter name: `MetricsRegistry` keys are `&'static str`, tier
 /// names are runtime strings. The set of distinct names is tiny (one per
 /// device-zoo entry), so a global dedup table bounds the leak.
@@ -96,10 +91,8 @@ fn intern(s: String) -> &'static str {
 }
 
 struct Tier {
-    spec: TierSpec,
     dev: MemBlockDevice,
-    /// Free runs: start block → run length.
-    free: BTreeMap<u64, u64>,
+    free: FreeRuns,
     bytes_counter: &'static str,
     hits_counter: &'static str,
     bytes_read: u64,
@@ -107,62 +100,28 @@ struct Tier {
     hits: u64,
 }
 
-impl Tier {
-    fn new(spec: TierSpec) -> Self {
-        let mut free = BTreeMap::new();
-        if spec.capacity_blocks > 0 {
-            free.insert(0, spec.capacity_blocks);
-        }
-        Tier {
-            dev: MemBlockDevice::new(spec.capacity_blocks),
-            free,
-            bytes_counter: intern(format!("tier.{}.bytes", spec.name)),
-            hits_counter: intern(format!("tier.{}.hits", spec.name)),
-            spec,
-            bytes_read: 0,
-            bytes_written: 0,
-            hits: 0,
-        }
-    }
-
-    fn free_blocks(&self) -> u64 {
-        self.free.values().sum()
-    }
-
-    /// Take the lowest free physical block.
-    fn alloc_one(&mut self) -> Option<u64> {
-        let (&start, &len) = self.free.iter().next()?;
-        self.free.remove(&start);
-        if len > 1 {
-            self.free.insert(start + 1, len - 1);
-        }
-        Some(start)
-    }
-
-    /// Return a physical block to the free map, coalescing neighbors.
-    fn free_one(&mut self, idx: u64) {
-        self.free.insert(idx, 1);
-        let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-        for (&start, &len) in &self.free {
-            match merged.iter_mut().next_back() {
-                Some((&last_start, last_len)) if last_start + *last_len >= start => {
-                    *last_len = (*last_len).max(start + len - last_start);
-                }
-                _ => {
-                    merged.insert(start, len);
-                }
-            }
-        }
-        self.free = merged;
-    }
+/// The part of one [`TieredStore::charge_transfer`] that lands on one tier:
+/// how many blocks, in how many physically contiguous runs (file order).
+#[derive(Clone, Copy, Default)]
+struct TierSlice {
+    blocks: u64,
+    runs: usize,
+    next_phys: Option<u64>,
 }
 
 /// The multi-tier store. See the module docs for the contract.
 pub struct TieredStore {
     tiers: Vec<Tier>,
-    /// Logical block → (tier index, physical block).
-    map: BTreeMap<u64, (usize, u64)>,
-    scores: BTreeMap<u64, BlockScore>,
+    /// Name, model, capacity and occupancy of each tier, fastest first — the
+    /// view policies get, kept current by [`Self::alloc_on`] /
+    /// [`Self::release_on`] rather than rebuilt per call.
+    usage: Vec<TierUsage>,
+    /// Every mapped logical block: its home (tier, physical block), decayed
+    /// score and this epoch's hits. The one per-block structure: epochs decay
+    /// it in place and policies plan straight from it.
+    blocks: BTreeMap<u64, BlockState>,
+    /// What an unmapped logical block reads as.
+    zero: Block,
     policy: Box<dyn PlacementPolicy>,
     epoch: u64,
     /// Score decay applied at each epoch boundary before planning.
@@ -181,14 +140,14 @@ impl std::fmt::Debug for TieredStore {
             .field(
                 "tiers",
                 &self
-                    .tiers
+                    .usage
                     .iter()
-                    .map(|t| t.spec.name.as_str())
+                    .map(|t| t.name.as_str())
                     .collect::<Vec<_>>(),
             )
             .field("policy", &self.policy)
             .field("epoch", &self.epoch)
-            .field("mapped_blocks", &self.map.len())
+            .field("mapped_blocks", &self.blocks.len())
             .finish()
     }
 }
@@ -199,9 +158,29 @@ impl TieredStore {
     pub fn new(tiers: Vec<TierSpec>, policy: Box<dyn PlacementPolicy>) -> Self {
         assert!(!tiers.is_empty(), "a TieredStore needs at least one tier");
         TieredStore {
-            tiers: tiers.into_iter().map(Tier::new).collect(),
-            map: BTreeMap::new(),
-            scores: BTreeMap::new(),
+            tiers: tiers
+                .iter()
+                .map(|spec| Tier {
+                    dev: MemBlockDevice::new(spec.capacity_blocks),
+                    free: FreeRuns::new(spec.capacity_blocks),
+                    bytes_counter: intern(format!("tier.{}.bytes", spec.name)),
+                    hits_counter: intern(format!("tier.{}.hits", spec.name)),
+                    bytes_read: 0,
+                    bytes_written: 0,
+                    hits: 0,
+                })
+                .collect(),
+            usage: tiers
+                .into_iter()
+                .map(|spec| TierUsage {
+                    name: spec.name,
+                    model: spec.model,
+                    capacity_blocks: spec.capacity_blocks,
+                    used_blocks: 0,
+                })
+                .collect(),
+            blocks: BTreeMap::new(),
+            zero: Arc::new([0; BLOCK_SIZE as usize]),
             policy,
             epoch: 0,
             decay: 0.5,
@@ -270,8 +249,9 @@ impl TieredStore {
     pub fn counters(&self) -> Vec<TierCounters> {
         self.tiers
             .iter()
-            .map(|t| TierCounters {
-                name: t.spec.name.clone(),
+            .zip(&self.usage)
+            .map(|(t, u)| TierCounters {
+                name: u.name.clone(),
                 bytes_read: t.bytes_read,
                 bytes_written: t.bytes_written,
                 hits: t.hits,
@@ -280,16 +260,8 @@ impl TieredStore {
     }
 
     /// Occupancy snapshot, fastest first.
-    pub fn usage(&self) -> Vec<TierUsage> {
-        self.tiers
-            .iter()
-            .map(|t| TierUsage {
-                name: t.spec.name.clone(),
-                model: t.spec.model.clone(),
-                capacity_blocks: t.spec.capacity_blocks,
-                used_blocks: t.spec.capacity_blocks - t.free_blocks(),
-            })
-            .collect()
+    pub fn usage(&self) -> &[TierUsage] {
+        &self.usage
     }
 
     /// Combined idle draw of every tier *above* the bottom one, watts. The
@@ -298,37 +270,48 @@ impl TieredStore {
     /// store operations, and reported as extra static power by the
     /// placement report for the whole makespan.
     pub fn idle_w_above_bottom(&self) -> f64 {
-        self.tiers[..self.tiers.len() - 1]
+        self.usage[..self.usage.len() - 1]
             .iter()
-            .map(|t| t.spec.model.idle_w)
+            .map(|t| t.model.idle_w)
             .sum()
     }
 
     /// Which tier currently holds `logical`, if mapped.
     pub fn tier_of(&self, logical: u64) -> Option<usize> {
-        self.map.get(&logical).map(|&(t, _)| t)
+        self.blocks.get(&logical).map(|st| st.tier)
     }
 
-    /// Map `logical` to a physical home, placing it on first touch. Falls
-    /// down (then up) from the policy's preferred tier until a tier has a
-    /// free block; total physical capacity equals the logical space, so a
-    /// slot always exists.
-    fn ensure_placed(&mut self, logical: u64) -> (usize, u64) {
-        if let Some(&loc) = self.map.get(&logical) {
-            return loc;
-        }
-        let usage = self.usage();
+    /// Take the lowest free physical block of tier `t`.
+    fn alloc_on(&mut self, t: usize) -> Option<u64> {
+        let (phys, _) = self.tiers[t].free.nth_run(0)?;
+        self.tiers[t].free.take(phys, phys, 1);
+        self.usage[t].used_blocks += 1;
+        Some(phys)
+    }
+
+    /// Return physical block `phys` of tier `t`, dropping whatever it holds.
+    fn release_on(&mut self, t: usize, phys: u64) {
+        self.tiers[t].free.release(phys, 1);
+        self.tiers[t].dev.discard_block(phys);
+        self.usage[t].used_blocks -= 1;
+    }
+
+    /// Give `logical` a physical home on first touch. Falls down (then up)
+    /// from the policy's preferred tier until a tier has a free block; total
+    /// physical capacity equals the logical space, so a slot always exists.
+    fn place(&mut self, logical: u64) -> &mut BlockState {
         let pref = self
             .policy
-            .place_new(logical, &usage)
+            .place_new(logical, &self.usage)
             .min(self.tiers.len() - 1);
-        for t in (pref..self.tiers.len()).chain((0..pref).rev()) {
-            if let Some(phys) = self.tiers[t].alloc_one() {
-                self.map.insert(logical, (t, phys));
-                return (t, phys);
-            }
-        }
-        panic!("TieredStore out of physical blocks");
+        let (tier, phys) = (pref..self.tiers.len())
+            .chain((0..pref).rev())
+            .find_map(|t| Some((t, self.alloc_on(t)?)))
+            .expect("TieredStore out of physical blocks");
+        self.blocks.entry(logical).or_insert(BlockState {
+            phys,
+            ..BlockState::new(tier, 0.0)
+        })
     }
 
     /// One priced span on tier `t`, composed exactly like
@@ -371,7 +354,7 @@ impl TieredStore {
 
     /// Charge one migrated block (`4 KiB` random touch) on tier `t`.
     fn charge_migration_block(&mut self, node: &mut Node, t: usize, dir: IoDir, phase: Phase) {
-        let cost = self.tiers[t].spec.model.transfer(
+        let cost = self.usage[t].model.transfer(
             BLOCK_SIZE,
             dir,
             AccessPattern::Random {
@@ -388,22 +371,11 @@ impl TieredStore {
     /// stats, occupancy) — never on wall clock or thread timing.
     pub fn end_epoch(&mut self, node: &mut Node, phase: Phase) {
         self.epoch += 1;
-        let decay = self.decay;
-        for s in self.scores.values_mut() {
-            s.score = s.score * decay + s.hits_this_epoch as f64;
-            s.hits_this_epoch = 0;
+        for st in self.blocks.values_mut() {
+            st.score = st.score * self.decay + st.epoch_hits as f64;
+            st.epoch_hits = 0;
         }
-        let mut states: BTreeMap<u64, BlockState> = BTreeMap::new();
-        for (&lb, &(t, _)) in &self.map {
-            states.insert(
-                lb,
-                BlockState {
-                    tier: t,
-                    score: self.scores.get(&lb).map_or(0.0, |s| s.score),
-                },
-            );
-        }
-        let plan = self.policy.plan(self.epoch, &states, &self.usage());
+        let plan = self.policy.plan(self.epoch, &self.blocks, &self.usage);
         let mut sweeps: SweepAccumulator = BTreeMap::new();
         for m in plan {
             self.execute_move(node, m.logical, m.to, phase, &mut sweeps);
@@ -436,9 +408,8 @@ impl TieredStore {
         }
         phys.sort_unstable();
         let bytes = phys.len() as u64 * BLOCK_SIZE;
-        let runs = runs_of(&phys);
-        let pattern = layout_pattern(cfg, runs.len(), bytes, dir);
-        let cost = self.tiers[t].spec.model.transfer(bytes, dir, pattern);
+        let pattern = layout_pattern(cfg, count_runs(&phys), bytes, dir);
+        let cost = self.usage[t].model.transfer(bytes, dir, pattern);
         self.charge_span(node, t, bytes, dir, cost, phase);
     }
 
@@ -455,13 +426,18 @@ impl TieredStore {
         phase: Phase,
         sweeps: &mut SweepAccumulator,
     ) {
-        let Some(&(from, src_phys)) = self.map.get(&logical) else {
+        let Some(&BlockState {
+            tier: from,
+            phys: src_phys,
+            ..
+        }) = self.blocks.get(&logical)
+        else {
             return;
         };
         if to == from || to >= self.tiers.len() {
             return;
         }
-        let Some(dst_phys) = self.tiers[to].alloc_one() else {
+        let Some(dst_phys) = self.alloc_on(to) else {
             return; // destination full; the block simply stays put
         };
         if let Some(entropy) = self
@@ -476,7 +452,7 @@ impl TieredStore {
                 self.charge_migration_block(node, from, IoDir::Read, phase);
                 self.charge_migration_block(node, to, IoDir::Write, phase);
             }
-            self.tiers[to].free_one(dst_phys);
+            self.release_on(to, dst_phys);
             self.migration_faults += 1;
             let tracer = node.tracer();
             tracer.count("faults.tier.migration", 1);
@@ -493,15 +469,17 @@ impl TieredStore {
             }
             return;
         }
-        let mut buf = [0u8; BLOCK_SIZE as usize];
-        self.tiers[from].dev.read_block(src_phys, &mut buf);
-        self.tiers[to].dev.write_block(dst_phys, &buf);
+        // The move hands the block's handle over; no byte is copied.
+        let block = self.tiers[from].dev.read_block(src_phys);
+        self.tiers[to].dev.write_block(dst_phys, block);
         let sweep = sweeps.entry((from, to)).or_default();
         sweep.0.push(src_phys);
         sweep.1.push(dst_phys);
         // Commit: flip the mapping, then release the source copy.
-        self.map.insert(logical, (to, dst_phys));
-        self.tiers[from].free_one(src_phys);
+        if let Some(st) = self.blocks.get_mut(&logical) {
+            (st.tier, st.phys) = (to, dst_phys);
+        }
+        self.release_on(from, src_phys);
         let promote = to < from;
         if promote {
             self.promotes += 1;
@@ -523,8 +501,8 @@ impl TieredStore {
             1,
         );
         if tracer.is_on() {
-            let from_name = self.tiers[from].spec.name.clone();
-            let to_name = self.tiers[to].spec.name.clone();
+            let from_name = self.usage[from].name.clone();
+            let to_name = self.usage[to].name.clone();
             tracer.instant(
                 node.now().as_nanos(),
                 ev,
@@ -540,21 +518,30 @@ impl TieredStore {
 
 impl BlockDevice for TieredStore {
     fn block_count(&self) -> u64 {
-        self.tiers.iter().map(|t| t.spec.capacity_blocks).sum()
+        self.usage.iter().map(|t| t.capacity_blocks).sum()
     }
 
-    fn read_block(&self, idx: u64, buf: &mut [u8]) {
+    fn read_block(&self, idx: u64) -> Block {
         assert!(idx < self.block_count(), "block {idx} out of range");
-        match self.map.get(&idx) {
-            Some(&(t, phys)) => self.tiers[t].dev.read_block(phys, buf),
-            None => buf.copy_from_slice(&[0u8; BLOCK_SIZE as usize]),
+        match self.blocks.get(&idx) {
+            Some(st) => self.tiers[st.tier].dev.read_block(st.phys),
+            None => Arc::clone(&self.zero),
         }
     }
 
-    fn write_block(&mut self, idx: u64, data: &[u8]) {
+    fn write_block(&mut self, idx: u64, block: Block) {
         assert!(idx < self.block_count(), "block {idx} out of range");
-        let (t, phys) = self.ensure_placed(idx);
-        self.tiers[t].dev.write_block(phys, data);
+        let &mut BlockState { tier, phys, .. } = match self.blocks.get_mut(&idx) {
+            Some(st) => st,
+            None => self.place(idx),
+        };
+        self.tiers[tier].dev.write_block(phys, block);
+    }
+
+    fn discard_block(&mut self, idx: u64) {
+        if let Some(st) = self.blocks.remove(&idx) {
+            self.release_on(st.tier, st.phys);
+        }
     }
 }
 
@@ -570,35 +557,37 @@ impl CostedDevice for TieredStore {
         if blocks.is_empty() {
             return;
         }
-        // First device touch decides a home (writebacks are charged before
-        // the pages physically land).
+        // One walk over the blocks: the first device touch decides a home
+        // (writebacks are charged before the pages physically land), every
+        // touch feeds the policy's access statistics, and each tier's slice
+        // keeps its block and run counts in file order.
+        let mut slices = vec![TierSlice::default(); self.tiers.len()];
         for &lb in blocks {
-            self.ensure_placed(lb);
+            let st = match self.blocks.get_mut(&lb) {
+                Some(st) => st,
+                None => self.place(lb),
+            };
+            st.epoch_hits += 1;
+            let slice = &mut slices[st.tier];
+            if slice.next_phys != Some(st.phys) {
+                slice.runs += 1;
+            }
+            slice.blocks += 1;
+            slice.next_phys = Some(st.phys + 1);
         }
-        // Device-level access statistics feed the policy.
-        for &lb in blocks {
-            self.scores.entry(lb).or_default().hits_this_epoch += 1;
-        }
-        // Split by tier, preserving file order within each slice.
-        let mut per_tier: Vec<Vec<u64>> = vec![Vec::new(); self.tiers.len()];
-        for &lb in blocks {
-            let (t, phys) = self.map[&lb];
-            per_tier[t].push(phys);
-        }
-        for (t, phys) in per_tier.into_iter().enumerate() {
-            if phys.is_empty() {
+        for (t, slice) in slices.into_iter().enumerate() {
+            if slice.blocks == 0 {
                 continue;
             }
-            let bytes = phys.len() as u64 * BLOCK_SIZE;
-            let runs = runs_of(&phys);
+            let bytes = slice.blocks * BLOCK_SIZE;
             node.tracer()
-                .count("disk.seeks", runs.len().saturating_sub(1) as u64);
-            let pattern = layout_pattern(cfg, runs.len(), bytes, dir);
-            let cost = self.tiers[t].spec.model.transfer(bytes, dir, pattern);
+                .count("disk.seeks", slice.runs.saturating_sub(1) as u64);
+            let pattern = layout_pattern(cfg, slice.runs, bytes, dir);
+            let cost = self.usage[t].model.transfer(bytes, dir, pattern);
             self.charge_span(node, t, bytes, dir, cost, phase);
-            self.tiers[t].hits += phys.len() as u64;
+            self.tiers[t].hits += slice.blocks;
             node.tracer()
-                .count(self.tiers[t].hits_counter, phys.len() as u64);
+                .count(self.tiers[t].hits_counter, slice.blocks);
             // A transient device error forces one transparent controller
             // retry: the transfer is paid twice, the data is fine.
             if self
@@ -613,7 +602,7 @@ impl CostedDevice for TieredStore {
                 tracer.count("faults.tier.io", 1);
                 tracer.count("retries.tier.io", 1);
                 if tracer.is_on() {
-                    let name = self.tiers[t].spec.name.clone();
+                    let name = self.usage[t].name.clone();
                     tracer.instant(
                         node.now().as_nanos(),
                         "fault.injected",
@@ -634,10 +623,10 @@ impl CostedDevice for TieredStore {
         // barrier pays the bottom tier.
         let t = blocks
             .iter()
-            .filter_map(|lb| self.map.get(lb).map(|&(t, _)| t))
+            .filter_map(|lb| self.tier_of(*lb))
             .max()
             .unwrap_or(self.tiers.len() - 1);
-        let cost = self.tiers[t].spec.model.barrier(seeks);
+        let cost = self.usage[t].model.barrier(seeks);
         let extra_idle_w = self.idle_w_above_bottom();
         let spec = node.spec();
         let package_w = if seeks > 0 {
@@ -665,6 +654,7 @@ impl CostedDevice for TieredStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::FileSystem;
     use crate::placement::{FreqRecencyPolicy, NoopPolicy};
     use greenness_platform::HardwareSpec;
 
@@ -685,13 +675,10 @@ mod tests {
     #[test]
     fn blocks_round_trip_and_unwritten_reads_zero() {
         let mut store = dram_hdd();
-        let data = [7u8; BLOCK_SIZE as usize];
-        store.write_block(42, &data);
-        let mut back = [0u8; BLOCK_SIZE as usize];
-        store.read_block(42, &mut back);
-        assert_eq!(back, data);
-        store.read_block(43, &mut back);
-        assert!(back.iter().all(|&b| b == 0));
+        let data = Arc::new([7u8; BLOCK_SIZE as usize]);
+        store.write_block(42, Arc::clone(&data));
+        assert_eq!(store.read_block(42), data);
+        assert!(store.read_block(43).iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -702,7 +689,7 @@ mod tests {
         let mut payload = [0u8; BLOCK_SIZE as usize];
         for lb in 0..8u64 {
             payload[0] = lb as u8;
-            store.write_block(lb, &payload);
+            store.write_block(lb, Arc::new(payload));
         }
         assert_eq!(store.tier_of(3), Some(1), "new blocks land on the bottom");
         // Hammer blocks 0..4 across two epochs.
@@ -713,9 +700,8 @@ mod tests {
         assert!(store.promotes() > 0, "hot blocks must promote");
         assert_eq!(store.tier_of(0), Some(0), "block 0 is hot → dram");
         assert_eq!(store.tier_of(7), Some(1), "block 7 is cold → hdd");
-        let mut back = [0u8; BLOCK_SIZE as usize];
         for lb in 0..8u64 {
-            store.read_block(lb, &mut back);
+            let back = store.read_block(lb);
             assert_eq!(back[0], lb as u8, "block {lb} corrupted by migration");
         }
     }
@@ -734,7 +720,7 @@ mod tests {
         let mut payload = [0u8; BLOCK_SIZE as usize];
         for lb in 0..6u64 {
             payload[0] = 0xA0 | lb as u8;
-            store.write_block(lb, &payload);
+            store.write_block(lb, Arc::new(payload));
         }
         for _ in 0..4 {
             store.charge_transfer(&mut n, &[0, 1, 2], IoDir::Read, &cfg, Phase::Read);
@@ -742,9 +728,8 @@ mod tests {
         }
         assert!(store.migration_faults() > 0, "rate-1.0 plan must fire");
         assert_eq!(store.promotes(), 0, "every migration was torn or aborted");
-        let mut back = [0u8; BLOCK_SIZE as usize];
         for lb in 0..6u64 {
-            store.read_block(lb, &mut back);
+            let back = store.read_block(lb);
             assert_eq!(back[0], 0xA0 | lb as u8, "block {lb} lost to a torn move");
         }
     }
@@ -761,7 +746,7 @@ mod tests {
         let mut store =
             TieredStore::single("hdd", DiskModel::seagate_7200rpm_500gb(), 512 * 1024 * 1024);
         for &lb in &blocks {
-            store.write_block(lb, &[0u8; BLOCK_SIZE as usize]);
+            store.write_block(lb, Arc::new([0u8; BLOCK_SIZE as usize]));
         }
         store.charge_transfer(&mut tiered, &blocks, IoDir::Read, &cfg, Phase::Read);
         assert_eq!(flat.now().as_nanos(), tiered.now().as_nanos());
@@ -778,7 +763,7 @@ mod tests {
             let mut n = node();
             let cfg = FsConfig::default();
             for lb in 0..12u64 {
-                store.write_block(lb, &[1u8; BLOCK_SIZE as usize]);
+                store.write_block(lb, Arc::new([1u8; BLOCK_SIZE as usize]));
             }
             for round in 0..5u64 {
                 let touched: Vec<u64> = (0..4 + (round % 3)).collect();
@@ -811,7 +796,7 @@ mod tests {
         let mut n = node();
         let cfg = FsConfig::default();
         for lb in 0..8u64 {
-            store.write_block(lb, &[2u8; BLOCK_SIZE as usize]);
+            store.write_block(lb, Arc::new([2u8; BLOCK_SIZE as usize]));
         }
         for _ in 0..4 {
             store.charge_transfer(&mut n, &[0, 1], IoDir::Read, &cfg, Phase::Read);
@@ -819,6 +804,86 @@ mod tests {
         }
         assert_eq!(store.promotes() + store.demotes(), 0);
         assert!(store.usage()[0].used_blocks == 0, "dram tier stays empty");
+    }
+
+    /// Hammer `name` cold across `epochs` epoch boundaries so an active
+    /// policy migrates its blocks.
+    fn heat(fs: &mut FileSystem<TieredStore>, n: &mut Node, name: &str, epochs: usize) {
+        let size = fs.size(name).unwrap();
+        for _ in 0..epochs {
+            for _ in 0..3 {
+                fs.drop_caches();
+                fs.read(n, name, 0, size, Phase::Read).unwrap();
+            }
+            fs.device_mut().end_epoch(n, Phase::Read);
+        }
+    }
+
+    #[test]
+    fn a_deleted_files_blocks_give_their_tier_slots_back() {
+        let mut fs = FileSystem::format(dram_hdd(), FsConfig::default());
+        let mut n = node();
+        fs.write(&mut n, "hot", 0, &[0xAA; 8 * 4096], Phase::Write)
+            .unwrap();
+        fs.write(&mut n, "cold", 0, &[0xBB; 8 * 4096], Phase::Write)
+            .unwrap();
+        fs.sync(&mut n, Phase::CacheControl);
+        heat(&mut fs, &mut n, "hot", 3);
+        let used = |fs: &FileSystem<TieredStore>| -> Vec<u64> {
+            fs.device().usage().iter().map(|t| t.used_blocks).collect()
+        };
+        let hot_blocks = fs.device_blocks("hot").unwrap();
+        let on_dram = |fs: &FileSystem<TieredStore>, lb: &u64| fs.device().tier_of(*lb) == Some(0);
+        assert!(hot_blocks.iter().all(|lb| on_dram(&fs, lb)), "not promoted");
+        let before = used(&fs);
+        fs.delete("hot").unwrap();
+        assert_eq!(used(&fs), [before[0] - 8, before[1]], "dram not given back");
+        assert!(hot_blocks
+            .iter()
+            .all(|&lb| fs.device().tier_of(lb).is_none()));
+        // The blocks' next owner is placed afresh (bottom tier, no inherited
+        // dram slot or score) and reads zeros where it has holes.
+        fs.write(&mut n, "next", 4096 + 10, &[0xCC; 10], Phase::Write)
+            .unwrap();
+        fs.sync(&mut n, Phase::CacheControl);
+        assert_eq!(fs.device_blocks("next").unwrap(), hot_blocks[..2]);
+        assert_eq!(used(&fs), [before[0] - 8, before[1] + 2]);
+        fs.drop_caches();
+        let back = fs.read(&mut n, "next", 0, 4096 + 20, Phase::Read).unwrap();
+        assert!(back[..4096 + 10].iter().all(|&b| b == 0));
+        assert_eq!(&back[4096 + 10..], &[0xCC; 10]);
+        let cold = fs.read(&mut n, "cold", 0, 8 * 4096, Phase::Read).unwrap();
+        assert!(cold.iter().all(|&b| b == 0xBB));
+    }
+
+    #[test]
+    fn fsynced_bytes_survive_a_crash_across_migrations() {
+        let mut fs = FileSystem::format(dram_hdd(), FsConfig::default());
+        let mut n = node();
+        let durable: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 251) as u8).collect();
+        fs.write(&mut n, "f", 0, &durable, Phase::Write).unwrap();
+        fs.fsync(&mut n, "f", Phase::Write).unwrap();
+        // Promote the file: its blocks' handles move hdd → dram while the
+        // page cache still shares them.
+        heat(&mut fs, &mut n, "f", 3);
+        assert_eq!(fs.device().promotes(), 4);
+        // Overwrite block 0 partially and block 1 fully without an fsync,
+        // then let the store migrate again underneath the dirty pages.
+        fs.write(&mut n, "f", 100, &[0xEE; 50], Phase::Write)
+            .unwrap();
+        fs.write(&mut n, "f", 4096, &[0xDD; 4096], Phase::Write)
+            .unwrap();
+        fs.write(&mut n, "pressure", 0, &[1; 16 * 4096], Phase::Write)
+            .unwrap();
+        fs.fsync(&mut n, "pressure", Phase::Write).unwrap();
+        heat(&mut fs, &mut n, "pressure", 4);
+        assert!(
+            fs.device().demotes() > 0,
+            "nothing moved under the dirty pages"
+        );
+        assert_eq!(fs.crash_and_recover(), 2);
+        let back = fs.read(&mut n, "f", 0, 4 * 4096, Phase::Read).unwrap();
+        assert_eq!(back, durable, "an unsynced write reached a tier");
     }
 
     #[test]
@@ -836,7 +901,7 @@ mod tests {
             }
             let mut n = node();
             for lb in 0..32u64 {
-                store.write_block(lb, &[9u8; BLOCK_SIZE as usize]);
+                store.write_block(lb, Arc::new([9u8; BLOCK_SIZE as usize]));
             }
             let blocks: Vec<u64> = (0..32).collect();
             for _ in 0..8 {

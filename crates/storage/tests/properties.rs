@@ -21,6 +21,8 @@ enum Op {
     Delete {
         file: u8,
     },
+    /// Power loss + journal replay: every page not yet written back is gone.
+    Crash,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -37,22 +39,42 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(Op::Sync),
         Just(Op::DropCaches),
         (0u8..4).prop_map(|file| Op::Delete { file }),
+        Just(Op::Crash),
     ]
 }
 
-/// A trivial in-memory reference model: file → bytes.
+/// A trivial in-memory reference model: file → (bytes a read returns, bytes
+/// the device holds). Sizes are metadata and survive a crash; a block that
+/// was never written back reads as zeros afterwards (freed blocks are
+/// discarded from the device, so no previous owner's bytes can show).
 #[derive(Default)]
 struct Model {
-    files: std::collections::HashMap<u8, Vec<u8>>,
+    files: std::collections::HashMap<u8, (Vec<u8>, Vec<u8>)>,
 }
 
 impl Model {
     fn write(&mut self, file: u8, offset: usize, len: usize, fill: u8) {
-        let f = self.files.entry(file).or_default();
+        let (f, _) = self.files.entry(file).or_default();
         if f.len() < offset + len {
             f.resize(offset + len, 0);
         }
         f[offset..offset + len].fill(fill);
+    }
+
+    fn make_durable(&mut self, file: Option<u8>) {
+        for (name, (now, durable)) in &mut self.files {
+            if file.map_or(true, |f| f == *name) {
+                durable.clone_from(now);
+            }
+        }
+    }
+
+    fn crash(&mut self) {
+        for (now, durable) in self.files.values_mut() {
+            let size = now.len();
+            now.clone_from(durable);
+            now.resize(size, 0);
+        }
     }
 }
 
@@ -60,7 +82,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The filesystem agrees with a byte-array reference model under any
-    /// sequence of writes, syncs, cache drops, and deletes.
+    /// sequence of writes, syncs, cache drops, deletes and crashes — after
+    /// every single step, not only at the end: pages share their bytes with
+    /// the device, so a write leaking into a block it does not own would
+    /// show up as soon as a crash or a cache drop makes the device's copy
+    /// the visible one.
     #[test]
     fn fs_matches_reference_model(ops in prop::collection::vec(arb_op(), 1..40)) {
         let mut node = Node::new(HardwareSpec::table1());
@@ -81,9 +107,13 @@ proptest! {
                     let name = format!("f{file}");
                     if fs.exists(&name) {
                         fs.fsync(&mut node, &name, Phase::Write).unwrap();
+                        model.make_durable(Some(file));
                     }
                 }
-                Op::Sync => fs.sync(&mut node, Phase::CacheControl),
+                Op::Sync => {
+                    fs.sync(&mut node, Phase::CacheControl);
+                    model.make_durable(None);
+                }
                 Op::DropCaches => {
                     fs.drop_caches();
                 }
@@ -94,12 +124,24 @@ proptest! {
                         model.files.remove(&file);
                     }
                 }
+                Op::Crash => {
+                    fs.crash_and_recover();
+                    model.crash();
+                }
+            }
+            for (file, (expect, _)) in &model.files {
+                let name = format!("f{file}");
+                prop_assert_eq!(fs.size(&name).unwrap(), expect.len() as u64);
+                let got = fs
+                    .read(&mut node, &name, 0, expect.len() as u64, Phase::Read)
+                    .unwrap();
+                prop_assert_eq!(&got, expect, "file {} diverged after {:?}", file, op);
             }
         }
-        // Final readback must match the model exactly.
+        // And once more with nothing cached.
         fs.sync(&mut node, Phase::CacheControl);
         fs.drop_caches();
-        for (file, expect) in &model.files {
+        for (file, (expect, _)) in &model.files {
             let name = format!("f{file}");
             let got = fs
                 .read(&mut node, &name, 0, expect.len() as u64, Phase::Read)

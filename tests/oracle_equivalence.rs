@@ -1,7 +1,7 @@
 //! Oracle-equivalence suite: every optimized hot path must stay
 //! bit-for-bit the retained straight-line reference it replaced.
 //!
-//! Four properties are pinned here:
+//! Five properties are pinned here:
 //!
 //! * the fast stencil path (including the row-parallel step at any `jobs`
 //!   value) is bit-for-bit the naive reference on arbitrary grids,
@@ -11,6 +11,10 @@
 //! * the table-driven rasterizer (`render_field`: per-frame column taps,
 //!   exact colour step table) is byte-for-byte `render_field_reference` on
 //!   arbitrary grid and image shapes, ranges and non-finite cells;
+//! * the storage path (shared block handles, narrowed zero-fill, incremental
+//!   tier bookkeeping) charges a scripted op mix exactly what the copying
+//!   implementation charged — clock, energy, cache counters, per-tier
+//!   transfers and migrations against values recorded before the change;
 //! * bad command-line input handed to either binary (an invalid solver
 //!   config, an unknown artifact, a flag without its value) is a *usage*
 //!   error: exit 2 with a one-line message, before any work runs — and the
@@ -21,7 +25,14 @@ use std::process::Command;
 use greenness_codec::transpose::TransposeRle;
 use greenness_codec::Codec;
 use greenness_core::PipelineConfig;
+use greenness_faults::{fnv1a64_extend, splitmix64};
 use greenness_heatsim::{Boundary, Grid, HeatSolver};
+use greenness_platform::disk::IoDir;
+use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
+use greenness_storage::{
+    Block, BlockDevice, CostedDevice, EnergyGreedyPolicy, FileSystem, FreqRecencyPolicy, FsConfig,
+    MemBlockDevice, NoopPolicy, PlacementPolicy, TierSpec, TieredStore,
+};
 use greenness_viz::{render_field, render_field_reference, Colormap, RenderOptions};
 use proptest::prelude::*;
 
@@ -209,3 +220,267 @@ fn usage_errors_and_flag_spellings_are_uniform_in_both_binaries() {
     }
     std::fs::remove_file(transcript).expect("steer wrote its transcript");
 }
+
+/// What the storage transcript needs of a device beyond [`CostedDevice`].
+trait Scripted: CostedDevice {
+    /// An epoch boundary, where the device has them.
+    fn end_epoch(&mut self, _node: &mut Node) {}
+
+    /// Per-tier transfer totals and migrations, where the device has them.
+    fn summary(&self) -> String;
+}
+
+impl Scripted for MemBlockDevice {
+    fn summary(&self) -> String {
+        "flat".to_string()
+    }
+}
+
+impl Scripted for TieredStore {
+    fn end_epoch(&mut self, node: &mut Node) {
+        TieredStore::end_epoch(self, node, Phase::CacheControl);
+    }
+
+    fn summary(&self) -> String {
+        let per_tier: Vec<String> = self
+            .counters()
+            .iter()
+            .map(|t| format!("{}/{}/{}", t.bytes_read, t.bytes_written, t.hits))
+            .collect();
+        format!(
+            "{} [{}] +{} -{}",
+            self.policy_label(),
+            per_tier.join(" "),
+            self.promotes(),
+            self.demotes()
+        )
+    }
+}
+
+/// A tiered store that never hears about deleted blocks — what every device
+/// was before `BlockDevice::discard_block` existed. At the recorded commit a
+/// deleted file's blocks stayed mapped, scored and on their tier, so the
+/// recording's post-delete lines are reproducible only through this.
+struct KeepDeleted(TieredStore);
+
+impl BlockDevice for KeepDeleted {
+    fn block_count(&self) -> u64 {
+        self.0.block_count()
+    }
+    fn read_block(&self, idx: u64) -> Block {
+        self.0.read_block(idx)
+    }
+    fn write_block(&mut self, idx: u64, block: Block) {
+        self.0.write_block(idx, block);
+    }
+    fn discard_block(&mut self, _idx: u64) {}
+}
+
+impl CostedDevice for KeepDeleted {
+    fn charge_transfer(
+        &mut self,
+        node: &mut Node,
+        blocks: &[u64],
+        dir: IoDir,
+        cfg: &FsConfig,
+        phase: Phase,
+    ) {
+        self.0.charge_transfer(node, blocks, dir, cfg, phase);
+    }
+    fn charge_barrier(&mut self, node: &mut Node, seeks: u32, blocks: &[u64], phase: Phase) {
+        self.0.charge_barrier(node, seeks, blocks, phase);
+    }
+}
+
+impl Scripted for KeepDeleted {
+    fn end_epoch(&mut self, node: &mut Node) {
+        Scripted::end_epoch(&mut self.0, node);
+    }
+    fn summary(&self) -> String {
+        self.0.summary()
+    }
+}
+
+/// One scripted storage run, boiled down to everything the journals and
+/// manifests are computed from: virtual clock, total energy, page-cache
+/// counters, per-tier transfer totals, migrations, and a checksum over every
+/// byte read back. Two lines: the state after 200 delete-free steps, and the
+/// state after 120 more with deletes (and reuse of the freed blocks) live.
+fn storage_transcript<D: Scripted>(seed: u64, dev: D) -> [String; 2] {
+    let mut node = Node::new(HardwareSpec::table1());
+    let mut fs = FileSystem::format(dev, FsConfig::default());
+    let mut rng = seed;
+    let mut draw = |n: u64| {
+        rng = splitmix64(rng);
+        rng % n
+    };
+    let mut read_sum = 0u64;
+    let line = |node: &Node, fs: &FileSystem<D>, read_sum: u64| {
+        let c = fs.cache_stats();
+        format!(
+            "{} {:016x} {}/{}/{}/{} {} {read_sum:016x}",
+            node.now().as_nanos(),
+            node.timeline().total_energy_j().to_bits(),
+            c.hits,
+            c.misses,
+            c.writebacks,
+            c.evictions,
+            fs.device().summary(),
+        )
+    };
+    let mut before_deletes = String::new();
+    for tag in 0..320u64 {
+        if tag == 200 {
+            before_deletes = line(&node, &fs, read_sum);
+        }
+        let name = format!("f{}", draw(4));
+        let payload = |len: u64| -> Vec<u8> {
+            (0..len)
+                .map(|i| ((i * 7 + tag * 131) % 251) as u8)
+                .collect()
+        };
+        match draw(16) {
+            0..=3 => {
+                let (offset, len) = (draw(256 * 1024), 1 + draw(96 * 1024));
+                fs.write(&mut node, &name, offset, &payload(len), Phase::Write)
+                    .expect("write fits");
+            }
+            4..=6 => {
+                let len = [128 * 1024, 4096, 1 + draw(40_000)][draw(3) as usize];
+                fs.append(&mut node, &name, &payload(len), Phase::Write)
+                    .expect("append fits");
+            }
+            7 | 8 if fs.exists(&name) => fs.fsync(&mut node, &name, Phase::Write).expect("fsync"),
+            9 => fs.sync(&mut node, Phase::CacheControl),
+            10 => {
+                fs.drop_caches();
+            }
+            11..=13 if fs.exists(&name) => {
+                let size = fs.size(&name).expect("exists");
+                let (offset, len) = (draw(size + 1), 1 + draw(300 * 1024));
+                let got = fs
+                    .read(&mut node, &name, offset, len, Phase::Read)
+                    .expect("offset within the file");
+                read_sum = fnv1a64_extend(read_sum ^ got.len() as u64, &got);
+            }
+            14 if tag >= 200 && fs.exists(&name) => fs.delete(&name).expect("exists"),
+            15 => fs.device_mut().end_epoch(&mut node),
+            _ => {}
+        }
+    }
+    [before_deletes, line(&node, &fs, read_sum)]
+}
+
+/// The storage path's cost transcript: a scripted mix of write / append /
+/// fsync / sync / drop_caches / read / delete (and epoch boundaries on the
+/// tiered store) per seed, over the flat device and over the DRAM → NVMe →
+/// HDD stack under each policy. Every line of `RECORDED` was produced by this
+/// script on the commit *before* blocks became shared handles, the zero-fill
+/// was narrowed and the tier bookkeeping went incremental (PR 17's tree), so
+/// a storage optimisation that moves virtual time, a joule, a cache counter
+/// or a migration by one fails here.
+///
+/// The one intended difference is the discard hook: a real `TieredStore` now
+/// unmaps deleted blocks, so its post-delete lines (`AFTER_DISCARD`, recorded
+/// on this commit) differ from the recording, which [`KeepDeleted`] still
+/// reproduces line for line. Nothing on a flat device's cost depends on it.
+#[test]
+fn storage_cost_transcript_matches_the_pre_optimisation_recording() {
+    const MIB: u64 = 1024 * 1024;
+    let policies: [fn() -> Box<dyn PlacementPolicy>; 3] = [
+        || Box::new(NoopPolicy),
+        || Box::new(FreqRecencyPolicy::default()),
+        || Box::new(EnergyGreedyPolicy::default()),
+    ];
+    let store = |policy: fn() -> Box<dyn PlacementPolicy>| {
+        let stack = vec![
+            TierSpec::new("dram", DiskModel::dram_tier_32gb(), MIB),
+            TierSpec::new("nvme", DiskModel::nvme_ssd_1tb(), 4 * MIB),
+            TierSpec::new("hdd", DiskModel::seagate_7200rpm_500gb(), 64 * MIB),
+        ];
+        TieredStore::new(stack, policy())
+    };
+    let mut recorded = RECORDED.iter();
+    let mut after_discard = AFTER_DISCARD.iter();
+    for seed in [1u64, 7, 42] {
+        let flat = storage_transcript(seed, MemBlockDevice::with_capacity_bytes(64 * MIB));
+        assert_eq!(&flat, recorded.next().expect("a row per device"));
+        for policy in policies {
+            let want = recorded.next().expect("a row per device");
+            assert_eq!(&storage_transcript(seed, KeepDeleted(store(policy))), want);
+            let [before_deletes, after_deletes] = storage_transcript(seed, store(policy));
+            assert_eq!(before_deletes, want[0]);
+            assert_eq!(
+                &after_deletes,
+                after_discard.next().expect("a row per store")
+            );
+        }
+    }
+}
+
+/// Recorded on PR 17's tree: per seed, the flat device then the three
+/// policies; per device, the line before the first delete and the last line.
+const RECORDED: [[&str; 2]; 12] = [
+    [
+        "4442270217 407fdbce9b15bfbc 721/417/1293/1134 flat 341089bdf39ab012",
+        "6824237725 40887944a7591720 1132/584/2001/1940 flat 5ddef8e8d60973a8",
+    ],
+    [
+        "4431936883 4080725ac0fa7ada 721/417/1293/1134 noop [0/0/0 0/0/0 1708032/5296128/1710] +0 -0 341089bdf39ab012",
+        "6844904391 40896701b87f0ffe 1132/584/2001/1940 noop [0/0/0 0/0/0 2392064/8196096/2585] +0 -0 5ddef8e8d60973a8",
+    ],
+    [
+        "2978765424 407622aad71ff2f9 721/417/1293/1134 freq-recency [2162688/4059136/573 1761280/3297280/371 2834432/2990080/766] +875 -358 341089bdf39ab012",
+        "3668780866 407b4393b42672ea 1132/584/2001/1940 freq-recency [4288512/6967296/940 3850240/6819840/879 2834432/2990080/766] +1306 -789 5ddef8e8d60973a8",
+    ],
+    [
+        "4690956876 408165f4abcc8dcd 721/417/1293/1134 energy-greedy [184320/1224704/206 0/0/0 2088960/4636672/1504] +138 -0 341089bdf39ab012",
+        "7157600208 408a8b5f739b3519 1132/584/2001/1940 energy-greedy [389120/2572288/537 0/0/0 2764800/6385664/2048] +186 -0 5ddef8e8d60973a8",
+    ],
+    [
+        "4109406731 407d776dd39bb8d0 1012/365/1417/1188 flat f9f12f4ad634fdb3",
+        "6846396135 40888d2a603f30f0 1215/814/2093/2131 flat a973c05357e6bfbc",
+    ],
+    [
+        "4057740065 407e1cf9564912ec 1012/365/1417/1188 noop [0/0/0 0/0/0 1495040/5804032/1782] +0 -0 f9f12f4ad634fdb3",
+        "6761896135 4089182c307958f7 1215/814/2093/2131 noop [0/0/0 0/0/0 3334144/8572928/2907] +0 -0 a973c05357e6bfbc",
+    ],
+    [
+        "3948324234 407d55a8d46c6786 1012/365/1417/1188 freq-recency [1851392/3477504/449 1183744/3166208/454 2609152/3309568/879] +702 -311 f9f12f4ad634fdb3",
+        "4916209525 408243faf0a9b2f8 1215/814/2093/2131 freq-recency [4427776/6610944/829 4218880/7442432/1097 3792896/3624960/981] +1405 -818 a973c05357e6bfbc",
+    ],
+    [
+        "4151425759 407eceae91b77686 1012/365/1417/1188 energy-greedy [8192/110592/5 0/0/0 1585152/5791744/1777] +24 -0 f9f12f4ad634fdb3",
+        "6982229159 4089e75ff9a032f8 1215/814/2093/2131 energy-greedy [225280/1777664/263 0/0/0 4034560/7720960/2644] +226 -0 a973c05357e6bfbc",
+    ],
+    [
+        "5627403388 40842ff2bce99fb9 273/867/1334/1787 flat d4c14c45dde5b7b4",
+        "7949047385 408c84209607c30f 435/1318/1898/3109 flat 497d07e808d3dbcb",
+    ],
+    [
+        "5627403388 4084e3f275fcfd3c 273/867/1334/1787 noop [0/0/0 0/0/0 3551232/5464064/2201] +0 -0 d4c14c45dde5b7b4",
+        "8005880719 408db86fc06abae8 435/1318/1898/3109 noop [0/0/0 0/0/0 5398528/7774208/3216] +0 -0 497d07e808d3dbcb",
+    ],
+    [
+        "4473407883 40809de524f210ba 273/867/1334/1787 freq-recency [1662976/2543616/581 1110016/2236416/309 4136960/4042752/1311] +712 -108 d4c14c45dde5b7b4",
+        "5198447251 408350094d13e6a8 435/1318/1898/3109 freq-recency [4362240/5910528/1076 4280320/5906432/822 4870144/4071424/1318] +1380 -601 497d07e808d3dbcb",
+    ],
+    [
+        "5358538843 4083e36590c0db25 273/867/1334/1787 energy-greedy [327680/1486848/239 0/0/0 4059136/4812800/1962] +204 -0 d4c14c45dde5b7b4",
+        "7648285194 408c62fc3df93356 435/1318/1898/3109 energy-greedy [868352/2908160/692 0/90112/0 5562368/5808128/2524] +252 -0 497d07e808d3dbcb",
+    ],
+];
+
+/// Recorded on this commit: the last line of each tiered run above, with
+/// deleted blocks unmapped.
+const AFTER_DISCARD: [&str; 9] = [
+    "6814404392 40894a67b0db94f3 1132/584/2001/1940 noop [0/0/0 0/0/0 2392064/8196096/2585] +0 -0 5ddef8e8d60973a8",
+    "5657732962 408504dab9434273 1132/584/2001/1940 freq-recency [2793472/5808128/759 2125824/3645440/469 4141056/5410816/1357] +1213 -415 5ddef8e8d60973a8",
+    "7126948785 408a70abb34805ff 1132/584/2001/1940 energy-greedy [311296/1392640/268 0/0/0 2686976/7409664/2317] +148 -0 5ddef8e8d60973a8",
+    "6798070431 40893a18dd6d97f3 1215/814/2093/2131 noop [0/0/0 0/0/0 3334144/8572928/2907] +0 -0 a973c05357e6bfbc",
+    "6133273170 4086c8dbc6191722 1215/814/2093/2131 freq-recency [3825664/5959680/647 3477504/5918720/859 4497408/5160960/1401] +1363 -704 a973c05357e6bfbc",
+    "7028310622 408a13659dd31f75 1215/814/2093/2131 energy-greedy [118784/1392640/149 0/0/0 4116480/8081408/2758] +220 -0 a973c05357e6bfbc",
+    "8073547387 408df838e8112d29 435/1318/1898/3109 noop [0/0/0 0/0/0 5398528/7774208/3216] +0 -0 497d07e808d3dbcb",
+    "6366294257 4087a69c92dee648 435/1318/1898/3109 freq-recency [3350528/5238784/915 2957312/3969024/547 6152192/5627904/1754] +1402 -322 497d07e808d3dbcb",
+    "7682186957 408c82aa91d99939 435/1318/1898/3109 energy-greedy [663552/2043904/417 0/0/0 5734400/6729728/2799] +244 -0 497d07e808d3dbcb",
+];

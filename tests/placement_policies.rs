@@ -341,19 +341,14 @@ fn plans_are_pure_functions_of_epoch_and_stats() {
         .collect();
     let mut blocks: BTreeMap<u64, BlockState> = BTreeMap::new();
     for b in 0..352u64 {
-        blocks.insert(
-            b,
-            BlockState {
-                tier: if b < 12 {
-                    0
-                } else if b < 52 {
-                    1
-                } else {
-                    2
-                },
-                score: ((b * 37 + 5) % 17) as f64 / 3.0,
-            },
-        );
+        let tier = if b < 12 {
+            0
+        } else if b < 52 {
+            1
+        } else {
+            2
+        };
+        blocks.insert(b, BlockState::new(tier, ((b * 37 + 5) % 17) as f64 / 3.0));
     }
     for policy_kind in 0..3 {
         let a = policy(policy_kind);

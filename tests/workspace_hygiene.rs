@@ -6,7 +6,8 @@
 //! into `crates/core/src/driver.rs`; PR 15 folded three copies of the keyed
 //! grid runner into `crates/core/src/grid.rs` and four flag-parsing styles
 //! into `crates/bench/src/cli.rs`; PR 17 replaced the owned journal parser
-//! with a borrowed scanner and the three event renderers with one writer.
+//! with a borrowed scanner and the three event renderers with one writer;
+//! PR 19 put the two free-run allocators on one `storage::free::FreeRuns`.
 //! This test walks the tree and fails if any of them grows back, so "add a
 //! quick local copy" shows up in review instead of in the next inventory.
 
@@ -239,6 +240,25 @@ fn the_journal_has_one_reader_and_one_writer() {
         })
         .collect();
     assert_eq!(writers, ["sink.rs"], "event-to-JSONL renderers");
+}
+
+#[test]
+fn free_runs_are_kept_and_coalesced_only_in_storage_free() {
+    // The filesystem's extent allocator and every tier's block allocator sit
+    // on `free::FreeRuns`: one free-run map, one function that merges a
+    // returned run with its neighbours. Both used to carry their own map and
+    // their own rebuild-the-whole-map coalescing loop.
+    let mut sources = Vec::new();
+    rs_files(&repo_root().join("crates/storage/src"), &mut sources);
+    assert!(sources.len() >= 10, "found {} sources", sources.len());
+    for path in sources {
+        let src = read(&path);
+        for needle in ["BTreeMap<u64, u64>", "fn release("] {
+            let hits = non_test(&src).matches(needle).count();
+            let want = usize::from(file_name(&path) == "free.rs");
+            assert_eq!(hits, want, "{}: `{needle}`", path.display());
+        }
+    }
 }
 
 /// Every `"--flag"` string literal in `src`.
