@@ -849,35 +849,27 @@ fn cmd_bench_serve(mut args: Args) {
             eprintln!("--sessions implies --replay (the session harness is replay-only)");
             usage()
         }
-        let service = greenness_serve::Service::new(ServiceConfig {
+        let config = ServiceConfig {
             jobs,
             session_slots: sessions.max(8),
             faults: fault_seed.map(FaultPlan::with_seed),
             ..ServiceConfig::default()
-        });
+        };
         let scripts: Vec<Vec<String>> = (0..sessions)
             .map(|s| steer_script(&format!("s{s}"), (s as u64) * 100))
             .collect();
-        let mut responses = String::new();
-        let mut retries = 0u64;
-        for phase in 0..scripts[0].len() {
-            for script in &scripts {
-                let line = &script[phase];
-                let mut outcome = service.handle_line(line);
-                let mut budget = 8u32;
-                while outcome.dropped && budget > 0 {
-                    retries += 1;
-                    budget -= 1;
-                    outcome = service.handle_line(line);
-                }
-                let reply = outcome.line();
-                if !reply.contains("\"ok\":true") {
-                    eprintln!("session harness failed on: {line}\n  reply: {reply}");
-                    std::process::exit(1);
-                }
-                responses.push_str(&reply);
-                responses.push('\n');
-            }
+        let interleaved: Vec<&String> = (0..scripts[0].len())
+            .flat_map(|phase| scripts.iter().map(move |script| &script[phase]))
+            .collect();
+        let result = greenness_serve::run_replay(config, &interleaved);
+        let (responses, retries, m) = (result.responses, result.retries, result.registry);
+        let failed = interleaved
+            .iter()
+            .zip(responses.lines())
+            .find(|(_, reply)| !reply.contains("\"ok\":true"));
+        if let Some((line, reply)) = failed {
+            eprintln!("session harness failed on: {line}\n  reply: {reply}");
+            std::process::exit(1);
         }
         if retries > 0 {
             eprintln!(
@@ -891,7 +883,6 @@ fn cmd_bench_serve(mut args: Args) {
             }
             None => print!("{responses}"),
         }
-        let m = service.metrics_clone();
         if let Some(path) = &metrics_out {
             std::fs::write(path, m.to_json()).expect("write metrics snapshot");
             eprintln!("wrote {path}");

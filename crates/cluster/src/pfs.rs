@@ -8,7 +8,7 @@
 //! disks — emerges from the composition, which is exactly the future-work
 //! question the paper poses about file systems.
 
-use greenness_faults::{FaultPlan, Site};
+use greenness_faults::{fnv1a64, FaultPlan, Site};
 use greenness_platform::{Activity, HardwareSpec, Node, Phase, SimTime};
 use greenness_storage::{FileSystem, FsConfig, FsError, MemBlockDevice};
 
@@ -109,12 +109,7 @@ impl ParallelFs {
     /// Round-robin starting server for a file, so small files distribute
     /// across servers instead of all landing on server 0.
     fn start_server(&self, name: &str) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        (h % self.servers.len() as u64) as usize
+        (fnv1a64(name.as_bytes()) % self.servers.len() as u64) as usize
     }
 
     /// Map a server filesystem error into a cluster diagnostic. `NoSpace`

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use greenness_faults::{FaultInjector, FaultPlan, Site};
 use greenness_serve::json::Json;
 use greenness_serve::protocol::{self, ErrorCode, Request};
-use greenness_serve::{Disposition, LineHandler, Next, Service, ServiceConfig};
+use greenness_serve::{Disposition, LineHandler, Next, Outcome, Service, ServiceConfig};
 use greenness_trace::hash::blake2s256;
 use greenness_trace::MetricsRegistry;
 
@@ -35,6 +35,9 @@ use crate::ring::{Ring, DEFAULT_VNODES};
 /// replicas (and filling them). Three warm reads is the classic "this is a
 /// dashboard, not a one-off" signal.
 pub const DEFAULT_HOT_THRESHOLD: u64 = 3;
+
+const NO_LIVE_SHARDS: &str = "no live shards";
+const BUDGET_EXHAUSTED: &str = "connection dropped; retry budget exhausted";
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -295,11 +298,7 @@ impl Fleet {
             let live = state.live_count();
             if live == 0 {
                 drop(state);
-                self.count("fleet.err", 1);
-                return router_reply(
-                    protocol::error_line(&req.id, ErrorCode::Internal, "no live shards"),
-                    Disposition::Error,
-                );
+                return self.fail(&req, NO_LIVE_SHARDS, 0, events);
             }
             let k_eff = self.config.replicas.clamp(1, live);
             let candidates = state.ring.replicas(&req.cache_key, k_eff);
@@ -326,35 +325,11 @@ impl Fleet {
             self.count("fleet.replica.reads", 1);
         }
 
-        // Serve, rerouting past injected connection drops.
-        let budget = self.config.faults.map_or(0, |plan| plan.max_retries);
-        let mut reroutes = 0u32;
-        let mut at = first;
-        let outcome = loop {
-            let outcome = services[at].handle_line(line);
-            if outcome.disposition != Disposition::Dropped {
-                break Some((at, outcome));
-            }
-            if reroutes >= budget {
-                break None;
-            }
-            reroutes += 1;
-            self.count("retries.fleet.reroute", 1);
-            at = (at + 1) % services.len();
-        };
-        let Some((served_at, outcome)) = outcome else {
-            self.count("fleet.err", 1);
-            return FleetOutcome {
-                reroutes,
-                ..router_reply(
-                    protocol::error_line(
-                        &req.id,
-                        ErrorCode::Internal,
-                        "connection dropped; retry budget exhausted",
-                    ),
-                    Disposition::Error,
-                )
-            };
+        // Serve, rerouting to the next candidate past injected drops.
+        let (reroutes, served) =
+            self.serve_past_drops(&req, &services, first, "retries.fleet.reroute");
+        let Some((served_at, outcome)) = served else {
+            return self.fail(&req, BUDGET_EXHAUSTED, reroutes, events);
         };
         let shard = candidates[served_at];
 
@@ -414,7 +389,7 @@ impl Fleet {
     ///
     /// * **Connection drop inside the home shard** — the shard applies the
     ///   op *before* its drop fault fires, so the router simply retries the
-    ///   same line on the same shard and the engine answers from its seq
+    ///   same request on the same shard and the engine answers from its seq
     ///   replay log (`retries.fleet.session.resume`).
     /// * **Home shard churned away** — the session re-homes to the ring's
     ///   current owner for its key and the acked-op log is replayed into
@@ -436,14 +411,7 @@ impl Fleet {
             let state = lock(&self.state);
             if state.live_count() == 0 {
                 drop(state);
-                self.count("fleet.err", 1);
-                return FleetOutcome {
-                    events,
-                    ..router_reply(
-                        protocol::error_line(&req.id, ErrorCode::Internal, "no live shards"),
-                        Disposition::Error,
-                    )
-                };
+                return self.fail(req, NO_LIVE_SHARDS, 0, events);
             }
             match state.sessions.get(&session) {
                 Some(h)
@@ -464,18 +432,7 @@ impl Fleet {
                     let state = lock(&self.state);
                     let Some(shard) = state.ring.route(&key) else {
                         drop(state);
-                        self.count("fleet.err", 1);
-                        return FleetOutcome {
-                            events,
-                            ..router_reply(
-                                protocol::error_line(
-                                    &req.id,
-                                    ErrorCode::Internal,
-                                    "no live shards",
-                                ),
-                                Disposition::Error,
-                            )
-                        };
+                        return self.fail(req, NO_LIVE_SHARDS, 0, events);
                     };
                     (shard, Arc::clone(&state.services[shard as usize]))
                 };
@@ -498,34 +455,12 @@ impl Fleet {
             }
         };
 
-        // Serve on the pinned shard, resuming through injected drops.
-        let budget = self.config.faults.map_or(0, |plan| plan.max_retries);
-        let mut retries = 0u32;
-        let outcome = loop {
-            let outcome = service.handle_line(line);
-            if outcome.disposition != Disposition::Dropped {
-                break Some(outcome);
-            }
-            if retries >= budget {
-                break None;
-            }
-            retries += 1;
-            self.count("retries.fleet.session.resume", 1);
-        };
-        let Some(outcome) = outcome else {
-            self.count("fleet.err", 1);
-            return FleetOutcome {
-                reroutes: retries,
-                events,
-                ..router_reply(
-                    protocol::error_line(
-                        &req.id,
-                        ErrorCode::Internal,
-                        "connection dropped; retry budget exhausted",
-                    ),
-                    Disposition::Error,
-                )
-            };
+        // Serve on the pinned shard, resuming in place through injected drops.
+        let pinned = std::slice::from_ref(&service);
+        let (retries, served) =
+            self.serve_past_drops(req, pinned, 0, "retries.fleet.session.resume");
+        let Some((_, outcome)) = served else {
+            return self.fail(req, BUDGET_EXHAUSTED, retries, events);
         };
 
         if outcome.disposition == Disposition::Session {
@@ -555,6 +490,54 @@ impl Fleet {
             reroutes: retries,
             shutdown: false,
             events,
+        }
+    }
+
+    /// Hand `req` to `services[first]` and, for as long as a shard's injected
+    /// connection drop eats the reply and the plan's retry budget lasts, to
+    /// the next one round-robin (a one-shard list retries in place), counting
+    /// each extra hop under `retry_counter`. Returns the hops taken and, unless
+    /// the budget ran out, which service answered with what.
+    fn serve_past_drops(
+        &self,
+        req: &Request,
+        services: &[Arc<Service>],
+        first: usize,
+        retry_counter: &'static str,
+    ) -> (u32, Option<(usize, Outcome)>) {
+        let budget = self.config.faults.map_or(0, |plan| plan.max_retries);
+        let mut hops = 0u32;
+        let mut at = first;
+        loop {
+            let outcome = services[at].handle(req);
+            if outcome.disposition != Disposition::Dropped {
+                return (hops, Some((at, outcome)));
+            }
+            if hops >= budget {
+                return (hops, None);
+            }
+            hops += 1;
+            self.count(retry_counter, 1);
+            at = (at + 1) % services.len();
+        }
+    }
+
+    /// The router's own `internal` error reply, counted under `fleet.err`.
+    fn fail(
+        &self,
+        req: &Request,
+        message: &str,
+        reroutes: u32,
+        events: Vec<ChurnEvent>,
+    ) -> FleetOutcome {
+        self.count("fleet.err", 1);
+        FleetOutcome {
+            reroutes,
+            events,
+            ..router_reply(
+                protocol::error_line(&req.id, ErrorCode::Internal, message),
+                Disposition::Error,
+            )
         }
     }
 
@@ -735,6 +718,68 @@ mod tests {
         assert!(shed.line.contains("shutting_down"), "{}", shed.line);
         let warm = fleet.handle_line(&line(r#""id":1,"op":"advisor","params":{}"#));
         assert!(warm.line.contains("\"ok\":true"), "{}", warm.line);
+    }
+
+    #[test]
+    fn malformed_lines_are_refused_at_the_router_and_counted() {
+        let fleet = Fleet::new(FleetConfig::default());
+        // Not JSON at all, then the number forms `f64::from_str` takes and
+        // JSON forbids.
+        for params in [
+            "{",
+            "{\"bytes\":01}",
+            "{\"x\":1.}",
+            "{\"x\":-.5}",
+            "{\"x\":1.e5}",
+        ] {
+            let out =
+                fleet.handle_line(&line(&format!(r#""id":1,"op":"whatif","params":{params}"#)));
+            assert!(
+                out.line.contains("\"code\":\"bad_request\""),
+                "{}",
+                out.line
+            );
+            assert!(out.line.contains("malformed JSON"), "{}", out.line);
+            assert_eq!((out.shard, out.disposition), (None, Disposition::Error));
+        }
+        let m = fleet.metrics_clone();
+        assert_eq!(m.counter("fleet.bad_request"), 5);
+        assert_eq!(m.counter("fleet.requests"), 0, "no shard saw them");
+        for (_, shard) in fleet.shard_metrics() {
+            assert_eq!(shard.to_json(), MetricsRegistry::default().to_json());
+        }
+    }
+
+    #[test]
+    fn an_exhausted_retry_budget_still_reports_the_churn_it_saw() {
+        // Every shard drops every reply and every request churns: each ends
+        // in the router's own error, and the kill or rejoin applied on the
+        // way must still reach the caller's ledger.
+        let fleet = Fleet::new(FleetConfig {
+            faults: Some(FaultPlan {
+                serve_drop_rate: 1.0,
+                fleet_churn_rate: 1.0,
+                max_retries: 1,
+                ..FaultPlan::quiet(5)
+            }),
+            ..FleetConfig::default()
+        });
+        let mut events = 0;
+        for id in 0..12 {
+            let out =
+                fleet.handle_line(&line(&format!(r#""id":{id},"op":"advisor","params":{{}}"#)));
+            assert!(out.line.contains(BUDGET_EXHAUSTED), "{}", out.line);
+            assert_eq!(out.reroutes, 1);
+            events += out.events.len() as u64;
+        }
+        let m = fleet.metrics_clone();
+        assert!(events > 0);
+        assert_eq!(
+            events,
+            m.counter("fleet.shard.lost") + m.counter("fleet.shard.joined")
+        );
+        assert_eq!(m.counter("fleet.err"), 12);
+        assert_eq!(m.counter("retries.fleet.reroute"), 12);
     }
 
     #[test]

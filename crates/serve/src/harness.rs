@@ -61,6 +61,8 @@ pub struct ReplayOutput {
     pub responses: String,
     /// The service metrics as a `greenness-metrics/v1` file.
     pub metrics: String,
+    /// The registry behind `metrics`, for callers that read counters.
+    pub registry: greenness_trace::MetricsRegistry,
     /// Requests re-driven after an injected connection drop (0 without a
     /// fault schedule).
     pub retries: u64,
@@ -72,7 +74,7 @@ pub struct ReplayOutput {
 /// With a fault schedule in `config`, a dropped request is retried like a
 /// reconnecting client would, so the response log converges to one line per
 /// request and stays byte-identical for a fixed fault seed.
-pub fn run_replay(config: ServiceConfig, requests: &[String]) -> ReplayOutput {
+pub fn run_replay(config: ServiceConfig, requests: &[impl AsRef<str>]) -> ReplayOutput {
     let service = Service::new(config);
     let budget = config.faults.map_or(0, |plan| plan.max_retries);
     let mut responses = String::new();
@@ -80,7 +82,7 @@ pub fn run_replay(config: ServiceConfig, requests: &[String]) -> ReplayOutput {
     for request in requests {
         let mut attempt = 0u32;
         let line = loop {
-            let outcome = service.handle_line(request);
+            let outcome = service.handle_line(request.as_ref());
             if !outcome.dropped {
                 break outcome.line();
             }
@@ -97,10 +99,12 @@ pub fn run_replay(config: ServiceConfig, requests: &[String]) -> ReplayOutput {
         responses.push_str(&line);
         responses.push('\n');
     }
-    let metrics = metrics_file_json(&[("serve".to_string(), service.metrics_clone())]);
+    let registry = service.metrics_clone();
+    let metrics = metrics_file_json(&[("serve".to_string(), registry.clone())]);
     ReplayOutput {
         responses,
         metrics,
+        registry,
         retries,
     }
 }

@@ -1,424 +1,6 @@
-//! Nested JSON for the serve protocol.
-//!
-//! The trace crate's scanner handles only flat objects (all the journal
-//! needs); requests carry nested `params`, so the serve layer brings its own
-//! recursive-descent parser plus a **canonical** serializer used for content
-//! addressing: object keys sorted bytewise, numbers normalized through
-//! `f64` round-trip formatting (`1e3`, `1000` and `1000.0` all canonicalize
-//! to `1000.0`), strings re-escaped minimally. Two requests that differ only
-//! in key order, whitespace, or number spelling therefore hash identically.
+//! Nested JSON for the serve protocol: the owned [`Json`] tree and its
+//! canonical (content-addressing) serialization live in
+//! `greenness_trace::json`, beside the journal scanner and on the same
+//! lexer; this module only keeps their `greenness_serve::json` path.
 
-use greenness_trace::fmt_f64;
-use std::fmt::{self, Write};
-
-/// Parser recursion limit; a request nested deeper than this is rejected
-/// rather than allowed to exhaust the connection thread's stack.
-const MAX_DEPTH: usize = 64;
-
-/// A parsed JSON value. Numbers keep their raw source token so integer
-/// callers (`as_u64`) lose no precision; canonicalization is where the
-/// float normalization happens.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Raw number token, e.g. `"42"` or `"1.5e3"`.
-    Num(String),
-    /// Decoded string contents.
-    Str(String),
-    /// Array of values.
-    Arr(Vec<Json>),
-    /// Object members in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse one JSON document (trailing garbage is an error).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut i = skip_ws(bytes, 0);
-        let (value, next) = parse_value(bytes, i, 0)?;
-        i = skip_ws(bytes, next);
-        if i != bytes.len() {
-            return Err(format!("trailing garbage at byte {i}"));
-        }
-        Ok(value)
-    }
-
-    /// Object member lookup (first match; `None` on non-objects).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Number as `u64` (integral tokens only).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// Number as `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// Boolean value, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Serialize preserving source member order (used to echo request ids).
-    pub fn to_string_raw(&self) -> String {
-        let mut out = String::new();
-        let _ = write_value(self, false, &mut out);
-        out
-    }
-
-    /// Canonical serialization: sorted object keys, normalized numbers.
-    /// This is the content-addressing pre-image.
-    pub fn to_canonical(&self) -> String {
-        let mut out = String::new();
-        let _ = self.write_canonical(&mut out);
-        out
-    }
-
-    /// Stream the canonical serialization into any [`fmt::Write`] sink —
-    /// the content-addressing path writes straight into the hasher with no
-    /// intermediate `String`.
-    pub fn write_canonical<W: Write>(&self, out: &mut W) -> fmt::Result {
-        write_value(self, true, out)
-    }
-}
-
-/// Stream the canonical form of an object with the given members (an
-/// already-filtered view, e.g. minus non-semantic keys) into `out`, without
-/// cloning the members into a temporary [`Json::Obj`].
-pub fn write_canonical_object<W: Write>(members: &[&(String, Json)], out: &mut W) -> fmt::Result {
-    let mut sorted: Vec<&(String, Json)> = members.to_vec();
-    sorted.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
-    out.write_char('{')?;
-    for (i, (k, val)) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        out.write_char('"')?;
-        write_escaped(k, out)?;
-        out.write_str("\":")?;
-        write_value(val, true, out)?;
-    }
-    out.write_char('}')
-}
-
-/// Streaming equivalent of `greenness_trace::escape_json`: identical output
-/// bytes, no intermediate allocation. Runs of plain characters are emitted
-/// as one `write_str` per run instead of char-at-a-time.
-fn write_escaped<W: Write>(s: &str, out: &mut W) -> fmt::Result {
-    let needs_escape = |c: char| matches!(c, '"' | '\\') || (c as u32) < 0x20;
-    let mut rest = s;
-    while let Some(pos) = rest.find(needs_escape) {
-        out.write_str(&rest[..pos])?;
-        let Some(c) = rest[pos..].chars().next() else {
-            // Unreachable: `pos` indexes a match inside `rest`. Fall through
-            // to emit the remainder unescaped rather than panic a worker.
-            break;
-        };
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c => write!(out, "\\u{:04x}", c as u32)?,
-        }
-        rest = &rest[pos + c.len_utf8()..];
-    }
-    out.write_str(rest)
-}
-
-fn write_value<W: Write>(v: &Json, canonical: bool, out: &mut W) -> fmt::Result {
-    match v {
-        Json::Null => out.write_str("null"),
-        Json::Bool(true) => out.write_str("true"),
-        Json::Bool(false) => out.write_str("false"),
-        Json::Num(raw) => {
-            if canonical {
-                let f: f64 = raw.parse().unwrap_or(f64::NAN);
-                out.write_str(&fmt_f64(f))
-            } else {
-                out.write_str(raw)
-            }
-        }
-        Json::Str(s) => {
-            out.write_char('"')?;
-            write_escaped(s, out)?;
-            out.write_char('"')
-        }
-        Json::Arr(items) => {
-            out.write_char('[')?;
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
-                }
-                write_value(item, canonical, out)?;
-            }
-            out.write_char(']')
-        }
-        Json::Obj(members) => {
-            if canonical {
-                let refs: Vec<&(String, Json)> = members.iter().collect();
-                write_canonical_object(&refs, out)
-            } else {
-                out.write_char('{')?;
-                for (i, (k, val)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    out.write_char('"')?;
-                    write_escaped(k, out)?;
-                    out.write_str("\":")?;
-                    write_value(val, canonical, out)?;
-                }
-                out.write_char('}')
-            }
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], mut i: usize) -> usize {
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    i
-}
-
-fn parse_value(bytes: &[u8], i: usize, depth: usize) -> Result<(Json, usize), String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
-    }
-    match bytes.get(i) {
-        Some(b'{') => parse_object(bytes, i, depth),
-        Some(b'[') => parse_array(bytes, i, depth),
-        Some(b'"') => {
-            let (s, next) = parse_string(bytes, i)?;
-            Ok((Json::Str(s), next))
-        }
-        Some(b't') if bytes[i..].starts_with(b"true") => Ok((Json::Bool(true), i + 4)),
-        Some(b'f') if bytes[i..].starts_with(b"false") => Ok((Json::Bool(false), i + 5)),
-        Some(b'n') if bytes[i..].starts_with(b"null") => Ok((Json::Null, i + 4)),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let mut j = i + 1;
-            while j < bytes.len()
-                && (bytes[j].is_ascii_digit()
-                    || matches!(bytes[j], b'+' | b'-' | b'.' | b'e' | b'E'))
-            {
-                j += 1;
-            }
-            // The scan above only admits ASCII bytes, so this cannot fail;
-            // report a parse error rather than panic if it somehow does.
-            let Ok(raw) = std::str::from_utf8(&bytes[i..j]) else {
-                return Err(format!("malformed number at byte {i}"));
-            };
-            if raw.parse::<f64>().is_err() {
-                return Err(format!("malformed number '{raw}' at byte {i}"));
-            }
-            Ok((Json::Num(raw.to_string()), j))
-        }
-        _ => Err(format!("unexpected value at byte {i}")),
-    }
-}
-
-fn parse_object(bytes: &[u8], mut i: usize, depth: usize) -> Result<(Json, usize), String> {
-    i = skip_ws(bytes, i + 1);
-    let mut members = Vec::new();
-    if bytes.get(i) == Some(&b'}') {
-        return Ok((Json::Obj(members), i + 1));
-    }
-    loop {
-        let (key, next) = parse_string(bytes, i)?;
-        i = skip_ws(bytes, next);
-        if bytes.get(i) != Some(&b':') {
-            return Err(format!("expected ':' at byte {i}"));
-        }
-        i = skip_ws(bytes, i + 1);
-        let (value, next) = parse_value(bytes, i, depth + 1)?;
-        members.push((key, value));
-        i = skip_ws(bytes, next);
-        match bytes.get(i) {
-            Some(b',') => i = skip_ws(bytes, i + 1),
-            Some(b'}') => return Ok((Json::Obj(members), i + 1)),
-            _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], mut i: usize, depth: usize) -> Result<(Json, usize), String> {
-    i = skip_ws(bytes, i + 1);
-    let mut items = Vec::new();
-    if bytes.get(i) == Some(&b']') {
-        return Ok((Json::Arr(items), i + 1));
-    }
-    loop {
-        let (value, next) = parse_value(bytes, i, depth + 1)?;
-        items.push(value);
-        i = skip_ws(bytes, next);
-        match bytes.get(i) {
-            Some(b',') => i = skip_ws(bytes, i + 1),
-            Some(b']') => return Ok((Json::Arr(items), i + 1)),
-            _ => return Err(format!("expected ',' or ']' at byte {i}")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], mut i: usize) -> Result<(String, usize), String> {
-    if bytes.get(i) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {i}"));
-    }
-    i += 1;
-    let mut s = String::new();
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Ok((s, i + 1)),
-            b'\\' => {
-                i += 1;
-                match bytes.get(i) {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'b') => s.push('\u{8}'),
-                    Some(b'f') => s.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(i + 1..i + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {i}"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {i}"))?;
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        i += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {i}")),
-                }
-                i += 1;
-            }
-            _ => {
-                let rest = std::str::from_utf8(&bytes[i..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {i}"))?;
-                let c = rest.chars().next().ok_or("truncated string")?;
-                s.push(c);
-                i += c.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn nested_documents_round_trip() {
-        let text =
-            r#"{"op":"sweep","params":{"cases":[1,2,3],"scale":"small"},"flag":true,"x":null}"#;
-        let v = Json::parse(text).expect("parses");
-        assert_eq!(v.get("op").and_then(Json::as_str), Some("sweep"));
-        let cases = v
-            .get("params")
-            .and_then(|p| p.get("cases"))
-            .and_then(Json::as_arr)
-            .expect("array");
-        assert_eq!(
-            cases.iter().filter_map(Json::as_u64).collect::<Vec<_>>(),
-            [1, 2, 3]
-        );
-        assert_eq!(v.to_string_raw(), text);
-    }
-
-    #[test]
-    fn canonical_sorts_keys_and_normalizes_numbers() {
-        let a = Json::parse(r#"{"b":1000, "a":{"y":2, "x":1e3}}"#).unwrap();
-        let b = Json::parse(r#"{"a":{"x":1000.0,"y":2.0},"b":1.0e3}"#).unwrap();
-        assert_eq!(a.to_canonical(), b.to_canonical());
-        assert_eq!(a.to_canonical(), r#"{"a":{"x":1000.0,"y":2.0},"b":1000.0}"#);
-    }
-
-    #[test]
-    fn malformed_input_is_rejected() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "{\"a\":1} extra", "nul", "1..2"] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} accepted");
-        }
-    }
-
-    #[test]
-    fn streamed_escaping_matches_the_allocating_escape() {
-        for s in [
-            "",
-            "plain",
-            "with \"quotes\" and \\slashes\\",
-            "line\nbreaks\tand\rreturns",
-            "control \u{1} \u{1f} edge",
-            "unicode → snowman ☃ and emoji 🦀",
-            "\"\\\n\u{0}",
-        ] {
-            let mut streamed = String::new();
-            write_escaped(s, &mut streamed).expect("write to String");
-            assert_eq!(streamed, greenness_trace::escape_json(s), "{s:?}");
-        }
-    }
-
-    #[test]
-    fn canonical_streaming_into_a_hasher_matches_the_string_path() {
-        let doc = Json::parse(
-            r#"{"op":"sweep","params":{"cases":[1,2,3],"txt":"a\"b\\c\nd","z":1e3},"id":7}"#,
-        )
-        .expect("parses");
-        let via_string = crate::hash::blake2s256(doc.to_canonical().as_bytes());
-        let mut hasher = crate::hash::Blake2s256::default();
-        doc.write_canonical(&mut hasher).expect("stream");
-        assert_eq!(hasher.finalize(), via_string);
-    }
-
-    #[test]
-    fn deep_nesting_is_bounded() {
-        let mut deep = String::new();
-        for _ in 0..200 {
-            deep.push('[');
-        }
-        deep.push('1');
-        for _ in 0..200 {
-            deep.push(']');
-        }
-        assert!(Json::parse(&deep).is_err());
-    }
-}
+pub use greenness_trace::json::{write_canonical_object, Json};

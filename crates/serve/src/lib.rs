@@ -6,8 +6,9 @@
 //! request, cache the serialized result, and answer repeats without
 //! recomputing. This crate provides the whole stack:
 //!
-//! * [`json`] — nested JSON parsing plus the canonical serialization used
-//!   as the content-addressing pre-image (sorted keys, normalized numbers);
+//! * [`json`] — the nested JSON tree and the canonical serialization used
+//!   as the content-addressing pre-image (sorted keys, normalized numbers),
+//!   re-exported from `greenness_trace::json`, the workspace's one lexer;
 //! * [`hash`] — BLAKE2s-256 (RFC 7693), implemented in-repo;
 //! * [`cache`] — a byte-budgeted strict-LRU result cache with hit / miss /
 //!   eviction / rejection counters;

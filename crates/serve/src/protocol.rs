@@ -244,6 +244,31 @@ mod tests {
     }
 
     #[test]
+    fn number_spellings_share_a_cache_key_and_ids_echo_their_source_token() {
+        let request = |id: &str, bytes: &str| {
+            let line = format!(
+                r#"{{"schema":"greenness-serve/v1","id":{id},"op":"whatif","params":{{"bytes":{bytes}}}}}"#
+            );
+            parse_request(&line).expect("parses")
+        };
+        let spelled = [
+            request("1e3", "1e3"),
+            request("1000", "1000"),
+            request("1000.0", "1000.0"),
+        ];
+        assert_eq!(spelled[0].cache_key, spelled[1].cache_key);
+        assert_eq!(spelled[0].cache_key, spelled[2].cache_key);
+        let ids: Vec<&str> = spelled.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids, ["1e3", "1000", "1000.0"]);
+        assert_eq!(request("-0.50E+01", "1").id, "-0.50E+01");
+        assert_eq!(
+            request(r#""a\u0041\/""#, "1").id,
+            r#""aA/""#,
+            "strings re-escape"
+        );
+    }
+
+    #[test]
     fn different_params_change_the_cache_key() {
         let a = parse_request(r#"{"schema":"greenness-serve/v1","op":"run","params":{"case":1}}"#)
             .unwrap();

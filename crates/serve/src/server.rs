@@ -20,6 +20,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::protocol::{self, ErrorCode};
 use crate::service::{Service, ServiceConfig};
 
 /// How long a connection thread blocks in `read` before re-checking the
@@ -27,6 +28,10 @@ use crate::service::{Service, ServiceConfig};
 const READ_TICK: Duration = Duration::from_millis(50);
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
+/// The longest request line a connection buffers: one that has grown past
+/// this without a newline is answered with a single `bad_request` and a
+/// hang-up, so a connection holds at most this plus one read chunk.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// What the connection loop does once a request line has been handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,9 +190,13 @@ fn connection_loop(mut stream: TcpStream, service: &impl LineHandler, stop: &Ato
         match stream.read(&mut chunk) {
             Ok(0) => return, // client hung up
             Ok(n) => {
+                // Whatever was already pending held no newline when it
+                // arrived: only the new bytes need searching.
+                let mut searched = pending.len();
                 pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
+                while let Some(pos) = pending[searched..].iter().position(|&b| b == b'\n') {
+                    let line: Vec<u8> = pending.drain(..=searched + pos).collect();
+                    searched = 0;
                     let text = String::from_utf8_lossy(&line[..line.len() - 1]);
                     let trimmed = text.trim();
                     if trimmed.is_empty() {
@@ -202,6 +211,12 @@ fn connection_loop(mut stream: TcpStream, service: &impl LineHandler, stop: &Ato
                         }
                         Ok(Next::HangUp) | Err(_) => return,
                     }
+                }
+                if pending.len() > MAX_LINE_BYTES {
+                    let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                    let reply = protocol::error_line("null", ErrorCode::BadRequest, &message);
+                    let _ = stream.write_all(format!("{reply}\n").as_bytes());
+                    return;
                 }
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {

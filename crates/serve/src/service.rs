@@ -220,13 +220,19 @@ impl Service {
 
     /// Handle one request line and produce one response line.
     pub fn handle_line(&self, line: &str) -> Outcome {
-        let req = match protocol::parse_request(line) {
-            Ok(req) => req,
+        match protocol::parse_request(line) {
+            Ok(req) => self.handle(&req),
             Err((id, msg)) => {
                 self.count("serve.bad_request");
-                return Outcome::reply(protocol::error_line(&id, ErrorCode::BadRequest, &msg));
+                Outcome::reply(protocol::error_line(&id, ErrorCode::BadRequest, &msg))
             }
-        };
+        }
+    }
+
+    /// Handle one parsed request. The fleet router calls this with the
+    /// `Request` it routed by, so a line is parsed and hashed once between
+    /// socket and op handler.
+    pub fn handle(&self, req: &Request) -> Outcome {
         // Control ops bypass cache, admission, the request counters, and
         // fault injection, so that observing the service never perturbs
         // what is observed.
@@ -258,7 +264,7 @@ impl Service {
         // drain flag before mutating anything, and take their fault-schedule
         // slot only *after* the op committed (see `handle_steer`).
         if req.op.starts_with("steer.") {
-            return self.handle_steer(&req);
+            return self.handle_steer(req);
         }
         // The fault schedule fires before any request accounting: a dropped
         // connection never handled the request, so only the fault counter
@@ -321,7 +327,7 @@ impl Service {
             }
         };
 
-        match self.execute(&req) {
+        match self.execute(req) {
             Ok((result, virtual_s)) => {
                 self.count("serve.ok");
                 if virtual_s > 0.0 {
@@ -1002,6 +1008,12 @@ mod tests {
                 "bad_request",
             ),
             (r#""op":"sweep","params":{"cases":[]}"#, "bad_request"),
+            // Numbers `f64::from_str` takes and JSON forbids: malformed lines
+            // now, where they used to reach the op.
+            (r#""op":"whatif","params":{"bytes":01}"#, "bad_request"),
+            (r#""op":"advisor","params":{"passes":1.}"#, "bad_request"),
+            (r#""op":"advisor","params":{"x":-.5}"#, "bad_request"),
+            (r#""op":"advisor","params":{"x":1.e5}"#, "bad_request"),
         ] {
             let out = s.handle_line(&line(body));
             let doc = Json::parse(&out.line()).expect("error response parses");
@@ -1017,6 +1029,7 @@ mod tests {
         // Errors are never cached: the same bad request misses twice.
         let m = s.metrics_clone();
         assert_eq!(m.counter("serve.cache.hits"), 0);
+        assert_eq!(m.counter("serve.bad_request"), 4, "the malformed lines");
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! `Timeline::phase_energy`, and audits span nesting and timestamp
 //! monotonicity — a built-in consistency check on the measurement path.
 //!
+//! The [`json`] module is the workspace's one JSON lexer: the journal's
+//! borrowed line scanner and the serve protocol's owned request tree share
+//! its string, number and whitespace rules.
+//!
 //! The crate is dependency-free and sits at the bottom of the workspace
 //! stack so every other crate can emit into it. Timestamps are integer
 //! nanoseconds of virtual time (the same representation as
@@ -27,7 +31,7 @@
 //! byte-identical across `--jobs` values.
 
 pub mod hash;
-mod json;
+pub mod json;
 mod metrics;
 mod sink;
 pub mod summarize;

@@ -3,7 +3,7 @@
 use std::fmt::Write;
 use std::sync::{Arc, Mutex};
 
-use crate::json::{push_escaped, push_f64};
+use crate::json::{push_escaped, push_f64, INFALLIBLE};
 
 /// A field value attached to a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +102,6 @@ impl TraceEvent {
     /// The one place an event becomes JSON: it renders in place, with no
     /// intermediate string per event, field or value.
     fn write_jsonl(&self, buf: &mut String) {
-        const INFALLIBLE: &str = "a String accepts every write";
         let (ev, name) = (self.kind.label(), self.name);
         write!(
             buf,
@@ -117,10 +116,10 @@ impl TraceEvent {
             match v {
                 Value::U64(v) => write!(buf, "{v}").expect(INFALLIBLE),
                 Value::I64(v) => write!(buf, "{v}").expect(INFALLIBLE),
-                Value::F64(v) => push_f64(buf, *v),
+                Value::F64(v) => push_f64(buf, *v).expect(INFALLIBLE),
                 Value::Str(s) => {
                     buf.push('"');
-                    push_escaped(buf, s);
+                    push_escaped(buf, s).expect(INFALLIBLE);
                     buf.push('"');
                 }
                 Value::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),

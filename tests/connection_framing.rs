@@ -4,7 +4,8 @@
 //!
 //! The loop owns newline framing, and that is all this file checks: however
 //! the bytes of a request stream are split across `write`s, every non-blank
-//! line gets exactly one reply line, in order, and a `shutdown` op drains.
+//! line gets exactly one reply line, in order, a line may be long but not
+//! unbounded, and a `shutdown` op drains.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -33,7 +34,19 @@ struct Case {
 fn cases() -> Vec<Case> {
     let (a, b) = (whatif(1), whatif(2));
     let (head, tail) = a.split_at(a.len() / 2);
+    // Under the line cap, so served: buffering and parsing it must be linear
+    // (it was quadratic twice over — the reply took longer than `drive`'s
+    // read timeout behind the fleet).
+    let long = a.replace(
+        "{\"bytes\"",
+        &format!("{{\"pad\":\"{}\",\"bytes\"", "x".repeat(900 << 10)),
+    );
     vec![
+        Case {
+            name: "a 900 KiB line is served",
+            writes: vec![format!("{long}\n").into_bytes()],
+            replies: vec![vec!["\"id\":1,", "\"ok\":true"]],
+        },
         Case {
             name: "request split across two writes",
             writes: vec![head.as_bytes().to_vec(), format!("{tail}\n").into_bytes()],
@@ -93,6 +106,34 @@ fn drive(front: &str, addr: &str, case: &Case) {
     );
 }
 
+/// A line that outgrows the loop's cap without a newline is refused once,
+/// with a structured error, and the connection is closed on it.
+fn oversized_line_is_refused(front: &str, addr: &str) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    // The server hangs up about half way through, so the tail of this write
+    // may fail; what matters is what it said first.
+    let _ = stream.write_all(&vec![b'a'; 2 << 20]);
+    let mut lines = BufReader::new(stream).lines();
+    let reply = lines.next().expect("a reply line").expect("read");
+    for needle in [
+        "\"id\":null,",
+        "\"code\":\"bad_request\"",
+        "request line exceeds 1048576 bytes",
+    ] {
+        assert!(reply.contains(needle), "{front}: {needle} not in {reply}");
+    }
+    // Then end of stream (or a reset, the blob's tail being unread): never
+    // a second line.
+    let after = lines.next();
+    assert!(
+        !matches!(after, Some(Ok(_))),
+        "{front}: extra line {after:?}"
+    );
+}
+
 /// A `shutdown` op is acked on the wire and stops the listener: the caller
 /// goes on to `join`, which must return.
 fn shutdown_over_the_wire(front: &str, addr: &str) {
@@ -118,6 +159,8 @@ fn framing_is_identical_behind_both_front_ends() {
         ("fleet", fleet.addr().to_string()),
     ];
     for (front, addr) in &fronts {
+        oversized_line_is_refused(front, addr);
+        // A fresh connection after the refusal is served like any other.
         for case in cases() {
             drive(front, addr, &case);
         }

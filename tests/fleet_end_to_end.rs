@@ -50,6 +50,41 @@ fn fleet_replay_is_byte_identical_across_jobs_under_faults() {
     );
 }
 
+/// The router hands each shard the `Request` it already parsed instead of
+/// the line. A shard's fault slot is taken per request handled, not per
+/// parse, so every shard must still see the same arrivals, hits and injected
+/// drops: these counter blocks were recorded on the tree where shards parsed
+/// for themselves (`bench-serve --replay --shards 4 --requests 400 --universe
+/// 32 --ring-seed 7 --fault-seed 7 --shard-metrics-out`).
+#[test]
+fn shards_count_the_same_requests_hits_and_drops_as_when_they_parsed_their_own() {
+    let out = run_fleet_replay(
+        FleetConfig {
+            jobs: 1,
+            ring_seed: 7,
+            faults: Some(FaultPlan::with_seed(7)),
+            ..FleetConfig::default()
+        },
+        &fleet_workload(400, 32, 1.1, 7),
+        20_000.0,
+    );
+    let recorded = [
+        r#"{"faults.serve.conn":3,"faults.serve.handler":3,"serve.cache.hits":36,"serve.cache.misses":5,"serve.ok":5,"serve.requests":41}"#,
+        r#"{"faults.serve.conn":2,"serve.cache.hits":4,"serve.cache.misses":4,"serve.ok":4,"serve.requests":8}"#,
+        r#"{"faults.serve.conn":10,"faults.serve.handler":5,"serve.cache.hits":53,"serve.cache.misses":6,"serve.ok":6,"serve.requests":59}"#,
+        r#"{"faults.serve.conn":9,"faults.serve.handler":4,"serve.cache.hits":41,"serve.cache.misses":6,"serve.ok":6,"serve.requests":47}"#,
+    ];
+    for (shard, counters) in recorded.iter().enumerate() {
+        let block =
+            format!("{{\"label\": \"shard/{shard}\", \"metrics\": {{\"counters\":{counters},");
+        assert!(
+            out.shard_metrics.contains(&block),
+            "shard {shard}: want {counters} in\n{}",
+            out.shard_metrics
+        );
+    }
+}
+
 #[test]
 fn fleet_replay_is_byte_identical_across_shard_counts() {
     // The fault-free, eviction-free regime: same ring seed, same workload —

@@ -18,11 +18,15 @@
 //! 4. A resolution adjustment whose pixel count is over the cap, or
 //!    overflows `usize`, is refused as a structured `bad_request` before
 //!    anything is sized from it, and the session carries on.
+//! 5. A shard handed the router's parsed `Request` behaves exactly like a
+//!    shard handed the line — steering ops (fault slot *after* the commit)
+//!    and stateless ops (fault slot before) alike.
 
 use greenness_core::steering::Adjustment;
 use greenness_faults::FaultPlan;
-use greenness_fleet::{Fleet, FleetConfig};
-use greenness_serve::{Service, ServiceConfig, SCHEMA};
+use greenness_fleet::{fleet_workload, Fleet, FleetConfig};
+use greenness_serve::protocol::parse_request;
+use greenness_serve::{replay_workload, Service, ServiceConfig, SCHEMA};
 use greenness_steer::{AttachSpec, EngineConfig, SessionEngine};
 
 /// The scripted session: attach, three adjust/render rounds, a mid-session
@@ -262,4 +266,37 @@ fn oversized_resolution_is_a_structured_error_and_the_session_stays_usable() {
         frame.contains("\"ok\":true") && frame.contains("48x32"),
         "{frame}"
     );
+}
+
+#[test]
+fn a_parsed_request_is_handled_exactly_like_its_line() {
+    let workloads = [
+        replay_workload(40),
+        fleet_workload(400, 32, 1.1, 7),
+        script("twin"),
+    ];
+    for faults in [None, Some(FaultPlan::with_seed(7))] {
+        for lines in &workloads {
+            let config = ServiceConfig {
+                jobs: 1,
+                faults,
+                ..ServiceConfig::default()
+            };
+            let (by_line, by_request) = (Service::new(config), Service::new(config));
+            for line in lines {
+                let a = by_line.handle_line(line);
+                let b = by_request.handle(&parse_request(line).expect("well-formed"));
+                assert_eq!(a.line(), b.line(), "{line}");
+                assert_eq!(
+                    (a.dropped, a.disposition, a.shutdown, a.virtual_s.to_bits()),
+                    (b.dropped, b.disposition, b.shutdown, b.virtual_s.to_bits()),
+                    "{line}"
+                );
+            }
+            assert_eq!(
+                by_line.metrics_clone().to_json(),
+                by_request.metrics_clone().to_json()
+            );
+        }
+    }
 }
