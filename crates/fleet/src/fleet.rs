@@ -250,19 +250,21 @@ impl Fleet {
         lock(&self.metrics).incr(name, by);
     }
 
+    /// Count one refused line under `fleet.bad_request` and spell its reply.
+    fn bad_request(&self, id: &str, message: &str) -> String {
+        self.count("fleet.bad_request", 1);
+        protocol::error_line(id, ErrorCode::BadRequest, message)
+    }
+
     /// Route one request line through the fleet and produce one response.
     pub fn handle_line(&self, line: &str) -> FleetOutcome {
         let req = match protocol::parse_request(line) {
             Ok(req) => req,
             Err((id, msg)) => {
-                self.count("fleet.bad_request", 1);
-                return router_reply(
-                    protocol::error_line(&id, ErrorCode::BadRequest, &msg),
-                    Disposition::Error,
-                );
+                return router_reply(self.bad_request(&id, &msg), Disposition::Error);
             }
         };
-        match req.op.as_str() {
+        match req.op.as_ref() {
             "metrics" => {
                 self.count("fleet.control", 1);
                 let body = lock(&self.metrics).to_json();
@@ -293,7 +295,9 @@ impl Fleet {
         let events = self.apply_churn();
 
         self.count("fleet.requests", 1);
-        let (candidates, first, services) = {
+        // One visit to the topology per request: candidates, their services,
+        // and the access count before (`c`) and so after (`c + 1`) this one.
+        let (candidates, first, services, hot) = {
             let mut state = lock(&self.state);
             let live = state.live_count();
             if live == 0 {
@@ -319,7 +323,8 @@ impl Fleet {
                 .iter()
                 .map(|&s| Arc::clone(&state.services[s as usize]))
                 .collect();
-            (candidates, first, services)
+            let hot = c + 1 >= self.config.hot_threshold;
+            (candidates, first, services, hot)
         };
         if first != 0 {
             self.count("fleet.replica.reads", 1);
@@ -350,23 +355,16 @@ impl Fleet {
 
         // Replicate hot payloads: once a key crosses the threshold, every
         // candidate carries it, so spread reads hit warm caches.
-        if matches!(outcome.disposition, Disposition::Hit | Disposition::Miss) {
-            let c_after = {
-                let state = lock(&self.state);
-                state.access.get(&req.cache_key).copied().unwrap_or(0)
-            };
-            if c_after >= self.config.hot_threshold {
-                if let Some(payload) = outcome.response.payload() {
-                    let mut fills = 0u64;
-                    for (i, service) in services.iter().enumerate() {
-                        if i != served_at && service.cache_fill(req.cache_key, Arc::clone(payload))
-                        {
-                            fills += 1;
-                        }
+        if hot && matches!(outcome.disposition, Disposition::Hit | Disposition::Miss) {
+            if let Some(payload) = outcome.response.payload() {
+                let mut fills = 0u64;
+                for (i, service) in services.iter().enumerate() {
+                    if i != served_at && service.cache_fill(req.cache_key, Arc::clone(payload)) {
+                        fills += 1;
                     }
-                    if fills > 0 {
-                        self.count("fleet.replica.fills", fills);
-                    }
+                }
+                if fills > 0 {
+                    self.count("fleet.replica.fills", fills);
                 }
             }
         }
@@ -399,7 +397,7 @@ impl Fleet {
         let events = self.apply_churn();
         self.count("fleet.requests", 1);
         let session = req
-            .params
+            .params()
             .get("session")
             .and_then(Json::as_str)
             .unwrap_or("")
@@ -618,6 +616,10 @@ impl LineHandler for Fleet {
         } else {
             Next::Continue
         })
+    }
+
+    fn refuse(&self, message: &str) -> String {
+        self.bad_request("null", message)
     }
 
     fn drain(&self) {

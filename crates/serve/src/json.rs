@@ -3,4 +3,6 @@
 //! `greenness_trace::json`, beside the journal scanner and on the same
 //! lexer; this module only keeps their `greenness_serve::json` path.
 
-pub use greenness_trace::json::{write_canonical_object, Json};
+pub use greenness_trace::json::{
+    object_spans, string_span, write_canonical_object, write_canonical_spans, Json, SpanMember,
+};

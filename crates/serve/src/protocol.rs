@@ -1,10 +1,10 @@
 //! The `greenness-serve/v1` wire protocol: newline-delimited JSON.
 //!
 //! Request: `{"schema":"greenness-serve/v1","id":1,"op":"compare",
-//! "params":{...},"deadline_ms":2000}`. `id` (any scalar) and `deadline_ms`
-//! are **non-semantic**: they are echoed / enforced but stripped before the
-//! request is canonicalized and hashed, so retries with fresh ids still hit
-//! the cache.
+//! "params":{...},"deadline_ms":2000}`. `id` (null, a number or a string) and
+//! `deadline_ms` are **non-semantic**: they are echoed / enforced but
+//! stripped before the request is canonicalized and hashed, so retries with
+//! fresh ids still hit the cache.
 //!
 //! Response envelopes — deliberately WITHOUT any cached/fresh marker, so a
 //! repeated request is answered byte-identically whether it hit the cache
@@ -14,10 +14,13 @@
 //! * error: `{"schema":"greenness-serve/v1","id":1,"ok":false,
 //!           "error":{"code":"overloaded","message":"..."}}`
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
+
 use greenness_trace::escape_json;
 
-use crate::hash::Blake2s256;
-use crate::json::Json;
+use crate::hash::blake2s256;
+use crate::json::{self, Json, SpanMember};
 
 /// The protocol schema tag, required on every request.
 pub const SCHEMA: &str = "greenness-serve/v1";
@@ -50,16 +53,20 @@ impl ErrorCode {
     }
 }
 
-/// A parsed, validated request line.
+/// A parsed, validated request line, borrowing from it: a warm hit reads
+/// `id`, `op` and `cache_key` and never builds the parameter tree.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub struct Request<'a> {
     /// The raw JSON of the client's `id`, echoed verbatim (`"null"` when
-    /// absent).
-    pub id: String,
+    /// absent): its source token, re-escaped only when that is a string
+    /// holding an escape or a control byte.
+    pub id: Cow<'a, str>,
     /// The operation name.
-    pub op: String,
-    /// The op's parameter object (empty object when absent).
-    pub params: Json,
+    pub op: Cow<'a, str>,
+    /// The validated source text of the op's parameter object (`{}` when
+    /// absent), and the tree [`Request::params`] parses from it on first use.
+    params_src: &'a str,
+    params: OnceCell<Json>,
     /// Queueing deadline, milliseconds.
     pub deadline_ms: Option<u64>,
     /// Content address: BLAKE2s-256 of the canonical request minus the
@@ -67,63 +74,82 @@ pub struct Request {
     pub cache_key: [u8; 32],
 }
 
+impl Request<'_> {
+    /// The op's parameter object (empty when absent), parsed at most once
+    /// and only when an op executes — a miss or a `steer.*` op.
+    pub fn params(&self) -> &Json {
+        self.params
+            .get_or_init(|| Json::parse(self.params_src).unwrap_or(Json::Obj(Vec::new())))
+    }
+}
+
+/// The span of the first member under `key`.
+fn first<'a>(members: &[SpanMember<'a>], key: &str) -> Option<&'a str> {
+    members
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, span)| *span)
+}
+
 /// Parse one request line. On error, returns the best-effort echoed id and
 /// a message for a `bad_request` reply.
-pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
+pub fn parse_request(line: &str) -> Result<Request<'_>, (String, String)> {
     let no_id = || "null".to_string();
-    let doc = Json::parse(line).map_err(|e| (no_id(), format!("malformed JSON: {e}")))?;
-    let members = match &doc {
-        Json::Obj(members) => members,
-        _ => return Err((no_id(), "request must be a JSON object".to_string())),
+    let mut members = match json::object_spans(line) {
+        Ok(Some(members)) => members,
+        Ok(None) => return Err((no_id(), "request must be a JSON object".to_string())),
+        Err(e) => return Err((no_id(), format!("malformed JSON: {e}"))),
     };
-    let id = doc.get("id").map_or_else(no_id, Json::to_string_raw);
-    match doc.get("id") {
-        None | Some(Json::Null | Json::Num(_) | Json::Str(_)) => {}
-        Some(_) => {
-            return Err((no_id(), "id must be a scalar".to_string()));
-        }
-    }
-    let err = |msg: &str| (id.clone(), msg.to_string());
-    match doc.get("schema").and_then(Json::as_str) {
+    let id = match first(&members, "id") {
+        None => Cow::Borrowed("null"),
+        Some(span) => match span.as_bytes().first() {
+            Some(b'n' | b'-' | b'0'..=b'9') => Cow::Borrowed(span),
+            // An escape-free string is its own minimal escaping.
+            Some(b'"') if !span.bytes().any(|b| b == b'\\' || b < 0x20) => Cow::Borrowed(span),
+            Some(b'"') => {
+                let decoded = json::string_span(span).unwrap_or_default();
+                Cow::Owned(format!("\"{}\"", escape_json(&decoded)))
+            }
+            _ => return Err((no_id(), "id must be a scalar".to_string())),
+        },
+    };
+    let err = |msg: &str| (id.to_string(), msg.to_string());
+    match first(&members, "schema").and_then(json::string_span) {
         Some(s) if s == SCHEMA => {}
         Some(s) => return Err(err(&format!("unsupported schema '{s}' (want {SCHEMA})"))),
         None => return Err(err(&format!("missing schema (want \"{SCHEMA}\")"))),
     }
-    let op = doc
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| err("missing op"))?
-        .to_string();
-    let params = match doc.get("params") {
-        None => Json::Obj(Vec::new()),
-        Some(p @ Json::Obj(_)) => p.clone(),
+    let op = first(&members, "op")
+        .and_then(json::string_span)
+        .ok_or_else(|| err("missing op"))?;
+    let params_src = match first(&members, "params") {
+        None => "{}",
+        Some(span) if span.starts_with('{') => span,
         Some(_) => return Err(err("params must be an object")),
     };
-    let deadline_ms = match doc.get("deadline_ms") {
+    let deadline_ms = match first(&members, "deadline_ms") {
         None => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or_else(|| err("deadline_ms must be a non-negative integer"))?,
+        // A number span is its token; no other span parses as a `u64`.
+        Some(span) => Some(
+            span.parse()
+                .map_err(|_| err("deadline_ms must be a non-negative integer"))?,
         ),
     };
-    // Single pass: canonicalize the semantic members (everything but the
-    // non-semantic `id` / `deadline_ms`) straight into the hasher — no
-    // cloned Json tree, no intermediate canonical String.
-    let semantic: Vec<&(String, Json)> = members
-        .iter()
-        .filter(|(k, _)| k != "id" && k != "deadline_ms")
-        .collect();
-    let mut hasher = Blake2s256::default();
-    // Infallible: the hasher's `fmt::Write` never errors, so the canonical
-    // serialization cannot fail — ignore the `fmt::Result` plumbing.
-    let _ = crate::json::write_canonical_object(&semantic, &mut hasher);
-    let cache_key = hasher.finalize();
+    // Canonicalize the semantic members (everything but the non-semantic
+    // `id` / `deadline_ms`) from their source spans into one buffer, and
+    // hash it in one shot.
+    members.retain(|(k, _)| k != "id" && k != "deadline_ms");
+    let mut canonical = String::with_capacity(line.len() + 16);
+    // Infallible: a `String` takes every write and `object_spans` validated
+    // every span — ignore the `fmt::Result` plumbing.
+    let _ = json::write_canonical_spans(&mut members, &mut canonical);
     Ok(Request {
         id,
         op,
-        params,
+        params_src,
+        params: OnceCell::new(),
         deadline_ms,
-        cache_key,
+        cache_key: blake2s256(canonical.as_bytes()),
     })
 }
 
@@ -222,6 +248,80 @@ pub fn error_line(id: &str, code: ErrorCode, message: &str) -> String {
     )
 }
 
+/// `parse_request` as it was before it borrowed from the line, verbatim: one
+/// owned `Json` tree per line, the envelope read off it, the canonical form
+/// streamed into the hasher from the tree. The oracle for the differential
+/// tests below.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::SCHEMA;
+    use crate::hash::Blake2s256;
+    use crate::json::Json;
+
+    /// A parsed, validated request line.
+    #[derive(Debug, Clone)]
+    pub struct Request {
+        pub id: String,
+        pub op: String,
+        pub params: Json,
+        pub deadline_ms: Option<u64>,
+        pub cache_key: [u8; 32],
+    }
+
+    pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
+        let no_id = || "null".to_string();
+        let doc = Json::parse(line).map_err(|e| (no_id(), format!("malformed JSON: {e}")))?;
+        let members = match &doc {
+            Json::Obj(members) => members,
+            _ => return Err((no_id(), "request must be a JSON object".to_string())),
+        };
+        let id = doc.get("id").map_or_else(no_id, Json::to_string_raw);
+        match doc.get("id") {
+            None | Some(Json::Null | Json::Num(_) | Json::Str(_)) => {}
+            Some(_) => {
+                return Err((no_id(), "id must be a scalar".to_string()));
+            }
+        }
+        let err = |msg: &str| (id.clone(), msg.to_string());
+        match doc.get("schema").and_then(Json::as_str) {
+            Some(s) if s == SCHEMA => {}
+            Some(s) => return Err(err(&format!("unsupported schema '{s}' (want {SCHEMA})"))),
+            None => return Err(err(&format!("missing schema (want \"{SCHEMA}\")"))),
+        }
+        let op = doc
+            .get("op")
+            .and_then(Json::as_str)
+            .ok_or_else(|| err("missing op"))?
+            .to_string();
+        let params = match doc.get("params") {
+            None => Json::Obj(Vec::new()),
+            Some(p @ Json::Obj(_)) => p.clone(),
+            Some(_) => return Err(err("params must be an object")),
+        };
+        let deadline_ms = match doc.get("deadline_ms") {
+            None => None,
+            Some(v) => Some(
+                v.as_u64()
+                    .ok_or_else(|| err("deadline_ms must be a non-negative integer"))?,
+            ),
+        };
+        let semantic: Vec<&(String, Json)> = members
+            .iter()
+            .filter(|(k, _)| k != "id" && k != "deadline_ms")
+            .collect();
+        let mut hasher = Blake2s256::default();
+        let _ = crate::json::write_canonical_object(&semantic, &mut hasher);
+        let cache_key = hasher.finalize();
+        Ok(Request {
+            id,
+            op,
+            params,
+            deadline_ms,
+            cache_key,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,27 +345,46 @@ mod tests {
 
     #[test]
     fn number_spellings_share_a_cache_key_and_ids_echo_their_source_token() {
+        // The echoed id and the cache key of a `whatif` spelled this way.
         let request = |id: &str, bytes: &str| {
             let line = format!(
                 r#"{{"schema":"greenness-serve/v1","id":{id},"op":"whatif","params":{{"bytes":{bytes}}}}}"#
             );
-            parse_request(&line).expect("parses")
+            let request = parse_request(&line).expect("parses");
+            (request.id.into_owned(), request.cache_key)
         };
         let spelled = [
             request("1e3", "1e3"),
             request("1000", "1000"),
             request("1000.0", "1000.0"),
         ];
-        assert_eq!(spelled[0].cache_key, spelled[1].cache_key);
-        assert_eq!(spelled[0].cache_key, spelled[2].cache_key);
-        let ids: Vec<&str> = spelled.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(spelled[0].1, spelled[1].1);
+        assert_eq!(spelled[0].1, spelled[2].1);
+        let ids: Vec<&str> = spelled.iter().map(|(id, _)| id.as_str()).collect();
         assert_eq!(ids, ["1e3", "1000", "1000.0"]);
-        assert_eq!(request("-0.50E+01", "1").id, "-0.50E+01");
+        assert_eq!(request("-0.50E+01", "1").0, "-0.50E+01");
         assert_eq!(
-            request(r#""a\u0041\/""#, "1").id,
+            request(r#""a\u0041\/""#, "1").0,
             r#""aA/""#,
             "strings re-escape"
         );
+        // A raw control byte is re-escaped too; anything else echoes as sent.
+        assert_eq!(request("\"a\tb\"", "1").0, r#""a\tb""#);
+        assert_eq!(request(r#""é 🔥 /""#, "1").0, r#""é 🔥 /""#);
+    }
+
+    #[test]
+    fn a_warm_hit_never_builds_the_parameter_tree() {
+        let line = r#"{"schema":"greenness-serve/v1","id":"a","op":"run","params":{"case":2}}"#;
+        let request = parse_request(line).expect("parses");
+        assert!(request.params.get().is_none(), "parsed before any op ran");
+        // `id` and `op` are slices of the line, not copies.
+        assert!(matches!(request.id, Cow::Borrowed("\"a\"")));
+        assert!(matches!(request.op, Cow::Borrowed("run")));
+        assert_eq!(request.params().get("case").and_then(Json::as_u64), Some(2));
+        assert!(std::ptr::eq(request.params(), request.params()), "one tree");
+        let bare = parse_request(r#"{"schema":"greenness-serve/v1","op":"run"}"#).expect("parses");
+        assert_eq!(bare.params(), &Json::Obj(Vec::new()));
     }
 
     #[test]
@@ -316,6 +435,179 @@ mod tests {
         assert_eq!(wire, whole.to_line().into_bytes());
     }
 
+    /// New parser against the retained one on one line: the same request
+    /// (echoed id, op, deadline, cache key, parameter tree) or the same
+    /// refusal (echoed id, message).
+    fn assert_matches_reference(line: &str) {
+        match (parse_request(line), reference::parse_request(line)) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new.id, old.id, "{line:?}");
+                assert_eq!(new.op, old.op, "{line:?}");
+                assert_eq!(new.deadline_ms, old.deadline_ms, "{line:?}");
+                assert_eq!(new.cache_key, old.cache_key, "{line:?}");
+                assert_eq!(new.params(), &old.params, "{line:?}");
+            }
+            (Err(new), Err(old)) => assert_eq!(new, old, "{line:?}"),
+            (new, old) => panic!("{line:?}: {new:?} vs {old:?}"),
+        }
+    }
+
+    /// `select` over one member's spellings: `common` four times as likely
+    /// each, so that most generated lines get past the envelope checks.
+    fn member(
+        common: &[&'static str],
+        rare: &[&'static str],
+    ) -> prop::sample::Select<&'static str> {
+        let mut options = rare.to_vec();
+        for _ in 0..4 {
+            options.extend_from_slice(common);
+        }
+        prop::sample::select(options)
+    }
+
+    /// A request line as a client might spell it: the five envelope members
+    /// (each sometimes absent, mistyped, escaped, or under an escaped key),
+    /// unknown and repeated members, in any order, with optional whitespace.
+    fn arb_line() -> impl Strategy<Value = String> {
+        let schema = member(
+            &[r#""schema":"greenness-serve/v1""#],
+            &[
+                "",
+                r#""schema":"greenness-serve\/v1""#,
+                r#""sch\u0065ma":"greenness-serve/v1""#,
+                r#""schema":"greenness-serve/v2""#,
+                r#""schema":7"#,
+            ],
+        );
+        let id = member(
+            &["", r#""id":1"#, r#""id":"retry-99""#],
+            &[
+                r#""id":1e3"#,
+                r#""id":-0.50E+01"#,
+                r#""id":null"#,
+                r#""id":"a\u0041\/\"""#,
+                "\"id\":\"tab\there\"",
+                r#""id":"é🔥""#,
+                r#""i\u0064":"escaped key""#,
+                r#""id":true"#,
+                r#""id":[1]"#,
+                r#""id":{"a":1}"#,
+            ],
+        );
+        let op = member(
+            &[r#""op":"run""#, r#""op":"advisor""#],
+            &[
+                "",
+                r#""op":"ste\u0065r.attach""#,
+                r#""op":"o\"p""#,
+                r#""\u006fp":"whatif""#,
+                r#""op":5"#,
+                r#""op":null"#,
+            ],
+        );
+        let params = member(
+            &[
+                "",
+                r#""params":{}"#,
+                r#""params":{"case":2}"#,
+                r#""params":{"bytes":1e3,"device":"hdd"}"#,
+                r#""params":{"device":"hdd","bytes":1000.0}"#,
+                r#""params":{"bytes":1000,"device":"hdd"}"#,
+            ],
+            &[
+                r#""params":{"b":1,"a":{"y":[1,2,{"z":null,"k":[]}],"x":"s\n"}}"#,
+                r#""params":{"a":1,"a":2,"A":[true,false]}"#,
+                r#""params":{"k\u0065y":true,"key":"\u00e9\ud83d\udd25"}"#,
+                r#""params":{"n":9007199254740993,"m":123456789012345,"o":1234567890123456,"f":-0.0,"e":1E+5,"big":1e999,"z":0}"#,
+                r#""params":{"range":[0.0,0.3],"cases":[1,2,3]}"#,
+                r#""params":[1]"#,
+                r#""params":"str""#,
+                r#""params":{"bytes":01}"#,
+                r#""p\u0061rams":{"case":3}"#,
+            ],
+        );
+        let deadline = member(
+            &["", r#""deadline_ms":50"#],
+            &[
+                r#""deadline_ms":0"#,
+                r#""deadline_ms":-1"#,
+                r#""deadline_ms":1.5"#,
+                r#""deadline_ms":"5""#,
+                r#""deadline_ms":18446744073709551616"#,
+            ],
+        );
+        let extra = prop::sample::select(vec![
+            "",
+            "",
+            r#""extra":[1,{"q":"x"}]"#,
+            r#""zz":{"q":1e0}"#,
+            r#""id":2"#,
+            r#""op":"compare""#,
+            r#""params":{"case":3}"#,
+            r#""schema":"other""#,
+            r#""deadline_ms":7"#,
+        ]);
+        let pad = prop::sample::select(vec!["", "", "", " ", "\t", " \r"]);
+        ((schema, id, op, params, deadline, extra), 0usize..6, pad).prop_map(
+            |((schema, id, op, params, deadline, extra), rotate, pad)| {
+                let mut members: Vec<&str> = [schema, id, op, params, deadline, extra]
+                    .into_iter()
+                    .filter(|m| !m.is_empty())
+                    .collect();
+                let len = members.len().max(1);
+                members.rotate_left(rotate % len);
+                let body = members.join(&format!("{pad},{pad}"));
+                format!("{pad}{{{pad}{body}{pad}}}{pad}")
+            },
+        )
+    }
+
+    #[test]
+    fn hostile_lines_are_refused_like_the_reference_refuses_them() {
+        let line = |params: &str| {
+            format!(r#"{{"schema":"greenness-serve/v1","id":1,"op":"run","params":{params}}}"#)
+        };
+        // A member of `params` sits at depth 2: 62 more levels are within the
+        // cap, 63 are one too many, for arrays and objects alike.
+        let arrays = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for nested in [arrays, objects] {
+            let ok = line(&format!("{{\"x\":{}}}", nested(62)));
+            assert!(parse_request(&ok).is_ok());
+            assert_matches_reference(&ok);
+            for depth in [63, 64, 100_000] {
+                let deep = line(&format!("{{\"x\":{}}}", nested(depth)));
+                let (id, message) = parse_request(&deep).expect_err("too deep");
+                assert_eq!(id, "null");
+                assert_eq!(message, "malformed JSON: nesting deeper than 64 levels");
+                assert_matches_reference(&deep);
+            }
+        }
+        for number in ["01", "1.", "-.5", "1.e5"] {
+            let bad = line(&format!("{{\"x\":{number}}}"));
+            let (_, message) = parse_request(&bad).expect_err("not a JSON number");
+            assert!(message.starts_with("malformed JSON: "), "{message}");
+            assert_matches_reference(&bad);
+        }
+        // 1 MiB strings, plain and all escapes, wherever a string can sit.
+        for pad in ["x".repeat(1 << 20), "\\n".repeat(1 << 19)] {
+            let start = std::time::Instant::now();
+            for long in [
+                line(&format!("{{\"pad\":\"{pad}\"}}")),
+                line(&format!("{{\"{pad}\":1}}")),
+                line("{}").replace("\"id\":1", &format!("\"id\":\"{pad}\"")),
+                line("{}").replace("\"run\"", &format!("\"{pad}\"")),
+                line("{}").replace("\"id\":1", &format!("\"{pad}\":[]")),
+            ] {
+                assert!(long.len() > 1 << 20);
+                assert!(parse_request(&long).is_ok());
+                assert_matches_reference(&long);
+            }
+            let elapsed = start.elapsed();
+            assert!(elapsed.as_secs() < 5, "5 MiB took {elapsed:?}");
+        }
+    }
+
     /// Build a request JSON string with the given member order.
     fn request_with_order(pairs: &[(String, u64)], rotate: usize) -> String {
         let mut members: Vec<String> = pairs.iter().map(|(k, v)| format!("\"p{k}\":{v}")).collect();
@@ -328,7 +620,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+        #![proptest_config(ProptestConfig::with_cases(2000))]
 
         #[test]
         fn cache_key_is_stable_under_member_reordering(
@@ -347,6 +639,24 @@ mod tests {
             let a = parse_request(&natural).expect("natural parses");
             let b = parse_request(&shuffled).expect("shuffled parses");
             prop_assert_eq!(a.cache_key, b.cache_key);
+        }
+
+        /// The borrowed parser against the retained owned one, on generated
+        /// lines and on each truncated or with one character overwritten.
+        #[test]
+        fn borrowed_parse_matches_the_owned_reference(
+            line in arb_line(),
+            cut in 0.0..1.0f64,
+            garble in prop::sample::select(vec![
+                '"', '\\', ',', ':', '}', '{', '[', ']', 'e', '-', '0', '9', '.', ' ', 'é', 'u',
+            ]),
+        ) {
+            assert_matches_reference(&line);
+            let mut chars: Vec<char> = line.chars().collect();
+            let at = (cut * chars.len() as f64) as usize;
+            assert_matches_reference(&chars[..at].iter().collect::<String>());
+            chars[at] = garble;
+            assert_matches_reference(&chars.into_iter().collect::<String>());
         }
 
         #[test]

@@ -20,7 +20,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::protocol::{self, ErrorCode};
 use crate::service::{Service, ServiceConfig};
 
 /// How long a connection thread blocks in `read` before re-checking the
@@ -52,6 +51,11 @@ pub trait LineHandler: Send + Sync + 'static {
     /// newline-terminated reply to `out` (nothing for [`Next::HangUp`]).
     fn answer(&self, line: &str, out: &mut impl Write) -> io::Result<Next>;
 
+    /// Refuse input that never became a request line (the loop's line cap):
+    /// count it as a bad request and return the `bad_request` reply line,
+    /// without its newline.
+    fn refuse(&self, message: &str) -> String;
+
     /// Begin draining: turn queued and new requests away, let in-flight
     /// ones finish.
     fn drain(&self);
@@ -72,6 +76,10 @@ impl LineHandler for Service {
         } else {
             Next::Continue
         })
+    }
+
+    fn refuse(&self, message: &str) -> String {
+        self.bad_request("null", message)
     }
 
     fn drain(&self) {
@@ -213,8 +221,8 @@ fn connection_loop(mut stream: TcpStream, service: &impl LineHandler, stop: &Ato
                     }
                 }
                 if pending.len() > MAX_LINE_BYTES {
-                    let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-                    let reply = protocol::error_line("null", ErrorCode::BadRequest, &message);
+                    let reply =
+                        service.refuse(&format!("request line exceeds {MAX_LINE_BYTES} bytes"));
                     let _ = stream.write_all(format!("{reply}\n").as_bytes());
                     return;
                 }

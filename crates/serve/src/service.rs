@@ -222,11 +222,14 @@ impl Service {
     pub fn handle_line(&self, line: &str) -> Outcome {
         match protocol::parse_request(line) {
             Ok(req) => self.handle(&req),
-            Err((id, msg)) => {
-                self.count("serve.bad_request");
-                Outcome::reply(protocol::error_line(&id, ErrorCode::BadRequest, &msg))
-            }
+            Err((id, msg)) => Outcome::reply(self.bad_request(&id, &msg)),
         }
+    }
+
+    /// Count one refused line under `serve.bad_request` and spell its reply.
+    pub(crate) fn bad_request(&self, id: &str, message: &str) -> String {
+        self.count("serve.bad_request");
+        protocol::error_line(id, ErrorCode::BadRequest, message)
     }
 
     /// Handle one parsed request. The fleet router calls this with the
@@ -236,7 +239,7 @@ impl Service {
         // Control ops bypass cache, admission, the request counters, and
         // fault injection, so that observing the service never perturbs
         // what is observed.
-        match req.op.as_str() {
+        match req.op.as_ref() {
             "metrics" => {
                 let body = lock(&self.metrics).to_json();
                 return Outcome {
@@ -374,7 +377,7 @@ impl Service {
     ///    double-applying.
     fn handle_steer(&self, req: &Request) -> Outcome {
         let session = req
-            .params
+            .params()
             .get("session")
             .and_then(Json::as_str)
             .unwrap_or("")
@@ -434,10 +437,10 @@ impl Service {
         if session.is_empty() {
             return Err(bad("session must be a non-empty string"));
         }
-        let params = &req.params;
+        let params = req.params();
         let mut engine = lock(&self.steer);
         let before = engine.counters();
-        let result = match req.op.as_str() {
+        let result = match req.op.as_ref() {
             "steer.attach" => {
                 let mut spec = AttachSpec::default();
                 if let Some(v) = params.get("interval") {
@@ -543,12 +546,12 @@ impl Service {
     /// Dispatch to the op handler. Returns the serialized result plus the
     /// simulated seconds the computation covered.
     fn execute(&self, req: &Request) -> Result<(String, f64), (ErrorCode, String)> {
-        match req.op.as_str() {
-            "run" => op_run(&req.params),
-            "compare" => op_compare(&req.params),
-            "whatif" => op_whatif(&req.params),
-            "advisor" => op_advisor(&req.params),
-            "sweep" => op_sweep(&req.params, self.config.jobs),
+        match req.op.as_ref() {
+            "run" => op_run(req.params()),
+            "compare" => op_compare(req.params()),
+            "whatif" => op_whatif(req.params()),
+            "advisor" => op_advisor(req.params()),
+            "sweep" => op_sweep(req.params(), self.config.jobs),
             other => Err((
                 ErrorCode::BadRequest,
                 format!("unknown op '{other}' (expected run|compare|whatif|advisor|sweep|steer.attach|steer.adjust|steer.render|steer.detach|metrics|shutdown)"),

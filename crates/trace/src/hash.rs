@@ -100,22 +100,28 @@ pub fn blake2s256(data: &[u8]) -> [u8; 32] {
 
 /// Lowercase hex rendering of a digest.
 pub fn hex(digest: &[u8; 32]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(64);
     for b in digest {
-        s.push_str(&format!("{b:02x}"));
+        s.push(DIGITS[usize::from(b >> 4)] as char);
+        s.push(DIGITS[usize::from(b & 15)] as char);
     }
     s
 }
 
-fn g(v: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize, x: u32, y: u32) {
-    v[a] = v[a].wrapping_add(v[b]).wrapping_add(x);
-    v[d] = (v[d] ^ v[a]).rotate_right(16);
-    v[c] = v[c].wrapping_add(v[d]);
-    v[b] = (v[b] ^ v[c]).rotate_right(12);
-    v[a] = v[a].wrapping_add(v[b]).wrapping_add(y);
-    v[d] = (v[d] ^ v[a]).rotate_right(8);
-    v[c] = v[c].wrapping_add(v[d]);
-    v[b] = (v[b] ^ v[c]).rotate_right(7);
+/// The mixing function G (RFC 7693 §3.1) over four of the sixteen working
+/// words, which are locals so that a round keeps them in registers.
+macro_rules! g {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $x:expr, $y:expr) => {
+        $a = $a.wrapping_add($b).wrapping_add($x);
+        $d = ($d ^ $a).rotate_right(16);
+        $c = $c.wrapping_add($d);
+        $b = ($b ^ $c).rotate_right(12);
+        $a = $a.wrapping_add($b).wrapping_add($y);
+        $d = ($d ^ $a).rotate_right(8);
+        $c = $c.wrapping_add($d);
+        $b = ($b ^ $c).rotate_right(7);
+    };
 }
 
 fn compress(h: &mut [u32; 8], block: &[u8; 64], t: u64, last: bool) {
@@ -123,26 +129,50 @@ fn compress(h: &mut [u32; 8], block: &[u8; 64], t: u64, last: bool) {
     for (word, chunk) in m.iter_mut().zip(block.chunks_exact(4)) {
         *word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
     }
-    let mut v = [0u32; 16];
-    v[..8].copy_from_slice(h);
-    v[8..].copy_from_slice(&IV);
-    v[12] ^= t as u32;
-    v[13] ^= (t >> 32) as u32;
+    let [mut v0, mut v1, mut v2, mut v3, mut v4, mut v5, mut v6, mut v7] = *h;
+    let [mut v8, mut v9, mut v10, mut v11, mut v12, mut v13, mut v14, mut v15] = IV;
+    v12 ^= t as u32;
+    v13 ^= (t >> 32) as u32;
     if last {
-        v[14] ^= 0xFFFF_FFFF;
+        v14 ^= 0xFFFF_FFFF;
     }
-    for s in &SIGMA {
-        g(&mut v, 0, 4, 8, 12, m[s[0]], m[s[1]]);
-        g(&mut v, 1, 5, 9, 13, m[s[2]], m[s[3]]);
-        g(&mut v, 2, 6, 10, 14, m[s[4]], m[s[5]]);
-        g(&mut v, 3, 7, 11, 15, m[s[6]], m[s[7]]);
-        g(&mut v, 0, 5, 10, 15, m[s[8]], m[s[9]]);
-        g(&mut v, 1, 6, 11, 12, m[s[10]], m[s[11]]);
-        g(&mut v, 2, 7, 8, 13, m[s[12]], m[s[13]]);
-        g(&mut v, 3, 4, 9, 14, m[s[14]], m[s[15]]);
+    // One round per SIGMA row: columns, then diagonals. `SIGMA[r][i]` with
+    // constant `r` and `i` folds to a constant index into `m`.
+    macro_rules! round {
+        ($r:expr) => {
+            let s = &SIGMA[$r];
+            g!(v0, v4, v8, v12, m[s[0]], m[s[1]]);
+            g!(v1, v5, v9, v13, m[s[2]], m[s[3]]);
+            g!(v2, v6, v10, v14, m[s[4]], m[s[5]]);
+            g!(v3, v7, v11, v15, m[s[6]], m[s[7]]);
+            g!(v0, v5, v10, v15, m[s[8]], m[s[9]]);
+            g!(v1, v6, v11, v12, m[s[10]], m[s[11]]);
+            g!(v2, v7, v8, v13, m[s[12]], m[s[13]]);
+            g!(v3, v4, v9, v14, m[s[14]], m[s[15]]);
+        };
     }
-    for i in 0..8 {
-        h[i] ^= v[i] ^ v[i + 8];
+    round!(0);
+    round!(1);
+    round!(2);
+    round!(3);
+    round!(4);
+    round!(5);
+    round!(6);
+    round!(7);
+    round!(8);
+    round!(9);
+    let v = [
+        v0 ^ v8,
+        v1 ^ v9,
+        v2 ^ v10,
+        v3 ^ v11,
+        v4 ^ v12,
+        v5 ^ v13,
+        v6 ^ v14,
+        v7 ^ v15,
+    ];
+    for (word, mixed) in h.iter_mut().zip(v) {
+        *word ^= mixed;
     }
 }
 

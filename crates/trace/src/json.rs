@@ -12,9 +12,14 @@
 //!   only in key order, whitespace or number spelling hash identically.
 //!
 //! One scanner serving both would have to branch on its caller at every
-//! value; they share every token rule instead. Floats are formatted with
-//! `{:?}` (shortest round-trip), so a value survives emit → parse exactly —
-//! the property the 1e-9 J energy-reconstruction audit relies on.
+//! value; they share every token rule instead. A request line never needs the
+//! tree to be routed: [`object_spans`] validates it (over `skip_value`, the
+//! tree parser's walk minus the tree) into `(key, source span)` members, and
+//! [`write_canonical_spans`] canonicalizes those spans in one more pass; the
+//! tree writer shares its member loop and number rule and is its oracle.
+//! Floats are formatted with `{:?}` (shortest round-trip), so a value
+//! survives emit → parse exactly — the property the 1e-9 J
+//! energy-reconstruction audit relies on.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write};
@@ -173,7 +178,7 @@ impl Json {
     }
 
     /// The value opening at byte `i`, and the byte after it.
-    fn parse_at(text: &str, mut i: usize, depth: usize) -> Result<(Json, usize), String> {
+    fn parse_at(text: &str, i: usize, depth: usize) -> Result<(Json, usize), String> {
         if depth > MAX_DEPTH {
             return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
         }
@@ -188,20 +193,8 @@ impl Json {
             }
             Some(b'[') => {
                 let mut items = Vec::new();
-                i = skip_ws(bytes, i + 1);
-                if bytes.get(i) == Some(&b']') {
-                    return Ok((Json::Arr(items), i + 1));
-                }
-                loop {
-                    let (item, next) = nested(i)?;
-                    items.push(item);
-                    i = skip_ws(bytes, next);
-                    match bytes.get(i) {
-                        Some(b',') => i = skip_ws(bytes, i + 1),
-                        Some(b']') => return Ok((Json::Arr(items), i + 1)),
-                        _ => return Err(format!("expected ',' or ']' at byte {i}")),
-                    }
-                }
+                let next = scan_items(text, i, nested, |item| items.push(item))?;
+                Ok((Json::Arr(items), next))
             }
             _ => {
                 let (scalar, next) = scan_value(text, i)?;
@@ -306,7 +299,7 @@ impl Json {
                 out.write_char(']')
             }
             Json::Obj(members) if canonical => write_sorted(members.iter().collect(), out),
-            Json::Obj(members) => write_members(members.iter(), false, out),
+            Json::Obj(members) => write_members(members, out, |v, out| v.write(false, out)),
         }
     }
 }
@@ -321,22 +314,116 @@ pub fn write_canonical_object<W: Write>(members: &[&(String, Json)], out: &mut W
 /// `members` as a canonical object: keys in bytewise order.
 fn write_sorted<W: Write>(mut members: Vec<&(String, Json)>, out: &mut W) -> fmt::Result {
     members.sort_by(|a, b| a.0.cmp(&b.0));
-    write_members(members.into_iter(), true, out)
+    write_members(members, out, |v, out| v.write(true, out))
 }
 
-fn write_members<'a, W: Write>(
-    members: impl Iterator<Item = &'a (String, Json)>,
-    canonical: bool,
+/// One object member as [`object_spans`] reads it: the decoded key, and the
+/// slice of the source that spells the (validated) value.
+pub type SpanMember<'a> = (Cow<'a, str>, &'a str);
+
+/// What [`write_canonical_object`] streams for the same members parsed,
+/// appended to `out` from their source spans with no tree in between:
+/// `members` is stable-sorted by key in place (duplicates kept, as the tree
+/// writer keeps them). A span that does not spell exactly one JSON value is
+/// an `Err`, and leaves `out` unspecified.
+pub fn write_canonical_spans(members: &mut [SpanMember], out: &mut String) -> fmt::Result {
+    members.sort_by(|a, b| a.0.cmp(&b.0));
+    write_members(&*members, out, |span, out| {
+        match write_canonical_at(span, 0, 0, out) {
+            Ok(end) if end == span.len() => Ok(()),
+            _ => Err(fmt::Error),
+        }
+    })
+}
+
+/// Append the canonical form of the value opening at byte `at` to `out` and
+/// return the byte after it: one pass that validates as [`Json::parse`] does
+/// and writes what [`Json::write_canonical`] writes. An object's values are
+/// written as they are scanned and then put in key order, so however deep
+/// the nesting, every byte is scanned once.
+fn write_canonical_at(
+    text: &str,
+    at: usize,
+    depth: usize,
+    out: &mut String,
+) -> Result<usize, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+    }
+    match text.as_bytes().get(at) {
+        Some(b'{') => {
+            let base = out.len();
+            let mut members = Vec::new();
+            let value = |at| {
+                let start = out.len() - base;
+                let next = write_canonical_at(text, at, depth + 1, out)?;
+                Ok((start..out.len() - base, next))
+            };
+            let next = scan_members(text, at, value, |k, range| members.push((k, range)))?;
+            let values = out.split_off(base);
+            members.sort_by(|a, b| a.0.cmp(&b.0));
+            let value = |range: &std::ops::Range<usize>, out: &mut String| {
+                out.push_str(&values[range.clone()]);
+                Ok(())
+            };
+            write_members(&members, out, value).map_err(|e| e.to_string())?;
+            Ok(next)
+        }
+        Some(b'[') => {
+            out.push('[');
+            let mut separator = "";
+            let item = |at| {
+                out.push_str(separator);
+                separator = ",";
+                write_canonical_at(text, at, depth + 1, out).map(|next| ((), next))
+            };
+            let next = scan_items(text, at, item, |()| {})?;
+            out.push(']');
+            Ok(next)
+        }
+        _ => {
+            let (scalar, next) = scan_value(text, at)?;
+            let written = match scalar {
+                Scalar::Num(raw) => write_canonical_number(raw, out),
+                Scalar::Str(s) => write_quoted(&s, out),
+                Scalar::Bool(b) => out.write_str(if b { "true" } else { "false" }),
+                Scalar::Null => out.write_str("null"),
+            };
+            written.map_err(|e| e.to_string())?;
+            Ok(next)
+        }
+    }
+}
+
+/// A valid number token as `{:?}` prints the `f64` it parses to — what the
+/// tree writer does for every token. Up to fifteen plain digits are below
+/// 2^53, so exact in an `f64`, and below 1e16, where `{:?}` turns to
+/// exponent form: they print as themselves plus `.0`.
+fn write_canonical_number(token: &str, out: &mut String) -> fmt::Result {
+    if token.len() <= 15 && token.bytes().all(|b| b.is_ascii_digit()) {
+        out.push_str(token);
+        out.push_str(".0");
+        Ok(())
+    } else {
+        push_f64(out, token.parse().unwrap_or(f64::NAN))
+    }
+}
+
+/// `{"key":value,...}` over `members` in the order given, each value written
+/// by `value` — the member loop of the tree writer and of the span writer.
+fn write_members<'a, K: AsRef<str> + 'a, V: 'a, W: Write>(
+    members: impl IntoIterator<Item = &'a (K, V)>,
     out: &mut W,
+    mut value: impl FnMut(&'a V, &mut W) -> fmt::Result,
 ) -> fmt::Result {
     out.write_char('{')?;
-    for (i, (k, val)) in members.enumerate() {
+    for (i, (k, v)) in members.into_iter().enumerate() {
         if i > 0 {
             out.write_char(',')?;
         }
-        write_quoted(k, out)?;
+        write_quoted(k.as_ref(), out)?;
         out.write_char(':')?;
-        val.write(canonical, out)?;
+        value(v, out)?;
     }
     out.write_char('}')
 }
@@ -383,6 +470,76 @@ fn scan_members<'a, V>(
             _ => return Err(format!("expected ',' or '}}' at byte {i}")),
         }
     }
+}
+
+/// The items of the array opening at byte `i`, each read by `value` and
+/// handed to `item` in source order; returns the byte after the closing
+/// bracket.
+fn scan_items<V>(
+    text: &str,
+    mut i: usize,
+    mut value: impl FnMut(usize) -> Result<(V, usize), String>,
+    mut item: impl FnMut(V),
+) -> Result<usize, String> {
+    let bytes = text.as_bytes();
+    i = skip_ws(bytes, i + 1);
+    if bytes.get(i) == Some(&b']') {
+        return Ok(i + 1);
+    }
+    loop {
+        let (v, next) = value(i)?;
+        item(v);
+        i = skip_ws(bytes, next);
+        match bytes.get(i) {
+            Some(b',') => i = skip_ws(bytes, i + 1),
+            Some(b']') => return Ok(i + 1),
+            _ => return Err(format!("expected ',' or ']' at byte {i}")),
+        }
+    }
+}
+
+/// Validate the value opening at byte `i` and return the byte after it,
+/// building nothing: [`Json::parse`]'s walk — the same loops, depth cap,
+/// token rules, messages and byte offsets — minus the tree.
+fn skip_value(text: &str, i: usize, depth: usize) -> Result<usize, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+    }
+    let nested = |at| skip_value(text, at, depth + 1).map(|next| ((), next));
+    match text.as_bytes().get(i) {
+        Some(b'{') => scan_members(text, i, nested, |_, ()| {}),
+        Some(b'[') => scan_items(text, i, nested, |()| {}),
+        _ => scan_value(text, i).map(|(_, next)| next),
+    }
+}
+
+/// The members of the JSON document `text` in source order, each value
+/// validated and kept as the slice of `text` that spells it; `None` when the
+/// document is anything but an object. Accepts exactly what [`Json::parse`]
+/// accepts and fails with the same message where it fails.
+pub fn object_spans(text: &str) -> Result<Option<Vec<SpanMember<'_>>>, String> {
+    let bytes = text.as_bytes();
+    let start = skip_ws(bytes, 0);
+    let mut members = Vec::with_capacity(8);
+    let is_object = bytes.get(start) == Some(&b'{');
+    let next = if is_object {
+        let spanned = |at| skip_value(text, at, 1).map(|next| (&text[at..next], next));
+        scan_members(text, start, spanned, |k, v| members.push((k, v)))?
+    } else {
+        skip_value(text, start, 0)?
+    };
+    let end = skip_ws(bytes, next);
+    if end != bytes.len() {
+        return Err(format!("trailing garbage at byte {end}"));
+    }
+    Ok(is_object.then_some(members))
+}
+
+/// The decoded contents of `span` when it spells a string literal — a slice
+/// of it unless the literal holds an escape.
+pub fn string_span(span: &str) -> Option<Cow<'_, str>> {
+    let (s, next) = span.starts_with('"').then(|| scan_string(span, 0))?.ok()?;
+    (next == span.len()).then_some(s)
 }
 
 /// The string literal opening at byte `i`, and the byte after its closing
@@ -1272,6 +1429,183 @@ mod tests {
         prop::sample::select([&always, more].concat())
     }
 
+    /// A nested document drawn from `seed`: scalars as [`arb_value`] spells
+    /// them (well-formed ones), arrays and objects to depth 4, duplicate and
+    /// escaped keys, keys out of order, optional whitespace.
+    fn nested_doc(seed: &mut u64, depth: usize) -> String {
+        let mut draw = |n: u64| {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*seed >> 33) % n
+        };
+        const SCALARS: &[&str] = &[
+            "0",
+            "-0",
+            "-0.0",
+            "7",
+            "42",
+            "1e3",
+            "1000",
+            "1000.0",
+            "1E+5",
+            "1.5e-7",
+            "0.1",
+            "999999999999999",
+            "1000000000000000",
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+            "123456789012345678901234567890",
+            "1e999",
+            "-1e999",
+            "1e-999",
+            "true",
+            "false",
+            "null",
+            "\"\"",
+            "\"a\"",
+            "\"é🔥\"",
+            "\"\\n\\\"\\\\\\/\"",
+            "\"\\u0041\\ud83d\\udd25\\ud800\"",
+            "\"tab\there\"",
+        ];
+        const KEYS: &[&str] = &[
+            "a",
+            "b",
+            "B",
+            "aa",
+            "",
+            "é",
+            "k\\u0065y",
+            "key",
+            "z\\\"",
+            "\\u0061",
+        ];
+        let pad = ["", "", "", " ", "\t"][draw(5) as usize];
+        let kind = if depth >= 4 { 0 } else { draw(4) };
+        match kind {
+            0 | 1 => SCALARS[draw(SCALARS.len() as u64) as usize].to_string(),
+            2 => {
+                let items: Vec<String> =
+                    (0..draw(4)).map(|_| nested_doc(seed, depth + 1)).collect();
+                format!("[{pad}{}{pad}]", items.join(&format!("{pad},{pad}")))
+            }
+            _ => {
+                let members: Vec<String> = (0..draw(5))
+                    .map(|_| {
+                        let key = KEYS[(*seed >> 40) as usize % KEYS.len()];
+                        format!("\"{key}\"{pad}:{pad}{}", nested_doc(seed, depth + 1))
+                    })
+                    .collect();
+                format!("{{{pad}{}{pad}}}", members.join(&format!("{pad},{pad}")))
+            }
+        }
+    }
+
+    /// The span path against the tree path on one text: `object_spans`
+    /// accepts what `Json::parse` accepts and fails with its message; the
+    /// canonical form written from validated spans is the tree's.
+    fn assert_spans_match_the_tree(text: &str) {
+        let spans = object_spans(text);
+        let tree = match Json::parse(text) {
+            Ok(tree) => tree,
+            Err(e) => {
+                assert_eq!(spans, Err(e), "{text:?}");
+                return;
+            }
+        };
+        let mut from_span = String::from("kept:");
+        let end = write_canonical_at(text, skip_ws(text.as_bytes(), 0), 0, &mut from_span);
+        assert_eq!(end, Ok(text.trim_end().len()), "{text:?}");
+        assert_eq!(
+            from_span,
+            format!("kept:{}", tree.to_canonical()),
+            "{text:?}"
+        );
+        let Json::Obj(members) = &tree else {
+            assert_eq!(spans, Ok(None), "{text:?}");
+            return;
+        };
+        let mut spans = spans.expect("parses").expect("an object");
+        assert_eq!(spans.len(), members.len(), "{text:?}");
+        for ((k, span), (tree_k, tree_v)) in spans.iter().zip(members) {
+            assert_eq!(k, tree_k, "{text:?}");
+            assert_eq!(Json::parse(span).as_ref(), Ok(tree_v), "{text:?}: {span:?}");
+            assert_eq!(string_span(span).as_deref(), tree_v.as_str(), "{text:?}");
+        }
+        // Minus a key, as the request path filters `id` out.
+        let semantic: Vec<&(String, Json)> = members.iter().filter(|(k, _)| k != "a").collect();
+        let mut from_tree = String::new();
+        write_canonical_object(&semantic, &mut from_tree).expect(INFALLIBLE);
+        spans.retain(|(k, _)| k != "a");
+        let mut from_spans = String::new();
+        write_canonical_spans(&mut spans, &mut from_spans).expect("validated spans");
+        assert_eq!(from_spans, from_tree, "{text:?}");
+    }
+
+    #[test]
+    fn skip_value_refuses_what_the_tree_parser_refuses() {
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        for depth in [0, 1, 64, 65, 66, 200, 100_000] {
+            assert_spans_match_the_tree(&nested(depth));
+            assert_spans_match_the_tree(&format!("{{\"k\":{}}}", nested(depth)));
+        }
+        for bad in [
+            "",
+            " ",
+            "{",
+            "[1,",
+            "[1,]",
+            "{\"a\":}",
+            "{\"a\":1,}",
+            "{\"a\":1} extra",
+            "nul",
+            "1..2",
+            "01",
+            "1.",
+            "-.5",
+            "1.e5",
+            "{\"a\":[01]}",
+            "{\"a\":{\"b\":1.}}",
+            "{\"a\" 1}",
+            "{a:1}",
+            "{\"a\":\"\\x\"}",
+            "{\"a\":\"unterminated}",
+            "[1 2]",
+            "{\"a\":1 \"b\":2}",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?}");
+            assert_spans_match_the_tree(bad);
+        }
+        // A span that is not one value is an error from the writer, not a panic.
+        for span in ["", "[1,", "{\"a\":}", "\"open", "1 2", &nested(100)] {
+            let mut members = [(Cow::Borrowed("k"), span)];
+            let written = write_canonical_spans(&mut members, &mut String::new());
+            assert!(written.is_err(), "{span:?}");
+        }
+    }
+
+    #[test]
+    fn plain_digit_tokens_take_the_exact_fast_path() {
+        for token in [
+            "0",
+            "7",
+            "10",
+            "4294967296",
+            "999999999999999",
+            "1000000000000000",
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+        ] {
+            let mut fast = String::new();
+            write_canonical_number(token, &mut fast).expect(INFALLIBLE);
+            let value: f64 = token.parse().expect("digits");
+            assert_eq!(fast, format!("{value:?}"), "{token}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
@@ -1302,6 +1636,30 @@ mod tests {
             for line in damaged(&line, cut, garble) {
                 assert_one_lexer(&line);
             }
+        }
+
+        /// Nested documents, whole, truncated and with one character
+        /// overwritten: validated spans and the owned tree agree on what is
+        /// JSON, on every message and on every canonical byte.
+        #[test]
+        fn validated_spans_canonicalize_like_the_owned_tree(
+            seed in any::<u64>(),
+            cut in 0.0..1.0f64,
+            garble in arb_garble(&['[', ']', '0', '.']),
+            digits in any::<u64>(),
+        ) {
+            let mut seed = seed;
+            let doc = nested_doc(&mut seed, 0);
+            assert_spans_match_the_tree(&doc);
+            for doc in damaged(&format!(" {doc}"), cut, garble) {
+                assert_spans_match_the_tree(&doc);
+            }
+            // Every width of plain-digit token, on both sides of the fast
+            // path's edge, prints as `{:?}` prints its `f64`.
+            let token = (digits >> (digits % 64)).to_string();
+            let mut canonical = String::new();
+            write_canonical_number(&token, &mut canonical).expect(INFALLIBLE);
+            prop_assert_eq!(canonical, format!("{:?}", token.parse::<f64>().expect("digits")));
         }
 
         #[test]

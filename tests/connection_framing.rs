@@ -5,7 +5,8 @@
 //! The loop owns newline framing, and that is all this file checks: however
 //! the bytes of a request stream are split across `write`s, every non-blank
 //! line gets exactly one reply line, in order, a line may be long but not
-//! unbounded, and a `shutdown` op drains.
+//! unbounded (and the one refused for it is counted), and a `shutdown` op
+//! drains.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -131,6 +132,20 @@ fn oversized_line_is_refused(front: &str, addr: &str) {
     assert!(
         !matches!(after, Some(Ok(_))),
         "{front}: extra line {after:?}"
+    );
+    // The refusal is on the books of whichever front end made it.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"{\"schema\":\"greenness-serve/v1\",\"id\":0,\"op\":\"metrics\"}\n")
+        .expect("write");
+    let mut metrics = String::new();
+    BufReader::new(stream)
+        .read_line(&mut metrics)
+        .expect("metrics reply");
+    let counted = format!("\"{front}.bad_request\":1");
+    assert!(
+        metrics.contains(&counted),
+        "{front}: {counted} not in {metrics}"
     );
 }
 

@@ -1,7 +1,7 @@
 //! Oracle-equivalence suite: every optimized hot path must stay
 //! bit-for-bit the retained straight-line reference it replaced.
 //!
-//! Five properties are pinned here:
+//! Six properties are pinned here:
 //!
 //! * the fast stencil path (including the row-parallel step at any `jobs`
 //!   value) is bit-for-bit the naive reference on arbitrary grids,
@@ -15,6 +15,12 @@
 //!   tier bookkeeping) charges a scripted op mix exactly what the copying
 //!   implementation charged — clock, energy, cache counters, per-tier
 //!   transfers and migrations against values recorded before the change;
+//! * the request path (borrowed request view, span-canonical cache key, slab
+//!   LRU) replays a Zipfian stream through a fleet with caches small enough
+//!   to evict, plain and under seeded drops and churn, into the very bytes
+//!   the owned-tree parser and the queue-of-keys cache produced — responses,
+//!   router metrics, every shard's metrics and the report, against digests
+//!   recorded before the change;
 //! * bad command-line input handed to either binary (an invalid solver
 //!   config, an unknown artifact, a flag without its value) is a *usage*
 //!   error: exit 2 with a one-line message, before any work runs — and the
@@ -25,7 +31,8 @@ use std::process::Command;
 use greenness_codec::transpose::TransposeRle;
 use greenness_codec::Codec;
 use greenness_core::PipelineConfig;
-use greenness_faults::{fnv1a64_extend, splitmix64};
+use greenness_faults::{fnv1a64_extend, splitmix64, FaultPlan};
+use greenness_fleet::{fleet_workload, run_fleet_replay, FleetConfig};
 use greenness_heatsim::{Boundary, Grid, HeatSolver};
 use greenness_platform::disk::IoDir;
 use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
@@ -33,6 +40,7 @@ use greenness_storage::{
     Block, BlockDevice, CostedDevice, EnergyGreedyPolicy, FileSystem, FreqRecencyPolicy, FsConfig,
     MemBlockDevice, NoopPolicy, PlacementPolicy, TierSpec, TieredStore,
 };
+use greenness_trace::hash::{hex, Blake2s256};
 use greenness_viz::{render_field, render_field_reference, Colormap, RenderOptions};
 use proptest::prelude::*;
 
@@ -483,4 +491,58 @@ const AFTER_DISCARD: [&str; 9] = [
     "8073547387 408df838e8112d29 435/1318/1898/3109 noop [0/0/0 0/0/0 5398528/7774208/3216] +0 -0 497d07e808d3dbcb",
     "6366294257 4087a69c92dee648 435/1318/1898/3109 freq-recency [3350528/5238784/915 2957312/3969024/547 6152192/5627904/1754] +1402 -322 497d07e808d3dbcb",
     "7682186957 408c82aa91d99939 435/1318/1898/3109 energy-greedy [663552/2043904/417 0/0/0 5734400/6729728/2799] +244 -0 497d07e808d3dbcb",
+];
+
+/// Everything a fleet replay produces, under per-shard caches of 24 KiB (so
+/// the LRU evicts: which keys survive decides every later hit, miss and
+/// fill), for workload-and-ring seeds 42 and 7, each plain and under the
+/// seeded fault plan (connection drops, slow handlers, shard churn with
+/// rebalancing). A cache key that moved, a reply that changed a byte, an
+/// eviction out of order or a counter off by one changes a digest.
+#[test]
+fn fleet_replay_output_matches_the_pre_borrowed_request_recording() {
+    let mut recorded = REPLAY_RECORDED.iter();
+    for seed in [42u64, 7] {
+        for faults in [None, Some(FaultPlan::with_seed(seed))] {
+            let out = run_fleet_replay(
+                FleetConfig {
+                    jobs: 1,
+                    ring_seed: seed,
+                    cache_bytes: 24 << 10,
+                    faults,
+                    ..FleetConfig::default()
+                },
+                &fleet_workload(3000, 1024, 1.1, seed),
+                20_000.0,
+            );
+            let mut digest = Blake2s256::default();
+            for artifact in [
+                &out.responses,
+                &out.fleet_metrics,
+                &out.shard_metrics,
+                &out.report,
+            ] {
+                digest.update(&(artifact.len() as u64).to_le_bytes());
+                digest.update(artifact.as_bytes());
+            }
+            assert_eq!(
+                hex(&digest.finalize()),
+                *recorded.next().expect("a digest per run"),
+                "seed {seed}, faulted {}",
+                faults.is_some()
+            );
+            if faults.is_none() {
+                assert!(out.shard_metrics.contains("serve.cache.evictions"));
+            }
+        }
+    }
+}
+
+/// Recorded on PR 20's tree (`6056b05`): per seed, the plain run then the
+/// faulted one.
+const REPLAY_RECORDED: [&str; 4] = [
+    "3045578f99f60263d0b5ea3c5ca4982190bc146d0f525b95e5b1a58336d9113d",
+    "0f96bf393ff23149bd76694e73db620f47819491f1cac91281652672b888ff2d",
+    "bdc2461a5e035e0fba95abaae7b78ddbbb595afbd2efd53686bc675065143a0c",
+    "aaecabc0dd9aa8403d2ec59e959193ce1ac3570651ecc44991800d928226875a",
 ];

@@ -9,7 +9,9 @@
 //! with a borrowed scanner and the three event renderers with one writer;
 //! PR 19 put the two free-run allocators on one `storage::free::FreeRuns`;
 //! PR 20 put serve's JSON tree on the journal scanner's lexer and handed the
-//! fleet's shards the `Request` the router already parsed.
+//! fleet's shards the `Request` the router already parsed; PR 21 made that
+//! `Request` a borrowed view validated by `skip_value` on the same lexer, and
+//! the result cache's recency an index-linked slab.
 //! This test walks the tree and fails if any of them grows back, so "add a
 //! quick local copy" shows up in review instead of in the next inventory.
 
@@ -292,6 +294,18 @@ fn json_has_one_lexer_and_a_request_line_one_parse() {
         on_a_shard <= 1,
         "{on_a_shard} shard-side `handle_line` calls"
     );
+
+    // The request view validates through the lexer's own `skip_value`, not a
+    // private copy of the walk, and the cache's recency queue stays retired
+    // to its test-only reference.
+    let skippers: std::collections::BTreeSet<String> = sites("skip_value(").into_iter().collect();
+    assert_eq!(
+        skippers.into_iter().collect::<Vec<_>>(),
+        ["trace/src/json.rs"]
+    );
+    let cache = read(&crates.join("serve/src/cache.rs"));
+    assert!(!non_test(&cache).contains("VecDeque"));
+    assert!(cache.contains("VecDeque"), "the reference cache is kept");
 }
 
 #[test]
