@@ -60,6 +60,9 @@ pub enum ClusterError {
         /// Expected grid extent.
         want: (usize, usize),
     },
+    /// A [`crate::ClusterConfig`] field was out of range; the message names
+    /// it. Reported before any node is built.
+    Config(String),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -98,6 +101,7 @@ impl std::fmt::Display for ClusterError {
                 "snapshot {file} read back {got_bytes} B, which is not a {}x{} grid",
                 want.0, want.1
             ),
+            ClusterError::Config(msg) => write!(f, "bad cluster parameter: {msg}"),
         }
     }
 }

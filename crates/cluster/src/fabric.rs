@@ -129,56 +129,7 @@ impl Fabric {
         messages: u32,
         phase: Phase,
     ) -> Result<SimTime, ClusterError> {
-        let Some(cell) = &self.faults else {
-            return Ok(self.transfer(src, dst, bytes, messages, phase));
-        };
-        let mut attempt = 0u32;
-        loop {
-            // Scoped borrow: the injector decision must not be held across
-            // the node mutations below.
-            let (fault, plan) = {
-                let mut s = cell.borrow_mut();
-                let f = s.inj.next();
-                (f, *s.inj.plan())
-            };
-            match fault {
-                None => return Ok(self.transfer(src, dst, bytes, messages, phase)),
-                Some(entropy) if entropy & 1 == 1 => {
-                    // Delayed delivery: congestion stalls both endpoints,
-                    // then the payload lands intact.
-                    cell.borrow_mut().delays += 1;
-                    let pause = plan.backoff_s(0);
-                    trace_fault(src, "fabric.transfer", "delay", attempt, pause);
-                    src.execute(Activity::idle_secs(pause), phase);
-                    dst.execute(Activity::idle_secs(pause), phase);
-                    return Ok(self.transfer(src, dst, bytes, messages, phase));
-                }
-                Some(_) => {
-                    // Dropped in flight: the transmission was paid for but
-                    // the payload is gone; back off and retransmit.
-                    cell.borrow_mut().drops += 1;
-                    self.transfer(src, dst, bytes, messages, phase);
-                    if attempt >= plan.max_retries {
-                        // The terminal drop is still an injected fault: trace
-                        // it before giving up so the journal's fault.injected
-                        // instants stay in lockstep with the drop counter
-                        // (no retry is scheduled, hence backoff 0).
-                        trace_fault(src, "fabric.transfer", "drop", attempt, 0.0);
-                        return Err(ClusterError::FabricExhausted {
-                            bytes,
-                            attempts: attempt + 1,
-                        });
-                    }
-                    let pause = plan.backoff_s(attempt);
-                    trace_fault(src, "fabric.transfer", "drop", attempt, pause);
-                    src.execute(Activity::idle_secs(pause), phase);
-                    dst.execute(Activity::idle_secs(pause), phase);
-                    cell.borrow_mut().retries += 1;
-                    src.tracer().count("retries.fabric.transfer", 1);
-                    attempt += 1;
-                }
-            }
-        }
+        self.deliver_reliable(src, Some(dst), bytes, messages, phase)
     }
 
     /// One-sided staged send: only the *sender's* NIC is occupied, and the
@@ -199,45 +150,80 @@ impl Fabric {
         messages: u32,
         phase: Phase,
     ) -> Result<SimTime, ClusterError> {
+        self.deliver_reliable(src, None, bytes, messages, phase)
+    }
+
+    /// The one fault loop behind both reliable primitives; each attempt
+    /// consumes one schedule slot. With a receiver an attempt is a two-sided
+    /// [`Self::transfer`] and a stall idles both endpoints; without one it
+    /// is a one-sided [`Self::send`] and only the sender stalls.
+    fn deliver_reliable(
+        &self,
+        src: &mut Node,
+        mut dst: Option<&mut Node>,
+        bytes: u64,
+        messages: u32,
+        phase: Phase,
+    ) -> Result<SimTime, ClusterError> {
+        let deliver = |src: &mut Node, dst: Option<&mut Node>| match dst {
+            Some(dst) => self.transfer(src, dst, bytes, messages, phase),
+            None => self.send(src, bytes, messages, phase),
+        };
         let Some(cell) = &self.faults else {
-            return Ok(self.send(src, bytes, messages, phase));
+            return Ok(deliver(src, dst));
+        };
+        let (site, retries) = match dst {
+            Some(_) => ("fabric.transfer", "retries.fabric.transfer"),
+            None => ("staging.send", "retries.staging.send"),
+        };
+        let stall = |src: &mut Node, dst: Option<&mut Node>, pause: f64| {
+            src.execute(Activity::idle_secs(pause), phase);
+            if let Some(dst) = dst {
+                dst.execute(Activity::idle_secs(pause), phase);
+            }
         };
         let mut attempt = 0u32;
         loop {
+            // Scoped borrow: the injector decision must not be held across
+            // the node mutations below.
             let (fault, plan) = {
                 let mut s = cell.borrow_mut();
                 let f = s.inj.next();
                 (f, *s.inj.plan())
             };
             match fault {
-                None => return Ok(self.send(src, bytes, messages, phase)),
+                None => return Ok(deliver(src, dst)),
                 Some(entropy) if entropy & 1 == 1 => {
-                    // Congestion on the staged path: the sender stalls, then
-                    // the payload lands intact.
+                    // Delayed delivery: congestion stalls the endpoints,
+                    // then the payload lands intact.
                     cell.borrow_mut().delays += 1;
                     let pause = plan.backoff_s(0);
-                    trace_fault(src, "staging.send", "delay", attempt, pause);
-                    src.execute(Activity::idle_secs(pause), phase);
-                    return Ok(self.send(src, bytes, messages, phase));
+                    trace_fault(src, site, "delay", attempt, pause);
+                    stall(src, dst.as_deref_mut(), pause);
+                    return Ok(deliver(src, dst));
                 }
                 Some(_) => {
-                    // Dropped staged slab: the transmission was paid for, but
-                    // the send buffer is still live, so back off and
-                    // retransmit from it.
+                    // Dropped in flight: the transmission was paid for but
+                    // the payload is gone (the send buffer is still live);
+                    // back off and retransmit.
                     cell.borrow_mut().drops += 1;
-                    self.send(src, bytes, messages, phase);
+                    deliver(src, dst.as_deref_mut());
                     if attempt >= plan.max_retries {
-                        trace_fault(src, "staging.send", "drop", attempt, 0.0);
+                        // The terminal drop is still an injected fault: trace
+                        // it before giving up so the journal's fault.injected
+                        // instants stay in lockstep with the drop counter
+                        // (no retry is scheduled, hence backoff 0).
+                        trace_fault(src, site, "drop", attempt, 0.0);
                         return Err(ClusterError::FabricExhausted {
                             bytes,
                             attempts: attempt + 1,
                         });
                     }
                     let pause = plan.backoff_s(attempt);
-                    trace_fault(src, "staging.send", "drop", attempt, pause);
-                    src.execute(Activity::idle_secs(pause), phase);
+                    trace_fault(src, site, "drop", attempt, pause);
+                    stall(src, dst.as_deref_mut(), pause);
                     cell.borrow_mut().retries += 1;
-                    src.tracer().count("retries.staging.send", 1);
+                    src.tracer().count(retries, 1);
                     attempt += 1;
                 }
             }

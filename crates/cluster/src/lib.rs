@@ -9,10 +9,11 @@
 //!
 //! * [`fabric`] — the interconnect: point-to-point transfers that occupy
 //!   both endpoints' NICs and keep their virtual clocks causally consistent;
-//! * [`slab`] — a genuinely distributed heat solver: the global grid is
-//!   decomposed into row slabs with ghost-row exchange each step, and the
-//!   decomposed integration is *bit-identical* to the single-node solver
-//!   (asserted by tests);
+//! * [`slab`] — the row-slab decomposition: which rows each compute node
+//!   owns, serializes, renders and is charged for, and the ghost rows
+//!   neighbours exchange each step. The field is advanced by the
+//!   workspace's one `HeatSolver` — exact for FTCS, whose update reads only
+//!   the previous time level;
 //! * [`pfs`] — a striped parallel filesystem over dedicated I/O server
 //!   nodes, each running the full single-node storage stack (page cache,
 //!   extents, journal barriers);

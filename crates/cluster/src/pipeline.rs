@@ -185,35 +185,11 @@ impl ClusterConfig {
     /// at reduced grid scale (128×128; per-step modeled work matches the
     /// full-scale calibration via the area-scaled cost constants).
     pub fn small(compute_nodes: usize, io_servers: usize) -> ClusterConfig {
-        let scale = (512.0 * 512.0) / (128.0 * 128.0);
-        let mut sim_cost = SimCostModel::default();
-        // Per-*cluster* step work equals one full-scale step; each node
-        // handles 1/compute_nodes of it on its own 16 cores.
-        sim_cost.flops_per_cell_update *= scale;
-        sim_cost.dram_bytes_per_cell_update *= scale;
-        let mut render_cost = RenderCostModel::default();
-        render_cost.flops_per_pixel *= scale;
-        render_cost.dram_bytes_per_pixel *= scale;
         ClusterConfig {
             compute_nodes,
             io_servers,
-            grid_nx: 128,
-            grid_ny: 128,
             timesteps: 10,
-            io_interval: 1,
-            stripe_bytes: 128 * 1024,
-            solver: default_solver(128, 128),
-            sim_cost,
-            render_cost,
-            render: RenderOptions {
-                width: 128,
-                height: 128,
-                range: Some((0.0, 1.0)),
-                ..Default::default()
-            },
-            spec: HardwareSpec::table1(),
-            net: NetModel::ten_gbe(),
-            staging: StagingConfig::default(),
+            ..ClusterConfig::scaled(128, 1, NetModel::ten_gbe())
         }
     }
 
@@ -229,7 +205,20 @@ impl ClusterConfig {
             3 => 8,
             _ => panic!("the paper defines case studies 1-3, got {n}"),
         };
-        let scale = (512.0 * 512.0) / (256.0 * 256.0);
+        let net = NetModel {
+            bandwidth_bytes_per_s: 0.75e6,
+            active_w: 2.5,
+            latency_s: 100e-6,
+        };
+        ClusterConfig::scaled(256, io_interval, net)
+    }
+
+    /// A 4-compute-node, 2-server, 16-step cluster on an `n × n` grid
+    /// rendered at `n × n`. The cost constants are area-scaled so that one
+    /// *cluster* step's modeled work equals one full-scale (512×512) step;
+    /// each node handles `1/compute_nodes` of it on its own 16 cores.
+    fn scaled(n: usize, io_interval: u64, net: NetModel) -> ClusterConfig {
+        let scale = (512.0 * 512.0) / (n * n) as f64;
         let mut sim_cost = SimCostModel::default();
         sim_cost.flops_per_cell_update *= scale;
         sim_cost.dram_bytes_per_cell_update *= scale;
@@ -239,28 +228,47 @@ impl ClusterConfig {
         ClusterConfig {
             compute_nodes: 4,
             io_servers: 2,
-            grid_nx: 256,
-            grid_ny: 256,
+            grid_nx: n,
+            grid_ny: n,
             timesteps: 16,
             io_interval,
             stripe_bytes: 128 * 1024,
-            solver: default_solver(256, 256),
+            solver: default_solver(n, n),
             sim_cost,
             render_cost,
             render: RenderOptions {
-                width: 256,
-                height: 256,
+                width: n,
+                height: n,
                 range: Some((0.0, 1.0)),
                 ..Default::default()
             },
             spec: HardwareSpec::table1(),
-            net: NetModel {
-                bandwidth_bytes_per_s: 0.75e6,
-                active_w: 2.5,
-                latency_s: 100e-6,
-            },
+            net,
             staging: StagingConfig::default(),
         }
+    }
+
+    /// Reject what a run would otherwise trip over mid-flight — a division
+    /// by `io_interval`, the slab and PFS constructors' contracts, the
+    /// solver's stability condition — naming the offending field.
+    fn validate(&self) -> Result<(), ClusterError> {
+        let at_least = |name: &str, value: u64, min: u64| {
+            if value >= min {
+                return Ok(());
+            }
+            let reason = format!("{name} must be at least {min}, got {value}");
+            Err(ClusterError::Config(reason))
+        };
+        at_least("compute_nodes", self.compute_nodes as u64, 1)?;
+        at_least("io_servers", self.io_servers as u64, 1)?;
+        at_least("stripe_bytes", self.stripe_bytes as u64, 1)?;
+        at_least("io_interval", self.io_interval, 1)?;
+        at_least("grid_nx", self.grid_nx as u64, 3)?;
+        let rows = self.grid_ny / self.compute_nodes;
+        at_least("grid_ny / compute_nodes (rows per node)", rows as u64, 3)?;
+        self.solver
+            .validate(self.grid_nx, self.grid_ny)
+            .map_err(|e| ClusterError::Config(format!("solver: {e}")))
     }
 
     /// Total useful work (cell updates).
@@ -372,6 +380,7 @@ pub fn run_cluster_traced(
     faults: Option<FaultPlan>,
     tracer: &Tracer,
 ) -> Result<(ClusterReport, FaultSummary), ClusterError> {
+    cfg.validate()?;
     let mut fabric = Fabric::new(cfg.net.clone());
     if let Some(plan) = faults {
         fabric.set_fault_injector(Some(plan.injector(Site::FabricTransfer, 0)));
@@ -386,8 +395,10 @@ pub fn run_cluster_traced(
         .map(|_| Node::new(spec.clone()))
         .collect();
     let mut stagers: Vec<Node> = (0..n_stagers).map(|_| Node::new(spec.clone())).collect();
-    for node in compute.iter_mut().chain(stagers.iter_mut()) {
-        node.set_tracer(tracer.clone());
+    // Each node stamps its own clock into the shared journal, so each gets
+    // its own lane: compute `0..N`, then the stagers.
+    for (lane, node) in compute.iter_mut().chain(stagers.iter_mut()).enumerate() {
+        node.set_tracer(tracer.with_node(lane));
     }
     let mut pfs = ParallelFs::new(cfg.io_servers, &spec, cfg.stripe_bytes, 1024 * 1024 * 1024);
     pfs.set_fault_plan(faults);
@@ -425,7 +436,8 @@ pub fn run_cluster_traced(
     let mut checksums: Vec<(u64, Vec<u64>)> = Vec::new(); // (step, per-slab fnv)
 
     for step in 1..=cfg.timesteps {
-        // The real distributed physics.
+        // One step of the global field, by the workspace's one solver
+        // (`slab` says why that is exact).
         solver.step();
         // Each node charges its slab's updates...
         for (k, node) in compute.iter_mut().enumerate() {
@@ -498,19 +510,18 @@ pub fn run_cluster_traced(
                 // Backpressure: with all of this stager's queue slots
                 // occupied, the senders must wait for the oldest in-flight
                 // frame to release — real static idle, charged and traced.
-                if depth > 0 && inflight[s].len() >= depth {
-                    let release = inflight[s].pop_front().expect("non-empty queue");
-                    for (k, node) in compute.iter_mut().enumerate() {
+                let full = depth > 0 && inflight[s].len() >= depth;
+                if let Some(release) = full.then(|| inflight[s].pop_front()).flatten() {
+                    for node in compute.iter_mut() {
                         if node.now() < release {
                             let wait = release.duration_since(node.now()).as_secs_f64();
                             tracer.count("staging.queue.blocks", 1);
                             if tracer.is_on() {
-                                tracer.instant(
+                                node.tracer().instant(
                                     node.now().as_nanos(),
                                     "staging.queue.block",
                                     vec![
                                         ("step", Value::from(step)),
-                                        ("node", Value::from(k)),
                                         ("stager", Value::from(s)),
                                         ("wait_s", Value::from(wait)),
                                     ],
@@ -597,7 +608,7 @@ pub fn run_cluster_traced(
                         torn += 1;
                         tracer.count("faults.staging.render", 1);
                         if tracer.is_on() {
-                            tracer.instant(
+                            stager.tracer().instant(
                                 stager.now().as_nanos(),
                                 "fault.injected",
                                 vec![
@@ -614,7 +625,7 @@ pub fn run_cluster_traced(
                 let frame = render_field(&grid, &cfg.render);
                 let ppm = encode_ppm(&frame);
                 if tracer.is_on() {
-                    tracer.instant(
+                    stager.tracer().instant(
                         stager.now().as_nanos(),
                         "staging.frame.render",
                         vec![
@@ -967,6 +978,41 @@ mod tests {
         assert_eq!(
             plain.total_energy_j.to_bits(),
             gated.total_energy_j.to_bits()
+        );
+    }
+
+    /// Every `ClusterConfig` that used to divide by zero or trip a
+    /// constructor `assert!` mid-run is refused up front, by field name.
+    #[test]
+    fn a_bad_config_is_an_error_naming_the_field_not_a_panic() {
+        type Break = fn(&mut ClusterConfig);
+        let rows: [(&str, Break); 8] = [
+            ("io_interval must be at least 1, got 0", |c| {
+                c.io_interval = 0
+            }),
+            ("compute_nodes", |c| c.compute_nodes = 0),
+            ("io_servers", |c| c.io_servers = 0),
+            ("stripe_bytes", |c| c.stripe_bytes = 0),
+            ("grid_nx", |c| c.grid_nx = 2),
+            // An 8-row grid over 4 nodes: 2 rows per slab.
+            ("grid_ny / compute_nodes", |c| c.grid_ny = 8),
+            ("solver: FTCS unstable", |c| c.solver.dt *= 2.0),
+            ("solver: source (128, 42) outside 128x128", |c| {
+                c.solver.sources[0].i = 128
+            }),
+        ];
+        for (needle, break_it) in rows {
+            let mut cfg = small();
+            break_it(&mut cfg);
+            match run_cluster(ClusterKind::InTransit, &cfg) {
+                Err(ClusterError::Config(msg)) => assert!(msg.contains(needle), "{needle}: {msg}"),
+                other => panic!("{needle}: expected Config, got {other:?}"),
+            }
+        }
+        let err = ClusterError::Config("io_interval must be at least 1, got 0".to_string());
+        assert_eq!(
+            err.to_string(),
+            "bad cluster parameter: io_interval must be at least 1, got 0"
         );
     }
 

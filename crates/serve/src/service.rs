@@ -670,9 +670,33 @@ fn parse_adjustment(params: &Json) -> Result<Adjustment, (ErrorCode, String)> {
     }
 }
 
-/// The case-study workload at the requested scale. `"small"` (default) is
-/// the millisecond-scale 64×64 grid with the paper's I/O cadence
-/// (interval 1/2/8 for cases 1/2/3); `"paper"` is the full §IV-C workload.
+/// The `scale` a request asks for; `"small"` when it names none.
+fn scale_of(params: &Json) -> Result<&str, (ErrorCode, String)> {
+    match params.get("scale") {
+        None => Ok("small"),
+        Some(v) => v.as_str().ok_or_else(|| bad("scale must be a string")),
+    }
+}
+
+/// Case study `case` at `scale`: `"small"` is the millisecond-scale 64×64
+/// grid with the paper's I/O cadence (interval 1/2/8 for cases 1/2/3);
+/// `"paper"` is the full §IV-C workload.
+fn config_at(scale: &str, case: u32) -> Result<PipelineConfig, (ErrorCode, String)> {
+    match scale {
+        "small" => Ok(PipelineConfig::small(match case {
+            1 => 1,
+            2 => 2,
+            _ => 8,
+        })),
+        "paper" => Ok(PipelineConfig::case_study(case)),
+        other => Err(bad(format!(
+            "unknown scale '{other}' (expected small|paper)"
+        ))),
+    }
+}
+
+/// The case-study workload a request names: `case` (default 1) at
+/// [`scale_of`] the request.
 fn workload(params: &Json) -> Result<(u32, PipelineConfig), (ErrorCode, String)> {
     let case = match params.get("case") {
         None => 1,
@@ -681,24 +705,7 @@ fn workload(params: &Json) -> Result<(u32, PipelineConfig), (ErrorCode, String)>
             .filter(|n| (1..=3).contains(n))
             .ok_or_else(|| bad("case must be 1, 2, or 3"))? as u32,
     };
-    let scale = match params.get("scale") {
-        None => "small",
-        Some(v) => v.as_str().ok_or_else(|| bad("scale must be a string"))?,
-    };
-    let cfg = match scale {
-        "small" => PipelineConfig::small(match case {
-            1 => 1,
-            2 => 2,
-            _ => 8,
-        }),
-        "paper" => PipelineConfig::case_study(case),
-        other => {
-            return Err(bad(format!(
-                "unknown scale '{other}' (expected small|paper)"
-            )))
-        }
-    };
-    Ok((case, cfg))
+    Ok((case, config_at(scale_of(params)?, case)?))
 }
 
 fn metrics_json(m: &GreenMetrics) -> String {
@@ -916,26 +923,10 @@ fn op_sweep(params: &Json, jobs: usize) -> OpResult {
             out
         }
     };
-    let scale = match params.get("scale") {
-        None => "small",
-        Some(v) => v.as_str().ok_or_else(|| bad("scale must be a string"))?,
-    };
+    let scale = scale_of(params)?;
     let configs: Vec<(u32, PipelineConfig)> = cases
         .iter()
-        .map(|&n| {
-            let cfg = match scale {
-                "small" => Ok(PipelineConfig::small(match n {
-                    1 => 1,
-                    2 => 2,
-                    _ => 8,
-                })),
-                "paper" => Ok(PipelineConfig::case_study(n)),
-                other => Err(bad(format!(
-                    "unknown scale '{other}' (expected small|paper)"
-                ))),
-            }?;
-            Ok((n, cfg))
-        })
+        .map(|&n| Ok((n, config_at(scale, n)?)))
         .collect::<Result<_, (ErrorCode, String)>>()?;
     let grid = sweep::config_grid(&ExperimentSetup::default(), &configs);
     let results = sweep::run_sweep(grid, jobs, &sweep::silent_progress()).map_err(|e| match e {

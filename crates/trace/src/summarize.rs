@@ -11,7 +11,12 @@
 //!
 //! The audit also verifies span structure: every `begin` has a matching
 //! `end` (innermost-first), timestamps are monotone non-decreasing within a
-//! job, and job spans do not nest.
+//! job, and job spans do not nest. An event that carries a `node` field
+//! belongs to that node's *lane*: the nodes of a cluster run share one
+//! journal but each stamps its own virtual clock, so span nesting and
+//! monotonicity are checked per lane within a job (events without the field
+//! form the one lane every other journal has). Sorting a job's events by
+//! `(t_ns, node)` gives the time-ordered view.
 
 use std::borrow::Cow;
 
@@ -132,6 +137,26 @@ impl JobScope {
     }
 }
 
+/// Audit state of one clock within a job: its open spans as
+/// `(name, open t_ns)` and its latest timestamp.
+#[derive(Debug, Default)]
+struct Lane<'a> {
+    stack: Vec<(Cow<'a, str>, u64)>,
+    last_t: u64,
+}
+
+/// Report every `node` lane still holding open spans, then drop the lanes:
+/// they live for one job.
+fn close_lanes(sum: &mut Summary, lanes: &mut Vec<(u64, Lane<'_>)>) {
+    for (node, lane) in lanes.drain(..) {
+        if !lane.stack.is_empty() {
+            let open: Vec<&str> = lane.stack.iter().map(|(n, _)| n.as_ref()).collect();
+            sum.audit_errors
+                .push(format!("node {node} ends with open spans: {open:?}"));
+        }
+    }
+}
+
 /// Parse and audit a journal (schema header + JSONL event lines).
 ///
 /// Returns `Err` only for unreadable input (missing/unknown schema header,
@@ -154,9 +179,10 @@ pub fn summarize(journal: &str) -> Result<Summary, String> {
     }
 
     let mut sum = Summary::default();
-    // Span stack: (name, open t_ns).
-    let mut stack: Vec<(Cow<'_, str>, u64)> = Vec::new();
-    let mut last_t: u64 = 0;
+    // The lane of events without a `node`, and the per-node lanes of the
+    // current job in first-appearance order (empty outside cluster runs).
+    let mut main = Lane::default();
+    let mut lanes: Vec<(u64, Lane<'_>)> = Vec::new();
     let mut scope = JobScope::default();
     let mut in_job = false;
 
@@ -205,31 +231,44 @@ pub fn summarize(journal: &str) -> Result<Summary, String> {
             _ => return Err(format!("line {n}: missing name")),
         };
 
-        // Each sweep job restarts virtual time at zero.
-        let resets_clock = ev == "begin" && name == "job";
-        if resets_clock {
-            if !stack.is_empty() {
-                let open = stack.last().map_or("", |(open, _)| open);
+        // Each sweep job restarts virtual time at zero, on every lane.
+        if ev == "begin" && name == "job" {
+            if !main.stack.is_empty() {
+                let open = main.stack.last().map_or("", |(open, _)| open);
                 sum.audit_errors
                     .push(format!("line {n}: job begins inside open span {open:?}"));
-                stack.clear();
+                main.stack.clear();
             }
+            close_lanes(&mut sum, &mut lanes);
             if in_job {
                 close_scope(&mut sum, std::mem::take(&mut scope));
             }
             in_job = true;
             sum.jobs += 1;
-            last_t = 0;
-        } else if t_ns < last_t {
+            main.last_t = 0;
+        }
+        let lane = match kv.num::<u64>("node") {
+            None => &mut main,
+            Some(node) => {
+                let known = lanes.iter().position(|(id, _)| *id == node);
+                let at = known.unwrap_or_else(|| {
+                    lanes.push((node, Lane::default()));
+                    lanes.len() - 1
+                });
+                &mut lanes[at].1
+            }
+        };
+        if t_ns < lane.last_t {
             sum.audit_errors.push(format!(
-                "line {n}: timestamp {t_ns} precedes previous {last_t}"
+                "line {n}: timestamp {t_ns} precedes previous {}",
+                lane.last_t
             ));
         }
-        last_t = last_t.max(t_ns);
+        lane.last_t = lane.last_t.max(t_ns);
 
         match ev {
-            "begin" => stack.push((name.clone(), t_ns)),
-            "end" => match stack.pop() {
+            "begin" => lane.stack.push((name.clone(), t_ns)),
+            "end" => match lane.stack.pop() {
                 Some((open, t0)) => {
                     sum.spans_checked += 1;
                     if open != *name {
@@ -242,6 +281,7 @@ pub fn summarize(journal: &str) -> Result<Summary, String> {
                         ));
                     }
                     if name == "job" {
+                        close_lanes(&mut sum, &mut lanes);
                         close_scope(&mut sum, std::mem::take(&mut scope));
                         in_job = false;
                     }
@@ -278,11 +318,12 @@ pub fn summarize(journal: &str) -> Result<Summary, String> {
         }
     }
 
-    if !stack.is_empty() {
-        let open: Vec<&str> = stack.iter().map(|(n, _)| n.as_ref()).collect();
+    if !main.stack.is_empty() {
+        let open: Vec<&str> = main.stack.iter().map(|(n, _)| n.as_ref()).collect();
         sum.audit_errors
             .push(format!("journal ends with open spans: {open:?}"));
     }
+    close_lanes(&mut sum, &mut lanes);
     close_scope(&mut sum, scope);
     Ok(sum)
 }
@@ -292,6 +333,9 @@ mod tests {
     use super::*;
     use crate::journal_header;
     use crate::json::reference::{parse_flat_object, JsonValue};
+    use greenness_core::cluster_sweep::{
+        cluster_jobs, cluster_journal, run_cluster_sweep, ClusterSetup,
+    };
     use greenness_core::config::PipelineConfig;
     use greenness_core::placement::{self, PlacementSetup};
     use greenness_core::sweep;
@@ -302,9 +346,27 @@ mod tests {
         kv.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// `summarize` as it was over the owned parser, verbatim: every line becomes
-    /// a `Vec<(String, JsonValue)>` and every `ev`, `name` and `phase` a fresh
-    /// `String`. The oracle for the borrowed version above.
+    /// One clock's open spans and latest timestamp, owned.
+    #[derive(Default)]
+    struct LaneReference {
+        stack: Vec<(String, u64)>,
+        last_t: u64,
+    }
+
+    fn close_lanes_reference(sum: &mut Summary, lanes: &mut Vec<(u64, LaneReference)>) {
+        for (node, lane) in lanes.drain(..) {
+            if !lane.stack.is_empty() {
+                let open: Vec<String> = lane.stack.into_iter().map(|(n, _)| n).collect();
+                sum.audit_errors
+                    .push(format!("node {node} ends with open spans: {open:?}"));
+            }
+        }
+    }
+
+    /// `summarize` as it was over the owned parser: every line becomes a
+    /// `Vec<(String, JsonValue)>` and every `ev`, `name` and `phase` a fresh
+    /// `String`; it differs from that version only by the per-`node` lanes.
+    /// The oracle for the borrowed version above.
     fn summarize_reference(journal: &str) -> Result<Summary, String> {
         let mut lines = journal
             .lines()
@@ -319,9 +381,8 @@ mod tests {
         }
 
         let mut sum = Summary::default();
-        // Span stack: (name, open t_ns).
-        let mut stack: Vec<(String, u64)> = Vec::new();
-        let mut last_t: u64 = 0;
+        let mut main = LaneReference::default();
+        let mut lanes: Vec<(u64, LaneReference)> = Vec::new();
         let mut scope = JobScope::default();
         let mut in_job = false;
 
@@ -371,34 +432,50 @@ mod tests {
                 .ok_or_else(|| format!("line {}: missing name", lineno + 1))?
                 .to_string();
 
-            // Each sweep job restarts virtual time at zero.
-            let resets_clock = ev == "begin" && name == "job";
-            if resets_clock {
-                if !stack.is_empty() {
+            // Each sweep job restarts virtual time at zero, on every lane.
+            if ev == "begin" && name == "job" {
+                if !main.stack.is_empty() {
                     sum.audit_errors.push(format!(
                         "line {}: job begins inside open span {:?}",
                         lineno + 1,
-                        stack.last().map(|(n, _)| n.clone()).unwrap_or_default()
+                        main.stack
+                            .last()
+                            .map(|(n, _)| n.clone())
+                            .unwrap_or_default()
                     ));
-                    stack.clear();
+                    main.stack.clear();
                 }
+                close_lanes_reference(&mut sum, &mut lanes);
                 if in_job {
                     close_scope(&mut sum, std::mem::take(&mut scope));
                 }
                 in_job = true;
                 sum.jobs += 1;
-                last_t = 0;
-            } else if t_ns < last_t {
+                main.last_t = 0;
+            }
+            let lane = match field_reference(&kv, "node").and_then(JsonValue::as_u64) {
+                None => &mut main,
+                Some(node) => {
+                    let known = lanes.iter().position(|(id, _)| *id == node);
+                    let at = known.unwrap_or_else(|| {
+                        lanes.push((node, LaneReference::default()));
+                        lanes.len() - 1
+                    });
+                    &mut lanes[at].1
+                }
+            };
+            if t_ns < lane.last_t {
                 sum.audit_errors.push(format!(
-                    "line {}: timestamp {t_ns} precedes previous {last_t}",
-                    lineno + 1
+                    "line {}: timestamp {t_ns} precedes previous {}",
+                    lineno + 1,
+                    lane.last_t
                 ));
             }
-            last_t = last_t.max(t_ns);
+            lane.last_t = lane.last_t.max(t_ns);
 
             match ev.as_str() {
-                "begin" => stack.push((name, t_ns)),
-                "end" => match stack.pop() {
+                "begin" => lane.stack.push((name, t_ns)),
+                "end" => match lane.stack.pop() {
                     Some((open, t0)) => {
                         sum.spans_checked += 1;
                         if open != name {
@@ -414,6 +491,7 @@ mod tests {
                             ));
                         }
                         if name == "job" {
+                            close_lanes_reference(&mut sum, &mut lanes);
                             close_scope(&mut sum, std::mem::take(&mut scope));
                             in_job = false;
                         }
@@ -464,11 +542,12 @@ mod tests {
             }
         }
 
-        if !stack.is_empty() {
-            let open: Vec<String> = stack.iter().map(|(n, _)| n.clone()).collect();
+        if !main.stack.is_empty() {
+            let open: Vec<String> = main.stack.iter().map(|(n, _)| n.clone()).collect();
             sum.audit_errors
                 .push(format!("journal ends with open spans: {open:?}"));
         }
+        close_lanes_reference(&mut sum, &mut lanes);
         close_scope(&mut sum, scope);
         Ok(sum)
     }
@@ -526,6 +605,31 @@ mod tests {
             "tier events are journaled"
         );
         assert!(summarize(&tiered).unwrap().audit_ok());
+
+        // The cluster grid: five or six nodes per job, each a lane.
+        for faults in [None, Some(FaultPlan::with_seed(11))] {
+            let setup = ClusterSetup {
+                trace: true,
+                faults,
+                ..ClusterSetup::default()
+            };
+            let results = run_cluster_sweep(cluster_jobs(None), &setup, 1, &|_, _, _| {})
+                .expect("the cluster grid runs");
+            let journal = cluster_journal(&results).expect("tracing was on");
+            assert!(journal.contains("\"name\":\"staging.queue.block\""));
+            let s = summarize(&journal).unwrap();
+            assert!(s.audit_ok(), "{:?}", &s.audit_errors[..3]);
+            assert_eq!(s.jobs, 9);
+            // One shared lane is what failed the audit before nodes had lanes.
+            let unlaned: String = journal
+                .lines()
+                .map(|l| match l.rfind(",\"node\":") {
+                    Some(at) => format!("{}}}\n", &l[..at]),
+                    None => format!("{l}\n"),
+                })
+                .collect();
+            assert!(summarize(&unlaned).unwrap().audit_errors.len() > 1000);
+        }
     }
 
     /// A number the old parser let through and `unwrap_or(0.0)` then read as
@@ -617,6 +721,45 @@ mod tests {
             summarize(&j.replace("\"ev\":\"tick\",", "")).unwrap_err(),
             "line 9: missing ev"
         );
+    }
+
+    /// Two nodes stamp their own clocks into one job: interleaved as emitted
+    /// the journal is valid lane by lane, each lane is still held to
+    /// monotone time and matched spans, and a lane left open is named.
+    #[test]
+    fn node_lanes_are_audited_each_on_its_own_clock() {
+        let line = |t: u64, ev: &str, name: &str, node: &str| {
+            format!("{{\"t_ns\":{t},\"ev\":\"{ev}\",\"name\":\"{name}\"{node}}}\n")
+        };
+        let (n0, n1) = (",\"node\":0", ",\"node\":1");
+        let mut j = journal_header();
+        for job in 0..2 {
+            j.push_str(&line(0, "begin", "job", ""));
+            j.push_str(&line(0, "begin", "phase", n0));
+            j.push_str(&line(90, "end", "phase", n0));
+            // Node 1 starts before node 0 stopped and ends after the job's
+            // other lane: fine, the clocks are independent.
+            j.push_str(&line(10, "begin", "phase", n1));
+            j.push_str(&line(20, "event", "activity", n1));
+            if job == 1 {
+                j.push_str(&line(15, "event", "activity", n1));
+                j.push_str(&line(95, "begin", "phase", n0));
+            }
+            j.push_str(&line(40, "end", "phase", n1));
+            j.push_str(&line(100, "end", "job", ""));
+        }
+        let s = summarize(&j).unwrap();
+        assert_eq!(
+            s.audit_errors,
+            [
+                "line 14: timestamp 15 precedes previous 20",
+                "node 0 ends with open spans: [\"phase\"]",
+            ]
+        );
+        assert_eq!((s.jobs, s.spans_checked), (2, 6));
+        // The same events in one lane are what the cluster journal used to be.
+        let unlaned = summarize(&j.replace(n0, "").replace(n1, "")).unwrap();
+        assert!(unlaned.audit_errors.len() > 2, "{:?}", unlaned.audit_errors);
     }
 
     #[test]

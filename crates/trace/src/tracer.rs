@@ -20,6 +20,9 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Mutex<Inner>>>,
+    /// Lane id stamped on every event this handle emits (see
+    /// [`Self::with_node`]); `None` everywhere but on a cluster node.
+    node: Option<u64>,
 }
 
 /// Everything a traced run produced, taken by [`Tracer::drain`].
@@ -40,7 +43,7 @@ impl std::fmt::Debug for Tracer {
 impl Tracer {
     /// The disabled tracer: records nothing, costs one branch per call.
     pub fn off() -> Self {
-        Tracer { inner: None }
+        Tracer::default()
     }
 
     /// A tracer recording into `sink`.
@@ -50,6 +53,18 @@ impl Tracer {
                 sink,
                 metrics: MetricsRegistry::default(),
             }))),
+            node: None,
+        }
+    }
+
+    /// A handle onto the same journal and registry whose events all carry a
+    /// trailing `"node": node` field. Nodes of one cluster run share a
+    /// journal but each keeps its own virtual clock, so each is a lane:
+    /// `summarize` audits timestamps and span nesting per lane.
+    pub fn with_node(&self, node: usize) -> Self {
+        Tracer {
+            inner: self.inner.clone(),
+            node: Some(node as u64),
         }
     }
 
@@ -78,9 +93,12 @@ impl Tracer {
         t_ns: u64,
         kind: EventKind,
         name: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        mut fields: Vec<(&'static str, Value)>,
     ) {
         if let Some(mut inner) = self.lock() {
+            if let Some(node) = self.node {
+                fields.push(("node", Value::U64(node)));
+            }
             inner.sink.record(&TraceEvent {
                 t_ns,
                 kind,

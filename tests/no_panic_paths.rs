@@ -8,7 +8,9 @@
 //! source of both crates and fails on any surviving panic site, so a
 //! future `.unwrap()` cannot sneak back in without showing up here. There
 //! is no allowlist: the CLI-only grids (`greenness cluster` / `greenness
-//! placement`) report their failures as `SweepError::JobFailed` too.
+//! placement`) report their failures as `SweepError::JobFailed` too, and
+//! `crates/cluster` — whose runs reject a bad `ClusterConfig` as
+//! `ClusterError::Config` before building a node — is walked as well.
 
 use std::path::{Path, PathBuf};
 
@@ -60,6 +62,7 @@ fn no_unwrap_or_expect_on_request_reachable_paths() {
     let mut files = Vec::new();
     rs_files(&crates.join("core").join("src"), &mut files);
     rs_files(&crates.join("serve").join("src"), &mut files);
+    rs_files(&crates.join("cluster").join("src"), &mut files);
     assert!(
         files.len() >= 10,
         "suspiciously few source files ({}) — did the layout move?",

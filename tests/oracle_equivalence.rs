@@ -1,7 +1,7 @@
 //! Oracle-equivalence suite: every optimized hot path must stay
 //! bit-for-bit the retained straight-line reference it replaced.
 //!
-//! Six properties are pinned here:
+//! Seven properties are pinned here:
 //!
 //! * the fast stencil path (including the row-parallel step at any `jobs`
 //!   value) is bit-for-bit the naive reference on arbitrary grids,
@@ -21,6 +21,11 @@
 //!   the owned-tree parser and the queue-of-keys cache produced — responses,
 //!   router metrics, every shard's metrics and the report, against digests
 //!   recorded before the change;
+//! * the cluster grid (the slab view over the one `HeatSolver`, the folded
+//!   fabric fault loop) reports, cell by cell, the makespan, energy, image
+//!   hash, byte channels and fault counters the cluster's private stencil
+//!   and twin fault loops reported, plain and under a seeded fault plan,
+//!   against values recorded before they were deleted;
 //! * bad command-line input handed to either binary (an invalid solver
 //!   config, an unknown artifact, a flag without its value) is a *usage*
 //!   error: exit 2 with a one-line message, before any work runs — and the
@@ -28,8 +33,10 @@
 
 use std::process::Command;
 
+use greenness_cluster::{ClusterKind, StagingConfig, WireCodec};
 use greenness_codec::transpose::TransposeRle;
 use greenness_codec::Codec;
+use greenness_core::cluster_sweep::{cluster_jobs, run_cluster_sweep, ClusterSetup};
 use greenness_core::PipelineConfig;
 use greenness_faults::{fnv1a64_extend, splitmix64, FaultPlan};
 use greenness_fleet::{fleet_workload, run_fleet_replay, FleetConfig};
@@ -545,4 +552,92 @@ const REPLAY_RECORDED: [&str; 4] = [
     "0f96bf393ff23149bd76694e73db620f47819491f1cac91281652672b888ff2d",
     "bdc2461a5e035e0fba95abaae7b78ddbbb595afbd2efd53686bc675065143a0c",
     "aaecabc0dd9aa8403d2ec59e959193ce1ac3570651ecc44991800d928226875a",
+];
+
+/// One line per cell of the cluster grid as `greenness cluster` runs it: the
+/// nine case-study cells on the raw wire, then the three in-transit cells
+/// under `quant8` — key, makespan and energy bit patterns, image hash, fabric
+/// and PFS bytes, and the [`greenness_cluster::FaultSummary`] counters.
+fn cluster_transcript(faults: Option<FaultPlan>) -> Vec<String> {
+    let mut rows = Vec::new();
+    for (wire_codec, kind) in [
+        (WireCodec::None, None),
+        (WireCodec::Quant8, Some(ClusterKind::InTransit)),
+    ] {
+        let setup = ClusterSetup {
+            staging: StagingConfig {
+                wire_codec,
+                ..StagingConfig::default()
+            },
+            faults,
+            trace: false,
+        };
+        let results = run_cluster_sweep(cluster_jobs(kind), &setup, 1, &|_, _, _| {})
+            .expect("every cell completes");
+        for r in results {
+            let (rep, f) = (&r.report, &r.summary);
+            rows.push(format!(
+                "{}/{} {:016x} {:016x} {:016x} {} {} {}/{}/{}/{}/{}/{}",
+                r.key,
+                wire_codec.label(),
+                rep.makespan_s.to_bits(),
+                rep.total_energy_j.to_bits(),
+                rep.image_hash,
+                rep.fabric_bytes,
+                rep.pfs_bytes,
+                f.storage_faults,
+                f.storage_retries,
+                f.fabric_drops,
+                f.fabric_delays,
+                f.fabric_retries,
+                f.staging_torn_renders,
+            ));
+        }
+    }
+    rows
+}
+
+/// The parent's `decomposed_matches_single_node_bitwise` proved the cluster's
+/// own stencil and `HeatSolver::step` agree; this recording proves that
+/// deleting the former moved nothing downstream of the field — no virtual
+/// second, joule, pixel, byte or fault slot.
+#[test]
+fn cluster_grid_matches_the_pre_slab_view_recording() {
+    assert_eq!(cluster_transcript(None), CLUSTER_RECORDED[0]);
+    assert_eq!(
+        cluster_transcript(Some(FaultPlan::with_seed(11))),
+        CLUSTER_RECORDED[1]
+    );
+}
+
+/// Recorded on PR 21's tree (`6cd2f11`): the plain grid, then `--fault-seed 11`.
+const CLUSTER_RECORDED: [[&str; 12]; 2] = [
+    [
+        "case1:post/none 4043a06831e4f6dd 40ddb0dd0cc9c68f 5f1ce5c6559c40e4 0 8388608 0/0/0/0/0/0",
+        "case1:insitu/none 402af6126c7a62d9 40c5b58758dbd041 95e7d0ac5295d3ec 0 3146624 0/0/0/0/0/0",
+        "case1:intransit/none 40391695f6aa7466 40d3564068da5b58 5f1ce5c6559c40e4 8388608 3145968 0/0/0/0/0/0",
+        "case2:post/none 4036f0d39661f911 40d1b13e9cb94720 1ad9458c65c9ea1a 0 4194304 0/0/0/0/0/0",
+        "case2:insitu/none 40241bdfff3735d5 40c08c63d916afcf a33a8b3e578a938e 0 1573312 0/0/0/0/0/0",
+        "case2:intransit/none 402a9150e22bead1 40c556acc0929d02 1ad9458c65c9ea1a 4194304 1572984 0/0/0/0/0/0",
+        "case3:post/none 402569abf8a80325 40c1630f9159cf17 a11d15c4724ef9ca 0 1048576 0/0/0/0/0/0",
+        "case3:insitu/none 401df0745a89a824 40b95b127285aef5 31d69fe0e8358592 0 393328 0/0/0/0/0/0",
+        "case3:intransit/none 4021026dae7ba057 40bc5c4fdaa812c7 a11d15c4724ef9ca 1048576 393246 0/0/0/0/0/0",
+        "case1:intransit/quant8 402e52b4bcad1168 40c81ccb772a9cab fbd5b53e7a5975e4 1050144 3145968 0/0/0/0/0/0",
+        "case2:intransit/quant8 40207d0745214fe4 40bbe5a132255297 92bac7e111ba5dfd 525072 1572984 0/0/0/0/0/0",
+        "case3:intransit/quant8 401e5ae085552dc9 40b9a6ea44ec173d 5d07f8251e3ac85f 131268 393246 0/0/0/0/0/0",
+    ],
+    [
+        "case1:post/none 4044021ed9679873 40de3fadd252ba9e 5f1ce5c6559c40e4 0 8388608 6/6/4/7/4/0",
+        "case1:insitu/none 402c473769dfd3cc 40c6aab11b33bbcc 95e7d0ac5295d3ec 0 3146624 7/7/2/1/2/0",
+        "case1:intransit/none 403a23bf53633a9e 40d41c98d53d7d30 5f1ce5c6559c40e4 8388608 3145968 3/3/3/9/3/2",
+        "case2:post/none 4037395d84da33ac 40d1e63b0f666786 1ad9458c65c9ea1a 0 4194304 1/1/4/7/4/0",
+        "case2:insitu/none 4024f5ce01efde0e 40c12ae46ae2e27a a33a8b3e578a938e 0 1573312 4/4/5/6/5/0",
+        "case2:intransit/none 402b87688d90aa65 40c60c9b9b98a0f4 1ad9458c65c9ea1a 4194304 1572984 0/0/4/3/4/1",
+        "case3:post/none 40256f3791892149 40c1670fb4cfaaf2 a11d15c4724ef9ca 0 1048576 0/0/1/3/1/0",
+        "case3:insitu/none 401e08af07c87ee8 40b96c8af688894a 31d69fe0e8358592 0 393328 0/0/2/7/2/0",
+        "case3:intransit/none 402106f3227f8f60 40bc62d82b685f93 a11d15c4724ef9ca 1048576 393246 0/0/1/2/1/0",
+        "case1:intransit/quant8 40303683bb0f4eec 40c9a82f9f3bde7f fbd5b53e7a5975e4 1050144 3145968 3/3/3/9/3/2",
+        "case2:intransit/quant8 4021731ef0860f79 40bd4ee586c756c1 92bac7e111ba5dfd 525072 1572984 0/0/4/3/4/1",
+        "case3:intransit/quant8 401e63eb6d5d0bdb 40b9ad7295ac640d 5d07f8251e3ac85f 131268 393246 0/0/1/2/1/0",
+    ],
 ];

@@ -11,7 +11,9 @@
 //! PR 20 put serve's JSON tree on the journal scanner's lexer and handed the
 //! fleet's shards the `Request` the router already parsed; PR 21 made that
 //! `Request` a borrowed view validated by `skip_value` on the same lexer, and
-//! the result cache's recency an index-linked slab.
+//! the result cache's recency an index-linked slab; PR 22 made the cluster's
+//! `DecomposedSolver` a row view over the one `HeatSolver` and folded the
+//! fabric's twin fault loops and serve's twin `scale` ladders.
 //! This test walks the tree and fails if any of them grows back, so "add a
 //! quick local copy" shows up in review instead of in the next inventory.
 
@@ -306,6 +308,35 @@ fn json_has_one_lexer_and_a_request_line_one_parse() {
     let cache = read(&crates.join("serve/src/cache.rs"));
     assert!(!non_test(&cache).contains("VecDeque"));
     assert!(cache.contains("VecDeque"), "the reference cache is kept");
+}
+
+#[test]
+fn one_stencil_one_fabric_fault_loop_one_scale_ladder() {
+    let crates = repo_root().join("crates");
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+
+    // The 5-point update and the second time level it writes into exist in
+    // `greenness-heatsim` and nowhere else: the cluster's slabs are row
+    // ranges of that solver's field, not fields of their own.
+    let heatsim = crates.join("heatsim");
+    for path in &sources {
+        let src = read(path);
+        for needle in ["- 2.0 * u", "scratch: Vec<f64>", "scratch: Grid"] {
+            assert!(
+                path.starts_with(&heatsim) || !non_test(&src).contains(needle),
+                "{}: `{needle}`: a second stencil or field copy",
+                path.display()
+            );
+        }
+    }
+
+    // `transfer_reliable` and `send_reliable` draw their fault slots in one
+    // loop; `run` and `sweep` read `scale` through one ladder.
+    let fabric = read(&crates.join("cluster/src/fabric.rs"));
+    assert_eq!(non_test(&fabric).matches("inj.next()").count(), 1);
+    let service = read(&crates.join("serve/src/service.rs"));
+    assert_eq!(non_test(&service).matches("unknown scale").count(), 1);
 }
 
 #[test]
