@@ -23,7 +23,6 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use greenness_faults::{FaultInjector, FaultPlan, Site};
-use greenness_serve::json::Json;
 use greenness_serve::protocol::{self, ErrorCode, Request};
 use greenness_serve::{Disposition, LineHandler, Next, Outcome, Service, ServiceConfig};
 use greenness_trace::hash::blake2s256;
@@ -369,15 +368,7 @@ impl Fleet {
             }
         }
 
-        FleetOutcome {
-            line: outcome.line(),
-            shard: Some(shard),
-            disposition: outcome.disposition,
-            virtual_s: outcome.virtual_s,
-            reroutes,
-            shutdown: false,
-            events,
-        }
+        routed(shard, &outcome, reroutes, events)
     }
 
     /// Route one `steer.*` request. Sessions are pinned: every op for a
@@ -396,12 +387,7 @@ impl Fleet {
     fn handle_steer(&self, req: &Request, line: &str) -> FleetOutcome {
         let events = self.apply_churn();
         self.count("fleet.requests", 1);
-        let session = req
-            .params()
-            .get("session")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
+        let session = req.session();
         let key = blake2s256(format!("fleet.session/{session}").as_bytes());
 
         // Find (or re-establish) the home shard.
@@ -411,7 +397,7 @@ impl Fleet {
                 drop(state);
                 return self.fail(req, NO_LIVE_SHARDS, 0, events);
             }
-            match state.sessions.get(&session) {
+            match state.sessions.get(session) {
                 Some(h)
                     if state.live[h.shard as usize]
                         && Arc::ptr_eq(&h.service, &state.services[h.shard as usize]) =>
@@ -444,7 +430,7 @@ impl Fleet {
                     self.count("fleet.session.rehomed", 1);
                     self.count("fleet.session.replayed", log.len() as u64);
                     let mut state = lock(&self.state);
-                    if let Some(h) = state.sessions.get_mut(&session) {
+                    if let Some(h) = state.sessions.get_mut(session) {
                         h.shard = shard;
                         h.service = Arc::clone(&service);
                     }
@@ -467,7 +453,7 @@ impl Fleet {
             let mut state = lock(&self.state);
             let entry = state
                 .sessions
-                .entry(session)
+                .entry(session.to_string())
                 .or_insert_with(|| SessionHome {
                     shard,
                     service: Arc::clone(&service),
@@ -480,15 +466,7 @@ impl Fleet {
             self.count("fleet.err", 1);
         }
 
-        FleetOutcome {
-            line: outcome.line(),
-            shard: Some(shard),
-            disposition: outcome.disposition,
-            virtual_s: outcome.virtual_s,
-            reroutes: retries,
-            shutdown: false,
-            events,
-        }
+        routed(shard, &outcome, retries, events)
     }
 
     /// Hand `req` to `services[first]` and, for as long as a shard's injected
@@ -639,6 +617,17 @@ fn shard_config(config: &FleetConfig, shard: u32) -> ServiceConfig {
         faults: config
             .faults
             .map(|plan| plan.derive(&format!("fleet.shard/{shard}"))),
+    }
+}
+
+/// The reply `shard` produced, with what the router did to get it.
+fn routed(shard: u32, outcome: &Outcome, reroutes: u32, events: Vec<ChurnEvent>) -> FleetOutcome {
+    FleetOutcome {
+        shard: Some(shard),
+        virtual_s: outcome.virtual_s,
+        reroutes,
+        events,
+        ..router_reply(outcome.line(), outcome.disposition)
     }
 }
 

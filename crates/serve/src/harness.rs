@@ -22,7 +22,7 @@ use greenness_trace::{metrics_file_json, percentile_nearest_rank};
 use crate::client::RetryClient;
 use crate::json::Json;
 use crate::protocol::{self, ErrorCode, SCHEMA};
-use crate::service::{Service, ServiceConfig};
+use crate::service::{Disposition, Service, ServiceConfig};
 
 /// Retry budget the live harness gives each connection per request.
 const LOAD_RETRY_BUDGET: u32 = 8;
@@ -83,7 +83,7 @@ pub fn run_replay(config: ServiceConfig, requests: &[impl AsRef<str>]) -> Replay
         let mut attempt = 0u32;
         let line = loop {
             let outcome = service.handle_line(request.as_ref());
-            if !outcome.dropped {
+            if outcome.disposition != Disposition::Dropped {
                 break outcome.line();
             }
             if attempt >= budget {

@@ -81,6 +81,13 @@ impl Request<'_> {
         self.params
             .get_or_init(|| Json::parse(self.params_src).unwrap_or(Json::Obj(Vec::new())))
     }
+
+    /// The steering session a `steer.*` op names in its parameters (`""`
+    /// when it names none, which every op refuses).
+    pub fn session(&self) -> &str {
+        let named = self.params().get("session");
+        named.and_then(Json::as_str).unwrap_or("")
+    }
 }
 
 /// The span of the first member under `key`.

@@ -16,11 +16,11 @@
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::service::{Service, ServiceConfig};
+use crate::service::{Disposition, Service, ServiceConfig};
 
 /// How long a connection thread blocks in `read` before re-checking the
 /// stop flag.
@@ -64,7 +64,7 @@ pub trait LineHandler: Send + Sync + 'static {
 impl LineHandler for Service {
     fn answer(&self, line: &str, out: &mut impl Write) -> io::Result<Next> {
         let outcome = self.handle_line(line);
-        if outcome.dropped {
+        if outcome.disposition == Disposition::Dropped {
             return Ok(Next::HangUp);
         }
         // Zero-copy: the response's payload segment is the cache's own
@@ -161,26 +161,30 @@ impl<H: LineHandler> Server<H> {
     }
 }
 
+/// Forget the connection threads that have exited, so a long-lived server
+/// answering one-shot clients holds handles only for its open connections.
+fn reap(conns: &mut Vec<JoinHandle<()>>) {
+    conns.retain(|handle| !handle.is_finished());
+}
+
 fn accept_loop<H: LineHandler>(listener: TcpListener, service: Arc<H>, stop: Arc<AtomicBool>) {
-    let conns: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+    // Touched by this thread alone: pushed on accept, joined at shutdown.
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop);
-                let handle = std::thread::spawn(move || connection_loop(stream, &*service, &stop));
-                // A connection thread that panicked poisons nothing we care
-                // about — the list is just join handles — so recover.
-                conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
+                reap(&mut conns);
+                conns.push(std::thread::spawn(move || {
+                    connection_loop(stream, &*service, &stop)
+                }));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_TICK),
             Err(_) => break,
         }
     }
-    for handle in conns.into_inner().unwrap_or_else(PoisonError::into_inner) {
+    for handle in conns {
         let _ = handle.join();
     }
 }
@@ -234,6 +238,31 @@ fn connection_loop(mut stream: TcpStream, service: &impl LineHandler, stop: &Ato
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn reap_keeps_only_the_threads_still_running() {
+        let (release, parked) = mpsc::channel::<()>();
+        let mut conns: Vec<JoinHandle<()>> = (0..3).map(|_| std::thread::spawn(|| {})).collect();
+        conns.push(std::thread::spawn(move || {
+            let _ = parked.recv();
+        }));
+        // `is_finished` turns true as a thread exits, not when it is joined.
+        while conns.iter().filter(|h| h.is_finished()).count() < 3 {
+            std::thread::yield_now();
+        }
+        reap(&mut conns);
+        assert_eq!(conns.len(), 1, "the parked thread alone is kept");
+        drop(release);
+        for handle in conns {
+            handle.join().expect("the parked thread exits cleanly");
         }
     }
 }

@@ -92,7 +92,8 @@ pub enum Disposition {
     Session,
     /// A structured error reply (bad request, shed, or handler failure).
     Error,
-    /// An injected connection drop: no reply was produced.
+    /// An injected connection drop: no reply was produced, and the caller
+    /// must hang up (or, in replay, retry) instead of delivering one.
     Dropped,
 }
 
@@ -106,9 +107,6 @@ pub struct Outcome {
     pub response: Response,
     /// `true` for a granted `shutdown` op.
     pub shutdown: bool,
-    /// `true` when an injected connection-drop fault fired: the caller must
-    /// hang up (or, in replay, retry) instead of delivering the response.
-    pub dropped: bool,
     /// What happened, for router-side accounting.
     pub disposition: Disposition,
     /// Simulated seconds the request cost to compute (`0.0` on hits,
@@ -118,15 +116,19 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// A plain reply carrying one complete line.
-    fn reply(line: String) -> Outcome {
+    /// Every outcome is built here; a granted `shutdown` sets its flag after.
+    fn new(response: Response, disposition: Disposition, virtual_s: f64) -> Outcome {
         Outcome {
-            response: Response::whole(line),
+            response,
             shutdown: false,
-            dropped: false,
-            disposition: Disposition::Error,
-            virtual_s: 0.0,
+            disposition,
+            virtual_s,
         }
+    }
+
+    /// An error reply carrying one complete line.
+    fn reply(line: String) -> Outcome {
+        Outcome::new(Response::whole(line), Disposition::Error, 0.0)
     }
 
     /// The materialized response line (tests and the replay harness; the
@@ -140,12 +142,6 @@ impl Outcome {
 struct ServeFaults {
     conn: FaultInjector,
     handler: FaultInjector,
-}
-
-/// Which injected serve fault fired for a request.
-enum ServeFault {
-    Drop,
-    Slow,
 }
 
 /// The shared service state behind every connection.
@@ -242,10 +238,8 @@ impl Service {
         match req.op.as_ref() {
             "metrics" => {
                 let body = lock(&self.metrics).to_json();
-                return Outcome {
-                    disposition: Disposition::Control,
-                    ..Outcome::reply(protocol::ok_line(&req.id, &body))
-                };
+                let line = protocol::ok_line(&req.id, &body);
+                return Outcome::new(Response::whole(line), Disposition::Control, 0.0);
             }
             "shutdown" => {
                 // Close the gate here, not in the TCP server: any embedding
@@ -255,10 +249,10 @@ impl Service {
                 // structured `shutting_down` error instead of sleeping out
                 // its deadline.
                 self.gate.shutdown();
+                let line = protocol::ok_line(&req.id, "{\"status\":\"draining\"}");
                 return Outcome {
                     shutdown: true,
-                    disposition: Disposition::Control,
-                    ..Outcome::reply(protocol::ok_line(&req.id, "{\"status\":\"draining\"}"))
+                    ..Outcome::new(Response::whole(line), Disposition::Control, 0.0)
                 };
             }
             _ => {}
@@ -272,20 +266,8 @@ impl Service {
         // The fault schedule fires before any request accounting: a dropped
         // connection never handled the request, so only the fault counter
         // moves and the retry (if any) is accounted like a fresh arrival.
-        match self.next_fault() {
-            Some(ServeFault::Drop) => {
-                self.count("faults.serve.conn");
-                return Outcome {
-                    dropped: true,
-                    disposition: Disposition::Dropped,
-                    ..Outcome::reply(String::new())
-                };
-            }
-            Some(ServeFault::Slow) => {
-                self.count("faults.serve.handler");
-                std::thread::sleep(SLOW_FAULT_STALL);
-            }
-            None => {}
+        if self.fault_drops() {
+            return Outcome::new(Response::whole(String::new()), Disposition::Dropped, 0.0);
         }
         self.count("serve.requests");
 
@@ -294,13 +276,7 @@ impl Service {
         // not a byte copy.
         if let Some(payload) = self.cache_get(&req.cache_key) {
             self.count("serve.cache.hits");
-            return Outcome {
-                response: Response::enveloped(&req.id, payload),
-                shutdown: false,
-                dropped: false,
-                disposition: Disposition::Hit,
-                virtual_s: 0.0,
-            };
+            return Outcome::new(Response::enveloped(&req.id, payload), Disposition::Hit, 0.0);
         }
         self.count("serve.cache.misses");
 
@@ -330,34 +306,64 @@ impl Service {
             }
         };
 
-        match self.execute(req) {
+        self.settle(req, self.execute(req), Disposition::Miss, |result| {
+            // One allocation serves both the cache entry and this response:
+            // warm and cold replies are byte-identical by construction, not
+            // by convention.
+            let payload = Arc::new(result.into_bytes());
+            self.cache_put(req.cache_key, Arc::clone(&payload));
+            Response::enveloped(&req.id, payload)
+        })
+    }
+
+    /// The `serve.ok` / `serve.err` tail of every executed op: count the
+    /// result and build the outcome, `wrap` turning the op's serialized
+    /// result into its response.
+    fn settle(
+        &self,
+        req: &Request,
+        executed: OpResult,
+        disposition: Disposition,
+        wrap: impl FnOnce(String) -> Response,
+    ) -> Outcome {
+        match executed {
             Ok((result, virtual_s)) => {
                 self.count("serve.ok");
                 if virtual_s > 0.0 {
                     // Deterministic cost accounting: simulated seconds the
-                    // request cost to compute, observed only on misses — the
-                    // replay harness's stand-in for wall-clock latency.
-                    let mut m = lock(&self.metrics);
-                    m.observe("serve.virtual_s", virtual_s);
+                    // request cost to compute, observed only on misses (a
+                    // steering op reports none) — the replay harness's
+                    // stand-in for wall-clock latency.
+                    lock(&self.metrics).observe("serve.virtual_s", virtual_s);
                 }
-                // One allocation serves both the cache entry and this
-                // response: warm and cold replies are byte-identical by
-                // construction, not by convention.
-                let payload = Arc::new(result.into_bytes());
-                self.cache_put(req.cache_key, Arc::clone(&payload));
-                Outcome {
-                    response: Response::enveloped(&req.id, payload),
-                    shutdown: false,
-                    dropped: false,
-                    disposition: Disposition::Miss,
-                    virtual_s,
-                }
+                Outcome::new(wrap(result), disposition, virtual_s)
             }
             Err((code, msg)) => {
                 self.count("serve.err");
                 Outcome::reply(protocol::error_line(&req.id, code, &msg))
             }
         }
+    }
+
+    /// Consume the request's fault-schedule slot: count what fired, stall on
+    /// a slow handler, and say whether the connection drops.
+    fn fault_drops(&self) -> bool {
+        let Some(faults) = &self.faults else {
+            return false;
+        };
+        let (dropped, slow) = {
+            let mut faults = lock(faults);
+            let dropped = faults.conn.next().is_some();
+            (dropped, !dropped && faults.handler.next().is_some())
+        };
+        if dropped {
+            self.count("faults.serve.conn");
+        }
+        if slow {
+            self.count("faults.serve.handler");
+            std::thread::sleep(SLOW_FAULT_STALL);
+        }
+        dropped
     }
 
     fn count(&self, name: &'static str) {
@@ -376,60 +382,27 @@ impl Service {
     ///    same seq exercises the byte-identical replay path instead of
     ///    double-applying.
     fn handle_steer(&self, req: &Request) -> Outcome {
-        let session = req
-            .params()
-            .get("session")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
+        let session = req.session();
         if self.gate.is_draining() {
-            let token = lock(&self.steer).resume_token(&session);
+            let token = lock(&self.steer).resume_token(session);
             self.count("serve.shed.shutting_down");
+            let message = format!(
+                "server is draining; re-attach session '{session}' elsewhere and resume with token {token}"
+            );
             return Outcome::reply(protocol::error_line(
                 &req.id,
                 ErrorCode::ShuttingDown,
-                &format!(
-                    "server is draining; re-attach session '{session}' elsewhere and resume with token {token}"
-                ),
+                &message,
             ));
         }
         self.count("serve.requests");
-        let executed = self.execute_steer(req, &session);
-        let dropped = match self.next_fault() {
-            Some(ServeFault::Drop) => {
-                self.count("faults.serve.conn");
-                true
-            }
-            Some(ServeFault::Slow) => {
-                self.count("faults.serve.handler");
-                std::thread::sleep(SLOW_FAULT_STALL);
-                false
-            }
-            None => false,
-        };
-        if dropped {
-            return Outcome {
-                dropped: true,
-                disposition: Disposition::Dropped,
-                ..Outcome::reply(String::new())
-            };
+        let executed = self.execute_steer(req, session);
+        if self.fault_drops() {
+            return Outcome::new(Response::whole(String::new()), Disposition::Dropped, 0.0);
         }
-        match executed {
-            Ok((result, virtual_s)) => {
-                self.count("serve.ok");
-                Outcome {
-                    response: Response::whole(protocol::ok_line(&req.id, &result)),
-                    shutdown: false,
-                    dropped: false,
-                    disposition: Disposition::Session,
-                    virtual_s,
-                }
-            }
-            Err((code, msg)) => {
-                self.count("serve.err");
-                Outcome::reply(protocol::error_line(&req.id, code, &msg))
-            }
-        }
+        self.settle(req, executed, Disposition::Session, |result| {
+            Response::whole(protocol::ok_line(&req.id, &result))
+        })
     }
 
     /// Parse and apply one steering op against the session engine.
@@ -438,20 +411,17 @@ impl Service {
             return Err(bad("session must be a non-empty string"));
         }
         let params = req.params();
+        let integer = |key| opt(params, key, Json::as_u64, "be an integer");
         let mut engine = lock(&self.steer);
         let before = engine.counters();
         let result = match req.op.as_ref() {
             "steer.attach" => {
                 let mut spec = AttachSpec::default();
-                if let Some(v) = params.get("interval") {
-                    spec.interval = v
-                        .as_u64()
-                        .ok_or_else(|| bad("interval must be an integer"))?;
+                if let Some(n) = integer("interval")? {
+                    spec.interval = n;
                 }
-                if let Some(v) = params.get("timesteps") {
-                    spec.timesteps = v
-                        .as_u64()
-                        .ok_or_else(|| bad("timesteps must be an integer"))?;
+                if let Some(n) = integer("timesteps")? {
+                    spec.timesteps = n;
                 }
                 engine.attach(session, &spec)
             }
@@ -462,11 +432,7 @@ impl Service {
             }
             "steer.render" => {
                 let seq = steer_seq(params)?;
-                let steps = match params.get("steps") {
-                    None => 1,
-                    Some(v) => v.as_u64().ok_or_else(|| bad("steps must be an integer"))?,
-                };
-                engine.render(session, seq, steps)
+                engine.render(session, seq, integer("steps")?.unwrap_or(1))
             }
             "steer.detach" => engine.detach(session, steer_seq(params)?),
             other => {
@@ -496,18 +462,6 @@ impl Service {
             )),
             Err(e) => Err(steer_err(e)),
         }
-    }
-
-    /// Consume the next fault-schedule slot (one per handled request).
-    fn next_fault(&self) -> Option<ServeFault> {
-        let mut faults = lock(self.faults.as_ref()?);
-        if faults.conn.next().is_some() {
-            return Some(ServeFault::Drop);
-        }
-        if faults.handler.next().is_some() {
-            return Some(ServeFault::Slow);
-        }
-        None
     }
 
     fn cache_get(&self, key: &[u8; 32]) -> Option<Arc<Vec<u8>>> {
@@ -545,31 +499,66 @@ impl Service {
 
     /// Dispatch to the op handler. Returns the serialized result plus the
     /// simulated seconds the computation covered.
-    fn execute(&self, req: &Request) -> Result<(String, f64), (ErrorCode, String)> {
+    fn execute(&self, req: &Request) -> OpResult {
         match req.op.as_ref() {
             "run" => op_run(req.params()),
             "compare" => op_compare(req.params()),
             "whatif" => op_whatif(req.params()),
             "advisor" => op_advisor(req.params()),
             "sweep" => op_sweep(req.params(), self.config.jobs),
-            other => Err((
-                ErrorCode::BadRequest,
-                format!("unknown op '{other}' (expected run|compare|whatif|advisor|sweep|steer.attach|steer.adjust|steer.render|steer.detach|metrics|shutdown)"),
-            )),
+            other => Err(bad(format!(
+                "unknown op '{other}' (expected run|compare|whatif|advisor|sweep|steer.attach|steer.adjust|steer.render|steer.detach|metrics|shutdown)"
+            ))),
         }
     }
 }
 
-type OpResult = Result<(String, f64), (ErrorCode, String)>;
+/// A refused or failed op: the protocol error code and its message.
+type OpError = (ErrorCode, String);
+type OpResult = Result<(String, f64), OpError>;
 
-fn bad(msg: impl Into<String>) -> (ErrorCode, String) {
+fn bad(msg: impl Into<String>) -> OpError {
     (ErrorCode::BadRequest, msg.into())
+}
+
+/// The member `key` of `params`, read through `read`; one that is absent, or
+/// that `read` turns away, is refused as "`key` must `must`".
+fn required<'a, T>(
+    params: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+    must: &str,
+) -> Result<T, OpError> {
+    let member = params.get(key).and_then(read);
+    member.ok_or_else(|| bad(format!("{key} must {must}")))
+}
+
+/// [`required`] for an optional member: absence is `None`, and the default
+/// stays with the caller.
+fn opt<'a, T>(
+    params: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+    must: &str,
+) -> Result<Option<T>, OpError> {
+    match params.get(key) {
+        None => Ok(None),
+        Some(_) => required(params, key, read, must).map(Some),
+    }
+}
+
+fn positive(v: &Json) -> Option<u64> {
+    v.as_u64().filter(|n| *n > 0)
+}
+
+fn case_number(v: &Json) -> Option<u32> {
+    v.as_u64().filter(|n| (1..=3).contains(n)).map(|n| n as u32)
 }
 
 /// Map a pipeline error onto the protocol: config/solver problems are the
 /// caller's (bad request), storage/corruption are the server's (internal).
 /// Either way the request dies as an error envelope, never a panic.
-fn pipeline_err(e: greenness_core::pipeline::PipelineError) -> (ErrorCode, String) {
+fn pipeline_err(e: greenness_core::pipeline::PipelineError) -> OpError {
     use greenness_core::pipeline::PipelineError;
     match &e {
         PipelineError::Config(_) | PipelineError::Solver(_) => {
@@ -584,7 +573,7 @@ fn pipeline_err(e: greenness_core::pipeline::PipelineError) -> (ErrorCode, Strin
 /// Map a steering refusal onto the protocol: slot exhaustion is
 /// back-pressure (`overloaded`), pipeline failures keep the pipeline
 /// mapping, everything else is the caller's mistake.
-fn steer_err(e: SteerError) -> (ErrorCode, String) {
+fn steer_err(e: SteerError) -> OpError {
     match e {
         SteerError::Slots { .. } => (ErrorCode::Overloaded, e.to_string()),
         SteerError::Pipeline(pe) => pipeline_err(pe),
@@ -593,39 +582,25 @@ fn steer_err(e: SteerError) -> (ErrorCode, String) {
 }
 
 /// The mandatory per-op sequence number (attach is seq 0; ops start at 1).
-fn steer_seq(params: &Json) -> Result<u64, (ErrorCode, String)> {
-    params
-        .get("seq")
-        .and_then(Json::as_u64)
-        .filter(|s| *s >= 1)
-        .ok_or_else(|| bad("seq must be an integer >= 1"))
+fn steer_seq(params: &Json) -> Result<u64, OpError> {
+    required(params, "seq", positive, "be an integer >= 1")
 }
 
 /// Parse the `steer.adjust` payload into a typed [`Adjustment`].
-fn parse_adjustment(params: &Json) -> Result<Adjustment, (ErrorCode, String)> {
-    let kind = params
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("kind must be io_interval|resolution|camera"))?;
+fn parse_adjustment(params: &Json) -> Result<Adjustment, OpError> {
+    let integer = |key| required(params, key, Json::as_u64, "be an integer");
+    let kind = required(
+        params,
+        "kind",
+        Json::as_str,
+        "be io_interval|resolution|camera",
+    )?;
     match kind {
-        "io_interval" => {
-            let n = params
-                .get("io_interval")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("io_interval must be an integer"))?;
-            Ok(Adjustment::IoInterval(n))
-        }
-        "resolution" => {
-            let width = params
-                .get("width")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("width must be an integer"))? as usize;
-            let height = params
-                .get("height")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("height must be an integer"))? as usize;
-            Ok(Adjustment::Resolution { width, height })
-        }
+        "io_interval" => Ok(Adjustment::IoInterval(integer("io_interval")?)),
+        "resolution" => Ok(Adjustment::Resolution {
+            width: integer("width")? as usize,
+            height: integer("height")? as usize,
+        }),
         "camera" => {
             let colormap = match params
                 .get("colormap")
@@ -642,12 +617,9 @@ fn parse_adjustment(params: &Json) -> Result<Adjustment, (ErrorCode, String)> {
                     )))
                 }
             };
-            let range = match params.get("range") {
+            let range = match opt(params, "range", Json::as_arr, "be a [lo, hi] array")? {
                 None => None,
-                Some(v) => {
-                    let arr = v
-                        .as_arr()
-                        .ok_or_else(|| bad("range must be a [lo, hi] array"))?;
+                Some(arr) => {
                     let (Some(lo), Some(hi)) = (
                         arr.first().and_then(Json::as_f64),
                         arr.get(1).and_then(Json::as_f64),
@@ -671,17 +643,14 @@ fn parse_adjustment(params: &Json) -> Result<Adjustment, (ErrorCode, String)> {
 }
 
 /// The `scale` a request asks for; `"small"` when it names none.
-fn scale_of(params: &Json) -> Result<&str, (ErrorCode, String)> {
-    match params.get("scale") {
-        None => Ok("small"),
-        Some(v) => v.as_str().ok_or_else(|| bad("scale must be a string")),
-    }
+fn scale_of(params: &Json) -> Result<&str, OpError> {
+    Ok(opt(params, "scale", Json::as_str, "be a string")?.unwrap_or("small"))
 }
 
 /// Case study `case` at `scale`: `"small"` is the millisecond-scale 64×64
 /// grid with the paper's I/O cadence (interval 1/2/8 for cases 1/2/3);
 /// `"paper"` is the full §IV-C workload.
-fn config_at(scale: &str, case: u32) -> Result<PipelineConfig, (ErrorCode, String)> {
+fn config_at(scale: &str, case: u32) -> Result<PipelineConfig, OpError> {
     match scale {
         "small" => Ok(PipelineConfig::small(match case {
             1 => 1,
@@ -697,14 +666,8 @@ fn config_at(scale: &str, case: u32) -> Result<PipelineConfig, (ErrorCode, Strin
 
 /// The case-study workload a request names: `case` (default 1) at
 /// [`scale_of`] the request.
-fn workload(params: &Json) -> Result<(u32, PipelineConfig), (ErrorCode, String)> {
-    let case = match params.get("case") {
-        None => 1,
-        Some(v) => v
-            .as_u64()
-            .filter(|n| (1..=3).contains(n))
-            .ok_or_else(|| bad("case must be 1, 2, or 3"))? as u32,
-    };
+fn workload(params: &Json) -> Result<(u32, PipelineConfig), OpError> {
+    let case = opt(params, "case", case_number, "be 1, 2, or 3")?.unwrap_or(1);
     Ok((case, config_at(scale_of(params)?, case)?))
 }
 
@@ -719,13 +682,9 @@ fn metrics_json(m: &GreenMetrics) -> String {
 }
 
 fn op_run(params: &Json) -> OpResult {
-    let kind: PipelineKind = match params.get("pipeline") {
+    let kind: PipelineKind = match opt(params, "pipeline", Json::as_str, "be a string")? {
         None => PipelineKind::InSitu,
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| bad("pipeline must be a string"))?
-            .parse()
-            .map_err(bad)?,
+        Some(name) => name.parse().map_err(bad)?,
     };
     let (case, cfg) = workload(params)?;
     let report = greenness_core::experiment::run(kind, &cfg, &ExperimentSetup::default())
@@ -767,33 +726,25 @@ fn op_compare(params: &Json) -> OpResult {
 /// re-runs as if the node's disk were that device (the serving-layer view
 /// of the tiered-storage question — "would this workload still need
 /// reorganizing on an NVMe tier?").
-fn device_param(params: &Json) -> Result<(ExperimentSetup, String), (ErrorCode, String)> {
+fn device_param(params: &Json) -> Result<(ExperimentSetup, String), OpError> {
     let mut setup = ExperimentSetup::default();
-    let Some(v) = params.get("device") else {
+    let Some(name) = opt(params, "device", Json::as_str, "be a string")? else {
         return Ok((setup, "hdd".to_string()));
     };
-    let name = v.as_str().ok_or_else(|| bad("device must be a string"))?;
-    let model = DiskModel::device_zoo()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, m)| m)
-        .ok_or_else(|| {
-            bad(format!(
-                "unknown device '{name}' (expected dram|pmem|nvme|ssd|hdd)"
-            ))
-        })?;
-    setup.spec.disk = model;
+    let zoo = DiskModel::device_zoo();
+    let Some((_, model)) = zoo.iter().find(|(n, _)| *n == name) else {
+        let names: Vec<&str> = zoo.iter().map(|(n, _)| *n).collect();
+        return Err(bad(format!(
+            "unknown device '{name}' (expected {})",
+            names.join("|")
+        )));
+    };
+    setup.spec.disk = model.clone();
     Ok((setup, name.to_string()))
 }
 
 fn op_whatif(params: &Json) -> OpResult {
-    let bytes = match params.get("bytes") {
-        None => 4 * 1024 * 1024 * 1024,
-        Some(v) => v
-            .as_u64()
-            .filter(|b| *b > 0)
-            .ok_or_else(|| bad("bytes must be a positive integer"))?,
-    };
+    let bytes = opt(params, "bytes", positive, "be a positive integer")?.unwrap_or(4 << 30);
     let (setup, device) = device_param(params)?;
     let w = WhatIfAnalysis::run(&setup, bytes)
         .map_err(|e| (ErrorCode::Internal, format!("fio failed: {e}")))?;
@@ -823,49 +774,24 @@ fn op_whatif(params: &Json) -> OpResult {
 }
 
 fn op_advisor(params: &Json) -> OpResult {
-    let pass_bytes = match params.get("pass_bytes") {
-        None => 1024 * 1024 * 1024,
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| bad("pass_bytes must be an integer"))?,
-    };
-    let passes = match params.get("passes") {
-        None => 1,
-        Some(v) => v
-            .as_u64()
-            .filter(|p| *p <= u32::MAX as u64)
-            .ok_or_else(|| bad("passes must be an integer"))? as u32,
-    };
-    let behavior = match params.get("pattern").map(Json::as_str) {
-        None | Some(Some("random")) => IoBehavior::Random {
-            op_bytes: match params.get("op_bytes") {
-                None => 4096,
-                Some(v) => v
-                    .as_u64()
-                    .filter(|b| *b > 0)
-                    .ok_or_else(|| bad("op_bytes must be a positive integer"))?,
-            },
+    let pass_bytes = opt(params, "pass_bytes", Json::as_u64, "be an integer")?.unwrap_or(1 << 30);
+    let as_u32 = |v: &Json| v.as_u64().and_then(|p| u32::try_from(p).ok());
+    let passes = opt(params, "passes", as_u32, "be an integer")?.unwrap_or(1);
+    let behavior = match opt(params, "pattern", Json::as_str, "be a string")? {
+        None | Some("random") => IoBehavior::Random {
+            op_bytes: opt(params, "op_bytes", positive, "be a positive integer")?.unwrap_or(4096),
         },
-        Some(Some("sequential")) => IoBehavior::Sequential,
-        Some(Some(other)) => {
+        Some("sequential") => IoBehavior::Sequential,
+        Some(other) => {
             return Err(bad(format!(
                 "unknown pattern '{other}' (expected sequential|random)"
             )))
         }
-        Some(None) => return Err(bad("pattern must be a string")),
     };
-    let needs_exploration = match params.get("needs_exploration") {
-        None => true,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| bad("needs_exploration must be a bool"))?,
-    };
-    let min_keep_fraction = match params.get("min_keep_fraction") {
-        None => 1.0,
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| bad("min_keep_fraction must be a number"))?,
-    };
+    let needs_exploration =
+        opt(params, "needs_exploration", Json::as_bool, "be a bool")?.unwrap_or(true);
+    let min_keep_fraction =
+        opt(params, "min_keep_fraction", Json::as_f64, "be a number")?.unwrap_or(1.0);
     // `recommend` asserts on this; validate here so a bad request cannot
     // panic a worker.
     if !(min_keep_fraction > 0.0 && min_keep_fraction <= 1.0) {
@@ -904,30 +830,19 @@ fn op_advisor(params: &Json) -> OpResult {
 }
 
 fn op_sweep(params: &Json, jobs: usize) -> OpResult {
-    let cases: Vec<u32> = match params.get("cases") {
+    let cases: Vec<u32> = match opt(params, "cases", Json::as_arr, "be an array")? {
         None => vec![1, 2, 3],
-        Some(v) => {
-            let items = v.as_arr().ok_or_else(|| bad("cases must be an array"))?;
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(
-                    item.as_u64()
-                        .filter(|n| (1..=3).contains(n))
-                        .ok_or_else(|| bad("cases entries must be 1, 2, or 3"))?
-                        as u32,
-                );
-            }
-            if out.is_empty() {
-                return Err(bad("cases must be non-empty"));
-            }
-            out
-        }
+        Some([]) => return Err(bad("cases must be non-empty")),
+        Some(items) => items
+            .iter()
+            .map(|item| case_number(item).ok_or_else(|| bad("cases entries must be 1, 2, or 3")))
+            .collect::<Result<_, _>>()?,
     };
     let scale = scale_of(params)?;
     let configs: Vec<(u32, PipelineConfig)> = cases
         .iter()
         .map(|&n| Ok((n, config_at(scale, n)?)))
-        .collect::<Result<_, (ErrorCode, String)>>()?;
+        .collect::<Result<_, OpError>>()?;
     let grid = sweep::config_grid(&ExperimentSetup::default(), &configs);
     let results = sweep::run_sweep(grid, jobs, &sweep::silent_progress()).map_err(|e| match e {
         sweep::SweepError::DuplicateKey { .. } => bad(format!("{e}")),
@@ -1024,6 +939,84 @@ mod tests {
         let m = s.metrics_clone();
         assert_eq!(m.counter("serve.cache.hits"), 0);
         assert_eq!(m.counter("serve.bad_request"), 4, "the malformed lines");
+    }
+
+    /// Every parameter refusal, byte for byte, as recorded on PR 22's tree
+    /// (`7fa8ce4`): the messages are assembled from a key and a "must"
+    /// clause, and clients match on them.
+    #[test]
+    fn parameter_refusals_are_pinned_byte_for_byte() {
+        let s = svc();
+        let table = [
+            (r#"{"op":"run","params":{"case":9}}"#, "case must be 1, 2, or 3"),
+            (r#"{"op":"run","params":{"case":"1"}}"#, "case must be 1, 2, or 3"),
+            (r#"{"op":"run","params":{"scale":1}}"#, "scale must be a string"),
+            (r#"{"op":"run","params":{"scale":"huge"}}"#, "unknown scale 'huge' (expected small|paper)"),
+            (r#"{"op":"run","params":{"pipeline":1}}"#, "pipeline must be a string"),
+            (r#"{"op":"run","params":{"pipeline":"warp"}}"#, "unknown pipeline 'warp' (expected post|insitu|intransit)"),
+            (r#"{"op":"whatif","params":{"device":1}}"#, "device must be a string"),
+            (r#"{"op":"whatif","params":{"device":"floppy"}}"#, "unknown device 'floppy' (expected dram|pmem|nvme|ssd|hdd)"),
+            (r#"{"op":"advisor","params":{"device":"floppy"}}"#, "unknown device 'floppy' (expected dram|pmem|nvme|ssd|hdd)"),
+            (r#"{"op":"whatif","params":{"bytes":0}}"#, "bytes must be a positive integer"),
+            (r#"{"op":"whatif","params":{"bytes":-1}}"#, "bytes must be a positive integer"),
+            (r#"{"op":"whatif","params":{"bytes":"1"}}"#, "bytes must be a positive integer"),
+            (r#"{"op":"advisor","params":{"pass_bytes":"x"}}"#, "pass_bytes must be an integer"),
+            (r#"{"op":"advisor","params":{"passes":4294967296}}"#, "passes must be an integer"),
+            (r#"{"op":"advisor","params":{"pattern":1}}"#, "pattern must be a string"),
+            (r#"{"op":"advisor","params":{"pattern":"zigzag"}}"#, "unknown pattern 'zigzag' (expected sequential|random)"),
+            (r#"{"op":"advisor","params":{"op_bytes":0}}"#, "op_bytes must be a positive integer"),
+            (r#"{"op":"advisor","params":{"needs_exploration":1}}"#, "needs_exploration must be a bool"),
+            (r#"{"op":"advisor","params":{"min_keep_fraction":"x"}}"#, "min_keep_fraction must be a number"),
+            (r#"{"op":"advisor","params":{"min_keep_fraction":0}}"#, "min_keep_fraction must be in (0, 1]"),
+            (r#"{"op":"advisor","params":{"min_keep_fraction":1.5}}"#, "min_keep_fraction must be in (0, 1]"),
+            (r#"{"op":"sweep","params":{"cases":1}}"#, "cases must be an array"),
+            (r#"{"op":"sweep","params":{"cases":[]}}"#, "cases must be non-empty"),
+            (r#"{"op":"sweep","params":{"cases":[1,4]}}"#, "cases entries must be 1, 2, or 3"),
+            (r#"{"op":"sweep","params":{"scale":"huge"}}"#, "unknown scale 'huge' (expected small|paper)"),
+            (r#"{"op":"steer.attach","params":{"session":"s","interval":"x"}}"#, "interval must be an integer"),
+            (r#"{"op":"steer.attach","params":{"session":"s","timesteps":-1}}"#, "timesteps must be an integer"),
+            (r#"{"op":"steer.render","params":{"session":"s","seq":1,"steps":"x"}}"#, "steps must be an integer"),
+            (r#"{"op":"steer.render","params":{"session":"s"}}"#, "seq must be an integer >= 1"),
+            (r#"{"op":"steer.render","params":{"session":"s","seq":0}}"#, "seq must be an integer >= 1"),
+            (r#"{"op":"steer.detach","params":{"session":"s","seq":"1"}}"#, "seq must be an integer >= 1"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1}}"#, "kind must be io_interval|resolution|camera"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":1}}"#, "kind must be io_interval|resolution|camera"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"warp"}}"#, "unknown adjustment kind 'warp' (expected io_interval|resolution|camera)"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"io_interval"}}"#, "io_interval must be an integer"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"resolution","height":4}}"#, "width must be an integer"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"resolution","width":4,"height":"x"}}"#, "height must be an integer"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"camera","colormap":"neon"}}"#, "unknown colormap 'neon' (expected viridis|hot|coolwarm|gray)"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"camera","range":1}}"#, "range must be a [lo, hi] array"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"camera","range":[0,"x"]}}"#, "range must be a [lo, hi] array of numbers"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"camera","range":[1]}}"#, "range must be a [lo, hi] array of numbers"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"camera","range":[2,1]}}"#, "range must be [lo, hi] with lo < hi"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"camera","range":[1,1]}}"#, "range must be [lo, hi] with lo < hi"),
+            (r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"camera","range":[0,1,2]}}"#, "range must be [lo, hi] with lo < hi"),
+            (r#"{"op":"steer.render","params":{"seq":1}}"#, "session must be a non-empty string"),
+            (r#"{"op":"steer.render","params":{"session":"","seq":1}}"#, "session must be a non-empty string"),
+            (r#"{"op":"steer.render","params":{"session":7,"seq":1}}"#, "session must be a non-empty string"),
+            (r#"{"op":"steer.warp","params":{"session":"s"}}"#, "unknown steer op 'steer.warp' (expected steer.attach|steer.adjust|steer.render|steer.detach)"),
+            (r#"{"op":"frobnicate"}"#, "unknown op 'frobnicate' (expected run|compare|whatif|advisor|sweep|steer.attach|steer.adjust|steer.render|steer.detach|metrics|shutdown)"),
+            // A non-string colormap is not refused: it falls back to the default
+            // map, and the op goes on to fail on the session it names.
+            (
+                r#"{"op":"steer.adjust","params":{"session":"s","seq":1,"kind":"camera","colormap":1}}"#,
+                "no steering session named 's'",
+            ),
+        ];
+        for (request, message) in table {
+            let body = request.strip_prefix('{').and_then(|r| r.strip_suffix('}'));
+            let out = s.handle_line(&line(body.expect("rows are objects")));
+            let expect = protocol::error_line("null", ErrorCode::BadRequest, message);
+            assert_eq!(out.line(), expect, "{request}");
+        }
+        let m = s.metrics_clone();
+        assert_eq!(m.counter("serve.err"), table.len() as u64);
+        assert_eq!(
+            m.counter("serve.bad_request"),
+            0,
+            "every row is a well-formed line"
+        );
     }
 
     #[test]
@@ -1150,7 +1143,7 @@ mod tests {
             for i in 0..40 {
                 let out =
                     s.handle_line(&line(&format!(r#""id":{i},"op":"advisor","params":{{}}"#)));
-                dropped.push(out.dropped);
+                dropped.push(out.disposition == Disposition::Dropped);
             }
             (dropped, s.metrics_clone())
         };

@@ -149,6 +149,26 @@ fn oversized_line_is_refused(front: &str, addr: &str) {
     );
 }
 
+/// One-shot clients come and go — the accept loop forgets each one's thread
+/// once it has exited — and leave the loop as it was: whatever connects after
+/// 64 of them is framed like the first connection.
+fn one_shot_clients_come_and_go(front: &str, addr: &str) {
+    for id in 0..64 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        stream
+            .write_all(format!("{}\n", whatif(id)).as_bytes())
+            .expect("write");
+        let mut reply = String::new();
+        BufReader::new(stream)
+            .read_line(&mut reply)
+            .expect("one-shot reply");
+        assert!(reply.contains(&format!("\"id\":{id},")), "{front}: {reply}");
+    }
+}
+
 /// A `shutdown` op is acked on the wire and stops the listener: the caller
 /// goes on to `join`, which must return.
 fn shutdown_over_the_wire(front: &str, addr: &str) {
@@ -175,7 +195,9 @@ fn framing_is_identical_behind_both_front_ends() {
     ];
     for (front, addr) in &fronts {
         oversized_line_is_refused(front, addr);
-        // A fresh connection after the refusal is served like any other.
+        // A fresh connection after the refusal — here the 65th and on, the
+        // one-shot clients having left — is served like any other.
+        one_shot_clients_come_and_go(front, addr);
         for case in cases() {
             drive(front, addr, &case);
         }

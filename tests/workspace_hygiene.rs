@@ -13,7 +13,9 @@
 //! `Request` a borrowed view validated by `skip_value` on the same lexer, and
 //! the result cache's recency an index-linked slab; PR 22 made the cluster's
 //! `DecomposedSolver` a row view over the one `HeatSolver` and folded the
-//! fabric's twin fault loops and serve's twin `scale` ladders.
+//! fabric's twin fault loops and serve's twin `scale` ladders; PR 23 wrote
+//! serve's request lifecycle once (`Outcome::new`, `fault_drops`, `settle`,
+//! `opt`/`required`) and gave the fleet `routed` and `Request::session`.
 //! This test walks the tree and fails if any of them grows back, so "add a
 //! quick local copy" shows up in review instead of in the next inventory.
 
@@ -337,6 +339,57 @@ fn one_stencil_one_fabric_fault_loop_one_scale_ladder() {
     assert_eq!(non_test(&fabric).matches("inj.next()").count(), 1);
     let service = read(&crates.join("serve/src/service.rs"));
     assert_eq!(non_test(&service).matches("unknown scale").count(), 1);
+}
+
+#[test]
+fn a_request_lifecycle_is_spelled_once() {
+    let crates = repo_root().join("crates");
+    let service = read(&crates.join("serve/src/service.rs"));
+    let service = non_test(&service);
+    let fleet = read(&crates.join("fleet/src/fleet.rs"));
+    let fleet = non_test(&fleet);
+
+    // `Outcome::new` builds the struct and a granted `shutdown` updates it;
+    // `router_reply` is the fleet's one full `FleetOutcome` (the others
+    // update it), and a full literal has to spell `shutdown: false`.
+    let literals = service
+        .match_indices("Outcome {")
+        .filter(|(at, _)| {
+            let before = &service[..*at];
+            !["struct ", "impl ", "-> "]
+                .iter()
+                .any(|decl| before.ends_with(decl))
+        })
+        .count();
+    assert!(literals <= 2, "{literals} `Outcome {{ .. }}` literals");
+    for (file, src) in [("service.rs", service), ("fleet.rs", fleet)] {
+        assert_eq!(src.matches("shutdown: false").count(), 1, "{file}");
+    }
+    assert!(!service.contains("pub dropped"));
+    // The accept loop's connection list is its own: no lock to poison.
+    let server = read(&crates.join("serve/src/server.rs"));
+    assert!(!non_test(&server).contains("Mutex"));
+
+    // Both fault injectors are drawn in `fault_drops` and nowhere else.
+    let (_, rest) = service.split_once("fn fault_drops(").expect("fault_drops");
+    let (body, _) = rest.split_once("\n    }\n").expect("its closing brace");
+    assert_eq!(body.matches(".next().is_some()").count(), 2);
+    assert_eq!(service.matches(".next().is_some()").count(), 2);
+
+    // Parameter refusals go through `opt` / `required` (21 hand-written
+    // ladders on PR 22's tree), and one accessor reads the session name.
+    let ladders = service.matches("ok_or_else(|| bad(").count();
+    assert!(ladders <= 6, "{ladders} hand-written refusals");
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+    for path in &sources {
+        assert!(
+            path.ends_with("serve/src/protocol.rs")
+                || !non_test(&read(path)).contains("get(\"session\")"),
+            "{}: read the session through `Request::session`",
+            path.display()
+        );
+    }
 }
 
 #[test]
