@@ -25,7 +25,9 @@
 //!   fabric fault loop) reports, cell by cell, the makespan, energy, image
 //!   hash, byte channels and fault counters the cluster's private stencil
 //!   and twin fault loops reported, plain and under a seeded fault plan,
-//!   against values recorded before they were deleted;
+//!   against values recorded before they were deleted — and the staging
+//!   variants and traced journals the one-function cluster driver produced
+//!   before it was split into stage methods;
 //! * bad command-line input handed to either binary (an invalid solver
 //!   config, an unknown artifact, a flag without its value) is a *usage*
 //!   error: exit 2 with a one-line message, before any work runs — and the
@@ -36,7 +38,9 @@ use std::process::Command;
 use greenness_cluster::{ClusterKind, StagingConfig, WireCodec};
 use greenness_codec::transpose::TransposeRle;
 use greenness_codec::Codec;
-use greenness_core::cluster_sweep::{cluster_jobs, run_cluster_sweep, ClusterSetup};
+use greenness_core::cluster_sweep::{
+    cluster_jobs, cluster_journal, cluster_metrics_json, run_cluster_sweep, ClusterSetup,
+};
 use greenness_core::PipelineConfig;
 use greenness_faults::{fnv1a64_extend, splitmix64, FaultPlan};
 use greenness_fleet::{fleet_workload, run_fleet_replay, FleetConfig};
@@ -559,16 +563,29 @@ const REPLAY_RECORDED: [&str; 4] = [
 /// under `quant8` — key, makespan and energy bit patterns, image hash, fabric
 /// and PFS bytes, and the [`greenness_cluster::FaultSummary`] counters.
 fn cluster_transcript(faults: Option<FaultPlan>) -> Vec<String> {
+    let wire = |wire_codec| StagingConfig {
+        wire_codec,
+        ..StagingConfig::default()
+    };
+    staged_transcript(
+        &[
+            (wire(WireCodec::None), None),
+            (wire(WireCodec::Quant8), Some(ClusterKind::InTransit)),
+        ],
+        faults,
+    )
+}
+
+/// [`cluster_transcript`]'s rows for each `(staging, kind filter)` sweep.
+fn staged_transcript(
+    sweeps: &[(StagingConfig, Option<ClusterKind>)],
+    faults: Option<FaultPlan>,
+) -> Vec<String> {
     let mut rows = Vec::new();
-    for (wire_codec, kind) in [
-        (WireCodec::None, None),
-        (WireCodec::Quant8, Some(ClusterKind::InTransit)),
-    ] {
+    for &(staging, kind) in sweeps {
+        let wire_codec = staging.wire_codec;
         let setup = ClusterSetup {
-            staging: StagingConfig {
-                wire_codec,
-                ..StagingConfig::default()
-            },
+            staging,
             faults,
             trace: false,
         };
@@ -609,6 +626,112 @@ fn cluster_grid_matches_the_pre_slab_view_recording() {
         CLUSTER_RECORDED[1]
     );
 }
+
+/// The staging configurations [`cluster_transcript`] leaves out — a
+/// synchronous queue, two stagers (which every kind allocates, so the whole
+/// grid), the lossless wire codec — plain and under `--fault-seed 11`, and
+/// a digest of the traced sweep's journal and metrics file for the plain
+/// grid and for `--fault-seed 11 --wire-codec quant8`. A charge, fault slot
+/// or trace event that moves by one place changes a row or a digest.
+#[test]
+fn cluster_staging_variants_and_journals_match_the_recording() {
+    let transit = Some(ClusterKind::InTransit);
+    let sweeps = [
+        (
+            StagingConfig {
+                queue_depth: 0,
+                ..StagingConfig::default()
+            },
+            transit,
+        ),
+        (
+            StagingConfig {
+                staging_nodes: 2,
+                ..StagingConfig::default()
+            },
+            None,
+        ),
+        (
+            StagingConfig {
+                wire_codec: WireCodec::DeltaRle,
+                ..StagingConfig::default()
+            },
+            transit,
+        ),
+    ];
+    let mut rows = staged_transcript(&sweeps, None);
+    rows.extend(staged_transcript(&sweeps, Some(FaultPlan::with_seed(11))));
+    assert_eq!(rows, STAGING_RECORDED);
+
+    let journals: Vec<String> = [
+        (WireCodec::None, None),
+        (WireCodec::Quant8, Some(FaultPlan::with_seed(11))),
+    ]
+    .into_iter()
+    .map(|(wire_codec, faults)| {
+        let setup = ClusterSetup {
+            staging: StagingConfig {
+                wire_codec,
+                ..StagingConfig::default()
+            },
+            faults,
+            trace: true,
+        };
+        let results = run_cluster_sweep(cluster_jobs(None), &setup, 1, &|_, _, _| {})
+            .expect("every cell completes");
+        let mut digest = Blake2s256::default();
+        for artifact in [cluster_journal(&results), cluster_metrics_json(&results)] {
+            let artifact = artifact.expect("a traced sweep has both");
+            digest.update(&(artifact.len() as u64).to_le_bytes());
+            digest.update(artifact.as_bytes());
+        }
+        hex(&digest.finalize())
+    })
+    .collect();
+    assert_eq!(journals, JOURNAL_RECORDED);
+}
+
+/// Recorded at commit `f12f497`, before the cluster driver was split into
+/// stages: the three sweeps plain, then under `--fault-seed 11`.
+const STAGING_RECORDED: [&str; 30] = [
+    "case1:intransit/none 4040ed4d70baecea 40d99f6a3c525c35 5f1ce5c6559c40e4 8388608 3145968 0/0/0/0/0/0",
+    "case2:intransit/none 40343db8d537ef1e 40cf510a68fb23e3 1ad9458c65c9ea1a 4194304 1572984 0/0/0/0/0/0",
+    "case3:intransit/none 4024101e9812fe2c 40c05eb2dd3bf47f a11d15c4724ef9ca 1048576 393246 0/0/0/0/0/0",
+    "case1:post/none 4043a06831e4f6dd 40e0db23994e2b12 5f1ce5c6559c40e4 0 8388608 0/0/0/0/0/0",
+    "case1:insitu/none 402af6126c7a62d9 40c878962f38a6a2 95e7d0ac5295d3ec 0 3146624 0/0/0/0/0/0",
+    "case1:intransit/none 402aead87ba407a9 40c8c09fdbeb941e 5f1ce5c6559c40e4 8388608 3145968 0/0/0/0/0/0",
+    "case2:post/none 4036f0d39661f911 40d40add7ccddd43 1ad9458c65c9ea1a 0 4194304 0/0/0/0/0/0",
+    "case2:insitu/none 40241bdfff3735d5 40c29bbede9bb7b2 a33a8b3e578a938e 0 1573312 0/0/0/0/0/0",
+    "case2:intransit/none 40231b9b474c4d69 40c1f2583b6b1a56 1ad9458c65c9ea1a 4194304 1572984 0/0/0/0/0/0",
+    "case3:post/none 402569abf8a80325 40c3949c68e60536 a11d15c4724ef9ca 0 1048576 0/0/0/0/0/0",
+    "case3:insitu/none 401df0745a89a824 40bc6c3ac44c0902 31d69fe0e8358592 0 393328 0/0/0/0/0/0",
+    "case3:intransit/none 4021026dae7ba057 40bfd875a0414d60 a11d15c4724ef9ca 1048576 393246 0/0/0/0/0/0",
+    "case1:intransit/delta-rle 4038a7fa65c4217a 40d3051b5e238da6 5f1ce5c6559c40e4 8061528 3145968 0/0/0/0/0/0",
+    "case2:intransit/delta-rle 402a2103b5dbde51 40c5045091b3c65c 1ad9458c65c9ea1a 4030693 1572984 0/0/0/0/0/0",
+    "case3:intransit/delta-rle 4020ee1057de5ab6 40bc3e302fd966f3 a11d15c4724ef9ca 1007573 393246 0/0/0/0/0/0",
+    "case1:intransit/none 404175868e86e356 40da681da3872960 5f1ce5c6559c40e4 8388608 3145968 3/3/3/9/3/2",
+    "case2:intransit/none 4034e84e4416ec67 40d025935404588f 1ad9458c65c9ea1a 4194304 1572984 0/0/4/3/4/1",
+    "case3:intransit/none 402414a40c16ed35 40c061f7059c1ae6 a11d15c4724ef9ca 1048576 393246 0/0/1/2/1/0",
+    "case1:post/none 4044021ed9679873 40e12c8e85620080 5f1ce5c6559c40e4 0 8388608 6/6/4/7/4/0",
+    "case1:insitu/none 402c473769dfd3cc 40c990498ed2b011 95e7d0ac5295d3ec 0 3146624 7/7/2/1/2/0",
+    "case1:intransit/none 402d03595a282e61 40ca82f872862544 5f1ce5c6559c40e4 8388608 3145968 3/3/3/9/3/2",
+    "case2:post/none 4037395d84da33ac 40d4474843ef41de 1ad9458c65c9ea1a 0 4194304 1/1/4/7/4/0",
+    "case2:insitu/none 4024f5ce01efde0e 40c35092a56f4833 a33a8b3e578a938e 0 1573312 4/4/5/6/5/0",
+    "case2:intransit/none 4023d7b56244652c 40c291f6756a1147 1ad9458c65c9ea1a 4194304 1572984 0/0/4/3/4/1",
+    "case3:post/none 40256f3791892149 40c3992df94b8a61 a11d15c4724ef9ca 0 1048576 0/0/1/3/1/0",
+    "case3:insitu/none 401e08af07c87ee8 40bc802eb181734a 31d69fe0e8358592 0 393328 0/0/2/7/2/0",
+    "case3:intransit/none 402106f3227f8f60 40bfdfeb156d021a a11d15c4724ef9ca 1048576 393246 0/0/1/2/1/0",
+    "case1:intransit/delta-rle 4039b523c27ce7b2 40d3cb6c5dc45d6e 5f1ce5c6559c40e4 8061528 3145968 3/3/3/9/3/2",
+    "case2:intransit/delta-rle 402b171b61409de6 40c5ba30992653a9 1ad9458c65c9ea1a 4030693 1572984 0/0/4/3/4/1",
+    "case3:intransit/delta-rle 4020f295cbe249bf 40bc44b88099b3c2 a11d15c4724ef9ca 1007573 393246 0/0/1/2/1/0",
+];
+
+/// Recorded at commit `f12f497`: the plain traced grid, then
+/// `--fault-seed 11 --wire-codec quant8`.
+const JOURNAL_RECORDED: [&str; 2] = [
+    "eacf74839ac3fa04b653cf7bc4fb54f4b65a3af2085c36e85e06446928d6b92c",
+    "4ec4f7caec14361ea852978e6450a105f625a6b9026e4ec00641c087f0979beb",
+];
 
 /// Recorded on PR 21's tree (`6cd2f11`): the plain grid, then `--fault-seed 11`.
 const CLUSTER_RECORDED: [[&str; 12]; 2] = [
