@@ -12,7 +12,7 @@
 pub mod cli;
 
 use greenness_core::sweep::{self, JobResult};
-use greenness_core::{CaseComparison, ExperimentSetup};
+use greenness_core::ExperimentSetup;
 
 /// Default worker count: one per available core, capped by the job count
 /// inside the executor.
@@ -33,16 +33,6 @@ pub fn run_case_grid(
     on_done: sweep::Progress<'_>,
 ) -> Result<Vec<JobResult>, sweep::SweepError> {
     sweep::run_sweep(sweep::case_grid(setup, &[1, 2, 3]), jobs, on_done)
-}
-
-/// Run all three §IV-C case studies (both pipelines each), in parallel on
-/// all available cores.
-///
-/// # Errors
-/// Propagates a [`sweep::SweepError`] from the executor.
-pub fn run_all_cases(setup: &ExperimentSetup) -> Result<Vec<CaseComparison>, sweep::SweepError> {
-    let results = run_case_grid(setup, default_jobs(), &sweep::silent_progress())?;
-    Ok(sweep::comparisons(&results))
 }
 
 #[cfg(test)]

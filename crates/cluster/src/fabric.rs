@@ -41,18 +41,16 @@ fn trace_fault(node: &Node, site: &'static str, mode: &'static str, attempt: u32
         _ => "faults.fabric.transfer",
     };
     tracer.count(counter, 1);
-    if tracer.is_on() {
-        tracer.instant(
-            node.now().as_nanos(),
-            "fault.injected",
-            vec![
-                ("site", Value::from(site)),
-                ("mode", Value::from(mode)),
-                ("attempt", Value::from(attempt)),
-                ("backoff_s", Value::from(backoff_s)),
-            ],
-        );
-    }
+    tracer.instant(
+        node.now().as_nanos(),
+        "fault.injected",
+        vec![
+            ("site", Value::from(site)),
+            ("mode", Value::from(mode)),
+            ("attempt", Value::from(attempt)),
+            ("backoff_s", Value::from(backoff_s)),
+        ],
+    );
 }
 
 /// Per-fabric fault bookkeeping: the schedule plus what it has done so far.
@@ -80,14 +78,6 @@ impl Fabric {
     /// A fabric over an arbitrary link model.
     pub fn new(net: NetModel) -> Fabric {
         Fabric { net, faults: None }
-    }
-
-    /// A 10 GbE fabric.
-    pub fn ten_gbe() -> Fabric {
-        Fabric {
-            net: NetModel::ten_gbe(),
-            faults: None,
-        }
     }
 
     /// Install (or clear) a seeded transfer-fault schedule. Each
@@ -302,7 +292,7 @@ mod tests {
 
     #[test]
     fn transfer_occupies_both_endpoints() {
-        let fabric = Fabric::ten_gbe();
+        let fabric = Fabric::new(NetModel::ten_gbe());
         let mut a = node();
         let mut b = node();
         b.execute(Activity::idle_secs(1.0), Phase::Idle); // receiver is "behind"

@@ -87,19 +87,14 @@ impl ParallelFs {
         (self.fsync_faults, self.fsync_retries)
     }
 
-    /// Number of object servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     /// The servers (for energy accounting).
     pub fn servers(&self) -> &[IoServer] {
         &self.servers
     }
 
-    /// Stripe size in bytes.
-    pub fn stripe_bytes(&self) -> usize {
-        self.stripe_bytes
+    /// Bytes durably written so far, across all servers.
+    pub(crate) fn written_bytes(&self) -> u64 {
+        self.written_bytes
     }
 
     fn stripe_file(name: &str, stripe: usize) -> String {
@@ -248,13 +243,6 @@ impl ParallelFs {
         Ok(out)
     }
 
-    /// True if `name` has at least one stripe.
-    pub fn exists(&self, name: &str) -> bool {
-        self.servers[self.start_server(name)]
-            .fs
-            .exists(&Self::stripe_file(name, 0))
-    }
-
     /// `sync; drop_caches` on every server (the paper's §IV-C discipline),
     /// then align all server clocks.
     pub fn sync_and_drop_all(&mut self, phase: Phase) {
@@ -272,25 +260,18 @@ impl ParallelFs {
             sync_to(&mut s.node, t, phase);
         }
     }
-
-    /// Sum of all server energies, joules.
-    pub fn total_energy_j(&self) -> f64 {
-        self.servers
-            .iter()
-            .map(|s| s.node.timeline().total_energy_j())
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greenness_platform::NetModel;
 
     fn setup(n: usize) -> (Node, Fabric, ParallelFs) {
         let spec = HardwareSpec::table1();
         let client = Node::new(spec.clone());
         let pfs = ParallelFs::new(n, &spec, 128 * 1024, 256 * 1024 * 1024);
-        (client, Fabric::ten_gbe(), pfs)
+        (client, Fabric::new(NetModel::ten_gbe()), pfs)
     }
 
     fn payload(len: usize) -> Vec<u8> {
@@ -349,7 +330,12 @@ mod tests {
             for s in &mut pfs.servers {
                 sync_to(&mut s.node, client.now(), Phase::Idle);
             }
-            pfs.total_energy_j() / client.now().as_secs_f64()
+            let joules: f64 = pfs
+                .servers()
+                .iter()
+                .map(|s| s.node.timeline().total_energy_j())
+                .sum();
+            joules / client.now().as_secs_f64()
         };
         assert!(
             energy(8) > energy(2),
@@ -367,14 +353,13 @@ mod tests {
                 ..
             })
         ));
-        assert!(!pfs.exists("ghost"));
     }
 
     #[test]
     fn undersized_pfs_reports_required_vs_configured() {
         let spec = HardwareSpec::table1();
         let mut client = Node::new(spec.clone());
-        let fabric = Fabric::ten_gbe();
+        let fabric = Fabric::new(NetModel::ten_gbe());
         // Two servers of 64 KiB each: a 1 MiB write cannot fit.
         let mut pfs = ParallelFs::new(2, &spec, 32 * 1024, 64 * 1024);
         let err = pfs

@@ -39,7 +39,7 @@ use greenness_viz::{encode_ppm, render_field, RenderCostModel, RenderOptions};
 use crate::error::{ClusterError, FaultSummary};
 use crate::fabric::{barrier, sync_to, Fabric};
 use crate::pfs::ParallelFs;
-use crate::slab::DecomposedSolver;
+use crate::slab::{row_slabs, DecomposedSolver};
 
 /// Which distributed pipeline to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -176,7 +176,9 @@ pub struct ClusterConfig {
     pub spec: HardwareSpec,
     /// Interconnect link model (fabric transfers and PFS traffic).
     pub net: NetModel,
-    /// In-transit staging topology (ignored by the other pipelines).
+    /// In-transit staging topology. The other pipelines read only
+    /// `staging_nodes`, the size of their non-compute allocation
+    /// (post-processing renders on the first of those nodes).
     pub staging: StagingConfig,
 }
 
@@ -248,10 +250,11 @@ impl ClusterConfig {
         }
     }
 
-    /// Reject what a run would otherwise trip over mid-flight — a division
-    /// by `io_interval`, the slab and PFS constructors' contracts, the
-    /// solver's stability condition — naming the offending field.
-    fn validate(&self) -> Result<(), ClusterError> {
+    /// Reject what a `kind` run would otherwise trip over mid-flight — a
+    /// division by `io_interval`, the slab and PFS constructors' contracts,
+    /// an empty frame or in-situ slab image, the solver's stability
+    /// condition — naming the offending field.
+    fn validate(&self, kind: ClusterKind) -> Result<(), ClusterError> {
         let at_least = |name: &str, value: u64, min: u64| {
             if value >= min {
                 return Ok(());
@@ -261,11 +264,21 @@ impl ClusterConfig {
         };
         at_least("compute_nodes", self.compute_nodes as u64, 1)?;
         at_least("io_servers", self.io_servers as u64, 1)?;
+        at_least("staging_nodes", self.staging.staging_nodes as u64, 1)?;
         at_least("stripe_bytes", self.stripe_bytes as u64, 1)?;
         at_least("io_interval", self.io_interval, 1)?;
         at_least("grid_nx", self.grid_nx as u64, 3)?;
         let rows = self.grid_ny / self.compute_nodes;
         at_least("grid_ny / compute_nodes (rows per node)", rows as u64, 3)?;
+        at_least("render.width", self.render.width as u64, 1)?;
+        at_least("render.height", self.render.height as u64, 1)?;
+        if kind == ClusterKind::InSitu {
+            let (height, ny) = (self.render.height, self.grid_ny);
+            for (k, (j0, rows)) in row_slabs(ny, self.compute_nodes).into_iter().enumerate() {
+                let field = format!("render.height: pixel rows of slab {k}");
+                at_least(&field, slab_rows_px(height, ny, j0, rows) as u64, 1)?;
+            }
+        }
         self.solver
             .validate(self.grid_nx, self.grid_ny)
             .map_err(|e| ClusterError::Config(format!("solver: {e}")))
@@ -374,386 +387,398 @@ pub fn run_cluster_with_faults(
 /// staging node: phase spans, `fault.injected` instants, and the staging
 /// vocabulary (`staging.queue.block` / `staging.frame.render` instants,
 /// `staging.bytes.wire` / `staging.bytes.raw` counters) land in `tracer`.
+/// Every kind runs the same `Run` stages; only the I/O step differs.
 pub fn run_cluster_traced(
     kind: ClusterKind,
     cfg: &ClusterConfig,
     faults: Option<FaultPlan>,
     tracer: &Tracer,
 ) -> Result<(ClusterReport, FaultSummary), ClusterError> {
-    cfg.validate()?;
-    let mut fabric = Fabric::new(cfg.net.clone());
-    if let Some(plan) = faults {
-        fabric.set_fault_injector(Some(plan.injector(Site::FabricTransfer, 0)));
-    }
-    let fabric = fabric;
-    // NetTransfer activities are priced by the endpoint NICs, so the
-    // cluster's link model must live on every node's spec.
-    let mut spec = cfg.spec.clone();
-    spec.net = cfg.net.clone();
-    let n_stagers = cfg.staging.staging_nodes.max(1);
-    let mut compute: Vec<Node> = (0..cfg.compute_nodes)
-        .map(|_| Node::new(spec.clone()))
-        .collect();
-    let mut stagers: Vec<Node> = (0..n_stagers).map(|_| Node::new(spec.clone())).collect();
-    // Each node stamps its own clock into the shared journal, so each gets
-    // its own lane: compute `0..N`, then the stagers.
-    for (lane, node) in compute.iter_mut().chain(stagers.iter_mut()).enumerate() {
-        node.set_tracer(tracer.with_node(lane));
-    }
-    let mut pfs = ParallelFs::new(cfg.io_servers, &spec, cfg.stripe_bytes, 1024 * 1024 * 1024);
-    pfs.set_fault_plan(faults);
-    let mut render_inj: Option<FaultInjector> = faults.map(|p| p.injector(Site::StagingRender, 0));
-
-    let initial = Grid::warm_patch(cfg.grid_nx, cfg.grid_ny);
-    let mut solver = DecomposedSolver::new(&initial, cfg.solver.clone(), cfg.compute_nodes);
-    let ghost = solver.ghost_traffic();
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
-
-    // Wire compression state: one warm buffer set per sender (steady-state
-    // encoding performs no heap allocation), one decoder on the staging
-    // side. Encode and decode are charged as CPU dynamic energy.
-    let codec_cost = CodecCostModel::default();
-    let mut encoders: Vec<ScratchCodec> = if kind == ClusterKind::InTransit {
-        (0..cfg.compute_nodes)
-            .filter_map(|_| cfg.staging.wire_codec.build().map(ScratchCodec::new))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let wire_decoder: Option<Box<dyn Codec>> = cfg.staging.wire_codec.build();
-
-    // Per-stager bounded send queues: release instants (stager clock at
-    // frame completion) of the frames still occupying a queue slot.
-    let mut inflight: Vec<VecDeque<SimTime>> = vec![VecDeque::new(); n_stagers];
-    let mut frame_no = 0usize;
-
-    let mut fabric_bytes = 0u64;
-    let mut pfs_bytes = 0u64;
-    let mut staging_raw_bytes = 0u64;
-    let mut staging_torn_renders = 0u64;
-    let mut image_hash = fnv1a64(&[]);
-    let mut verified = true;
-    let mut checksums: Vec<(u64, Vec<u64>)> = Vec::new(); // (step, per-slab fnv)
-
+    cfg.validate(kind)?;
+    let mut run = Run::new(kind, cfg, faults, tracer);
     for step in 1..=cfg.timesteps {
-        // One step of the global field, by the workspace's one solver
-        // (`slab` says why that is exact).
-        solver.step();
-        // Each node charges its slab's updates...
-        for (k, node) in compute.iter_mut().enumerate() {
-            let cells = solver.slab_info(k).cells;
-            node.execute(cfg.sim_cost.activity(cells), Phase::Simulation);
-        }
-        // ...and each neighbor pair exchanges ghost rows, both directions.
-        for k in 0..ghost.pairs {
-            let (a, b) = compute.split_at_mut(k + 1);
-            let (lo, hi) = (&mut a[k], &mut b[0]);
-            fabric.transfer_reliable(lo, hi, ghost.bytes_per_direction, 1, Phase::Network)?;
-            fabric.transfer_reliable(hi, lo, ghost.bytes_per_direction, 1, Phase::Network)?;
-        }
-        barrier(&mut compute, Phase::Idle);
-
+        run.simulate()?;
         if step % cfg.io_interval != 0 {
             continue;
         }
         match kind {
-            ClusterKind::PostProcessing => {
-                let mut sums = Vec::with_capacity(cfg.compute_nodes);
-                for (k, node) in compute.iter_mut().enumerate() {
-                    let bytes = solver.slab_bytes(k);
-                    sums.push(checksum64(&bytes));
-                    pfs_bytes += bytes.len() as u64;
-                    pfs.write(
-                        node,
-                        &fabric,
-                        &format!("snap{step:04}.n{k:02}"),
-                        &bytes,
-                        Phase::Write,
-                    )?;
-                }
-                checksums.push((step, sums));
-            }
-            ClusterKind::InSitu => {
-                for (k, node) in compute.iter_mut().enumerate() {
-                    let info = solver.slab_info(k);
-                    // Render this node's share of the frame: an exact
-                    // partition of the pixel rows, so charges and output
-                    // sum to one full frame even on odd grids.
-                    let rows_px = slab_rows_px(cfg.render.height, cfg.grid_ny, info.j0, info.rows);
-                    node.execute(
-                        cfg.render_cost
-                            .activity((cfg.render.width * rows_px) as u64),
-                        Phase::Visualization,
-                    );
-                    let slab_render = render_field(
-                        &solver.slab_grid(k),
-                        &RenderOptions {
-                            height: rows_px,
-                            ..cfg.render
-                        },
-                    );
-                    let ppm = encode_ppm(&slab_render);
-                    image_hash = fnv1a64_extend(image_hash, &ppm);
-                    pfs_bytes += ppm.len() as u64;
-                    pfs.write(
-                        node,
-                        &fabric,
-                        &format!("frame{step:04}.n{k:02}.ppm"),
-                        &ppm,
-                        Phase::ImageWrite,
-                    )?;
-                }
-            }
+            ClusterKind::PostProcessing => run.write_snapshots(step)?,
+            ClusterKind::InSitu => run.render_slabs(step)?,
             ClusterKind::InTransit => {
-                let s = frame_no % n_stagers;
-                let depth = cfg.staging.queue_depth;
-                // Backpressure: with all of this stager's queue slots
-                // occupied, the senders must wait for the oldest in-flight
-                // frame to release — real static idle, charged and traced.
-                let full = depth > 0 && inflight[s].len() >= depth;
-                if let Some(release) = full.then(|| inflight[s].pop_front()).flatten() {
-                    for node in compute.iter_mut() {
-                        if node.now() < release {
-                            let wait = release.duration_since(node.now()).as_secs_f64();
-                            tracer.count("staging.queue.blocks", 1);
-                            if tracer.is_on() {
-                                node.tracer().instant(
-                                    node.now().as_nanos(),
-                                    "staging.queue.block",
-                                    vec![
-                                        ("step", Value::from(step)),
-                                        ("stager", Value::from(s)),
-                                        ("wait_s", Value::from(wait)),
-                                    ],
-                                );
-                            }
-                            sync_to(node, release, Phase::Network);
-                        }
-                    }
-                }
-                // Encode and stage every slab: one-sided sends occupy only
-                // the sender's NIC, so compute clocks advance into the next
-                // step while the stager drains at its own pace.
-                let mut staged: Vec<(SimTime, u32, Vec<u8>, u64, u64)> =
-                    Vec::with_capacity(cfg.compute_nodes);
-                for (k, node) in compute.iter_mut().enumerate() {
-                    let raw = solver.slab_bytes(k);
-                    let raw_len = raw.len() as u64;
-                    let sum = checksum64(&raw);
-                    staging_raw_bytes += raw_len;
-                    tracer.count("staging.bytes.raw", raw_len);
-                    let payload: Vec<u8> = match encoders.get_mut(k) {
-                        Some(enc) => {
-                            node.execute(codec_cost.encode_activity(raw_len), Phase::Network);
-                            enc.try_encode(&raw)
-                                .map_err(|e| ClusterError::WireCodec {
-                                    step,
-                                    node: k,
-                                    reason: e.to_string(),
-                                })?
-                                .to_vec()
-                        }
-                        None => raw,
-                    };
-                    let wire_len = payload.len() as u64;
-                    fabric_bytes += wire_len;
-                    tracer.count("staging.bytes.wire", wire_len);
-                    let messages = payload.len().div_ceil(cfg.stripe_bytes).max(1) as u32;
-                    let arrival = fabric.send_reliable(node, wire_len, messages, Phase::Network)?;
-                    staged.push((arrival, messages, payload, raw_len, sum));
-                }
-                // The stager drains the transfers and renders the frame at
-                // its own clock (the overlap window for the senders).
-                let stager = &mut stagers[s];
-                let mut slabs: Vec<Vec<u8>> = Vec::with_capacity(cfg.compute_nodes);
-                for (arrival, messages, payload, raw_len, sum) in staged {
-                    sync_to(stager, arrival, Phase::Network);
-                    fabric.recv(stager, payload.len() as u64, messages, Phase::Network);
-                    let raw = match &wire_decoder {
-                        Some(codec) => {
-                            stager.execute(codec_cost.decode_activity(raw_len), Phase::Network);
-                            codec.decode(&payload).ok_or(ClusterError::SnapshotShape {
-                                file: format!("stage{step:04}"),
-                                got_bytes: 0,
-                                want: (cfg.grid_nx, cfg.grid_ny),
-                            })?
-                        }
-                        None => payload,
-                    };
-                    if cfg.staging.wire_codec.lossless() && checksum64(&raw) != sum {
-                        verified = false;
-                    }
-                    slabs.push(raw);
-                }
-                let all: Vec<u8> = slabs.concat();
-                let grid = Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &all).ok_or_else(|| {
-                    ClusterError::SnapshotShape {
-                        file: format!("stage{step:04}"),
-                        got_bytes: all.len(),
-                        want: (cfg.grid_nx, cfg.grid_ny),
-                    }
-                })?;
-                // A torn staging render re-renders from the (still live)
-                // assembled slabs: the work is paid again, the output is
-                // never corrupted. Bounded by the plan's retry budget.
-                let mut torn = 0u32;
-                if let Some(inj) = render_inj.as_mut() {
-                    let budget = inj.plan().max_retries;
-                    while torn < budget {
-                        if inj.next().is_none() {
-                            break;
-                        }
-                        stager.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-                        staging_torn_renders += 1;
-                        torn += 1;
-                        tracer.count("faults.staging.render", 1);
-                        if tracer.is_on() {
-                            stager.tracer().instant(
-                                stager.now().as_nanos(),
-                                "fault.injected",
-                                vec![
-                                    ("site", Value::from(Site::StagingRender.label())),
-                                    ("mode", Value::from("torn")),
-                                    ("attempt", Value::from(torn - 1)),
-                                    ("backoff_s", Value::from(0.0)),
-                                ],
-                            );
-                        }
-                    }
-                }
-                stager.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-                let frame = render_field(&grid, &cfg.render);
-                let ppm = encode_ppm(&frame);
-                if tracer.is_on() {
-                    stager.tracer().instant(
-                        stager.now().as_nanos(),
-                        "staging.frame.render",
-                        vec![
-                            ("step", Value::from(step)),
-                            ("stager", Value::from(s)),
-                            ("torn", Value::from(torn)),
-                        ],
-                    );
-                }
-                image_hash = fnv1a64_extend(image_hash, &ppm);
-                pfs_bytes += ppm.len() as u64;
-                pfs.write(
-                    stager,
-                    &fabric,
-                    &format!("frame{step:04}.ppm"),
-                    &ppm,
-                    Phase::ImageWrite,
-                )?;
-                let release = stager.now();
-                if depth == 0 {
-                    // Synchronous legacy staging: every sender waits for
-                    // the stager to finish the frame (serialized baseline).
-                    for node in compute.iter_mut() {
-                        sync_to(node, release, Phase::Network);
-                    }
-                } else {
-                    inflight[s].push_back(release);
-                }
-                frame_no += 1;
+                let stager = run.wait_for_slot(step);
+                let staged = run.ship(step)?;
+                run.drain(step, stager, staged)?;
             }
         }
-        barrier(&mut compute, Phase::Idle);
+        barrier(&mut run.compute, Phase::Idle);
+    }
+    run.pfs.sync_and_drop_all(Phase::CacheControl);
+    if kind == ClusterKind::PostProcessing {
+        run.read_back()?;
+    }
+    Ok(run.finish())
+}
+
+/// One slab on its way to a stager: arrival instant, message count, wire
+/// payload, raw length and raw checksum.
+type Staged = (SimTime, u32, Vec<u8>, u64, u64);
+
+/// One distributed run in flight, and the report and fault summary its
+/// stages fill in. Every stage charges its nodes in node-index order, the
+/// PFS contention model (a write serves one client's file, then the next).
+struct Run<'a> {
+    cfg: &'a ClusterConfig,
+    /// Journal lanes `0..N`, one slab each.
+    compute: Vec<Node>,
+    /// The next lanes; post-processing's visualization node is the first.
+    stagers: Vec<Node>,
+    fabric: Fabric,
+    pfs: ParallelFs,
+    solver: DecomposedSolver,
+    render_inj: Option<FaultInjector>,
+    codec_cost: CodecCostModel,
+    /// One warm buffer set per sender; empty, like `decoder`, on a raw wire.
+    encoders: Vec<ScratchCodec>,
+    decoder: Option<Box<dyn Codec>>,
+    /// Per stager, the release instants (stager clock at frame completion)
+    /// of the frames still occupying a send-queue slot.
+    inflight: Vec<VecDeque<SimTime>>,
+    /// Post-processing: per I/O step, each slab's checksum at write time.
+    checksums: Vec<(u64, Vec<u64>)>,
+    report: ClusterReport,
+    faults: FaultSummary,
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        kind: ClusterKind,
+        cfg: &'a ClusterConfig,
+        faults: Option<FaultPlan>,
+        tracer: &Tracer,
+    ) -> Self {
+        let mut fabric = Fabric::new(cfg.net.clone());
+        fabric.set_fault_injector(faults.map(|p| p.injector(Site::FabricTransfer, 0)));
+        // NetTransfer activities are priced by the endpoint NICs, so the
+        // cluster's link model must live on every node's spec.
+        let mut spec = cfg.spec.clone();
+        spec.net = cfg.net.clone();
+        let nodes = |n: usize| -> Vec<Node> { (0..n).map(|_| Node::new(spec.clone())).collect() };
+        let (mut compute, mut stagers) =
+            (nodes(cfg.compute_nodes), nodes(cfg.staging.staging_nodes));
+        // Each node stamps its own clock into the shared journal, on its own lane.
+        for (lane, node) in compute.iter_mut().chain(&mut stagers).enumerate() {
+            node.set_tracer(tracer.with_node(lane));
+        }
+        let mut pfs = ParallelFs::new(cfg.io_servers, &spec, cfg.stripe_bytes, 1 << 30);
+        pfs.set_fault_plan(faults);
+        let initial = Grid::warm_patch(cfg.grid_nx, cfg.grid_ny);
+        let wire = cfg.staging.wire_codec;
+        Run {
+            cfg,
+            compute,
+            stagers,
+            fabric,
+            pfs,
+            solver: DecomposedSolver::new(&initial, cfg.solver.clone(), cfg.compute_nodes),
+            render_inj: faults.map(|p| p.injector(Site::StagingRender, 0)),
+            codec_cost: CodecCostModel::default(),
+            encoders: (0..cfg.compute_nodes)
+                .filter_map(|_| wire.build().map(ScratchCodec::new))
+                .collect(),
+            decoder: wire.build(),
+            inflight: vec![VecDeque::new(); cfg.staging.staging_nodes],
+            checksums: Vec::new(),
+            report: ClusterReport {
+                kind,
+                makespan_s: 0.0,
+                total_energy_j: 0.0,
+                average_power_w: 0.0,
+                compute_energy_j: 0.0,
+                io_energy_j: 0.0,
+                viz_energy_j: 0.0,
+                fabric_bytes: 0,
+                pfs_bytes: 0,
+                bytes_out: 0,
+                staging_raw_bytes: 0,
+                image_hash: fnv1a64(&[]),
+                verified: true,
+                work_units: cfg.work_units(),
+            },
+            faults: FaultSummary::default(),
+        }
     }
 
-    pfs.sync_and_drop_all(Phase::CacheControl);
+    /// One step of the global field by the workspace's one solver (`slab`
+    /// says why that is exact): each node charges its slab's updates, each
+    /// neighbour pair exchanges ghost rows both ways, then a barrier.
+    fn simulate(&mut self) -> Result<(), ClusterError> {
+        self.solver.step();
+        for (k, node) in self.compute.iter_mut().enumerate() {
+            let cells = self.solver.slab_info(k).cells;
+            node.execute(self.cfg.sim_cost.activity(cells), Phase::Simulation);
+        }
+        let ghost = self.solver.ghost_traffic();
+        let (f, bytes) = (&self.fabric, ghost.bytes_per_direction);
+        for k in 0..ghost.pairs {
+            let (a, b) = self.compute.split_at_mut(k + 1);
+            let (lo, hi) = (&mut a[k], &mut b[0]);
+            f.transfer_reliable(lo, hi, bytes, 1, Phase::Network)?;
+            f.transfer_reliable(hi, lo, bytes, 1, Phase::Network)?;
+        }
+        barrier(&mut self.compute, Phase::Idle);
+        Ok(())
+    }
 
-    // Post-processing phase 2: the viz node reads every snapshot back.
-    if kind == ClusterKind::PostProcessing {
-        // Visualization starts after the simulation allocation completes.
-        let viz = &mut stagers[0];
-        let sim_done = compute.iter().map(Node::now).max().unwrap_or(SimTime::ZERO);
-        sync_to(viz, sim_done, Phase::Idle);
-        for (step, sums) in &checksums {
-            let mut slabs = Vec::with_capacity(cfg.compute_nodes);
-            for (k, sum) in sums.iter().enumerate() {
-                let bytes =
-                    pfs.read(viz, &fabric, &format!("snap{step:04}.n{k:02}"), Phase::Read)?;
-                if checksum64(&bytes) != *sum {
-                    verified = false;
+    /// Post-processing I/O: every node writes its raw slab to the PFS.
+    fn write_snapshots(&mut self, step: u64) -> Result<(), ClusterError> {
+        let mut sums = Vec::with_capacity(self.compute.len());
+        for (k, node) in self.compute.iter_mut().enumerate() {
+            let bytes = self.solver.slab_bytes(k);
+            sums.push(checksum64(&bytes));
+            let name = format!("snap{step:04}.n{k:02}");
+            self.pfs
+                .write(node, &self.fabric, &name, &bytes, Phase::Write)?;
+        }
+        self.checksums.push((step, sums));
+        Ok(())
+    }
+
+    /// In-situ I/O: every node renders its share of the frame — an exact
+    /// partition of the pixel rows, so charges and output sum to one full
+    /// frame even on odd grids — and writes that image to the PFS.
+    fn render_slabs(&mut self, step: u64) -> Result<(), ClusterError> {
+        let (cfg, f) = (self.cfg, &self.fabric);
+        for (k, node) in self.compute.iter_mut().enumerate() {
+            let info = self.solver.slab_info(k);
+            let mut opts = cfg.render;
+            opts.height = slab_rows_px(opts.height, cfg.grid_ny, info.j0, info.rows);
+            let ppm = render_frame(node, cfg, &self.solver.slab_grid(k), &opts);
+            self.report.image_hash = fnv1a64_extend(self.report.image_hash, &ppm);
+            let name = format!("frame{step:04}.n{k:02}.ppm");
+            self.pfs.write(node, f, &name, &ppm, Phase::ImageWrite)?;
+        }
+        Ok(())
+    }
+
+    /// In-transit backpressure: frames are dealt round-robin over the
+    /// stagers; with every queue slot of this frame's stager occupied, the
+    /// senders wait for its oldest in-flight frame to release — real static
+    /// idle, charged and traced. Returns the stager.
+    fn wait_for_slot(&mut self, step: u64) -> usize {
+        let s = (step / self.cfg.io_interval - 1) as usize % self.stagers.len();
+        let depth = self.cfg.staging.queue_depth;
+        let full = depth > 0 && self.inflight[s].len() >= depth;
+        let Some(release) = full.then(|| self.inflight[s].pop_front()).flatten() else {
+            return s;
+        };
+        for node in self.compute.iter_mut().filter(|n| n.now() < release) {
+            let wait = release.duration_since(node.now()).as_secs_f64();
+            let tracer = node.tracer();
+            tracer.count("staging.queue.blocks", 1);
+            let fields = vec![
+                ("step", Value::from(step)),
+                ("stager", Value::from(s)),
+                ("wait_s", Value::from(wait)),
+            ];
+            tracer.instant(node.now().as_nanos(), "staging.queue.block", fields);
+            sync_to(node, release, Phase::Network);
+        }
+        s
+    }
+
+    /// In-transit send: encode every slab and stage it with a one-sided
+    /// send, which occupies only the sender's NIC, so compute clocks advance
+    /// into the next step while the stager drains at its own pace.
+    fn ship(&mut self, step: u64) -> Result<Vec<Staged>, ClusterError> {
+        let mut staged = Vec::with_capacity(self.compute.len());
+        for (k, node) in self.compute.iter_mut().enumerate() {
+            let raw = self.solver.slab_bytes(k);
+            let (raw_len, sum) = (raw.len() as u64, checksum64(&raw));
+            self.report.staging_raw_bytes += raw_len;
+            node.tracer().count("staging.bytes.raw", raw_len);
+            let payload = match self.encoders.get_mut(k) {
+                Some(enc) => {
+                    node.execute(self.codec_cost.encode_activity(raw_len), Phase::Network);
+                    let encoded = enc.try_encode(&raw).map_err(|e| ClusterError::WireCodec {
+                        step,
+                        node: k,
+                        reason: e.to_string(),
+                    })?;
+                    encoded.to_vec()
                 }
+                None => raw,
+            };
+            let wire_len = payload.len() as u64;
+            self.report.fabric_bytes += wire_len;
+            node.tracer().count("staging.bytes.wire", wire_len);
+            let messages = payload.len().div_ceil(self.cfg.stripe_bytes).max(1) as u32;
+            let f = &self.fabric;
+            let arrival = f.send_reliable(node, wire_len, messages, Phase::Network)?;
+            staged.push((arrival, messages, payload, raw_len, sum));
+        }
+        Ok(staged)
+    }
+
+    /// In-transit receive, at stager `s`'s own clock (the senders' overlap
+    /// window): receive, decode and verify each slab, assemble the field,
+    /// pay any torn re-renders, render and write the frame, then release
+    /// its queue slot — or, on a depth-0 queue, hold every sender until now.
+    fn drain(&mut self, step: u64, s: usize, staged: Vec<Staged>) -> Result<(), ClusterError> {
+        let (cfg, f) = (self.cfg, &self.fabric);
+        let stager = &mut self.stagers[s];
+        let mut slabs = Vec::with_capacity(staged.len());
+        for (arrival, messages, payload, raw_len, sum) in staged {
+            sync_to(stager, arrival, Phase::Network);
+            f.recv(stager, payload.len() as u64, messages, Phase::Network);
+            let raw = match &self.decoder {
+                Some(codec) => {
+                    stager.execute(self.codec_cost.decode_activity(raw_len), Phase::Network);
+                    let failed = || shape_error(cfg, "stage", step, 0);
+                    codec.decode(&payload).ok_or_else(failed)?
+                }
+                None => payload,
+            };
+            self.report.verified &= !cfg.staging.wire_codec.lossless() || checksum64(&raw) == sum;
+            slabs.push(raw);
+        }
+        let grid = assemble(cfg, "stage", step, slabs)?;
+        // A torn render is redone from the still-live field: paid again,
+        // never corrupting the output, bounded by the retry budget.
+        let mut torn = 0u32;
+        if let Some(inj) = self.render_inj.as_mut() {
+            while torn < inj.plan().max_retries && inj.next().is_some() {
+                let pixels = (cfg.render.width * cfg.render.height) as u64;
+                stager.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
+                let tracer = stager.tracer();
+                tracer.count("faults.staging.render", 1);
+                let fields = vec![
+                    ("site", Value::from(Site::StagingRender.label())),
+                    ("mode", Value::from("torn")),
+                    ("attempt", Value::from(torn)),
+                    ("backoff_s", Value::from(0.0)),
+                ];
+                tracer.instant(stager.now().as_nanos(), "fault.injected", fields);
+                torn += 1;
+            }
+        }
+        self.faults.staging_torn_renders += u64::from(torn);
+        let ppm = render_frame(stager, cfg, &grid, &cfg.render);
+        let fields = vec![
+            ("step", Value::from(step)),
+            ("stager", Value::from(s)),
+            ("torn", Value::from(torn)),
+        ];
+        let (t_ns, tracer) = (stager.now().as_nanos(), stager.tracer());
+        tracer.instant(t_ns, "staging.frame.render", fields);
+        self.report.image_hash = fnv1a64_extend(self.report.image_hash, &ppm);
+        let name = format!("frame{step:04}.ppm");
+        self.pfs.write(stager, f, &name, &ppm, Phase::ImageWrite)?;
+        let release = stager.now();
+        if cfg.staging.queue_depth == 0 {
+            for node in &mut self.compute {
+                sync_to(node, release, Phase::Network);
+            }
+        } else {
+            self.inflight[s].push_back(release);
+        }
+        Ok(())
+    }
+
+    /// Post-processing's second phase: after the simulation allocation
+    /// completes, the visualization node reads every snapshot back, checks
+    /// it against its write-time checksum and renders it.
+    fn read_back(&mut self) -> Result<(), ClusterError> {
+        let viz = &mut self.stagers[0];
+        let sim_done = self.compute.iter().map(Node::now).max();
+        sync_to(viz, sim_done.unwrap_or(SimTime::ZERO), Phase::Idle);
+        for (step, sums) in &self.checksums {
+            let mut slabs = Vec::with_capacity(sums.len());
+            for (k, sum) in sums.iter().enumerate() {
+                let name = format!("snap{step:04}.n{k:02}");
+                let bytes = self.pfs.read(viz, &self.fabric, &name, Phase::Read)?;
+                self.report.verified &= checksum64(&bytes) == *sum;
                 slabs.push(bytes);
             }
-            let all: Vec<u8> = slabs.concat();
-            let grid = Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &all).ok_or_else(|| {
-                ClusterError::SnapshotShape {
-                    file: format!("snap{step:04}"),
-                    got_bytes: all.len(),
-                    want: (cfg.grid_nx, cfg.grid_ny),
-                }
-            })?;
-            viz.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-            let frame = render_field(&grid, &cfg.render);
-            image_hash = fnv1a64_extend(image_hash, &encode_ppm(&frame));
+            let grid = assemble(self.cfg, "snap", *step, slabs)?;
+            let ppm = render_frame(viz, self.cfg, &grid, &self.cfg.render);
+            self.report.image_hash = fnv1a64_extend(self.report.image_hash, &ppm);
         }
+        Ok(())
     }
 
-    // The allocation ends at the makespan; early finishers idle until then.
-    let mut everyone: Vec<&mut Node> = compute.iter_mut().collect();
-    everyone.extend(stagers.iter_mut());
-    let makespan = everyone
-        .iter()
-        .map(|n| n.now())
-        .chain(pfs.servers().iter().map(|s| s.node.now()))
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    for node in everyone {
-        sync_to(node, makespan, Phase::Idle);
+    /// The allocation ends at the makespan: every node idles until it (PFS
+    /// servers are charged that tail here); then the totals are filled in.
+    fn finish(mut self) -> (ClusterReport, FaultSummary) {
+        let servers = self.pfs.servers();
+        let nodes = self.compute.iter().chain(&self.stagers).map(Node::now);
+        let server_clocks = servers.iter().map(|s| s.node.now());
+        let makespan = nodes.chain(server_clocks).max().unwrap_or(SimTime::ZERO);
+        for node in self.compute.iter_mut().chain(&mut self.stagers) {
+            sync_to(node, makespan, Phase::Idle);
+        }
+        for node in self.compute.iter_mut().chain(&mut self.stagers) {
+            node.finish_trace();
+        }
+        let energy =
+            |nodes: &[Node]| -> f64 { nodes.iter().map(|n| n.timeline().total_energy_j()).sum() };
+        let r = &mut self.report;
+        r.compute_energy_j = energy(&self.compute);
+        r.io_energy_j = servers
+            .iter()
+            .map(|s| {
+                let tail = makespan.duration_since(s.node.now()).as_secs_f64();
+                s.node.timeline().total_energy_j() + s.node.spec().static_w() * tail
+            })
+            .sum();
+        r.viz_energy_j = energy(&self.stagers);
+        r.total_energy_j = r.compute_energy_j + r.io_energy_j + r.viz_energy_j;
+        r.makespan_s = makespan.as_secs_f64();
+        if r.makespan_s > 0.0 {
+            r.average_power_w = r.total_energy_j / r.makespan_s;
+        }
+        r.pfs_bytes = self.pfs.written_bytes();
+        r.bytes_out = r.fabric_bytes + r.pfs_bytes;
+        let f = &mut self.faults;
+        (f.storage_faults, f.storage_retries) = self.pfs.fault_counts();
+        (f.fabric_drops, f.fabric_delays, f.fabric_retries) = self.fabric.fault_counts();
+        (self.report, self.faults)
     }
-    for node in compute.iter_mut().chain(stagers.iter_mut()) {
-        node.finish_trace();
+}
+
+/// The error for step `step`'s `prefix` snapshot not being a grid.
+fn shape_error(cfg: &ClusterConfig, prefix: &str, step: u64, got_bytes: usize) -> ClusterError {
+    let (file, want) = (format!("{prefix}{step:04}"), (cfg.grid_nx, cfg.grid_ny));
+    ClusterError::SnapshotShape {
+        file,
+        got_bytes,
+        want,
     }
+}
 
-    let compute_energy_j: f64 = compute.iter().map(|n| n.timeline().total_energy_j()).sum();
-    // PFS servers also idle to the makespan for fair accounting.
-    let io_energy_j: f64 = pfs
-        .servers()
-        .iter()
-        .map(|s| {
-            s.node.timeline().total_energy_j()
-                + s.node.spec().static_w() * makespan.duration_since(s.node.now()).as_secs_f64()
-        })
-        .sum();
-    let viz_energy_j: f64 = stagers.iter().map(|n| n.timeline().total_energy_j()).sum();
-    let total_energy_j = compute_energy_j + io_energy_j + viz_energy_j;
-    let makespan_s = makespan.as_secs_f64();
+/// One step's slabs, in node order, as the global field (the slabs are
+/// dropped before the field is built).
+fn assemble(
+    cfg: &ClusterConfig,
+    prefix: &str,
+    step: u64,
+    slabs: Vec<Vec<u8>>,
+) -> Result<Grid, ClusterError> {
+    let all = slabs.concat();
+    drop(slabs);
+    Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &all)
+        .ok_or_else(|| shape_error(cfg, prefix, step, all.len()))
+}
 
-    let (storage_faults, storage_retries) = pfs.fault_counts();
-    let (fabric_drops, fabric_delays, fabric_retries) = fabric.fault_counts();
-    let summary = FaultSummary {
-        storage_faults,
-        storage_retries,
-        fabric_drops,
-        fabric_delays,
-        fabric_retries,
-        staging_torn_renders,
-    };
-
-    let report = ClusterReport {
-        kind,
-        makespan_s,
-        total_energy_j,
-        average_power_w: if makespan_s > 0.0 {
-            total_energy_j / makespan_s
-        } else {
-            0.0
-        },
-        compute_energy_j,
-        io_energy_j,
-        viz_energy_j,
-        fabric_bytes,
-        pfs_bytes,
-        bytes_out: fabric_bytes + pfs_bytes,
-        staging_raw_bytes,
-        image_hash,
-        verified,
-        work_units: cfg.work_units(),
-    };
-    Ok((report, summary))
+/// Charge `node` for an `opts`-sized render, render `grid`, return the PPM.
+fn render_frame(
+    node: &mut Node,
+    cfg: &ClusterConfig,
+    grid: &Grid,
+    opts: &RenderOptions,
+) -> Vec<u8> {
+    let pixels = (opts.width * opts.height) as u64;
+    node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
+    encode_ppm(&render_field(grid, opts))
 }
 
 #[cfg(test)]
@@ -981,34 +1006,60 @@ mod tests {
         );
     }
 
-    /// Every `ClusterConfig` that used to divide by zero or trip a
-    /// constructor `assert!` mid-run is refused up front, by field name.
+    /// Every `ClusterConfig` that used to divide by zero, trip a constructor
+    /// or framebuffer `assert!` mid-run, or run with other nodes than it
+    /// reports is refused up front, by field name, on each kind it breaks.
     #[test]
     fn a_bad_config_is_an_error_naming_the_field_not_a_panic() {
+        use ClusterKind::{InSitu, InTransit, PostProcessing};
         type Break = fn(&mut ClusterConfig);
-        let rows: [(&str, Break); 8] = [
-            ("io_interval must be at least 1, got 0", |c| {
+        const ALL: &[ClusterKind] = &[PostProcessing, InSitu, InTransit];
+        let rows: [(&[ClusterKind], &str, Break); 12] = [
+            (ALL, "io_interval must be at least 1, got 0", |c| {
                 c.io_interval = 0
             }),
-            ("compute_nodes", |c| c.compute_nodes = 0),
-            ("io_servers", |c| c.io_servers = 0),
-            ("stripe_bytes", |c| c.stripe_bytes = 0),
-            ("grid_nx", |c| c.grid_nx = 2),
+            (ALL, "compute_nodes", |c| c.compute_nodes = 0),
+            (ALL, "io_servers", |c| c.io_servers = 0),
+            (ALL, "stripe_bytes", |c| c.stripe_bytes = 0),
+            (ALL, "grid_nx", |c| c.grid_nx = 2),
             // An 8-row grid over 4 nodes: 2 rows per slab.
-            ("grid_ny / compute_nodes", |c| c.grid_ny = 8),
-            ("solver: FTCS unstable", |c| c.solver.dt *= 2.0),
-            ("solver: source (128, 42) outside 128x128", |c| {
+            (ALL, "grid_ny / compute_nodes", |c| c.grid_ny = 8),
+            (ALL, "solver: FTCS unstable", |c| c.solver.dt *= 2.0),
+            (ALL, "solver: source (128, 42) outside 128x128", |c| {
                 c.solver.sources[0].i = 128
             }),
+            // Used to run one stager while reporting none.
+            (ALL, "staging_nodes must be at least 1, got 0", |c| {
+                c.staging.staging_nodes = 0
+            }),
+            // Used to panic in `Framebuffer::new`.
+            (ALL, "render.width must be at least 1, got 0", |c| {
+                c.render.width = 0
+            }),
+            (ALL, "render.height must be at least 1, got 0", |c| {
+                c.render.height = 0
+            }),
+            // Two pixel rows over four 32-row slabs: slabs 0 and 2 get none.
+            (&[InSitu], "render.height: pixel rows of slab 0", |c| {
+                c.render.height = 2
+            }),
         ];
-        for (needle, break_it) in rows {
+        for (kinds, needle, break_it) in rows {
             let mut cfg = small();
             break_it(&mut cfg);
-            match run_cluster(ClusterKind::InTransit, &cfg) {
-                Err(ClusterError::Config(msg)) => assert!(msg.contains(needle), "{needle}: {msg}"),
-                other => panic!("{needle}: expected Config, got {other:?}"),
+            for &kind in kinds {
+                match run_cluster(kind, &cfg) {
+                    Err(ClusterError::Config(msg)) => {
+                        assert!(msg.contains(needle), "{kind:?} {needle}: {msg}")
+                    }
+                    other => panic!("{kind:?} {needle}: expected Config, got {other:?}"),
+                }
             }
         }
+        // A two-row frame is fine where one node renders it whole.
+        let mut short = small();
+        short.render.height = 2;
+        assert!(run_cluster(InTransit, &short).is_ok());
         let err = ClusterError::Config("io_interval must be at least 1, got 0".to_string());
         assert_eq!(
             err.to_string(),

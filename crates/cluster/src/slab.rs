@@ -35,6 +35,19 @@ pub struct GhostTraffic {
     pub pairs: usize,
 }
 
+/// `(j0, rows)` of each of `parts` row slabs of an `ny`-row grid:
+/// contiguous, covering every row, remainder rows to the leading slabs.
+pub(crate) fn row_slabs(ny: usize, parts: usize) -> Vec<(usize, usize)> {
+    let mut j0 = 0;
+    (0..parts)
+        .map(|k| {
+            let rows = ny / parts + usize::from(k < ny % parts);
+            j0 += rows;
+            (j0 - rows, rows)
+        })
+        .collect()
+}
+
 /// A row-slab view over one [`HeatSolver`]: the same physics, with the
 /// field's rows owned by `parts` slabs.
 #[derive(Debug, Clone)]
@@ -57,31 +70,11 @@ impl DecomposedSolver {
             ny / parts >= 3,
             "each slab needs at least 3 rows ({ny} rows / {parts} parts)"
         );
-        let mut j0 = 0;
-        let slabs = (0..parts)
-            .map(|k| {
-                let rows = ny / parts + usize::from(k < ny % parts);
-                j0 += rows;
-                (j0 - rows, rows)
-            })
-            .collect();
         let solver = HeatSolver::new(initial.clone(), config).unwrap_or_else(|e| panic!("{e}"));
-        DecomposedSolver { solver, slabs }
-    }
-
-    /// Number of slabs.
-    pub fn parts(&self) -> usize {
-        self.slabs.len()
-    }
-
-    /// Grid extent.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.solver.grid().nx(), self.solver.grid().ny())
-    }
-
-    /// Steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.solver.steps_taken()
+        DecomposedSolver {
+            solver,
+            slabs: row_slabs(ny, parts),
+        }
     }
 
     /// Metadata for slab `k`.
@@ -127,11 +120,6 @@ impl DecomposedSolver {
         g.as_mut_slice()
             .copy_from_slice(&self.solver.grid().as_slice()[self.cells(k)]);
         g
-    }
-
-    /// The global field.
-    pub fn assemble(&self) -> Grid {
-        self.solver.grid().clone()
     }
 
     /// Advance one timestep.
@@ -181,11 +169,22 @@ mod tests {
         cases
     }
 
+    /// The field an independent single-node solver reaches after `steps`.
+    fn whole(n: usize, boundary: Boundary, steps: u64) -> Grid {
+        let mut solver = HeatSolver::new(initial(n), config(boundary)).expect("stable");
+        solver.run(steps);
+        solver.grid().clone()
+    }
+
+    /// Every slab's bytes, in slab order.
+    fn concatenated(d: &DecomposedSolver, parts: usize) -> Vec<u8> {
+        (0..parts).flat_map(|k| d.slab_bytes(k)).collect()
+    }
+
     #[test]
     fn uneven_row_counts_are_distributed() {
         for (n, boundary, parts) in cases() {
             let d = DecomposedSolver::new(&initial(n), config(boundary), parts);
-            assert_eq!(d.parts(), parts);
             let mut next = 0;
             for k in 0..parts {
                 let info = d.slab_info(k);
@@ -209,8 +208,8 @@ mod tests {
         for (n, boundary, parts) in cases() {
             let mut d = DecomposedSolver::new(&initial(n), config(boundary), parts);
             d.run(5);
-            let cat: Vec<u8> = (0..parts).flat_map(|k| d.slab_bytes(k)).collect();
-            assert_eq!(cat, d.assemble().to_bytes(), "{n} rows / {parts}");
+            let want = whole(n, boundary, 5).to_bytes();
+            assert_eq!(concatenated(&d, parts), want, "{n} rows / {parts}");
         }
     }
 
@@ -219,7 +218,7 @@ mod tests {
         for (n, boundary, parts) in cases() {
             let mut d = DecomposedSolver::new(&initial(n), config(boundary), parts);
             d.run(3);
-            let full = d.assemble();
+            let full = whole(n, boundary, 3);
             assert_ne!(full, initial(n), "the field never moved");
             for k in 0..parts {
                 let (g, info) = (d.slab_grid(k), d.slab_info(k));
@@ -236,13 +235,13 @@ mod tests {
     #[test]
     fn steps_and_dims_follow_the_inner_solver() {
         let mut d = DecomposedSolver::new(&initial(31), config(Boundary::Neumann), 3);
-        assert_eq!((d.dims(), d.steps_taken()), ((31, 31), 0));
+        assert_eq!(concatenated(&d, 3), initial(31).to_bytes());
         d.step();
         d.run(6);
-        assert_eq!(d.steps_taken(), 7);
-        let mut whole = HeatSolver::new(initial(31), config(Boundary::Neumann)).expect("stable");
-        whole.run(7);
-        assert_eq!(&d.assemble(), whole.grid());
+        let want = whole(31, Boundary::Neumann, 7);
+        assert_eq!(concatenated(&d, 3), want.to_bytes());
+        let widths: Vec<usize> = (0..3).map(|k| d.slab_grid(k).nx()).collect();
+        assert_eq!(widths, [31; 3]);
     }
 
     #[test]

@@ -40,23 +40,6 @@ impl CaseComparison {
         })
     }
 
-    /// Run several case studies through the parallel sweep executor
-    /// (`workers` threads) and return comparisons in case order. Results are
-    /// bit-identical for any `workers`, including 1 — see [`crate::sweep`].
-    ///
-    /// # Errors
-    /// Propagates [`crate::sweep::SweepError`] when a grid job panicked or
-    /// the grid was malformed.
-    pub fn run_cases_parallel(
-        cases: &[u32],
-        setup: &ExperimentSetup,
-        workers: usize,
-    ) -> Result<Vec<CaseComparison>, crate::sweep::SweepError> {
-        let jobs = crate::sweep::case_grid(setup, cases);
-        let results = crate::sweep::run_sweep(jobs, workers, &crate::sweep::silent_progress())?;
-        Ok(crate::sweep::comparisons(&results))
-    }
-
     /// Figure 7: execution-time pair `(in-situ, traditional)`, seconds.
     pub fn execution_times_s(&self) -> (f64, f64) {
         (

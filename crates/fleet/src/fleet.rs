@@ -207,11 +207,6 @@ impl Fleet {
         &self.config
     }
 
-    /// Live shard ids, ascending.
-    pub fn live_shards(&self) -> Vec<u32> {
-        lock(&self.state).live_ids()
-    }
-
     /// Snapshot of the router's `fleet.*` registry.
     pub fn metrics_clone(&self) -> MetricsRegistry {
         lock(&self.metrics).clone()

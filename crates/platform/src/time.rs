@@ -27,12 +27,6 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// A duration of exactly `us` microseconds.
-    #[inline]
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
-    }
-
     /// A duration of exactly `ms` milliseconds.
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {

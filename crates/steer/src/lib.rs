@@ -416,14 +416,6 @@ impl SessionEngine {
         resume_token(name, applied)
     }
 
-    /// Number of currently live (attached, not detached) sessions.
-    pub fn live_sessions(&self) -> usize {
-        self.sessions
-            .values()
-            .filter(|s| matches!(s.state, SessionState::Live(_)))
-            .count()
-    }
-
     /// Counter snapshot, in [`COUNTER_NAMES`] order.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         let c = &self.counters;

@@ -333,12 +333,6 @@ impl<D: CostedDevice> FileSystem<D> {
         self.faults = injector;
     }
 
-    /// The configured retry budget (0 when no fault schedule is installed,
-    /// where the first attempt always succeeds).
-    pub fn fault_retry_budget(&self) -> u32 {
-        self.faults.as_ref().map_or(0, |f| f.plan().max_retries)
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &FsConfig {
         &self.config

@@ -33,11 +33,6 @@ impl Framebuffer {
         self.height
     }
 
-    /// Total pixels.
-    pub fn pixel_count(&self) -> usize {
-        self.width * self.height
-    }
-
     /// Raw RGB bytes, row-major.
     pub fn as_bytes(&self) -> &[u8] {
         &self.pixels

@@ -16,6 +16,8 @@
 //! fabric's twin fault loops and serve's twin `scale` ladders; PR 23 wrote
 //! serve's request lifecycle once (`Outcome::new`, `fault_drops`, `settle`,
 //! `opt`/`required`) and gave the fleet `routed` and `Request::session`.
+//! Later, the cluster's one-function driver became stage methods on a
+//! private `Run`, and sixteen `pub` functions nothing reached were deleted.
 //! This test walks the tree and fails if any of them grows back, so "add a
 //! quick local copy" shows up in review instead of in the next inventory.
 
@@ -456,4 +458,95 @@ fn every_flag_the_binaries_match_on_is_documented() {
         }
     }
     assert!(checked >= 40, "only {checked} flag literals found");
+}
+
+/// Every non-test `fn` in `src` (signature line through its closing brace
+/// at the same indentation), as `(signature line, line count)`.
+fn fn_lengths(src: &str) -> Vec<(&str, usize)> {
+    let lines: Vec<&str> = non_test(src).lines().collect();
+    let mut out = Vec::new();
+    for (at, line) in lines.iter().enumerate() {
+        let code = line.trim_start();
+        let decl = ["fn ", "pub fn ", "pub(crate) fn "];
+        if !decl.iter().any(|d| code.starts_with(d)) || code.ends_with(';') {
+            continue;
+        }
+        let close = format!("{}}}", &line[..line.len() - code.len()]);
+        let len = lines[at..]
+            .iter()
+            .position(|l| *l == close)
+            .unwrap_or_else(|| panic!("no closing brace for `{code}`"));
+        out.push((code, len + 1));
+    }
+    out
+}
+
+#[test]
+fn the_cluster_driver_is_a_short_composition_of_stages() {
+    // `run_cluster_traced` was one 381-line function with an inline arm per
+    // kind; each stage is now a `Run` method and each kind a composition.
+    let pipeline = read(&repo_root().join("crates/cluster/src/pipeline.rs"));
+    let fns = fn_lengths(&pipeline);
+    assert!(fns.len() >= 15, "found {} fns", fns.len());
+    for (decl, len) in &fns {
+        assert!(*len <= 70, "{len} lines: {decl}");
+    }
+    let (_, driver) = fns
+        .iter()
+        .find(|(decl, _)| decl.starts_with("pub fn run_cluster_traced("))
+        .expect("the driver");
+    assert!(*driver <= 30, "run_cluster_traced is {driver} lines");
+    // The slabs are concatenated into a field in `assemble`, and a frame is
+    // rendered in `render_frame`, only.
+    for needle in [".concat()", "render_field("] {
+        assert_eq!(non_test(&pipeline).matches(needle).count(), 1, "`{needle}`");
+    }
+}
+
+#[test]
+fn unreached_pub_fns_stay_deleted() {
+    // `pub` functions no binary, example, benchmark or other crate reached,
+    // deleted rather than kept "in case": none may come back in non-test
+    // source. Names other crates use for their own items are checked only
+    // in the file they were deleted from.
+    let crates = repo_root().join("crates");
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+    let anywhere = [
+        "run_all_cases",
+        "run_cases_parallel",
+        "live_shards",
+        "live_sessions",
+        "from_micros",
+        "fault_retry_budget",
+        "pixel_count",
+    ];
+    for path in &sources {
+        let src = read(path);
+        for name in anywhere {
+            assert!(
+                !non_test(&src).contains(&format!("fn {name}(")),
+                "{}: `{name}` is back",
+                path.display()
+            );
+        }
+    }
+    let per_file = [
+        ("cluster/src/pfs.rs", "server_count"),
+        ("cluster/src/pfs.rs", "stripe_bytes"),
+        ("cluster/src/pfs.rs", "exists"),
+        ("cluster/src/pfs.rs", "total_energy_j"),
+        ("cluster/src/fabric.rs", "ten_gbe"),
+        ("cluster/src/slab.rs", "parts"),
+        ("cluster/src/slab.rs", "dims"),
+        ("cluster/src/slab.rs", "steps_taken"),
+        ("cluster/src/slab.rs", "assemble"),
+    ];
+    for (file, name) in per_file {
+        let src = read(&crates.join(file));
+        assert!(
+            !non_test(&src).contains(&format!("fn {name}(")),
+            "{file}: `{name}` is back"
+        );
+    }
 }
