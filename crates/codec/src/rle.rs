@@ -11,7 +11,7 @@ use crate::{Codec, CodecError, Scratch};
 pub struct Rle;
 
 /// Append the RLE coding of `input` to a cleared `out`. The run scan is
-/// word-at-a-time ([`run_len`]); [`rle_encode_into_reference`] retains the
+/// word-at-a-time ([`run_len`]); `rle_encode_into_reference` retains the
 /// byte-at-a-time scan as the oracle the fast path is tested against.
 pub(crate) fn rle_encode_into(input: &[u8], out: &mut Vec<u8>) {
     out.clear();
@@ -94,26 +94,6 @@ pub(crate) fn rle_len_lower_bound(bytes: &[u8], limit: usize) -> usize {
     (2 * runs).min(limit)
 }
 
-/// The original `position`-sweep run scan, retained verbatim as the
-/// bit-identity reference for [`rle_encode_into`]. Also the baseline the
-/// transpose codec's [`crate::transpose::TransposeRle::encode_reference`]
-/// oracle encodes through.
-pub(crate) fn rle_encode_into_reference(input: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    let mut i = 0;
-    while i < input.len() {
-        let b = input[i];
-        let cap = (input.len() - i).min(255);
-        let run = input[i + 1..i + cap]
-            .iter()
-            .position(|&x| x != b)
-            .map_or(cap, |p| p + 1);
-        out.push(run as u8);
-        out.push(b);
-        i += run;
-    }
-}
-
 /// Decode `input` expecting exactly `expected` output bytes, bailing with
 /// `None` the moment the output would overshoot — so a malformed stream can
 /// never balloon the allocation past the caller's bound.
@@ -130,17 +110,6 @@ pub(crate) fn rle_decode_exact(input: &[u8], expected: usize) -> Option<Vec<u8>>
         out.extend(std::iter::repeat(pair[1]).take(count));
     }
     (out.len() == expected).then_some(out)
-}
-
-impl Rle {
-    /// Encode through the retained byte-at-a-time reference scan. Public so
-    /// integration tests can gate the word-at-a-time fast path on bit
-    /// identity from outside the crate.
-    pub fn encode_reference(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        rle_encode_into_reference(input, &mut out);
-        out
-    }
 }
 
 impl Codec for Rle {
@@ -171,6 +140,39 @@ impl Codec for Rle {
             out.extend(std::iter::repeat(pair[1]).take(count));
         }
         Some(out)
+    }
+}
+
+/// The original `position`-sweep run scan, retained verbatim as the
+/// bit-identity reference for [`rle_encode_into`]. Also the baseline the
+/// transpose codec's `TransposeRle::encode_reference` oracle encodes
+/// through.
+#[cfg(any(test, feature = "reference"))]
+pub(crate) fn rle_encode_into_reference(input: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    let mut i = 0;
+    while i < input.len() {
+        let b = input[i];
+        let cap = (input.len() - i).min(255);
+        let run = input[i + 1..i + cap]
+            .iter()
+            .position(|&x| x != b)
+            .map_or(cap, |p| p + 1);
+        out.push(run as u8);
+        out.push(b);
+        i += run;
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl Rle {
+    /// Encode through the retained byte-at-a-time reference scan. Public so
+    /// integration tests can gate the word-at-a-time fast path on bit
+    /// identity from outside the crate (under the `reference` feature).
+    pub fn encode_reference(&self, input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        rle_encode_into_reference(input, &mut out);
+        out
     }
 }
 

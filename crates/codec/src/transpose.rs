@@ -31,15 +31,13 @@
 //!   chosen flag (and therefore the stream) cannot differ.
 //!
 //! The original strided, materialize-everything encoder survives as
-//! [`TransposeRle::encode_reference`], the bit-identity oracle the fast
+//! `TransposeRle::encode_reference`, the bit-identity oracle the fast
 //! path is gated on (`tests/oracle_equivalence.rs`, codec proptests).
 //!
 //! Stream format:
 //! `n_values: u64 | 8 × (flag: u8 (0=raw, 1=rle, 2=delta+rle) | plane_len: u64 | plane)`.
 
-use crate::rle::{
-    rle_decode_exact, rle_encode_into, rle_encode_into_reference, rle_len_lower_bound,
-};
+use crate::rle::{rle_decode_exact, rle_encode_into, rle_len_lower_bound};
 use crate::{Codec, CodecError, Scratch};
 
 /// The transpose + RLE codec. Input length must be a multiple of 8.
@@ -109,54 +107,6 @@ fn choose_flag(raw_len: usize, rle_len: usize, delta_rle_len: usize) -> u8 {
         1
     } else {
         0
-    }
-}
-
-/// Choose the smallest representation of one plane and append
-/// `flag | plane_len | payload` to `out`. Shared verbatim by the fast path
-/// and the reference so the choice logic cannot drift between them.
-fn push_plane(out: &mut Vec<u8>, plane: &[u8], plane_rle: &[u8], plane_delta_rle: &[u8]) {
-    let flag = choose_flag(plane.len(), plane_rle.len(), plane_delta_rle.len());
-    let payload: &[u8] = match flag {
-        2 => plane_delta_rle,
-        1 => plane_rle,
-        _ => plane,
-    };
-    out.push(flag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-impl TransposeRle {
-    /// Encode through the original implementation: per-plane strided gather
-    /// (eight passes over `input`), serial-carry delta, and byte-at-a-time
-    /// RLE run scan. Retained as the bit-identity oracle the blocked fast
-    /// path in [`Codec::encode_into`] must reproduce exactly — the golden
-    /// energy values are pinned to these bytes.
-    pub fn encode_reference(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        if input.len() % 8 != 0 {
-            return Err(CodecError::Misaligned { len: input.len() });
-        }
-        let n = input.len() / 8;
-        let mut out = Vec::with_capacity(input.len() / 2 + 72);
-        out.extend_from_slice(&(n as u64).to_le_bytes());
-        let (mut plane, mut plane_rle, mut plane_delta, mut plane_delta_rle) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for byte_idx in 0..8 {
-            plane.clear();
-            plane.extend(input.chunks_exact(8).map(|c| c[byte_idx]));
-            rle_encode_into_reference(&plane, &mut plane_rle);
-            plane_delta.clear();
-            let mut prev = 0u8;
-            plane_delta.extend(plane.iter().map(|&b| {
-                let d = b.wrapping_sub(prev);
-                prev = b;
-                d
-            }));
-            rle_encode_into_reference(&plane_delta, &mut plane_delta_rle);
-            push_plane(&mut out, &plane, &plane_rle, &plane_delta_rle);
-        }
-        Ok(out)
     }
 }
 
@@ -300,6 +250,57 @@ impl Codec for TransposeRle {
             }
         }
         Some(out)
+    }
+}
+
+/// The reference's plane writer: choose the smallest representation of one
+/// plane by [`choose_flag`], the rule the fast path also uses, and append
+/// `flag | plane_len | payload` to `out`.
+#[cfg(any(test, feature = "reference"))]
+fn push_plane(out: &mut Vec<u8>, plane: &[u8], plane_rle: &[u8], plane_delta_rle: &[u8]) {
+    let flag = choose_flag(plane.len(), plane_rle.len(), plane_delta_rle.len());
+    let payload: &[u8] = match flag {
+        2 => plane_delta_rle,
+        1 => plane_rle,
+        _ => plane,
+    };
+    out.push(flag);
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl TransposeRle {
+    /// Encode through the original implementation: per-plane strided gather
+    /// (eight passes over `input`), serial-carry delta, and byte-at-a-time
+    /// RLE run scan. Retained as the bit-identity oracle the blocked fast
+    /// path in [`Codec::encode_into`] must reproduce exactly — the golden
+    /// energy values are pinned to these bytes. Built for tests and under
+    /// the `reference` feature.
+    pub fn encode_reference(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+        if input.len() % 8 != 0 {
+            return Err(CodecError::Misaligned { len: input.len() });
+        }
+        let n = input.len() / 8;
+        let mut out = Vec::with_capacity(input.len() / 2 + 72);
+        out.extend_from_slice(&(n as u64).to_le_bytes());
+        let (mut plane, mut plane_rle, mut plane_delta, mut plane_delta_rle) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for byte_idx in 0..8 {
+            plane.clear();
+            plane.extend(input.chunks_exact(8).map(|c| c[byte_idx]));
+            crate::rle::rle_encode_into_reference(&plane, &mut plane_rle);
+            plane_delta.clear();
+            let mut prev = 0u8;
+            plane_delta.extend(plane.iter().map(|&b| {
+                let d = b.wrapping_sub(prev);
+                prev = b;
+                d
+            }));
+            crate::rle::rle_encode_into_reference(&plane_delta, &mut plane_delta_rle);
+            push_plane(&mut out, &plane, &plane_rle, &plane_delta_rle);
+        }
+        Ok(out)
     }
 }
 

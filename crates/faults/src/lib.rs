@@ -239,17 +239,32 @@ pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// Integrity checksum for a buffer that is summed, compared and thrown
 /// away (snapshot write-time vs read-back): the FNV-1a mix over 8-byte
-/// little-endian words, the tail through [`fnv1a64_extend`]. One multiply
-/// per word instead of per byte. Both steps of the mix (xor, multiply by an
-/// odd constant) are bijections of the state, so any single-bit flip
-/// changes the sum. Not FNV-1a: never emit it or seed anything with it —
-/// use [`fnv1a64`] for values that leave the process.
+/// little-endian words, the tail through [`fnv1a64_extend`]. Whole 32-byte
+/// blocks go through four independent lanes, word `k` of a block into lane
+/// `k`, so four multiplies are in flight instead of one chain; the lanes
+/// are then folded into the state in order, and the leftover words and
+/// bytes follow as before. Each step of the mix (xor, multiply by an odd
+/// constant) is a bijection of its lane or of the state, so any single-bit
+/// flip changes the sum. Under 32 bytes there are no lanes and the sum is
+/// the plain word chain. Not FNV-1a: never emit it or seed anything with
+/// it — use [`fnv1a64`] for values that leave the process.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut words = bytes.chunks_exact(8);
+    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x1000_0000_01b3);
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
     let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut blocks = bytes.chunks_exact(32);
+    if bytes.len() >= 32 {
+        let mut lanes = [h; 4];
+        for block in &mut blocks {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = mix(*lane, word(w));
+            }
+        }
+        h = lanes.iter().fold(h, |h, &lane| mix(h, lane));
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
     for w in &mut words {
-        h ^= u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = mix(h, word(w));
     }
     fnv1a64_extend(h, words.remainder())
 }
@@ -383,19 +398,32 @@ mod tests {
 
     #[test]
     fn checksum64_sees_every_single_bit_flip() {
-        // Every bit of every length that mixes whole words with a 0..=7 tail.
-        for len in 0..=17usize {
+        // Every bit of every length through 80: under one 32-byte block,
+        // whole blocks, leftover words after them and a 0..=7 byte tail.
+        for len in 0..=80usize {
             let mut buf: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             for pos in 0..len {
                 assert_bit_flips_change_the_sum(&mut buf, pos);
             }
         }
-        // A snapshot-sized buffer (512 x 512 f64), sampled positions.
+    }
+
+    #[test]
+    fn checksum64_sees_a_flip_in_every_lane_of_a_snapshot() {
+        // A snapshot-sized buffer (512 x 512 f64), sampled positions: a
+        // byte of each of the four lanes in the first, a middle and the
+        // last block, and the edges.
         let mut snapshot: Vec<u8> = (0..2u64 << 20)
             .map(|i| (splitmix64(i) >> 56) as u8)
             .collect();
         let last = snapshot.len() - 1;
-        for pos in [0, 1, 7, 8, 4095, 4096, last / 2, last - 8, last] {
+        let middle = last / 2 / 32 * 32;
+        let lanes = |block: usize| (0..4).map(move |k| block + 8 * k + 3);
+        for pos in lanes(0)
+            .chain(lanes(middle))
+            .chain(lanes(last + 1 - 32))
+            .chain([0, 1, 4095, 4096, last])
+        {
             assert_bit_flips_change_the_sum(&mut snapshot, pos);
         }
     }
@@ -408,5 +436,20 @@ mod tests {
         // From one word on the two differ, and length is part of the sum.
         assert_ne!(checksum64(b"abcdefgh"), fnv1a64(b"abcdefgh"));
         assert_ne!(checksum64(&[0; 8]), checksum64(&[0; 16]));
+        assert_ne!(checksum64(&[0; 32]), checksum64(&[0; 64]));
+        // Under one 32-byte block the sum is the plain word chain.
+        let buf: Vec<u8> = (0..31u8).collect();
+        let chain = buf[..24]
+            .chunks_exact(8)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+                (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(0x1000_0000_01b3)
+            });
+        assert_eq!(checksum64(&buf), fnv1a64_extend(chain, &buf[24..]));
+        // Words in different lanes are not interchangeable.
+        let mut swapped = [0u8; 32];
+        swapped[0] = 1;
+        let mut original = [0u8; 32];
+        original[8] = 1;
+        assert_ne!(checksum64(&swapped), checksum64(&original));
     }
 }

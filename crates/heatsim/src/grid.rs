@@ -117,9 +117,9 @@ impl Grid {
 
     /// Serialize to little-endian `f64`s, row-major.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.cells() * 8);
-        for v in &self.data {
-            out.extend_from_slice(&v.to_le_bytes());
+        let mut out = vec![0; self.cells() * 8];
+        for (bytes, v) in out.chunks_exact_mut(8).zip(&self.data) {
+            bytes.copy_from_slice(&v.to_le_bytes());
         }
         out
     }

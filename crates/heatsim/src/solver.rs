@@ -8,7 +8,7 @@
 //! The production [`HeatSolver::step`] splits every row into an interior
 //! fast path (pure indexed 5-point update, no branches, no bounds casts)
 //! plus explicit boundary-column handling; the straight-line
-//! [`HeatSolver::step_reference`] implementation is kept as the bit-for-bit
+//! `HeatSolver::step_reference` implementation is kept as the bit-for-bit
 //! oracle.
 //!
 //! ## Threading
@@ -274,7 +274,7 @@ impl HeatSolver {
     /// Advance one timestep on the fast path: per-row slices hoisted once,
     /// interior columns updated by pure indexed loads, wall columns and
     /// wall rows handled explicitly through the boundary's ghost formula.
-    /// Bit-identical to [`Self::step_reference`] (pinned by unit tests,
+    /// Bit-identical to `Self::step_reference` (pinned by unit tests,
     /// proptests, and the golden/image-equivalence suites).
     pub fn step(&mut self) {
         let (rx, ry) = self.coefficients();
@@ -293,58 +293,6 @@ impl HeatSolver {
             }
             Boundary::Neumann => step_field(prev, out, nx, ny, rx, ry, |u| u, jobs),
         }
-        self.commit_step();
-    }
-
-    /// Advance one timestep through the original per-cell closure (match on
-    /// `Boundary` + `isize` clamping for every sample). Retained as the
-    /// reference oracle the fast path must match bit-for-bit.
-    pub fn step_reference(&mut self) {
-        let nx = self.grid.nx();
-        let ny = self.grid.ny();
-        let (rx, ry) = self.coefficients();
-
-        // Ghost-cell view of the previous level under the active boundary.
-        let prev = self.grid.as_slice();
-        let boundary = self.config.boundary;
-        let sample = move |i: isize, j: isize| -> f64 {
-            match boundary {
-                Boundary::Dirichlet(v) => {
-                    if i < 0 || j < 0 || i >= nx as isize || j >= ny as isize {
-                        // Second-order ghost for a cell-centered mesh: the
-                        // wall value sits on the face between the ghost and
-                        // the nearest interior cell.
-                        let ii = i.clamp(0, nx as isize - 1) as usize;
-                        let jj = j.clamp(0, ny as isize - 1) as usize;
-                        2.0 * v - prev[jj * nx + ii]
-                    } else {
-                        prev[j as usize * nx + i as usize]
-                    }
-                }
-                Boundary::Neumann => {
-                    // Reflect: zero-flux mirror at the walls.
-                    let i = i.clamp(0, nx as isize - 1) as usize;
-                    let j = j.clamp(0, ny as isize - 1) as usize;
-                    prev[j * nx + i]
-                }
-            }
-        };
-
-        self.scratch
-            .as_mut_slice()
-            .chunks_mut(nx)
-            .enumerate()
-            .for_each(|(j, row)| {
-                let j = j as isize;
-                for (i_us, out) in row.iter_mut().enumerate() {
-                    let i = i_us as isize;
-                    let u = sample(i, j);
-                    *out = u
-                        + rx * (sample(i + 1, j) - 2.0 * u + sample(i - 1, j))
-                        + ry * (sample(i, j + 1) - 2.0 * u + sample(i, j - 1));
-                }
-            });
-
         self.commit_step();
     }
 
@@ -543,6 +491,62 @@ fn step_field<G>(
     );
     if let Some(message) = first_panic {
         panic!("stencil band worker panicked: {message}");
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl HeatSolver {
+    /// Advance one timestep through the original per-cell closure (match on
+    /// `Boundary` + `isize` clamping for every sample). Retained as the
+    /// reference oracle the fast path must match bit-for-bit; built for
+    /// tests and under the `reference` feature.
+    pub fn step_reference(&mut self) {
+        let nx = self.grid.nx();
+        let ny = self.grid.ny();
+        let (rx, ry) = self.coefficients();
+
+        // Ghost-cell view of the previous level under the active boundary.
+        let prev = self.grid.as_slice();
+        let boundary = self.config.boundary;
+        let sample = move |i: isize, j: isize| -> f64 {
+            match boundary {
+                Boundary::Dirichlet(v) => {
+                    if i < 0 || j < 0 || i >= nx as isize || j >= ny as isize {
+                        // Second-order ghost for a cell-centered mesh: the
+                        // wall value sits on the face between the ghost and
+                        // the nearest interior cell.
+                        let ii = i.clamp(0, nx as isize - 1) as usize;
+                        let jj = j.clamp(0, ny as isize - 1) as usize;
+                        2.0 * v - prev[jj * nx + ii]
+                    } else {
+                        prev[j as usize * nx + i as usize]
+                    }
+                }
+                Boundary::Neumann => {
+                    // Reflect: zero-flux mirror at the walls.
+                    let i = i.clamp(0, nx as isize - 1) as usize;
+                    let j = j.clamp(0, ny as isize - 1) as usize;
+                    prev[j * nx + i]
+                }
+            }
+        };
+
+        self.scratch
+            .as_mut_slice()
+            .chunks_mut(nx)
+            .enumerate()
+            .for_each(|(j, row)| {
+                let j = j as isize;
+                for (i_us, out) in row.iter_mut().enumerate() {
+                    let i = i_us as isize;
+                    let u = sample(i, j);
+                    *out = u
+                        + rx * (sample(i + 1, j) - 2.0 * u + sample(i - 1, j))
+                        + ry * (sample(i, j + 1) - 2.0 * u + sample(i, j - 1));
+                }
+            });
+
+        self.commit_step();
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! Components: perceptual-ish [`colormap`]s, a scalar-field [`raster`]izer,
 //! marching-squares [`contour`] extraction, a [`image`] (PPM) codec whose
-//! output flows through the simulated filesystem, [`sample`] operators for
+//! output flows through the simulated filesystem, the [`sample`] operator for
 //! the data-sampling optimization the paper cites (refs [21]–[23]), and the
 //! [`cost`] model that charges rendering work to the platform.
 
@@ -26,5 +26,8 @@ pub use colormap::Colormap;
 pub use contour::contour_lines;
 pub use cost::RenderCostModel;
 pub use image::{decode_ppm, encode_ppm, ppm_size_bytes};
-pub use raster::{render_field, render_field_reference, Framebuffer, RenderOptions};
-pub use sample::{stride_sample, threshold_sample};
+pub use raster::{render_field, Framebuffer, RenderOptions};
+pub use sample::stride_sample;
+
+#[cfg(any(test, feature = "reference"))]
+pub use raster::render_field_reference;

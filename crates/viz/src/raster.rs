@@ -105,7 +105,7 @@ impl Default for RenderOptions {
 }
 
 /// One axis of the bilinear stencil for one output coordinate: the two
-/// source indices and their weights, computed exactly as [`bilinear`] does.
+/// source indices and their weights, computed exactly as `bilinear` does.
 #[derive(Clone, Copy)]
 struct Tap {
     i0: usize,
@@ -128,9 +128,21 @@ impl Tap {
             w1,
         }
     }
+
+    /// Whether every tap of `n_out` outputs over `n_in` source cells reads
+    /// source `k` for output `k` at weights exactly `(1, 0)`. Holds for
+    /// 512, 256, 128 and 64 cells drawn at their own size; not for most
+    /// other sizes, whose `(k + 0.5) / n · n − 0.5` rounds off `k` (at
+    /// n = 11, k = 7 it is 6.999…).
+    fn all_identity(n_out: usize, n_in: usize) -> bool {
+        (0..n_out).all(|k| {
+            let tap = Tap::new(k, n_out, n_in);
+            tap.i0 == k && tap.w0 == 1.0 && tap.w1 == 0.0
+        })
+    }
 }
 
-/// [`bilinear`] from hoisted parts: the sample at column tap `col` between
+/// `bilinear` from hoisted parts: the sample at column tap `col` between
 /// the source rows `upper` and `lower` that row tap `row` selects.
 #[inline]
 fn sample(upper: &[f64], lower: &[f64], col: &Tap, row: &Tap) -> f64 {
@@ -141,7 +153,7 @@ fn sample(upper: &[f64], lower: &[f64], col: &Tap, row: &Tap) -> f64 {
 
 /// Render `field` into an image by bilinear sampling.
 ///
-/// Byte-for-byte [`render_field_reference`], with everything that does not
+/// Byte-for-byte `render_field_reference`, with everything that does not
 /// depend on the pixel hoisted out of it: bilinear sampling is separable,
 /// so the column taps are one table per frame (O(width) scratch) and the
 /// row tap and the two source rows are fetched once per scanline; the
@@ -149,12 +161,27 @@ fn sample(upper: &[f64], lower: &[f64], col: &Tap, row: &Tap) -> f64 {
 /// evaluates the same `f64` expression tree in the same order — `a·(1−tx) +
 /// b·tx` per row, then the rows, then `(v − lo) / span` — so no rounding
 /// differs.
+///
+/// When every tap on both axes is the identity and the field is finite,
+/// the sample is the cell itself (`a·1 + b·0 == a` for finite `b`, up to
+/// the sign of a zero, which the step table maps alike), so each pixel is
+/// one table lookup over the field in storage order.
 pub fn render_field(field: &Grid, opts: &RenderOptions) -> Framebuffer {
     let (lo, hi) = opts.range.unwrap_or_else(|| (field.min(), field.max()));
     let span = (hi - lo).max(1e-300);
     let mut fb = Framebuffer::new(opts.width, opts.height);
     let (nx, ny) = (field.nx(), field.ny());
     let colors = opts.colormap.table();
+    if Tap::all_identity(opts.width, nx)
+        && Tap::all_identity(opts.height, ny)
+        && field.as_slice().iter().all(|v| v.is_finite())
+    {
+        debug_assert_eq!(fb.pixels.len(), field.as_slice().len() * 3);
+        for (pixel, v) in fb.pixels.chunks_exact_mut(3).zip(field.as_slice()) {
+            pixel.copy_from_slice(&colors.map((v - lo) / span));
+        }
+        return fb;
+    }
     let columns: Vec<Tap> = (0..opts.width)
         .map(|x| Tap::new(x, opts.width, nx))
         .collect();
@@ -173,7 +200,9 @@ pub fn render_field(field: &Grid, opts: &RenderOptions) -> Framebuffer {
 /// The straight-line renderer [`render_field`] replaced, kept verbatim as
 /// its oracle (the way `HeatSolver::step_reference` is the stencil's): one
 /// [`bilinear`] sample and one [`Colormap::map`] per pixel.
-/// `tests/oracle_equivalence.rs` pins the two byte-for-byte.
+/// `tests/oracle_equivalence.rs` pins the two byte-for-byte (it enables the
+/// `reference` feature).
+#[cfg(any(test, feature = "reference"))]
 pub fn render_field_reference(field: &Grid, opts: &RenderOptions) -> Framebuffer {
     let (lo, hi) = opts.range.unwrap_or_else(|| (field.min(), field.max()));
     let span = (hi - lo).max(1e-300);
@@ -197,6 +226,7 @@ pub fn render_field_reference(field: &Grid, opts: &RenderOptions) -> Framebuffer
 
 /// Bilinear sample of `field` at normalized coordinates `(u, v) ∈ [0,1]²`,
 /// cell-centered.
+#[cfg(any(test, feature = "reference"))]
 pub fn bilinear(field: &Grid, u: f64, v: f64) -> f64 {
     let nx = field.nx();
     let ny = field.ny();
@@ -320,6 +350,42 @@ mod tests {
                 render_field(&g, &opts) == render_field_reference(&g, &opts),
                 "{colormap:?}: fast path differs from the reference"
             );
+        }
+    }
+
+    #[test]
+    fn same_size_path_fires_on_exact_taps_and_matches_the_reference() {
+        for (nx, ny) in [(512, 512), (256, 256), (64, 64), (256, 64), (11, 11)] {
+            let exact = nx != 11;
+            assert_eq!(Tap::all_identity(nx, nx), exact, "{nx} columns");
+            assert_eq!(Tap::all_identity(ny, ny), exact, "{ny} rows");
+            let mut g = Grid::from_fn(nx, ny, |x, y| (9.0 * x).sin() * (7.0 * y).cos());
+            g.set(1, 2, -0.0);
+            let opts = RenderOptions {
+                width: nx,
+                height: ny,
+                colormap: Colormap::Hot,
+                range: Some((-0.0, 1.0)),
+            };
+            assert!(render_field(&g, &opts) == render_field_reference(&g, &opts));
+            // Huge cells beside zeros: a tap that only rounds to `(1, 0)`
+            // would leak 1e300·ε into the zero pixels and saturate them.
+            let spikes = Grid::from_fn(nx, ny, |x, _| {
+                if (x * nx as f64) as usize % 2 == 0 {
+                    1e300
+                } else {
+                    0.0
+                }
+            });
+            assert!(render_field(&spikes, &opts) == render_field_reference(&spikes, &opts));
+            g.set(nx / 2, ny / 3, f64::NAN);
+            for range in [None, opts.range] {
+                let opts = RenderOptions { range, ..opts };
+                assert!(
+                    render_field(&g, &opts) == render_field_reference(&g, &opts),
+                    "{nx}x{ny} with a NaN cell, range {range:?}"
+                );
+            }
         }
     }
 

@@ -3,10 +3,9 @@
 //! The §V-C discussion distinguishes two optimization families: if the energy
 //! saved by in-situ came mostly from *dynamic* (data-movement) power, the
 //! right post-processing optimization would be **data sampling** — writing a
-//! reduced dataset at some information loss. These operators implement the
-//! two standard forms: uniform stride decimation and importance (threshold)
-//! triage. The `ablate_sampling` bench sweeps the reduction factor against
-//! energy.
+//! reduced dataset at some information loss. [`stride_sample`] is its
+//! standard form, uniform stride decimation; the sampling variant in
+//! `greenness-core` sweeps the reduction factor against energy.
 
 use greenness_heatsim::Grid;
 
@@ -22,26 +21,6 @@ pub fn stride_sample(field: &Grid, stride: usize) -> Grid {
         let j = ((v * field.ny() as f64) as usize).min(field.ny() - 1);
         field.at(i, j)
     })
-}
-
-/// Importance triage: keep `(i, j, value)` triples whose |value| ≥
-/// `threshold`, as a sparse list — the "data triage" of ref [23].
-pub fn threshold_sample(field: &Grid, threshold: f64) -> Vec<(u32, u32, f64)> {
-    let mut out = Vec::new();
-    for j in 0..field.ny() {
-        for i in 0..field.nx() {
-            let v = field.at(i, j);
-            if v.abs() >= threshold {
-                out.push((i as u32, j as u32, v));
-            }
-        }
-    }
-    out
-}
-
-/// Serialized size of a threshold sample, bytes (two u32 indices + f64).
-pub fn threshold_sample_bytes(samples: &[(u32, u32, f64)]) -> u64 {
-    (samples.len() * 16) as u64
 }
 
 #[cfg(test)]
@@ -71,24 +50,5 @@ mod tests {
         let g = Grid::from_fn(16, 16, |x, _| x);
         let s = stride_sample(&g, 1000);
         assert_eq!((s.nx(), s.ny()), (3, 3));
-    }
-
-    #[test]
-    fn threshold_keeps_only_important_cells() {
-        let mut g = Grid::zeros(8, 8);
-        g.set(2, 3, 5.0);
-        g.set(6, 1, -7.0);
-        g.set(4, 4, 0.5);
-        let kept = threshold_sample(&g, 1.0);
-        assert_eq!(kept.len(), 2);
-        assert!(kept.contains(&(2, 3, 5.0)));
-        assert!(kept.contains(&(6, 1, -7.0)));
-        assert_eq!(threshold_sample_bytes(&kept), 32);
-    }
-
-    #[test]
-    fn zero_threshold_keeps_everything() {
-        let g = Grid::filled(4, 4, 1.0);
-        assert_eq!(threshold_sample(&g, 0.0).len(), 16);
     }
 }

@@ -2,8 +2,7 @@
 
 use greenness_heatsim::Grid;
 use greenness_viz::{
-    contour_lines, decode_ppm, encode_ppm, render_field, stride_sample, threshold_sample, Colormap,
-    RenderOptions,
+    contour_lines, decode_ppm, encode_ppm, render_field, stride_sample, Colormap, RenderOptions,
 };
 use proptest::prelude::*;
 
@@ -65,18 +64,6 @@ proptest! {
         prop_assert!(s.min() >= g.min() - 1e-12);
         prop_assert!(s.max() <= g.max() + 1e-12);
         prop_assert!(s.snapshot_bytes() <= g.snapshot_bytes());
-    }
-
-    /// Threshold sampling keeps exactly the cells meeting the threshold.
-    #[test]
-    fn threshold_is_exact(g in arb_grid(), thr in 0.0..5.0f64) {
-        let kept = threshold_sample(&g, thr);
-        let expected = g.as_slice().iter().filter(|v| v.abs() >= thr).count();
-        prop_assert_eq!(kept.len(), expected);
-        for (i, j, v) in kept {
-            prop_assert_eq!(g.at(i as usize, j as usize), v);
-            prop_assert!(v.abs() >= thr);
-        }
     }
 
     /// Colormaps are total over all inputs including pathological ones.

@@ -9,8 +9,9 @@
 //! * the blocked single-pass transpose encoder is bit-for-bit the retained
 //!   strided reference on arbitrary payloads;
 //! * the table-driven rasterizer (`render_field`: per-frame column taps,
-//!   exact colour step table) is byte-for-byte `render_field_reference` on
-//!   arbitrary grid and image shapes, ranges and non-finite cells;
+//!   exact colour step table, the same-size path) is byte-for-byte
+//!   `render_field_reference` on arbitrary grid and image shapes, ranges
+//!   and non-finite cells;
 //! * the storage path (shared block handles, narrowed zero-fill, incremental
 //!   tier bookkeeping) charges a scripted op mix exactly what the copying
 //!   implementation charged — clock, energy, cache counters, per-tier
@@ -123,9 +124,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `render_field` hoists the column taps into a per-frame table and maps
-    /// colours through an exact step table; `render_field_reference` samples
-    /// and maps pixel by pixel. Same bytes on every shape (square, thin,
-    /// non-square grids; 1x1 images, up- and down-sampling), every colormap,
+    /// colours through an exact step table, or reads the cells directly
+    /// when every tap is exact; `render_field_reference` samples and maps
+    /// pixel by pixel. Same bytes on every shape (square, thin, non-square
+    /// grids; 1x1 images, up- and down-sampling, same size), every colormap,
     /// every kind of range (auto, fixed, empty, inverted, and spans so large
     /// or small that `t` overflows to ±inf or collapses to 0) and with
     /// NaN/±inf cells in the field.
@@ -148,6 +150,17 @@ proptest! {
             0 => 1,
             1 => width,
             _ => 1 + (shape >> 40) as usize % 70,
+        };
+        // One case in three draws the grid at its own size, from sizes
+        // whose taps are all exact (the same-size path) and sizes whose
+        // taps round off a cell (the bilinear loop).
+        let (nx, ny, width, height) = if (shape >> 48) % 3 == 0 {
+            let sizes = [11, 13, 19, 32, 33, 64];
+            let nx = sizes[(shape >> 52) as usize % sizes.len()];
+            let ny = sizes[(shape >> 56) as usize % sizes.len()];
+            (nx, ny, nx, ny)
+        } else {
+            (nx, ny, width, height)
         };
         let mut field = Grid::from_fn(nx, ny, |x, y| {
             let k = ((x * 7.0 + y * 13.0) * cells.len() as f64) as usize % cells.len();

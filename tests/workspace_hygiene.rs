@@ -121,6 +121,34 @@ fn fnv1a_and_splitmix64_are_defined_only_in_greenness_faults() {
 }
 
 #[test]
+fn checksum64_never_leaves_the_process() {
+    // `checksum64` is compare-and-discard (its lanes are not FNV-1a): no
+    // non-test line may put it into an emitted value or formatted text.
+    let crates = repo_root().join("crates");
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+    let mut calls = 0;
+    for path in sources {
+        let src = read(&path);
+        for (i, line) in non_test(&src).lines().enumerate() {
+            if !line.contains("checksum64(") || line.contains("fn checksum64(") {
+                continue;
+            }
+            calls += 1;
+            for sink in ["Value::from", "format!", "write!", "writeln!"] {
+                assert!(
+                    !line.contains(sink),
+                    "{}:{}: checksum64 flows into `{sink}`: {line}",
+                    path.display(),
+                    i + 1
+                );
+            }
+        }
+    }
+    assert!(calls >= 10, "found {calls} checksum64 calls");
+}
+
+#[test]
 fn no_committed_bench_json_at_the_repo_root() {
     let stale: Vec<String> = sorted_entries(&repo_root())
         .iter()
@@ -541,6 +569,8 @@ fn unreached_pub_fns_stay_deleted() {
         ("cluster/src/slab.rs", "dims"),
         ("cluster/src/slab.rs", "steps_taken"),
         ("cluster/src/slab.rs", "assemble"),
+        ("viz/src/sample.rs", "threshold_sample"),
+        ("viz/src/sample.rs", "threshold_sample_bytes"),
     ];
     for (file, name) in per_file {
         let src = read(&crates.join(file));

@@ -1,10 +1,15 @@
 #!/bin/sh
-# Non-test lines (above the first `#[cfg(test)]`; `tests/` directories left
-# out) per file, per crate and in total under crates/. With a REV, only what
-# differs from `git show REV:path`, as "before -> after delta".
+# Non-test lines (above the first `#[cfg(test)]`, or the first unindented
+# `#[cfg(any(test, feature = "reference"))]` that opens a file's retained
+# oracles; `tests/` directories left out) per file, per crate and in total
+# under crates/. With a REV, only what differs from `git show REV:path`, as
+# "before -> after delta".
 # Usage: tools/loc.sh [REV]
 cd "$(dirname "$0")/.." || exit 1
-count() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'; }
+count() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ || /^#\[cfg\(any\(test, feature = "reference"\)\)\]/ { exit }
+         { n++ } END { print n + 0 }'
+}
 { git ls-files crates; [ -n "$1" ] && git ls-tree -r --name-only "$1" crates; } |
     grep '\.rs$' | grep -v '/tests/' | sort -u | while read -r f; do
     now=0 was=0
