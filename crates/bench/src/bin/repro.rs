@@ -516,8 +516,7 @@ fn main() {
 }
 
 /// Future-work extension studies (not in the paper's evaluation): storage
-/// technologies, distributed pipelines, data-reduction variants, DVFS, and
-/// the fitted disk-energy model.
+/// technologies, distributed pipelines, data-reduction variants and DVFS.
 fn print_extensions(setup: &ExperimentSetup, jobs: usize) {
     use greenness_cluster::{run_cluster, ClusterConfig, ClusterKind};
     use greenness_core::variants::{run_variant, CodecChoice, Variant};

@@ -36,7 +36,7 @@ pub struct CappedRun {
 /// under `cap_w` on `node`'s hardware, by bisection over the cube-law power
 /// model. Returns `None` if even the lowest clock exceeds the cap (the cap
 /// is below the machine's static floor plus minimum dynamic draw).
-pub fn freq_scale_for_cap(node: &Node, cfg: &PipelineConfig, cap_w: f64) -> Option<f64> {
+fn freq_scale_for_cap(node: &Node, cfg: &PipelineConfig, cap_w: f64) -> Option<f64> {
     let cells = (cfg.grid_nx * cfg.grid_ny) as u64;
     let draw_at = |scale: f64| -> f64 {
         let mut spec = node.spec().clone();

@@ -121,29 +121,18 @@ fn execute(id: usize, job: ClusterJob, setup: &ClusterSetup) -> Result<ClusterJo
     cfg.staging = setup.staging;
     let plan = setup.faults.map(|p| p.derive(&key));
     let tracer = if setup.trace {
-        let t = Tracer::jsonl();
-        t.begin(
-            0,
-            "run",
-            vec![
-                ("case", Value::from(job.case)),
-                ("kind", Value::from(job.kind.label())),
-            ],
-        );
-        t
+        grid::begin_run(vec![
+            ("case", Value::from(job.case)),
+            ("kind", Value::from(job.kind.label())),
+        ])
     } else {
         Tracer::off()
     };
     let (report, summary) =
         run_cluster_traced(job.kind, &cfg, plan, &tracer).map_err(|e| e.to_string())?;
     let end_ns = SimTime::from_secs_f64(report.makespan_s).as_nanos();
-    if tracer.is_on() {
-        tracer.gauge("run.end_s", report.makespan_s);
-        tracer.gauge("energy.system_j", report.total_energy_j);
-        tracer.snapshot("run");
-        tracer.end(end_ns, "run", Vec::new());
-    }
-    let (journal, trace_metrics) = tracer.drain().map(|out| (out.journal, out.metrics)).unzip();
+    let (journal, trace_metrics) =
+        grid::finish_run(&tracer, end_ns, report.makespan_s, report.total_energy_j);
     Ok(ClusterJobResult {
         id,
         key,

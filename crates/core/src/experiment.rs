@@ -11,6 +11,7 @@ use greenness_power::{GreenMetrics, PowerProfile, WattsupMeter};
 use greenness_trace::{MetricsRegistry, Tracer, Value};
 
 use crate::config::PipelineConfig;
+use crate::grid;
 use crate::pipeline::{self, PipelineError, PipelineKind, PipelineOutput};
 
 /// The measurement rig and hardware for a run.
@@ -131,16 +132,10 @@ pub fn run(
     let mut node = Node::new(setup.spec.clone());
     node.set_monitoring_overhead_w(setup.monitoring_overhead_w);
     if setup.trace {
-        let tracer = Tracer::jsonl();
-        tracer.begin(
-            0,
-            "run",
-            vec![
-                ("pipeline", Value::from(kind.label())),
-                ("config", Value::from(cfg.label.as_str())),
-            ],
-        );
-        node.set_tracer(tracer);
+        node.set_tracer(grid::begin_run(vec![
+            ("pipeline", Value::from(kind.label())),
+            ("config", Value::from(cfg.label.as_str())),
+        ]));
     }
     let output = pipeline::run_with_faults(kind, &mut node, cfg, setup.faults)?;
     node.finish_trace();
@@ -155,15 +150,13 @@ pub fn run(
     if tracer.is_on() {
         tracer.end(end_ns, "measure", Vec::new());
         dump_timeline(&tracer, &timeline, end_ns);
-        tracer.gauge("run.end_s", timeline.end().as_secs_f64());
-        tracer.gauge("energy.system_j", timeline.total_energy_j());
-        tracer.snapshot("run");
-        tracer.end(end_ns, "run", Vec::new());
     }
-    let (journal, trace_metrics) = match tracer.drain() {
-        Some(out) => (Some(out.journal), Some(out.metrics)),
-        None => (None, None),
-    };
+    let (journal, trace_metrics) = grid::finish_run(
+        &tracer,
+        end_ns,
+        timeline.end().as_secs_f64(),
+        timeline.total_energy_j(),
+    );
     Ok(PipelineReport {
         kind,
         config_label: cfg.label.clone(),

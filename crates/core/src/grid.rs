@@ -19,10 +19,11 @@
 //!
 //! The same goes for the artifacts: [`journal`] and [`metrics_json`] wrap
 //! each traced job's output in job-id order and are pure functions of the
-//! results.
+//! results, and every traced job opens with [`begin_run`] and closes with
+//! [`finish_run`].
 
 use greenness_pool::run_pool;
-use greenness_trace::{escape_json, MetricsRegistry};
+use greenness_trace::{escape_json, MetricsRegistry, Tracer, Value};
 
 use crate::sweep::{Progress, SweepError};
 
@@ -124,6 +125,31 @@ pub(crate) fn metrics_json<'a>(jobs: impl Iterator<Item = JobView<'a>>) -> Optio
         .filter_map(|job| job.metrics.map(|m| (job.key.to_string(), m.clone())))
         .collect();
     (!entries.is_empty()).then(|| greenness_trace::metrics_file_json(&entries))
+}
+
+/// A journaling tracer with the job's `run` span open at t = 0.
+pub(crate) fn begin_run(fields: Vec<(&'static str, Value)>) -> Tracer {
+    let tracer = Tracer::jsonl();
+    tracer.begin(0, "run", fields);
+    tracer
+}
+
+/// Close a job's `run` span at `end_ns` — the `run.end_s` and
+/// `energy.system_j` gauges and the `run` metrics snapshot first — and drain
+/// the journal and registry. Both `None` when `tracer` is off.
+pub(crate) fn finish_run(
+    tracer: &Tracer,
+    end_ns: u64,
+    end_s: f64,
+    energy_j: f64,
+) -> (Option<String>, Option<MetricsRegistry>) {
+    if tracer.is_on() {
+        tracer.gauge("run.end_s", end_s);
+        tracer.gauge("energy.system_j", energy_j);
+        tracer.snapshot("run");
+        tracer.end(end_ns, "run", Vec::new());
+    }
+    tracer.drain().map(|out| (out.journal, out.metrics)).unzip()
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use greenness_storage::{
     EnergyGreedyPolicy, FileSystem, FreqRecencyPolicy, FsConfig, NoopPolicy, PlacementPolicy,
     StorageError, TierCounters, TierSpec, TieredStore,
 };
-use greenness_trace::{escape_json, MetricsRegistry, Tracer, Value};
+use greenness_trace::{escape_json, MetricsRegistry, Value};
 
 use crate::grid::{self, JobView};
 use crate::sweep::{Progress, SweepError};
@@ -182,7 +182,7 @@ impl PolicyKind {
     }
 
     /// Instantiate the policy.
-    pub fn instantiate(self) -> Box<dyn PlacementPolicy> {
+    fn instantiate(self) -> Box<dyn PlacementPolicy> {
         match self {
             PolicyKind::Noop => Box::new(NoopPolicy),
             PolicyKind::FreqRecency => Box::new(FreqRecencyPolicy::default()),
@@ -259,7 +259,7 @@ impl PlacementSetup {
     /// The DRAM → NVMe → HDD stack the grid runs against. Bottom tier is
     /// the spec's own disk model so the noop policy is exactly the flat
     /// single-device system.
-    pub fn tier_stack(&self) -> Vec<TierSpec> {
+    fn tier_stack(&self) -> Vec<TierSpec> {
         let mib = 1024 * 1024;
         let (dram, nvme, hdd) = match self.scale {
             PlacementScale::Small => (mib, 4 * mib, 64 * mib),
@@ -398,16 +398,10 @@ fn execute(
     let mut node = Node::new(setup.spec.clone());
     node.set_monitoring_overhead_w(setup.monitoring_overhead_w);
     if setup.trace {
-        let tracer = Tracer::jsonl();
-        tracer.begin(
-            0,
-            "run",
-            vec![
-                ("workload", Value::from(job.workload.label())),
-                ("policy", Value::from(job.policy.label())),
-            ],
-        );
-        node.set_tracer(tracer);
+        node.set_tracer(grid::begin_run(vec![
+            ("workload", Value::from(job.workload.label())),
+            ("policy", Value::from(job.policy.label())),
+        ]));
     }
 
     let mut store = TieredStore::new(setup.tier_stack(), job.policy.instantiate());
@@ -533,13 +527,7 @@ fn execute(
     let read_time_s = timeline.phase_duration(Phase::Read).as_secs_f64();
     let read_energy_j = timeline.phase_energy(Phase::Read).system_j();
     let end_ns = timeline.end().as_nanos();
-    if tracer.is_on() {
-        tracer.gauge("run.end_s", time_s);
-        tracer.gauge("energy.system_j", energy_j);
-        tracer.snapshot("run");
-        tracer.end(end_ns, "run", Vec::new());
-    }
-    let (journal, trace_metrics) = tracer.drain().map(|out| (out.journal, out.metrics)).unzip();
+    let (journal, trace_metrics) = grid::finish_run(&tracer, end_ns, time_s, energy_j);
 
     Ok(PlacementResult {
         id,

@@ -174,11 +174,6 @@ impl SteeringPipeline {
         self.step() >= self.cfg.timesteps
     }
 
-    /// Virtual seconds elapsed on the session node.
-    pub fn virtual_time_s(&self) -> f64 {
-        self.node.now().as_secs_f64()
-    }
-
     /// Energy spent so far, J.
     pub fn energy_j(&self) -> f64 {
         self.node.timeline().total_energy_j()
@@ -378,7 +373,7 @@ mod tests {
             vec![2, 4]
         );
         assert_eq!(s.frames_rendered(), 2);
-        assert!(s.energy_j() > 0.0 && s.virtual_time_s() > 0.0);
+        assert!(s.energy_j() > 0.0);
         // Clamped at the configured budget.
         let rest = s.advance(100);
         assert!(s.finished());

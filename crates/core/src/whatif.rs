@@ -82,7 +82,7 @@ impl WhatIfAnalysis {
     /// column must be present exactly once; a missing kind surfaces as
     /// [`WhatIfError::MissingKind`] — the condition the old code turned into
     /// a process-killing `.expect("all four kinds ran")`.
-    pub fn from_results(fio_results: Vec<FioResult>) -> Result<WhatIfAnalysis, WhatIfError> {
+    fn from_results(fio_results: Vec<FioResult>) -> Result<WhatIfAnalysis, WhatIfError> {
         let energy = |k: FioKind| -> Result<f64, WhatIfError> {
             fio_results
                 .iter()

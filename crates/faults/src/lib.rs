@@ -15,6 +15,11 @@
 //! The hash chain reuses the repo's sweep-seed convention
 //! (FNV-1a 64 folded through SplitMix64) so fault schedules compose with the
 //! per-job derived RNG seeds from `greenness_core::sweep`.
+//!
+//! The crate has no dependencies, so it also owns the workspace's other
+//! seeded primitives, each spelled once: [`fnv1a64`], [`checksum64`],
+//! [`splitmix64`] and [`Rng`], the xoshiro256++ stream behind the meter
+//! noise and the scattered block allocator.
 
 /// Where in the stack an injector sits. Labels are part of the deterministic
 /// schedule: renaming one reshuffles that site's faults (and only that
@@ -277,6 +282,48 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The workspace's one seeded stream generator: xoshiro256++, its state
+/// expanded from a `u64` seed through [`splitmix64`]. It drives the Wattsup
+/// accuracy noise, the scattered block allocator and the proptest stand-in.
+#[derive(Debug, Clone)]
+pub struct Rng {
+    s: [u64; 4],
+}
+
+impl Rng {
+    /// The stream for `seed`: state word `k` is `splitmix64(seed + k·γ)`.
+    pub fn seeded(seed: u64) -> Rng {
+        let word = |k: u64| splitmix64(seed.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        Rng {
+            s: [word(0), word(1), word(2), word(3)],
+        }
+    }
+
+    /// The next raw word (one xoshiro256++ step).
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        out
+    }
+
+    /// Uniform in `0..n` by a 128-bit multiply-shift (bias below 2⁻⁶⁴).
+    pub fn below(&mut self, n: u64) -> u64 {
+        ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
+    }
+
+    /// Uniform in `[0, 1)` from the top 53 bits.
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,6 +426,43 @@ mod tests {
             (16..=48).contains(&odd),
             "entropy bit 0 is biased: {odd}/64"
         );
+    }
+
+    #[test]
+    fn same_seed_same_stream() {
+        let mut a = Rng::seeded(7);
+        let mut b = Rng::seeded(7);
+        for _ in 0..100 {
+            assert_eq!(a.below(1_000_000), b.below(1_000_000));
+        }
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let mut a = Rng::seeded(1);
+        let mut b = Rng::seeded(2);
+        let va: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
+        let vb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
+        assert_ne!(va, vb);
+    }
+
+    #[test]
+    fn float_ranges_stay_in_bounds() {
+        let mut rng = Rng::seeded(1);
+        for _ in 0..10_000 {
+            let x = rng.unit_f64();
+            assert!((0.0..1.0).contains(&x), "{x}");
+        }
+    }
+
+    #[test]
+    fn int_ranges_cover_and_stay_in_bounds() {
+        let mut rng = Rng::seeded(2);
+        let mut seen = [false; 10];
+        for _ in 0..1_000 {
+            seen[rng.below(10) as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "all bins hit: {seen:?}");
     }
 
     /// Flip each bit of `buf[pos]` in turn and require a different sum.

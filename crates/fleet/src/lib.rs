@@ -34,6 +34,6 @@ pub use harness::{
     fleet_workload, run_fleet_replay, FleetReplayOutput, LatencyQuantiles, DEFAULT_RATE_RPS,
     DEFAULT_UNIVERSE, DEFAULT_ZIPF_S,
 };
-pub use ring::{key_point, Ring, DEFAULT_VNODES};
+pub use ring::{Ring, DEFAULT_VNODES};
 pub use server::FleetServer;
 pub use zipf::Zipf;

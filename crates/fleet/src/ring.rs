@@ -43,7 +43,7 @@ fn vnode_position(seed: u64, shard: u32, v: usize) -> u64 {
 }
 
 /// A key's point on the ring.
-pub fn key_point(key: &[u8]) -> u64 {
+fn key_point(key: &[u8]) -> u64 {
     splitmix64(fnv1a64(key))
 }
 

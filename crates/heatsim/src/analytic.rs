@@ -11,43 +11,41 @@
 //! within its truncation error, which is the strongest easily-checkable
 //! correctness statement about the solver.
 
-use std::f64::consts::PI;
-
-use crate::grid::Grid;
-
-/// The separable eigenmode `sin(mπx)·sin(nπy)` sampled at cell centers.
-pub fn eigenmode(nx: usize, ny: usize, m: u32, n: u32) -> Grid {
-    Grid::from_fn(nx, ny, |x, y| {
-        (m as f64 * PI * x).sin() * (n as f64 * PI * y).sin()
-    })
-}
-
-/// Decay factor of mode `(m, n)` after time `t` with diffusivity `alpha`.
-pub fn mode_decay(alpha: f64, m: u32, n: u32, t: f64) -> f64 {
-    (-alpha * PI * PI * ((m * m + n * n) as f64) * t).exp()
-}
-
-/// Relative L2 error between `approx` and `exact` (‖a − e‖₂ / ‖e‖₂).
-pub fn rel_l2_error(approx: &Grid, exact: &Grid) -> f64 {
-    assert_eq!(approx.nx(), exact.nx());
-    assert_eq!(approx.ny(), exact.ny());
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (a, e) in approx.as_slice().iter().zip(exact.as_slice()) {
-        num += (a - e) * (a - e);
-        den += e * e;
-    }
-    if den == 0.0 {
-        num.sqrt()
-    } else {
-        (num / den).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::f64::consts::PI;
+
+    use crate::grid::Grid;
     use crate::solver::{Boundary, HeatSolver, SolverConfig};
+
+    /// The separable eigenmode `sin(mπx)·sin(nπy)` sampled at cell centers.
+    fn eigenmode(nx: usize, ny: usize, m: u32, n: u32) -> Grid {
+        Grid::from_fn(nx, ny, |x, y| {
+            (m as f64 * PI * x).sin() * (n as f64 * PI * y).sin()
+        })
+    }
+
+    /// Decay factor of mode `(m, n)` after time `t` with diffusivity `alpha`.
+    fn mode_decay(alpha: f64, m: u32, n: u32, t: f64) -> f64 {
+        (-alpha * PI * PI * ((m * m + n * n) as f64) * t).exp()
+    }
+
+    /// Relative L2 error between `approx` and `exact` (‖a − e‖₂ / ‖e‖₂).
+    fn rel_l2_error(approx: &Grid, exact: &Grid) -> f64 {
+        assert_eq!(approx.nx(), exact.nx());
+        assert_eq!(approx.ny(), exact.ny());
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (a, e) in approx.as_slice().iter().zip(exact.as_slice()) {
+            num += (a - e) * (a - e);
+            den += e * e;
+        }
+        if den == 0.0 {
+            num.sqrt()
+        } else {
+            (num / den).sqrt()
+        }
+    }
 
     /// Integrate mode (m, n) numerically and compare against the analytic
     /// decay; returns the relative L2 error.

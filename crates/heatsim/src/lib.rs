@@ -16,7 +16,6 @@
 //! per step, so its per-cell cost is far higher than one explicit sweep;
 //! the calibrated `flops_per_cell_update` carries that difference).
 
-pub mod analytic;
 pub mod cost;
 pub mod grid;
 pub mod solver;
@@ -24,3 +23,6 @@ pub mod solver;
 pub use cost::SimCostModel;
 pub use grid::Grid;
 pub use solver::{Boundary, HeatSolver, PointSource, SolverConfig, SolverError};
+
+#[cfg(test)]
+mod analytic;

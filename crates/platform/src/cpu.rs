@@ -59,13 +59,13 @@ impl CpuModel {
     }
 
     /// Total core count across all sockets.
-    pub fn total_cores(&self) -> u32 {
+    fn total_cores(&self) -> u32 {
         self.sockets * self.cores_per_socket
     }
 
     /// Theoretical peak flop rate of `cores` busy cores at the current DVFS
     /// point, in flops/s.
-    pub fn peak_flops(&self, cores: u32) -> f64 {
+    fn peak_flops(&self, cores: u32) -> f64 {
         let cores = cores.min(self.total_cores());
         cores as f64 * self.base_freq_hz * self.freq_scale * self.flops_per_cycle
     }

@@ -221,15 +221,6 @@ impl DiskModel {
         ]
     }
 
-    /// A copy with the write cache (and elevator reordering) disabled —
-    /// the `ablate_write_cache` study.
-    pub fn without_write_cache(&self) -> Self {
-        DiskModel {
-            write_cache: false,
-            ..self.clone()
-        }
-    }
-
     /// A RAID-0 stripe over `n` copies of this device (paper future work:
     /// "evaluation on systems using RAID disks"). Streaming bandwidth scales
     /// with the member count; positioning latency does not (all members
@@ -250,22 +241,6 @@ impl DiskModel {
             elevator_w: self.elevator_w * k,
             // Independent spindles service queued random ops concurrently.
             ncq_k: self.ncq_k * k,
-            ..self.clone()
-        }
-    }
-
-    /// A RAID-1 mirror pair: capacity and write bandwidth of one member,
-    /// reads load-balanced across both (≈1.8× streaming), power of two.
-    pub fn raid1(&self) -> Self {
-        DiskModel {
-            seq_read_rate: self.seq_read_rate * 1.8,
-            idle_w: self.idle_w * 2.0,
-            seek_w: self.seek_w * 2.0,
-            journal_w: self.journal_w * 2.0,
-            read_w: self.read_w * 1.8,
-            write_w: self.write_w * 2.0,
-            elevator_w: self.elevator_w * 2.0,
-            ncq_k: self.ncq_k * 2.0,
             ..self.clone()
         }
     }
@@ -364,6 +339,17 @@ impl DiskModel {
         DiskOpCost {
             seconds: secs,
             dyn_w: if count > 0 { self.journal_w } else { 0.0 },
+        }
+    }
+}
+
+#[cfg(test)]
+impl DiskModel {
+    /// A copy with the write cache (and elevator reordering) disabled.
+    fn without_write_cache(&self) -> Self {
+        DiskModel {
+            write_cache: false,
+            ..self.clone()
         }
     }
 }
@@ -572,16 +558,6 @@ mod raid_tests {
         let t_base = base.transfer(GIB, IoDir::Read, pat).seconds;
         let t_r4 = r4.transfer(GIB, IoDir::Read, pat).seconds;
         assert!(t_r4 < t_base / 2.0, "{t_r4} vs {t_base}");
-    }
-
-    #[test]
-    fn raid1_mirrors_capacity_and_write_rate() {
-        let base = DiskModel::seagate_7200rpm_500gb();
-        let m = base.raid1();
-        assert_eq!(m.capacity_bytes, base.capacity_bytes);
-        assert_eq!(m.seq_write_rate, base.seq_write_rate);
-        assert!(m.seq_read_rate > base.seq_read_rate);
-        assert!(m.idle_w > base.idle_w);
     }
 
     #[test]

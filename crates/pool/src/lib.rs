@@ -82,7 +82,7 @@ pub fn run_pool<R: Send>(
 }
 
 /// Best-effort stringification of a caught panic payload.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

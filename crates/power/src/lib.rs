@@ -20,14 +20,12 @@
 //!   §V-C.
 
 pub mod breakdown;
-pub mod fit;
 pub mod metrics;
 pub mod profile;
 pub mod rapl;
 pub mod wattsup;
 
 pub use breakdown::{probe_dynamic_power_w, SavingsBreakdown};
-pub use fit::{estimate_static_floor_w, DiskAccessFeatures, DiskEnergyModel};
 pub use metrics::GreenMetrics;
 pub use profile::{PowerProfile, ProfileSample};
 pub use rapl::{RaplDomain, RaplMsr, RaplReader};

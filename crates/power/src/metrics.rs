@@ -58,16 +58,6 @@ impl GreenMetrics {
         }
     }
 
-    /// Energy-delay product, J·s.
-    pub fn edp(&self) -> f64 {
-        self.energy_j * self.execution_time_s
-    }
-
-    /// Energy-delay-squared product, J·s².
-    pub fn ed2p(&self) -> f64 {
-        self.energy_j * self.execution_time_s * self.execution_time_s
-    }
-
     /// Percentage by which `self` improves on `other` for a
     /// lower-is-better quantity, e.g. `time_reduction_vs` = 43 means 43% less.
     pub fn energy_reduction_vs(&self, other: &GreenMetrics) -> f64 {
@@ -139,14 +129,6 @@ mod tests {
         let pinc = insitu.power_increase_vs(&post);
         assert!((pinc - 6.4).abs() < 1.0, "got {pinc}");
         assert!(insitu.normalized_efficiency(&post) > 1.5);
-    }
-
-    #[test]
-    fn edp_prefers_fast_and_frugal() {
-        let slow = run(100.0, 200);
-        let fast = run(110.0, 100);
-        assert!(fast.edp() < slow.edp());
-        assert!(fast.ed2p() < slow.ed2p());
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl PowerProfile {
     }
 
     /// Peak system power over the profile, watts.
-    pub fn peak_system_w(&self) -> f64 {
+    fn peak_system_w(&self) -> f64 {
         self.samples.iter().map(|s| s.system_w).fold(0.0, f64::max)
     }
 

@@ -57,13 +57,6 @@ impl<'a> RaplMsr<'a> {
         (0.5f64).powi(self.energy_unit_exp as i32)
     }
 
-    /// Raw value of `MSR_RAPL_POWER_UNIT` (energy-status units in bits 12:8;
-    /// power and time units are filled with the Sandy Bridge defaults 0b0011
-    /// and 0b1010).
-    pub fn read_power_unit_msr(&self) -> u64 {
-        0b0011 | ((self.energy_unit_exp as u64 & 0x1f) << 8) | (0b1010 << 16)
-    }
-
     /// True (unquantized, unwrapped) energy consumed by `domain` up to `t`,
     /// joules: `Timeline::energy_between(SimTime::ZERO, t)`, bit for bit.
     /// Whole segments are folded once, in order, and the one containing `t`
@@ -93,7 +86,7 @@ impl<'a> RaplMsr<'a> {
 
     /// Raw value of the domain's `ENERGY_STATUS` MSR at virtual time `t`:
     /// consumed quanta, truncated to 32 bits (the hardware counter wraps).
-    pub fn read_energy_status_msr(&self, domain: RaplDomain, t: SimTime) -> u64 {
+    fn read_energy_status_msr(&self, domain: RaplDomain, t: SimTime) -> u64 {
         let quanta = (self.true_energy_j(domain, t) / self.energy_unit_j()) as u64;
         quanta & 0xffff_ffff
     }
@@ -221,8 +214,6 @@ mod tests {
         let tl = constant_timeline(70.0, 15.0, 10);
         let msr = RaplMsr::new(&tl);
         assert!((msr.energy_unit_j() - 15.258789e-6).abs() < 1e-9);
-        // Bits 12:8 of the unit MSR hold the exponent.
-        assert_eq!((msr.read_power_unit_msr() >> 8) & 0x1f, 16);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! seeded Gaussian accuracy error so profiles look and integrate like real
 //! meter logs while staying deterministic.
 
+use greenness_faults::Rng;
 use greenness_platform::{SimTime, Timeline};
 use greenness_trace::{Tracer, Value};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// A simulated Wattsup Pro meter.
 #[derive(Debug, Clone)]
@@ -62,7 +61,7 @@ impl WattsupMeter {
     /// `wattsup.sample` event carrying its interval time in `t_s`.
     pub fn sample_traced(&self, timeline: &Timeline, tracer: &Tracer) -> Vec<(f64, f64)> {
         assert!(self.period_s > 0.0, "sampling period must be positive");
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = Rng::seeded(self.seed);
         let end = timeline.end();
         let end_s = end.as_secs_f64();
         let t_ns = end.as_nanos();
@@ -78,10 +77,11 @@ impl WattsupMeter {
                 .system_j();
             let mut w = e / self.period_s;
             if self.noise_rel_sigma > 0.0 {
-                // Box–Muller from two uniforms keeps the dependency surface
-                // small (rand's StandardNormal lives in rand_distr).
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
+                // Box–Muller from two uniforms; u1 lies in [ε, 1) so its log
+                // is finite.
+                let u1 = f64::EPSILON + rng.unit_f64() * (1.0 - f64::EPSILON);
+                let u1 = if u1 >= 1.0 { f64::EPSILON } else { u1 };
+                let u2 = rng.unit_f64();
                 let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
                 w *= 1.0 + self.noise_rel_sigma * z;
             }

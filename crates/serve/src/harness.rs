@@ -156,7 +156,7 @@ pub struct LoadReport {
 
 impl LoadReport {
     /// Cache hit rate over the run, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
+    fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
             0.0

@@ -169,7 +169,7 @@ pub fn ok_line(id: &str, result: &str) -> String {
 /// payload and the closing `}` follow as separate [`Response`] segments.
 /// `ok_head(id) + result + "}"` is byte-identical to [`ok_line`], which the
 /// envelope tests pin.
-pub fn ok_head(id: &str) -> String {
+fn ok_head(id: &str) -> String {
     format!("{{\"schema\":\"{SCHEMA}\",\"id\":{id},\"ok\":true,\"result\":")
 }
 

@@ -41,11 +41,6 @@ impl BurstBuffer {
         }
     }
 
-    /// Bytes currently staged.
-    pub fn staged_bytes(&self) -> u64 {
-        self.staged_bytes
-    }
-
     /// Bytes drained to the backing store so far.
     pub fn drained_bytes(&self) -> u64 {
         self.drained_bytes
@@ -122,13 +117,13 @@ impl BurstBuffer {
         }
         Ok(())
     }
+}
 
-    /// Read a file: served from the staging tier if still resident,
-    /// otherwise `None` (caller falls back to the filesystem).
-    pub fn read_staged(&self, node: &mut Node, name: &str, phase: Phase) -> Option<Vec<u8>> {
-        let (_, data) = self.staged.iter().find(|(n, _)| n == name)?;
-        self.charge_tier(node, data.len() as u64, IoDir::Read, phase);
-        Some(data.clone())
+#[cfg(test)]
+impl BurstBuffer {
+    /// Bytes currently staged.
+    fn staged_bytes(&self) -> u64 {
+        self.staged_bytes
     }
 }
 
@@ -245,19 +240,6 @@ mod tests {
                 .unwrap();
             assert_eq!(back, snap);
         }
-    }
-
-    #[test]
-    fn staged_reads_hit_the_tier() {
-        let (mut node, mut fs, mut bb) = setup(16 * 1024 * 1024);
-        let data = vec![9u8; 100_000];
-        bb.stage(&mut node, &mut fs, "hot", &data, Phase::Write)
-            .unwrap();
-        let got = bb
-            .read_staged(&mut node, "hot", Phase::Read)
-            .expect("resident");
-        assert_eq!(got, data);
-        assert!(bb.read_staged(&mut node, "cold", Phase::Read).is_none());
     }
 
     #[test]

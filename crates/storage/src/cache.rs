@@ -60,19 +60,9 @@ impl PageCache {
         self.stats
     }
 
-    /// Number of resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// True if block `idx` is resident.
     pub fn contains(&self, idx: u64) -> bool {
         self.pages.contains_key(&idx)
-    }
-
-    /// True if block `idx` is resident and dirty.
-    pub fn is_dirty(&self, idx: u64) -> bool {
-        self.pages.get(&idx).is_some_and(|p| p.dirty)
     }
 
     /// Read block `idx` through the cache. Returns `(data, was_miss)`; on a
@@ -228,6 +218,19 @@ impl PageCache {
         }
         self.stats.evictions += removed;
         removed
+    }
+}
+
+#[cfg(test)]
+impl PageCache {
+    /// Number of resident pages.
+    fn resident_pages(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// True if block `idx` is resident and dirty.
+    fn is_dirty(&self, idx: u64) -> bool {
+        self.pages.get(&idx).is_some_and(|p| p.dirty)
     }
 }
 

@@ -18,12 +18,10 @@
 
 use std::collections::HashMap;
 
-use greenness_faults::FaultInjector;
+use greenness_faults::{FaultInjector, Rng};
 use greenness_platform::disk::IoDir;
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
 use greenness_trace::Value;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::block::{BlockDevice, MemBlockDevice, NullBlockDevice, BLOCK_SIZE};
 use crate::cache::{CacheStats, PageCache};
@@ -297,7 +295,7 @@ pub struct FileSystem<D: CostedDevice> {
     files: HashMap<String, Inode>,
     free: FreeRuns,
     config: FsConfig,
-    rng: SmallRng,
+    rng: Rng,
     /// Cache counters already published to a tracer (see
     /// [`Self::publish_cache_counters`]).
     published: CacheStats,
@@ -320,7 +318,7 @@ impl<D: CostedDevice> FileSystem<D> {
             files: HashMap::new(),
             free,
             config,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             published: CacheStats::default(),
             faults: None,
         }
@@ -342,7 +340,7 @@ impl<D: CostedDevice> FileSystem<D> {
     pub fn set_alloc_mode(&mut self, mode: AllocMode) {
         self.config.alloc_mode = mode;
         if let AllocMode::Scattered { seed } = mode {
-            self.rng = SmallRng::seed_from_u64(seed);
+            self.rng = Rng::seeded(seed);
         }
     }
 
@@ -442,9 +440,9 @@ impl<D: CostedDevice> FileSystem<D> {
             }
             let (run_start, run_len) = self
                 .free
-                .nth_run(self.rng.gen_range(0..runs))
+                .nth_run(self.rng.below(runs as u64) as usize)
                 .expect("index below the run count");
-            let pick = run_start + self.rng.gen_range(0..run_len);
+            let pick = run_start + self.rng.below(run_len);
             self.free.take(run_start, pick, 1);
             got.push(Extent {
                 start: pick,

@@ -259,7 +259,7 @@ impl Default for EnergyGreedyPolicy {
 
 /// Energy of one 4 KiB random access on `model`, including the tier's own
 /// idle draw for the op's duration, joules.
-pub fn access_energy_j(model: &DiskModel) -> f64 {
+fn access_energy_j(model: &DiskModel) -> f64 {
     let c = model.transfer(
         BLOCK_SIZE,
         IoDir::Read,
@@ -272,7 +272,7 @@ pub fn access_energy_j(model: &DiskModel) -> f64 {
 }
 
 /// Energy of migrating one block `from` → `to` (read + write), joules.
-pub fn migration_energy_j(from: &DiskModel, to: &DiskModel) -> f64 {
+fn migration_energy_j(from: &DiskModel, to: &DiskModel) -> f64 {
     let r = from.transfer(
         BLOCK_SIZE,
         IoDir::Read,

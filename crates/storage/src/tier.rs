@@ -277,7 +277,7 @@ impl TieredStore {
     }
 
     /// Which tier currently holds `logical`, if mapped.
-    pub fn tier_of(&self, logical: u64) -> Option<usize> {
+    fn tier_of(&self, logical: u64) -> Option<usize> {
         self.blocks.get(&logical).map(|st| st.tier)
     }
 

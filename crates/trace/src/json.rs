@@ -265,21 +265,6 @@ impl Json {
         out
     }
 
-    /// Canonical serialization: sorted object keys, normalized numbers.
-    /// This is the content-addressing pre-image.
-    pub fn to_canonical(&self) -> String {
-        let mut out = String::new();
-        self.write_canonical(&mut out).expect(INFALLIBLE);
-        out
-    }
-
-    /// Stream the canonical serialization into any [`fmt::Write`] sink —
-    /// the content-addressing path writes straight into the hasher with no
-    /// intermediate `String`.
-    pub fn write_canonical<W: Write>(&self, out: &mut W) -> fmt::Result {
-        self.write(true, out)
-    }
-
     fn write<W: Write>(&self, canonical: bool, out: &mut W) -> fmt::Result {
         match self {
             Json::Null => out.write_str("null"),
@@ -338,9 +323,9 @@ pub fn write_canonical_spans(members: &mut [SpanMember], out: &mut String) -> fm
 
 /// Append the canonical form of the value opening at byte `at` to `out` and
 /// return the byte after it: one pass that validates as [`Json::parse`] does
-/// and writes what [`Json::write_canonical`] writes. An object's values are
-/// written as they are scanned and then put in key order, so however deep
-/// the nesting, every byte is scanned once.
+/// and writes the tree's canonical form (sorted keys, normalized numbers).
+/// An object's values are written as they are scanned and then put in key
+/// order, so however deep the nesting, every byte is scanned once.
 fn write_canonical_at(
     text: &str,
     at: usize,
@@ -629,6 +614,23 @@ fn is_json_number(token: &[u8]) -> bool {
         _ => false,
     };
     int > 0 && (int == 1 || unsigned[0] != b'0') && frac_ok && exp_ok
+}
+
+/// The tree's canonical serialization, the oracle [`write_canonical_spans`]
+/// is checked against.
+#[cfg(test)]
+impl Json {
+    /// Canonical serialization: sorted object keys, normalized numbers.
+    fn to_canonical(&self) -> String {
+        let mut out = String::new();
+        self.write_canonical(&mut out).expect(INFALLIBLE);
+        out
+    }
+
+    /// Stream the canonical serialization into any [`fmt::Write`] sink.
+    fn write_canonical<W: Write>(&self, out: &mut W) -> fmt::Result {
+        self.write(true, out)
+    }
 }
 
 /// The owned journal parser and the allocating formatters this module had

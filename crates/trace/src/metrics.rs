@@ -96,7 +96,7 @@ impl Histogram {
     /// Estimate the `q`-quantile (`q` in `[0, 1]`) by rank-walking the
     /// buckets and interpolating linearly inside the owning bucket. Returns
     /// 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }

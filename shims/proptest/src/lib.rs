@@ -14,26 +14,21 @@ use std::marker::PhantomData;
 use std::ops::Range;
 
 pub mod test_runner {
-    use rand::rngs::SmallRng;
-    use rand::{RngCore, SeedableRng};
+    use greenness_faults::{fnv1a64, Rng};
 
     /// Deterministic per-test generator, seeded from the test's name.
     pub struct TestRng {
-        inner: SmallRng,
+        inner: Rng,
         pub seed: u64,
     }
 
     impl TestRng {
         pub fn from_name(name: &str) -> TestRng {
             // FNV-1a over the test name: stable across runs and platforms.
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for b in name.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
+            let seed = fnv1a64(name.as_bytes());
             TestRng {
-                inner: SmallRng::seed_from_u64(h),
-                seed: h,
+                inner: Rng::seeded(seed),
+                seed,
             }
         }
 

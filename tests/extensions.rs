@@ -1,11 +1,10 @@
 //! End-to-end tests of the future-work extensions: cluster pipelines,
-//! pipeline variants, storage technologies, RAID, and model fitting.
+//! pipeline variants, storage technologies and RAID.
 
 use greenness_cluster::{run_cluster, ClusterConfig, ClusterKind};
 use greenness_core::variants::{run_variant, CodecChoice, Variant};
 use greenness_core::{experiment, pipeline::PipelineKind, ExperimentSetup, PipelineConfig};
 use greenness_platform::{AccessPattern, Activity, HardwareSpec, Node};
-use greenness_power::{DiskAccessFeatures, DiskEnergyModel};
 
 #[test]
 fn cluster_reproduces_the_single_node_conclusion() {
@@ -175,88 +174,5 @@ fn full_scale_burst_buffer_beats_even_insitu_while_keeping_raw_data() {
         "burst-buffered post {} J vs in-situ {} J",
         bb.energy_j,
         insitu.metrics.energy_j
-    );
-}
-
-#[test]
-fn fitted_disk_model_predicts_unseen_transfers() {
-    // Train the §VI-A disk-energy model on observed transfers from the
-    // calibrated disk, then predict a held-out configuration.
-    let node = Node::new(HardwareSpec::table1());
-    let idle_w = node.spec().disk.idle_w;
-    let observe = |bytes: u64, pattern: AccessPattern| -> (DiskAccessFeatures, f64) {
-        let (secs, draw) = node.cost_of(Activity::DiskRead {
-            bytes,
-            pattern,
-            buffered: false,
-        });
-        let energy = (draw.disk_w - idle_w) * secs;
-        let (ops, position_s) = match pattern {
-            AccessPattern::Sequential => (1.0, 12.67e-3),
-            AccessPattern::Chunked { op_bytes } => {
-                let n = bytes.div_ceil(op_bytes) as f64;
-                (n, n * 5.17e-3)
-            }
-            AccessPattern::Random {
-                op_bytes,
-                queue_depth,
-            } => {
-                let n = bytes.div_ceil(op_bytes) as f64;
-                let ncq = 1.0 + (queue_depth as f64).log2();
-                (n, n * 12.67e-3 / ncq)
-            }
-        };
-        (
-            DiskAccessFeatures {
-                ops,
-                bytes: bytes as f64,
-                position_s,
-            },
-            energy,
-        )
-    };
-
-    let mut train = Vec::new();
-    for mb in [1u64, 8, 64, 512] {
-        let bytes = mb * 1024 * 1024;
-        train.push(observe(bytes, AccessPattern::Sequential));
-        train.push(observe(
-            bytes,
-            AccessPattern::Chunked { op_bytes: 8 * 1024 },
-        ));
-        train.push(observe(
-            bytes,
-            AccessPattern::Random {
-                op_bytes: 4096,
-                queue_depth: 32,
-            },
-        ));
-        train.push(observe(
-            bytes,
-            AccessPattern::Random {
-                op_bytes: 4096,
-                queue_depth: 1,
-            },
-        ));
-    }
-    let model = DiskEnergyModel::fit(&train).expect("fit");
-    assert!(
-        model.r_squared(&train) > 0.98,
-        "R² {}",
-        model.r_squared(&train)
-    );
-
-    // Held-out: 256 MiB random with queue depth 8.
-    let (f, truth) = observe(
-        256 * 1024 * 1024,
-        AccessPattern::Random {
-            op_bytes: 4096,
-            queue_depth: 8,
-        },
-    );
-    let pred = model.predict_j(f);
-    assert!(
-        (pred - truth).abs() < 0.15 * truth.abs().max(1.0),
-        "predicted {pred} vs {truth}"
     );
 }
