@@ -27,7 +27,7 @@ use greenness_core::adaptive::{run_adaptive, AdaptivePolicy};
 use greenness_core::advisor::{recommend, IoBehavior, Technique, WorkloadProfile};
 use greenness_core::capping::cap_sweep;
 use greenness_core::cluster_sweep;
-use greenness_core::placement;
+use greenness_core::placement::{self, PolicyKind};
 use greenness_core::sweep;
 use greenness_core::whatif::WhatIfAnalysis;
 use greenness_core::{probes, report, CaseComparison, ExperimentSetup, PipelineConfig};
@@ -289,13 +289,13 @@ fn cmd_placement(mut args: Args) {
             &rows
         )
     );
-    if let Some(noop) = placement::noop_gap_ratio(&results) {
+    if let Some(noop) = placement::gap_ratio_under(&results, PolicyKind::Noop) {
         println!(
             "random/sequential read-energy ratio under noop: {noop:.1}x (the Table III cliff)"
         );
-        for policy in ["freq-recency", "energy-greedy"] {
+        for policy in [PolicyKind::FreqRecency, PolicyKind::EnergyGreedy] {
             if let Some(r) = placement::gap_ratio_under(&results, policy) {
-                println!("  under {policy}: {r:.1}x");
+                println!("  under {}: {r:.1}x", policy.label());
             }
         }
     }

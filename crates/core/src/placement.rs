@@ -10,8 +10,8 @@
 //! This module turns that observation into an experiment grid: every
 //! workload (the three case studies, a sequential scan, and a random-access
 //! exploratory reader) runs against the same DRAM → NVMe → HDD tier stack
-//! under each [`PlacementPolicy`](greenness_storage::PlacementPolicy), and
-//! the sweep reports which policy closes the sequential-vs-random cliff.
+//! under each [`PolicyKind`], and the sweep reports which policy closes
+//! the sequential-vs-random cliff.
 //!
 //! What this module adds (pinned by `tests/placement_determinism.rs`): the
 //! random reader derives its access stream from its *workload* label alone,
@@ -21,12 +21,11 @@
 //! byte-identical for any `--jobs` value and across repeated runs with the
 //! same `--fault-seed`.
 
+pub use greenness_storage::PolicyKind;
+
 use greenness_faults::{fnv1a64, splitmix64, FaultPlan, Site};
 use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
-use greenness_storage::{
-    EnergyGreedyPolicy, FileSystem, FreqRecencyPolicy, FsConfig, NoopPolicy, PlacementPolicy,
-    StorageError, TierCounters, TierSpec, TieredStore,
-};
+use greenness_storage::{FileSystem, FsConfig, StorageError, TierCounters, TierSpec, TieredStore};
 use greenness_trace::{escape_json, MetricsRegistry, Value};
 
 use crate::grid::{self, JobView};
@@ -148,45 +147,6 @@ impl PlacementWorkload {
                     epoch_every_reads: if small { 128 } else { 1024 },
                 }
             }
-        }
-    }
-}
-
-/// The placement policies of the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Static pin: everything stays where it first lands (the bottom tier).
-    Noop,
-    /// Frequency-recency ranking with exponential decay.
-    FreqRecency,
-    /// Energy-greedy: migrate only when projected access savings beat the
-    /// migration cost.
-    EnergyGreedy,
-}
-
-impl PolicyKind {
-    /// All policies, grid order.
-    pub const ALL: [PolicyKind; 3] = [
-        PolicyKind::Noop,
-        PolicyKind::FreqRecency,
-        PolicyKind::EnergyGreedy,
-    ];
-
-    /// Stable label (part of job keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Noop => "noop",
-            PolicyKind::FreqRecency => "freq-recency",
-            PolicyKind::EnergyGreedy => "energy-greedy",
-        }
-    }
-
-    /// Instantiate the policy.
-    fn instantiate(self) -> Box<dyn PlacementPolicy> {
-        match self {
-            PolicyKind::Noop => Box::new(NoopPolicy),
-            PolicyKind::FreqRecency => Box::new(FreqRecencyPolicy::default()),
-            PolicyKind::EnergyGreedy => Box::new(EnergyGreedyPolicy::default()),
         }
     }
 }
@@ -404,7 +364,7 @@ fn execute(
         ]));
     }
 
-    let mut store = TieredStore::new(setup.tier_stack(), job.policy.instantiate());
+    let mut store = TieredStore::new(setup.tier_stack(), job.policy);
     if let Some(plan) = &setup.faults {
         let plan = plan.derive(&key);
         store.set_fault_injectors(
@@ -578,29 +538,19 @@ pub fn run_placement(
     })
 }
 
-/// Read-phase energy ratio random / sequential under the noop policy — the
-/// Table III cliff at sweep scale (both workloads read the same byte
-/// volume, so the ratio is a pure access-pattern effect). `None` if either
-/// cell is absent.
-pub fn noop_gap_ratio(results: &[PlacementResult]) -> Option<f64> {
-    let cell = |w: &str| {
+/// Read-phase energy ratio random / sequential under `policy`. Under
+/// [`PolicyKind::Noop`] it is the Table III cliff at sweep scale (both
+/// workloads read the same byte volume, so the ratio is a pure
+/// access-pattern effect); under a moving policy, how much of the cliff
+/// that policy closes. `None` if either cell is absent.
+pub fn gap_ratio_under(results: &[PlacementResult], policy: PolicyKind) -> Option<f64> {
+    let cell = |w: PlacementWorkload| {
         results
             .iter()
-            .find(|r| r.workload == w && r.policy == "noop")
+            .find(|r| r.workload == w.label() && r.policy == policy.label())
             .map(|r| r.read_energy_j)
     };
-    Some(cell("random")? / cell("seqscan")?)
-}
-
-/// The same ratio under `policy` — how much of the cliff that policy closes.
-pub fn gap_ratio_under(results: &[PlacementResult], policy: &str) -> Option<f64> {
-    let cell = |w: &str| {
-        results
-            .iter()
-            .find(|r| r.workload == w && r.policy == policy)
-            .map(|r| r.read_energy_j)
-    };
-    Some(cell("random")? / cell("seqscan")?)
+    Some(cell(PlacementWorkload::RandomAccess)? / cell(PlacementWorkload::SeqScan)?)
 }
 
 /// Assemble the placement-sweep journal: schema header, then each traced
@@ -778,7 +728,7 @@ mod tests {
         let setup = PlacementSetup::default();
         let results =
             run_placement(placement_grid(), &setup, 4, &silent_progress()).expect("grid runs");
-        let ratio = noop_gap_ratio(&results).expect("both cells present");
+        let ratio = gap_ratio_under(&results, PolicyKind::Noop).expect("both cells present");
         assert!(
             ratio > 10.0,
             "random/seq read-energy ratio {ratio} too small for a 7200 rpm bottom tier"

@@ -4,7 +4,7 @@
 use greenness_trace::{Tracer, Value};
 
 use crate::activity::Activity;
-use crate::disk::IoDir;
+use crate::disk::{DiskOpCost, IoDir};
 use crate::phase::Phase;
 use crate::power::PowerDraw;
 use crate::spec::HardwareSpec;
@@ -119,13 +119,6 @@ impl Node {
     /// `overhead_w` extra package power from now on.
     pub fn set_monitoring_overhead_w(&mut self, overhead_w: f64) {
         self.monitoring_overhead_w = overhead_w.max(0.0);
-    }
-
-    /// The attached monitor's package-power overhead, watts. External device
-    /// models (e.g. the tiered store) add this to their own busy draws so
-    /// their segments compose bit-identically with [`Self::cost_of`]'s.
-    pub fn monitoring_overhead_w(&self) -> f64 {
-        self.monitoring_overhead_w
     }
 
     /// The baseline draw with every subsystem idle.
@@ -315,11 +308,7 @@ impl Node {
                 buffered,
             } => {
                 let cost = spec.disk.transfer(bytes, IoDir::Read, pattern);
-                draw.disk_w += cost.dyn_w;
-                if buffered {
-                    draw.package_w = spec.cpu.io_busy_w(true) + self.monitoring_overhead_w;
-                    draw.dram_w += spec.dram.dynamic_w(bytes * 2, cost.seconds);
-                }
+                draw = self.disk_draw(cost, 0.0, buffered.then_some((IoDir::Read, bytes)));
                 cost.seconds
             }
             Activity::DiskWrite {
@@ -328,20 +317,13 @@ impl Node {
                 buffered,
             } => {
                 let cost = spec.disk.transfer(bytes, IoDir::Write, pattern);
-                draw.disk_w += cost.dyn_w;
-                if buffered {
-                    draw.package_w = spec.cpu.io_busy_w(false) + self.monitoring_overhead_w;
-                    draw.dram_w += spec.dram.dynamic_w(bytes * 2, cost.seconds);
-                }
+                draw = self.disk_draw(cost, 0.0, buffered.then_some((IoDir::Write, bytes)));
                 cost.seconds
             }
             Activity::DiskBarrier { seeks } => {
                 // Journal commits keep the kernel busy alongside the disk.
                 let cost = spec.disk.barrier(seeks);
-                draw.disk_w += cost.dyn_w;
-                if seeks > 0 {
-                    draw.package_w = spec.cpu.io_busy_w(false) + self.monitoring_overhead_w;
-                }
+                draw = self.disk_draw(cost, 0.0, (seeks > 0).then_some((IoDir::Write, 0)));
                 cost.seconds
             }
             Activity::MemTraffic { bytes } => {
@@ -362,6 +344,29 @@ impl Node {
             Activity::Idle { duration } => duration.as_secs_f64(),
         };
         (secs, draw)
+    }
+
+    /// The draw of one disk operation costing `cost`, with `extra_idle_w` of
+    /// further idle devices (a tiered store's upper tiers) on the disk
+    /// channel. `busy` is the kernel driving a transfer of that direction
+    /// and size, each byte crossing DRAM twice (device and user copy);
+    /// `None` leaves the package and DRAM idle. The one place a disk
+    /// operation is priced: [`Self::cost_of`] and the tiered store both
+    /// come here.
+    pub fn disk_draw(
+        &self,
+        cost: DiskOpCost,
+        extra_idle_w: f64,
+        busy: Option<(IoDir, u64)>,
+    ) -> PowerDraw {
+        let mut draw = self.idle_draw();
+        draw.disk_w = (draw.disk_w + extra_idle_w) + cost.dyn_w;
+        if let Some((dir, bytes)) = busy {
+            draw.package_w =
+                self.spec.cpu.io_busy_w(dir == IoDir::Read) + self.monitoring_overhead_w;
+            draw.dram_w += self.spec.dram.dynamic_w(bytes * 2, cost.seconds);
+        }
+        draw
     }
 }
 

@@ -121,16 +121,17 @@ impl Default for FsConfig {
 /// transfers. The filesystem computes *which* blocks move and in what file
 /// order; the device decides what that layout costs on its medium.
 ///
-/// Flat single-medium devices ([`MemBlockDevice`], [`NullBlockDevice`])
-/// charge the node's own `spec.disk` through [`Activity`], exactly as the
-/// filesystem did before this trait existed — byte-identical timelines and
-/// journals. A [`crate::TieredStore`] instead splits the transfer across its
-/// tiers and prices each slice with that tier's [`DiskModel`]
-/// (`greenness_platform::disk::DiskModel`).
+/// The provided methods are the flat single-medium path ([`MemBlockDevice`],
+/// [`NullBlockDevice`]): they charge the node's own `spec.disk` through
+/// [`Activity`], exactly as the filesystem did before this trait existed —
+/// byte-identical timelines and journals. A [`crate::TieredStore`] instead
+/// splits the transfer across its tiers and prices each slice with that
+/// tier's [`DiskModel`] (`greenness_platform::disk::DiskModel`).
 pub trait CostedDevice: BlockDevice {
     /// Charge `node` for moving `blocks` (device block indices, file order)
     /// in direction `dir`. Called *before* the data actually moves through
-    /// [`BlockDevice::read_block`]/[`BlockDevice::write_block`].
+    /// [`BlockDevice::read_block`]/[`BlockDevice::write_block`]. The flat
+    /// path bumps the seek counter, then runs one buffered disk activity.
     fn charge_transfer(
         &mut self,
         node: &mut Node,
@@ -138,11 +139,36 @@ pub trait CostedDevice: BlockDevice {
         dir: IoDir,
         cfg: &FsConfig,
         phase: Phase,
-    );
+    ) {
+        if blocks.is_empty() {
+            return;
+        }
+        let bytes = blocks.len() as u64 * BLOCK_SIZE;
+        let runs = count_runs(blocks);
+        // Each discontinuity between runs costs the head one repositioning.
+        node.tracer()
+            .count("disk.seeks", runs.saturating_sub(1) as u64);
+        let pattern = layout_pattern(cfg, runs, bytes, dir);
+        let activity = match dir {
+            IoDir::Read => Activity::DiskRead {
+                bytes,
+                pattern,
+                buffered: true,
+            },
+            IoDir::Write => Activity::DiskWrite {
+                bytes,
+                pattern,
+                buffered: true,
+            },
+        };
+        node.execute(activity, phase);
+    }
 
     /// Charge `node` for a journal-commit barrier of `seeks` positioning
     /// operations covering `blocks` (empty on a metadata-only commit).
-    fn charge_barrier(&mut self, node: &mut Node, seeks: u32, blocks: &[u64], phase: Phase);
+    fn charge_barrier(&mut self, node: &mut Node, seeks: u32, _blocks: &[u64], phase: Phase) {
+        node.execute(Activity::DiskBarrier { seeks }, phase);
+    }
 }
 
 /// The layout-derived access pattern shared by every costed device: one run
@@ -172,73 +198,9 @@ pub(crate) fn layout_pattern(cfg: &FsConfig, runs: usize, bytes: u64, dir: IoDir
     }
 }
 
-/// The flat-device charge path: cost the transfer against the node's own
-/// `spec.disk` via [`Activity`], preserving the pre-trait behavior bit for
-/// bit (seek counter first, then one buffered disk activity).
-pub(crate) fn flat_charge_transfer(
-    node: &mut Node,
-    blocks: &[u64],
-    dir: IoDir,
-    cfg: &FsConfig,
-    phase: Phase,
-) {
-    if blocks.is_empty() {
-        return;
-    }
-    let bytes = blocks.len() as u64 * BLOCK_SIZE;
-    let runs = count_runs(blocks);
-    // Each discontinuity between runs costs the head one repositioning.
-    node.tracer()
-        .count("disk.seeks", runs.saturating_sub(1) as u64);
-    let pattern = layout_pattern(cfg, runs, bytes, dir);
-    let activity = match dir {
-        IoDir::Read => Activity::DiskRead {
-            bytes,
-            pattern,
-            buffered: true,
-        },
-        IoDir::Write => Activity::DiskWrite {
-            bytes,
-            pattern,
-            buffered: true,
-        },
-    };
-    node.execute(activity, phase);
-}
+impl CostedDevice for MemBlockDevice {}
 
-impl CostedDevice for MemBlockDevice {
-    fn charge_transfer(
-        &mut self,
-        node: &mut Node,
-        blocks: &[u64],
-        dir: IoDir,
-        cfg: &FsConfig,
-        phase: Phase,
-    ) {
-        flat_charge_transfer(node, blocks, dir, cfg, phase);
-    }
-
-    fn charge_barrier(&mut self, node: &mut Node, seeks: u32, _blocks: &[u64], phase: Phase) {
-        node.execute(Activity::DiskBarrier { seeks }, phase);
-    }
-}
-
-impl CostedDevice for NullBlockDevice {
-    fn charge_transfer(
-        &mut self,
-        node: &mut Node,
-        blocks: &[u64],
-        dir: IoDir,
-        cfg: &FsConfig,
-        phase: Phase,
-    ) {
-        flat_charge_transfer(node, blocks, dir, cfg, phase);
-    }
-
-    fn charge_barrier(&mut self, node: &mut Node, seeks: u32, _blocks: &[u64], phase: Phase) {
-        node.execute(Activity::DiskBarrier { seeks }, phase);
-    }
-}
+impl CostedDevice for NullBlockDevice {}
 
 /// A contiguous run of device blocks owned by one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -31,8 +31,6 @@ pub use cache::{CacheStats, PageCache};
 pub use error::StorageError;
 pub use fio::{FioJob, FioKind, FioResult};
 pub use fs::{AllocMode, CostedDevice, FileSystem, FsConfig, FsError};
-pub use placement::{
-    BlockState, EnergyGreedyPolicy, FreqRecencyPolicy, Move, NoopPolicy, PlacementPolicy, TierUsage,
-};
+pub use placement::{BlockState, Move, PolicyKind, TierUsage};
 pub use reorg::reorganize;
 pub use tier::{TierCounters, TierSpec, TieredStore};

@@ -15,8 +15,8 @@
 //! Table III regression anchor.
 //!
 //! Migration happens only at explicit **epoch boundaries**
-//! ([`TieredStore::end_epoch`]): scores decay, the [`PlacementPolicy`]
-//! plans (a pure function — no wall clock), and the store executes the
+//! ([`TieredStore::end_epoch`]): scores decay, the [`PolicyKind`] plans
+//! (a pure function — no wall clock), and the store executes the
 //! moves, charging each copy honestly and emitting `tier.promote` /
 //! `tier.demote` instants plus `tier.<name>.bytes` / `tier.<name>.hits`
 //! counters. Determinism end to end: same workload, same policy, same
@@ -27,13 +27,13 @@ use std::sync::Arc;
 
 use greenness_faults::FaultInjector;
 use greenness_platform::disk::{DiskModel, DiskOpCost, IoDir};
-use greenness_platform::{AccessPattern, Node, Phase, PowerDraw};
+use greenness_platform::{Node, Phase};
 use greenness_trace::Value;
 
 use crate::block::{Block, BlockDevice, MemBlockDevice, BLOCK_SIZE};
 use crate::free::FreeRuns;
 use crate::fs::{count_runs, layout_pattern, CostedDevice, FsConfig};
-use crate::placement::{BlockState, PlacementPolicy, TierUsage};
+use crate::placement::{BlockState, PolicyKind, TierUsage, RANDOM_TOUCH};
 
 /// One epoch's clean migrations, batched by (from, to) tier pair into
 /// (source phys, destination phys) block lists for elevator-sweep charging.
@@ -122,8 +122,7 @@ pub struct TieredStore {
     blocks: BTreeMap<u64, BlockState>,
     /// What an unmapped logical block reads as.
     zero: Block,
-    policy: Box<dyn PlacementPolicy>,
-    epoch: u64,
+    policy: PolicyKind,
     /// Score decay applied at each epoch boundary before planning.
     decay: f64,
     promotes: u64,
@@ -146,7 +145,6 @@ impl std::fmt::Debug for TieredStore {
                     .collect::<Vec<_>>(),
             )
             .field("policy", &self.policy)
-            .field("epoch", &self.epoch)
             .field("mapped_blocks", &self.blocks.len())
             .finish()
     }
@@ -155,7 +153,7 @@ impl std::fmt::Debug for TieredStore {
 impl TieredStore {
     /// Stack `tiers` (fastest first; the last is the bottom/slowest tier,
     /// conventionally the node's `spec.disk`) under `policy`.
-    pub fn new(tiers: Vec<TierSpec>, policy: Box<dyn PlacementPolicy>) -> Self {
+    pub fn new(tiers: Vec<TierSpec>, policy: PolicyKind) -> Self {
         assert!(!tiers.is_empty(), "a TieredStore needs at least one tier");
         TieredStore {
             tiers: tiers
@@ -182,7 +180,6 @@ impl TieredStore {
             blocks: BTreeMap::new(),
             zero: Arc::new([0; BLOCK_SIZE as usize]),
             policy,
-            epoch: 0,
             decay: 0.5,
             promotes: 0,
             demotes: 0,
@@ -199,7 +196,7 @@ impl TieredStore {
     pub fn single(name: &str, model: DiskModel, capacity_bytes: u64) -> Self {
         TieredStore::new(
             vec![TierSpec::new(name, model, capacity_bytes)],
-            Box::new(crate::placement::NoopPolicy),
+            PolicyKind::Noop,
         )
     }
 
@@ -213,11 +210,6 @@ impl TieredStore {
     ) {
         self.io_fault_injector = io;
         self.migration_fault_injector = migration;
-    }
-
-    /// Epochs completed so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The active policy's label.
@@ -296,16 +288,14 @@ impl TieredStore {
         self.usage[t].used_blocks -= 1;
     }
 
-    /// Give `logical` a physical home on first touch. Falls down (then up)
-    /// from the policy's preferred tier until a tier has a free block; total
-    /// physical capacity equals the logical space, so a slot always exists.
+    /// Give `logical` a physical home on first touch: the bottom tier, or
+    /// the nearest tier above it with a free block. A new block is a write of
+    /// unknown future temperature; it earns promotion through its score.
+    /// Total physical capacity equals the logical space, so a slot always
+    /// exists.
     fn place(&mut self, logical: u64) -> &mut BlockState {
-        let pref = self
-            .policy
-            .place_new(logical, &self.usage)
-            .min(self.tiers.len() - 1);
-        let (tier, phys) = (pref..self.tiers.len())
-            .chain((0..pref).rev())
+        let (tier, phys) = (0..self.tiers.len())
+            .rev()
             .find_map(|t| Some((t, self.alloc_on(t)?)))
             .expect("TieredStore out of physical blocks");
         self.blocks.entry(logical).or_insert(BlockState {
@@ -314,9 +304,8 @@ impl TieredStore {
         })
     }
 
-    /// One priced span on tier `t`, composed exactly like
-    /// `Node::cost_of`'s buffered-disk arm so a single-tier store matches
-    /// the flat path bit for bit.
+    /// One priced buffered span on tier `t`, drawn by `Node::disk_draw`
+    /// like the flat path's so a single-tier store matches it bit for bit.
     fn charge_span(
         &mut self,
         node: &mut Node,
@@ -326,24 +315,8 @@ impl TieredStore {
         cost: DiskOpCost,
         phase: Phase,
     ) {
-        let is_read = dir == IoDir::Read;
-        let extra_idle_w = self.idle_w_above_bottom();
-        let spec = node.spec();
-        let package_w = spec.cpu.io_busy_w(is_read) + node.monitoring_overhead_w();
-        let dram_w = spec.dram.background_w + spec.dram.dynamic_w(bytes * 2, cost.seconds);
-        let disk_w = spec.disk.idle_w + extra_idle_w + cost.dyn_w;
-        let board_w = spec.board_w;
-        node.execute_raw(
-            cost.seconds,
-            PowerDraw {
-                package_w,
-                dram_w,
-                disk_w,
-                net_w: 0.0,
-                board_w,
-            },
-            phase,
-        );
+        let draw = node.disk_draw(cost, self.idle_w_above_bottom(), Some((dir, bytes)));
+        node.execute_raw(cost.seconds, draw, phase);
         let tier = &mut self.tiers[t];
         match dir {
             IoDir::Read => tier.bytes_read += bytes,
@@ -354,28 +327,20 @@ impl TieredStore {
 
     /// Charge one migrated block (`4 KiB` random touch) on tier `t`.
     fn charge_migration_block(&mut self, node: &mut Node, t: usize, dir: IoDir, phase: Phase) {
-        let cost = self.usage[t].model.transfer(
-            BLOCK_SIZE,
-            dir,
-            AccessPattern::Random {
-                op_bytes: BLOCK_SIZE,
-                queue_depth: 1,
-            },
-        );
+        let cost = self.usage[t].model.transfer(BLOCK_SIZE, dir, RANDOM_TOUCH);
         self.charge_span(node, t, BLOCK_SIZE, dir, cost, phase);
     }
 
     /// Close the current epoch: decay scores, let the policy plan, execute
     /// the migrations (copy-then-commit, fault-aware), and reset per-epoch
-    /// hit counts. Deterministic: decisions depend only on (epoch, access
-    /// stats, occupancy) — never on wall clock or thread timing.
+    /// hit counts. Deterministic: decisions depend only on (access stats,
+    /// occupancy) — never on wall clock or thread timing.
     pub fn end_epoch(&mut self, node: &mut Node, phase: Phase) {
-        self.epoch += 1;
         for st in self.blocks.values_mut() {
             st.score = st.score * self.decay + st.epoch_hits as f64;
             st.epoch_hits = 0;
         }
-        let plan = self.policy.plan(self.epoch, &self.blocks, &self.usage);
+        let plan = self.policy.plan(&self.blocks, &self.usage);
         let mut sweeps: SweepAccumulator = BTreeMap::new();
         for m in plan {
             self.execute_move(node, m.logical, m.to, phase, &mut sweeps);
@@ -627,27 +592,10 @@ impl CostedDevice for TieredStore {
             .max()
             .unwrap_or(self.tiers.len() - 1);
         let cost = self.usage[t].model.barrier(seeks);
-        let extra_idle_w = self.idle_w_above_bottom();
-        let spec = node.spec();
-        let package_w = if seeks > 0 {
-            spec.cpu.io_busy_w(false) + node.monitoring_overhead_w()
-        } else {
-            spec.cpu.idle_w() + node.monitoring_overhead_w()
-        };
-        let dram_w = spec.dram.background_w;
-        let disk_w = spec.disk.idle_w + extra_idle_w + cost.dyn_w;
-        let board_w = spec.board_w;
-        node.execute_raw(
-            cost.seconds,
-            PowerDraw {
-                package_w,
-                dram_w,
-                disk_w,
-                net_w: 0.0,
-                board_w,
-            },
-            phase,
-        );
+        // A commit that seeks keeps the kernel busy; it moves no bytes.
+        let busy = (seeks > 0).then_some((IoDir::Write, 0));
+        let draw = node.disk_draw(cost, self.idle_w_above_bottom(), busy);
+        node.execute_raw(cost.seconds, draw, phase);
     }
 }
 
@@ -655,7 +603,6 @@ impl CostedDevice for TieredStore {
 mod tests {
     use super::*;
     use crate::fs::FileSystem;
-    use crate::placement::{FreqRecencyPolicy, NoopPolicy};
     use greenness_platform::HardwareSpec;
 
     fn dram_hdd() -> TieredStore {
@@ -664,7 +611,7 @@ mod tests {
                 TierSpec::new("dram", DiskModel::dram_tier_32gb(), 16 * BLOCK_SIZE),
                 TierSpec::new("hdd", DiskModel::seagate_7200rpm_500gb(), 1024 * BLOCK_SIZE),
             ],
-            Box::new(FreqRecencyPolicy::default()),
+            PolicyKind::FreqRecency,
         )
     }
 
@@ -741,7 +688,13 @@ mod tests {
         let cfg = FsConfig::default();
         let blocks: Vec<u64> = (100..164).collect();
         let mut flat = node();
-        crate::fs::flat_charge_transfer(&mut flat, &blocks, IoDir::Read, &cfg, Phase::Read);
+        MemBlockDevice::new(512).charge_transfer(
+            &mut flat,
+            &blocks,
+            IoDir::Read,
+            &cfg,
+            Phase::Read,
+        );
         let mut tiered = node();
         let mut store =
             TieredStore::single("hdd", DiskModel::seagate_7200rpm_500gb(), 512 * 1024 * 1024);
@@ -791,7 +744,7 @@ mod tests {
                 TierSpec::new("dram", DiskModel::dram_tier_32gb(), 16 * BLOCK_SIZE),
                 TierSpec::new("hdd", DiskModel::seagate_7200rpm_500gb(), 256 * BLOCK_SIZE),
             ],
-            Box::new(NoopPolicy),
+            PolicyKind::Noop,
         );
         let mut n = node();
         let cfg = FsConfig::default();

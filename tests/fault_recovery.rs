@@ -12,7 +12,7 @@ use greenness_faults::{FaultPlan, Site};
 use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
 use greenness_serve::{replay_workload, run_replay, ServiceConfig};
 use greenness_storage::{
-    FileSystem, FreqRecencyPolicy, FsConfig, FsError, MemBlockDevice, TierSpec, TieredStore,
+    FileSystem, FsConfig, FsError, MemBlockDevice, PolicyKind, TierSpec, TieredStore,
 };
 
 fn fresh_fs() -> (Node, FileSystem<MemBlockDevice>) {
@@ -252,7 +252,7 @@ fn tiered_fs(seed: u64) -> (Node, FileSystem<TieredStore>) {
             TierSpec::new("nvme", DiskModel::nvme_ssd_1tb(), 4 * mib),
             TierSpec::new("hdd", DiskModel::seagate_7200rpm_500gb(), 64 * mib),
         ],
-        Box::new(FreqRecencyPolicy::default()),
+        PolicyKind::FreqRecency,
     );
     let plan = FaultPlan {
         storage_fsync_rate: 0.5,
@@ -325,7 +325,7 @@ fn torn_promotions_never_lose_the_only_copy() {
             TierSpec::new("dram", DiskModel::dram_tier_32gb(), mib),
             TierSpec::new("hdd", DiskModel::seagate_7200rpm_500gb(), 64 * mib),
         ],
-        Box::new(FreqRecencyPolicy::default()),
+        PolicyKind::FreqRecency,
     );
     let plan = FaultPlan {
         tier_migration_rate: 1.0,

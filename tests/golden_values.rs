@@ -264,19 +264,19 @@ fn golden_placement_cliff_ratios() {
     // collapsing below 1x under freq-recency and to ~13x under the more
     // conservative energy-greedy policy. The noop ratio is the regression
     // anchor — the cliff must survive unchanged when no policy intervenes.
-    use greenness_core::placement;
+    use greenness_core::placement::{gap_ratio_under, PolicyKind};
     let results: Vec<_> = placement_by_key().into_values().collect();
-    let noop = placement::noop_gap_ratio(&results).expect("noop ratio");
+    let noop = gap_ratio_under(&results, PolicyKind::Noop).expect("noop ratio");
     assert!(
         (25.0..35.0).contains(&noop),
         "noop cliff ratio {noop:.1}x drifted (golden 30.1x)"
     );
-    let freq = placement::gap_ratio_under(&results, "freq-recency").expect("freq ratio");
+    let freq = gap_ratio_under(&results, PolicyKind::FreqRecency).expect("freq ratio");
     assert!(
         freq < 1.5,
         "freq-recency must close the cliff, got {freq:.1}x"
     );
-    let greedy = placement::gap_ratio_under(&results, "energy-greedy").expect("greedy ratio");
+    let greedy = gap_ratio_under(&results, PolicyKind::EnergyGreedy).expect("greedy ratio");
     assert!(
         greedy < noop * 0.6,
         "energy-greedy must narrow the cliff: {greedy:.1}x vs noop {noop:.1}x"

@@ -12,8 +12,8 @@
 use greenness_faults::{FaultPlan, Site};
 use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
 use greenness_storage::{
-    BlockState, EnergyGreedyPolicy, FileSystem, FreqRecencyPolicy, FsConfig, MemBlockDevice, Move,
-    NoopPolicy, PlacementPolicy, TierSpec, TierUsage, TieredStore,
+    BlockState, FileSystem, FsConfig, MemBlockDevice, Move, PolicyKind, TierSpec, TierUsage,
+    TieredStore,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -40,18 +40,6 @@ fn stack(kind: usize) -> Vec<TierSpec> {
             TierSpec::new("hdd", DiskModel::seagate_7200rpm_500gb(), 64 * MIB),
         ],
     }
-}
-
-fn policy(kind: usize) -> Box<dyn PlacementPolicy> {
-    match kind {
-        0 => Box::new(NoopPolicy),
-        1 => Box::new(FreqRecencyPolicy::default()),
-        _ => Box::new(EnergyGreedyPolicy::default()),
-    }
-}
-
-fn policy_label(kind: usize) -> &'static str {
-    ["noop", "freq-recency", "energy-greedy"][kind]
 }
 
 fn payload(tag: u64, len: usize) -> Vec<u8> {
@@ -109,11 +97,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// every file at the end. Returns the tiered node for energy inspection.
 fn run_oracle(
     stack_kind: usize,
-    policy_kind: usize,
+    policy: PolicyKind,
     fault_seed: Option<u64>,
     ops: &[Op],
 ) -> (Node, FileSystem<TieredStore>) {
-    let mut store = TieredStore::new(stack(stack_kind), policy(policy_kind));
+    let mut store = TieredStore::new(stack(stack_kind), policy);
     if let Some(seed) = fault_seed {
         let plan = FaultPlan {
             tier_io_rate: 0.25,
@@ -272,11 +260,11 @@ fn migration_heavy_schedule() -> Vec<Op> {
 #[test]
 fn every_stack_and_policy_reads_back_identical() {
     for stack_kind in 0..3 {
-        for policy_kind in 0..3 {
-            let (_, fs) = run_oracle(stack_kind, policy_kind, None, &migration_heavy_schedule());
+        for policy in PolicyKind::ALL {
+            let (_, fs) = run_oracle(stack_kind, policy, None, &migration_heavy_schedule());
             assert_eq!(
                 fs.device().policy_label(),
-                policy_label(policy_kind),
+                policy.label(),
                 "stack {stack_kind}"
             );
         }
@@ -288,10 +276,10 @@ fn every_stack_and_policy_reads_back_identical() {
 #[test]
 fn faults_cost_energy_but_never_bytes() {
     for seed in 0..8u64 {
-        for policy_kind in 0..3 {
-            let (node, fs) = run_oracle(2, policy_kind, Some(seed), &migration_heavy_schedule());
+        for policy in PolicyKind::ALL {
+            let (node, fs) = run_oracle(2, policy, Some(seed), &migration_heavy_schedule());
             let _ = node;
-            if policy_kind > 0 {
+            if policy != PolicyKind::Noop {
                 // The active policies must have attempted migrations for
                 // the 50% torn rate to have bitten anything.
                 assert!(
@@ -309,26 +297,25 @@ fn faults_cost_energy_but_never_bytes() {
 #[test]
 fn single_tier_is_policy_invariant() {
     let schedule = migration_heavy_schedule();
-    let baseline = run_oracle(0, 0, None, &schedule).0;
+    let baseline = run_oracle(0, PolicyKind::Noop, None, &schedule).0;
     let base_e = baseline.into_timeline().total_energy_j();
-    for policy_kind in 1..3 {
-        let node = run_oracle(0, policy_kind, None, &schedule).0;
+    for policy in [PolicyKind::FreqRecency, PolicyKind::EnergyGreedy] {
+        let node = run_oracle(0, policy, None, &schedule).0;
         let e = node.into_timeline().total_energy_j();
         assert_eq!(
             e.to_bits(),
             base_e.to_bits(),
             "{} diverged on a single tier",
-            policy_label(policy_kind)
+            policy.label()
         );
     }
 }
 
-/// Policies are pure functions of (epoch, access stats, occupancy): the
-/// same inputs produce the same plan, on the same instance and on a fresh
-/// one. This is the determinism contract the sweep's byte-identical
-/// journals rest on.
+/// Policies are pure functions of (access stats, occupancy): the same
+/// inputs produce the same plan. This is the determinism contract the
+/// sweep's byte-identical journals rest on.
 #[test]
-fn plans_are_pure_functions_of_epoch_and_stats() {
+fn plans_are_pure_functions_of_stats_and_occupancy() {
     let tiers: Vec<TierUsage> = stack(2)
         .iter()
         .enumerate()
@@ -350,29 +337,10 @@ fn plans_are_pure_functions_of_epoch_and_stats() {
         };
         blocks.insert(b, BlockState::new(tier, ((b * 37 + 5) % 17) as f64 / 3.0));
     }
-    for policy_kind in 0..3 {
-        let a = policy(policy_kind);
-        let b = policy(policy_kind);
-        for epoch in [0u64, 1, 7, 1_000] {
-            let p1: Vec<Move> = a.plan(epoch, &blocks, &tiers);
-            let p2: Vec<Move> = a.plan(epoch, &blocks, &tiers);
-            let p3: Vec<Move> = b.plan(epoch, &blocks, &tiers);
-            assert_eq!(p1, p2, "{} replans differently", policy_label(policy_kind));
-            assert_eq!(
-                p1,
-                p3,
-                "{} differs across instances",
-                policy_label(policy_kind)
-            );
-        }
-        for logical in [0u64, 51, 351, 9_999] {
-            assert_eq!(
-                a.place_new(logical, &tiers),
-                b.place_new(logical, &tiers),
-                "{} place_new differs",
-                policy_label(policy_kind)
-            );
-        }
+    for policy in PolicyKind::ALL {
+        let p1: Vec<Move> = policy.plan(&blocks, &tiers);
+        let p2: Vec<Move> = policy.plan(&blocks, &tiers);
+        assert_eq!(p1, p2, "{} replans differently", policy.label());
     }
 }
 
@@ -391,6 +359,6 @@ proptest! {
         faulty in any::<bool>(),
     ) {
         let fault_seed = if faulty { Some(seed) } else { None };
-        run_oracle(stack_kind, policy_kind, fault_seed, &ops);
+        run_oracle(stack_kind, PolicyKind::ALL[policy_kind], fault_seed, &ops);
     }
 }

@@ -18,6 +18,8 @@
 //! `opt`/`required`) and gave the fleet `routed` and `Request::session`.
 //! Later, the cluster's one-function driver became stage methods on a
 //! private `Run`, and sixteen `pub` functions nothing reached were deleted.
+//! The tier-placement policies became one `PolicyKind` enum in
+//! `greenness-storage`, which alone spells their labels.
 //! This test walks the tree and fails if any of them grows back, so "add a
 //! quick local copy" shows up in review instead of in the next inventory.
 
@@ -453,6 +455,29 @@ fn free_runs_are_kept_and_coalesced_only_in_storage_free() {
             let want = usize::from(file_name(&path) == "free.rs");
             assert_eq!(hits, want, "{}: `{needle}`", path.display());
         }
+    }
+}
+
+#[test]
+fn placement_policy_labels_are_spelled_only_in_storage_placement() {
+    // The store, the placement grid, its CLI and the benchmark all hold a
+    // `PolicyKind` and ask it for `label()`; the grid used to keep its own
+    // enum and label table, and the CLI its own list of names.
+    let crates = repo_root().join("crates");
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+    sources.retain(|path| !path.components().any(|c| c.as_os_str() == "tests"));
+    for needle in ["\"freq-recency\"", "\"energy-greedy\""] {
+        let spelled: Vec<&Path> = sources
+            .iter()
+            .filter(|path| non_test(&read(path)).contains(needle))
+            .map(|path| path.strip_prefix(&crates).expect("under crates/"))
+            .collect();
+        assert_eq!(
+            spelled,
+            [Path::new("storage/src/placement.rs")],
+            "`{needle}`"
+        );
     }
 }
 
