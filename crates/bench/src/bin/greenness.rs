@@ -240,7 +240,6 @@ fn cmd_placement(mut args: Args) {
         scale,
         trace: flags.traced(),
         faults: flags.fault_seed.map(FaultPlan::with_seed),
-        ..placement::PlacementSetup::default()
     };
     eprintln!(
         "running the placement grid ({} scale) on {} worker(s)...",

@@ -12,15 +12,15 @@ use crate::{Codec, CodecError, Scratch};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DeltaVarint;
 
-fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -32,7 +32,7 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {

@@ -8,6 +8,7 @@
 //!
 //! Stream format: `min: f64 | max: f64 | n: u64 | varint(zigzag(Δindex))…`.
 
+use crate::delta::{push_varint, read_varint, unzigzag, zigzag};
 use crate::{Codec, CodecError, Scratch};
 
 /// The 16-bit quantizing codec.
@@ -34,35 +35,6 @@ impl Quant8 {
     /// The maximum absolute reconstruction error for data spanning `range`.
     pub fn max_error(range: f64) -> f64 {
         range / (2.0 * LEVELS8)
-    }
-}
-
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *input.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
     }
 }
 
@@ -154,8 +126,7 @@ fn encode_lattice(
             } else {
                 (((v / 2.0 - lo / 2.0) / (hi / 2.0 - lo / 2.0)) * levels).round() as i64
             };
-            let delta = idx - prev;
-            push_varint(out, ((delta << 1) ^ (delta >> 63)) as u64);
+            push_varint(out, zigzag(idx - prev));
             prev = idx;
         }
         Ok(())
@@ -185,9 +156,7 @@ fn decode_lattice(levels: f64, input: &[u8]) -> Option<Vec<u8>> {
         let mut pos = 24usize;
         let mut prev = 0i64;
         for _ in 0..n {
-            let z = read_varint(input, &mut pos)?;
-            let delta = ((z >> 1) as i64) ^ -((z & 1) as i64);
-            prev += delta;
+            prev += unzigzag(read_varint(input, &mut pos)?);
             if !(0..=levels as i64).contains(&prev) {
                 return None;
             }

@@ -28,10 +28,10 @@ use crate::grid::{self, JobView};
 use crate::sweep::{Progress, SweepError};
 
 /// The paper's case-study numbers, grid order.
-pub const CASES: [u32; 3] = [1, 2, 3];
+const CASES: [u32; 3] = [1, 2, 3];
 
 /// The three pipelines, grid order.
-pub const KINDS: [ClusterKind; 3] = [
+const KINDS: [ClusterKind; 3] = [
     ClusterKind::PostProcessing,
     ClusterKind::InSitu,
     ClusterKind::InTransit,

@@ -14,6 +14,10 @@ use crate::config::PipelineConfig;
 use crate::grid;
 use crate::pipeline::{self, PipelineError, PipelineKind, PipelineOutput};
 
+/// Extra package power of the on-node energy monitor, watts: the paper
+/// measured +0.2 W for 1 Hz RAPL polling (§IV-B).
+pub const MONITORING_OVERHEAD_W: f64 = 0.2;
+
 /// The measurement rig and hardware for a run.
 #[derive(Debug, Clone)]
 pub struct ExperimentSetup {
@@ -21,7 +25,8 @@ pub struct ExperimentSetup {
     pub spec: HardwareSpec,
     /// Wall meter configuration (noise, cadence, seed).
     pub meter: WattsupMeter,
-    /// On-node monitoring overhead, watts (paper: +0.2 W at 1 Hz RAPL).
+    /// On-node monitoring overhead, watts ([`MONITORING_OVERHEAD_W`] by
+    /// default; 0.0 detaches the monitor).
     pub monitoring_overhead_w: f64,
     /// Record an event journal + metrics registry for the run (the
     /// `greenness-trace` observability layer). Off by default; tracing is
@@ -38,7 +43,7 @@ impl Default for ExperimentSetup {
         ExperimentSetup {
             spec: HardwareSpec::table1(),
             meter: WattsupMeter::default(),
-            monitoring_overhead_w: 0.2,
+            monitoring_overhead_w: MONITORING_OVERHEAD_W,
             trace: false,
             faults: None,
         }

@@ -28,14 +28,16 @@ use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
 use greenness_storage::{FileSystem, FsConfig, StorageError, TierCounters, TierSpec, TieredStore};
 use greenness_trace::{escape_json, MetricsRegistry, Value};
 
+use crate::experiment::MONITORING_OVERHEAD_W;
 use crate::grid::{self, JobView};
 use crate::sweep::{Progress, SweepError};
 
 /// Workload scale: `Small` keeps CI and the golden tests fast; `Paper`
 /// matches the §IV-C data volumes (2 MiB snapshots, 50 timesteps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlacementScale {
     /// Scaled-down grid for tests and smoke runs.
+    #[default]
     Small,
     /// Paper-scale data volumes.
     Paper,
@@ -187,38 +189,22 @@ impl PlacementJob {
     }
 }
 
-/// Rig for a placement sweep.
-#[derive(Debug, Clone)]
+/// Rig for a placement sweep. Every job runs on a Table I node with the
+/// paper's monitoring overhead attached ([`MONITORING_OVERHEAD_W`]).
+#[derive(Debug, Clone, Default)]
 pub struct PlacementSetup {
-    /// The node under test (tier stack's bottom device must match
-    /// `spec.disk` for the flat-parity anchor; `table1()` does).
-    pub spec: HardwareSpec,
     /// Workload scale.
     pub scale: PlacementScale,
     /// Record per-job journals and metrics registries.
     pub trace: bool,
     /// Seeded fault schedule; derives per-job sub-plans like the main sweep.
     pub faults: Option<FaultPlan>,
-    /// On-node monitoring overhead, watts.
-    pub monitoring_overhead_w: f64,
-}
-
-impl Default for PlacementSetup {
-    fn default() -> Self {
-        PlacementSetup {
-            spec: HardwareSpec::table1(),
-            scale: PlacementScale::Small,
-            trace: false,
-            faults: None,
-            monitoring_overhead_w: 0.2,
-        }
-    }
 }
 
 impl PlacementSetup {
     /// The DRAM → NVMe → HDD stack the grid runs against. Bottom tier is
-    /// the spec's own disk model so the noop policy is exactly the flat
-    /// single-device system.
+    /// the Table I node's own disk model so the noop policy is exactly the
+    /// flat single-device system.
     fn tier_stack(&self) -> Vec<TierSpec> {
         let mib = 1024 * 1024;
         let (dram, nvme, hdd) = match self.scale {
@@ -228,7 +214,7 @@ impl PlacementSetup {
         vec![
             TierSpec::new("dram", DiskModel::dram_tier_32gb(), dram),
             TierSpec::new("nvme", DiskModel::nvme_ssd_1tb(), nvme),
-            TierSpec::new("hdd", self.spec.disk.clone(), hdd),
+            TierSpec::new("hdd", HardwareSpec::table1().disk, hdd),
         ]
     }
 }
@@ -355,8 +341,8 @@ fn execute(
 ) -> Result<PlacementResult, StorageError> {
     let key = job.key();
     let shape = job.workload.shape(setup.scale);
-    let mut node = Node::new(setup.spec.clone());
-    node.set_monitoring_overhead_w(setup.monitoring_overhead_w);
+    let mut node = Node::new(HardwareSpec::table1());
+    node.set_monitoring_overhead_w(MONITORING_OVERHEAD_W);
     if setup.trace {
         node.set_tracer(grid::begin_run(vec![
             ("workload", Value::from(job.workload.label())),

@@ -32,7 +32,7 @@ use greenness_viz::{encode_ppm, ppm_size_bytes, render_field, Colormap};
 
 /// Largest image, in pixels, a [`Adjustment::Resolution`] may ask for
 /// (16 Mpx: a 48 MiB framebuffer, 32x the paper's 512x512 frame).
-pub const MAX_RENDER_PIXELS: usize = 16 << 20;
+const MAX_RENDER_PIXELS: usize = 16 << 20;
 
 /// A parameter change a steering client may apply mid-run.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +44,7 @@ pub enum Adjustment {
         /// New image width, pixels (must be ≥ 1).
         width: usize,
         /// New image height, pixels (must be ≥ 1; `width * height` at most
-        /// [`MAX_RENDER_PIXELS`]).
+        /// 16 Mpx).
         height: usize,
     },
     /// Re-aim the "camera": colormap and value range of the transfer

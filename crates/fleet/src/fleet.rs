@@ -33,7 +33,7 @@ use crate::ring::{Ring, DEFAULT_VNODES};
 /// Accesses to a key before the router starts spreading its reads over
 /// replicas (and filling them). Three warm reads is the classic "this is a
 /// dashboard, not a one-off" signal.
-pub const DEFAULT_HOT_THRESHOLD: u64 = 3;
+const DEFAULT_HOT_THRESHOLD: u64 = 3;
 
 const NO_LIVE_SHARDS: &str = "no live shards";
 const BUDGET_EXHAUSTED: &str = "connection dropped; retry budget exhausted";

@@ -24,18 +24,18 @@ use crate::fleet::{ChurnEvent, Fleet, FleetConfig};
 use crate::zipf::Zipf;
 
 /// Router overhead per request, virtual seconds (hash + binary search).
-pub const ROUTE_S: f64 = 2e-6;
+const ROUTE_S: f64 = 2e-6;
 /// Cache-hit service time: parse, probe, stream the payload.
-pub const HIT_S: f64 = 20e-6;
+const HIT_S: f64 = 20e-6;
 /// Miss overhead on top of the op's own simulated compute seconds.
-pub const MISS_OVERHEAD_S: f64 = 100e-6;
+const MISS_OVERHEAD_S: f64 = 100e-6;
 /// Service time of a structured error reply.
-pub const ERR_S: f64 = 5e-6;
+const ERR_S: f64 = 5e-6;
 /// Cost of each reroute hop after an injected connection drop.
-pub const REROUTE_S: f64 = 50e-6;
+const REROUTE_S: f64 = 50e-6;
 /// Dynamic power of active compute, watts — the paper's Table II I/O-probe
 /// figure (~9% of the system total; the other ~91% is the static floor).
-pub const DYNAMIC_W: f64 = 10.4;
+const DYNAMIC_W: f64 = 10.4;
 
 /// Default key-universe size for the Zipfian workload. Small enough that
 /// per-shard caches never evict at the default byte budget — the regime in

@@ -29,7 +29,7 @@ pub mod ring;
 pub mod server;
 pub mod zipf;
 
-pub use fleet::{ChurnEvent, Fleet, FleetConfig, FleetOutcome, DEFAULT_HOT_THRESHOLD};
+pub use fleet::{ChurnEvent, Fleet, FleetConfig, FleetOutcome};
 pub use harness::{
     fleet_workload, run_fleet_replay, FleetReplayOutput, LatencyQuantiles, DEFAULT_RATE_RPS,
     DEFAULT_UNIVERSE, DEFAULT_ZIPF_S,

@@ -136,32 +136,27 @@ impl Node {
     /// segment. Returns what was recorded.
     pub fn execute(&mut self, activity: Activity, phase: Phase) -> Executed {
         let (secs, draw) = self.cost_of(activity);
-        if self.tracer.is_on() {
-            self.trace_activity(Some(&activity), phase, secs, &draw);
-        }
-        let duration = SimDuration::from_secs_f64(secs);
-        let start = self.now;
-        let seg = Segment {
-            start,
-            duration,
-            draw,
-            phase,
-        };
-        self.timeline.push(seg);
-        self.now += duration;
-        Executed {
-            start,
-            duration,
-            draw,
-        }
+        self.record(Some(&activity), secs, draw, phase)
     }
 
     /// Record an explicit `(seconds, draw)` span — for callers that costed
     /// an activity against a *different* hardware configuration (e.g. a
     /// DVFS-scaled CPU) and replay it here. The draw must be physical.
     pub fn execute_raw(&mut self, secs: f64, draw: PowerDraw, phase: Phase) -> Executed {
+        self.record(None, secs, draw, phase)
+    }
+
+    /// Trace `activity` (`None` for a raw span), push its segment and
+    /// advance the clock.
+    fn record(
+        &mut self,
+        activity: Option<&Activity>,
+        secs: f64,
+        draw: PowerDraw,
+        phase: Phase,
+    ) -> Executed {
         if self.tracer.is_on() {
-            self.trace_activity(None, phase, secs, &draw);
+            self.trace_activity(activity, phase, secs, &draw);
         }
         let duration = SimDuration::from_secs_f64(secs);
         let start = self.now;

@@ -11,7 +11,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// Nanoseconds per second, as used by the conversions below.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// A duration of virtual time, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

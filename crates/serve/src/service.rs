@@ -170,7 +170,6 @@ impl Service {
             steer: Mutex::new(SessionEngine::new(EngineConfig {
                 session_slots: config.session_slots,
                 jobs: config.jobs,
-                ..EngineConfig::default()
             })),
             config,
         }

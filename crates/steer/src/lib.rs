@@ -37,8 +37,6 @@ pub struct EngineConfig {
     pub session_slots: usize,
     /// Solver threads per session — wall-clock only, never output bytes.
     pub jobs: usize,
-    /// Upper bound on a session's `timesteps` (bounds per-session work).
-    pub max_timesteps: u64,
 }
 
 impl Default for EngineConfig {
@@ -46,10 +44,12 @@ impl Default for EngineConfig {
         EngineConfig {
             session_slots: 8,
             jobs: 1,
-            max_timesteps: 512,
         }
     }
 }
+
+/// Upper bound on a session's `timesteps` (bounds per-session work).
+const MAX_TIMESTEPS: u64 = 512;
 
 /// Workload a session attaches to: the scaled-down case study with a chosen
 /// I/O interval and step budget.
@@ -57,8 +57,7 @@ impl Default for EngineConfig {
 pub struct AttachSpec {
     /// Render every `interval`-th step (≥ 1).
     pub interval: u64,
-    /// Total simulation steps for the session (≥ 1, capped by
-    /// [`EngineConfig::max_timesteps`]).
+    /// Total simulation steps for the session (1 to 512).
     pub timesteps: u64,
 }
 
@@ -148,18 +147,6 @@ struct Session {
     prefix: String,
 }
 
-/// Counter snapshot names, in the order [`SessionEngine::counters`] reports
-/// them.
-pub const COUNTER_NAMES: [&str; 7] = [
-    "steer.attach",
-    "steer.adjust",
-    "steer.render.incremental",
-    "steer.detach",
-    "steer.replayed",
-    "steer.delta.cached",
-    "steer.delta.computed",
-];
-
 #[derive(Debug, Default, Clone, Copy)]
 struct Counters {
     attach: u64,
@@ -211,10 +198,10 @@ impl SessionEngine {
                 "interval must be at least 1".to_string(),
             ));
         }
-        if spec.timesteps == 0 || spec.timesteps > self.cfg.max_timesteps {
+        if spec.timesteps == 0 || spec.timesteps > MAX_TIMESTEPS {
             return Err(SteerError::BadParam(format!(
-                "timesteps must be in 1..={}, got {}",
-                self.cfg.max_timesteps, spec.timesteps
+                "timesteps must be in 1..={MAX_TIMESTEPS}, got {}",
+                spec.timesteps
             )));
         }
         let prefix = session_prefix(name, spec);
@@ -296,7 +283,9 @@ impl SessionEngine {
             return Ok(reply);
         }
         let cache_key = {
-            let session = self.session(name)?;
+            let Some(session) = self.sessions.get(name) else {
+                return Err(SteerError::UnknownSession(name.to_string()));
+            };
             // Content-addressed: the session *name* is identity, not
             // content, so it is stripped before hashing — two sessions with
             // identical workloads and op histories asking the same question
@@ -312,21 +301,14 @@ impl SessionEngine {
                 (b, a, true)
             }
             None => {
-                let session = self.session(name)?;
-                let SessionState::Live(pipe) = &session.state else {
-                    unreachable!("session() returns only live sessions")
-                };
-                let wi = pipe.whatif(adj)?;
+                let wi = self.live(name)?.whatif(adj)?;
                 self.whatif_cache
                     .insert(cache_key, (wi.baseline_j, wi.adjusted_j));
                 self.counters.delta_computed += 1;
                 (wi.baseline_j, wi.adjusted_j, false)
             }
         };
-        let session = self.session_mut(name)?;
-        let SessionState::Live(pipe) = &mut session.state else {
-            unreachable!("session_mut() returns only live sessions")
-        };
+        let pipe = self.live_mut(name)?;
         pipe.adjust(adj)?;
         let reply = (
             format!(
@@ -353,10 +335,7 @@ impl SessionEngine {
         if let Some(reply) = self.replay(name, seq)? {
             return Ok(reply);
         }
-        let session = self.session_mut(name)?;
-        let SessionState::Live(pipe) = &mut session.state else {
-            unreachable!("session_mut() returns only live sessions")
-        };
+        let pipe = self.live_mut(name)?;
         let scheduled = pipe.advance(steps);
         let frame = pipe.render_now();
         let mut line = format!(
@@ -386,10 +365,7 @@ impl SessionEngine {
         if let Some(reply) = self.replay(name, seq)? {
             return Ok(reply);
         }
-        let session = self.session_mut(name)?;
-        let SessionState::Live(pipe) = &mut session.state else {
-            unreachable!("session_mut() returns only live sessions")
-        };
+        let pipe = self.live_mut(name)?;
         let reply = (
             format!(
                 "detached session={name} seq={seq} step={} frames={} solver_steps={} bytes_written={}",
@@ -400,9 +376,11 @@ impl SessionEngine {
             ),
             pipe.energy_j(),
         );
-        session.state = SessionState::Detached;
-        session.applied = seq;
-        session.log.push(reply.clone());
+        if let Some(session) = self.sessions.get_mut(name) {
+            session.state = SessionState::Detached;
+            session.applied = seq;
+            session.log.push(reply.clone());
+        }
         self.counters.detach += 1;
         Ok(reply)
     }
@@ -416,7 +394,7 @@ impl SessionEngine {
         resume_token(name, applied)
     }
 
-    /// Counter snapshot, in [`COUNTER_NAMES`] order.
+    /// Counter snapshot: every counter's name and value, in a fixed order.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         let c = &self.counters;
         vec![
@@ -432,10 +410,7 @@ impl SessionEngine {
 
     /// The live pipeline behind `name`, for audits and ground-truth checks.
     pub fn pipeline(&self, name: &str) -> Option<&SteeringPipeline> {
-        match &self.sessions.get(name)?.state {
-            SessionState::Live(pipe) => Some(pipe),
-            SessionState::Detached => None,
-        }
+        self.live(name).ok()
     }
 
     /// Replay bookkeeping: `Ok(Some(reply))` when `seq` was already
@@ -466,23 +441,21 @@ impl SessionEngine {
         Ok(None)
     }
 
-    fn session(&self, name: &str) -> Result<&Session, SteerError> {
-        match self.sessions.get(name) {
+    /// The live pipeline behind `name`, or why there is none.
+    fn live(&self, name: &str) -> Result<&SteeringPipeline, SteerError> {
+        match self.sessions.get(name).map(|s| &s.state) {
             None => Err(SteerError::UnknownSession(name.to_string())),
-            Some(s) if matches!(s.state, SessionState::Detached) => {
-                Err(SteerError::Detached(name.to_string()))
-            }
-            Some(s) => Ok(s),
+            Some(SessionState::Detached) => Err(SteerError::Detached(name.to_string())),
+            Some(SessionState::Live(pipe)) => Ok(pipe),
         }
     }
 
-    fn session_mut(&mut self, name: &str) -> Result<&mut Session, SteerError> {
-        match self.sessions.get_mut(name) {
+    /// [`Self::live`], mutably.
+    fn live_mut(&mut self, name: &str) -> Result<&mut SteeringPipeline, SteerError> {
+        match self.sessions.get_mut(name).map(|s| &mut s.state) {
             None => Err(SteerError::UnknownSession(name.to_string())),
-            Some(s) if matches!(s.state, SessionState::Detached) => {
-                Err(SteerError::Detached(name.to_string()))
-            }
-            Some(s) => Ok(s),
+            Some(SessionState::Detached) => Err(SteerError::Detached(name.to_string())),
+            Some(SessionState::Live(pipe)) => Ok(pipe),
         }
     }
 
@@ -490,7 +463,7 @@ impl SessionEngine {
         let session = self
             .sessions
             .get_mut(name)
-            .unwrap_or_else(|| unreachable!("record() follows a successful session_mut()"));
+            .unwrap_or_else(|| unreachable!("record() follows a successful live_mut()"));
         session.applied = seq;
         session.log.push(reply.clone());
         session.prefix.push_str(&format!(";seq={seq}:{op}"));

@@ -74,9 +74,10 @@ impl std::fmt::Display for FsError {
 impl std::error::Error for FsError {}
 
 /// How the allocator places new blocks.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum AllocMode {
     /// First-fit contiguous extents (fresh-filesystem behavior).
+    #[default]
     Contiguous,
     /// Deterministically scattered single-block extents — creates the
     /// fragmented layouts of the §V-D study.
@@ -86,36 +87,29 @@ pub enum AllocMode {
     },
 }
 
-/// Filesystem tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Filesystem configuration. The layout model itself is fixed: the
+/// ext3-on-HDD calibration of DESIGN.md §4 in the constants below.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FsConfig {
-    /// Read-ahead window for cold, small buffered reads, bytes.
-    pub readahead_bytes: u64,
-    /// Reads at least this large on a contiguous extent stream at full rate.
-    pub sequential_threshold: u64,
-    /// Positioning operations charged per fsync (data + inode + journal
-    /// descriptor + commit + directory + superblock on ext3-like journals).
-    pub journal_seeks_per_fsync: u32,
-    /// Queue depth the kernel keeps against the device for scattered
-    /// buffered reads. A single-threaded buffered reader drives the disk
-    /// synchronously (depth 1); only explicit async engines (fio's libaio)
-    /// sustain deep queues.
-    pub queue_depth: u32,
     /// Block placement policy.
     pub alloc_mode: AllocMode,
 }
 
-impl Default for FsConfig {
-    fn default() -> Self {
-        FsConfig {
-            readahead_bytes: 8 * 1024,
-            sequential_threshold: 1024 * 1024,
-            journal_seeks_per_fsync: 6,
-            queue_depth: 1,
-            alloc_mode: AllocMode::Contiguous,
-        }
-    }
-}
+/// Read-ahead window for cold, small buffered reads, bytes.
+const READAHEAD_BYTES: u64 = 8 * 1024;
+
+/// Reads at least this large on a contiguous extent stream at full rate.
+const SEQUENTIAL_THRESHOLD: u64 = 1024 * 1024;
+
+/// Positioning operations charged per fsync (data + inode + journal
+/// descriptor + commit + directory + superblock on ext3-like journals).
+pub(crate) const JOURNAL_SEEKS_PER_FSYNC: u32 = 6;
+
+/// Queue depth the kernel keeps against the device for scattered buffered
+/// reads. A single-threaded buffered reader drives the disk synchronously
+/// (depth 1); only explicit async engines (fio's libaio) sustain deep
+/// queues.
+const QUEUE_DEPTH: u32 = 1;
 
 /// A block device that also knows how to charge a [`Node`] for its own
 /// transfers. The filesystem computes *which* blocks move and in what file
@@ -132,14 +126,7 @@ pub trait CostedDevice: BlockDevice {
     /// in direction `dir`. Called *before* the data actually moves through
     /// [`BlockDevice::read_block`]/[`BlockDevice::write_block`]. The flat
     /// path bumps the seek counter, then runs one buffered disk activity.
-    fn charge_transfer(
-        &mut self,
-        node: &mut Node,
-        blocks: &[u64],
-        dir: IoDir,
-        cfg: &FsConfig,
-        phase: Phase,
-    ) {
+    fn charge_transfer(&mut self, node: &mut Node, blocks: &[u64], dir: IoDir, phase: Phase) {
         if blocks.is_empty() {
             return;
         }
@@ -148,7 +135,7 @@ pub trait CostedDevice: BlockDevice {
         // Each discontinuity between runs costs the head one repositioning.
         node.tracer()
             .count("disk.seeks", runs.saturating_sub(1) as u64);
-        let pattern = layout_pattern(cfg, runs, bytes, dir);
+        let pattern = layout_pattern(runs, bytes, dir);
         let activity = match dir {
             IoDir::Read => Activity::DiskRead {
                 bytes,
@@ -176,24 +163,24 @@ pub trait CostedDevice: BlockDevice {
 /// degrade to chunked or random I/O by average run length. Reads keep the
 /// historical single-run asymmetry (small single-run reads pay the
 /// read-ahead window; single-run writes always stream).
-pub(crate) fn layout_pattern(cfg: &FsConfig, runs: usize, bytes: u64, dir: IoDir) -> AccessPattern {
+pub(crate) fn layout_pattern(runs: usize, bytes: u64, dir: IoDir) -> AccessPattern {
     if runs <= 1 {
         return match dir {
-            IoDir::Read if bytes < cfg.sequential_threshold => AccessPattern::Chunked {
-                op_bytes: cfg.readahead_bytes,
+            IoDir::Read if bytes < SEQUENTIAL_THRESHOLD => AccessPattern::Chunked {
+                op_bytes: READAHEAD_BYTES,
             },
             _ => AccessPattern::Sequential,
         };
     }
     let avg_run = bytes / runs as u64;
-    if dir == IoDir::Read && avg_run >= cfg.sequential_threshold {
+    if dir == IoDir::Read && avg_run >= SEQUENTIAL_THRESHOLD {
         AccessPattern::Sequential
-    } else if avg_run > cfg.readahead_bytes {
+    } else if avg_run > READAHEAD_BYTES {
         AccessPattern::Chunked { op_bytes: avg_run }
     } else {
         AccessPattern::Random {
             op_bytes: avg_run.max(BLOCK_SIZE),
-            queue_depth: cfg.queue_depth,
+            queue_depth: QUEUE_DEPTH,
         }
     }
 }
@@ -256,7 +243,7 @@ pub struct FileSystem<D: CostedDevice> {
     cache: PageCache,
     files: HashMap<String, Inode>,
     free: FreeRuns,
-    config: FsConfig,
+    alloc_mode: AllocMode,
     rng: Rng,
     /// Cache counters already published to a tracer (see
     /// [`Self::publish_cache_counters`]).
@@ -279,7 +266,7 @@ impl<D: CostedDevice> FileSystem<D> {
             cache: PageCache::new(),
             files: HashMap::new(),
             free,
-            config,
+            alloc_mode: config.alloc_mode,
             rng: Rng::seeded(seed),
             published: CacheStats::default(),
             faults: None,
@@ -293,14 +280,9 @@ impl<D: CostedDevice> FileSystem<D> {
         self.faults = injector;
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &FsConfig {
-        &self.config
-    }
-
     /// Switch allocation mode for subsequently written blocks.
     pub fn set_alloc_mode(&mut self, mode: AllocMode) {
-        self.config.alloc_mode = mode;
+        self.alloc_mode = mode;
         if let AllocMode::Scattered { seed } = mode {
             self.rng = Rng::seeded(seed);
         }
@@ -374,7 +356,7 @@ impl<D: CostedDevice> FileSystem<D> {
         if self.free_blocks() < blocks {
             return Err(FsError::NoSpace);
         }
-        match self.config.alloc_mode {
+        match self.alloc_mode {
             AllocMode::Contiguous => self.alloc_contiguous(blocks),
             AllocMode::Scattered { .. } => self.alloc_scattered(blocks),
         }
@@ -424,19 +406,6 @@ impl<D: CostedDevice> FileSystem<D> {
                 self.dev.discard_block(b);
             }
         }
-    }
-
-    /// Charge `node` for reading `miss_blocks` (device block indices, file
-    /// order) from the device; the device prices the layout itself.
-    fn charge_read(&mut self, node: &mut Node, miss_blocks: &[u64], phase: Phase) {
-        self.dev
-            .charge_transfer(node, miss_blocks, IoDir::Read, &self.config, phase);
-    }
-
-    /// Charge `node` for flushing `dirty_blocks` to the device.
-    fn charge_writeback(&mut self, node: &mut Node, dirty_blocks: &[u64], phase: Phase) {
-        self.dev
-            .charge_transfer(node, dirty_blocks, IoDir::Write, &self.config, phase);
     }
 
     /// Write `data` at `offset` into `name` (creating or extending the file),
@@ -507,7 +476,7 @@ impl<D: CostedDevice> FileSystem<D> {
             cursor += take;
             in_block = 0;
         }
-        self.charge_read(node, &faults, phase);
+        self.dev.charge_transfer(node, &faults, IoDir::Read, phase);
         node.execute(
             Activity::MemTraffic {
                 bytes: data.len() as u64,
@@ -583,7 +552,7 @@ impl<D: CostedDevice> FileSystem<D> {
             .copied()
             .filter(|b| !self.cache.contains(*b))
             .collect();
-        self.charge_read(node, &misses, phase);
+        self.dev.charge_transfer(node, &misses, IoDir::Read, phase);
         // Assemble the bytes through the cache.
         out.reserve(len as usize);
         let mut remaining = len as usize;
@@ -613,10 +582,23 @@ impl<D: CostedDevice> FileSystem<D> {
         if let Some(entropy) = self.faults.as_mut().and_then(FaultInjector::next) {
             return Err(self.faulted_fsync(node, &dirty, entropy, phase));
         }
-        self.charge_writeback(node, &dirty, phase);
+        self.write_back(node, &dirty, phase);
+        Ok(())
+    }
+
+    /// Make `blocks` durable: their writeback charged by layout, the
+    /// journal-commit barrier, then the flush of their pages to the device.
+    fn commit(&mut self, node: &mut Node, blocks: &[u64], phase: Phase) {
+        self.dev.charge_transfer(node, blocks, IoDir::Write, phase);
         self.dev
-            .charge_barrier(node, self.config.journal_seeks_per_fsync, &dirty, phase);
-        self.cache.flush_blocks(&mut self.dev, &dirty);
+            .charge_barrier(node, JOURNAL_SEEKS_PER_FSYNC, blocks, phase);
+        self.cache.flush_blocks(&mut self.dev, blocks);
+    }
+
+    /// A clean [`Self::commit`] of `dirty`: traced as a `cache.writeback`
+    /// instant, with the cache counters published.
+    fn write_back(&mut self, node: &mut Node, dirty: &[u64], phase: Phase) {
+        self.commit(node, dirty, phase);
         if node.tracer().is_on() {
             node.tracer().instant(
                 node.now().as_nanos(),
@@ -625,7 +607,6 @@ impl<D: CostedDevice> FileSystem<D> {
             );
         }
         self.publish_cache_counters(node);
-        Ok(())
     }
 
     /// An injected fsync fault: a *torn* writeback (entropy bit 0 set)
@@ -645,10 +626,7 @@ impl<D: CostedDevice> FileSystem<D> {
         let flushed = &dirty[..prefix];
         // The failed commit still cost real work: the prefix writeback and
         // the journal seeks spent before the error surfaced.
-        self.charge_writeback(node, flushed, phase);
-        self.dev
-            .charge_barrier(node, self.config.journal_seeks_per_fsync, flushed, phase);
-        self.cache.flush_blocks(&mut self.dev, flushed);
+        self.commit(node, flushed, phase);
         let tracer = node.tracer();
         tracer.count("faults.storage.fsync", 1);
         if tracer.is_on() {
@@ -722,18 +700,7 @@ impl<D: CostedDevice> FileSystem<D> {
     /// Whole-filesystem `sync`: flush every dirty page, one barrier.
     pub fn sync(&mut self, node: &mut Node, phase: Phase) {
         let dirty = self.cache.dirty_blocks();
-        self.charge_writeback(node, &dirty, phase);
-        self.dev
-            .charge_barrier(node, self.config.journal_seeks_per_fsync, &dirty, phase);
-        self.cache.flush_blocks(&mut self.dev, &dirty);
-        if node.tracer().is_on() {
-            node.tracer().instant(
-                node.now().as_nanos(),
-                "cache.writeback",
-                vec![("pages", Value::from(dirty.len()))],
-            );
-        }
-        self.publish_cache_counters(node);
+        self.write_back(node, &dirty, phase);
     }
 
     /// Evict clean pages (`drop_caches`). Call after [`Self::sync`] to leave

@@ -11,7 +11,7 @@
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
 
 use crate::block::BLOCK_SIZE;
-use crate::fs::{CostedDevice, FileSystem, FsError};
+use crate::fs::{CostedDevice, FileSystem, FsError, JOURNAL_SEEKS_PER_FSYNC};
 
 /// Outcome of one reorganization pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,7 +106,7 @@ pub fn reorganize<D: CostedDevice>(
     );
     node.execute(
         Activity::DiskBarrier {
-            seeks: fs.config().journal_seeks_per_fsync,
+            seeks: JOURNAL_SEEKS_PER_FSYNC,
         },
         phase,
     );

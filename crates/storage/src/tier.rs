@@ -32,12 +32,15 @@ use greenness_trace::Value;
 
 use crate::block::{Block, BlockDevice, MemBlockDevice, BLOCK_SIZE};
 use crate::free::FreeRuns;
-use crate::fs::{count_runs, layout_pattern, CostedDevice, FsConfig};
+use crate::fs::{count_runs, layout_pattern, CostedDevice};
 use crate::placement::{BlockState, PolicyKind, TierUsage, RANDOM_TOUCH};
 
 /// One epoch's clean migrations, batched by (from, to) tier pair into
 /// (source phys, destination phys) block lists for elevator-sweep charging.
 type SweepAccumulator = BTreeMap<(usize, usize), (Vec<u64>, Vec<u64>)>;
+
+/// Score decay applied at each epoch boundary before planning.
+const DECAY: f64 = 0.5;
 
 /// Declarative description of one tier.
 #[derive(Debug, Clone)]
@@ -123,8 +126,6 @@ pub struct TieredStore {
     /// What an unmapped logical block reads as.
     zero: Block,
     policy: PolicyKind,
-    /// Score decay applied at each epoch boundary before planning.
-    decay: f64,
     promotes: u64,
     demotes: u64,
     migration_faults: u64,
@@ -180,7 +181,6 @@ impl TieredStore {
             blocks: BTreeMap::new(),
             zero: Arc::new([0; BLOCK_SIZE as usize]),
             policy,
-            decay: 0.5,
             promotes: 0,
             demotes: 0,
             migration_faults: 0,
@@ -337,7 +337,7 @@ impl TieredStore {
     /// occupancy) — never on wall clock or thread timing.
     pub fn end_epoch(&mut self, node: &mut Node, phase: Phase) {
         for st in self.blocks.values_mut() {
-            st.score = st.score * self.decay + st.epoch_hits as f64;
+            st.score = st.score * DECAY + st.epoch_hits as f64;
             st.epoch_hits = 0;
         }
         let plan = self.policy.plan(&self.blocks, &self.usage);
@@ -351,10 +351,9 @@ impl TieredStore {
         // background mover streams runs, it does not pay a full seek per
         // 4 KiB block. Sweep order is the BTreeMap's (from, to) order:
         // deterministic, independent of plan order.
-        let cfg = FsConfig::default();
         for ((from, to), (src, dst)) in sweeps {
-            self.charge_sweep(node, from, src, IoDir::Read, &cfg, phase);
-            self.charge_sweep(node, to, dst, IoDir::Write, &cfg, phase);
+            self.charge_sweep(node, from, src, IoDir::Read, phase);
+            self.charge_sweep(node, to, dst, IoDir::Write, phase);
         }
     }
 
@@ -365,7 +364,6 @@ impl TieredStore {
         t: usize,
         mut phys: Vec<u64>,
         dir: IoDir,
-        cfg: &FsConfig,
         phase: Phase,
     ) {
         if phys.is_empty() {
@@ -373,7 +371,7 @@ impl TieredStore {
         }
         phys.sort_unstable();
         let bytes = phys.len() as u64 * BLOCK_SIZE;
-        let pattern = layout_pattern(cfg, count_runs(&phys), bytes, dir);
+        let pattern = layout_pattern(count_runs(&phys), bytes, dir);
         let cost = self.usage[t].model.transfer(bytes, dir, pattern);
         self.charge_span(node, t, bytes, dir, cost, phase);
     }
@@ -511,14 +509,7 @@ impl BlockDevice for TieredStore {
 }
 
 impl CostedDevice for TieredStore {
-    fn charge_transfer(
-        &mut self,
-        node: &mut Node,
-        blocks: &[u64],
-        dir: IoDir,
-        cfg: &FsConfig,
-        phase: Phase,
-    ) {
+    fn charge_transfer(&mut self, node: &mut Node, blocks: &[u64], dir: IoDir, phase: Phase) {
         if blocks.is_empty() {
             return;
         }
@@ -547,7 +538,7 @@ impl CostedDevice for TieredStore {
             let bytes = slice.blocks * BLOCK_SIZE;
             node.tracer()
                 .count("disk.seeks", slice.runs.saturating_sub(1) as u64);
-            let pattern = layout_pattern(cfg, slice.runs, bytes, dir);
+            let pattern = layout_pattern(slice.runs, bytes, dir);
             let cost = self.usage[t].model.transfer(bytes, dir, pattern);
             self.charge_span(node, t, bytes, dir, cost, phase);
             self.tiers[t].hits += slice.blocks;
@@ -602,7 +593,7 @@ impl CostedDevice for TieredStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::FileSystem;
+    use crate::fs::{FileSystem, FsConfig};
     use greenness_platform::HardwareSpec;
 
     fn dram_hdd() -> TieredStore {
@@ -632,7 +623,6 @@ mod tests {
     fn hot_blocks_promote_and_survive_with_bytes_intact() {
         let mut store = dram_hdd();
         let mut n = node();
-        let cfg = FsConfig::default();
         let mut payload = [0u8; BLOCK_SIZE as usize];
         for lb in 0..8u64 {
             payload[0] = lb as u8;
@@ -641,7 +631,7 @@ mod tests {
         assert_eq!(store.tier_of(3), Some(1), "new blocks land on the bottom");
         // Hammer blocks 0..4 across two epochs.
         for _ in 0..3 {
-            store.charge_transfer(&mut n, &[0, 1, 2, 3], IoDir::Read, &cfg, Phase::Read);
+            store.charge_transfer(&mut n, &[0, 1, 2, 3], IoDir::Read, Phase::Read);
             store.end_epoch(&mut n, Phase::Read);
         }
         assert!(store.promotes() > 0, "hot blocks must promote");
@@ -663,14 +653,13 @@ mod tests {
         };
         store.set_fault_injectors(None, Some(plan.injector(Site::TierMigration, 0)));
         let mut n = node();
-        let cfg = FsConfig::default();
         let mut payload = [0u8; BLOCK_SIZE as usize];
         for lb in 0..6u64 {
             payload[0] = 0xA0 | lb as u8;
             store.write_block(lb, Arc::new(payload));
         }
         for _ in 0..4 {
-            store.charge_transfer(&mut n, &[0, 1, 2], IoDir::Read, &cfg, Phase::Read);
+            store.charge_transfer(&mut n, &[0, 1, 2], IoDir::Read, Phase::Read);
             store.end_epoch(&mut n, Phase::Read);
         }
         assert!(store.migration_faults() > 0, "rate-1.0 plan must fire");
@@ -685,23 +674,16 @@ mod tests {
     fn single_hdd_tier_matches_flat_charging_bit_for_bit() {
         // The Table III anchor: one tier, same model as spec.disk, noop
         // policy ⇒ the same virtual time and energy as the flat device.
-        let cfg = FsConfig::default();
         let blocks: Vec<u64> = (100..164).collect();
         let mut flat = node();
-        MemBlockDevice::new(512).charge_transfer(
-            &mut flat,
-            &blocks,
-            IoDir::Read,
-            &cfg,
-            Phase::Read,
-        );
+        MemBlockDevice::new(512).charge_transfer(&mut flat, &blocks, IoDir::Read, Phase::Read);
         let mut tiered = node();
         let mut store =
             TieredStore::single("hdd", DiskModel::seagate_7200rpm_500gb(), 512 * 1024 * 1024);
         for &lb in &blocks {
             store.write_block(lb, Arc::new([0u8; BLOCK_SIZE as usize]));
         }
-        store.charge_transfer(&mut tiered, &blocks, IoDir::Read, &cfg, Phase::Read);
+        store.charge_transfer(&mut tiered, &blocks, IoDir::Read, Phase::Read);
         assert_eq!(flat.now().as_nanos(), tiered.now().as_nanos());
         assert_eq!(
             flat.timeline().total_energy_j().to_bits(),
@@ -714,13 +696,12 @@ mod tests {
         let run = || {
             let mut store = dram_hdd();
             let mut n = node();
-            let cfg = FsConfig::default();
             for lb in 0..12u64 {
                 store.write_block(lb, Arc::new([1u8; BLOCK_SIZE as usize]));
             }
             for round in 0..5u64 {
                 let touched: Vec<u64> = (0..4 + (round % 3)).collect();
-                store.charge_transfer(&mut n, &touched, IoDir::Read, &cfg, Phase::Read);
+                store.charge_transfer(&mut n, &touched, IoDir::Read, Phase::Read);
                 store.end_epoch(&mut n, Phase::Read);
             }
             (
@@ -747,12 +728,11 @@ mod tests {
             PolicyKind::Noop,
         );
         let mut n = node();
-        let cfg = FsConfig::default();
         for lb in 0..8u64 {
             store.write_block(lb, Arc::new([2u8; BLOCK_SIZE as usize]));
         }
         for _ in 0..4 {
-            store.charge_transfer(&mut n, &[0, 1], IoDir::Read, &cfg, Phase::Read);
+            store.charge_transfer(&mut n, &[0, 1], IoDir::Read, Phase::Read);
             store.end_epoch(&mut n, Phase::Read);
         }
         assert_eq!(store.promotes() + store.demotes(), 0);
@@ -842,7 +822,6 @@ mod tests {
     #[test]
     fn tier_io_faults_cost_time_but_not_data() {
         use greenness_faults::{FaultPlan, Site};
-        let cfg = FsConfig::default();
         let run = |rate: f64| {
             let mut store = dram_hdd();
             if rate > 0.0 {
@@ -858,7 +837,7 @@ mod tests {
             }
             let blocks: Vec<u64> = (0..32).collect();
             for _ in 0..8 {
-                store.charge_transfer(&mut n, &blocks, IoDir::Read, &cfg, Phase::Read);
+                store.charge_transfer(&mut n, &blocks, IoDir::Read, Phase::Read);
             }
             (n.now().as_nanos(), store.io_retries())
         };

@@ -45,7 +45,7 @@ pub use tracer::{TraceOutput, Tracer};
 /// Version tag written as the first line of every journal file.
 pub const TRACE_SCHEMA: &str = "greenness-trace/v1";
 /// Version tag embedded in every metrics file.
-pub const METRICS_SCHEMA: &str = "greenness-metrics/v1";
+const METRICS_SCHEMA: &str = "greenness-metrics/v1";
 
 /// The header line (with trailing newline) that starts a journal file.
 pub fn journal_header() -> String {

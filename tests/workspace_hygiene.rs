@@ -603,13 +603,13 @@ fn names(text: &str, name: &str) -> bool {
 
 #[test]
 fn unreached_pub_fns_stay_deleted() {
-    // Every `pub fn` in the non-test code of `crates/*/src` is named in at
-    // least one other `.rs` file under `crates/`, `benchmark/src`,
-    // `examples/` or `tests/`, comments and `use` statements (re-exports
-    // included) stripped. A function only its own file calls is private; one
-    // only its own unit tests call is `#[cfg(test)]`; one nothing calls is
-    // deleted. The rule is a name match, so it misses a dead function whose
-    // name some other file spells for something else.
+    // Every `pub fn`, `pub const fn` and `pub const` in the non-test code of
+    // `crates/*/src` is named in at least one other `.rs` file under
+    // `crates/`, `benchmark/src`, `examples/` or `tests/`, comments and `use`
+    // statements (re-exports included) stripped. An item only its own file
+    // names is private; one only its own unit tests name is `#[cfg(test)]`;
+    // one nothing names is deleted. The rule is a name match, so it misses a
+    // dead item whose name some other file spells for something else.
     let root = repo_root();
     let mut sources = Vec::new();
     for dir in ["crates", "benchmark/src", "examples", "tests"] {
@@ -634,10 +634,14 @@ fn unreached_pub_fns_stay_deleted() {
             .split_once("\n#[cfg(any(test, feature = \"reference\"))]")
             .map_or(code, |(code, _)| code);
         for line in code.lines() {
-            let Some(sig) = line.trim_start().strip_prefix("pub fn ") else {
+            let decl = line.trim_start();
+            let Some(sig) = ["pub fn ", "pub const fn ", "pub const "]
+                .iter()
+                .find_map(|prefix| decl.strip_prefix(prefix))
+            else {
                 continue;
             };
-            let name = &sig[..sig.find(['(', '<']).expect("a signature")];
+            let name = &sig[..sig.find(['(', '<', ':']).expect("a signature")];
             declared += 1;
             let reached =
                 (0..sources.len()).any(|other| other != at && names(&stripped[other], name));
@@ -646,6 +650,9 @@ fn unreached_pub_fns_stay_deleted() {
             }
         }
     }
-    assert!(declared >= 400, "found {declared} pub fns");
-    assert!(unreached.is_empty(), "unreached pub fns: {unreached:#?}");
+    assert!(declared >= 400, "found {declared} pub fns and consts");
+    assert!(
+        unreached.is_empty(),
+        "unreached pub fns and consts: {unreached:#?}"
+    );
 }
