@@ -15,7 +15,7 @@
 //! greenness steer [--shards N]          scripted interactive steering session
 //! greenness fleet [--shards N]          sharded fleet router over in-process shards
 //! greenness query <addr> <json>         one request against a running server
-//! greenness bench-serve ...             load harness (closed/open loop, --replay, fleet)
+//! greenness bench-serve [...]           deterministic replay: serve, --shards, --sessions
 //! ```
 //!
 //! Everything prints fixed-width tables; see the `repro` binary for the
@@ -32,9 +32,9 @@ use greenness_core::sweep;
 use greenness_core::whatif::WhatIfAnalysis;
 use greenness_core::{probes, report, CaseComparison, ExperimentSetup, PipelineConfig};
 use greenness_faults::FaultPlan;
-use greenness_fleet::{Fleet, FleetConfig, FleetServer};
+use greenness_fleet::{Fleet, FleetConfig};
 use greenness_platform::{HardwareSpec, Node};
-use greenness_serve::{LoadMode, Server, ServiceConfig};
+use greenness_serve::{Server, ServiceConfig};
 
 /// The single usage block every argument error funnels into; all paths
 /// exit 2.
@@ -60,20 +60,18 @@ fn usage() -> ! {
          \x20       [--session NAME] [--fault-seed N] [--out FILE]\n\
          \x20 fleet [--shards N] [--replicas K]    consistent-hash fleet router (greenness fleet)\n\
          \x20 query <addr> <json-request>          one request against a running server\n\
-         \x20 bench-serve --addr A [...]           live load harness (closed/open loop)\n\
-         \x20 bench-serve --replay [...]           deterministic in-process replay\n\
+         \x20 bench-serve [...]                    deterministic in-process replay\n\
          \n\
          sweep and placement also accept --trace PATH / --metrics PATH (event\n\
          journal + metrics registry; byte-identical for every --jobs value)\n\
          serve also accepts --cache-bytes B / --slots S / --queue-depth Q\n\
          fleet also accepts --addr A --ring-seed S --vnodes V --hot-threshold H\n\
          --shard-addrs (debug listeners) plus the serve tuning flags, applied per shard\n\
-         bench-serve accepts --requests N --conns C --mode closed|open --rate R,\n\
-         and with --replay: --jobs J --out FILE --metrics-out FILE; adding\n\
-         --shards N runs the open-loop fleet replay (--replicas K --ring-seed S\n\
-         --universe U --zipf S --report-out FILE --shard-metrics-out FILE);\n\
-         --sessions N interleaves N scripted steering sessions instead\n\
-         sweep, placement, cluster, serve, fleet, and bench-serve --replay accept\n\
+         bench-serve accepts --requests N --jobs J --out FILE --metrics-out FILE;\n\
+         --shards N runs the open-loop fleet replay instead (--replicas K --rate R\n\
+         --ring-seed S --universe U --zipf S --report-out FILE --shard-metrics-out\n\
+         FILE), and --sessions N interleaves N scripted steering sessions\n\
+         sweep, placement, cluster, serve, fleet, steer and bench-serve accept\n\
          --fault-seed N (seeded fault injection with retry/recovery; deterministic\n\
          per seed — for fleet this includes shard churn)\n\
          every valued flag may also be spelled --flag=value"
@@ -622,6 +620,16 @@ fn cmd_serve(mut args: Args) {
     eprintln!("drained; bye");
 }
 
+/// The value of `--shards`: a fleet needs a shard, so 0 exits 2.
+fn shard_count(args: &mut Args) -> u32 {
+    let shards = args.value("shard count");
+    if shards == 0 {
+        eprintln!("--shards must be at least 1");
+        std::process::exit(2);
+    }
+    shards
+}
+
 fn cmd_fleet(mut args: Args) {
     let mut addr = "127.0.0.1:0".to_string();
     let mut config = FleetConfig::default();
@@ -629,7 +637,7 @@ fn cmd_fleet(mut args: Args) {
     while let Some(a) = args.next_arg() {
         match a.as_str() {
             "--addr" => addr = args.text(),
-            "--shards" => config.shards = args.value("shard count"),
+            "--shards" => config.shards = shard_count(&mut args),
             "--replicas" => config.replicas = args.value("replica count"),
             "--ring-seed" => config.ring_seed = args.value("ring seed"),
             "--vnodes" => config.vnodes = args.value("vnode count"),
@@ -643,15 +651,12 @@ fn cmd_fleet(mut args: Args) {
             _ => usage(),
         }
     }
-    if config.shards == 0 {
-        eprintln!("--shards must be at least 1");
-        std::process::exit(2);
-    }
     let fleet = std::sync::Arc::new(Fleet::new(config));
-    let server = FleetServer::start(&addr, std::sync::Arc::clone(&fleet)).unwrap_or_else(|e| {
-        eprintln!("cannot bind {addr}: {e}");
-        std::process::exit(1);
-    });
+    let server =
+        Server::start_with_service(&addr, std::sync::Arc::clone(&fleet)).unwrap_or_else(|e| {
+            eprintln!("cannot bind {addr}: {e}");
+            std::process::exit(1);
+        });
     // The smoke harness greps this exact line for the ephemeral port.
     println!("listening on {}", server.addr());
     // Optional per-shard debug listeners: a direct window onto one shard's
@@ -750,7 +755,7 @@ fn cmd_steer(mut args: Args) {
     let mut out: Option<String> = None;
     while let Some(a) = args.next_arg() {
         match a.as_str() {
-            "--shards" => shards = args.value("shard count"),
+            "--shards" => shards = shard_count(&mut args),
             "--jobs" | "-j" => jobs = args.value("worker count"),
             "--session" => session = args.text(),
             "--fault-seed" => fault_seed = Some(args.value("fault seed")),
@@ -797,13 +802,9 @@ fn cmd_steer(mut args: Args) {
 }
 
 fn cmd_bench_serve(mut args: Args) {
-    let mut replay = false;
-    let mut addr: Option<String> = None;
     let mut requests = 20usize;
-    let mut conns = 4usize;
     let mut jobs = greenness_bench::default_jobs();
-    let mut mode = "closed".to_string();
-    let mut rate: Option<f64> = None;
+    let mut rate = greenness_fleet::DEFAULT_RATE_RPS;
     let mut out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut fault_seed: Option<u64> = None;
@@ -817,17 +818,13 @@ fn cmd_bench_serve(mut args: Args) {
     let mut sessions = 0usize;
     while let Some(a) = args.next_arg() {
         match a.as_str() {
-            "--replay" => replay = true,
-            "--addr" => addr = Some(args.text()),
             "--requests" | "-n" => requests = args.value("request count"),
-            "--conns" | "-c" => conns = args.value("connection count"),
             "--jobs" | "-j" => jobs = args.value("worker count"),
-            "--mode" => mode = args.text(),
-            "--rate" => rate = Some(args.value("request rate")),
+            "--rate" => rate = args.value("request rate"),
             "--out" => out = Some(args.text()),
             "--metrics-out" => metrics_out = Some(args.text()),
             "--fault-seed" => fault_seed = Some(args.value("fault seed")),
-            "--shards" => shards = Some(args.value("shard count")),
+            "--shards" => shards = Some(shard_count(&mut args)),
             "--replicas" => replicas = args.value("replica count"),
             "--ring-seed" => ring_seed = args.value("ring seed"),
             "--universe" => universe = args.value("key universe"),
@@ -838,20 +835,36 @@ fn cmd_bench_serve(mut args: Args) {
             _ => usage(),
         }
     }
+    if sessions > 0 && shards.is_some() {
+        eprintln!("--sessions cannot be combined with --shards");
+        std::process::exit(2);
+    }
+    let faults = fault_seed.map(FaultPlan::with_seed);
+    // Every replay's response log goes to --out (stdout without it) and its
+    // metrics to --metrics-out.
+    let emit = |responses: &str, metrics: &str| {
+        match &out {
+            Some(path) => {
+                std::fs::write(path, responses).expect("write response log");
+                eprintln!("wrote {path}");
+            }
+            None => print!("{responses}"),
+        }
+        if let Some(path) = &metrics_out {
+            std::fs::write(path, metrics).expect("write metrics snapshot");
+            eprintln!("wrote {path}");
+        }
+    };
     if sessions > 0 {
         // Steering-session harness: N scripted sessions interleaved
         // round-robin against one in-process service. Injected connection
         // drops are retried like the stateless replay harness — the drop
         // fires *after* the op commits, so the retry hits the engine's
         // sequence-replay path and the transcript stays byte-identical.
-        if !replay {
-            eprintln!("--sessions implies --replay (the session harness is replay-only)");
-            usage()
-        }
         let config = ServiceConfig {
             jobs,
             session_slots: sessions.max(8),
-            faults: fault_seed.map(FaultPlan::with_seed),
+            faults,
             ..ServiceConfig::default()
         };
         let scripts: Vec<Vec<String>> = (0..sessions)
@@ -875,17 +888,7 @@ fn cmd_bench_serve(mut args: Args) {
                 "session replay ran degraded: {retries} dropped op(s) retried via seq-replay"
             );
         }
-        match &out {
-            Some(path) => {
-                std::fs::write(path, &responses).expect("write session response log");
-                eprintln!("wrote {path}");
-            }
-            None => print!("{responses}"),
-        }
-        if let Some(path) = &metrics_out {
-            std::fs::write(path, m.to_json()).expect("write metrics snapshot");
-            eprintln!("wrote {path}");
-        }
+        emit(&responses, &m.to_json());
         eprintln!(
             "{sessions} session(s): {} attach(es), {} adjust(s), {} incremental render(s), {} cached delta(s), {} computed delta(s), {} seq-replay(s)",
             m.counter("steer.attach"),
@@ -895,16 +898,10 @@ fn cmd_bench_serve(mut args: Args) {
             m.counter("steer.delta.computed"),
             m.counter("steer.replayed"),
         );
-        return;
-    }
-    if let Some(shards) = shards {
+    } else if let Some(shards) = shards {
         // Fleet replay: open-loop on the virtual clock, Zipfian keys. The
         // response log and the fleet metrics are byte-identical across
         // --jobs always, and across --shards in the fault-free regime.
-        if !replay {
-            eprintln!("--shards implies --replay (the fleet harness is replay-only)");
-            usage()
-        }
         let workload = greenness_fleet::fleet_workload(requests, universe, zipf, ring_seed);
         let result = greenness_fleet::run_fleet_replay(
             FleetConfig {
@@ -912,11 +909,11 @@ fn cmd_bench_serve(mut args: Args) {
                 replicas,
                 ring_seed,
                 jobs,
-                faults: fault_seed.map(FaultPlan::with_seed),
+                faults,
                 ..FleetConfig::default()
             },
             &workload,
-            rate.unwrap_or(greenness_fleet::DEFAULT_RATE_RPS),
+            rate,
         );
         if result.reroutes > 0 {
             eprintln!(
@@ -924,17 +921,7 @@ fn cmd_bench_serve(mut args: Args) {
                 result.reroutes
             );
         }
-        match &out {
-            Some(path) => {
-                std::fs::write(path, &result.responses).expect("write response log");
-                eprintln!("wrote {path}");
-            }
-            None => print!("{}", result.responses),
-        }
-        if let Some(path) = &metrics_out {
-            std::fs::write(path, &result.fleet_metrics).expect("write fleet metrics");
-            eprintln!("wrote {path}");
-        }
+        emit(&result.responses, &result.fleet_metrics);
         if let Some(path) = &shard_metrics_out {
             std::fs::write(path, &result.shard_metrics).expect("write shard metrics");
             eprintln!("wrote {path}");
@@ -946,14 +933,12 @@ fn cmd_bench_serve(mut args: Args) {
             }
             None => eprintln!("{}", result.report),
         }
-        return;
-    }
-    if replay {
+    } else {
         let workload = greenness_serve::replay_workload(requests);
         let result = greenness_serve::run_replay(
             ServiceConfig {
                 jobs,
-                faults: fault_seed.map(FaultPlan::with_seed),
+                faults,
                 ..ServiceConfig::default()
             },
             &workload,
@@ -964,42 +949,8 @@ fn cmd_bench_serve(mut args: Args) {
                 result.retries
             );
         }
-        match &out {
-            Some(path) => {
-                std::fs::write(path, &result.responses).expect("write response log");
-                eprintln!("wrote {path}");
-            }
-            None => print!("{}", result.responses),
-        }
-        if let Some(path) = &metrics_out {
-            std::fs::write(path, &result.metrics).expect("write metrics snapshot");
-            eprintln!("wrote {path}");
-        }
-        return;
+        emit(&result.responses, &result.metrics);
     }
-    let Some(addr) = addr else {
-        eprintln!("bench-serve needs --addr (or --replay)");
-        usage()
-    };
-    if fault_seed.is_some() {
-        eprintln!("note: --fault-seed applies to --replay; for live runs start the server with --fault-seed");
-    }
-    let load_mode = match mode.as_str() {
-        "closed" => LoadMode::Closed,
-        "open" => LoadMode::Open {
-            rate_rps: rate.unwrap_or(50.0),
-        },
-        other => {
-            eprintln!("unknown mode {other} (expected closed|open)");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("driving {requests} request(s) at {addr} over {conns} connection(s)...");
-    let report = greenness_serve::run_load(&addr, requests, conns, load_mode).unwrap_or_else(|e| {
-        eprintln!("load run failed: {e}");
-        std::process::exit(1);
-    });
-    println!("{}", report.to_json());
 }
 
 fn main() {

@@ -84,16 +84,11 @@ pub fn fleet_workload(n: usize, universe: usize, s: f64, seed: u64) -> Vec<Strin
 }
 
 /// Nearest-rank latency quantiles over raw samples, milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyQuantiles {
-    /// Samples behind the quantiles.
-    pub count: usize,
-    /// Median latency, ms.
-    pub p50_ms: f64,
-    /// 99th percentile, ms.
-    pub p99_ms: f64,
-    /// 99.9th percentile, ms.
-    pub p999_ms: f64,
+struct LatencyQuantiles {
+    count: usize,
+    p50_ms: f64,
+    p99_ms: f64,
+    p999_ms: f64,
 }
 
 impl LatencyQuantiles {
@@ -107,7 +102,7 @@ impl LatencyQuantiles {
         }
     }
 
-    fn to_json(self) -> String {
+    fn to_json(&self) -> String {
         format!(
             "{{\"count\":{},\"p50_ms\":{},\"p99_ms\":{},\"p999_ms\":{}}}",
             self.count,
@@ -226,22 +221,25 @@ pub fn run_fleet_replay(
     let total_j = static_j + dynamic_j;
     let n = requests.len().max(1) as f64;
 
-    let fleet_q = LatencyQuantiles::over(&mut fleet_lat);
-    let shard_q: Vec<String> = shard_lat
-        .iter_mut()
-        .enumerate()
-        .map(|(s, lat)| format!("\"shard/{s}\":{}", LatencyQuantiles::over(lat).to_json()))
-        .collect();
+    let mut latency = format!(
+        "{{\"fleet\":{}",
+        LatencyQuantiles::over(&mut fleet_lat).to_json()
+    );
+    for (s, lat) in shard_lat.iter_mut().enumerate() {
+        latency.push_str(&format!(
+            ",\"shard/{s}\":{}",
+            LatencyQuantiles::over(lat).to_json()
+        ));
+    }
+    latency.push('}');
     let report = format!(
-        "{{\"schema\":\"greenness-fleet/v1\",\"requests\":{},\"shards\":{},\"replicas\":{},\"ring_seed\":{},\"rate_rps\":{},\"makespan_s\":{},\"latency\":{{\"fleet\":{},{}}},\"energy\":{{\"static_w_per_shard\":{},\"dynamic_w\":{},\"live_shard_s\":{},\"compute_s\":{},\"static_j\":{},\"dynamic_j\":{},\"total_j\":{},\"j_per_million_requests\":{}}}}}",
+        "{{\"schema\":\"greenness-fleet/v1\",\"requests\":{},\"shards\":{},\"replicas\":{},\"ring_seed\":{},\"rate_rps\":{},\"makespan_s\":{},\"latency\":{latency},\"energy\":{{\"static_w_per_shard\":{},\"dynamic_w\":{},\"live_shard_s\":{},\"compute_s\":{},\"static_j\":{},\"dynamic_j\":{},\"total_j\":{},\"j_per_million_requests\":{}}}}}",
         requests.len(),
         config.shards,
         config.replicas,
         config.ring_seed,
         fmt_f64(rate),
         fmt_f64(makespan),
-        fleet_q.to_json(),
-        shard_q.join(","),
         fmt_f64(static_w),
         fmt_f64(DYNAMIC_W),
         fmt_f64(live_total_s),
@@ -321,6 +319,27 @@ mod tests {
         }
         assert_eq!(out.responses.lines().count(), 80);
         assert!(out.responses.lines().all(|l| l.contains("\"ok\":true")));
+    }
+
+    #[test]
+    fn the_report_parses_at_every_shard_count() {
+        let requests = fleet_workload(20, 8, 1.1, 3);
+        for shards in [0, 1, 3] {
+            let out = run_fleet_replay(
+                FleetConfig {
+                    shards,
+                    ..FleetConfig::default()
+                },
+                &requests,
+                DEFAULT_RATE_RPS,
+            );
+            let report = greenness_trace::json::Json::parse(&out.report)
+                .unwrap_or_else(|e| panic!("{shards} shard(s): {e}\n{}", out.report));
+            let latency = report.get("latency").expect("a latency object");
+            for s in 0..shards {
+                assert!(latency.get(&format!("shard/{s}")).is_some(), "{shards}");
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,12 @@
 //!   and churn-driven rebalancing from `crates/faults`;
 //! * [`harness`] — the open-loop virtual-time replay: millions of scheduled
 //!   requests, coordinated-omission-free p50/p99/p999 per shard and
-//!   fleet-wide, and the energy-per-million-requests ledger;
-//! * [`server`] — the TCP router front end (`greenness fleet`).
+//!   fleet-wide, and the energy-per-million-requests ledger.
+//!
+//! A [`Fleet`] is a `greenness_serve::LineHandler`, so the TCP router
+//! (`greenness fleet`) is `Server::start_with_service(addr, fleet)`: serve's
+//! one accept/connection loop with every line answered by
+//! [`Fleet::handle_line`].
 //!
 //! Determinism contract: the replay response log and the router's `fleet.*`
 //! metrics are byte-identical across runs and `--jobs` values always, and
@@ -26,14 +30,12 @@
 pub mod fleet;
 pub mod harness;
 pub mod ring;
-pub mod server;
 pub mod zipf;
 
 pub use fleet::{ChurnEvent, Fleet, FleetConfig, FleetOutcome};
 pub use harness::{
-    fleet_workload, run_fleet_replay, FleetReplayOutput, LatencyQuantiles, DEFAULT_RATE_RPS,
-    DEFAULT_UNIVERSE, DEFAULT_ZIPF_S,
+    fleet_workload, run_fleet_replay, FleetReplayOutput, DEFAULT_RATE_RPS, DEFAULT_UNIVERSE,
+    DEFAULT_ZIPF_S,
 };
 pub use ring::{Ring, DEFAULT_VNODES};
-pub use server::FleetServer;
 pub use zipf::Zipf;

@@ -1,11 +1,8 @@
-//! A minimal blocking NDJSON client — enough for `greenness query`, the
-//! load harness, and the integration tests — plus [`RetryClient`], the
-//! fault-tolerant wrapper the harness uses against a server with an
-//! injected connection-drop schedule.
+//! A minimal blocking NDJSON client — enough for `greenness query` and the
+//! integration tests.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 /// One connection to a `greenness serve` instance.
 pub struct Client {
@@ -55,66 +52,4 @@ impl Client {
 /// One-shot convenience: connect, send, receive, disconnect.
 pub fn query(addr: &str, request: &str) -> std::io::Result<String> {
     Client::connect(addr)?.roundtrip(request)
-}
-
-/// Whether a roundtrip failure means "the connection died" (worth a
-/// reconnect-and-retry) rather than "the request is wrong".
-fn retryable(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        ErrorKind::UnexpectedEof
-            | ErrorKind::ConnectionReset
-            | ErrorKind::ConnectionAborted
-            | ErrorKind::BrokenPipe
-    )
-}
-
-/// A [`Client`] that survives dropped connections: a torn or refused
-/// roundtrip reconnects and resends with exponential backoff, up to a
-/// bounded retry budget. Retries are counted separately so the harness can
-/// report degradation without conflating it with errors.
-pub struct RetryClient {
-    addr: String,
-    client: Option<Client>,
-    max_retries: u32,
-    backoff_base: Duration,
-    /// Reconnect-and-resend attempts performed so far.
-    pub retries: u64,
-}
-
-impl RetryClient {
-    /// A lazy connection to `addr` with the given retry budget per request.
-    pub fn new(addr: &str, max_retries: u32) -> RetryClient {
-        RetryClient {
-            addr: addr.to_string(),
-            client: None,
-            max_retries,
-            backoff_base: Duration::from_millis(2),
-            retries: 0,
-        }
-    }
-
-    /// [`Client::roundtrip`], retried across connection drops.
-    pub fn roundtrip(&mut self, request: &str) -> std::io::Result<String> {
-        let mut attempt = 0u32;
-        loop {
-            let mut client = match self.client.take() {
-                Some(c) => c,
-                None => Client::connect(&self.addr)?,
-            };
-            match client.roundtrip(request) {
-                Ok(line) => {
-                    self.client = Some(client);
-                    return Ok(line);
-                }
-                Err(e) if retryable(&e) && attempt < self.max_retries => {
-                    // The connection is dead; back off, then redial.
-                    self.retries += 1;
-                    std::thread::sleep(self.backoff_base * 2u32.saturating_pow(attempt.min(8)));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
 }

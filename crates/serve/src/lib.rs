@@ -9,7 +9,6 @@
 //! * [`json`] — the nested JSON tree and the canonical serialization used
 //!   as the content-addressing pre-image (sorted keys, normalized numbers),
 //!   re-exported from `greenness_trace::json`, the workspace's one lexer;
-//! * [`hash`] — BLAKE2s-256 (RFC 7693), implemented in-repo;
 //! * [`cache`] — a byte-budgeted strict-LRU result cache with hit / miss /
 //!   eviction / rejection counters;
 //! * [`protocol`] — the `greenness-serve/v1` newline-delimited JSON wire
@@ -18,9 +17,11 @@
 //!   deadlines and load shedding;
 //! * [`service`] — the request handlers, wired cache → gate → analysis;
 //! * [`server`] / [`client`] — the TCP front end and a blocking client;
-//! * [`harness`] — the `bench-serve` load harness, including the
-//!   deterministic single-threaded `--replay` mode whose response log and
-//!   metrics snapshot are byte-identical across runs and `--jobs` values.
+//! * [`harness`] — the `bench-serve` replay: single-threaded, with a
+//!   response log and metrics snapshot byte-identical across runs and
+//!   `--jobs` values.
+//!
+//! Content addresses are BLAKE2s-256 from `greenness_trace::hash`.
 //!
 //! The cache is the serving-layer analogue of the paper's static-energy
 //! observation: most of a query's cost is work that does not need to be
@@ -31,15 +32,14 @@ pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod harness;
-pub mod hash;
 pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod service;
 
 pub use cache::ResultCache;
-pub use client::{query, Client, RetryClient};
-pub use harness::{replay_workload, run_load, run_replay, LoadMode, LoadReport, ReplayOutput};
+pub use client::{query, Client};
+pub use harness::{replay_workload, run_replay, ReplayOutput};
 pub use protocol::{ErrorCode, SCHEMA};
 pub use server::{LineHandler, Next, Server};
 pub use service::{Disposition, Outcome, Service, ServiceConfig};

@@ -18,8 +18,8 @@ use std::borrow::Cow;
 use std::cell::OnceCell;
 
 use greenness_trace::escape_json;
+use greenness_trace::hash::blake2s256;
 
-use crate::hash::blake2s256;
 use crate::json::{self, Json, SpanMember};
 
 /// The protocol schema tag, required on every request.
@@ -262,8 +262,8 @@ pub fn error_line(id: &str, code: ErrorCode, message: &str) -> String {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::SCHEMA;
-    use crate::hash::Blake2s256;
     use crate::json::Json;
+    use greenness_trace::hash::Blake2s256;
 
     /// A parsed, validated request line.
     #[derive(Debug, Clone)]

@@ -1,6 +1,6 @@
 //! Wire-framing suite for the one accept/connection loop
 //! (`greenness_serve::server`), run against **both** front ends that sit on
-//! it: a plain `Server` and the `FleetServer` router.
+//! it: a plain `Server` and a `Server` over the fleet router.
 //!
 //! The loop owns newline framing, and that is all this file checks: however
 //! the bytes of a request stream are split across `write`s, every non-blank
@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use greenness_fleet::{Fleet, FleetConfig, FleetServer};
+use greenness_fleet::{Fleet, FleetConfig};
 use greenness_serve::{Server, ServiceConfig};
 
 /// A request line (no newline) the reply to which carries `"id":<id>`.
@@ -187,8 +187,9 @@ fn shutdown_over_the_wire(front: &str, addr: &str) {
 #[test]
 fn framing_is_identical_behind_both_front_ends() {
     let serve = Server::start("127.0.0.1:0", ServiceConfig::default()).expect("bind serve");
-    let fleet = FleetServer::start("127.0.0.1:0", Arc::new(Fleet::new(FleetConfig::default())))
-        .expect("bind fleet");
+    let fleet =
+        Server::start_with_service("127.0.0.1:0", Arc::new(Fleet::new(FleetConfig::default())))
+            .expect("bind fleet");
     let fronts = [
         ("serve", serve.addr().to_string()),
         ("fleet", fleet.addr().to_string()),
