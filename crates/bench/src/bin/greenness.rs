@@ -1,12 +1,9 @@
-//! `greenness` — the command-line front end.
+//! `greenness` — the lab CLI: everything beyond the paper's tables and
+//! figures, which only the `repro` binary regenerates.
 //!
 //! ```text
-//! greenness case <1|2|3>                run one case study, both pipelines
-//! greenness sweep [--jobs N] [--trace J] [--metrics M]
-//!                                       full 3-case grid on the parallel executor
+//! greenness placement [--scale S]       tiered-storage policy grid
 //! greenness trace summarize <journal>   reconstruct + audit a trace journal
-//! greenness fio [bytes]                 Table III fio matrix (default 4 GiB)
-//! greenness probes                      Table II nnread/nnwrite probes
 //! greenness cluster [--kind K] [...]    case-study grid over the distributed pipelines
 //! greenness cap <watts> [watts...]      power-cap sweep (in-situ)
 //! greenness adaptive [threshold]        adaptive runtime demo
@@ -18,8 +15,7 @@
 //! greenness bench-serve [...]           deterministic replay: serve, --shards, --sessions
 //! ```
 //!
-//! Everything prints fixed-width tables; see the `repro` binary for the
-//! paper's full table/figure set.
+//! Everything prints fixed-width tables.
 
 use greenness_bench::cli::{parse, Args, GridFlags};
 use greenness_cluster::{ClusterKind, StagingConfig, WireCodec};
@@ -29,8 +25,7 @@ use greenness_core::capping::cap_sweep;
 use greenness_core::cluster_sweep;
 use greenness_core::placement::{self, PolicyKind};
 use greenness_core::sweep;
-use greenness_core::whatif::WhatIfAnalysis;
-use greenness_core::{probes, report, CaseComparison, ExperimentSetup, PipelineConfig};
+use greenness_core::{report, PipelineConfig};
 use greenness_faults::FaultPlan;
 use greenness_fleet::{Fleet, FleetConfig};
 use greenness_platform::{HardwareSpec, Node};
@@ -43,11 +38,7 @@ fn usage() -> ! {
         "usage: greenness <command>\n\
          \n\
          commands:\n\
-         \x20 case <1|2|3> [--alpha A] [--dt D]    one case study, both pipelines\n\
-         \x20 sweep [--jobs N]                     full 3-case grid, parallel + manifest\n\
          \x20 placement [--jobs N] [--scale S]     tiered-storage policy grid (S: small|paper)\n\
-         \x20 fio [bytes]                          Table III matrix (default 4 GiB)\n\
-         \x20 probes                               Table II nnread/nnwrite probes\n\
          \x20 cluster [--kind post|insitu|intransit] [--staging-nodes N]\n\
          \x20         [--queue-depth D] [--wire-codec none|delta-rle|quant8]\n\
          \x20         [--jobs N]                   case-study grid over the distributed pipelines\n\
@@ -62,7 +53,7 @@ fn usage() -> ! {
          \x20 query <addr> <json-request>          one request against a running server\n\
          \x20 bench-serve [...]                    deterministic in-process replay\n\
          \n\
-         sweep and placement also accept --trace PATH / --metrics PATH (event\n\
+         placement and cluster also accept --trace PATH / --metrics PATH (event\n\
          journal + metrics registry; byte-identical for every --jobs value)\n\
          serve also accepts --cache-bytes B / --slots S / --queue-depth Q\n\
          fleet also accepts --addr A --ring-seed S --vnodes V --hot-threshold H\n\
@@ -71,79 +62,12 @@ fn usage() -> ! {
          --shards N runs the open-loop fleet replay instead (--replicas K --rate R\n\
          --ring-seed S --universe U --zipf S --report-out FILE --shard-metrics-out\n\
          FILE), and --sessions N interleaves N scripted steering sessions\n\
-         sweep, placement, cluster, serve, fleet, steer and bench-serve accept\n\
+         placement, cluster, serve, fleet, steer and bench-serve accept\n\
          --fault-seed N (seeded fault injection with retry/recovery; deterministic\n\
          per seed — for fleet this includes shard churn)\n\
          every valued flag may also be spelled --flag=value"
     );
     std::process::exit(2);
-}
-
-fn cmd_case(mut args: Args) {
-    let mut n: Option<u32> = None;
-    let mut alpha: Option<f64> = None;
-    let mut dt: Option<f64> = None;
-    while let Some(a) = args.next_arg() {
-        match a.as_str() {
-            "--alpha" => alpha = Some(args.value("alpha")),
-            "--dt" => dt = Some(args.value("dt")),
-            s if n.is_none() => n = Some(parse(s, "case number")),
-            _ => usage(),
-        }
-    }
-    let n = n.unwrap_or(1);
-    if !(1..=3).contains(&n) {
-        eprintln!("case studies are 1-3");
-        std::process::exit(2);
-    }
-    let mut cfg = PipelineConfig::case_study(n);
-    if let Some(a) = alpha {
-        cfg.solver.alpha = a;
-    }
-    if let Some(d) = dt {
-        cfg.solver.dt = d;
-    }
-    if let Err(e) = cfg.solver.validate(cfg.grid_nx, cfg.grid_ny) {
-        eprintln!("invalid solver config: {e}");
-        std::process::exit(2);
-    }
-    eprintln!("running case study {n} (both pipelines)...");
-    let cmp =
-        CaseComparison::run_config(n, &cfg, &ExperimentSetup::default()).unwrap_or_else(|e| {
-            eprintln!("pipeline run failed: {e}");
-            std::process::exit(2);
-        });
-    let rows = vec![
-        vec![
-            "Execution time (s)".into(),
-            report::f(cmp.insitu.metrics.execution_time_s, 1),
-            report::f(cmp.post.metrics.execution_time_s, 1),
-        ],
-        vec![
-            "Average power (W)".into(),
-            report::f(cmp.insitu.metrics.average_power_w, 1),
-            report::f(cmp.post.metrics.average_power_w, 1),
-        ],
-        vec![
-            "Peak power (W)".into(),
-            report::f(cmp.insitu.metrics.peak_power_w, 1),
-            report::f(cmp.post.metrics.peak_power_w, 1),
-        ],
-        vec![
-            "Energy (kJ)".into(),
-            report::f(cmp.insitu.metrics.energy_j / 1000.0, 1),
-            report::f(cmp.post.metrics.energy_j / 1000.0, 1),
-        ],
-    ];
-    print!(
-        "{}",
-        report::render_table(
-            &format!("Case study {n}"),
-            &["Metric", "In-situ", "Traditional"],
-            &rows
-        )
-    );
-    println!("energy savings: {}", report::pct(cmp.energy_savings_pct()));
 }
 
 /// Run one grid with `[tag] n/N done` progress lines and the wall-clock
@@ -164,60 +88,6 @@ fn timed_grid<R>(
         t0.elapsed().as_secs_f64()
     );
     results
-}
-
-fn cmd_sweep(mut args: Args) {
-    let mut flags = GridFlags::default();
-    while let Some(a) = args.next_arg() {
-        if !flags.take(&a, &mut args) {
-            usage()
-        }
-    }
-    let setup = ExperimentSetup {
-        trace: flags.traced(),
-        // Each grid job derives its own schedule from this base plan and its
-        // job key, so results stay byte-identical for every --jobs value.
-        faults: flags.fault_seed.map(FaultPlan::with_seed),
-        ..ExperimentSetup::default()
-    };
-    eprintln!(
-        "running the full case-study grid on {} worker(s)...",
-        flags.jobs
-    );
-    let results = timed_grid("sweep", "case-study", |progress| {
-        greenness_bench::run_case_grid(&setup, flags.jobs, progress)
-    });
-    flags.write_artifacts(
-        "",
-        "repro_out/manifest.json",
-        sweep::manifest_json(&results),
-        || sweep::sweep_journal(&results),
-        || sweep::sweep_metrics_json(&results),
-    );
-    let mut rows = Vec::new();
-    for c in sweep::comparisons(&results) {
-        rows.push(vec![
-            format!("Case study {}", c.case),
-            report::f(c.insitu.metrics.energy_j / 1000.0, 1),
-            report::f(c.post.metrics.energy_j / 1000.0, 1),
-            report::pct(c.energy_savings_pct()),
-            report::pct(c.time_reduction_pct()),
-        ]);
-    }
-    print!(
-        "{}",
-        report::render_table(
-            "Case-study grid",
-            &[
-                "",
-                "In-situ (kJ)",
-                "Traditional (kJ)",
-                "Energy saved",
-                "Time saved"
-            ],
-            &rows
-        )
-    );
 }
 
 fn cmd_placement(mut args: Args) {
@@ -296,72 +166,6 @@ fn cmd_placement(mut args: Args) {
             }
         }
     }
-}
-
-fn cmd_fio(args: &[String]) {
-    let bytes: u64 = args
-        .first()
-        .map(|s| parse(s, "byte count"))
-        .unwrap_or(4 << 30);
-    eprintln!("running fio matrix at {} bytes...", bytes);
-    let w = match WhatIfAnalysis::run(&ExperimentSetup::default(), bytes) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("fio matrix failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut rows = Vec::new();
-    for r in &w.fio {
-        rows.push(vec![
-            r.kind.label().to_string(),
-            report::f(r.execution_time_s, 1),
-            report::f(r.full_system_power_w, 1),
-            report::f(r.disk_dyn_power_w, 1),
-            report::f(r.full_system_energy_kj, 1),
-        ]);
-    }
-    print!(
-        "{}",
-        report::render_table(
-            "fio matrix",
-            &["Job", "Time (s)", "System W", "Disk dyn W", "Energy (kJ)"],
-            &rows
-        )
-    );
-    println!(
-        "random-I/O app: in-situ saves {:.1} kJ; reorganization retains only {:.1} kJ",
-        w.random_io_energy_kj, w.reorganized_io_energy_kj
-    );
-}
-
-fn cmd_probes() {
-    let setup = ExperimentSetup::default();
-    eprintln!("running nnread/nnwrite probes (50 s each)...");
-    let probe = |r: Result<probes::ProbeResult, greenness_storage::StorageError>| {
-        r.unwrap_or_else(|e| {
-            eprintln!("probe failed: {e}");
-            std::process::exit(1);
-        })
-    };
-    let read = probe(probes::nnread(&setup, 128 * 1024, 50.0));
-    let write = probe(probes::nnwrite(&setup, 128 * 1024, 50.0));
-    let rows = vec![
-        vec![
-            "Avg. Power (Total)".into(),
-            report::f(read.avg_total_w, 1),
-            report::f(write.avg_total_w, 1),
-        ],
-        vec![
-            "Avg. Power (Dynamic)".into(),
-            report::f(read.avg_dynamic_w, 1),
-            report::f(write.avg_dynamic_w, 1),
-        ],
-    ];
-    print!(
-        "{}",
-        report::render_table("Probe stages", &["Metric", "nnread", "nnwrite"], &rows)
-    );
 }
 
 fn cmd_cluster(mut args: Args) {
@@ -958,11 +762,7 @@ fn main() {
     let Some(cmd) = argv.next() else { usage() };
     let rest: Vec<String> = argv.collect();
     match cmd.as_str() {
-        "case" => cmd_case(Args::new(rest)),
-        "sweep" => cmd_sweep(Args::new(rest)),
         "placement" => cmd_placement(Args::new(rest)),
-        "fio" => cmd_fio(&rest),
-        "probes" => cmd_probes(),
         "cluster" => cmd_cluster(Args::new(rest)),
         "cap" => cmd_cap(&rest),
         "adaptive" => cmd_adaptive(&rest),

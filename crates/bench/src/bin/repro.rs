@@ -33,7 +33,7 @@
 use std::collections::BTreeSet;
 
 use greenness_bench::cli::{Args, GridFlags};
-use greenness_core::breakdown::CaseBreakdown;
+use greenness_core::breakdown::case_savings;
 use greenness_core::sweep::{self, SweepJob};
 use greenness_core::whatif::WhatIfAnalysis;
 use greenness_core::{
@@ -422,30 +422,26 @@ fn main() {
     }
 
     if wanted.contains("breakdown") {
-        // §V-C for case study 1.
-        let setup = lazy.setup.clone();
+        // §V-C for case study 1, priced at Table II's probes.
         let case1 = lazy
             .cases()
             .iter()
             .find(|c| c.case == 1)
             .expect("case 1 ran")
             .clone();
-        eprintln!("[repro] running the §V-C breakdown (probes + estimator)...");
-        let b = CaseBreakdown::analyze(&case1, &setup, 128 * 1024, 50.0).unwrap_or_else(|e| {
-            eprintln!("[repro] breakdown probes failed: {e}");
-            std::process::exit(1);
-        });
+        let (read, write) = lazy.nnprobes();
+        let b = case_savings(&case1, read, write);
         println!("\nSection V-C — energy savings breakdown (case study 1)");
-        println!("  total savings : {:>7.2} kJ", b.savings.total_j / 1000.0);
+        println!("  total savings : {:>7.2} kJ", b.total_j / 1000.0);
         println!(
             "  static (idle-time) : {:>7.2} kJ  ({:.0}%)   [paper: 12.8 kJ, 91%]",
-            b.savings.static_j / 1000.0,
-            b.savings.static_pct()
+            b.static_j / 1000.0,
+            b.static_pct()
         );
         println!(
             "  dynamic (data mvmt): {:>7.2} kJ  ({:.0}%)   [paper:  1.2 kJ,  9%]",
-            b.savings.dynamic_j / 1000.0,
-            b.savings.dynamic_pct()
+            b.dynamic_j / 1000.0,
+            b.dynamic_pct()
         );
     }
 

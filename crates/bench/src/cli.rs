@@ -78,8 +78,7 @@ impl Args {
     }
 }
 
-/// The flags every grid command (`sweep`, `placement`, `cluster`, `repro`)
-/// accepts.
+/// The flags every grid command (`placement`, `cluster`, `repro`) accepts.
 pub struct GridFlags {
     /// `--jobs N` / `-j N`: worker threads (default: all cores).
     pub jobs: usize,

@@ -1,9 +1,9 @@
 //! # greenness-bench
 //!
-//! The reproduction harness: shared runners used by the `repro` binary
-//! (which regenerates every table and figure of the paper) and the
-//! `greenness` operator CLI. Wall-clock measurement lives in the stand-alone
-//! `benchmark/` package, not here.
+//! The reproduction harness: `repro`, the one front end for the paper's
+//! tables and figures, and `greenness`, the lab CLI for everything beyond
+//! them. Wall-clock measurement lives in the stand-alone `benchmark/`
+//! package, not here.
 //!
 //! All grid execution goes through `greenness_core`'s one grid runner:
 //! results (and the manifest written by `repro`) are bit-identical for any
@@ -11,33 +11,15 @@
 
 pub mod cli;
 
-use greenness_core::sweep::{self, JobResult};
-use greenness_core::ExperimentSetup;
-
 /// Default worker count: one per available core, capped by the job count
 /// inside the executor.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Run all three §IV-C case studies (both pipelines each) on `jobs` worker
-/// threads, reporting progress through `on_done`. Returns the raw per-job
-/// results in submission order (the manifest's input).
-///
-/// # Errors
-/// Propagates a [`sweep::SweepError`] when a grid job panicked or the grid
-/// was malformed.
-pub fn run_case_grid(
-    setup: &ExperimentSetup,
-    jobs: usize,
-    on_done: sweep::Progress<'_>,
-) -> Result<Vec<JobResult>, sweep::SweepError> {
-    sweep::run_sweep(sweep::case_grid(setup, &[1, 2, 3]), jobs, on_done)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use greenness_core::{sweep, ExperimentSetup};
 
     #[test]
     fn parallel_case_runs_are_ordered_and_complete() {

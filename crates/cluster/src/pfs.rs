@@ -9,7 +9,7 @@
 //! question the paper poses about file systems.
 
 use greenness_faults::{fnv1a64, FaultPlan, Site};
-use greenness_platform::{Activity, HardwareSpec, Node, Phase, SimTime};
+use greenness_platform::{HardwareSpec, Node, Phase, SimTime};
 use greenness_storage::{FileSystem, FsConfig, FsError, MemBlockDevice};
 
 use crate::error::ClusterError;
@@ -32,8 +32,6 @@ pub struct ParallelFs {
     capacity_bytes: u64,
     /// Bytes durably written so far (across all servers).
     written_bytes: u64,
-    /// Active fault schedule (None = fault-free fast path).
-    fault_plan: Option<FaultPlan>,
     /// Injected fsync faults observed across all servers.
     fsync_faults: u64,
     /// fsync retries that absorbed them.
@@ -66,7 +64,6 @@ impl ParallelFs {
             stripe_bytes,
             capacity_bytes,
             written_bytes: 0,
-            fault_plan: None,
             fsync_faults: 0,
             fsync_retries: 0,
         }
@@ -76,7 +73,6 @@ impl ParallelFs {
     /// fsync injector (salted by server index, so schedules are independent
     /// and stable under server-count changes to *other* configs).
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan;
         for (i, s) in self.servers.iter_mut().enumerate() {
             s.fs.set_fault_injector(plan.map(|p| p.injector(Site::StorageFsync, i as u64)));
         }
@@ -142,10 +138,6 @@ impl ParallelFs {
     ) -> Result<(), ClusterError> {
         let n = self.servers.len();
         let start = self.start_server(name);
-        let (max_retries, plan) = match self.fault_plan {
-            Some(p) => (p.max_retries, p),
-            None => (0, FaultPlan::quiet(0)),
-        };
         for (k, chunk) in data.chunks(self.stripe_bytes).enumerate() {
             let idx = (start + k) % n;
             let fname = Self::stripe_file(name, k);
@@ -154,26 +146,12 @@ impl ParallelFs {
             if let Err(e) = server.fs.write(&mut server.node, &fname, 0, chunk, phase) {
                 return Err(self.wrap_fs_err(name, chunk.len() as u64, e));
             }
-            let mut attempt = 0u32;
-            loop {
-                let server = &mut self.servers[idx];
-                match server.fs.fsync(&mut server.node, &fname, phase) {
-                    Ok(()) => break,
-                    Err(FsError::TransientIo { .. }) if attempt < max_retries => {
-                        let pause = plan.backoff_s(attempt);
-                        server.node.execute(Activity::idle_secs(pause), phase);
-                        self.fsync_faults += 1;
-                        self.fsync_retries += 1;
-                        attempt += 1;
-                    }
-                    Err(e) => {
-                        if matches!(e, FsError::TransientIo { .. }) {
-                            self.fsync_faults += 1;
-                        }
-                        return Err(self.wrap_fs_err(name, chunk.len() as u64, e));
-                    }
-                }
-            }
+            let retries = server
+                .fs
+                .fsync_with_retry(&mut server.node, &fname, phase)
+                .map_err(|e| self.wrap_fs_err(name, chunk.len() as u64, e))?;
+            self.fsync_faults += u64::from(retries);
+            self.fsync_retries += u64::from(retries);
             self.written_bytes += chunk.len() as u64;
         }
         // The write returns when the slowest server acknowledges.

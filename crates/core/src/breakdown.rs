@@ -10,84 +10,48 @@
 use greenness_power::SavingsBreakdown;
 
 use crate::compare::CaseComparison;
-use crate::experiment::ExperimentSetup;
-use crate::probes::{nnread, nnwrite, ProbeResult};
+use crate::probes::ProbeResult;
 
-/// The full §V-C analysis for one case study.
-#[derive(Debug, Clone)]
-pub struct CaseBreakdown {
-    /// Case-study number.
-    pub case: u32,
-    /// The nnread probe (Table II column 1).
-    pub nnread: ProbeResult,
-    /// The nnwrite probe (Table II column 2).
-    pub nnwrite: ProbeResult,
-    /// The estimator's result.
-    pub savings: SavingsBreakdown,
-}
-
-impl CaseBreakdown {
-    /// Run the probes and apply the estimator to an existing comparison.
-    /// `probe_chunk_bytes` is the paper's 128 KiB; `probe_duration_s` its
-    /// ≈50 s probe window.
-    ///
-    /// # Errors
-    /// Propagates a [`greenness_storage::StorageError`] from a malformed
-    /// probe configuration.
-    pub fn analyze(
-        cmp: &CaseComparison,
-        setup: &ExperimentSetup,
-        probe_chunk_bytes: usize,
-        probe_duration_s: f64,
-    ) -> Result<CaseBreakdown, greenness_storage::StorageError> {
-        let read = nnread(setup, probe_chunk_bytes, probe_duration_s)?;
-        let write = nnwrite(setup, probe_chunk_bytes, probe_duration_s)?;
-        // The I/O being removed is a mix of reads and writes; the paper uses
-        // the (nearly equal) stage powers — we average them.
-        let probe_dyn_w = 0.5 * (read.avg_dynamic_w + write.avg_dynamic_w);
-        let savings = SavingsBreakdown::estimate(
-            cmp.post.metrics.energy_j,
-            cmp.post.metrics.execution_time_s,
-            cmp.insitu.metrics.energy_j,
-            cmp.insitu.metrics.execution_time_s,
-            probe_dyn_w,
-        );
-        Ok(CaseBreakdown {
-            case: cmp.case,
-            nnread: read,
-            nnwrite: write,
-            savings,
-        })
-    }
+/// Apply the estimator to a comparison, pricing the removed I/O at the
+/// Table II probes' dynamic power.
+pub fn case_savings(
+    cmp: &CaseComparison,
+    nnread: &ProbeResult,
+    nnwrite: &ProbeResult,
+) -> SavingsBreakdown {
+    // The I/O being removed is a mix of reads and writes; the paper uses
+    // the (nearly equal) stage powers — we average them.
+    let probe_dyn_w = 0.5 * (nnread.avg_dynamic_w + nnwrite.avg_dynamic_w);
+    SavingsBreakdown::estimate(
+        cmp.post.metrics.energy_j,
+        cmp.post.metrics.execution_time_s,
+        cmp.insitu.metrics.energy_j,
+        cmp.insitu.metrics.execution_time_s,
+        probe_dyn_w,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use crate::experiment::ExperimentSetup;
+    use crate::probes::{nnread, nnwrite};
 
     #[test]
     fn static_share_dominates() {
         let setup = ExperimentSetup::noiseless();
         let cmp = CaseComparison::run_config(1, &PipelineConfig::small(1), &setup).expect("runs");
-        let b = CaseBreakdown::analyze(&cmp, &setup, 8 * 1024, 5.0).expect("probes ok");
-        assert!(b.savings.total_j > 0.0);
+        let read = nnread(&setup, 8 * 1024, 5.0).expect("probe ok");
+        let write = nnwrite(&setup, 8 * 1024, 5.0).expect("probe ok");
+        let b = case_savings(&cmp, &read, &write);
+        assert!(b.total_j > 0.0);
         // The paper's qualitative headline: most savings are static.
         assert!(
-            b.savings.static_pct() > 60.0,
+            b.static_pct() > 60.0,
             "static share only {:.1}%",
-            b.savings.static_pct()
+            b.static_pct()
         );
-        assert!((b.savings.static_pct() + b.savings.dynamic_pct() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn probe_results_are_embedded() {
-        let setup = ExperimentSetup::noiseless();
-        let cmp = CaseComparison::run_config(1, &PipelineConfig::small(2), &setup).expect("runs");
-        let b = CaseBreakdown::analyze(&cmp, &setup, 8 * 1024, 3.0).expect("probes ok");
-        assert_eq!(b.nnread.name, "nnread");
-        assert_eq!(b.nnwrite.name, "nnwrite");
-        assert!(b.nnread.avg_dynamic_w > 0.0);
+        assert!((b.static_pct() + b.dynamic_pct() - 100.0).abs() < 1e-9);
     }
 }

@@ -7,15 +7,14 @@
 //! time/energy trade for the in-situ pipeline (the peak phase is the same
 //! simulation in both pipelines, so one sweep covers both).
 //!
-//! On top of the shared single-node driver this module adds only the
-//! governor: the capped run is the in-situ composition over a stepper
-//! re-clocked to the scale the bisection picks.
+//! This module adds only the governor: the capped run is
+//! [`Variant::DvfsSim`] at the scale the bisection picks.
 
 use greenness_platform::Node;
 
 use crate::config::PipelineConfig;
-use crate::driver;
 use crate::pipeline::PipelineError;
+use crate::variants::{run_variant, Variant};
 
 /// Result of one capped run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,22 +76,14 @@ pub fn run_capped_insitu(
     let Some(freq_scale) = freq_scale_for_cap(&node, cfg, cap_w) else {
         return Ok(None);
     };
-    let (stepper, mut store) = driver::open(cfg, None)?;
-    let mut stepper = stepper.reclocked(&node, freq_scale);
-
-    while let Some(step) = stepper.next_io_step(&mut node, cfg) {
-        // Rendering is memory-bound; its draw sits far below the cap, so it
-        // runs at full clock (race-to-idle within the budget).
-        let image = driver::render(&mut node, cfg, stepper.grid(), &cfg.render);
-        store.write_frame(&mut node, &driver::frame_name(step), &image)?;
-    }
-    store.end_phase_one(&mut node);
-
+    // Rendering is memory-bound; its draw sits far below the cap, so the
+    // variant runs it at full clock (race-to-idle within the budget).
+    let run = run_variant(Variant::DvfsSim { freq_scale }, &mut node, cfg)?;
     Ok(Some(CappedRun {
         cap_w,
         freq_scale,
-        execution_time_s: node.now().as_secs_f64(),
-        energy_j: node.timeline().total_energy_j(),
+        execution_time_s: run.execution_time_s,
+        energy_j: run.energy_j,
         peak_power_w: node.timeline().peak_power_w(),
     }))
 }

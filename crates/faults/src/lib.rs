@@ -111,9 +111,10 @@ pub struct FaultPlan {
     pub staging_render_rate: f64,
     /// Bounded retry budget for every recovery loop.
     pub max_retries: u32,
-    /// First-retry backoff in (virtual) seconds; doubles per attempt.
-    pub backoff_base_s: f64,
 }
+
+/// First-retry backoff in (virtual) seconds; doubles per attempt.
+const BACKOFF_BASE_S: f64 = 0.002;
 
 impl FaultPlan {
     /// The standard chaos plan used by the CLI `--fault-seed` flags: every
@@ -131,7 +132,6 @@ impl FaultPlan {
             fleet_churn_rate: 0.05,
             staging_render_rate: 0.06,
             max_retries: 8,
-            backoff_base_s: 0.002,
         }
     }
 
@@ -153,7 +153,7 @@ impl FaultPlan {
 
     /// Exponential backoff for the given zero-based retry attempt, seconds.
     pub fn backoff_s(&self, attempt: u32) -> f64 {
-        self.backoff_base_s * f64::from(1u32 << attempt.min(16))
+        BACKOFF_BASE_S * f64::from(1u32 << attempt.min(16))
     }
 
     /// Derive a sub-plan whose schedule is independent of this one —

@@ -649,22 +649,24 @@ impl<D: CostedDevice> FileSystem<D> {
 
     /// [`Self::fsync`] with bounded retry over transient faults: each failed
     /// attempt backs off exponentially (charged to `node` as real idle
-    /// time — static energy), then retries the remaining dirty pages. Other
-    /// errors and an exhausted budget are returned to the caller. With no
-    /// fault schedule installed this is exactly one plain `fsync`.
+    /// time — static energy), then retries the remaining dirty pages.
+    /// Returns how many backed-off attempts it took. Other errors and an
+    /// exhausted budget are returned to the caller. With no fault schedule
+    /// installed this is exactly one plain `fsync`.
     pub fn fsync_with_retry(
         &mut self,
         node: &mut Node,
         name: &str,
         phase: Phase,
-    ) -> Result<(), FsError> {
+    ) -> Result<u32, FsError> {
         let plan = match &self.faults {
             Some(f) => *f.plan(),
-            None => return self.fsync(node, name, phase),
+            None => return self.fsync(node, name, phase).map(|()| 0),
         };
         let mut attempt = 0u32;
         loop {
             match self.fsync(node, name, phase) {
+                Ok(()) => return Ok(attempt),
                 Err(FsError::TransientIo { .. }) if attempt < plan.max_retries => {
                     let pause = plan.backoff_s(attempt);
                     node.execute(Activity::idle_secs(pause), phase);
@@ -683,7 +685,7 @@ impl<D: CostedDevice> FileSystem<D> {
                     }
                     attempt += 1;
                 }
-                other => return other,
+                Err(e) => return Err(e),
             }
         }
     }

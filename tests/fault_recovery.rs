@@ -49,7 +49,7 @@ fn acknowledged_fsyncs_survive_crash_and_recovery() {
             fs.write(&mut node, &name, 0, &data, Phase::Write)
                 .expect("write buffers in cache");
             match fs.fsync_with_retry(&mut node, &name, Phase::Write) {
-                Ok(()) => acked.push((name, data)),
+                Ok(_) => acked.push((name, data)),
                 // Budget exhausted (p ≈ 0.5^9 per file): durability was
                 // never acknowledged, so the property says nothing.
                 Err(FsError::TransientIo { .. }) => {}
@@ -286,7 +286,7 @@ fn acked_fsyncs_survive_crash_mid_migration() {
             fs.write(&mut node, &name, 0, &data, Phase::Write)
                 .expect("write buffers in cache");
             let synced = match fs.fsync_with_retry(&mut node, &name, Phase::Write) {
-                Ok(()) => true,
+                Ok(_) => true,
                 Err(FsError::TransientIo { .. }) => false,
                 Err(e) => panic!("unexpected fsync error: {e}"),
             };

@@ -5,7 +5,7 @@
 //! behavioural tests elsewhere. If one of these trips after an intentional
 //! recalibration, update the pinned value *and* EXPERIMENTS.md together.
 
-use greenness_core::breakdown::CaseBreakdown;
+use greenness_core::breakdown::case_savings;
 use greenness_core::{probes, CaseComparison, ExperimentSetup};
 use greenness_platform::Node;
 use greenness_storage::{fio, FioJob, FioKind, NullBlockDevice};
@@ -60,9 +60,11 @@ fn golden_section5c_energy_split() {
     // share at ±1 point.
     let setup = ExperimentSetup::noiseless();
     let cmp = CaseComparison::run_case(1, &setup).expect("case runs");
-    let b = CaseBreakdown::analyze(&cmp, &setup, 128 * 1024, 50.0).expect("probes ok");
-    let static_kj = b.savings.static_j / 1000.0;
-    let dynamic_kj = b.savings.dynamic_j / 1000.0;
+    let read = probes::nnread(&setup, 128 * 1024, 50.0).expect("probe ok");
+    let write = probes::nnwrite(&setup, 128 * 1024, 50.0).expect("probe ok");
+    let b = case_savings(&cmp, &read, &write);
+    let static_kj = b.static_j / 1000.0;
+    let dynamic_kj = b.dynamic_j / 1000.0;
     assert!(
         rel(static_kj, 11.26) < 0.02,
         "static {static_kj:.2} kJ (measured 11.26, paper 12.8)"
@@ -72,9 +74,9 @@ fn golden_section5c_energy_split() {
         "dynamic {dynamic_kj:.2} kJ (measured 1.09, paper 1.2)"
     );
     assert!(
-        (b.savings.static_pct() - 91.0).abs() < 1.0,
+        (b.static_pct() - 91.0).abs() < 1.0,
         "static share {:.1} % (paper 91 %)",
-        b.savings.static_pct()
+        b.static_pct()
     );
 }
 

@@ -1,15 +1,22 @@
 //! The §V-C analysis end-to-end: Table II probes + the static/dynamic
 //! savings decomposition, at full §IV-C scale.
 
-use greenness_core::breakdown::CaseBreakdown;
+use greenness_core::breakdown::case_savings;
 use greenness_core::probes;
 use greenness_core::{CaseComparison, ExperimentSetup};
 
+/// Table II's two probes at the paper's 128 KiB / 50 s.
+fn table2_probes() -> (probes::ProbeResult, probes::ProbeResult) {
+    let setup = ExperimentSetup::noiseless();
+    (
+        probes::nnread(&setup, 128 * 1024, 50.0).expect("probe ok"),
+        probes::nnwrite(&setup, 128 * 1024, 50.0).expect("probe ok"),
+    )
+}
+
 #[test]
 fn table2_probe_powers_match_the_paper() {
-    let setup = ExperimentSetup::noiseless();
-    let read = probes::nnread(&setup, 128 * 1024, 50.0).expect("probe ok");
-    let write = probes::nnwrite(&setup, 128 * 1024, 50.0).expect("probe ok");
+    let (read, write) = table2_probes();
     // Table II: nnread 115.1 W total / 10.3 W dynamic;
     //           nnwrite 114.8 W total / 10.0 W dynamic.
     assert!(
@@ -37,16 +44,16 @@ fn table2_probe_powers_match_the_paper() {
 #[test]
 fn case1_savings_are_mostly_static() {
     // §V-C headline: ≈12.8 kJ static vs ≈1.2 kJ dynamic — 91% / 9%.
-    let setup = ExperimentSetup::noiseless();
-    let cmp = CaseComparison::run_case(1, &setup).expect("case runs");
-    let b = CaseBreakdown::analyze(&cmp, &setup, 128 * 1024, 50.0).expect("probes ok");
+    let cmp = CaseComparison::run_case(1, &ExperimentSetup::noiseless()).expect("case runs");
+    let (read, write) = table2_probes();
+    let b = case_savings(&cmp, &read, &write);
 
-    let static_kj = b.savings.static_j / 1000.0;
-    let dynamic_kj = b.savings.dynamic_j / 1000.0;
+    let static_kj = b.static_j / 1000.0;
+    let dynamic_kj = b.dynamic_j / 1000.0;
     assert!(
-        (85.0..=95.0).contains(&b.savings.static_pct()),
+        (85.0..=95.0).contains(&b.static_pct()),
         "static share {:.1}% (paper: 91%)",
-        b.savings.static_pct()
+        b.static_pct()
     );
     assert!(
         (0.8..=1.6).contains(&dynamic_kj),
