@@ -1,7 +1,7 @@
 //! Oracle-equivalence suite: every optimized hot path must stay
 //! bit-for-bit the retained straight-line reference it replaced.
 //!
-//! Eleven properties are pinned here:
+//! Twelve properties are pinned here:
 //!
 //! * the fast stencil path (including the row-parallel step at any `jobs`
 //!   value) is bit-for-bit the naive reference on arbitrary grids,
@@ -38,6 +38,10 @@
 //! * the placement grid (every workload under every tier policy, traced,
 //!   plain and under a seeded fault plan) writes the manifest, journal and
 //!   metrics file it wrote while the policies were trait objects;
+//! * a traced single-node sweep (the benchmark's `journal_audit` cells,
+//!   plain and under a seeded fault plan) writes the journal and metrics
+//!   file it wrote before the journal writer memoized float text and the
+//!   registry kept flat counters;
 //! * the `greenness bench-serve` replays — serve, fleet and steering
 //!   sessions, plain and faulted — write the files they wrote while the
 //!   command still had a live TCP mode beside them;
@@ -1057,6 +1061,81 @@ const PLACEMENT_RECORDED: [[&str; 3]; 2] = [
         "dcea43122678c99bfd7ee94d13ddbe6571288372efefcfb1bf31607c7c69fdae",
         "2bc006f06278eb1deb6c63c972589af0757734af4b12b19eea4792d6123eb65b",
         "7fc412560785b1db7d6c55dcb6a7d14b9cf71eef3431756e76096fc180bb9044",
+    ],
+];
+
+/// The single-node journal and metrics file of the `journal_audit` cells:
+/// post-processing and in-situ on the small config at 1000 steps, seed-42
+/// meter, traced.
+fn single_node_artifacts(faults: Option<FaultPlan>) -> [String; 2] {
+    let setup = ExperimentSetup {
+        meter: WattsupMeter {
+            seed: 42,
+            ..WattsupMeter::default()
+        },
+        trace: true,
+        faults,
+        ..ExperimentSetup::default()
+    };
+    let mut cfg = PipelineConfig::small(1);
+    cfg.timesteps = 1000;
+    let jobs = sweep::config_grid(&setup, &[(1, cfg)]);
+    let results = sweep::run_sweep(jobs, 1, &sweep::silent_progress()).expect("small runs");
+    [
+        sweep::sweep_journal(&results),
+        sweep::sweep_metrics_json(&results),
+    ]
+    .map(|artifact| artifact.expect("tracing was on"))
+}
+
+/// Every byte the journal writer and the metrics registry produce for one
+/// traced single-node sweep, plain and under `--fault-seed 11`: labels,
+/// integers, floats in plain and exponent form, counters and snapshots.
+#[test]
+fn single_node_journal_matches_the_recording() {
+    for (faults, recorded) in [None, Some(FaultPlan::with_seed(11))]
+        .into_iter()
+        .zip(SINGLE_NODE_RECORDED)
+    {
+        let faulted = faults.is_some();
+        let [journal, metrics] = single_node_artifacts(faults);
+        let mut events = vec![
+            "activity",
+            "segment",
+            "disk.state",
+            "rapl.poll",
+            "wattsup.sample",
+            "phase_summary",
+            "cache.writeback",
+        ];
+        if faulted {
+            events.extend(["fault.injected", "fault.retry"]);
+        }
+        for name in events {
+            let tag = format!("\"name\":\"{name}\"");
+            assert!(journal.contains(&tag), "{name} fires (faults: {faulted})");
+        }
+        assert!(journal.contains(":0.0,"), "a float prints as 0.0");
+        let exponent = journal.split([',', '}']).any(|field| {
+            let value = field.rsplit(':').next().unwrap_or("");
+            value.contains("e-") && value.parse::<f64>().is_ok()
+        });
+        assert!(exponent, "a float prints in exponent form");
+        let digests = [&journal, &metrics].map(|a| hex(&blake2s256(a.as_bytes())));
+        assert_eq!(digests, recorded, "faults: {faulted}");
+    }
+}
+
+/// Recorded at commit `32f8ed1`: journal, metrics; plain, then
+/// `--fault-seed 11`.
+const SINGLE_NODE_RECORDED: [[&str; 2]; 2] = [
+    [
+        "b09a45beae18c692b682f5ffc225aced26bf8f10461757f1a49053a4cb991862",
+        "2c16efa522c95e2ffbb801d43abcd652c78952661eeda5f6fbc0f43046fe3704",
+    ],
+    [
+        "be0372664bdd308bbab404218dd9e6bef4c074d7fe9f8cbf5b0061abe0e9a3ad",
+        "2fbf3defab8880c24abf72588a02961029c76a28063b155decc7c4bee6b27487",
     ],
 ];
 
