@@ -45,8 +45,8 @@ fn trace_fault(node: &Node, site: &'static str, mode: &'static str, attempt: u32
         node.now().as_nanos(),
         "fault.injected",
         vec![
-            ("site", Value::from(site)),
-            ("mode", Value::from(mode)),
+            ("site", Value::label(site)),
+            ("mode", Value::label(mode)),
             ("attempt", Value::from(attempt)),
             ("backoff_s", Value::from(backoff_s)),
         ],

@@ -652,8 +652,8 @@ impl<'a> Run<'a> {
                 let tracer = stager.tracer();
                 tracer.count("faults.staging.render", 1);
                 let fields = vec![
-                    ("site", Value::from(Site::StagingRender.label())),
-                    ("mode", Value::from("torn")),
+                    ("site", Value::label(Site::StagingRender.label())),
+                    ("mode", Value::label("torn")),
                     ("attempt", Value::from(torn)),
                     ("backoff_s", Value::from(0.0)),
                 ];

@@ -123,7 +123,7 @@ fn execute(id: usize, job: ClusterJob, setup: &ClusterSetup) -> Result<ClusterJo
     let tracer = if setup.trace {
         grid::begin_run(vec![
             ("case", Value::from(job.case)),
-            ("kind", Value::from(job.kind.label())),
+            ("kind", Value::label(job.kind.label())),
         ])
     } else {
         Tracer::off()

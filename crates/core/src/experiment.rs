@@ -138,7 +138,7 @@ pub fn run(
     node.set_monitoring_overhead_w(setup.monitoring_overhead_w);
     if setup.trace {
         node.set_tracer(grid::begin_run(vec![
-            ("pipeline", Value::from(kind.label())),
+            ("pipeline", Value::label(kind.label())),
             ("config", Value::from(cfg.label.as_str())),
         ]));
     }
@@ -186,7 +186,7 @@ fn dump_timeline(tracer: &Tracer, timeline: &Timeline, end_ns: u64) {
             vec![
                 ("start_ns", Value::from(seg.start.as_nanos())),
                 ("dur_ns", Value::from(seg.duration.as_nanos())),
-                ("phase", Value::from(seg.phase.label())),
+                ("phase", Value::label(seg.phase.label())),
                 ("package_w", Value::from(seg.draw.package_w)),
                 ("dram_w", Value::from(seg.draw.dram_w)),
                 ("disk_w", Value::from(seg.draw.disk_w)),
@@ -205,7 +205,7 @@ fn dump_timeline(tracer: &Tracer, timeline: &Timeline, end_ns: u64) {
             end_ns,
             "phase_summary",
             vec![
-                ("phase", Value::from(phase.label())),
+                ("phase", Value::label(phase.label())),
                 ("time_s", Value::from(duration.as_secs_f64())),
                 ("package_j", Value::from(e.package_j)),
                 ("dram_j", Value::from(e.dram_j)),

@@ -22,6 +22,8 @@
 //! results, and every traced job opens with [`begin_run`] and closes with
 //! [`finish_run`].
 
+use std::borrow::Cow;
+
 use greenness_pool::run_pool;
 use greenness_trace::{escape_json, MetricsRegistry, Tracer, Value};
 
@@ -96,25 +98,25 @@ pub(crate) fn run_grid<R: Send>(
 /// t = 0); the `job` begin event marks the clock reset for consumers.
 /// `None` when no job was traced.
 pub(crate) fn journal<'a>(jobs: impl Iterator<Item = JobView<'a>>) -> Option<String> {
-    let mut s = greenness_trace::journal_header();
-    let header_len = s.len();
+    let mut parts: Vec<Cow<'a, str>> = vec![greenness_trace::journal_header().into()];
     for job in jobs {
         let Some(journal) = job.journal else {
             continue;
         };
         let seed = job.seed.map_or(String::new(), |n| format!(",\"seed\":{n}"));
-        s.push_str(&format!(
+        parts.push(Cow::Owned(format!(
             "{{\"t_ns\":0,\"ev\":\"begin\",\"name\":\"job\",\"job\":{},\"key\":\"{}\"{seed}}}\n",
             job.id,
             escape_json(job.key),
-        ));
-        s.push_str(journal);
-        s.push_str(&format!(
+        )));
+        parts.push(Cow::Borrowed(journal));
+        parts.push(Cow::Owned(format!(
             "{{\"t_ns\":{},\"ev\":\"end\",\"name\":\"job\",\"job\":{}}}\n",
             job.end_ns, job.id
-        ));
+        )));
     }
-    (s.len() > header_len).then_some(s)
+    // `concat` sizes the journal once, from the lengths of its parts.
+    (parts.len() > 1).then(|| parts.concat())
 }
 
 /// Render a grid-level metrics file (`greenness-metrics/v1`): one labeled

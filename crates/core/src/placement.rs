@@ -345,8 +345,8 @@ fn execute(
     node.set_monitoring_overhead_w(MONITORING_OVERHEAD_W);
     if setup.trace {
         node.set_tracer(grid::begin_run(vec![
-            ("workload", Value::from(job.workload.label())),
-            ("policy", Value::from(job.policy.label())),
+            ("workload", Value::label(job.workload.label())),
+            ("policy", Value::label(job.policy.label())),
         ]));
     }
 

@@ -18,10 +18,11 @@
 //! `charge_frame` for the live render, the full recompute and the replay —
 //! no filesystem, so the cost is state-independent), and the replay itself.
 //!
-//! Everything here is deterministic. Frames are hashed with the same FNV-1a
-//! the batch pipelines use for snapshot checksums, so two sessions that apply
-//! the same adjustments at the same steps produce byte-identical transcripts
-//! for any solver thread count and across reruns.
+//! Everything here is deterministic. Frames are hashed with byte-serial
+//! FNV-1a (`greenness_faults::fnv1a64`; snapshot checksums use the
+//! four-lane `checksum64` instead), so two sessions that apply the same
+//! adjustments at the same steps produce byte-identical transcripts for any
+//! solver thread count and across reruns.
 
 use crate::config::PipelineConfig;
 use crate::driver::{check_io_interval, Stepper};

@@ -90,7 +90,7 @@ impl Node {
         if let Some(phase) = self.open_phase.take() {
             let t = self.now.as_nanos();
             self.tracer
-                .end(t, "phase", vec![("phase", Value::from(phase.label()))]);
+                .end(t, "phase", vec![("phase", Value::label(phase.label()))]);
             self.tracer.snapshot(&format!("phase:{}", phase.label()));
         }
     }
@@ -190,11 +190,11 @@ impl Node {
         if self.open_phase != Some(phase) {
             if let Some(prev) = self.open_phase {
                 self.tracer
-                    .end(t, "phase", vec![("phase", Value::from(prev.label()))]);
+                    .end(t, "phase", vec![("phase", Value::label(prev.label()))]);
                 self.tracer.snapshot(&format!("phase:{}", prev.label()));
             }
             self.tracer
-                .begin(t, "phase", vec![("phase", Value::from(phase.label()))]);
+                .begin(t, "phase", vec![("phase", Value::label(phase.label()))]);
             self.open_phase = Some(phase);
         }
         let (kind, disk_state) = match activity {
@@ -212,8 +212,8 @@ impl Node {
                 t,
                 "disk.state",
                 vec![
-                    ("from", Value::from(self.disk_state)),
-                    ("to", Value::from(disk_state)),
+                    ("from", Value::label(self.disk_state)),
+                    ("to", Value::label(disk_state)),
                 ],
             );
             self.tracer.count("disk.state_transitions", 1);
@@ -267,8 +267,8 @@ impl Node {
             t,
             "activity",
             vec![
-                ("phase", Value::from(phase.label())),
-                ("kind", Value::from(kind)),
+                ("phase", Value::label(phase.label())),
+                ("kind", Value::label(kind)),
                 ("secs", Value::from(secs)),
                 ("bytes", Value::from(bytes)),
                 ("package_w", Value::from(draw.package_w)),

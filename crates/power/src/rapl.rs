@@ -162,7 +162,7 @@ impl RaplReader {
                     t_ns,
                     "rapl.poll",
                     vec![
-                        ("domain", Value::from(domain_label)),
+                        ("domain", Value::label(domain_label)),
                         ("t_s", Value::from(t)),
                         ("watts", Value::from(w)),
                     ],

@@ -634,8 +634,11 @@ impl<D: CostedDevice> FileSystem<D> {
                 node.now().as_nanos(),
                 "fault.injected",
                 vec![
-                    ("site", Value::from("storage.fsync")),
-                    ("mode", Value::from(if torn { "torn" } else { "transient" })),
+                    ("site", Value::label("storage.fsync")),
+                    (
+                        "mode",
+                        Value::label(if torn { "torn" } else { "transient" }),
+                    ),
                     ("flushed_pages", Value::from(prefix)),
                 ],
             );
@@ -677,7 +680,7 @@ impl<D: CostedDevice> FileSystem<D> {
                             node.now().as_nanos(),
                             "fault.retry",
                             vec![
-                                ("site", Value::from("storage.fsync")),
+                                ("site", Value::label("storage.fsync")),
                                 ("attempt", Value::from(attempt + 1)),
                                 ("backoff_s", Value::from(pause)),
                             ],

@@ -424,8 +424,11 @@ impl TieredStore {
                     node.now().as_nanos(),
                     "fault.injected",
                     vec![
-                        ("site", Value::from("tier.migration")),
-                        ("mode", Value::from(if torn { "torn" } else { "transient" })),
+                        ("site", Value::label("tier.migration")),
+                        (
+                            "mode",
+                            Value::label(if torn { "torn" } else { "transient" }),
+                        ),
                         ("logical", Value::from(logical as usize)),
                     ],
                 );
@@ -563,8 +566,8 @@ impl CostedDevice for TieredStore {
                         node.now().as_nanos(),
                         "fault.injected",
                         vec![
-                            ("site", Value::from("tier.io")),
-                            ("mode", Value::from("transient")),
+                            ("site", Value::label("tier.io")),
+                            ("mode", Value::label("transient")),
                             ("tier", Value::from(name)),
                         ],
                     );

@@ -2,8 +2,9 @@
 //! string-literal decoder, one escaper, one number validator and one
 //! `skip_ws`, under two data models whose traffic differs —
 //!
-//! * [`FlatObject`]: borrowed and flat, for 17 MB journals. The summarizer
-//!   scans a line with no copy unless a string holds an escape.
+//! * [`scan_flat_object`]: borrowed and flat, for 17 MB journals. The
+//!   summarizer reads a line's members as they are scanned, with no copy
+//!   unless a string holds an escape.
 //! * [`Json`]: owned and nested, for 100-byte request lines, with the
 //!   **canonical** serialization the serve protocol hashes for content
 //!   addressing: object keys sorted bytewise, numbers normalized through
@@ -23,9 +24,6 @@
 
 use std::borrow::Cow;
 use std::fmt::{self, Write};
-
-/// Why a `fmt::Result` from writing into a `String` is unwrapped.
-pub(crate) const INFALLIBLE: &str = "a String accepts every write";
 
 /// Append `s` to `out`, escaped for a JSON string literal; stretches that
 /// need no escape (every label, kind and state in a journal) are copied whole.
@@ -50,10 +48,15 @@ pub(crate) fn push_escaped<W: Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_str(&s[run..])
 }
 
+/// [`push_escaped`] into a `String`, whose `fmt::Write` never fails.
+pub(crate) fn push_escaped_str(out: &mut String, s: &str) {
+    let _ = push_escaped(out, s);
+}
+
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s).expect(INFALLIBLE);
+    push_escaped_str(&mut out, s);
     out
 }
 
@@ -70,7 +73,8 @@ pub(crate) fn push_f64<W: Write>(out: &mut W, v: f64) -> fmt::Result {
 /// Round-trippable float formatting; non-finite values become `null`.
 pub fn fmt_f64(v: f64) -> String {
     let mut out = String::new();
-    push_f64(&mut out, v).expect(INFALLIBLE);
+    // `String`'s `fmt::Write` never fails.
+    let _ = push_f64(&mut out, v);
     out
 }
 
@@ -89,57 +93,24 @@ pub(crate) enum Scalar<'a> {
     Null,
 }
 
-/// The key/value pairs of one flat object, in source order. [`Self::scan`]
-/// replaces them, so one buffer serves a whole journal and what it holds
-/// borrows from the journal, not from the line.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct FlatObject<'a>(Vec<(Cow<'a, str>, Scalar<'a>)>);
-
-impl<'a> FlatObject<'a> {
-    /// The first value under `key`.
-    pub(crate) fn get(&self, key: &str) -> Option<&Scalar<'a>> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+/// Scan a single-line flat JSON object (string/number/bool/null values, no
+/// nesting) in one pass, handing each member to `member` in source order:
+/// no copy unless a string holds an escape, and what it hands out borrows
+/// from `line`. This is all the journal format needs; anything else is a
+/// malformed line.
+pub(crate) fn scan_flat_object<'a>(
+    line: &'a str,
+    member: impl FnMut(Cow<'a, str>, Scalar<'a>),
+) -> Result<(), String> {
+    let line = line.trim();
+    if !line.starts_with('{') {
+        return Err("expected '{' at byte 0".to_string());
     }
-
-    /// The string under `key`.
-    pub(crate) fn str(&self, key: &str) -> Option<&str> {
-        match self.get(key)? {
-            Scalar::Str(s) => Some(s),
-            _ => None,
-        }
+    let end = scan_members(line, 0, |at| scan_value(line, at), member)?;
+    if skip_ws(line.as_bytes(), end) != line.len() {
+        return Err(format!("trailing garbage at byte {end}"));
     }
-
-    /// The number under `key` as `T`: `u64` takes integral tokens only,
-    /// `f64` is exact for round-trip `{:?}` output.
-    pub(crate) fn num<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        match self.get(key)? {
-            Scalar::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// Scan a single-line flat JSON object (string/number/bool/null values,
-    /// no nesting): one pass, and no copy unless a string holds an escape.
-    /// This is all the journal format needs; anything else is a malformed
-    /// line.
-    pub(crate) fn scan(&mut self, line: &'a str) -> Result<(), String> {
-        self.0.clear();
-        let line = line.trim();
-        if !line.starts_with('{') {
-            return Err("expected '{' at byte 0".to_string());
-        }
-        let pairs = &mut self.0;
-        let end = scan_members(
-            line,
-            0,
-            |at| scan_value(line, at),
-            |k, v| pairs.push((k, v)),
-        )?;
-        if skip_ws(line.as_bytes(), end) != line.len() {
-            return Err(format!("trailing garbage at byte {end}"));
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// A parsed JSON value. Numbers keep their raw source token so integer
@@ -261,7 +232,8 @@ impl Json {
     /// echo request ids).
     pub fn to_string_raw(&self) -> String {
         let mut out = String::new();
-        self.write(false, &mut out).expect(INFALLIBLE);
+        // `String`'s `fmt::Write` never fails.
+        let _ = self.write(false, &mut out);
         out
     }
 
@@ -538,39 +510,37 @@ fn scan_string(line: &str, mut i: usize) -> Result<(Cow<'_, str>, usize), String
     // Allocated at the first escape; `run` starts the stretch not yet copied.
     let mut decoded: Option<String> = None;
     let mut run = i;
-    while let Some(&b) = bytes.get(i) {
-        match b {
-            b'"' => {
-                let tail = &line[run..i];
-                let s = decoded.map_or(Cow::Borrowed(tail), |s| Cow::Owned(s + tail));
-                return Ok((s, i + 1));
-            }
-            b'\\' => {
-                let s = decoded.get_or_insert_with(String::new);
-                s.push_str(&line[run..i]);
-                i += 1;
-                match bytes.get(i) {
-                    Some(c @ (b'"' | b'\\' | b'/')) => s.push(*c as char),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'b') => s.push('\u{8}'),
-                    Some(b'f') => s.push('\u{c}'),
-                    Some(b'u') => {
-                        let code = line
-                            .get(i + 1..i + 5)
-                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {i}"))?;
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        i += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {i}")),
-                }
-                i += 1;
-                run = i;
-            }
-            _ => i += 1,
+    // Jump from one quote or backslash to the next: the bytes between them
+    // are copied whole, or borrowed when the literal holds no escape.
+    while let Some(len) = bytes[i..].iter().position(|&b| b == b'"' || b == b'\\') {
+        i += len;
+        if bytes[i] == b'"' {
+            let tail = &line[run..i];
+            let s = decoded.map_or(Cow::Borrowed(tail), |s| Cow::Owned(s + tail));
+            return Ok((s, i + 1));
         }
+        let s = decoded.get_or_insert_with(String::new);
+        s.push_str(&line[run..i]);
+        i += 1;
+        match bytes.get(i) {
+            Some(c @ (b'"' | b'\\' | b'/')) => s.push(*c as char),
+            Some(b'n') => s.push('\n'),
+            Some(b'r') => s.push('\r'),
+            Some(b't') => s.push('\t'),
+            Some(b'b') => s.push('\u{8}'),
+            Some(b'f') => s.push('\u{c}'),
+            Some(b'u') => {
+                let code = line
+                    .get(i + 1..i + 5)
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| format!("bad \\u escape at byte {i}"))?;
+                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                i += 4;
+            }
+            _ => return Err(format!("bad escape at byte {i}")),
+        }
+        i += 1;
+        run = i;
     }
     Err("unterminated string".to_string())
 }
@@ -584,37 +554,54 @@ fn scan_value(line: &str, i: usize) -> Result<(Scalar<'_>, usize), String> {
         Some(b'f') if bytes[i..].starts_with(b"false") => Ok((Scalar::Bool(false), i + 5)),
         Some(b'n') if bytes[i..].starts_with(b"null") => Ok((Scalar::Null, i + 4)),
         Some(c) if c.is_ascii_digit() || *c == b'-' => {
+            // A token is the longest run of number bytes; it must be one
+            // number, so a number followed by more number bytes is bad.
             let is_number_byte =
                 |b: &u8| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E');
-            let len = bytes[i..].iter().take_while(|b| is_number_byte(b)).count();
-            let raw = &line[i..i + len];
-            if !is_json_number(raw.as_bytes()) {
-                return Err(format!("bad number at byte {i}"));
+            match json_number_end(bytes, i) {
+                Some(end) if !bytes.get(end).is_some_and(is_number_byte) => {
+                    Ok((Scalar::Num(&line[i..end]), end))
+                }
+                _ => Err(format!("bad number at byte {i}")),
             }
-            Ok((Scalar::Num(raw), i + len))
         }
         _ => Err(format!("unexpected value at byte {i}")),
     }
 }
 
-/// RFC 8259's number: `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
-fn is_json_number(token: &[u8]) -> bool {
-    let digits = |t: &[u8]| t.iter().take_while(|b| b.is_ascii_digit()).count();
-    let unsigned = token.strip_prefix(b"-").unwrap_or(token);
-    let int = digits(unsigned);
-    let (frac_ok, rest) = match &unsigned[int..] {
-        [b'.', frac @ ..] => (digits(frac) > 0, &frac[digits(frac)..]),
-        rest => (true, rest),
-    };
-    let exp_ok = match rest {
-        [] => true,
-        [b'e' | b'E', b'+' | b'-', exp @ ..] | [b'e' | b'E', exp @ ..] => {
-            !exp.is_empty() && digits(exp) == exp.len()
+/// The byte after the longest RFC 8259 number opening at byte `i`
+/// (`-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`), in one pass; `None`
+/// when no number opens there.
+fn json_number_end(bytes: &[u8], mut i: usize) -> Option<usize> {
+    let digits = |mut i: usize| {
+        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
         }
-        _ => false,
+        i
     };
-    int > 0 && (int == 1 || unsigned[0] != b'0') && frac_ok && exp_ok
+    if bytes.get(i) == Some(&b'-') {
+        i += 1;
+    }
+    i = match bytes.get(i)? {
+        b'0' => i + 1,
+        b'1'..=b'9' => digits(i + 1),
+        _ => return None,
+    };
+    if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+        i = digits(i + 1);
+    }
+    if matches!(bytes.get(i), Some(b'e' | b'E')) {
+        let sign = usize::from(matches!(bytes.get(i + 1), Some(b'+' | b'-')));
+        if bytes.get(i + 1 + sign).is_some_and(u8::is_ascii_digit) {
+            i = digits(i + 1 + sign);
+        }
+    }
+    Some(i)
 }
+
+/// Why a `fmt::Result` from writing into a `String` is unwrapped in tests.
+#[cfg(test)]
+const INFALLIBLE: &str = "a String accepts every write";
 
 /// The tree's canonical serialization, the oracle [`write_canonical_spans`]
 /// is checked against.
@@ -982,21 +969,42 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn scan(line: &str) -> Result<FlatObject<'_>, String> {
-        let mut object = FlatObject::default();
-        object.scan(line).map(|()| object)
+    type Pairs<'a> = Vec<(Cow<'a, str>, Scalar<'a>)>;
+
+    /// What `scan_flat_object` hands out for `line`, in source order.
+    fn scan(line: &str) -> Result<Pairs<'_>, String> {
+        let mut pairs = Vec::new();
+        scan_flat_object(line, |k, v| pairs.push((k, v))).map(|()| pairs)
+    }
+
+    /// The string under `key`'s first pair.
+    fn str_of<'p>(pairs: &'p Pairs<'_>, key: &str) -> Option<&'p str> {
+        match pairs.iter().find(|(k, _)| k == key)? {
+            (_, Scalar::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number under `key`'s first pair, as `T`.
+    fn num_of<T: std::str::FromStr>(pairs: &Pairs<'_>, key: &str) -> Option<T> {
+        match pairs.iter().find(|(k, _)| k == key)? {
+            (_, Scalar::Num(raw)) => raw.parse().ok(),
+            _ => None,
+        }
     }
 
     #[test]
     fn flat_object_round_trips() {
         let line =
             r#"{"t_ns":1500000000,"ev":"event","name":"activity","secs":0.25,"ok":true,"x":null}"#;
-        let object = scan(line).unwrap();
-        assert_eq!(object.num::<u64>("t_ns"), Some(1_500_000_000));
-        assert_eq!(object.str("ev"), Some("event"));
-        assert_eq!(object.num::<f64>("secs"), Some(0.25));
-        assert_eq!((object.str("t_ns"), object.num::<u64>("ev")), (None, None));
-        let kv = object.0;
+        let kv = scan(line).unwrap();
+        assert_eq!(num_of::<u64>(&kv, "t_ns"), Some(1_500_000_000));
+        assert_eq!(str_of(&kv, "ev"), Some("event"));
+        assert_eq!(num_of::<f64>(&kv, "secs"), Some(0.25));
+        assert_eq!(
+            (str_of(&kv, "t_ns"), num_of::<u64>(&kv, "ev")),
+            (None, None)
+        );
         assert_eq!(kv[0].0, "t_ns");
         assert_eq!(kv[4].1, Scalar::Bool(true));
         assert_eq!(kv[5].1, Scalar::Null);
@@ -1010,7 +1018,7 @@ mod tests {
     #[test]
     fn escaped_strings_decode() {
         let line = "{\"k\":\"a\\\"b\\\\c\\n\\u0041\"}";
-        let kv = scan(line).unwrap().0;
+        let kv = scan(line).unwrap();
         assert_eq!(kv[0].1, Scalar::Str("a\"b\\c\nA".into()));
     }
 
@@ -1063,7 +1071,7 @@ mod tests {
             "123456.789012345",
         ] {
             let line = format!("{{\"dur_ns\":{token}}}");
-            assert_eq!(scan(&line).unwrap().0[0].1, Scalar::Num(token), "{token}");
+            assert_eq!(scan(&line).unwrap()[0].1, Scalar::Num(token), "{token}");
         }
     }
 
@@ -1171,7 +1179,7 @@ mod tests {
     }
 
     /// A JSON-number check written by splitting instead of scanning, so the
-    /// oracle below does not lean on `is_json_number` itself.
+    /// oracle below does not lean on `json_number_end` itself.
     fn json_number_by_splitting(raw: &str) -> bool {
         let all_digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
         let unsigned = raw.strip_prefix('-').unwrap_or(raw);
@@ -1221,8 +1229,8 @@ mod tests {
                     }
                 };
                 assert!(numbers_ok, "{line:?}");
-                assert_eq!(new.0.len(), old.len(), "{line:?}");
-                for ((k, v), (old_k, old_v)) in new.0.iter().zip(&old) {
+                assert_eq!(new.len(), old.len(), "{line:?}");
+                for ((k, v), (old_k, old_v)) in new.iter().zip(&old) {
                     assert_eq!(k, old_k, "{line:?}");
                     let same = match (v, old_v) {
                         (Scalar::Num(a), JsonValue::Num(b)) => a == b,
@@ -1234,10 +1242,10 @@ mod tests {
                     assert!(same, "{line:?}: {v:?} vs {old_v:?}");
                     // Lookups: the first pair under a repeated key wins.
                     let (_, first) = old.iter().find(|(k, _)| k == old_k).expect("present");
-                    assert_eq!(new.str(k), first.as_str());
-                    assert_eq!(new.num::<u64>(k), first.as_u64());
+                    assert_eq!(str_of(&new, k), first.as_str());
+                    assert_eq!(num_of::<u64>(&new, k), first.as_u64());
                     assert_eq!(
-                        new.num::<f64>(k).map(f64::to_bits),
+                        num_of::<f64>(&new, k).map(f64::to_bits),
                         first.as_f64().map(f64::to_bits)
                     );
                 }
@@ -1276,8 +1284,8 @@ mod tests {
         match &tree {
             Ok(Json::Obj(members)) if members.iter().all(|(_, v)| scalar(v)) => {
                 let flat = flat.unwrap_or_else(|e| panic!("{line:?}: {e}"));
-                assert_eq!(flat.0.len(), members.len(), "{line:?}");
-                for ((k, v), (tree_k, tree_v)) in flat.0.iter().zip(members) {
+                assert_eq!(flat.len(), members.len(), "{line:?}");
+                for ((k, v), (tree_k, tree_v)) in flat.iter().zip(members) {
                     assert_eq!(k, tree_k, "{line:?}");
                     let same = match (v, tree_v) {
                         (Scalar::Num(a), Json::Num(b)) => a == b,

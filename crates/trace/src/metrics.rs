@@ -1,7 +1,8 @@
 //! Named monotonic counters, gauges, and latency histograms, snapshotted at
 //! phase and job boundaries. Keys are `&'static str` so incrementing a
-//! counter on the hot path allocates nothing; `BTreeMap` keeps JSON output
-//! deterministically ordered.
+//! counter on the hot path allocates nothing. Counters live in flat slots,
+//! found by the caller's pointer; a `BTreeMap` is built only where output
+//! must be ordered (snapshots, [`MetricsRegistry::counters`], JSON).
 
 use std::collections::BTreeMap;
 
@@ -175,11 +176,52 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<&'static str, Histogram>,
 }
 
+/// Flat counter slots, one per name pointer a caller has passed, in
+/// first-seen order. Two pointers with equal text (the same literal compiled
+/// into two crates, as `disk.seeks` is) are one counter: reads sum them.
+#[derive(Debug, Clone, Default)]
+struct Counters(Vec<(&'static str, u64)>);
+
+impl Counters {
+    /// Counter `name`'s slot, found by pointer (created at zero).
+    fn slot(&mut self, name: &'static str) -> &mut u64 {
+        let at = match self
+            .0
+            .iter()
+            .position(|(seen, _)| std::ptr::eq(*seen, name))
+        {
+            Some(at) => at,
+            None => {
+                self.0.push((name, 0));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[at].1
+    }
+
+    fn get(&self, name: &str) -> u64 {
+        self.0
+            .iter()
+            .filter(|(text, _)| *text == name)
+            .map(|&(_, value)| value)
+            .sum()
+    }
+
+    /// The counters in key order, equal texts summed.
+    fn ordered(&self) -> BTreeMap<&'static str, u64> {
+        let mut ordered = BTreeMap::new();
+        for &(text, value) in &self.0 {
+            *ordered.entry(text).or_insert(0) += value;
+        }
+        ordered
+    }
+}
+
 /// The metrics registry: monotonic counters, last-write-wins gauges,
 /// log-bucket histograms, and an ordered list of snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
+    counters: Counters,
     gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
     snapshots: Vec<MetricsSnapshot>,
@@ -188,7 +230,7 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Add `by` to counter `name` (creating it at zero).
     pub fn incr(&mut self, name: &'static str, by: u64) {
-        *self.counters.entry(name).or_insert(0) += by;
+        *self.counters.slot(name) += by;
     }
 
     /// Set gauge `name` to `value`.
@@ -198,7 +240,7 @@ impl MetricsRegistry {
 
     /// Current value of counter `name` (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters.get(name)
     }
 
     /// Current value of gauge `name`.
@@ -208,7 +250,7 @@ impl MetricsRegistry {
 
     /// All counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        self.counters.ordered().into_iter()
     }
 
     /// Record `value` into histogram `name` (creating it empty).
@@ -226,7 +268,7 @@ impl MetricsRegistry {
     pub fn snapshot(&mut self, label: &str) {
         self.snapshots.push(MetricsSnapshot {
             label: label.to_string(),
-            counters: self.counters.clone(),
+            counters: self.counters.ordered(),
             gauges: self.gauges.clone(),
             histograms: self.histograms.clone(),
         });
@@ -280,7 +322,7 @@ impl MetricsRegistry {
             .collect();
         format!(
             "{{\"counters\":{},\"gauges\":{}{},\"snapshots\":[{}]}}",
-            counters_json(&self.counters),
+            counters_json(&self.counters.ordered()),
             gauges_json(&self.gauges),
             histograms_json(&self.histograms),
             snaps.join(",")
@@ -291,6 +333,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// `Histogram::observe`'s bucket search as it was: try every bound in
     /// turn. The oracle for [`bucket_index`].
@@ -409,6 +452,94 @@ mod tests {
         // p = 0 clamps to the smallest sample rather than rank 0.
         assert_eq!(percentile_nearest_rank(&four, 0.0), 1.0);
         assert_eq!(percentile_nearest_rank(&[], 0.5), 0.0);
+    }
+
+    /// The counters as they were: one `BTreeMap` entry per name text, and a
+    /// clone of the map per snapshot. The oracle for the flat slots.
+    #[derive(Default)]
+    struct CountersReference {
+        counters: BTreeMap<&'static str, u64>,
+        snapshots: Vec<(String, BTreeMap<&'static str, u64>)>,
+    }
+
+    impl CountersReference {
+        fn to_json(&self) -> String {
+            let counters = |m: &BTreeMap<&str, u64>| {
+                let body: Vec<String> = m.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+                format!("{{{}}}", body.join(","))
+            };
+            let snaps: Vec<String> = self
+                .snapshots
+                .iter()
+                .map(|(label, m)| {
+                    format!(
+                        "{{\"label\":\"{label}\",\"counters\":{},\"gauges\":{{}}}}",
+                        counters(m)
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"counters\":{},\"gauges\":{{}},\"snapshots\":[{}]}}",
+                counters(&self.counters),
+                snaps.join(",")
+            )
+        }
+    }
+
+    /// Names as callers pass them: literals, and the same texts at other
+    /// addresses (as the same literal compiled into two crates would be).
+    fn names() -> Vec<&'static str> {
+        let elsewhere =
+            |text: &str| -> &'static str { Box::leak(text.to_string().into_boxed_str()) };
+        let names = vec![
+            "dram.bytes",
+            elsewhere("dram.bytes"),
+            "disk.reads",
+            "a",
+            elsewhere("a"),
+            elsewhere("a"),
+            "z.last",
+            "activity.count",
+        ];
+        assert!(!std::ptr::eq(names[0], names[1]) && names[0] == names[1]);
+        names
+    }
+
+    proptest! {
+        /// Any mix of increments through aliased names and snapshots reads,
+        /// snapshots and renders as the ordered map did.
+        #[test]
+        fn flat_counters_match_the_ordered_map(
+            ops in prop::collection::vec((0usize..9, 0u64..1_000_000), 0..60),
+        ) {
+            let names = names();
+            let mut flat = MetricsRegistry::default();
+            let mut reference = CountersReference::default();
+            for (i, (pick, by)) in ops.into_iter().enumerate() {
+                match names.get(pick) {
+                    Some(&name) => {
+                        flat.incr(name, by);
+                        *reference.counters.entry(name).or_insert(0) += by;
+                    }
+                    None => {
+                        let label = format!("s{i}");
+                        flat.snapshot(&label);
+                        reference.snapshots.push((label, reference.counters.clone()));
+                    }
+                }
+            }
+            for name in &names {
+                prop_assert_eq!(flat.counter(name), reference.counters.get(name).copied().unwrap_or(0));
+            }
+            let listed: Vec<(&str, u64)> = flat.counters().collect();
+            let want: Vec<(&str, u64)> = reference.counters.iter().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(listed, want);
+            for (snap, (label, counters)) in flat.snapshots().iter().zip(&reference.snapshots) {
+                prop_assert_eq!(&snap.label, label);
+                prop_assert_eq!(&snap.counters, counters);
+            }
+            prop_assert_eq!(flat.to_json(), reference.to_json());
+        }
     }
 
     #[test]

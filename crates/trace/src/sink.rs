@@ -1,9 +1,9 @@
 //! Trace events and the sinks that receive them.
 
-use std::fmt::Write;
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::json::{push_escaped, push_f64, INFALLIBLE};
+use crate::json::{push_escaped_str, push_f64};
 
 /// A field value attached to a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,10 +14,20 @@ pub enum Value {
     I64(i64),
     /// Float (seconds, watts, joules) — rendered round-trippably.
     F64(f64),
-    /// String (phase labels, activity kinds, device states).
-    Str(String),
+    /// String (phase labels, activity kinds, device states): borrowed when
+    /// it is a [`Value::label`], owned otherwise.
+    Str(Cow<'static, str>),
     /// Boolean.
     Bool(bool),
+}
+
+impl Value {
+    /// A `'static` label (a phase, an activity kind, a disk state, a fault
+    /// site), held without a copy. `From<&str>` takes any lifetime, so it
+    /// must copy.
+    pub fn label(text: &'static str) -> Self {
+        Value::Str(Cow::Borrowed(text))
+    }
 }
 
 impl From<u64> for Value {
@@ -47,12 +57,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(Cow::Owned(v.to_string()))
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 impl From<bool> for Value {
@@ -101,25 +111,37 @@ impl TraceEvent {
     /// Append this event to `buf` as one JSONL line (no trailing newline).
     /// The one place an event becomes JSON: it renders in place, with no
     /// intermediate string per event, field or value.
-    fn write_jsonl(&self, buf: &mut String) {
-        let (ev, name) = (self.kind.label(), self.name);
-        write!(
-            buf,
-            "{{\"t_ns\":{},\"ev\":\"{ev}\",\"name\":\"{name}\"",
-            self.t_ns
-        )
-        .expect(INFALLIBLE);
+    /// Floats go through `floats` when the caller keeps a memo across events.
+    fn write_jsonl(&self, buf: &mut String, mut floats: Option<&mut FloatMemo>) {
+        buf.push_str("{\"t_ns\":");
+        push_u64(buf, self.t_ns);
+        buf.push_str(",\"ev\":\"");
+        buf.push_str(self.kind.label());
+        buf.push_str("\",\"name\":\"");
+        buf.push_str(self.name);
+        buf.push('"');
         for (k, v) in &self.fields {
             buf.push_str(",\"");
             buf.push_str(k);
             buf.push_str("\":");
             match v {
-                Value::U64(v) => write!(buf, "{v}").expect(INFALLIBLE),
-                Value::I64(v) => write!(buf, "{v}").expect(INFALLIBLE),
-                Value::F64(v) => push_f64(buf, *v).expect(INFALLIBLE),
+                Value::U64(v) => push_u64(buf, *v),
+                Value::I64(v) => {
+                    if *v < 0 {
+                        buf.push('-');
+                    }
+                    push_u64(buf, v.unsigned_abs());
+                }
+                Value::F64(v) => match floats.as_deref_mut() {
+                    Some(memo) => memo.push(buf, *v),
+                    // `String`'s `fmt::Write` never fails.
+                    None => {
+                        let _ = push_f64(buf, *v);
+                    }
+                },
                 Value::Str(s) => {
                     buf.push('"');
-                    push_escaped(buf, s).expect(INFALLIBLE);
+                    push_escaped_str(buf, s);
                     buf.push('"');
                 }
                 Value::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),
@@ -131,9 +153,85 @@ impl TraceEvent {
     /// Render as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         let mut line = String::new();
-        self.write_jsonl(&mut line);
+        self.write_jsonl(&mut line, None);
         line
     }
+}
+
+/// Append `v` in decimal, as `{v}` prints it.
+fn push_u64(buf: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Slots in a [`FloatMemo`]. A journal repeats few distinct floats (the
+/// single-node pipelines print ≈6.6k distinct values in ≈369k), so 4096
+/// direct-mapped slots hit ≈97 % of them.
+const MEMO_SLOTS: usize = 4096;
+
+/// The longest float text a slot holds; a longer one (a negative value with
+/// a three-digit exponent and seventeen digits) is printed every time.
+const MEMO_TEXT: usize = 23;
+
+/// One memoized float: its bits and the text [`push_f64`] printed for them
+/// (`len == 0` marks an empty slot: no float prints as nothing).
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoSlot {
+    bits: u64,
+    len: u8,
+    text: [u8; MEMO_TEXT],
+}
+
+/// The text std's shortest round-trip printer wrote for recently seen `f64`
+/// bit patterns, one direct-mapped slot per hash of the bits. A hit replays
+/// the bytes printed for the very same bits, so it is exact by construction;
+/// a miss prints and takes the slot over. The table is allocated at the
+/// first float.
+#[derive(Debug, Default)]
+struct FloatMemo {
+    slots: Vec<MemoSlot>,
+}
+
+impl FloatMemo {
+    /// Append `v` in round-trippable float formatting, non-finite values as
+    /// `null`: exactly what [`crate::fmt_f64`] returns.
+    fn push(&mut self, buf: &mut String, v: f64) {
+        if self.slots.is_empty() {
+            self.slots = vec![MemoSlot::default(); MEMO_SLOTS];
+        }
+        let bits = v.to_bits();
+        let slot = &mut self.slots[memo_slot(bits)];
+        let len = usize::from(slot.len);
+        if len > 0 && slot.bits == bits {
+            buf.extend(slot.text[..len].iter().map(|&b| char::from(b)));
+            return;
+        }
+        let start = buf.len();
+        // `String`'s `fmt::Write` never fails.
+        let _ = push_f64(buf, v);
+        let printed = &buf.as_bytes()[start..];
+        if let Some(text) = slot.text.get_mut(..printed.len()) {
+            text.copy_from_slice(printed);
+            slot.bits = bits;
+            slot.len = printed.len() as u8;
+        }
+    }
+}
+
+/// The slot a float's bits map to. Fibonacci hashing: the top bits of the
+/// product depend on every bit of `bits`, so values that differ only low in
+/// the mantissa spread as well as round ones.
+fn memo_slot(bits: u64) -> usize {
+    (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 /// Receives trace events. Implementations must be cheap: the tracer already
@@ -155,6 +253,7 @@ pub trait TraceSink: Send {
 #[derive(Debug, Default)]
 pub struct JsonlSink {
     buf: String,
+    floats: FloatMemo,
 }
 
 impl JsonlSink {
@@ -166,12 +265,17 @@ impl JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn record(&mut self, ev: &TraceEvent) {
-        ev.write_jsonl(&mut self.buf);
+        ev.write_jsonl(&mut self.buf, Some(&mut self.floats));
         self.buf.push('\n');
     }
 
+    /// The journal, its capacity trimmed to its length: a run's journal
+    /// outlives the run, and the buffer's doubling slack would outlive it
+    /// too.
     fn drain_jsonl(&mut self) -> String {
-        std::mem::take(&mut self.buf)
+        let mut journal = std::mem::take(&mut self.buf);
+        journal.shrink_to_fit();
+        journal
     }
 }
 
@@ -185,7 +289,10 @@ pub struct MemoryHandle {
 impl MemoryHandle {
     /// Snapshot of all recorded events.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().expect("memory sink lock").clone()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -212,7 +319,7 @@ impl TraceSink for MemorySink {
     fn record(&mut self, ev: &TraceEvent) {
         self.events
             .lock()
-            .expect("memory sink lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(ev.clone());
     }
 }
@@ -286,7 +393,8 @@ mod tests {
                 f64::NEG_INFINITY,
             ])
             .prop_map(Value::F64),
-            text.prop_map(|atoms| Value::Str(atoms.concat())),
+            text.prop_map(|atoms| Value::from(atoms.concat())),
+            colliding_floats().prop_map(Value::F64),
             any::<bool>().prop_map(Value::Bool),
         ]
     }
@@ -310,6 +418,91 @@ mod tests {
                 name,
                 fields,
             })
+    }
+
+    /// `n` floats after `seed` that share its memo slot.
+    fn slot_mates(seed: f64, n: usize) -> Vec<f64> {
+        let slot = memo_slot(seed.to_bits());
+        (1..)
+            .map(|k: u64| f64::from_bits(seed.to_bits() ^ k.wrapping_mul(0x2545_f491_4f6c_dd1d)))
+            .filter(|v| v.is_finite() && memo_slot(v.to_bits()) == slot)
+            .take(n)
+            .collect()
+    }
+
+    /// A small pool, so a stream repeats values: round and ragged watts,
+    /// three values on one slot, signed zeros, subnormals, the finite
+    /// extremes, a text too long for a slot, and the non-finite values.
+    fn colliding_floats() -> impl Strategy<Value = f64> {
+        let mut pool = vec![
+            0.0,
+            -0.0,
+            143.0,
+            15.258789e-6,
+            3.2768e-7,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            -1.234_567_890_123_456_7e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        pool.extend(slot_mates(143.0, 2));
+        prop::sample::select(pool)
+    }
+
+    #[test]
+    fn the_float_memo_replays_exactly_what_std_prints() {
+        let mut pool = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            5e-324,
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            -1.234_567_890_123_456_7e-300,
+            (u64::MAX as f64),
+            0.1,
+            1.0 / 3.0,
+        ];
+        pool.extend(slot_mates(0.25, 3));
+        pool.extend(slot_mates(-0.0, 2));
+        let longest = fmt_f64(-1.234_567_890_123_456_7e-300).len();
+        assert!(longest > MEMO_TEXT, "a text no slot holds: {longest} bytes");
+        // Every value, then every pair in both orders: each repeat is a
+        // hit, each slot mate evicts the one before it.
+        let mut stream: Vec<f64> = pool.clone();
+        for a in &pool {
+            for b in &pool {
+                stream.extend([*a, *b, *a]);
+            }
+        }
+        let mut sink = JsonlSink::new();
+        let mut want = String::new();
+        for (t_ns, v) in stream.iter().enumerate() {
+            let ev = TraceEvent {
+                t_ns: t_ns as u64,
+                kind: EventKind::Instant,
+                name: "rapl.poll",
+                fields: vec![
+                    ("watts", Value::F64(*v)),
+                    ("bytes", Value::U64(u64::MAX)),
+                    ("delta", Value::I64(i64::MIN)),
+                ],
+            };
+            sink.record(&ev);
+            want.push_str(&to_jsonl_reference(&ev));
+            want.push('\n');
+        }
+        let got = sink.drain_jsonl();
+        assert_eq!(got, want);
+        assert!(got.contains(":-0.0,") && got.contains(":null,") && got.contains("e-324"));
     }
 
     proptest! {

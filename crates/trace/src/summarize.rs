@@ -17,10 +17,15 @@
 //! monotonicity are checked per lane within a job (events without the field
 //! form the one lane every other journal has). Sorting a job's events by
 //! `(t_ns, node)` gives the time-ordered view.
+//!
+//! Each line is read in the one validating scanner pass: the members the
+//! audit needs are captured as the scanner hands them out, and nothing else
+//! of the line is kept.
 
 use std::borrow::Cow;
+use std::str::FromStr;
 
-use crate::json::{FlatObject, Scalar};
+use crate::json::{scan_flat_object, Scalar};
 use crate::TRACE_SCHEMA;
 
 /// One row of the reconstructed per-phase table (aggregated over all jobs
@@ -128,12 +133,14 @@ struct JobScope {
 
 impl JobScope {
     fn acc(&mut self, phase: &str) -> &mut PhaseAcc {
-        if let Some(i) = self.phases.iter().position(|(p, _)| p == phase) {
-            &mut self.phases[i].1
-        } else {
-            self.phases.push((phase.to_string(), PhaseAcc::default()));
-            &mut self.phases.last_mut().expect("just pushed").1
-        }
+        let at = match self.phases.iter().position(|(p, _)| p == phase) {
+            Some(at) => at,
+            None => {
+                self.phases.push((phase.to_string(), PhaseAcc::default()));
+                self.phases.len() - 1
+            }
+        };
+        &mut self.phases[at].1
     }
 }
 
@@ -157,6 +164,61 @@ fn close_lanes(sum: &mut Summary, lanes: &mut Vec<(u64, Lane<'_>)>) {
     }
 }
 
+/// The members of one event line the audit reads: the first value under
+/// each key, borrowed from the journal.
+#[derive(Default)]
+struct Members<'a> {
+    t_ns: Option<Scalar<'a>>,
+    ev: Option<Scalar<'a>>,
+    name: Option<Scalar<'a>>,
+    node: Option<Scalar<'a>>,
+    phase: Option<Scalar<'a>>,
+    dur_ns: Option<Scalar<'a>>,
+    /// `package_w`, `dram_w`, `disk_w`, `net_w`, `board_w`: a segment's draw
+    /// in `Timeline::phase_energy`'s channel order.
+    draw_w: [Option<Scalar<'a>>; 5],
+    system_j: Option<Scalar<'a>>,
+}
+
+impl<'a> Members<'a> {
+    /// Keep `value` if `key` is one the audit reads and holds nothing yet.
+    fn capture(&mut self, key: &str, value: Scalar<'a>) {
+        let slot = match key {
+            "t_ns" => &mut self.t_ns,
+            "ev" => &mut self.ev,
+            "name" => &mut self.name,
+            "node" => &mut self.node,
+            "phase" => &mut self.phase,
+            "dur_ns" => &mut self.dur_ns,
+            "package_w" => &mut self.draw_w[0],
+            "dram_w" => &mut self.draw_w[1],
+            "disk_w" => &mut self.draw_w[2],
+            "net_w" => &mut self.draw_w[3],
+            "board_w" => &mut self.draw_w[4],
+            "system_j" => &mut self.system_j,
+            _ => return,
+        };
+        slot.get_or_insert(value);
+    }
+}
+
+/// The number in `slot` as `T`: `u64` takes integral tokens only, `f64` is
+/// exact for round-trip `{:?}` output.
+fn num<T: FromStr>(slot: &Option<Scalar<'_>>) -> Option<T> {
+    match slot {
+        Some(Scalar::Num(raw)) => raw.parse().ok(),
+        _ => None,
+    }
+}
+
+/// The string in `slot`.
+fn text<'s>(slot: &'s Option<Scalar<'_>>) -> Option<&'s str> {
+    match slot {
+        Some(Scalar::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
 /// Parse and audit a journal (schema header + JSONL event lines).
 ///
 /// Returns `Err` only for unreadable input (missing/unknown schema header,
@@ -167,12 +229,14 @@ pub fn summarize(journal: &str) -> Result<Summary, String> {
         .zip(journal.lines())
         .filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty journal")?;
-    // One pair buffer for the whole journal; what it holds borrows from
-    // `journal`, so span names outlive the line they were read from.
-    let mut kv = FlatObject::default();
-    kv.scan(header)
-        .map_err(|e| format!("bad schema header: {e}"))?;
-    match kv.str("schema") {
+    let mut schema = None;
+    scan_flat_object(header, |key, value| {
+        if key == "schema" {
+            schema.get_or_insert(value);
+        }
+    })
+    .map_err(|e| format!("bad schema header: {e}"))?;
+    match text(&schema) {
         Some(s) if s == TRACE_SCHEMA => {}
         Some(s) => return Err(format!("unsupported schema {s:?} (want {TRACE_SCHEMA:?})")),
         None => return Err("journal missing schema header".to_string()),
@@ -218,15 +282,15 @@ pub fn summarize(journal: &str) -> Result<Summary, String> {
     };
 
     for (n, line) in lines {
-        kv.scan(line).map_err(|e| format!("line {n}: {e}"))?;
+        // What the members borrow is the journal's, so span names outlive
+        // the line they were read from.
+        let mut kv = Members::default();
+        scan_flat_object(line, |key, value| kv.capture(&key, value))
+            .map_err(|e| format!("line {n}: {e}"))?;
         sum.events += 1;
-        let t_ns = kv
-            .num::<u64>("t_ns")
-            .ok_or_else(|| format!("line {n}: missing t_ns"))?;
-        let ev = kv
-            .str("ev")
-            .ok_or_else(|| format!("line {n}: missing ev"))?;
-        let name = match kv.get("name") {
+        let t_ns = num::<u64>(&kv.t_ns).ok_or_else(|| format!("line {n}: missing t_ns"))?;
+        let ev = text(&kv.ev).ok_or_else(|| format!("line {n}: missing ev"))?;
+        let name = match &kv.name {
             Some(Scalar::Str(name)) => name,
             _ => return Err(format!("line {n}: missing name")),
         };
@@ -247,7 +311,7 @@ pub fn summarize(journal: &str) -> Result<Summary, String> {
             sum.jobs += 1;
             main.last_t = 0;
         }
-        let lane = match kv.num::<u64>("node") {
+        let lane = match num::<u64>(&kv.node) {
             None => &mut main,
             Some(node) => {
                 let known = lanes.iter().position(|(id, _)| *id == node);
@@ -292,22 +356,22 @@ pub fn summarize(journal: &str) -> Result<Summary, String> {
             },
             "event" => match name.as_ref() {
                 "segment" => {
-                    let dur_ns = kv.num::<u64>("dur_ns").unwrap_or(0);
+                    let dur_ns = num::<u64>(&kv.dur_ns).unwrap_or(0);
                     let secs = dur_ns as f64 / 1e9;
-                    let w = |key: &str| kv.num::<f64>(key).unwrap_or(0.0);
-                    let acc = scope.acc(kv.str("phase").unwrap_or("other"));
+                    let w = |channel: usize| num::<f64>(&kv.draw_w[channel]).unwrap_or(0.0);
+                    let acc = scope.acc(text(&kv.phase).unwrap_or("other"));
                     acc.dur_ns += dur_ns;
                     // Exactly Timeline::phase_energy's fold: per-channel
                     // draw × secs added in segment order.
-                    acc.package_j += w("package_w") * secs;
-                    acc.dram_j += w("dram_w") * secs;
-                    acc.disk_j += w("disk_w") * secs;
-                    acc.net_j += w("net_w") * secs;
-                    acc.board_j += w("board_w") * secs;
+                    acc.package_j += w(0) * secs;
+                    acc.dram_j += w(1) * secs;
+                    acc.disk_j += w(2) * secs;
+                    acc.net_j += w(3) * secs;
+                    acc.board_j += w(4) * secs;
                 }
                 "phase_summary" => {
-                    let phase = kv.str("phase").unwrap_or("other");
-                    scope.acc(phase).reported_j = kv.num::<f64>("system_j");
+                    let phase = text(&kv.phase).unwrap_or("other");
+                    scope.acc(phase).reported_j = num::<f64>(&kv.system_j);
                 }
                 _ => {}
             },
@@ -760,6 +824,47 @@ mod tests {
         // The same events in one lane are what the cluster journal used to be.
         let unlaned = summarize(&j.replace(n0, "").replace(n1, "")).unwrap();
         assert!(unlaned.audit_errors.len() > 2, "{:?}", unlaned.audit_errors);
+    }
+
+    /// What the one-pass capture must read as the reference reads it: keys
+    /// that need an escape decoded, members in any order, members and
+    /// repeated keys it must pass over (the first value under a key wins),
+    /// events it does not know, and a line it cannot parse.
+    #[test]
+    fn captured_members_read_like_the_reference() {
+        let mut j = journal_header();
+        for line in [
+            "{\"name\":\"run\",\"ev\":\"begin\",\"t_ns\":0,\"extra\":false}",
+            "{\"t_ns\":0 , \"ev\" : \"end\" , \"name\" : \"run\" }",
+            "{\"ev\":\"begin\",\"t_ns\":0,\"name\":\"job\",\"job\":0,\"key\":\"a\\\"b\"}",
+            "{\"t_\\u006es\":5,\"ev\":\"event\",\"name\":\"segm\\u0065nt\",\"ph\\u0061se\":\"write\\n\",\
+             \"board_w\":2.5,\"dur_ns\":3000000000,\"package_w\":1e2,\"package_w\":7.0,\"x\":null}",
+            "{\"t_ns\":5,\"ev\":\"event\",\"name\":\"segment\",\"dur_ns\":1000000000,\"node\":\"x\",\
+             \"disk_w\":\"12\",\"net_w\":true,\"dram_w\":0.5,\"phase\":\"write\\n\"}",
+            "{\"t_ns\":6,\"ev\":\"event\",\"name\":\"phase_summary\",\"system_j\":308.0,\
+             \"phase\":\"write\\n\",\"system_j\":1.0}",
+            "{\"t_ns\":6,\"ev\":\"event\",\"name\":\"mystery\",\"phase\":\"write\",\"dur_ns\":9}",
+            "{\"t_ns\":6,\"ev\":\"event\",\"name\":\"segment\",\"node\":3,\"phase\":\"read\",\"dur_ns\":1}",
+            "{\"t_ns\":7,\"ev\":\"end\",\"name\":\"j\\u006fb\",\"job\":0}",
+        ] {
+            j.push_str(line);
+            j.push('\n');
+        }
+        let s = summarize(&j).unwrap();
+        assert!(s.audit_ok(), "{:?}", s.audit_errors);
+        assert_eq!(
+            (s.events, s.jobs, s.spans_checked, s.phases_checked),
+            (9, 1, 2, 1)
+        );
+        assert_eq!(s.rows[0].phase, "write\n");
+        assert_eq!(s.rows[0].energy_j, 100.0 * 3.0 + 2.5 * 3.0 + 0.5);
+        assert_eq!(s.rows[1].phase, "read");
+
+        let broken = j.replacen("\"dram_w\":0.5,", "\"dram_w\":0.5,,", 1);
+        assert_eq!(
+            summarize(&broken).unwrap_err(),
+            "line 6: expected '\"' at byte 111"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The cloneable tracer handle threaded through the simulator.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::metrics::MetricsRegistry;
 use crate::sink::{EventKind, JsonlSink, MemoryHandle, MemorySink, TraceEvent, TraceSink, Value};
@@ -85,7 +85,11 @@ impl Tracer {
     }
 
     fn lock(&self) -> Option<MutexGuard<'_, Inner>> {
-        self.inner.as_ref().map(|i| i.lock().expect("tracer lock"))
+        // A panic under the lock leaves a journal and a registry that are
+        // still well-formed values: keep recording into them.
+        self.inner
+            .as_ref()
+            .map(|i| i.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     fn record(

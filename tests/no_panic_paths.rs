@@ -10,7 +10,10 @@
 //! is no allowlist: the CLI-only grids (`greenness cluster` / `greenness
 //! placement`) report their failures as `SweepError::JobFailed` too, and
 //! `crates/cluster` — whose runs reject a bad `ClusterConfig` as
-//! `ClusterError::Config` before building a node — is walked as well.
+//! `ClusterError::Config` before building a node — is walked as well, and
+//! so is `crates/trace`: `greenness trace summarize <file>` parses whatever
+//! file it is handed, and every traced run writes through its sink and
+//! registry locks.
 
 use std::path::{Path, PathBuf};
 
@@ -63,6 +66,7 @@ fn no_unwrap_or_expect_on_request_reachable_paths() {
     rs_files(&crates.join("core").join("src"), &mut files);
     rs_files(&crates.join("serve").join("src"), &mut files);
     rs_files(&crates.join("cluster").join("src"), &mut files);
+    rs_files(&crates.join("trace").join("src"), &mut files);
     assert!(
         files.len() >= 10,
         "suspiciously few source files ({}) — did the layout move?",

@@ -318,7 +318,7 @@ fn json_has_one_lexer_and_a_request_line_one_parse() {
 
     // One string-literal decoder (the `\u` arm), one escaper (the `\u00XX`
     // format), one number validator, one whitespace skipper.
-    for needle in ["b'u') =>", "\\\\u{", "fn is_json_number", "fn skip_ws"] {
+    for needle in ["b'u') =>", "\\\\u{", "fn json_number_end", "fn skip_ws"] {
         assert_eq!(sites(needle), ["trace/src/json.rs"], "`{needle}`");
     }
     // Serve keeps the `greenness_serve::json` path and nothing behind it.
