@@ -30,11 +30,11 @@ use std::collections::VecDeque;
 use greenness_codec::delta::DeltaVarint;
 use greenness_codec::quant::Quant8;
 use greenness_codec::{Codec, CodecCostModel, ScratchCodec};
-use greenness_faults::{checksum64, fnv1a64, fnv1a64_extend, FaultInjector, FaultPlan, Site};
+use greenness_faults::{checksum64, fnv1a64, FaultInjector, FaultPlan, Site};
 use greenness_heatsim::{Grid, SimCostModel, SolverConfig};
 use greenness_platform::{HardwareSpec, NetModel, Node, Phase, SimTime};
 use greenness_trace::{Tracer, Value};
-use greenness_viz::{encode_ppm, render_field, RenderCostModel, RenderOptions};
+use greenness_viz::{render_field_hashed, Framebuffer, RenderCostModel, RenderOptions};
 
 use crate::error::{ClusterError, FaultSummary};
 use crate::fabric::{barrier, sync_to, Fabric};
@@ -552,10 +552,11 @@ impl<'a> Run<'a> {
             let info = self.solver.slab_info(k);
             let mut opts = cfg.render;
             opts.height = slab_rows_px(opts.height, cfg.grid_ny, info.j0, info.rows);
-            let ppm = render_frame(node, cfg, &self.solver.slab_grid(k), &opts);
-            self.report.image_hash = fnv1a64_extend(self.report.image_hash, &ppm);
+            let hash = &mut self.report.image_hash;
+            let frame = render_frame(node, cfg, &self.solver.slab_grid(k), &opts, hash);
             let name = format!("frame{step:04}.n{k:02}.ppm");
-            self.pfs.write(node, f, &name, &ppm, Phase::ImageWrite)?;
+            self.pfs
+                .write(node, f, &name, frame.ppm(), Phase::ImageWrite)?;
         }
         Ok(())
     }
@@ -662,7 +663,7 @@ impl<'a> Run<'a> {
             }
         }
         self.faults.staging_torn_renders += u64::from(torn);
-        let ppm = render_frame(stager, cfg, &grid, &cfg.render);
+        let frame = render_frame(stager, cfg, &grid, &cfg.render, &mut self.report.image_hash);
         let fields = vec![
             ("step", Value::from(step)),
             ("stager", Value::from(s)),
@@ -670,9 +671,9 @@ impl<'a> Run<'a> {
         ];
         let (t_ns, tracer) = (stager.now().as_nanos(), stager.tracer());
         tracer.instant(t_ns, "staging.frame.render", fields);
-        self.report.image_hash = fnv1a64_extend(self.report.image_hash, &ppm);
         let name = format!("frame{step:04}.ppm");
-        self.pfs.write(stager, f, &name, &ppm, Phase::ImageWrite)?;
+        self.pfs
+            .write(stager, f, &name, frame.ppm(), Phase::ImageWrite)?;
         let release = stager.now();
         if cfg.staging.queue_depth == 0 {
             for node in &mut self.compute {
@@ -700,8 +701,8 @@ impl<'a> Run<'a> {
                 slabs.push(bytes);
             }
             let grid = assemble(self.cfg, "snap", *step, slabs)?;
-            let ppm = render_frame(viz, self.cfg, &grid, &self.cfg.render);
-            self.report.image_hash = fnv1a64_extend(self.report.image_hash, &ppm);
+            let hash = &mut self.report.image_hash;
+            render_frame(viz, self.cfg, &grid, &self.cfg.render, hash);
         }
         Ok(())
     }
@@ -739,7 +740,8 @@ impl<'a> Run<'a> {
         r.pfs_bytes = self.pfs.written_bytes();
         r.bytes_out = r.fabric_bytes + r.pfs_bytes;
         let f = &mut self.faults;
-        (f.storage_faults, f.storage_retries) = self.pfs.fault_counts();
+        f.storage_faults = self.pfs.fsync_retries();
+        f.storage_retries = f.storage_faults;
         (f.fabric_drops, f.fabric_delays, f.fabric_retries) = self.fabric.fault_counts();
         (self.report, self.faults)
     }
@@ -755,30 +757,35 @@ fn shape_error(cfg: &ClusterConfig, prefix: &str, step: u64, got_bytes: usize) -
     }
 }
 
-/// One step's slabs, in node order, as the global field (the slabs are
-/// dropped before the field is built).
+/// One step's slabs, in node order, decoded straight into the global
+/// field.
 fn assemble(
     cfg: &ClusterConfig,
     prefix: &str,
     step: u64,
     slabs: Vec<Vec<u8>>,
 ) -> Result<Grid, ClusterError> {
-    let all = slabs.concat();
-    drop(slabs);
-    Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &all)
-        .ok_or_else(|| shape_error(cfg, prefix, step, all.len()))
+    Grid::from_byte_parts(cfg.grid_nx, cfg.grid_ny, &slabs).ok_or_else(|| {
+        let got_bytes = slabs.iter().map(Vec::len).sum();
+        shape_error(cfg, prefix, step, got_bytes)
+    })
 }
 
-/// Charge `node` for an `opts`-sized render, render `grid`, return the PPM.
+/// Charge `node` for an `opts`-sized render and render `grid`, continuing
+/// the run's image hash `chain` over the frame's PPM bytes as they are
+/// written.
 fn render_frame(
     node: &mut Node,
     cfg: &ClusterConfig,
     grid: &Grid,
     opts: &RenderOptions,
-) -> Vec<u8> {
+    chain: &mut u64,
+) -> Framebuffer {
     let pixels = (opts.width * opts.height) as u64;
     node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-    encode_ppm(&render_field(grid, opts))
+    let (frame, hash) = render_field_hashed(grid, opts, *chain);
+    *chain = hash;
+    frame
 }
 
 #[cfg(test)]

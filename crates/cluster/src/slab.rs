@@ -13,6 +13,7 @@
 
 use std::ops::Range;
 
+use greenness_heatsim::grid::le_bytes;
 use greenness_heatsim::{Grid, HeatSolver, SolverConfig};
 
 /// Row-range metadata for one slab.
@@ -105,12 +106,7 @@ impl DecomposedSolver {
     /// Slab `k`'s owned rows as serialized little-endian `f64`s (its
     /// snapshot contribution).
     pub fn slab_bytes(&self, k: usize) -> Vec<u8> {
-        let owned = &self.solver.grid().as_slice()[self.cells(k)];
-        let mut out = Vec::with_capacity(owned.len() * 8);
-        for v in owned {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
+        le_bytes(&self.solver.grid().as_slice()[self.cells(k)])
     }
 
     /// Slab `k`'s owned rows as a standalone [`Grid`] (for per-node in-situ

@@ -27,7 +27,7 @@ use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{Activity, Node, Phase, PowerDraw};
 use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
 use greenness_trace::Value;
-use greenness_viz::{encode_ppm, render_field, Framebuffer, RenderOptions};
+use greenness_viz::{render_field, Framebuffer, RenderOptions};
 
 use crate::config::PipelineConfig;
 use crate::pipeline::PipelineError;
@@ -240,15 +240,15 @@ impl Store {
         Ok(name)
     }
 
-    /// Encode `image` as PPM and persist it in the `ImageWrite` phase.
-    /// Returns the bytes written.
+    /// Persist `image`'s PPM bytes in the `ImageWrite` phase. Returns the
+    /// bytes written.
     pub(crate) fn write_frame(
         &mut self,
         node: &mut Node,
         name: &str,
         image: &Framebuffer,
     ) -> Result<u64, PipelineError> {
-        self.write(node, name, &encode_ppm(image), Phase::ImageWrite)
+        self.write(node, name, image.ppm(), Phase::ImageWrite)
     }
 
     /// §IV-C: `sync` and drop caches between the simulation phase and the

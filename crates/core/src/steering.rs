@@ -19,8 +19,9 @@
 //! no filesystem, so the cost is state-independent), and the replay itself.
 //!
 //! Everything here is deterministic. Frames are hashed with byte-serial
-//! FNV-1a (`greenness_faults::fnv1a64`; snapshot checksums use the
-//! four-lane `checksum64` instead), so two sessions that apply the same
+//! FNV-1a, folded in by the renderer as it writes the PPM bytes
+//! (`render_field_hashed`; snapshot checksums use the four-lane
+//! `checksum64` instead), so two sessions that apply the same
 //! adjustments at the same steps produce byte-identical transcripts for any
 //! solver thread count and across reruns.
 
@@ -29,7 +30,7 @@ use crate::driver::{check_io_interval, Stepper};
 use crate::pipeline::PipelineError;
 use greenness_faults::fnv1a64;
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
-use greenness_viz::{encode_ppm, ppm_size_bytes, render_field, Colormap};
+use greenness_viz::{ppm_size_bytes, render_field, render_field_hashed, Colormap};
 
 /// Largest image, in pixels, a [`Adjustment::Resolution`] may ask for
 /// (16 Mpx: a 48 MiB framebuffer, 32x the paper's 512x512 frame).
@@ -233,16 +234,18 @@ impl SteeringPipeline {
     }
 
     fn render_frame(&mut self) -> FrameStamp {
-        let ppm = encode_ppm(&render_field(self.stepper.grid(), &self.cfg.render));
-        charge_frame(&mut self.node, &self.cfg, ppm.len() as u64);
+        let (frame, hash) =
+            render_field_hashed(self.stepper.grid(), &self.cfg.render, fnv1a64(&[]));
+        let bytes = frame.ppm().len() as u64;
+        charge_frame(&mut self.node, &self.cfg, bytes);
         self.frames_rendered += 1;
-        self.bytes_written += ppm.len() as u64;
+        self.bytes_written += bytes;
         FrameStamp {
             step: self.step(),
             width: self.cfg.render.width,
             height: self.cfg.render.height,
-            hash: fnv1a64(&ppm),
-            bytes: ppm.len() as u64,
+            hash,
+            bytes,
         }
     }
 
@@ -276,8 +279,8 @@ impl SteeringPipeline {
         let mut stepper = self.stepper.clone();
         let mut probe = Node::new(self.node.spec().clone());
         while stepper.next_io_step(&mut probe, cfg).is_some() {
-            let ppm = encode_ppm(&render_field(stepper.grid(), &cfg.render));
-            charge_frame(&mut probe, cfg, ppm.len() as u64);
+            let frame = render_field(stepper.grid(), &cfg.render);
+            charge_frame(&mut probe, cfg, frame.ppm().len() as u64);
         }
         probe.timeline().total_energy_j()
     }

@@ -234,6 +234,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Continue an FNV-1a chain: `fnv1a64_extend(fnv1a64(a), b)` is
 /// `fnv1a64(a ++ b)`, and `fnv1a64(&[])` is the empty chain to start from.
+/// Inlined, so a loop that writes bytes can fold them as it stores them.
+#[inline]
 pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);

@@ -117,11 +117,7 @@ impl Grid {
 
     /// Serialize to little-endian `f64`s, row-major.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0; self.cells() * 8];
-        for (bytes, v) in out.chunks_exact_mut(8).zip(&self.data) {
-            bytes.copy_from_slice(&v.to_le_bytes());
-        }
-        out
+        le_bytes(&self.data)
     }
 
     /// Deserialize a snapshot produced by [`Grid::to_bytes`].
@@ -129,15 +125,60 @@ impl Grid {
     /// Returns `None` if `bytes` is not exactly `nx × ny` little-endian
     /// `f64`s.
     pub fn from_bytes(nx: usize, ny: usize, bytes: &[u8]) -> Option<Grid> {
-        if bytes.len() != nx * ny * 8 || nx < 3 || ny < 3 {
+        Grid::from_byte_parts(nx, ny, &[bytes])
+    }
+
+    /// Deserialize a snapshot that arrives in pieces (a cluster's slabs, in
+    /// row order): the same field as [`Grid::from_bytes`] of the pieces
+    /// concatenated, decoded straight into the cells. A piece may end in the
+    /// middle of an `f64`; its bytes carry into the next one.
+    ///
+    /// Returns `None` if the pieces do not add up to exactly `nx × ny`
+    /// little-endian `f64`s, or the grid would be smaller than 3×3.
+    pub fn from_byte_parts<P: AsRef<[u8]>>(nx: usize, ny: usize, parts: &[P]) -> Option<Grid> {
+        let len: usize = parts.iter().map(|p| p.as_ref().len()).sum();
+        if len != nx * ny * 8 || nx < 3 || ny < 3 {
             return None;
         }
-        let data = bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect();
+        let mut data = Vec::with_capacity(nx * ny);
+        let (mut carry, mut held) = ([0u8; 8], 0);
+        for part in parts {
+            let mut part = part.as_ref();
+            if held > 0 {
+                let take = part.len().min(8 - held);
+                carry[held..held + take].copy_from_slice(&part[..take]);
+                (held, part) = (held + take, &part[take..]);
+                if held < 8 {
+                    continue;
+                }
+                data.push(f64::from_le_bytes(carry));
+            }
+            let words = part.chunks_exact(8);
+            let tail = words.remainder();
+            data.extend(words.map(le_f64));
+            carry[..tail.len()].copy_from_slice(tail);
+            held = tail.len();
+        }
         Some(Grid { nx, ny, data })
     }
+}
+
+/// `values` as little-endian `f64`s: a [`Grid::to_bytes`] of any run of
+/// cells (a cluster slab's owned rows).
+pub fn le_bytes(values: &[f64]) -> Vec<u8> {
+    let mut out = vec![0; values.len() * 8];
+    for (bytes, v) in out.chunks_exact_mut(8).zip(values) {
+        bytes.copy_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// The `f64` an 8-byte little-endian word holds.
+#[inline]
+fn le_f64(word: &[u8]) -> f64 {
+    let mut bytes = [0; 8];
+    bytes.copy_from_slice(word);
+    f64::from_le_bytes(bytes)
 }
 
 #[cfg(test)]

@@ -30,6 +30,43 @@ proptest! {
         prop_assert_eq!(g, g2);
     }
 
+    /// A snapshot cut anywhere into pieces (empty ones, pieces that end
+    /// inside an `f64`, a single byte) decodes to the field the whole
+    /// snapshot decodes to. Pieces that add up to one byte too few or too
+    /// many, and shapes below 3x3, decode to `None`.
+    #[test]
+    fn byte_parts_decode_like_the_concatenation(
+        g in arb_grid(),
+        cuts in prop::collection::vec(any::<u64>(), 0..8),
+    ) {
+        let b = g.to_bytes();
+        let mut at: Vec<usize> = cuts.iter().map(|c| (*c as usize) % (b.len() + 1)).collect();
+        at.sort_unstable();
+        let mut parts = Vec::new();
+        let mut from = 0;
+        for &to in at.iter().chain([&b.len()]) {
+            parts.push(&b[from..to]);
+            from = to;
+        }
+        let whole = Grid::from_bytes(g.nx(), g.ny(), &parts.concat());
+        prop_assert_eq!(Grid::from_byte_parts(g.nx(), g.ny(), &parts), whole);
+        prop_assert_eq!(Grid::from_byte_parts(g.nx(), g.ny(), &parts), Some(g.clone()));
+
+        let last = parts.len() - 1;
+        let short = parts[last].len().checked_sub(1).map(|n| &parts[last][..n]);
+        if let Some(short) = short {
+            let mut cut = parts.clone();
+            cut[last] = short;
+            prop_assert_eq!(Grid::from_byte_parts(g.nx(), g.ny(), &cut), None);
+        }
+        let mut long = parts.clone();
+        long.push(&b[..1]);
+        prop_assert_eq!(Grid::from_byte_parts(g.nx(), g.ny(), &long), None);
+        let thin = [&b[..(g.ny() * 2 * 8)]];
+        prop_assert_eq!(Grid::from_byte_parts(2, g.ny(), &thin), None);
+        prop_assert_eq!(Grid::from_byte_parts(g.nx(), 2, &[&b[..(g.nx() * 2 * 8)]]), None);
+    }
+
     /// Without sources, the discrete maximum principle holds for any stable
     /// configuration: values stay within the initial range extended by the
     /// wall temperature.

@@ -137,11 +137,12 @@ impl StepTable {
         let mut at = 0;
         for k in 1..=segments {
             // Search up to where segment `k` starts, the first `t` with
-            // `floor(t * segments) >= k`; the last segment takes in 1.0.
+            // `floor(t * segments) >= k` (true at 1.0, so the fallback is
+            // never taken); the last segment takes in 1.0.
             let end = if k == segments {
                 ONE
             } else {
-                first_true(0, ONE, |t| t * segments as f64 >= k as f64).expect("true at 1.0")
+                first_true(0, ONE, |t| t * segments as f64 >= k as f64).unwrap_or(ONE)
             };
             while let Some(next) = first_true(at, end, |t| cm.map(t) != color) {
                 at = next;

@@ -6,11 +6,15 @@
 
 use crate::raster::Framebuffer;
 
-/// Encode an image as binary PPM (P6, maxval 255).
+/// Encode an image as binary PPM (P6, maxval 255): a copy of
+/// [`Framebuffer::ppm`], which already holds the encoded bytes.
 pub fn encode_ppm(fb: &Framebuffer) -> Vec<u8> {
-    let mut out = format!("P6\n{} {}\n255\n", fb.width(), fb.height()).into_bytes();
-    out.extend_from_slice(fb.as_bytes());
-    out
+    fb.ppm().to_vec()
+}
+
+/// The P6 header of a `width × height` image.
+pub(crate) fn ppm_header(width: usize, height: usize) -> String {
+    format!("P6\n{width} {height}\n255\n")
 }
 
 /// Decode a binary PPM produced by [`encode_ppm`] (P6, maxval 255, single
@@ -37,15 +41,13 @@ pub fn decode_ppm(data: &[u8]) -> Option<Framebuffer> {
         return None;
     }
     // Exactly one whitespace byte after maxval, then raw pixels.
-    let body = &data[pos + 1..];
-    Framebuffer::from_bytes(width, height, body.to_vec())
+    Framebuffer::from_bytes(width, height, data.get(pos + 1..)?)
 }
 
 /// Expected encoded size of a `width × height` PPM, bytes — pipelines use
 /// this to budget I/O without encoding first.
 pub fn ppm_size_bytes(width: usize, height: usize) -> u64 {
-    let header = format!("P6\n{width} {height}\n255\n").len() as u64;
-    header + (width * height * 3) as u64
+    (ppm_header(width, height).len() + width * height * 3) as u64
 }
 
 #[cfg(test)]
@@ -97,6 +99,8 @@ mod tests {
         assert!(decode_ppm(b"P5\n2 2\n255\n----").is_none());
         assert!(decode_ppm(b"P6\n2 2\n65535\n").is_none());
         assert!(decode_ppm(b"P6\n2 2\n255\nshort").is_none());
+        // No separator after maxval: no body to read.
+        assert!(decode_ppm(b"P6\n2 2\n255").is_none());
         let fb = test_image();
         let mut truncated = encode_ppm(&fb);
         truncated.pop();

@@ -26,7 +26,7 @@ pub use colormap::Colormap;
 pub use contour::contour_lines;
 pub use cost::RenderCostModel;
 pub use image::{decode_ppm, encode_ppm, ppm_size_bytes};
-pub use raster::{render_field, Framebuffer, RenderOptions};
+pub use raster::{render_field, render_field_hashed, Framebuffer, RenderOptions};
 pub use sample::stride_sample;
 
 #[cfg(any(test, feature = "reference"))]

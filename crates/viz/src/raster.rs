@@ -1,25 +1,35 @@
 //! Framebuffer and scalar-field rasterization.
 
+use greenness_faults::fnv1a64_extend;
 use greenness_heatsim::Grid;
 
-use crate::colormap::{Colormap, Rgb};
+use crate::colormap::{Colormap, Rgb, StepTable};
+use crate::image::ppm_header;
 
-/// A dense RGB image.
+/// A dense RGB image, kept as the binary PPM (P6) that encodes it: the
+/// header, then the pixels, in one allocation, so [`Framebuffer::ppm`]
+/// hands out the encoded image without a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Framebuffer {
     width: usize,
     height: usize,
-    pixels: Vec<u8>, // RGB, row-major
+    /// Length of the PPM header at the front of `ppm`.
+    header: usize,
+    ppm: Vec<u8>, // header, then RGB, row-major
 }
 
 impl Framebuffer {
     /// A black image of the given size.
     pub fn new(width: usize, height: usize) -> Framebuffer {
         assert!(width > 0 && height > 0, "framebuffer must be non-empty");
+        let mut ppm = ppm_header(width, height).into_bytes();
+        let header = ppm.len();
+        ppm.resize(header + width * height * 3, 0);
         Framebuffer {
             width,
             height,
-            pixels: vec![0; width * height * 3],
+            header,
+            ppm,
         }
     }
 
@@ -35,20 +45,30 @@ impl Framebuffer {
 
     /// Raw RGB bytes, row-major.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.pixels
+        &self.ppm[self.header..]
+    }
+
+    /// The image encoded as binary PPM (P6, maxval 255): header and pixels.
+    pub fn ppm(&self) -> &[u8] {
+        &self.ppm
+    }
+
+    fn pixels_mut(&mut self) -> &mut [u8] {
+        &mut self.ppm[self.header..]
     }
 
     /// Pixel at `(x, y)`.
     pub fn get(&self, x: usize, y: usize) -> Rgb {
         let o = (y * self.width + x) * 3;
-        [self.pixels[o], self.pixels[o + 1], self.pixels[o + 2]]
+        let p = self.as_bytes();
+        [p[o], p[o + 1], p[o + 2]]
     }
 
     /// Set pixel `(x, y)`; out-of-bounds coordinates are ignored (clip).
     pub fn set(&mut self, x: usize, y: usize, c: Rgb) {
         if x < self.width && y < self.height {
             let o = (y * self.width + x) * 3;
-            self.pixels[o..o + 3].copy_from_slice(&c);
+            self.pixels_mut()[o..o + 3].copy_from_slice(&c);
         }
     }
 
@@ -66,15 +86,13 @@ impl Framebuffer {
     }
 
     /// Construct from raw RGB bytes.
-    pub fn from_bytes(width: usize, height: usize, bytes: Vec<u8>) -> Option<Framebuffer> {
+    pub fn from_bytes(width: usize, height: usize, bytes: &[u8]) -> Option<Framebuffer> {
         if width == 0 || height == 0 || bytes.len() != width * height * 3 {
             return None;
         }
-        Some(Framebuffer {
-            width,
-            height,
-            pixels: bytes,
-        })
+        let mut fb = Framebuffer::new(width, height);
+        fb.pixels_mut().copy_from_slice(bytes);
+        Some(fb)
     }
 }
 
@@ -167,34 +185,72 @@ fn sample(upper: &[f64], lower: &[f64], col: &Tap, row: &Tap) -> f64 {
 /// the sign of a zero, which the step table maps alike), so each pixel is
 /// one table lookup over the field in storage order.
 pub fn render_field(field: &Grid, opts: &RenderOptions) -> Framebuffer {
+    rasterize::<false>(field, opts, 0).0
+}
+
+/// [`render_field`], with the FNV-1a chain `chain` continued over the
+/// frame's PPM bytes as they are written: the image and
+/// `fnv1a64_extend(chain, image.ppm())`, in one pass over the pixels.
+pub fn render_field_hashed(field: &Grid, opts: &RenderOptions, chain: u64) -> (Framebuffer, u64) {
+    rasterize::<true>(field, opts, chain)
+}
+
+/// The one rasteriser behind [`render_field`] and [`render_field_hashed`]:
+/// with `HASH` it folds FNV-1a over the header and every stored byte.
+fn rasterize<const HASH: bool>(
+    field: &Grid,
+    opts: &RenderOptions,
+    mut hash: u64,
+) -> (Framebuffer, u64) {
     let (lo, hi) = opts.range.unwrap_or_else(|| (field.min(), field.max()));
     let span = (hi - lo).max(1e-300);
     let mut fb = Framebuffer::new(opts.width, opts.height);
+    if HASH {
+        hash = fnv1a64_extend(hash, &fb.ppm[..fb.header]);
+    }
     let (nx, ny) = (field.nx(), field.ny());
     let colors = opts.colormap.table();
     if Tap::all_identity(opts.width, nx)
         && Tap::all_identity(opts.height, ny)
         && field.as_slice().iter().all(|v| v.is_finite())
     {
-        debug_assert_eq!(fb.pixels.len(), field.as_slice().len() * 3);
-        for (pixel, v) in fb.pixels.chunks_exact_mut(3).zip(field.as_slice()) {
-            pixel.copy_from_slice(&colors.map((v - lo) / span));
-        }
-        return fb;
+        let ts = field.as_slice().iter().map(|v| (v - lo) / span);
+        hash = paint::<HASH>(fb.pixels_mut(), ts, colors, hash);
+        return (fb, hash);
     }
     let columns: Vec<Tap> = (0..opts.width)
         .map(|x| Tap::new(x, opts.width, nx))
         .collect();
-    for (y, scanline) in fb.pixels.chunks_exact_mut(opts.width * 3).enumerate() {
+    for (y, scanline) in fb.pixels_mut().chunks_exact_mut(opts.width * 3).enumerate() {
         let row = Tap::new(y, opts.height, ny);
         let upper = &field.as_slice()[row.i0 * nx..][..nx];
         let lower = &field.as_slice()[row.i1 * nx..][..nx];
-        for (pixel, col) in scanline.chunks_exact_mut(3).zip(&columns) {
-            let t = (sample(upper, lower, col, &row) - lo) / span;
-            pixel.copy_from_slice(&colors.map(t));
+        let ts = columns
+            .iter()
+            .map(|col| (sample(upper, lower, col, &row) - lo) / span);
+        hash = paint::<HASH>(scanline, ts, colors, hash);
+    }
+    (fb, hash)
+}
+
+/// The per-pixel loop: colour each normalized `t` into the next pixel of
+/// `pixels`, and with `HASH` fold the three bytes into `hash` as they are
+/// stored.
+#[inline(always)]
+fn paint<const HASH: bool>(
+    pixels: &mut [u8],
+    ts: impl Iterator<Item = f64>,
+    colors: &StepTable,
+    mut hash: u64,
+) -> u64 {
+    for (pixel, t) in pixels.chunks_exact_mut(3).zip(ts) {
+        let c = colors.map(t);
+        pixel.copy_from_slice(&c);
+        if HASH {
+            hash = fnv1a64_extend(hash, &c);
         }
     }
-    fb
+    hash
 }
 
 /// The straight-line renderer [`render_field`] replaced, kept verbatim as
@@ -209,7 +265,7 @@ pub fn render_field_reference(field: &Grid, opts: &RenderOptions) -> Framebuffer
     let mut fb = Framebuffer::new(opts.width, opts.height);
     let width = opts.width;
     let cm = opts.colormap;
-    fb.pixels
+    fb.pixels_mut()
         .chunks_mut(width * 3)
         .enumerate()
         .for_each(|(y, row)| {
@@ -416,8 +472,8 @@ mod tests {
 
     #[test]
     fn from_bytes_validates_length() {
-        assert!(Framebuffer::from_bytes(2, 2, vec![0; 12]).is_some());
-        assert!(Framebuffer::from_bytes(2, 2, vec![0; 11]).is_none());
-        assert!(Framebuffer::from_bytes(0, 2, vec![]).is_none());
+        assert!(Framebuffer::from_bytes(2, 2, &[0; 12]).is_some());
+        assert!(Framebuffer::from_bytes(2, 2, &[0; 11]).is_none());
+        assert!(Framebuffer::from_bytes(0, 2, &[]).is_none());
     }
 }

@@ -13,7 +13,8 @@
 //! `ClusterError::Config` before building a node — is walked as well, and
 //! so is `crates/trace`: `greenness trace summarize <file>` parses whatever
 //! file it is handed, and every traced run writes through its sink and
-//! registry locks.
+//! registry locks. `crates/viz` renders every frame a request, a steering
+//! session or a cluster run asks for, and decodes PPM bytes.
 
 use std::path::{Path, PathBuf};
 
@@ -67,6 +68,7 @@ fn no_unwrap_or_expect_on_request_reachable_paths() {
     rs_files(&crates.join("serve").join("src"), &mut files);
     rs_files(&crates.join("cluster").join("src"), &mut files);
     rs_files(&crates.join("trace").join("src"), &mut files);
+    rs_files(&crates.join("viz").join("src"), &mut files);
     assert!(
         files.len() >= 10,
         "suspiciously few source files ({}) — did the layout move?",

@@ -564,9 +564,9 @@ fn the_cluster_driver_is_a_short_composition_of_stages() {
         .find(|(decl, _)| decl.starts_with("pub fn run_cluster_traced("))
         .expect("the driver");
     assert!(*driver <= 30, "run_cluster_traced is {driver} lines");
-    // The slabs are concatenated into a field in `assemble`, and a frame is
-    // rendered in `render_frame`, only.
-    for needle in [".concat()", "render_field("] {
+    // The slabs are decoded into a field in `assemble`, and a frame is
+    // rendered (and hashed) in `render_frame`, only.
+    for needle in ["from_byte_parts(", "render_field_hashed("] {
         assert_eq!(non_test(&pipeline).matches(needle).count(), 1, "`{needle}`");
     }
 }
