@@ -1,7 +1,7 @@
 //! Oracle-equivalence suite: every optimized hot path must stay
 //! bit-for-bit the retained straight-line reference it replaced.
 //!
-//! Thirteen properties are pinned here:
+//! Fourteen properties are pinned here:
 //!
 //! * the fast stencil path (including the row-parallel step at any `jobs`
 //!   value) is bit-for-bit the naive reference on arbitrary grids,
@@ -53,6 +53,9 @@
 //!   case study 3's in-situ frames and an auto-ranged frame — is what the
 //!   renderer wrote while it filled a framebuffer, copied it into a PPM
 //!   and hashed the copy in three separate passes;
+//! * every frame of a three-interval grid (both kinds, `--jobs 1` and `4`,
+//!   plain and under a seeded fsync fault plan) and of a `CaseComparison`
+//!   pair is what the cells wrote while each rendered every frame itself;
 //! * bad command-line input handed to either binary (an invalid solver
 //!   config, an unknown artifact, a flag without its value, a fleet of no
 //!   shards) is a *usage*
@@ -1383,4 +1386,90 @@ const FRAMES_RECORDED: [&str; 4] = [
     "48898eba2ac2ad960c4087fd31a5a252fc4efb308a2a07f4358d7a4a4b7d083b",
     "a10110c158840dfc9bf7f348e1dad5b18b2e31ef4383f9f918aecb8073e763e4",
     "c6b4169f1b72bd93e6f377be890c7bb552929398a30eba09a864770dc9ce3e6f",
+];
+
+/// The small config at 50 steps with its frames kept: at 64² consecutive
+/// frames differ in a few hundred bytes, so a grid of its intervals shows
+/// the same fields over and over.
+fn fifty_step_frames(io_interval: u64) -> PipelineConfig {
+    let mut cfg = PipelineConfig::small(io_interval);
+    cfg.timesteps = 50;
+    cfg.keep_frames = true;
+    cfg
+}
+
+/// `blake2s256` of a run's kept frames' PPM bytes, in step order.
+fn frames_digest(output: &greenness_core::pipeline::PipelineOutput) -> String {
+    let mut frames = Blake2s256::default();
+    for frame in &output.frames {
+        frames.update(frame.image.ppm());
+    }
+    hex(&frames.finalize())
+}
+
+/// Every frame of a three-interval grid (I/O every 1, 2 and 8 steps, both
+/// kinds) at `--jobs 1` and `--jobs 4`, plain and under a seeded fsync
+/// fault plan, and of one `CaseComparison` pair: the bytes a grid shows
+/// when every cell renders each of its frames itself.
+#[test]
+fn grid_frames_match_the_recording() {
+    let configs: Vec<_> = [(1u32, 1u64), (2, 2), (3, 8)]
+        .into_iter()
+        .map(|(n, interval)| (n, fifty_step_frames(interval)))
+        .collect();
+    let mut plain_end_s = Vec::new();
+    for faults in [None, Some(FaultPlan::with_seed(11))] {
+        let setup = ExperimentSetup {
+            faults,
+            ..ExperimentSetup::noiseless()
+        };
+        for jobs in [1, 4] {
+            let grid = sweep::config_grid(&setup, &configs);
+            let results = sweep::run_sweep(grid, jobs, &sweep::silent_progress()).expect("grid");
+            let counts: Vec<usize> = results
+                .iter()
+                .map(|r| r.report.output.frames.len())
+                .collect();
+            assert_eq!(counts, [50, 50, 25, 25, 6, 6], "jobs {jobs}");
+            assert!(results.iter().all(|r| r.report.output.verified));
+            let digests: Vec<String> = results
+                .iter()
+                .map(|r| frames_digest(&r.report.output))
+                .collect();
+            assert_eq!(
+                digests,
+                GRID_FRAMES_RECORDED,
+                "jobs {jobs}, faulted {}",
+                faults.is_some()
+            );
+            let end_s: Vec<f64> = results
+                .iter()
+                .map(|r| r.report.metrics.execution_time_s)
+                .collect();
+            if faults.is_none() {
+                plain_end_s = end_s;
+            } else {
+                assert_ne!(end_s, plain_end_s, "the fault plan stretched a run");
+            }
+        }
+    }
+    let pair = CaseComparison::run_config(1, &fifty_step_frames(1), &ExperimentSetup::noiseless())
+        .expect("pair");
+    assert_eq!(pair.post.output.frames.len(), 50);
+    assert_eq!(pair.insitu.output.frames.len(), 50);
+    assert_eq!(
+        [&pair.post.output, &pair.insitu.output].map(frames_digest),
+        [GRID_FRAMES_RECORDED[0], GRID_FRAMES_RECORDED[1]]
+    );
+}
+
+/// Recorded at commit `2c99110`: per cell, in submission order (I/O every
+/// 1, 2, 8 steps; post-processing, then in-situ).
+const GRID_FRAMES_RECORDED: [&str; 6] = [
+    "43f7d6132d32a0878accf0f6586e3872bea7413267bb058f0a227e76876ba900",
+    "43f7d6132d32a0878accf0f6586e3872bea7413267bb058f0a227e76876ba900",
+    "a61574f1a324fb8b0a51b82dcd9d9ac162d5b1cac48c6c5d9b3a0ebf3baa295b",
+    "a61574f1a324fb8b0a51b82dcd9d9ac162d5b1cac48c6c5d9b3a0ebf3baa295b",
+    "517de5a835fb6d6f998ea49074a9d2f4cdccec1d33cce2ab48ab478feef1ca2c",
+    "517de5a835fb6d6f998ea49074a9d2f4cdccec1d33cce2ab48ab478feef1ca2c",
 ];
