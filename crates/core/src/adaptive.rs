@@ -97,7 +97,7 @@ pub fn run_adaptive(
     while let Some((step, io_due)) = stepper.tick(node, cfg) {
         if io_due {
             if switched_at_step.is_some() {
-                let image = driver::render(node, cfg, stepper.grid(), &cfg.render);
+                let image = driver::render(node, cfg, stepper.grid(), &cfg.render, None);
                 store.write_frame(node, &driver::frame_name(step), &image)?;
                 images_written += 1;
             } else {
@@ -123,7 +123,8 @@ pub fn run_adaptive(
     // post-processing pipeline would.
     for name in &kept {
         let bytes = store.read(node, name)?;
-        driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), name, &bytes)?;
+        let shape = (cfg.grid_nx, cfg.grid_ny);
+        driver::render_snapshot(node, cfg, shape, (name, &bytes), None, None)?;
     }
 
     Ok(AdaptiveReport {

@@ -1,7 +1,8 @@
 //! Head-to-head pipeline comparison — Figures 7–11.
 
 use crate::config::PipelineConfig;
-use crate::experiment::{run, ExperimentSetup, PipelineReport};
+use crate::experiment::{run_sharing, ExperimentSetup, PipelineReport};
+use crate::frames::FrameMemo;
 use crate::pipeline::{PipelineError, PipelineKind};
 
 /// Both pipelines run over the same case-study workload.
@@ -24,7 +25,7 @@ impl CaseComparison {
         Self::run_config(n, &PipelineConfig::case_study(n), setup)
     }
 
-    /// Run both pipelines over an arbitrary workload.
+    /// Run both pipelines over an arbitrary workload, sharing their frames.
     ///
     /// # Errors
     /// Propagates [`PipelineError`] from either run.
@@ -33,10 +34,11 @@ impl CaseComparison {
         cfg: &PipelineConfig,
         setup: &ExperimentSetup,
     ) -> Result<CaseComparison, PipelineError> {
+        let memo = FrameMemo::default();
         Ok(CaseComparison {
             case: n,
-            post: run(PipelineKind::PostProcessing, cfg, setup)?,
-            insitu: run(PipelineKind::InSitu, cfg, setup)?,
+            post: run_sharing(PipelineKind::PostProcessing, cfg, setup, Some(&memo))?,
+            insitu: run_sharing(PipelineKind::InSitu, cfg, setup, Some(&memo))?,
         })
     }
 

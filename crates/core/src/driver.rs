@@ -22,7 +22,7 @@
 //! sync/drop tail exist exactly once (`tests/workspace_hygiene.rs` pins
 //! that). Nothing here branches on which pipeline is calling.
 
-use greenness_faults::{FaultPlan, Site};
+use greenness_faults::{checksum64, FaultPlan, Site};
 use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{Activity, Node, Phase, PowerDraw};
 use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
@@ -30,6 +30,7 @@ use greenness_trace::Value;
 use greenness_viz::{render_field, Framebuffer, RenderOptions};
 
 use crate::config::PipelineConfig;
+use crate::frames::{recall, Cursor};
 use crate::pipeline::PipelineError;
 
 /// Start a batch run: the live solver and a freshly formatted store.
@@ -278,20 +279,29 @@ pub(crate) fn frame_name(step: u64) -> String {
     format!("frame{step:04}.ppm")
 }
 
-/// Charge one frame's rasterisation (at `cfg`'s resolution) and render
-/// `grid` through `opts`.
+/// Charge one frame's rasterisation (at `cfg`'s resolution).
+fn charge_frame(node: &mut Node, cfg: &PipelineConfig) {
+    let pixels = (cfg.render.width * cfg.render.height) as u64;
+    node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
+}
+
+/// Charge one frame and render `grid` through `opts`, or recall it through
+/// `memo`: the run's cursor and the step `grid` shows.
 pub(crate) fn render(
     node: &mut Node,
     cfg: &PipelineConfig,
     grid: &Grid,
     opts: &RenderOptions,
+    memo: Option<(&mut Cursor<'_>, u64)>,
 ) -> Framebuffer {
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
-    node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
-    render_field(grid, opts)
+    charge_frame(node, cfg);
+    let frame = recall::<std::convert::Infallible>(memo, || Ok(render_field(grid, opts)));
+    frame.unwrap_or_else(|never| match never {})
 }
 
-/// Rebuild an `nx × ny` field from read-back snapshot `bytes` and render it.
+/// Rebuild an `nx × ny` field from read-back snapshot `bytes` and render it;
+/// say whether they match their write-time `checksum`, if one was taken.
+/// Only matching bytes may recall the frame through `memo`.
 ///
 /// # Errors
 /// [`PipelineError::CorruptSnapshot`] when the bytes do not have that shape.
@@ -299,11 +309,18 @@ pub(crate) fn render_snapshot(
     node: &mut Node,
     cfg: &PipelineConfig,
     (nx, ny): (usize, usize),
-    name: &str,
-    bytes: &[u8],
-) -> Result<Framebuffer, PipelineError> {
-    let grid = Grid::from_bytes(nx, ny, bytes).ok_or_else(|| PipelineError::CorruptSnapshot {
-        name: name.to_string(),
+    (name, bytes): (&str, &[u8]),
+    checksum: Option<u64>,
+    memo: Option<(&mut Cursor<'_>, u64)>,
+) -> Result<(Framebuffer, bool), PipelineError> {
+    let matched = checksum.map(|sum| checksum64(bytes) == sum);
+    let frame = recall::<PipelineError>(memo.filter(|_| matched == Some(true)), || {
+        let grid =
+            Grid::from_bytes(nx, ny, bytes).ok_or_else(|| PipelineError::CorruptSnapshot {
+                name: name.to_string(),
+            })?;
+        Ok(render_field(&grid, &cfg.render))
     })?;
-    Ok(render(node, cfg, &grid, &cfg.render))
+    charge_frame(node, cfg);
+    Ok((frame, matched != Some(false)))
 }

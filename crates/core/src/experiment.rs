@@ -11,6 +11,7 @@ use greenness_power::{GreenMetrics, PowerProfile, WattsupMeter};
 use greenness_trace::{MetricsRegistry, Tracer, Value};
 
 use crate::config::PipelineConfig;
+use crate::frames::FrameMemo;
 use crate::grid;
 use crate::pipeline::{self, PipelineError, PipelineKind, PipelineOutput};
 
@@ -134,6 +135,16 @@ pub fn run(
     cfg: &PipelineConfig,
     setup: &ExperimentSetup,
 ) -> Result<PipelineReport, PipelineError> {
+    run_sharing(kind, cfg, setup, None)
+}
+
+/// [`run`], reading and offering frames through a grid's frame `memo`.
+pub(crate) fn run_sharing(
+    kind: PipelineKind,
+    cfg: &PipelineConfig,
+    setup: &ExperimentSetup,
+    memo: Option<&FrameMemo>,
+) -> Result<PipelineReport, PipelineError> {
     let mut node = Node::new(setup.spec.clone());
     node.set_monitoring_overhead_w(setup.monitoring_overhead_w);
     if setup.trace {
@@ -142,7 +153,7 @@ pub fn run(
             ("config", Value::from(cfg.label.as_str())),
         ]));
     }
-    let output = pipeline::run_with_faults(kind, &mut node, cfg, setup.faults)?;
+    let output = pipeline::run_with_faults(kind, &mut node, cfg, setup.faults, memo)?;
     node.finish_trace();
     let tracer = node.tracer().clone();
     let timeline = node.into_timeline();

@@ -19,7 +19,7 @@
 //! between phases — is the crate's one private `driver`; this module adds
 //! only what each kind does on an I/O step (write the snapshot / hand the
 //! field to the renderer and write the image / ship the field) and the
-//! post-processing checksum verification.
+//! post-processing write-time checksums the read-back is verified against.
 //!
 //! Data honesty: snapshots are real solver output; the post-processing
 //! pipeline re-renders from the bytes it reads back from the simulated disk
@@ -34,6 +34,7 @@ use greenness_viz::Framebuffer;
 
 use crate::config::PipelineConfig;
 use crate::driver;
+use crate::frames::{Cursor, FrameMemo};
 
 /// Why a pipeline run could not complete. All of these are reachable from
 /// caller-supplied configuration (and, through the serve layer, from network
@@ -170,23 +171,26 @@ pub fn run(
     node: &mut Node,
     cfg: &PipelineConfig,
 ) -> Result<PipelineOutput, PipelineError> {
-    run_with_faults(kind, node, cfg, None)
+    run_with_faults(kind, node, cfg, None, None)
 }
 
 /// [`run`] with a seeded storage-fault schedule: transient fsync errors are
 /// injected per the plan and retried with exponential backoff, so a flaky
 /// disk stretches the run (real static energy) instead of changing its
-/// output. `None` is exactly the fault-free fast path.
+/// output. `None` is exactly the fault-free fast path. A `memo` shares
+/// frames with the other runs of a grid; the output is the same.
 ///
 /// # Errors
 /// Same conditions as [`run`].
-pub fn run_with_faults(
+pub(crate) fn run_with_faults(
     kind: PipelineKind,
     node: &mut Node,
     cfg: &PipelineConfig,
     faults: Option<FaultPlan>,
+    memo: Option<&FrameMemo>,
 ) -> Result<PipelineOutput, PipelineError> {
     let (mut stepper, mut store) = driver::open(cfg, faults)?;
+    let mut cursor = memo.map(|memo| Cursor::new(memo, cfg));
     let mut out = PipelineOutput {
         kind,
         work_units: cfg.work_units(),
@@ -216,7 +220,8 @@ pub fn run_with_faults(
                     },
                     Phase::Visualization,
                 );
-                let image = driver::render(node, cfg, stepper.grid(), &cfg.render);
+                let memo = cursor.as_mut().map(|cursor| (cursor, step));
+                let image = driver::render(node, cfg, stepper.grid(), &cfg.render, memo);
                 out.bytes_written += store.write_frame(node, &driver::frame_name(step), &image)?;
                 if cfg.keep_frames {
                     out.frames.push(FrameRecord { step, image });
@@ -239,13 +244,14 @@ pub fn run_with_faults(
     store.end_phase_one(node);
 
     // ---- Phase 2 (post-processing only): read back and visualize ----
+    let shape = (cfg.grid_nx, cfg.grid_ny);
     for (name, step, checksum) in checksums {
         let bytes = store.read(node, &name)?;
         out.bytes_read += bytes.len() as u64;
-        if checksum64(&bytes) != checksum {
-            out.verified = false;
-        }
-        let image = driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), &name, &bytes)?;
+        let memo = cursor.as_mut().map(|cursor| (cursor, step));
+        let (image, verified) =
+            driver::render_snapshot(node, cfg, shape, (&name, &bytes), Some(checksum), memo)?;
+        out.verified &= verified;
         if cfg.keep_frames {
             out.frames.push(FrameRecord { step, image });
         }
@@ -383,6 +389,52 @@ mod tests {
                 "{kind:?} charged before failing"
             );
         }
+    }
+
+    #[test]
+    fn a_read_back_that_fails_its_checksum_renders_from_its_own_bytes() {
+        use crate::frames::recall;
+        use greenness_heatsim::Grid;
+        use greenness_platform::SimDuration;
+
+        let cfg = PipelineConfig::small(1);
+        let memo = FrameMemo::default();
+        let mut cursor = Cursor::new(&memo, &cfg);
+        let stand_in = Framebuffer::new(64, 64);
+        recall::<()>(Some((&mut cursor, 1)), || Ok(stand_in.clone())).expect("infallible");
+        let field = Grid::warm_patch(64, 64);
+        let bytes = field.to_bytes();
+        let sum = checksum64(&bytes);
+        let mut node = Node::new(HardwareSpec::table1());
+        let mut read = |checksum, bytes: &[u8]| {
+            let before = node.now();
+            let memo = Some((&mut cursor, 1));
+            let read =
+                driver::render_snapshot(&mut node, &cfg, (64, 64), ("s", bytes), checksum, memo);
+            (read, node.now() - before)
+        };
+        let (served, charge) = read(Some(sum), &bytes);
+        assert_eq!(
+            served,
+            Ok((stand_in, true)),
+            "matching bytes may use the memo"
+        );
+        let own = greenness_viz::render_field(&field, &cfg.render);
+        for (checksum, matched) in [(Some(sum ^ 1), false), (None, true)] {
+            let (rendered, same) = read(checksum, &bytes);
+            assert_eq!(
+                rendered,
+                Ok((own.clone(), matched)),
+                "{checksum:?} renders as read"
+            );
+            assert_eq!(charge, same, "a hit is charged as a render");
+        }
+        let (corrupt, none) = read(Some(sum ^ 1), &bytes[..100]);
+        assert_eq!(
+            corrupt,
+            Err(PipelineError::CorruptSnapshot { name: "s".into() })
+        );
+        assert_eq!(none, SimDuration::ZERO);
     }
 
     #[test]

@@ -25,7 +25,8 @@ use greenness_trace::escape_json;
 
 use crate::compare::CaseComparison;
 use crate::config::PipelineConfig;
-use crate::experiment::{run, ExperimentSetup, PipelineReport};
+use crate::experiment::{run_sharing, ExperimentSetup, PipelineReport};
+use crate::frames::FrameMemo;
 use crate::grid::{self, JobView};
 use crate::pipeline::{PipelineError, PipelineKind};
 
@@ -74,14 +75,14 @@ impl SweepJob {
         splitmix64(fnv1a64(self.key().as_bytes()) ^ self.setup.meter.seed)
     }
 
-    /// Run the job (on whatever thread the executor picked).
-    fn execute(&self) -> Result<PipelineReport, PipelineError> {
+    /// Run the job (on whatever thread the executor picked) through `memo`.
+    fn execute(&self, memo: &FrameMemo) -> Result<PipelineReport, PipelineError> {
         let mut setup = self.setup.clone();
         setup.meter.seed = self.derived_seed();
         // Fault schedules reseed the same way meter noise does: from the job
         // key and the sweep-level base plan only, never from scheduling.
         setup.faults = setup.faults.map(|plan| plan.derive(&self.key()));
-        run(self.kind, &self.cfg, &setup)
+        run_sharing(self.kind, &self.cfg, &setup, Some(memo))
     }
 }
 
@@ -209,9 +210,10 @@ pub fn run_sweep(
     on_done: Progress<'_>,
 ) -> Result<Vec<JobResult>, SweepError> {
     let keys: Vec<String> = jobs.iter().map(SweepJob::key).collect();
+    let memo = FrameMemo::default();
     grid::run_grid(&keys, workers, on_done, &|id| {
         let job = &jobs[id];
-        let report = job.execute().map_err(|e| e.to_string())?;
+        let report = job.execute(&memo).map_err(|e| e.to_string())?;
         Ok(JobResult {
             id,
             key: keys[id].clone(),

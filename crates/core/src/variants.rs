@@ -169,8 +169,7 @@ fn sampled_post(node: &mut Node, cfg: &PipelineConfig, stride: usize) -> Tally {
     let mut verified = true;
     for (name, sum, shape) in kept {
         let bytes = store.read(node, &name)?;
-        verified &= checksum64(&bytes) == sum;
-        driver::render_snapshot(node, cfg, shape, &name, &bytes)?;
+        verified &= driver::render_snapshot(node, cfg, shape, (&name, &bytes), Some(sum), None)?.1;
     }
     Ok((written, raw, verified))
 }
@@ -225,7 +224,8 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
                 }
             }
         }
-        driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), &name, &decoded)?;
+        let shape = (cfg.grid_nx, cfg.grid_ny);
+        driver::render_snapshot(node, cfg, shape, (&name, &decoded), None, None)?;
     }
     Ok((written, raw, verified))
 }
@@ -237,7 +237,7 @@ fn dvfs_insitu(node: &mut Node, cfg: &PipelineConfig, freq_scale: f64) -> Tally 
 
     while let Some(step) = stepper.next_io_step(node, cfg) {
         raw += cfg.snapshot_bytes();
-        let image = driver::render(node, cfg, stepper.grid(), &cfg.render);
+        let image = driver::render(node, cfg, stepper.grid(), &cfg.render, None);
         written += store.write_frame(node, &driver::frame_name(step), &image)?;
     }
     store.end_phase_one(node);
@@ -262,7 +262,7 @@ fn image_database(node: &mut Node, cfg: &PipelineConfig, views: usize) -> Tally 
                 range: Some((0.0 - 0.2 * t, 1.0 - 0.5 * t)),
                 ..cfg.render
             };
-            let image = driver::render(node, cfg, stepper.grid(), &opts);
+            let image = driver::render(node, cfg, stepper.grid(), &opts, None);
             let name = format!("frame{step:04}.v{view:02}.ppm");
             written += store.write_frame(node, &name, &image)?;
         }
@@ -305,8 +305,8 @@ fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -
         let bytes = fs
             .read(node, &name, 0, size, Phase::Read)
             .map_err(storage("read"))?;
-        verified &= checksum64(&bytes) == sum;
-        driver::render_snapshot(node, cfg, (cfg.grid_nx, cfg.grid_ny), &name, &bytes)?;
+        let shape = (cfg.grid_nx, cfg.grid_ny);
+        verified &= driver::render_snapshot(node, cfg, shape, (&name, &bytes), Some(sum), None)?.1;
     }
     Ok((bb.drained_bytes(), raw, verified))
 }
