@@ -1473,3 +1473,88 @@ const GRID_FRAMES_RECORDED: [&str; 6] = [
     "517de5a835fb6d6f998ea49074a9d2f4cdccec1d33cce2ab48ab478feef1ca2c",
     "517de5a835fb6d6f998ea49074a9d2f4cdccec1d33cce2ab48ab478feef1ca2c",
 ];
+
+/// The traced three-interval grid of [`grid_frames_match_the_recording`]
+/// plus one post-processing cell whose 18,000-byte snapshot ends inside a
+/// 4 KiB block and whose 5,000-byte chunks end inside blocks too; its
+/// journal and metrics file under `setup`, at `jobs` workers.
+fn grid_journal_artifacts(setup: &ExperimentSetup, jobs: usize) -> [String; 2] {
+    let configs: Vec<_> = [(1u32, 1u64), (2, 2), (3, 8)]
+        .into_iter()
+        .map(|(n, interval)| (n, fifty_step_frames(interval)))
+        .collect();
+    let mut grid = sweep::config_grid(setup, &configs);
+    let mut ragged = fifty_step_frames(2);
+    (ragged.grid_nx, ragged.grid_ny, ragged.chunk_bytes) = (45, 50, 5000);
+    ragged.solver = PipelineConfig::default_solver(45, 50);
+    ragged.label = "ragged".to_string();
+    grid.push(sweep::SweepJob {
+        case: 4,
+        kind: greenness_core::pipeline::PipelineKind::PostProcessing,
+        cfg: ragged,
+        setup: setup.clone(),
+    });
+    let results = sweep::run_sweep(grid, jobs, &sweep::silent_progress()).expect("grid");
+    assert!(results.iter().all(|r| r.report.output.verified));
+    [
+        sweep::sweep_journal(&results),
+        sweep::sweep_metrics_json(&results),
+    ]
+    .map(|artifact| artifact.expect("tracing was on"))
+}
+
+/// Every journal and metrics byte of a traced grid whose cells step the
+/// same trajectory at I/O intervals 1, 2 and 8, plus a ragged
+/// post-processing cell: cache counters, flushed pages and seeks of the
+/// partial-block path, at `--jobs 1` and `4`, plain and faulted.
+#[test]
+fn grid_journal_matches_the_recording() {
+    for (faults, recorded) in [None, Some(FaultPlan::with_seed(11))]
+        .into_iter()
+        .zip(GRID_JOURNAL_RECORDED)
+    {
+        let faulted = faults.is_some();
+        let setup = ExperimentSetup {
+            meter: WattsupMeter {
+                seed: 42,
+                ..WattsupMeter::default()
+            },
+            trace: true,
+            faults,
+            ..ExperimentSetup::default()
+        };
+        for jobs in [1, 4] {
+            let [journal, metrics] = grid_journal_artifacts(&setup, jobs);
+            let mut events = vec!["cache.writeback", "cache.drop"];
+            if faulted {
+                events.extend(["fault.injected", "fault.retry"]);
+            }
+            for name in events {
+                let tag = format!("\"name\":\"{name}\"");
+                assert!(journal.contains(&tag), "{name} fires (faults: {faulted})");
+            }
+            let per_cell: Vec<&str> = metrics.split("{\"label\": ").skip(1).collect();
+            assert_eq!(per_cell.len(), 7);
+            for cell in &per_cell {
+                assert_eq!(counter(cell, "solver.steps"), 50, "{cell:.60}");
+                assert!(counter(cell, "cache.flushed_pages") > 0, "{cell:.60}");
+            }
+            assert!(counter(per_cell[6], "disk.seeks") > 0);
+            let digests = [&journal, &metrics].map(|a| hex(&blake2s256(a.as_bytes())));
+            assert_eq!(digests, recorded, "faults: {faulted}, jobs {jobs}");
+        }
+    }
+}
+
+/// Recorded at commit `27c4c8f`: journal, metrics; plain, then
+/// `--fault-seed 11`.
+const GRID_JOURNAL_RECORDED: [[&str; 2]; 2] = [
+    [
+        "685915a693b201a91fd8251d8ef12fe9531a3b0ef84802c56f2154fd55c97d17",
+        "93c7daf13224be57e9fd3b7c94184cff0d8623db19c3740da008046e67b7ffad",
+    ],
+    [
+        "84220aa6916ed7ee128e847fe90ef9e0beb7bfa96955effc2117e99f3160df88",
+        "92f0c5eab55903d0a3b965f6b90149b50ba3194856b41412cef0d2862a67e169",
+    ],
+];
