@@ -22,7 +22,7 @@
 use greenness_platform::{Node, Phase};
 
 use crate::config::PipelineConfig;
-use crate::driver;
+use crate::driver::{self, Stored};
 use crate::pipeline::PipelineError;
 
 /// Adaptive policy knobs.
@@ -97,11 +97,12 @@ pub fn run_adaptive(
     while let Some((step, io_due)) = stepper.tick(node, cfg) {
         if io_due {
             if switched_at_step.is_some() {
-                let image = driver::render(node, cfg, stepper.grid(), &cfg.render, None);
+                let image = driver::render(node, cfg, &mut stepper, &cfg.render, None);
                 store.write_frame(node, &driver::frame_name(step), &image)?;
                 images_written += 1;
             } else {
-                kept.push(store.write_snapshot(node, step, &stepper.grid().to_bytes())?);
+                let snapshot = Stored::of_grid(stepper.grid());
+                kept.push(store.write_snapshot(node, step, &snapshot)?);
             }
         }
         // Policy evaluation at window boundaries, while still writing raw.
@@ -122,9 +123,9 @@ pub fn run_adaptive(
     // Final phase: visualize the snapshots that stayed raw, exactly as the
     // post-processing pipeline would.
     for name in &kept {
-        let bytes = store.read(node, name)?;
+        let snapshot = store.read(node, name)?;
         let shape = (cfg.grid_nx, cfg.grid_ny);
-        driver::render_snapshot(node, cfg, shape, (name, &bytes), None, None)?;
+        driver::render_snapshot(node, cfg, shape, (name, &snapshot), None, None)?;
     }
 
     Ok(AdaptiveReport {

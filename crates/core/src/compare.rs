@@ -2,6 +2,7 @@
 
 use crate::config::PipelineConfig;
 use crate::experiment::{run_sharing, ExperimentSetup, PipelineReport};
+use crate::fields::FieldMemo;
 use crate::frames::FrameMemo;
 use crate::pipeline::{PipelineError, PipelineKind};
 
@@ -25,7 +26,8 @@ impl CaseComparison {
         Self::run_config(n, &PipelineConfig::case_study(n), setup)
     }
 
-    /// Run both pipelines over an arbitrary workload, sharing their frames.
+    /// Run both pipelines over an arbitrary workload, sharing their frames
+    /// and fields.
     ///
     /// # Errors
     /// Propagates [`PipelineError`] from either run.
@@ -34,11 +36,16 @@ impl CaseComparison {
         cfg: &PipelineConfig,
         setup: &ExperimentSetup,
     ) -> Result<CaseComparison, PipelineError> {
-        let memo = FrameMemo::default();
+        let [post, insitu] = [PipelineKind::PostProcessing, PipelineKind::InSitu];
+        let (frames, fields) = (
+            FrameMemo::default(),
+            FieldMemo::expecting([(post, cfg), (insitu, cfg)]),
+        );
+        let memo = Some((&frames, &fields));
         Ok(CaseComparison {
             case: n,
-            post: run_sharing(PipelineKind::PostProcessing, cfg, setup, Some(&memo))?,
-            insitu: run_sharing(PipelineKind::InSitu, cfg, setup, Some(&memo))?,
+            post: run_sharing(post, cfg, setup, memo)?,
+            insitu: run_sharing(insitu, cfg, setup, memo)?,
         })
     }
 

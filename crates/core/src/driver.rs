@@ -6,11 +6,13 @@
 //! [`steering`](crate::steering) session — is the same loop in the same
 //! phase order (Figure 2):
 //!
-//! 1. **simulate** one timestep ([`Stepper::tick`]: real stencil update plus
-//!    the calibrated `Simulation` charge);
+//! 1. **simulate** one timestep ([`Stepper::tick`]: the calibrated
+//!    `Simulation` charge; the stencil itself runs when a stage asks for the
+//!    field, [`Stepper::grid`]);
 //! 2. on an I/O step, **store** what the pipeline keeps — a raw snapshot
 //!    ([`Store::write_snapshot`]) or a frame rendered in memory ([`render`] +
-//!    [`Store::write_frame`]) — in fsync'd chunks;
+//!    [`Store::write_frame`]) — in fsync'd chunks, as the [`Stored`] blocks
+//!    the page cache keeps by handle;
 //! 3. after the last step, **sync and drop caches**
 //!    ([`Store::end_phase_one`], §IV-C);
 //! 4. **read back** every kept snapshot chunk by chunk ([`Store::read`]) and
@@ -22,10 +24,14 @@
 //! sync/drop tail exist exactly once (`tests/workspace_hygiene.rs` pins
 //! that). Nothing here branches on which pipeline is calling.
 
-use greenness_faults::{checksum64, FaultPlan, Site};
+use std::sync::Arc;
+
+use greenness_faults::{checksum64_parts, FaultPlan, Site};
 use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{Activity, Node, Phase, PowerDraw};
-use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
+use greenness_storage::{
+    block_from, Block, FileSystem, FsConfig, FsError, MemBlockDevice, BLOCK_SIZE,
+};
 use greenness_trace::Value;
 use greenness_viz::{render_field, Framebuffer, RenderOptions};
 
@@ -66,7 +72,8 @@ pub(crate) fn check_io_interval(io_interval: u64) -> Result<(), PipelineError> {
 
 /// The live simulation: solver, step counter, and the per-step charge.
 /// Resumable — a steering session ticks it a slice at a time, and a clone
-/// carries the remaining run onto a scratch node.
+/// carries the remaining run onto a scratch node. Lazy: a tick charges the
+/// step, and the stencil catches up only when a stage asks for the field.
 #[derive(Debug, Clone)]
 pub(crate) struct Stepper {
     solver: HeatSolver,
@@ -116,18 +123,16 @@ impl Stepper {
         self.solver.set_jobs(jobs);
     }
 
-    /// Steps simulated so far.
+    /// Steps simulated so far: the stencil steps the solver has run or owes.
     pub(crate) fn step(&self) -> u64 {
         self.step
     }
 
-    /// Stencil steps the solver actually executed.
-    pub(crate) fn solver_steps(&self) -> u64 {
-        self.solver.steps_taken()
-    }
-
-    /// The live field.
-    pub(crate) fn grid(&self) -> &Grid {
+    /// The field at the current step, running the stencil steps owed first.
+    pub(crate) fn grid(&mut self) -> &Grid {
+        while self.solver.steps_taken() < self.step {
+            self.solver.step();
+        }
         self.solver.grid()
     }
 
@@ -148,7 +153,6 @@ impl Stepper {
             return None;
         }
         self.step += 1;
-        self.solver.step();
         node.tracer().count("solver.steps", 1);
         self.charge(node);
         Some((self.step, self.step % cfg.io_interval == 0))
@@ -166,6 +170,58 @@ impl Stepper {
     }
 }
 
+/// A file's bytes as the blocks that hold them: every block full but the
+/// last, which holds the rest of the `len` bytes.
+#[derive(Debug, Clone)]
+pub(crate) struct Stored {
+    pub(crate) blocks: Vec<Block>,
+    pub(crate) len: usize,
+}
+
+impl Stored {
+    /// `bytes`, copied into fresh blocks.
+    pub(crate) fn copy_of(bytes: &[u8]) -> Stored {
+        let blocks = bytes.chunks(BLOCK_SIZE as usize).map(block_from).collect();
+        Stored {
+            blocks,
+            len: bytes.len(),
+        }
+    }
+
+    /// `grid`'s snapshot ([`Grid::to_bytes`]), serialised straight into
+    /// fresh blocks.
+    pub(crate) fn of_grid(grid: &Grid) -> Stored {
+        let cells = grid.as_slice();
+        let fill = |values: &[f64]| {
+            let mut bytes = [0; BLOCK_SIZE as usize];
+            for (word, v) in bytes.chunks_exact_mut(8).zip(values) {
+                word.copy_from_slice(&v.to_le_bytes());
+            }
+            Arc::new(bytes)
+        };
+        Stored {
+            blocks: cells.chunks(BLOCK_SIZE as usize / 8).map(fill).collect(),
+            len: cells.len() * 8,
+        }
+    }
+
+    /// The bytes, block by block.
+    pub(crate) fn parts(&self) -> Vec<&[u8]> {
+        let mut left = self.len;
+        let parts = self.blocks.iter().map(|block| {
+            let take = left.min(block.len());
+            left -= take;
+            &block[..take]
+        });
+        parts.collect()
+    }
+
+    /// The bytes' `checksum64`.
+    pub(crate) fn checksum64(&self) -> u64 {
+        checksum64_parts(&self.parts())
+    }
+}
+
 /// The run's simulated disk: one formatted filesystem, written and read in
 /// `chunk_bytes` pieces.
 pub(crate) struct Store {
@@ -180,19 +236,21 @@ impl Store {
         &mut self.fs
     }
 
-    /// Write `data` to `name` chunk by chunk, fsyncing each chunk. Returns
-    /// the bytes written.
+    /// Write `data` to `name` chunk by chunk, fsyncing each chunk; the page
+    /// cache keeps every block a chunk covers whole by handle. Returns the
+    /// bytes written.
     fn write(
         &mut self,
         node: &mut Node,
         name: &str,
-        data: &[u8],
+        data: &Stored,
         phase: Phase,
     ) -> Result<u64, PipelineError> {
-        for (i, part) in data.chunks(self.chunk).enumerate() {
-            let off = (i * self.chunk) as u64;
+        let len = data.len as u64;
+        for start in (0..len).step_by(self.chunk) {
+            let range = start..len.min(start + self.chunk as u64);
             self.fs
-                .write(node, name, off, part, phase)
+                .write_blocks(node, name, &data.blocks, range, phase)
                 .map_err(|source| PipelineError::Storage {
                     op: "write",
                     source,
@@ -208,36 +266,43 @@ impl Store {
                     source,
                 })?;
         }
-        Ok(data.len() as u64)
+        Ok(len)
     }
 
-    /// Read all of `name` back chunk by chunk, in the `Read` phase.
-    pub(crate) fn read(&mut self, node: &mut Node, name: &str) -> Result<Vec<u8>, PipelineError> {
+    /// Read all of `name` back chunk by chunk, in the `Read` phase, as the
+    /// blocks the page cache holds.
+    pub(crate) fn read(&mut self, node: &mut Node, name: &str) -> Result<Stored, PipelineError> {
+        let read = |source: FsError| PipelineError::Storage { op: "read", source };
         let size = self
             .fs
             .size(name)
             .map_err(|source| PipelineError::Storage { op: "stat", source })?;
-        let mut out = Vec::with_capacity(size as usize);
+        let mut blocks = Vec::with_capacity(size.div_ceil(BLOCK_SIZE) as usize);
         let mut off = 0u64;
         while off < size {
+            if off % BLOCK_SIZE != 0 {
+                // This chunk starts in the block the last one ended in.
+                blocks.pop();
+            }
             off += self
                 .fs
-                .read_into(node, name, off, self.chunk as u64, Phase::Read, &mut out)
-                .map_err(|source| PipelineError::Storage { op: "read", source })?;
+                .read_blocks(node, name, off, self.chunk as u64, Phase::Read, &mut blocks)
+                .map_err(read)?;
         }
-        Ok(out)
+        let len = size as usize;
+        Ok(Stored { blocks, len })
     }
 
-    /// Persist `step`'s snapshot bytes in the `Write` phase. Returns the
-    /// file name to read it back by.
+    /// Persist `step`'s snapshot in the `Write` phase. Returns the file name
+    /// to read it back by.
     pub(crate) fn write_snapshot(
         &mut self,
         node: &mut Node,
         step: u64,
-        bytes: &[u8],
+        snapshot: &Stored,
     ) -> Result<String, PipelineError> {
         let name = snapshot_name(step);
-        self.write(node, &name, bytes, Phase::Write)?;
+        self.write(node, &name, snapshot, Phase::Write)?;
         Ok(name)
     }
 
@@ -249,7 +314,7 @@ impl Store {
         name: &str,
         image: &Framebuffer,
     ) -> Result<u64, PipelineError> {
-        self.write(node, name, image.ppm(), Phase::ImageWrite)
+        self.write(node, name, &Stored::copy_of(image.ppm()), Phase::ImageWrite)
     }
 
     /// §IV-C: `sync` and drop caches between the simulation phase and the
@@ -285,23 +350,24 @@ fn charge_frame(node: &mut Node, cfg: &PipelineConfig) {
     node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
 }
 
-/// Charge one frame and render `grid` through `opts`, or recall it through
-/// `memo`: the run's cursor and the step `grid` shows.
+/// Charge one frame and recall it through `memo` (the run's cursor and the
+/// step), or render `stepper`'s field through `opts`: the stencil catches up
+/// only when the memo does not hold the frame.
 pub(crate) fn render(
     node: &mut Node,
     cfg: &PipelineConfig,
-    grid: &Grid,
+    stepper: &mut Stepper,
     opts: &RenderOptions,
     memo: Option<(&mut Cursor<'_>, u64)>,
 ) -> Framebuffer {
     charge_frame(node, cfg);
-    let frame = recall::<std::convert::Infallible>(memo, || Ok(render_field(grid, opts)));
+    let frame = recall::<std::convert::Infallible>(memo, || Ok(render_field(stepper.grid(), opts)));
     frame.unwrap_or_else(|never| match never {})
 }
 
-/// Rebuild an `nx × ny` field from read-back snapshot `bytes` and render it;
-/// say whether they match their write-time `checksum`, if one was taken.
-/// Only matching bytes may recall the frame through `memo`.
+/// Rebuild an `nx × ny` field from a read-back `snapshot` and render it; say
+/// whether it matches its write-time `checksum`, if one was taken. Only a
+/// matching snapshot may recall the frame through `memo`.
 ///
 /// # Errors
 /// [`PipelineError::CorruptSnapshot`] when the bytes do not have that shape.
@@ -309,18 +375,27 @@ pub(crate) fn render_snapshot(
     node: &mut Node,
     cfg: &PipelineConfig,
     (nx, ny): (usize, usize),
-    (name, bytes): (&str, &[u8]),
+    (name, snapshot): (&str, &Stored),
     checksum: Option<u64>,
     memo: Option<(&mut Cursor<'_>, u64)>,
 ) -> Result<(Framebuffer, bool), PipelineError> {
-    let matched = checksum.map(|sum| checksum64(bytes) == sum);
+    let matched = checksum.map(|sum| snapshot.checksum64() == sum);
     let frame = recall::<PipelineError>(memo.filter(|_| matched == Some(true)), || {
-        let grid =
-            Grid::from_bytes(nx, ny, bytes).ok_or_else(|| PipelineError::CorruptSnapshot {
+        let grid = Grid::from_byte_parts(nx, ny, &snapshot.parts()).ok_or_else(|| {
+            PipelineError::CorruptSnapshot {
                 name: name.to_string(),
-            })?;
+            }
+        })?;
         Ok(render_field(&grid, &cfg.render))
     })?;
     charge_frame(node, cfg);
     Ok((frame, matched != Some(false)))
+}
+
+#[cfg(test)]
+impl Stepper {
+    /// Stencil steps the solver has actually run.
+    pub(crate) fn stencil_steps(&self) -> u64 {
+        self.solver.steps_taken()
+    }
 }

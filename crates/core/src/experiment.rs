@@ -11,6 +11,7 @@ use greenness_power::{GreenMetrics, PowerProfile, WattsupMeter};
 use greenness_trace::{MetricsRegistry, Tracer, Value};
 
 use crate::config::PipelineConfig;
+use crate::fields::FieldMemo;
 use crate::frames::FrameMemo;
 use crate::grid;
 use crate::pipeline::{self, PipelineError, PipelineKind, PipelineOutput};
@@ -138,12 +139,12 @@ pub fn run(
     run_sharing(kind, cfg, setup, None)
 }
 
-/// [`run`], reading and offering frames through a grid's frame `memo`.
+/// [`run`], reading and offering frames and fields through a grid's `memo`.
 pub(crate) fn run_sharing(
     kind: PipelineKind,
     cfg: &PipelineConfig,
     setup: &ExperimentSetup,
-    memo: Option<&FrameMemo>,
+    memo: Option<(&FrameMemo, &FieldMemo)>,
 ) -> Result<PipelineReport, PipelineError> {
     let mut node = Node::new(setup.spec.clone());
     node.set_monitoring_overhead_w(setup.monitoring_overhead_w);

@@ -168,6 +168,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::fields::FieldMemo;
     use crate::pipeline::{run, run_with_faults, PipelineKind, PipelineOutput};
 
     const KINDS: [PipelineKind; 2] = [PipelineKind::PostProcessing, PipelineKind::InSitu];
@@ -282,14 +283,26 @@ mod tests {
         moved.solver.sources[0].rate *= 2.0;
         let memo = FrameMemo::default();
         let mut node = Node::new(HardwareSpec::table1());
-        run_with_faults(PipelineKind::InSitu, &mut node, &base, None, Some(&memo)).expect("runs");
+        run_with_faults(
+            PipelineKind::InSitu,
+            &mut node,
+            &base,
+            None,
+            Some((&memo, &FieldMemo::default())),
+        )
+        .expect("runs");
         for other in [&recoloured, &moved] {
             assert!(Cursor::new(&memo, other).get(1).is_none());
             let mut other = other.clone();
             other.keep_frames = true;
             let mut node = Node::new(HardwareSpec::table1());
-            let shared =
-                run_with_faults(PipelineKind::InSitu, &mut node, &other, None, Some(&memo));
+            let shared = run_with_faults(
+                PipelineKind::InSitu,
+                &mut node,
+                &other,
+                None,
+                Some((&memo, &FieldMemo::default())),
+            );
             let mut node = Node::new(HardwareSpec::table1());
             let alone = run(PipelineKind::InSitu, &mut node, &other).expect("runs");
             assert_eq!(frames(&shared.expect("runs")), frames(&alone));
@@ -314,7 +327,14 @@ mod tests {
         KINDS
             .map(|kind| {
                 let mut node = Node::new(HardwareSpec::table1());
-                let shared = run_with_faults(kind, &mut node, cfg, None, Some(memo)).expect("runs");
+                let shared = run_with_faults(
+                    kind,
+                    &mut node,
+                    cfg,
+                    None,
+                    Some((memo, &FieldMemo::default())),
+                )
+                .expect("runs");
                 let mut node = Node::new(HardwareSpec::table1());
                 let alone = run(kind, &mut node, cfg).expect("runs");
                 assert_eq!(frames(&shared), frames(&alone), "{kind:?}");
@@ -367,7 +387,14 @@ mod tests {
         for cfg in &configs {
             for kind in KINDS {
                 let mut node = Node::new(HardwareSpec::table1());
-                let out = run_with_faults(kind, &mut node, cfg, None, Some(&seeded)).expect("runs");
+                let out = run_with_faults(
+                    kind,
+                    &mut node,
+                    cfg,
+                    None,
+                    Some((&seeded, &FieldMemo::default())),
+                )
+                .expect("runs");
                 hits += out.frames.iter().filter(|f| f.image == stand_in).count();
             }
         }

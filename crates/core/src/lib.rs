@@ -59,6 +59,7 @@ pub mod compare;
 pub mod config;
 mod driver;
 pub mod experiment;
+mod fields;
 mod frames;
 mod grid;
 pub mod pipeline;

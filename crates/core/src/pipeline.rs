@@ -20,20 +20,23 @@
 //! only what each kind does on an I/O step (write the snapshot / hand the
 //! field to the renderer and write the image / ship the field) and the
 //! post-processing write-time checksums the read-back is verified against.
+//! A grid's cells share what they would each recompute: the frame memo
+//! rendered frames, the field memo stored snapshots.
 //!
 //! Data honesty: snapshots are real solver output; the post-processing
 //! pipeline re-renders from the bytes it reads back from the simulated disk
 //! and *verifies* them against a checksum taken at write time, so any
 //! storage-stack corruption fails loudly.
 
-use greenness_faults::{checksum64, FaultPlan};
+use greenness_faults::FaultPlan;
 use greenness_heatsim::SolverError;
 use greenness_platform::{Activity, Node, Phase};
 use greenness_storage::FsError;
 use greenness_viz::Framebuffer;
 
 use crate::config::PipelineConfig;
-use crate::driver;
+use crate::driver::{self, Stepper, Store, Stored};
+use crate::fields::FieldMemo;
 use crate::frames::{Cursor, FrameMemo};
 
 /// Why a pipeline run could not complete. All of these are reachable from
@@ -178,7 +181,7 @@ pub fn run(
 /// injected per the plan and retried with exponential backoff, so a flaky
 /// disk stretches the run (real static energy) instead of changing its
 /// output. `None` is exactly the fault-free fast path. A `memo` shares
-/// frames with the other runs of a grid; the output is the same.
+/// frames and fields with the other runs of a grid; the output is the same.
 ///
 /// # Errors
 /// Same conditions as [`run`].
@@ -187,10 +190,22 @@ pub(crate) fn run_with_faults(
     node: &mut Node,
     cfg: &PipelineConfig,
     faults: Option<FaultPlan>,
-    memo: Option<&FrameMemo>,
+    memo: Option<(&FrameMemo, &FieldMemo)>,
 ) -> Result<PipelineOutput, PipelineError> {
     let (mut stepper, mut store) = driver::open(cfg, faults)?;
-    let mut cursor = memo.map(|memo| Cursor::new(memo, cfg));
+    drive(kind, node, cfg, (&mut stepper, &mut store), memo)
+}
+
+/// [`run_with_faults`] over an opened stepper and store.
+pub(crate) fn drive(
+    kind: PipelineKind,
+    node: &mut Node,
+    cfg: &PipelineConfig,
+    (stepper, store): (&mut Stepper, &mut Store),
+    memo: Option<(&FrameMemo, &FieldMemo)>,
+) -> Result<PipelineOutput, PipelineError> {
+    let mut cursor = memo.map(|(frames, _)| Cursor::new(frames, cfg));
+    let fields = memo.map(|(_, fields)| fields);
     let mut out = PipelineOutput {
         kind,
         work_units: cfg.work_units(),
@@ -207,10 +222,18 @@ pub(crate) fn run_with_faults(
         out.io_steps += 1;
         match kind {
             PipelineKind::PostProcessing => {
-                let bytes = stepper.grid().to_bytes();
-                let name = store.write_snapshot(node, step, &bytes)?;
-                out.bytes_written += bytes.len() as u64;
-                checksums.push((name, step, checksum64(&bytes)));
+                let held = fields.and_then(|fields| fields.take(cfg, step));
+                let (snapshot, checksum) = held.unwrap_or_else(|| {
+                    let snapshot = Stored::of_grid(stepper.grid());
+                    let checksum = snapshot.checksum64();
+                    if let Some(fields) = fields {
+                        fields.offer(cfg, step, &snapshot, checksum);
+                    }
+                    (snapshot, checksum)
+                });
+                let name = store.write_snapshot(node, step, &snapshot)?;
+                out.bytes_written += snapshot.len as u64;
+                checksums.push((name, step, checksum));
             }
             PipelineKind::InSitu => {
                 // Hand the live field to the renderer (in-memory).
@@ -221,23 +244,17 @@ pub(crate) fn run_with_faults(
                     Phase::Visualization,
                 );
                 let memo = cursor.as_mut().map(|cursor| (cursor, step));
-                let image = driver::render(node, cfg, stepper.grid(), &cfg.render, memo);
+                let image = driver::render(node, cfg, stepper, &cfg.render, memo);
                 out.bytes_written += store.write_frame(node, &driver::frame_name(step), &image)?;
                 if cfg.keep_frames {
                     out.frames.push(FrameRecord { step, image });
                 }
             }
             PipelineKind::InTransit => {
-                let bytes = stepper.grid().to_bytes();
-                let messages = bytes.len().div_ceil(cfg.chunk_bytes) as u32;
-                node.execute(
-                    Activity::NetTransfer {
-                        bytes: bytes.len() as u64,
-                        messages,
-                    },
-                    Phase::Network,
-                );
-                out.bytes_written += bytes.len() as u64;
+                let bytes = cfg.snapshot_bytes();
+                let messages = bytes.div_ceil(cfg.chunk_bytes as u64) as u32;
+                node.execute(Activity::NetTransfer { bytes, messages }, Phase::Network);
+                out.bytes_written += bytes;
             }
         }
     }
@@ -246,11 +263,11 @@ pub(crate) fn run_with_faults(
     // ---- Phase 2 (post-processing only): read back and visualize ----
     let shape = (cfg.grid_nx, cfg.grid_ny);
     for (name, step, checksum) in checksums {
-        let bytes = store.read(node, &name)?;
-        out.bytes_read += bytes.len() as u64;
+        let snapshot = store.read(node, &name)?;
+        out.bytes_read += snapshot.len as u64;
         let memo = cursor.as_mut().map(|cursor| (cursor, step));
         let (image, verified) =
-            driver::render_snapshot(node, cfg, shape, (&name, &bytes), Some(checksum), memo)?;
+            driver::render_snapshot(node, cfg, shape, (&name, &snapshot), Some(checksum), memo)?;
         out.verified &= verified;
         if cfg.keep_frames {
             out.frames.push(FrameRecord { step, image });
@@ -404,13 +421,20 @@ mod tests {
         recall::<()>(Some((&mut cursor, 1)), || Ok(stand_in.clone())).expect("infallible");
         let field = Grid::warm_patch(64, 64);
         let bytes = field.to_bytes();
-        let sum = checksum64(&bytes);
+        let sum = greenness_faults::checksum64(&bytes);
         let mut node = Node::new(HardwareSpec::table1());
         let mut read = |checksum, bytes: &[u8]| {
             let before = node.now();
             let memo = Some((&mut cursor, 1));
-            let read =
-                driver::render_snapshot(&mut node, &cfg, (64, 64), ("s", bytes), checksum, memo);
+            let snapshot = Stored::copy_of(bytes);
+            let read = driver::render_snapshot(
+                &mut node,
+                &cfg,
+                (64, 64),
+                ("s", &snapshot),
+                checksum,
+                memo,
+            );
             (read, node.now() - before)
         };
         let (served, charge) = read(Some(sum), &bytes);

@@ -181,10 +181,11 @@ impl SteeringPipeline {
         self.node.timeline().total_energy_j()
     }
 
-    /// Stencil steps actually executed (the expensive work what-if replay
-    /// avoids).
+    /// Stencil steps the live solver has run or owes (the expensive work
+    /// what-if replay avoids). The solver runs them when a frame needs the
+    /// field, so this counts the steps taken, as [`step`](Self::step) does.
     pub fn solver_steps(&self) -> u64 {
-        self.stepper.solver_steps()
+        self.stepper.step()
     }
 
     /// Frames rendered so far (scheduled and on-demand).

@@ -26,6 +26,7 @@ use greenness_trace::escape_json;
 use crate::compare::CaseComparison;
 use crate::config::PipelineConfig;
 use crate::experiment::{run_sharing, ExperimentSetup, PipelineReport};
+use crate::fields::FieldMemo;
 use crate::frames::FrameMemo;
 use crate::grid::{self, JobView};
 use crate::pipeline::{PipelineError, PipelineKind};
@@ -75,8 +76,9 @@ impl SweepJob {
         splitmix64(fnv1a64(self.key().as_bytes()) ^ self.setup.meter.seed)
     }
 
-    /// Run the job (on whatever thread the executor picked) through `memo`.
-    fn execute(&self, memo: &FrameMemo) -> Result<PipelineReport, PipelineError> {
+    /// Run the job (on whatever thread the executor picked) through the
+    /// grid's `memo`.
+    fn execute(&self, memo: (&FrameMemo, &FieldMemo)) -> Result<PipelineReport, PipelineError> {
         let mut setup = self.setup.clone();
         setup.meter.seed = self.derived_seed();
         // Fault schedules reseed the same way meter noise does: from the job
@@ -210,10 +212,11 @@ pub fn run_sweep(
     on_done: Progress<'_>,
 ) -> Result<Vec<JobResult>, SweepError> {
     let keys: Vec<String> = jobs.iter().map(SweepJob::key).collect();
-    let memo = FrameMemo::default();
+    let frames = FrameMemo::default();
+    let fields = FieldMemo::expecting(jobs.iter().map(|job| (job.kind, &job.cfg)));
     grid::run_grid(&keys, workers, on_done, &|id| {
         let job = &jobs[id];
-        let report = job.execute(&memo).map_err(|e| e.to_string())?;
+        let report = job.execute((&frames, &fields)).map_err(|e| e.to_string())?;
         Ok(JobResult {
             id,
             key: keys[id].clone(),

@@ -32,7 +32,7 @@ use greenness_storage::BurstBuffer;
 use greenness_viz::{stride_sample, RenderOptions};
 
 use crate::config::PipelineConfig;
-use crate::driver;
+use crate::driver::{self, Stored};
 use crate::pipeline::PipelineError;
 
 /// Which codec a compressed pipeline uses.
@@ -159,17 +159,18 @@ fn sampled_post(node: &mut Node, cfg: &PipelineConfig, stride: usize) -> Tally {
     while let Some(step) = stepper.next_io_step(node, cfg) {
         raw += cfg.snapshot_bytes();
         let reduced = stride_sample(stepper.grid(), stride);
-        let bytes = reduced.to_bytes();
-        let name = store.write_snapshot(node, step, &bytes)?;
-        written += bytes.len() as u64;
-        kept.push((name, checksum64(&bytes), (reduced.nx(), reduced.ny())));
+        let snapshot = Stored::of_grid(&reduced);
+        let name = store.write_snapshot(node, step, &snapshot)?;
+        written += snapshot.len as u64;
+        kept.push((name, snapshot.checksum64(), (reduced.nx(), reduced.ny())));
     }
     store.end_phase_one(node);
 
     let mut verified = true;
     for (name, sum, shape) in kept {
-        let bytes = store.read(node, &name)?;
-        verified &= driver::render_snapshot(node, cfg, shape, (&name, &bytes), Some(sum), None)?.1;
+        let snapshot = store.read(node, &name)?;
+        verified &=
+            driver::render_snapshot(node, cfg, shape, (&name, &snapshot), Some(sum), None)?.1;
     }
     Ok((written, raw, verified))
 }
@@ -190,7 +191,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
         let encoded = codec
             .try_encode(&bytes)
             .map_err(|e| PipelineError::Config(format!("snapshot is not encodable: {e}")))?;
-        let name = store.write_snapshot(node, step, encoded)?;
+        let name = store.write_snapshot(node, step, &Stored::copy_of(encoded))?;
         written += encoded.len() as u64;
         let grid = stepper.grid();
         kept.push((name, checksum64(&bytes), grid.min(), grid.max()));
@@ -199,7 +200,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
 
     let mut verified = true;
     for (name, raw_sum, lo, hi) in kept {
-        let encoded = store.read(node, &name)?;
+        let encoded = store.read(node, &name)?.parts().concat();
         let Some(decoded) = codec.decode(&encoded) else {
             verified = false;
             continue;
@@ -225,6 +226,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
             }
         }
         let shape = (cfg.grid_nx, cfg.grid_ny);
+        let decoded = Stored::copy_of(&decoded);
         driver::render_snapshot(node, cfg, shape, (&name, &decoded), None, None)?;
     }
     Ok((written, raw, verified))
@@ -237,7 +239,7 @@ fn dvfs_insitu(node: &mut Node, cfg: &PipelineConfig, freq_scale: f64) -> Tally 
 
     while let Some(step) = stepper.next_io_step(node, cfg) {
         raw += cfg.snapshot_bytes();
-        let image = driver::render(node, cfg, stepper.grid(), &cfg.render, None);
+        let image = driver::render(node, cfg, &mut stepper, &cfg.render, None);
         written += store.write_frame(node, &driver::frame_name(step), &image)?;
     }
     store.end_phase_one(node);
@@ -262,7 +264,7 @@ fn image_database(node: &mut Node, cfg: &PipelineConfig, views: usize) -> Tally 
                 range: Some((0.0 - 0.2 * t, 1.0 - 0.5 * t)),
                 ..cfg.render
             };
-            let image = driver::render(node, cfg, stepper.grid(), &opts, None);
+            let image = driver::render(node, cfg, &mut stepper, &opts, None);
             let name = format!("frame{step:04}.v{view:02}.ppm");
             written += store.write_frame(node, &name, &image)?;
         }
@@ -302,11 +304,16 @@ fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -
     for (name, sum) in kept {
         let fs = store.fs_mut();
         let size = fs.size(&name).map_err(storage("stat"))?;
-        let bytes = fs
-            .read(node, &name, 0, size, Phase::Read)
+        let mut blocks = Vec::new();
+        fs.read_blocks(node, &name, 0, size, Phase::Read, &mut blocks)
             .map_err(storage("read"))?;
+        let snapshot = Stored {
+            blocks,
+            len: size as usize,
+        };
         let shape = (cfg.grid_nx, cfg.grid_ny);
-        verified &= driver::render_snapshot(node, cfg, shape, (&name, &bytes), Some(sum), None)?.1;
+        verified &=
+            driver::render_snapshot(node, cfg, shape, (&name, &snapshot), Some(sum), None)?.1;
     }
     Ok((bb.drained_bytes(), raw, verified))
 }

@@ -256,20 +256,47 @@ pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// the plain word chain. Not FNV-1a: never emit it or seed anything with
 /// it — use [`fnv1a64`] for values that leave the process.
 pub fn checksum64(bytes: &[u8]) -> u64 {
+    checksum64_parts(&[bytes])
+}
+
+/// [`checksum64`] of `parts` laid end to end, without concatenating them: a
+/// 32-byte block that spans parts is gathered into a carry first.
+pub fn checksum64_parts<P: AsRef<[u8]>>(parts: &[P]) -> u64 {
     let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x1000_0000_01b3);
     let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut blocks = bytes.chunks_exact(32);
-    if bytes.len() >= 32 {
-        let mut lanes = [h; 4];
-        for block in &mut blocks {
-            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-                *lane = mix(*lane, word(w));
-            }
+    let lane_block = |lanes: &mut [u64; 4], block: &[u8]| {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word(w));
         }
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let (mut lanes, mut laned) = ([h; 4], false);
+    let (mut carry, mut held) = ([0u8; 32], 0);
+    for part in parts {
+        let mut part = part.as_ref();
+        if held > 0 {
+            let take = part.len().min(32 - held);
+            carry[held..held + take].copy_from_slice(&part[..take]);
+            (held, part) = (held + take, &part[take..]);
+            if held < 32 {
+                continue;
+            }
+            lane_block(&mut lanes, &carry);
+            laned = true;
+        }
+        let mut blocks = part.chunks_exact(32);
+        laned |= blocks.len() > 0;
+        for block in &mut blocks {
+            lane_block(&mut lanes, block);
+        }
+        let tail = blocks.remainder();
+        carry[..tail.len()].copy_from_slice(tail);
+        held = tail.len();
+    }
+    if laned {
         h = lanes.iter().fold(h, |h, &lane| mix(h, lane));
     }
-    let mut words = blocks.remainder().chunks_exact(8);
+    let mut words = carry[..held].chunks_exact(8);
     for w in &mut words {
         h = mix(h, word(w));
     }

@@ -1,11 +1,12 @@
 //! Block devices: real byte storage under the filesystem.
 //!
 //! A stored block is a [`Block`]: one immutable, shared 4 KiB allocation.
-//! Nobody mutates a block once anyone else can see it. The page cache owns
-//! the only handle to a *dirty* page and may write into it; write-back hands
-//! the device a second handle to the same allocation (a clean page *is* the
-//! device block), and from then on a change to the page either replaces the
-//! handle (full-block write) or copies it first (partial write) — see
+//! Nobody mutates a block once anyone else can see it. The page cache may
+//! write into a page only while it holds the page's only handle; write-back
+//! hands the device a second handle to the same allocation (a clean page
+//! *is* the device block), and a page written by handle shares the caller's
+//! allocation. Once shared, a change to the page either replaces the handle
+//! (full-block write) or copies it first (partial write) — see
 //! [`crate::cache::PageCache::write_block`]. Devices only ever swap handles.
 
 use std::collections::HashMap;
@@ -19,14 +20,16 @@ pub const BLOCK_SIZE: u64 = 4096;
 /// (page cache, device, a tier of a [`crate::TieredStore`]).
 pub type Block = Arc<[u8; BLOCK_SIZE as usize]>;
 
-/// A fresh block holding a copy of `data`: one allocation, one copy.
-///
-/// # Panics
-/// If `data` is not exactly [`BLOCK_SIZE`] bytes.
+/// A fresh block holding a copy of the first [`BLOCK_SIZE`] bytes of
+/// `data`, zero past its end: one allocation, one copy.
 pub fn block_from(data: &[u8]) -> Block {
-    Arc::<[u8]>::from(data)
-        .try_into()
-        .expect("a block is BLOCK_SIZE bytes")
+    if let Ok(whole) = <&[u8; BLOCK_SIZE as usize]>::try_from(data) {
+        return Arc::new(*whole);
+    }
+    let mut bytes = [0; BLOCK_SIZE as usize];
+    let n = data.len().min(BLOCK_SIZE as usize);
+    bytes[..n].copy_from_slice(&data[..n]);
+    Arc::new(bytes)
 }
 
 /// A fixed-geometry array of blocks. Devices store *data only*; all timing
@@ -207,9 +210,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "BLOCK_SIZE bytes")]
-    fn a_short_slice_is_not_a_block() {
-        block_from(&[0; 100]);
+    fn a_short_slice_is_zero_filled_and_a_long_one_cut() {
+        let short = block_from(&[5; 100]);
+        assert!(short[..100].iter().all(|&b| b == 5));
+        assert!(short[100..].iter().all(|&b| b == 0));
+        let long = block_from(&[6; BLOCK_SIZE as usize + 1]);
+        assert!(long.iter().all(|&b| b == 6));
     }
 
     #[test]

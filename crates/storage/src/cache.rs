@@ -11,10 +11,11 @@
 //!
 //! A page holds a [`Block`] handle, not a private buffer. A clean page shares
 //! its allocation with the device (a read fault clones the device's handle,
-//! write-back hands the device a clone of the page's); a dirty page is the
-//! only holder of its bytes until it is written back. So the one place a
-//! block's bytes change is [`PageCache::write_block`], and only on an
-//! allocation nobody else holds.
+//! write-back hands the device a clone of the page's); a dirty page written
+//! by copy is the only holder of its bytes until it is written back, and one
+//! written by handle shares the caller's. So the one place a block's bytes
+//! change is [`PageCache::write_block`], and only on an allocation nobody
+//! else holds.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -65,13 +66,13 @@ impl PageCache {
         self.pages.contains_key(&idx)
     }
 
-    /// Read block `idx` through the cache. Returns `(data, was_miss)`; on a
+    /// Read block `idx` through the cache. Returns `(page, was_miss)`; on a
     /// miss the page takes the device's handle and becomes resident.
-    pub fn read_block(&mut self, dev: &impl BlockDevice, idx: u64) -> (&[u8], bool) {
+    pub fn read_block(&mut self, dev: &impl BlockDevice, idx: u64) -> (&Block, bool) {
         match self.pages.entry(idx) {
             Entry::Occupied(e) => {
                 self.stats.hits += 1;
-                (&e.into_mut().data[..], false)
+                (&e.into_mut().data, false)
             }
             Entry::Vacant(e) => {
                 self.stats.misses += 1;
@@ -79,9 +80,22 @@ impl PageCache {
                     data: dev.read_block(idx),
                     dirty: false,
                 });
-                (&page.data[..], true)
+                (&page.data, true)
             }
         }
+    }
+
+    /// Make `block` the content of page `idx`, dirty: the page keeps the
+    /// caller's handle and copies nothing. A whole-block write never
+    /// faults, so it moves no counter.
+    pub(crate) fn put_block(&mut self, idx: u64, block: Block) {
+        self.pages.insert(
+            idx,
+            Page {
+                data: block,
+                dirty: true,
+            },
+        );
     }
 
     /// Write `data` into block `idx` at `offset` within the block, marking
@@ -107,34 +121,38 @@ impl PageCache {
                 len: data.len(),
             });
         }
-        let full = data.len() == BLOCK_SIZE as usize;
-        let mut faulted = false;
-        let page = match self.pages.entry(idx) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) if full => {
-                e.insert(Page {
-                    data: block_from(data),
-                    dirty: true,
-                });
-                return Ok(false);
-            }
-            Entry::Vacant(e) => {
-                // Read-modify-write: must fetch the rest of the block.
-                self.stats.misses += 1;
-                faulted = true;
-                e.insert(Page {
-                    data: dev.read_block(idx),
-                    dirty: false,
-                })
-            }
-        };
-        if full && Arc::get_mut(&mut page.data).is_none() {
-            page.data = block_from(data);
-        } else {
-            Arc::make_mut(&mut page.data)[offset..offset + data.len()].copy_from_slice(data);
+        Ok(self.write(dev, idx, offset, data))
+    }
+
+    /// [`Self::write_block`] of the part of `data` that fits in the block
+    /// at `offset`.
+    pub(crate) fn write(
+        &mut self,
+        dev: &impl BlockDevice,
+        idx: u64,
+        offset: usize,
+        data: &[u8],
+    ) -> bool {
+        let offset = offset.min(BLOCK_SIZE as usize);
+        let data = &data[..data.len().min(BLOCK_SIZE as usize - offset)];
+        let sole = |page: &mut Page| Arc::get_mut(&mut page.data).is_some();
+        if data.len() == BLOCK_SIZE as usize && !self.pages.get_mut(&idx).is_some_and(sole) {
+            self.put_block(idx, block_from(data));
+            return false;
         }
+        let mut faulted = false;
+        let page = self.pages.entry(idx).or_insert_with(|| {
+            // Read-modify-write: must fetch the rest of the block.
+            self.stats.misses += 1;
+            faulted = true;
+            Page {
+                data: dev.read_block(idx),
+                dirty: false,
+            }
+        });
+        Arc::make_mut(&mut page.data)[offset..offset + data.len()].copy_from_slice(data);
         page.dirty = true;
-        Ok(faulted)
+        faulted
     }
 
     /// All dirty block indices, sorted (the order write-back visits them).

@@ -50,12 +50,9 @@ impl FreeRuns {
     }
 
     /// Take blocks `at..at + len` out of the run starting at `run_start`,
-    /// which must contain them.
-    pub(crate) fn take(&mut self, run_start: u64, at: u64, len: u64) {
-        let run_len = self
-            .runs
-            .remove(&run_start)
-            .expect("a free run starts here");
+    /// which must contain them; `None` when no free run starts there.
+    pub(crate) fn take(&mut self, run_start: u64, at: u64, len: u64) -> Option<()> {
+        let run_len = self.runs.remove(&run_start)?;
         let (end, run_end) = (at + len, run_start + run_len);
         assert!(run_start <= at && end <= run_end, "take outside the run");
         if at > run_start {
@@ -65,6 +62,7 @@ impl FreeRuns {
             self.runs.insert(end, run_end - end);
         }
         self.blocks -= len;
+        Some(())
     }
 
     /// Return blocks `start..start + len` (none of them free already),

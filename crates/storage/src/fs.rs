@@ -17,13 +17,15 @@
 //! Figure 4 time split.
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use greenness_faults::{FaultInjector, Rng};
 use greenness_platform::disk::IoDir;
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
 use greenness_trace::Value;
 
-use crate::block::{BlockDevice, MemBlockDevice, NullBlockDevice, BLOCK_SIZE};
+use crate::block::{block_from, Block, BlockDevice, MemBlockDevice, NullBlockDevice, BLOCK_SIZE};
 use crate::cache::{CacheStats, PageCache};
 use crate::free::FreeRuns;
 
@@ -188,6 +190,13 @@ pub(crate) fn layout_pattern(runs: usize, bytes: u64, dir: IoDir) -> AccessPatte
 impl CostedDevice for MemBlockDevice {}
 
 impl CostedDevice for NullBlockDevice {}
+
+/// What one file block of a write receives: a whole block by handle, or
+/// bytes to copy into it.
+enum Piece<'d> {
+    Whole(Block),
+    Bytes(&'d [u8]),
+}
 
 /// A contiguous run of device blocks owned by one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,7 +377,7 @@ impl<D: CostedDevice> FileSystem<D> {
         while blocks > 0 {
             let (start, len) = self.free.first_fit(blocks).ok_or(FsError::NoSpace)?;
             let take = len.min(blocks);
-            self.free.take(start, start, take);
+            self.free.take(start, start, take).ok_or(FsError::NoSpace)?;
             got.push(Extent { start, len: take });
             blocks -= take;
         }
@@ -385,9 +394,9 @@ impl<D: CostedDevice> FileSystem<D> {
             let (run_start, run_len) = self
                 .free
                 .nth_run(self.rng.below(runs as u64) as usize)
-                .expect("index below the run count");
+                .ok_or(FsError::NoSpace)?;
             let pick = run_start + self.rng.below(run_len);
-            self.free.take(run_start, pick, 1);
+            self.free.take(run_start, pick, 1).ok_or(FsError::NoSpace)?;
             got.push(Extent {
                 start: pick,
                 len: 1,
@@ -420,14 +429,63 @@ impl<D: CostedDevice> FileSystem<D> {
         data: &[u8],
         phase: Phase,
     ) -> Result<(), FsError> {
-        if data.is_empty() {
+        self.write_with(node, name, offset, data.len() as u64, phase, |at, len| {
+            Piece::Bytes(&data[(at - offset) as usize..][..len])
+        })
+    }
+
+    /// Write bytes `range` of `blocks`, laid end to end, at the same offsets
+    /// of `name`: [`Self::write`] of those bytes, charged the same, except
+    /// that each block the range covers whole becomes a page by handle —
+    /// the cache shares the caller's allocation and copies nothing.
+    ///
+    /// # Errors
+    /// [`FsError::BadOffset`] when `range` runs past the end of `blocks`;
+    /// otherwise as [`Self::write`].
+    pub fn write_blocks(
+        &mut self,
+        node: &mut Node,
+        name: &str,
+        blocks: &[Block],
+        range: Range<u64>,
+        phase: Phase,
+    ) -> Result<(), FsError> {
+        let held = blocks.len() as u64 * BLOCK_SIZE;
+        if range.start > range.end || range.end > held {
+            return Err(FsError::BadOffset {
+                offset: range.end,
+                size: held,
+            });
+        }
+        let len = range.end - range.start;
+        self.write_with(node, name, range.start, len, phase, |at, len| {
+            let block = &blocks[(at / BLOCK_SIZE) as usize];
+            if len == BLOCK_SIZE as usize {
+                Piece::Whole(Arc::clone(block))
+            } else {
+                Piece::Bytes(&block[(at % BLOCK_SIZE) as usize..][..len])
+            }
+        })
+    }
+
+    /// The one write loop: `len` bytes at `offset` into `name`, the bytes
+    /// for the file range `at..at + n` (never crossing a block) coming from
+    /// `piece(at, n)`.
+    fn write_with<'d>(
+        &mut self,
+        node: &mut Node,
+        name: &str,
+        offset: u64,
+        len: u64,
+        phase: Phase,
+        piece: impl Fn(u64, usize) -> Piece<'d>,
+    ) -> Result<(), FsError> {
+        if len == 0 {
             self.files.entry(name.to_string()).or_default();
             return Ok(());
         }
         // No device can hold a file that ends past `u64::MAX`.
-        let end = offset
-            .checked_add(data.len() as u64)
-            .ok_or(FsError::NoSpace)?;
+        let end = offset.checked_add(len).ok_or(FsError::NoSpace)?;
         let needed_blocks = end.div_ceil(BLOCK_SIZE);
         let have_blocks = self.files.get(name).map_or(0, Inode::blocks);
         if needed_blocks > have_blocks {
@@ -440,14 +498,13 @@ impl<D: CostedDevice> FileSystem<D> {
             // in from the device — a cache miss and a charged device read the
             // zero-filled page never pays.
             let whole = offset.div_ceil(BLOCK_SIZE)..end / BLOCK_SIZE;
-            let zeros = [0u8; BLOCK_SIZE as usize];
+            let mut zeros = None;
             let mut fb = have_blocks;
             for e in &new {
                 for b in e.start..e.start + e.len {
                     if !whole.contains(&fb) {
-                        self.cache
-                            .write_block(&self.dev, b, 0, &zeros)
-                            .expect("full-block zero fill cannot exceed the block");
+                        let zero = zeros.get_or_insert_with(|| block_from(&[]));
+                        self.cache.put_block(b, Arc::clone(zero));
                     }
                     fb += 1;
                 }
@@ -455,34 +512,32 @@ impl<D: CostedDevice> FileSystem<D> {
             let inode = self.files.entry(name.to_string()).or_default();
             inode.extents.extend(new);
         }
-        let inode = self.files.get_mut(name).expect("created above");
+        let inode = self
+            .files
+            .get_mut(name)
+            .ok_or_else(|| FsError::NotFound(name.to_string()))?;
         let dev_blocks = inode
             .map_range(offset / BLOCK_SIZE, (end - 1) / BLOCK_SIZE)
             .ok_or(FsError::NoSpace)?;
         inode.size = inode.size.max(end);
-        // Copy into the cache block by block, collecting RMW faults.
+        // Hand each block its piece, collecting RMW faults.
         let mut faults = Vec::new();
-        let mut cursor = 0usize;
-        let mut in_block = (offset % BLOCK_SIZE) as usize;
+        let mut at = offset;
         for dev_block in dev_blocks {
-            let take = (BLOCK_SIZE as usize - in_block).min(data.len() - cursor);
-            if self
-                .cache
-                .write_block(&self.dev, dev_block, in_block, &data[cursor..cursor + take])
-                .expect("take is bounded by the block remainder")
-            {
-                faults.push(dev_block);
+            let in_block = (at % BLOCK_SIZE) as usize;
+            let take = (BLOCK_SIZE as usize - in_block).min((end - at) as usize);
+            match piece(at, take) {
+                Piece::Whole(block) => self.cache.put_block(dev_block, block),
+                Piece::Bytes(bytes) => {
+                    if self.cache.write(&self.dev, dev_block, in_block, bytes) {
+                        faults.push(dev_block);
+                    }
+                }
             }
-            cursor += take;
-            in_block = 0;
+            at += take as u64;
         }
         self.dev.charge_transfer(node, &faults, IoDir::Read, phase);
-        node.execute(
-            Activity::MemTraffic {
-                bytes: data.len() as u64,
-            },
-            phase,
-        );
+        node.execute(Activity::MemTraffic { bytes: len }, phase);
         self.publish_cache_counters(node);
         Ok(())
     }
@@ -510,22 +565,42 @@ impl<D: CostedDevice> FileSystem<D> {
         len: u64,
         phase: Phase,
     ) -> Result<Vec<u8>, FsError> {
-        let mut out = Vec::new();
-        self.read_into(node, name, offset, len, phase, &mut out)?;
+        let size = self.files.get(name).map_or(0, |i| i.size);
+        let mut out = Vec::with_capacity(len.min(size.saturating_sub(offset)) as usize);
+        self.read_with(node, name, offset, len, phase, |page, at, take| {
+            out.extend_from_slice(&page[at..at + take]);
+        })?;
         Ok(out)
     }
 
-    /// [`Self::read`], appending the bytes to `out` instead of returning a
-    /// buffer of their own, so a caller assembling a file chunk by chunk
-    /// copies each byte once. Returns the number of bytes appended.
-    pub fn read_into(
+    /// [`Self::read`] charged the same, appending to `out` the handle of
+    /// each block the read touches instead of copying bytes out of them.
+    /// Returns the number of bytes read.
+    pub fn read_blocks(
         &mut self,
         node: &mut Node,
         name: &str,
         offset: u64,
         len: u64,
         phase: Phase,
-        out: &mut Vec<u8>,
+        out: &mut Vec<Block>,
+    ) -> Result<u64, FsError> {
+        self.read_with(node, name, offset, len, phase, |page, _, _| {
+            out.push(Arc::clone(page));
+        })
+    }
+
+    /// The one read loop: charge a read of `len` bytes at `offset`, then
+    /// hand `visit` each block's page with the offset and length of the
+    /// bytes read from it.
+    fn read_with(
+        &mut self,
+        node: &mut Node,
+        name: &str,
+        offset: u64,
+        len: u64,
+        phase: Phase,
+        mut visit: impl FnMut(&Block, usize, usize),
     ) -> Result<u64, FsError> {
         let inode = self
             .files
@@ -553,14 +628,13 @@ impl<D: CostedDevice> FileSystem<D> {
             .filter(|b| !self.cache.contains(*b))
             .collect();
         self.dev.charge_transfer(node, &misses, IoDir::Read, phase);
-        // Assemble the bytes through the cache.
-        out.reserve(len as usize);
+        // Serve the bytes through the cache.
         let mut remaining = len as usize;
         let mut in_block = (offset % BLOCK_SIZE) as usize;
         for dev_block in dev_blocks {
             let take = (BLOCK_SIZE as usize - in_block).min(remaining);
             let (page, _) = self.cache.read_block(&self.dev, dev_block);
-            out.extend_from_slice(&page[in_block..in_block + take]);
+            visit(page, in_block, take);
             remaining -= take;
             in_block = 0;
         }
@@ -731,12 +805,16 @@ impl<D: CostedDevice> FileSystem<D> {
     /// Replace the extents of `name` (used by the reorganization pass).
     /// Returns the old extents; the caller is responsible for having copied
     /// the data.
-    pub(crate) fn swap_extents(&mut self, name: &str, new: Vec<Extent>) -> Vec<Extent> {
+    pub(crate) fn swap_extents(
+        &mut self,
+        name: &str,
+        new: Vec<Extent>,
+    ) -> Result<Vec<Extent>, FsError> {
         let inode = self
             .files
             .get_mut(name)
-            .expect("swap_extents on missing file");
-        std::mem::replace(&mut inode.extents, new)
+            .ok_or_else(|| FsError::NotFound(name.to_string()))?;
+        Ok(std::mem::replace(&mut inode.extents, new))
     }
 
     /// Allocate raw extents (used by the reorganization pass).

@@ -72,7 +72,7 @@ pub fn reorganize<D: CostedDevice>(
         let (cache, dev) = fs.cache_and_dev();
         for (i, &b) in file_blocks.iter().enumerate() {
             let (page, _) = cache.read_block(dev, b);
-            data[i * BLOCK_SIZE as usize..(i + 1) * BLOCK_SIZE as usize].copy_from_slice(page);
+            data[i * BLOCK_SIZE as usize..(i + 1) * BLOCK_SIZE as usize].copy_from_slice(&page[..]);
         }
     }
     data.truncate(size as usize);
@@ -89,9 +89,7 @@ pub fn reorganize<D: CostedDevice>(
         for (i, &b) in dev_blocks.iter().enumerate() {
             let off = i * BLOCK_SIZE as usize;
             let end = (off + BLOCK_SIZE as usize).min(data.len());
-            cache
-                .write_block(dev, b, 0, &data[off..end])
-                .expect("copy slice is bounded by the block size");
+            cache.write(dev, b, 0, &data[off..end]);
         }
         // Durable sequential write-back of the new region.
         cache.flush_blocks(dev, &dev_blocks);
@@ -111,7 +109,7 @@ pub fn reorganize<D: CostedDevice>(
         phase,
     );
 
-    let old = fs.swap_extents(name, new_extents);
+    let old = fs.swap_extents(name, new_extents)?;
     fs.free_raw(&old);
     fs.drop_caches();
 

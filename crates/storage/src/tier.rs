@@ -82,9 +82,9 @@ pub struct TierCounters {
 /// device-zoo entry), so a global dedup table bounds the leak.
 fn intern(s: String) -> &'static str {
     use std::collections::BTreeSet;
-    use std::sync::Mutex;
+    use std::sync::{Mutex, PoisonError};
     static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut set = INTERNED.lock().expect("intern table poisoned");
+    let mut set = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(&existing) = set.get(s.as_str()) {
         return existing;
     }
@@ -276,7 +276,7 @@ impl TieredStore {
     /// Take the lowest free physical block of tier `t`.
     fn alloc_on(&mut self, t: usize) -> Option<u64> {
         let (phys, _) = self.tiers[t].free.nth_run(0)?;
-        self.tiers[t].free.take(phys, phys, 1);
+        self.tiers[t].free.take(phys, phys, 1)?;
         self.usage[t].used_blocks += 1;
         Some(phys)
     }
@@ -292,16 +292,15 @@ impl TieredStore {
     /// the nearest tier above it with a free block. A new block is a write of
     /// unknown future temperature; it earns promotion through its score.
     /// Total physical capacity equals the logical space, so a slot always
-    /// exists.
-    fn place(&mut self, logical: u64) -> &mut BlockState {
+    /// exists for a logical block in range, and `None` is never returned.
+    fn place(&mut self, logical: u64) -> Option<&mut BlockState> {
         let (tier, phys) = (0..self.tiers.len())
             .rev()
-            .find_map(|t| Some((t, self.alloc_on(t)?)))
-            .expect("TieredStore out of physical blocks");
-        self.blocks.entry(logical).or_insert(BlockState {
+            .find_map(|t| Some((t, self.alloc_on(t)?)))?;
+        Some(self.blocks.entry(logical).or_insert(BlockState {
             phys,
             ..BlockState::new(tier, 0.0)
-        })
+        }))
     }
 
     /// One priced buffered span on tier `t`, drawn by `Node::disk_draw`
@@ -497,11 +496,13 @@ impl BlockDevice for TieredStore {
 
     fn write_block(&mut self, idx: u64, block: Block) {
         assert!(idx < self.block_count(), "block {idx} out of range");
-        let &mut BlockState { tier, phys, .. } = match self.blocks.get_mut(&idx) {
-            Some(st) => st,
+        let state = match self.blocks.get_mut(&idx) {
+            Some(st) => Some(st),
             None => self.place(idx),
         };
-        self.tiers[tier].dev.write_block(phys, block);
+        if let Some(&mut BlockState { tier, phys, .. }) = state {
+            self.tiers[tier].dev.write_block(phys, block);
+        }
     }
 
     fn discard_block(&mut self, idx: u64) {
@@ -524,7 +525,10 @@ impl CostedDevice for TieredStore {
         for &lb in blocks {
             let st = match self.blocks.get_mut(&lb) {
                 Some(st) => st,
-                None => self.place(lb),
+                None => match self.place(lb) {
+                    Some(st) => st,
+                    None => continue,
+                },
             };
             st.epoch_hits += 1;
             let slice = &mut slices[st.tier];

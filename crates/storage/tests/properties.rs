@@ -1,7 +1,10 @@
 //! Property-based tests for the storage stack.
 
+use greenness_faults::{FaultPlan, Site};
 use greenness_platform::{HardwareSpec, Node, Phase};
-use greenness_storage::{reorganize, AllocMode, FileSystem, FsConfig, MemBlockDevice, BLOCK_SIZE};
+use greenness_storage::{
+    block_from, reorganize, AllocMode, Block, FileSystem, FsConfig, MemBlockDevice, BLOCK_SIZE,
+};
 use proptest::prelude::*;
 
 /// A scripted filesystem operation.
@@ -220,4 +223,107 @@ proptest! {
         };
         prop_assert!(cost(hi) >= cost(lo) - 1e-12);
     }
+}
+
+/// One scripted write: `len` bytes of a seeded pattern at `offset` of
+/// `file`, issued in `chunk`-byte pieces with an fsync after each.
+type ChunkedWrite = (u8, u16, u16, u16, u8);
+
+/// Run `writes` on a fresh filesystem under `plan`, by block handle or by
+/// copy, then sync, drop caches and read every file back: the bytes, the
+/// cache counters, and the node's clock, energy and segment count.
+fn run_writes(
+    writes: &[ChunkedWrite],
+    plan: FaultPlan,
+    by_handle: bool,
+) -> (Vec<Vec<u8>>, String, (u64, u64, usize)) {
+    let mut node = Node::new(HardwareSpec::table1());
+    let mut fs = FileSystem::format(MemBlockDevice::new(256), FsConfig::default());
+    fs.set_fault_injector(Some(plan.injector(Site::StorageFsync, 0)));
+    let mut outcomes = Vec::new();
+    for &(file, offset, len, chunk, fill) in writes {
+        let name = format!("f{file}");
+        let (offset, len, chunk) = (offset as usize, len as usize, chunk as usize);
+        // The file's bytes from offset 0: zeros, then the pattern.
+        let mut bytes = vec![0u8; offset + len];
+        for (i, b) in bytes[offset..].iter_mut().enumerate() {
+            *b = fill.wrapping_add((i * 7) as u8);
+        }
+        let blocks: Vec<Block> = bytes.chunks(BLOCK_SIZE as usize).map(block_from).collect();
+        for start in (offset..offset + len).step_by(chunk) {
+            let end = (start + chunk).min(offset + len);
+            let wrote = if by_handle {
+                fs.write_blocks(
+                    &mut node,
+                    &name,
+                    &blocks,
+                    start as u64..end as u64,
+                    Phase::Write,
+                )
+            } else {
+                fs.write(
+                    &mut node,
+                    &name,
+                    start as u64,
+                    &bytes[start..end],
+                    Phase::Write,
+                )
+            };
+            outcomes.push(format!(
+                "{wrote:?} {:?}",
+                fs.fsync_with_retry(&mut node, &name, Phase::Write)
+            ));
+        }
+    }
+    fs.sync(&mut node, Phase::CacheControl);
+    fs.drop_caches();
+    let files = fs
+        .list()
+        .iter()
+        .map(|name| {
+            let size = fs.size(name).expect("listed");
+            fs.read(&mut node, name, 0, size, Phase::Read)
+                .expect("in range")
+        })
+        .collect();
+    let tl = node.timeline();
+    let charged = (
+        node.now().as_nanos(),
+        tl.total_energy_j().to_bits(),
+        tl.segments().len(),
+    );
+    (
+        files,
+        format!("{outcomes:?} {:?}", fs.cache_stats()),
+        charged,
+    )
+}
+
+proptest! {
+    /// Writing shared block handles is writing their bytes: the same bytes
+    /// read back, cache counters, fsync outcomes and node charges, for
+    /// random offsets, partial tails, chunk boundaries inside blocks, and a
+    /// fault plan dense enough to tear writebacks and retry.
+    #[test]
+    fn handle_writes_match_copying_writes(
+        writes in prop::collection::vec(
+            (0u8..3, 0u16..12_000, 1u16..20_000, 1u16..9_000, any::<u8>()),
+            1..6,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let plan = FaultPlan { storage_fsync_rate: 0.3, ..FaultPlan::with_seed(seed) };
+        prop_assert_eq!(run_writes(&writes, plan, true), run_writes(&writes, plan, false));
+    }
+}
+
+#[test]
+fn a_range_past_the_blocks_is_refused() {
+    let mut node = Node::new(HardwareSpec::table1());
+    let mut fs = FileSystem::format(MemBlockDevice::new(8), FsConfig::default());
+    let blocks = [block_from(&[1; 10])];
+    let refused = fs.write_blocks(&mut node, "f", &blocks, 0..BLOCK_SIZE + 1, Phase::Write);
+    assert!(refused.is_err());
+    assert!(!fs.exists("f"));
+    assert!(node.timeline().is_empty());
 }

@@ -15,6 +15,9 @@
 //! file it is handed, and every traced run writes through its sink and
 //! registry locks. `crates/viz` renders every frame a request, a steering
 //! session or a cluster run asks for, and decodes PPM bytes.
+//! `crates/storage` holds every byte a single-node run writes and reads
+//! back, so its filesystem, page cache, allocator and tier stack report
+//! what goes wrong as values too.
 
 use std::path::{Path, PathBuf};
 
@@ -69,6 +72,7 @@ fn no_unwrap_or_expect_on_request_reachable_paths() {
     rs_files(&crates.join("cluster").join("src"), &mut files);
     rs_files(&crates.join("trace").join("src"), &mut files);
     rs_files(&crates.join("viz").join("src"), &mut files);
+    rs_files(&crates.join("storage").join("src"), &mut files);
     assert!(
         files.len() >= 10,
         "suspiciously few source files ({}) — did the layout move?",
