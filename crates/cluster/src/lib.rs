@@ -36,7 +36,7 @@ pub mod pipeline;
 pub mod slab;
 
 pub use error::{ClusterError, FaultSummary};
-pub use fabric::{barrier, sync_to, Fabric};
+pub use fabric::{barrier, Fabric};
 pub use pfs::ParallelFs;
 pub use pipeline::{
     run_cluster, run_cluster_traced, run_cluster_with_faults, ClusterConfig, ClusterKind,

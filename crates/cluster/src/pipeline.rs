@@ -290,7 +290,9 @@ impl ClusterConfig {
     }
 }
 
-/// A CFL-stable configuration matching `greenness_core`'s defaults.
+/// A CFL-stable configuration: `greenness_core`'s alpha, time step and
+/// walls, but only the first of its two point sources (the hot one at a
+/// third of the grid), which is the field the cluster recordings pin.
 fn default_solver(nx: usize, ny: usize) -> SolverConfig {
     let limit = 0.5 / ((nx * nx + ny * ny) as f64);
     let alpha = 1.0e-4;

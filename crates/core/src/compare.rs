@@ -2,8 +2,7 @@
 
 use crate::config::PipelineConfig;
 use crate::experiment::{run_sharing, ExperimentSetup, PipelineReport};
-use crate::fields::FieldMemo;
-use crate::frames::FrameMemo;
+use crate::memo::GridMemo;
 use crate::pipeline::{PipelineError, PipelineKind};
 
 /// Both pipelines run over the same case-study workload.
@@ -26,8 +25,9 @@ impl CaseComparison {
         Self::run_config(n, &PipelineConfig::case_study(n), setup)
     }
 
-    /// Run both pipelines over an arbitrary workload, sharing their frames
-    /// and fields.
+    /// Run both pipelines over an arbitrary workload, sharing their frames.
+    /// The pair's one post-processing cell leaves no later cell to share a
+    /// field with, so the memo expects none.
     ///
     /// # Errors
     /// Propagates [`PipelineError`] from either run.
@@ -36,16 +36,11 @@ impl CaseComparison {
         cfg: &PipelineConfig,
         setup: &ExperimentSetup,
     ) -> Result<CaseComparison, PipelineError> {
-        let [post, insitu] = [PipelineKind::PostProcessing, PipelineKind::InSitu];
-        let (frames, fields) = (
-            FrameMemo::default(),
-            FieldMemo::expecting([(post, cfg), (insitu, cfg)]),
-        );
-        let memo = Some((&frames, &fields));
+        let memo = GridMemo::default();
         Ok(CaseComparison {
             case: n,
-            post: run_sharing(post, cfg, setup, memo)?,
-            insitu: run_sharing(insitu, cfg, setup, memo)?,
+            post: run_sharing(PipelineKind::PostProcessing, cfg, setup, Some(&memo))?,
+            insitu: run_sharing(PipelineKind::InSitu, cfg, setup, Some(&memo))?,
         })
     }
 

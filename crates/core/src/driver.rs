@@ -36,7 +36,7 @@ use greenness_trace::Value;
 use greenness_viz::{render_field, Framebuffer, RenderOptions};
 
 use crate::config::PipelineConfig;
-use crate::frames::{recall, Cursor};
+use crate::memo::{recall, Reader};
 use crate::pipeline::PipelineError;
 
 /// Start a batch run: the live solver and a freshly formatted store.
@@ -350,7 +350,7 @@ fn charge_frame(node: &mut Node, cfg: &PipelineConfig) {
     node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
 }
 
-/// Charge one frame and recall it through `memo` (the run's cursor and the
+/// Charge one frame and recall it through `memo` (the run's reader and the
 /// step), or render `stepper`'s field through `opts`: the stencil catches up
 /// only when the memo does not hold the frame.
 pub(crate) fn render(
@@ -358,7 +358,7 @@ pub(crate) fn render(
     cfg: &PipelineConfig,
     stepper: &mut Stepper,
     opts: &RenderOptions,
-    memo: Option<(&mut Cursor<'_>, u64)>,
+    memo: Option<(&mut Reader<'_>, u64)>,
 ) -> Framebuffer {
     charge_frame(node, cfg);
     let frame = recall::<std::convert::Infallible>(memo, || Ok(render_field(stepper.grid(), opts)));
@@ -377,7 +377,7 @@ pub(crate) fn render_snapshot(
     (nx, ny): (usize, usize),
     (name, snapshot): (&str, &Stored),
     checksum: Option<u64>,
-    memo: Option<(&mut Cursor<'_>, u64)>,
+    memo: Option<(&mut Reader<'_>, u64)>,
 ) -> Result<(Framebuffer, bool), PipelineError> {
     let matched = checksum.map(|sum| snapshot.checksum64() == sum);
     let frame = recall::<PipelineError>(memo.filter(|_| matched == Some(true)), || {

@@ -11,9 +11,9 @@ use greenness_power::{GreenMetrics, PowerProfile, WattsupMeter};
 use greenness_trace::{MetricsRegistry, Tracer, Value};
 
 use crate::config::PipelineConfig;
-use crate::fields::FieldMemo;
-use crate::frames::FrameMemo;
+use crate::driver;
 use crate::grid;
+use crate::memo::GridMemo;
 use crate::pipeline::{self, PipelineError, PipelineKind, PipelineOutput};
 
 /// Extra package power of the on-node energy monitor, watts: the paper
@@ -144,7 +144,7 @@ pub(crate) fn run_sharing(
     kind: PipelineKind,
     cfg: &PipelineConfig,
     setup: &ExperimentSetup,
-    memo: Option<(&FrameMemo, &FieldMemo)>,
+    memo: Option<&GridMemo>,
 ) -> Result<PipelineReport, PipelineError> {
     let mut node = Node::new(setup.spec.clone());
     node.set_monitoring_overhead_w(setup.monitoring_overhead_w);
@@ -154,7 +154,12 @@ pub(crate) fn run_sharing(
             ("config", Value::from(cfg.label.as_str())),
         ]));
     }
-    let output = pipeline::run_with_faults(kind, &mut node, cfg, setup.faults, memo)?;
+    // The run's solver and device are dropped here, so the snapshots they
+    // hold do not add to the heap that measuring and the journal take.
+    let output = {
+        let (mut stepper, mut store) = driver::open(cfg, setup.faults)?;
+        pipeline::drive(kind, &mut node, cfg, (&mut stepper, &mut store), memo)?
+    };
     node.finish_trace();
     let tracer = node.tracer().clone();
     let timeline = node.into_timeline();

@@ -59,9 +59,8 @@ pub mod compare;
 pub mod config;
 mod driver;
 pub mod experiment;
-mod fields;
-mod frames;
 mod grid;
+mod memo;
 pub mod pipeline;
 pub mod placement;
 pub mod probes;

@@ -20,15 +20,14 @@
 //! only what each kind does on an I/O step (write the snapshot / hand the
 //! field to the renderer and write the image / ship the field) and the
 //! post-processing write-time checksums the read-back is verified against.
-//! A grid's cells share what they would each recompute: the frame memo
-//! rendered frames, the field memo stored snapshots.
+//! A grid's cells share what they would each recompute, rendered frames and
+//! stored snapshots, through one memo.
 //!
 //! Data honesty: snapshots are real solver output; the post-processing
 //! pipeline re-renders from the bytes it reads back from the simulated disk
 //! and *verifies* them against a checksum taken at write time, so any
 //! storage-stack corruption fails loudly.
 
-use greenness_faults::FaultPlan;
 use greenness_heatsim::SolverError;
 use greenness_platform::{Activity, Node, Phase};
 use greenness_storage::FsError;
@@ -36,8 +35,7 @@ use greenness_viz::Framebuffer;
 
 use crate::config::PipelineConfig;
 use crate::driver::{self, Stepper, Store, Stored};
-use crate::fields::FieldMemo;
-use crate::frames::{Cursor, FrameMemo};
+use crate::memo::{GridMemo, Reader};
 
 /// Why a pipeline run could not complete. All of these are reachable from
 /// caller-supplied configuration (and, through the serve layer, from network
@@ -174,38 +172,20 @@ pub fn run(
     node: &mut Node,
     cfg: &PipelineConfig,
 ) -> Result<PipelineOutput, PipelineError> {
-    run_with_faults(kind, node, cfg, None, None)
+    let (mut stepper, mut store) = driver::open(cfg, None)?;
+    drive(kind, node, cfg, (&mut stepper, &mut store), None)
 }
 
-/// [`run`] with a seeded storage-fault schedule: transient fsync errors are
-/// injected per the plan and retried with exponential backoff, so a flaky
-/// disk stretches the run (real static energy) instead of changing its
-/// output. `None` is exactly the fault-free fast path. A `memo` shares
-/// frames and fields with the other runs of a grid; the output is the same.
-///
-/// # Errors
-/// Same conditions as [`run`].
-pub(crate) fn run_with_faults(
-    kind: PipelineKind,
-    node: &mut Node,
-    cfg: &PipelineConfig,
-    faults: Option<FaultPlan>,
-    memo: Option<(&FrameMemo, &FieldMemo)>,
-) -> Result<PipelineOutput, PipelineError> {
-    let (mut stepper, mut store) = driver::open(cfg, faults)?;
-    drive(kind, node, cfg, (&mut stepper, &mut store), memo)
-}
-
-/// [`run_with_faults`] over an opened stepper and store.
+/// [`run`] over an opened stepper and store. A `memo` shares frames and
+/// fields with the other runs of a grid; the output is the same.
 pub(crate) fn drive(
     kind: PipelineKind,
     node: &mut Node,
     cfg: &PipelineConfig,
     (stepper, store): (&mut Stepper, &mut Store),
-    memo: Option<(&FrameMemo, &FieldMemo)>,
+    memo: Option<&GridMemo>,
 ) -> Result<PipelineOutput, PipelineError> {
-    let mut cursor = memo.map(|(frames, _)| Cursor::new(frames, cfg));
-    let fields = memo.map(|(_, fields)| fields);
+    let mut reader = memo.map(|memo| Reader::new(memo, cfg));
     let mut out = PipelineOutput {
         kind,
         work_units: cfg.work_units(),
@@ -222,12 +202,12 @@ pub(crate) fn drive(
         out.io_steps += 1;
         match kind {
             PipelineKind::PostProcessing => {
-                let held = fields.and_then(|fields| fields.take(cfg, step));
+                let held = reader.as_ref().and_then(|reader| reader.take(step));
                 let (snapshot, checksum) = held.unwrap_or_else(|| {
                     let snapshot = Stored::of_grid(stepper.grid());
                     let checksum = snapshot.checksum64();
-                    if let Some(fields) = fields {
-                        fields.offer(cfg, step, &snapshot, checksum);
+                    if let Some(reader) = &reader {
+                        reader.offer(step, &snapshot, checksum);
                     }
                     (snapshot, checksum)
                 });
@@ -243,7 +223,7 @@ pub(crate) fn drive(
                     },
                     Phase::Visualization,
                 );
-                let memo = cursor.as_mut().map(|cursor| (cursor, step));
+                let memo = reader.as_mut().map(|reader| (reader, step));
                 let image = driver::render(node, cfg, stepper, &cfg.render, memo);
                 out.bytes_written += store.write_frame(node, &driver::frame_name(step), &image)?;
                 if cfg.keep_frames {
@@ -265,7 +245,7 @@ pub(crate) fn drive(
     for (name, step, checksum) in checksums {
         let snapshot = store.read(node, &name)?;
         out.bytes_read += snapshot.len as u64;
-        let memo = cursor.as_mut().map(|cursor| (cursor, step));
+        let memo = reader.as_mut().map(|reader| (reader, step));
         let (image, verified) =
             driver::render_snapshot(node, cfg, shape, (&name, &snapshot), Some(checksum), memo)?;
         out.verified &= verified;
@@ -410,22 +390,22 @@ mod tests {
 
     #[test]
     fn a_read_back_that_fails_its_checksum_renders_from_its_own_bytes() {
-        use crate::frames::recall;
+        use crate::memo::recall;
         use greenness_heatsim::Grid;
         use greenness_platform::SimDuration;
 
         let cfg = PipelineConfig::small(1);
-        let memo = FrameMemo::default();
-        let mut cursor = Cursor::new(&memo, &cfg);
+        let memo = GridMemo::default();
+        let mut reader = Reader::new(&memo, &cfg);
         let stand_in = Framebuffer::new(64, 64);
-        recall::<()>(Some((&mut cursor, 1)), || Ok(stand_in.clone())).expect("infallible");
+        recall::<()>(Some((&mut reader, 1)), || Ok(stand_in.clone())).expect("infallible");
         let field = Grid::warm_patch(64, 64);
         let bytes = field.to_bytes();
         let sum = greenness_faults::checksum64(&bytes);
         let mut node = Node::new(HardwareSpec::table1());
         let mut read = |checksum, bytes: &[u8]| {
             let before = node.now();
-            let memo = Some((&mut cursor, 1));
+            let memo = Some((&mut reader, 1));
             let snapshot = Stored::copy_of(bytes);
             let read = driver::render_snapshot(
                 &mut node,

@@ -26,9 +26,8 @@ use greenness_trace::escape_json;
 use crate::compare::CaseComparison;
 use crate::config::PipelineConfig;
 use crate::experiment::{run_sharing, ExperimentSetup, PipelineReport};
-use crate::fields::FieldMemo;
-use crate::frames::FrameMemo;
 use crate::grid::{self, JobView};
+use crate::memo::GridMemo;
 use crate::pipeline::{PipelineError, PipelineKind};
 
 /// One cell of the experiment grid.
@@ -78,7 +77,7 @@ impl SweepJob {
 
     /// Run the job (on whatever thread the executor picked) through the
     /// grid's `memo`.
-    fn execute(&self, memo: (&FrameMemo, &FieldMemo)) -> Result<PipelineReport, PipelineError> {
+    fn execute(&self, memo: &GridMemo) -> Result<PipelineReport, PipelineError> {
         let mut setup = self.setup.clone();
         setup.meter.seed = self.derived_seed();
         // Fault schedules reseed the same way meter noise does: from the job
@@ -212,11 +211,10 @@ pub fn run_sweep(
     on_done: Progress<'_>,
 ) -> Result<Vec<JobResult>, SweepError> {
     let keys: Vec<String> = jobs.iter().map(SweepJob::key).collect();
-    let frames = FrameMemo::default();
-    let fields = FieldMemo::expecting(jobs.iter().map(|job| (job.kind, &job.cfg)));
+    let memo = GridMemo::expecting(jobs.iter().map(|job| (job.kind, &job.cfg)));
     grid::run_grid(&keys, workers, on_done, &|id| {
         let job = &jobs[id];
-        let report = job.execute((&frames, &fields)).map_err(|e| e.to_string())?;
+        let report = job.execute(&memo).map_err(|e| e.to_string())?;
         Ok(JobResult {
             id,
             key: keys[id].clone(),

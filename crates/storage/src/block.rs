@@ -7,7 +7,7 @@
 //! *is* the device block), and a page written by handle shares the caller's
 //! allocation. Once shared, a change to the page either replaces the handle
 //! (full-block write) or copies it first (partial write) — see
-//! [`crate::cache::PageCache::write_block`]. Devices only ever swap handles.
+//! `PageCache::write` in `cache`. Devices only ever swap handles.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,11 +84,6 @@ impl MemBlockDevice {
         Self::new(bytes.div_ceil(BLOCK_SIZE))
     }
 
-    /// Number of blocks actually materialized (written and not discarded).
-    pub fn materialized_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     fn check(&self, idx: u64) {
         assert!(
             idx < self.count,
@@ -154,6 +149,14 @@ impl BlockDevice for NullBlockDevice {
     }
 
     fn discard_block(&mut self, _idx: u64) {}
+}
+
+#[cfg(test)]
+impl MemBlockDevice {
+    /// Number of blocks actually materialized (written and not discarded).
+    pub(crate) fn materialized_blocks(&self) -> usize {
+        self.blocks.len()
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! write-back hands the device a clone of the page's); a dirty page written
 //! by copy is the only holder of its bytes until it is written back, and one
 //! written by handle shares the caller's. So the one place a block's bytes
-//! change is [`PageCache::write_block`], and only on an allocation nobody
+//! change is `PageCache::write`, and only on an allocation nobody
 //! else holds.
 
 use std::collections::hash_map::Entry;
@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::block::{block_from, Block, BlockDevice, BLOCK_SIZE};
-use crate::error::StorageError;
 
 /// Hit/miss/write-back counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,34 +97,15 @@ impl PageCache {
         );
     }
 
-    /// Write `data` into block `idx` at `offset` within the block, marking
-    /// the page dirty. Partial writes to a non-resident page first fault it
-    /// in (read-modify-write); returns whether that fault happened so the
-    /// caller can charge a device read. A write that would run past the end
-    /// of the block is rejected as [`StorageError::WriteExceedsBlock`].
+    /// Write the part of `data` that fits in block `idx` at `offset` within
+    /// the block, marking the page dirty. Partial writes to a non-resident
+    /// page first fault it in (read-modify-write); returns whether that
+    /// fault happened so the caller can charge a device read.
     ///
     /// The bytes land in an allocation only this page holds: a full-block
     /// write into an absent or shared page becomes a fresh block built from
     /// `data`, a partial write into a shared page copies the block first, and
     /// a page that is already the sole holder is written in place.
-    pub fn write_block(
-        &mut self,
-        dev: &impl BlockDevice,
-        idx: u64,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<bool, StorageError> {
-        if offset + data.len() > BLOCK_SIZE as usize {
-            return Err(StorageError::WriteExceedsBlock {
-                offset,
-                len: data.len(),
-            });
-        }
-        Ok(self.write(dev, idx, offset, data))
-    }
-
-    /// [`Self::write_block`] of the part of `data` that fits in the block
-    /// at `offset`.
     pub(crate) fn write(
         &mut self,
         dev: &impl BlockDevice,
@@ -193,14 +173,6 @@ impl PageCache {
         }
     }
 
-    /// Write back *all* dirty pages (the `sync` syscall).
-    pub fn sync(&mut self, dev: &mut impl BlockDevice) -> u64 {
-        let dirty = self.dirty_blocks();
-        let n = dirty.len() as u64;
-        self.flush_blocks(dev, &dirty);
-        n
-    }
-
     /// Evict clean pages (`drop_caches`); dirty pages survive, as on Linux.
     /// Returns the number of pages evicted.
     pub fn drop_caches(&mut self) -> u64 {
@@ -241,6 +213,32 @@ impl PageCache {
 
 #[cfg(test)]
 impl PageCache {
+    /// [`Self::write`], rejecting a write that would run past the end of
+    /// the block.
+    fn write_block(
+        &mut self,
+        dev: &impl BlockDevice,
+        idx: u64,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<bool, crate::StorageError> {
+        if offset + data.len() > BLOCK_SIZE as usize {
+            return Err(crate::StorageError::WriteExceedsBlock {
+                offset,
+                len: data.len(),
+            });
+        }
+        Ok(self.write(dev, idx, offset, data))
+    }
+
+    /// Write back *all* dirty pages (the `sync` syscall).
+    fn sync(&mut self, dev: &mut impl BlockDevice) -> u64 {
+        let dirty = self.dirty_blocks();
+        let n = dirty.len() as u64;
+        self.flush_blocks(dev, &dirty);
+        n
+    }
+
     /// Number of resident pages.
     fn resident_pages(&self) -> usize {
         self.pages.len()
@@ -256,6 +254,7 @@ impl PageCache {
 mod tests {
     use super::*;
     use crate::block::MemBlockDevice;
+    use crate::error::StorageError;
 
     fn filled(b: u8) -> Vec<u8> {
         vec![b; BLOCK_SIZE as usize]

@@ -27,7 +27,7 @@ pub mod tier;
 
 pub use block::{block_from, Block, BlockDevice, MemBlockDevice, NullBlockDevice, BLOCK_SIZE};
 pub use burst::BurstBuffer;
-pub use cache::{CacheStats, PageCache};
+pub use cache::CacheStats;
 pub use error::StorageError;
 pub use fio::{FioJob, FioKind, FioResult};
 pub use fs::{AllocMode, CostedDevice, FileSystem, FsConfig, FsError};

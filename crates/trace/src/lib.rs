@@ -39,7 +39,7 @@ mod tracer;
 
 pub use json::{escape_json, fmt_f64};
 pub use metrics::{percentile_nearest_rank, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use sink::{EventKind, JsonlSink, MemoryHandle, MemorySink, TraceEvent, TraceSink, Value};
+pub use sink::{EventKind, MemoryHandle, TraceEvent, TraceSink, Value};
 pub use tracer::{TraceOutput, Tracer};
 
 /// Version tag written as the first line of every journal file.

@@ -240,7 +240,7 @@ pub trait TraceSink: Send {
     /// Record one event.
     fn record(&mut self, ev: &TraceEvent);
     /// Take the accumulated JSONL buffer (empty for sinks that do not
-    /// render, e.g. [`MemorySink`]).
+    /// render, e.g. `MemorySink`).
     fn drain_jsonl(&mut self) -> String {
         String::new()
     }
@@ -279,7 +279,7 @@ impl TraceSink for JsonlSink {
     }
 }
 
-/// Shared handle onto a [`MemorySink`]'s event list (for tests and
+/// Shared handle onto a `MemorySink`'s event list (for tests and
 /// in-process inspection).
 #[derive(Debug, Clone, Default)]
 pub struct MemoryHandle {

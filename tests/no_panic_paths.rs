@@ -17,7 +17,12 @@
 //! session or a cluster run asks for, and decodes PPM bytes.
 //! `crates/storage` holds every byte a single-node run writes and reads
 //! back, so its filesystem, page cache, allocator and tier stack report
-//! what goes wrong as values too.
+//! what goes wrong as values too. `crates/steer` is the session engine
+//! behind every `steer.*` op, and `crates/fleet` the router that answers
+//! each line `greenness fleet` accepts. `crates/platform` charges the node
+//! every run advances, and `crates/power` meters the timeline every
+//! reply's metrics come from. `crates/pool` runs a `sweep` op's grid cells
+//! and every stencil step's row bands on its workers.
 
 use std::path::{Path, PathBuf};
 
@@ -67,12 +72,12 @@ fn no_unwrap_or_expect_on_request_reachable_paths() {
         .parent()
         .expect("crates dir");
     let mut files = Vec::new();
-    rs_files(&crates.join("core").join("src"), &mut files);
-    rs_files(&crates.join("serve").join("src"), &mut files);
-    rs_files(&crates.join("cluster").join("src"), &mut files);
-    rs_files(&crates.join("trace").join("src"), &mut files);
-    rs_files(&crates.join("viz").join("src"), &mut files);
-    rs_files(&crates.join("storage").join("src"), &mut files);
+    for name in [
+        "core", "serve", "cluster", "trace", "viz", "storage", "steer", "fleet", "platform",
+        "power", "pool",
+    ] {
+        rs_files(&crates.join(name).join("src"), &mut files);
+    }
     assert!(
         files.len() >= 10,
         "suspiciously few source files ({}) — did the layout move?",

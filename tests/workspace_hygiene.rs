@@ -18,6 +18,7 @@
 //! `opt`/`required`) and gave the fleet `routed` and `Request::session`.
 //! Later, the cluster's one-function driver became stage methods on a
 //! private `Run`, and sixteen `pub` functions nothing reached were deleted.
+//! The frame memo and the field memo became one `core::memo`.
 //! The tier-placement policies became one `PolicyKind` enum in
 //! `greenness-storage`, which alone spells their labels.
 //! This test walks the tree and fails if any of them grows back, so "add a
@@ -455,6 +456,27 @@ fn free_runs_are_kept_and_coalesced_only_in_storage_free() {
             let want = usize::from(file_name(&path) == "free.rs");
             assert_eq!(hits, want, "{}: `{needle}`", path.display());
         }
+    }
+}
+
+#[test]
+fn a_grid_shares_frames_and_fields_through_one_memo() {
+    // Frames and fields are keyed by one trajectory, spelled once in
+    // `core::memo`; the frame memo and the field memo used to spell it
+    // each, and were built side by side wherever a grid ran. Only
+    // `run_sweep` and `CaseComparison::run_config` build a memo.
+    let crates = repo_root().join("crates");
+    let core = crates.join("core").join("src");
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+    for path in &sources {
+        let src = read(path);
+        let spelled = src.contains("(cfg.grid_nx, cfg.grid_ny, cfg.solver");
+        let key = *path == core.join("memo.rs");
+        assert_eq!(spelled, key, "{}: the trajectory key", path.display());
+        let built = non_test(&src).contains("GridMemo::");
+        let grid = [core.join("sweep.rs"), core.join("compare.rs")].contains(path);
+        assert_eq!(built, grid, "{}: `GridMemo::`", path.display());
     }
 }
 
