@@ -42,7 +42,8 @@
 //! * a traced single-node sweep (the benchmark's `journal_audit` cells,
 //!   plain and under a seeded fault plan) writes the journal and metrics
 //!   file it wrote before the journal writer memoized float text and the
-//!   registry kept flat counters;
+//!   registry kept flat counters — and no journal recorded here holds a
+//!   `true`, `false` or negative integer value;
 //! * the `greenness bench-serve` replays — serve, fleet and steering
 //!   sessions, plain and faulted — write the files they wrote while the
 //!   command still had a live TCP mode beside them;
@@ -62,6 +63,7 @@
 //!   error: exit 2 with a one-line message, before any work runs — and the
 //!   `--flag=value` spelling is accepted by every subcommand.
 
+use std::collections::BTreeSet;
 use std::process::Command;
 
 use greenness_cluster::{ClusterKind, StagingConfig, WireCodec};
@@ -86,6 +88,7 @@ use greenness_storage::{
     TierSpec, TieredStore,
 };
 use greenness_trace::hash::{blake2s256, hex, Blake2s256};
+use greenness_trace::json::object_spans;
 use greenness_trace::Tracer;
 use greenness_viz::{
     encode_ppm, render_field, render_field_hashed, render_field_reference, Colormap, RenderOptions,
@@ -815,8 +818,12 @@ fn cluster_staging_variants_and_journals_match_the_recording() {
         };
         let results = run_cluster_sweep(cluster_jobs(None), &setup, 1, &|_, _, _| {})
             .expect("every cell completes");
+        let journal = cluster_journal(&results).expect("a traced sweep");
+        let (injected, lanes) = journal_census(&journal);
+        assert_eq!(injected > 0, faults.is_some(), "fault.injected instants");
+        assert!(lanes > 1, "one lane per node, not {lanes}");
         let mut digest = Blake2s256::default();
-        for artifact in [cluster_journal(&results), cluster_metrics_json(&results)] {
+        for artifact in [Some(journal), cluster_metrics_json(&results)] {
             let artifact = artifact.expect("a traced sweep has both");
             digest.update(&(artifact.len() as u64).to_le_bytes());
             digest.update(artifact.as_bytes());
@@ -1037,9 +1044,12 @@ fn placement_digests(faults: Option<FaultPlan>) -> (Vec<String>, [u64; 4]) {
         &sweep::silent_progress(),
     )
     .expect("every cell completes");
+    let journal = placement::placement_journal(&results).expect("a traced grid");
+    let (injected, lanes) = journal_census(&journal);
+    assert_eq!((injected > 0, lanes), (faults.is_some(), 0));
     let digests = [
         Some(placement::placement_manifest_json(setup.scale, &results)),
-        placement::placement_journal(&results),
+        Some(journal),
         placement::placement_metrics_json(&results),
     ]
     .into_iter()
@@ -1144,6 +1154,8 @@ fn single_node_journal_matches_the_recording() {
             value.contains("e-") && value.parse::<f64>().is_ok()
         });
         assert!(exponent, "a float prints in exponent form");
+        let (injected, lanes) = journal_census(&journal);
+        assert_eq!((injected > 0, lanes), (faulted, 0));
         let digests = [&journal, &metrics].map(|a| hex(&blake2s256(a.as_bytes())));
         assert_eq!(digests, recorded, "faults: {faulted}");
     }
@@ -1172,6 +1184,34 @@ fn counter(metrics: &str, name: &str) -> u64 {
             .collect();
         digits.parse().expect("a counter value")
     })
+}
+
+/// A journal's `fault.injected` instants and its distinct `node` lanes. On
+/// the way, every field value must be an unsigned integer, a float or a
+/// string: no emitter writes `true`, `false` or a negative integer.
+fn journal_census(journal: &str) -> (usize, usize) {
+    let mut injected = 0;
+    let mut lanes = BTreeSet::new();
+    for line in journal.lines() {
+        let members = object_spans(line).expect("a JSON line").expect("an object");
+        for (key, value) in &members {
+            let negative = value
+                .strip_prefix('-')
+                .is_some_and(|digits| digits.bytes().all(|b| b.is_ascii_digit()));
+            assert!(
+                !matches!(*value, "true" | "false") && !negative,
+                "{key}: {value} in {line}"
+            );
+            if key == "node" {
+                lanes.insert(*value);
+            }
+        }
+        let has = |k: &str, v: &str| members.iter().any(|(key, value)| key == k && *value == v);
+        if has("ev", "\"event\"") && has("name", "\"fault.injected\"") {
+            injected += 1;
+        }
+    }
+    (injected, lanes.len())
 }
 
 /// Run `greenness bench-serve` with `args` plus one `--flag path` per named
@@ -1540,6 +1580,8 @@ fn grid_journal_matches_the_recording() {
                 assert!(counter(cell, "cache.flushed_pages") > 0, "{cell:.60}");
             }
             assert!(counter(per_cell[6], "disk.seeks") > 0);
+            let (injected, lanes) = journal_census(&journal);
+            assert_eq!((injected > 0, lanes), (faulted, 0));
             let digests = [&journal, &metrics].map(|a| hex(&blake2s256(a.as_bytes())));
             assert_eq!(digests, recorded, "faults: {faulted}, jobs {jobs}");
         }
