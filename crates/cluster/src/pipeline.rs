@@ -868,7 +868,7 @@ mod tests {
 
     #[test]
     fn backpressure_blocks_are_traced() {
-        let (tracer, _handle) = Tracer::memory();
+        let tracer = Tracer::jsonl();
         let mut cfg = small();
         cfg.staging.queue_depth = 1;
         run_cluster_traced(ClusterKind::InTransit, &cfg, None, &tracer).unwrap();

@@ -5,7 +5,7 @@
 //! the zigzagged delta shrinks them substantially while staying exactly
 //! lossless (the round-trip preserves every bit, including NaN payloads).
 
-use crate::{Codec, CodecError, Scratch};
+use crate::{le_u64, Codec, CodecError, Scratch};
 
 /// The delta-varint codec. Input length must be a multiple of 8 (a stream of
 /// little-endian `f64`s, as produced by `Grid::to_bytes`).
@@ -66,7 +66,7 @@ impl Codec for DeltaVarint {
         out.clear();
         let mut prev = 0u64;
         for chunk in input.chunks_exact(8) {
-            let bits = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+            let bits = le_u64(chunk);
             let delta = bits.wrapping_sub(prev) as i64;
             push_varint(out, zigzag(delta));
             prev = bits;

@@ -38,6 +38,14 @@ pub mod transpose;
 
 pub use cost::CodecCostModel;
 
+/// The little-endian `u64` an eight-byte word holds, and 0 for a slice of
+/// any other length: a total conversion for the words `chunks_exact(8)` or
+/// a bounds check has already sized.
+#[inline]
+pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
+    bytes.try_into().map_or(0, u64::from_le_bytes)
+}
+
 /// Why an encode was rejected. These conditions used to be `assert!`s; they
 /// are values now so callers feeding externally-sourced streams can report
 /// them instead of crashing. [`Codec::encode`] keeps the panicking contract

@@ -9,7 +9,7 @@
 //! Stream format: `min: f64 | max: f64 | n: u64 | varint(zigzag(Δindex))…`.
 
 use crate::delta::{push_varint, read_varint, unzigzag, zigzag};
-use crate::{Codec, CodecError, Scratch};
+use crate::{le_u64, Codec, CodecError, Scratch};
 
 /// The 16-bit quantizing codec.
 #[derive(Debug, Clone, Copy, Default)]
@@ -94,7 +94,7 @@ fn encode_lattice(
         // byte stream — no intermediate sample Vec.
         let (mut lo, mut hi) = (0.0f64, 0.0f64);
         for (index, c) in input.chunks_exact(8).enumerate() {
-            let v = f64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
+            let v = f64::from_bits(le_u64(c));
             if !v.is_finite() {
                 return Err(CodecError::NonFiniteSample { index });
             }
@@ -118,7 +118,7 @@ fn encode_lattice(
         // the pre-overflow-fix format).
         let mut prev = 0i64;
         for c in input.chunks_exact(8) {
-            let v = f64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
+            let v = f64::from_bits(le_u64(c));
             let idx = if span == 0.0 {
                 0
             } else if span.is_finite() {

@@ -4,7 +4,7 @@
 //! worst case 2× expansion on incompressible data — which the tests and the
 //! `ablate_compression` bench make visible rather than hide.
 
-use crate::{Codec, CodecError, Scratch};
+use crate::{le_u64, Codec, CodecError, Scratch};
 
 /// The run-length codec.
 #[derive(Debug, Clone, Copy, Default)]
@@ -42,8 +42,7 @@ fn run_len(input: &[u8], b: u8, cap: usize) -> usize {
     let splat = u64::from_le_bytes([b; 8]);
     let mut run = 1usize;
     while run + 8 <= cap {
-        let word = u64::from_le_bytes(input[run..run + 8].try_into().expect("8-byte chunk"));
-        let diff = word ^ splat;
+        let diff = le_u64(&input[run..run + 8]) ^ splat;
         if diff != 0 {
             return run + (diff.trailing_zeros() / 8) as usize;
         }
@@ -80,9 +79,7 @@ pub(crate) fn rle_len_lower_bound(bytes: &[u8], limit: usize) -> usize {
         if 2 * runs >= limit {
             return limit;
         }
-        let a = u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8-byte chunk"));
-        let b = u64::from_le_bytes(bytes[i + 1..i + 9].try_into().expect("8-byte chunk"));
-        let x = a ^ b;
+        let x = le_u64(&bytes[i..i + 8]) ^ le_u64(&bytes[i + 1..i + 9]);
         let nonzero = ((x & LOW7).wrapping_add(LOW7) | x) & MSB;
         runs += nonzero.count_ones() as usize;
         i += 8;

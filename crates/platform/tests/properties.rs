@@ -346,7 +346,7 @@ proptest! {
         ops in prop::collection::vec(arb_activity(), 1..40),
     ) {
         let mut node = Node::new(HardwareSpec::table1());
-        let (tracer, _events) = greenness_trace::Tracer::memory();
+        let tracer = greenness_trace::Tracer::jsonl();
         node.set_tracer(tracer);
         let mut model = ByteModel::default();
         for activity in &ops {

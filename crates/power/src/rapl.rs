@@ -302,7 +302,7 @@ mod tests {
         let quanta_total = msr.true_energy_j(RaplDomain::Package, tl.end()) / msr.energy_unit_j();
         assert!(quanta_total > 15.0 * 2f64.powi(32), "want ≥15 wraps");
 
-        let (tracer, _handle) = Tracer::memory();
+        let tracer = Tracer::jsonl();
         let reader = RaplReader::default();
         let samples = reader.poll_traced(&msr, RaplDomain::Package, &tracer);
 

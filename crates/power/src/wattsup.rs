@@ -203,7 +203,7 @@ mod tests {
         let log = meter.sample(&tl);
         assert_eq!(log.len(), 3);
         // The traced variant records the drop instead of hiding it.
-        let (tracer, _handle) = Tracer::memory();
+        let tracer = Tracer::jsonl();
         meter.sample_traced(&tl, &tracer);
         assert_eq!(tracer.counter("wattsup.samples"), 3);
         assert_eq!(tracer.counter("wattsup.dropped_samples"), 1);

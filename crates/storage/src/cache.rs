@@ -213,24 +213,6 @@ impl PageCache {
 
 #[cfg(test)]
 impl PageCache {
-    /// [`Self::write`], rejecting a write that would run past the end of
-    /// the block.
-    fn write_block(
-        &mut self,
-        dev: &impl BlockDevice,
-        idx: u64,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<bool, crate::StorageError> {
-        if offset + data.len() > BLOCK_SIZE as usize {
-            return Err(crate::StorageError::WriteExceedsBlock {
-                offset,
-                len: data.len(),
-            });
-        }
-        Ok(self.write(dev, idx, offset, data))
-    }
-
     /// Write back *all* dirty pages (the `sync` syscall).
     fn sync(&mut self, dev: &mut impl BlockDevice) -> u64 {
         let dirty = self.dirty_blocks();
@@ -254,7 +236,6 @@ impl PageCache {
 mod tests {
     use super::*;
     use crate::block::MemBlockDevice;
-    use crate::error::StorageError;
 
     fn filled(b: u8) -> Vec<u8> {
         vec![b; BLOCK_SIZE as usize]
@@ -283,7 +264,7 @@ mod tests {
     fn writes_are_cached_until_sync() {
         let mut dev = MemBlockDevice::new(8);
         let mut c = PageCache::new();
-        c.write_block(&dev, 1, 0, &filled(0x5a)).unwrap();
+        c.write(&dev, 1, 0, &filled(0x5a));
         // Device still sees zeros.
         assert!(dev.read_block(1).iter().all(|&b| b == 0));
         assert!(c.is_dirty(1));
@@ -298,7 +279,7 @@ mod tests {
         let mut dev = MemBlockDevice::new(8);
         dev.write_block(0, block_from(&filled(0x11)));
         let mut c = PageCache::new();
-        let faulted = c.write_block(&dev, 0, 100, &[0xff; 8]).unwrap();
+        let faulted = c.write(&dev, 0, 100, &[0xff; 8]);
         assert!(faulted, "partial write to cold page must read-modify-write");
         c.sync(&mut dev);
         let buf = dev.read_block(0);
@@ -310,7 +291,7 @@ mod tests {
     fn full_block_write_does_not_fault() {
         let dev = MemBlockDevice::new(8);
         let mut c = PageCache::new();
-        let faulted = c.write_block(&dev, 0, 0, &filled(1)).unwrap();
+        let faulted = c.write(&dev, 0, 0, &filled(1));
         assert!(!faulted);
         assert_eq!(c.stats().misses, 0);
     }
@@ -319,7 +300,7 @@ mod tests {
     fn a_clean_page_is_the_device_block_and_writes_never_reach_it_early() {
         let mut dev = MemBlockDevice::new(8);
         let mut c = PageCache::new();
-        c.write_block(&dev, 0, 0, &filled(1)).unwrap();
+        c.write(&dev, 0, 0, &filled(1));
         c.sync(&mut dev);
         let durable = dev.read_block(0);
         let (page, miss) = c.read_block(&dev, 0);
@@ -327,13 +308,13 @@ mod tests {
         assert_eq!(page.as_ptr(), durable.as_ptr(), "write-back shares");
         // A partial write copies first; a full write replaces the handle.
         // Neither may show through the handle the device holds.
-        c.write_block(&dev, 0, 10, &[9; 4]).unwrap();
+        c.write(&dev, 0, 10, &[9; 4]);
         assert!(durable.iter().all(|&b| b == 1));
-        c.write_block(&dev, 0, 0, &filled(2)).unwrap();
+        c.write(&dev, 0, 0, &filled(2));
         assert!(dev.read_block(0).iter().all(|&b| b == 1));
         // A dirty page is its bytes' only holder and is written in place.
         let before = c.read_block(&dev, 0).0.as_ptr();
-        c.write_block(&dev, 0, 0, &filled(3)).unwrap();
+        c.write(&dev, 0, 0, &filled(3));
         assert_eq!(c.read_block(&dev, 0).0.as_ptr(), before);
         // A read fault takes the device's handle instead of copying it.
         c.discard_dirty();
@@ -343,20 +324,20 @@ mod tests {
     }
 
     #[test]
-    fn oversized_write_is_an_error_not_a_panic() {
-        let dev = MemBlockDevice::new(8);
+    fn oversized_write_is_clipped_at_the_block_end() {
+        let mut dev = MemBlockDevice::new(8);
         let mut c = PageCache::new();
-        let r = c.write_block(&dev, 0, 100, &filled(0x77));
-        assert_eq!(
-            r,
-            Err(StorageError::WriteExceedsBlock {
-                offset: 100,
-                len: BLOCK_SIZE as usize,
-            })
-        );
-        // The failed write must not have materialized or dirtied a page.
-        assert!(!c.contains(0));
-        assert_eq!(c.stats(), CacheStats::default());
+        assert!(c.write(&dev, 0, 100, &filled(0x77)), "a partial write");
+        // An offset past the block end writes nothing, and does not panic.
+        c.write(&dev, 2, BLOCK_SIZE as usize + 5, &[0x77; 4]);
+        c.sync(&mut dev);
+        let buf = dev.read_block(0);
+        assert!(buf[..100].iter().all(|&b| b == 0), "bytes before kept");
+        assert!(buf[100..].iter().all(|&b| b == 0x77), "filled to the end");
+        for idx in [1, 2] {
+            assert!(dev.read_block(idx).iter().all(|&b| b == 0), "block {idx}");
+        }
+        assert!(!c.contains(1), "nothing spills into the next block");
     }
 
     #[test]
@@ -364,7 +345,7 @@ mod tests {
         let dev = MemBlockDevice::new(8);
         let mut c = PageCache::new();
         c.read_block(&dev, 1);
-        c.write_block(&dev, 2, 0, &filled(9)).unwrap();
+        c.write(&dev, 2, 0, &filled(9));
         assert_eq!(c.invalidate(&[1, 2, 6]), 2);
         assert_eq!(c.resident_pages(), 0);
         assert_eq!(c.stats().evictions, 2);
@@ -375,7 +356,7 @@ mod tests {
         let mut dev = MemBlockDevice::new(8);
         let mut c = PageCache::new();
         c.read_block(&dev, 0);
-        c.write_block(&dev, 1, 0, &filled(2)).unwrap();
+        c.write(&dev, 1, 0, &filled(2));
         assert_eq!(c.drop_caches(), 1);
         assert!(!c.contains(0), "clean page must be evicted");
         assert!(c.contains(1), "dirty page must survive");
@@ -391,7 +372,7 @@ mod tests {
         let mut dev = MemBlockDevice::new(8);
         let mut c = PageCache::new();
         for i in [5u64, 1, 3] {
-            c.write_block(&dev, i, 0, &filled(i as u8)).unwrap();
+            c.write(&dev, i, 0, &filled(i as u8));
         }
         assert_eq!(c.dirty_blocks(), vec![1, 3, 5]);
         assert_eq!(c.dirty_among(&[3, 4, 5]), vec![3, 5]);

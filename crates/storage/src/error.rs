@@ -1,23 +1,16 @@
 //! Storage-stack error type.
 //!
-//! Invalid cache writes and malformed fio jobs used to `panic!` deep inside
-//! the library, taking the whole `repro`/`greenness` process down with a
-//! backtrace instead of a diagnostic. [`StorageError`] carries those
-//! conditions (plus filesystem errors) out to the caller as values, so the
-//! binaries can print one line and exit nonzero.
+//! Malformed fio jobs used to `panic!` deep inside the library, taking the
+//! whole `repro`/`greenness` process down with a backtrace instead of a
+//! diagnostic. [`StorageError`] carries those conditions (plus filesystem
+//! errors) out to the caller as values, so the binaries can print one line
+//! and exit nonzero.
 
 use crate::fs::FsError;
 
-/// Errors surfaced by the storage stack (page cache, fio engine, filesystem).
+/// Errors surfaced by the storage stack (fio engine, filesystem).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// A page-cache write would run past the end of its block.
-    WriteExceedsBlock {
-        /// Byte offset within the block.
-        offset: usize,
-        /// Length of the write.
-        len: usize,
-    },
     /// An fio job's request size is not a positive multiple of the device
     /// block size.
     MisalignedBlockSize {
@@ -52,9 +45,6 @@ pub enum StorageError {
 impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StorageError::WriteExceedsBlock { offset, len } => {
-                write!(f, "write of {len} bytes at offset {offset} exceeds block")
-            }
             StorageError::MisalignedBlockSize { block_bytes } => {
                 write!(
                     f,

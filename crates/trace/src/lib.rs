@@ -8,9 +8,9 @@
 //! that observability layer:
 //!
 //! * an **event journal** — virtual-timestamped JSONL spans
-//!   (`begin`/`end`) and instant events emitted through the [`TraceSink`]
-//!   trait. When tracing is off the hot path costs a single branch on an
-//!   `Option`.
+//!   (`begin`/`end`) and instant events, rendered by the [`Tracer`] into one
+//!   in-memory JSONL buffer as they are emitted. When tracing is off the hot
+//!   path costs a single branch on an `Option`.
 //! * a **metrics registry** — named monotonic counters and gauges
 //!   ([`MetricsRegistry`]), snapshotted per phase and per sweep job.
 //!
@@ -38,8 +38,8 @@ pub mod summarize;
 mod tracer;
 
 pub use json::{escape_json, fmt_f64};
-pub use metrics::{percentile_nearest_rank, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use sink::{EventKind, MemoryHandle, TraceEvent, TraceSink, Value};
+pub use metrics::{percentile_nearest_rank, Histogram, MetricsRegistry};
+pub use sink::Value;
 pub use tracer::{TraceOutput, Tracer};
 
 /// Version tag written as the first line of every journal file.
@@ -113,19 +113,6 @@ mod tests {
         assert_eq!(out.metrics.counter("disk.bytes_read"), 4096);
         // Drained: a second drain sees an empty journal.
         assert_eq!(t.drain().expect("still on").journal, "");
-    }
-
-    #[test]
-    fn memory_sink_exposes_structured_events() {
-        let (t, handle) = Tracer::memory();
-        t.begin(5, "phase", vec![("phase", Value::from("write"))]);
-        t.end(9, "phase", vec![]);
-        let events = handle.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, EventKind::Begin);
-        assert_eq!(events[0].t_ns, 5);
-        assert_eq!(events[1].kind, EventKind::End);
-        assert_eq!(events[1].name, "phase");
     }
 
     #[test]

@@ -163,17 +163,17 @@ pub fn percentile_nearest_rank(samples: &[f64], p: f64) -> f64 {
 }
 
 /// Point-in-time copy of the registry taken by [`MetricsRegistry::snapshot`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
+#[derive(Debug, Clone)]
+pub(crate) struct MetricsSnapshot {
     /// Label, e.g. `"phase:simulation"` or `"run"`.
-    pub label: String,
+    label: String,
     /// Counter values at snapshot time.
-    pub counters: BTreeMap<&'static str, u64>,
+    pub(crate) counters: BTreeMap<&'static str, u64>,
     /// Gauge values at snapshot time.
-    pub gauges: BTreeMap<&'static str, f64>,
+    gauges: BTreeMap<&'static str, f64>,
     /// Histogram states at snapshot time (empty unless the run observed
     /// histogram samples).
-    pub histograms: BTreeMap<&'static str, Histogram>,
+    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 /// Flat counter slots, one per name pointer a caller has passed, in
@@ -274,11 +274,6 @@ impl MetricsRegistry {
         });
     }
 
-    /// Snapshots in recording order.
-    pub fn snapshots(&self) -> &[MetricsSnapshot] {
-        &self.snapshots
-    }
-
     /// Compact single-line JSON object:
     /// `{"counters":{...},"gauges":{...},"snapshots":[...]}`, with a
     /// `"histograms"` member appearing only when observations were recorded
@@ -327,6 +322,14 @@ impl MetricsRegistry {
             histograms_json(&self.histograms),
             snaps.join(",")
         )
+    }
+}
+
+#[cfg(test)]
+impl MetricsRegistry {
+    /// Snapshots in recording order.
+    pub(crate) fn snapshots(&self) -> &[MetricsSnapshot] {
+        &self.snapshots
     }
 }
 

@@ -1,7 +1,6 @@
-//! Trace events and the sinks that receive them.
+//! Trace events and the JSONL sink that renders them.
 
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::{push_escaped_str, push_f64};
 
@@ -10,15 +9,11 @@ use crate::json::{push_escaped_str, push_f64};
 pub enum Value {
     /// Unsigned integer (byte counts, block indices, nanoseconds).
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Float (seconds, watts, joules) — rendered round-trippably.
     F64(f64),
     /// String (phase labels, activity kinds, device states): borrowed when
     /// it is a [`Value::label`], owned otherwise.
     Str(Cow<'static, str>),
-    /// Boolean.
-    Bool(bool),
 }
 
 impl Value {
@@ -45,11 +40,6 @@ impl From<u32> for Value {
         Value::U64(v as u64)
     }
 }
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
 impl From<f64> for Value {
     fn from(v: f64) -> Self {
         Value::F64(v)
@@ -65,15 +55,10 @@ impl From<String> for Value {
         Value::Str(Cow::Owned(v))
     }
 }
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
 
 /// Span boundary or instant event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EventKind {
     /// Span opens at `t_ns`.
     Begin,
     /// Span closes at `t_ns` (must match the innermost open span's name).
@@ -84,7 +69,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// The `ev` field value in the JSONL encoding.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             EventKind::Begin => "begin",
             EventKind::End => "end",
@@ -94,25 +79,25 @@ impl EventKind {
 }
 
 /// One journal entry: a virtual timestamp, a kind, a name, and flat fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
+#[derive(Debug)]
+pub(crate) struct TraceEvent {
     /// Virtual time in integer nanoseconds (same representation as
     /// `platform::SimTime`).
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// Span boundary or instant.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Event name (e.g. `"phase"`, `"activity"`, `"rapl.poll"`).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Flat key/value payload, emitted in order.
-    pub fields: Vec<(&'static str, Value)>,
+    pub(crate) fields: Vec<(&'static str, Value)>,
 }
 
 impl TraceEvent {
     /// Append this event to `buf` as one JSONL line (no trailing newline).
     /// The one place an event becomes JSON: it renders in place, with no
-    /// intermediate string per event, field or value.
-    /// Floats go through `floats` when the caller keeps a memo across events.
-    fn write_jsonl(&self, buf: &mut String, mut floats: Option<&mut FloatMemo>) {
+    /// intermediate string per event, field or value. Floats go through
+    /// `floats`, the sink's memo across events.
+    fn write_jsonl(&self, buf: &mut String, floats: &mut FloatMemo) {
         buf.push_str("{\"t_ns\":");
         push_u64(buf, self.t_ns);
         buf.push_str(",\"ev\":\"");
@@ -126,35 +111,15 @@ impl TraceEvent {
             buf.push_str("\":");
             match v {
                 Value::U64(v) => push_u64(buf, *v),
-                Value::I64(v) => {
-                    if *v < 0 {
-                        buf.push('-');
-                    }
-                    push_u64(buf, v.unsigned_abs());
-                }
-                Value::F64(v) => match floats.as_deref_mut() {
-                    Some(memo) => memo.push(buf, *v),
-                    // `String`'s `fmt::Write` never fails.
-                    None => {
-                        let _ = push_f64(buf, *v);
-                    }
-                },
+                Value::F64(v) => floats.push(buf, *v),
                 Value::Str(s) => {
                     buf.push('"');
                     push_escaped_str(buf, s);
                     buf.push('"');
                 }
-                Value::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),
             }
         }
         buf.push('}');
-    }
-
-    /// Render as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        let mut line = String::new();
-        self.write_jsonl(&mut line, None);
-        line
     }
 }
 
@@ -234,93 +199,30 @@ fn memo_slot(bits: u64) -> usize {
     (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
-/// Receives trace events. Implementations must be cheap: the tracer already
-/// guards every call behind its on/off branch.
-pub trait TraceSink: Send {
-    /// Record one event.
-    fn record(&mut self, ev: &TraceEvent);
-    /// Take the accumulated JSONL buffer (empty for sinks that do not
-    /// render, e.g. `MemorySink`).
-    fn drain_jsonl(&mut self) -> String {
-        String::new()
-    }
-}
-
 /// Renders each event immediately into an in-memory JSONL buffer. The
 /// buffer contains event lines only — the `greenness-trace/v1` schema header
 /// is prepended by whoever writes the journal file (see
 /// [`crate::journal_header`]), so per-job buffers can be concatenated.
 #[derive(Debug, Default)]
-pub struct JsonlSink {
+pub(crate) struct JsonlSink {
     buf: String,
     floats: FloatMemo,
 }
 
 impl JsonlSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        JsonlSink::default()
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        ev.write_jsonl(&mut self.buf, Some(&mut self.floats));
+    /// Append one event line.
+    pub(crate) fn record(&mut self, ev: &TraceEvent) {
+        ev.write_jsonl(&mut self.buf, &mut self.floats);
         self.buf.push('\n');
     }
 
     /// The journal, its capacity trimmed to its length: a run's journal
     /// outlives the run, and the buffer's doubling slack would outlive it
     /// too.
-    fn drain_jsonl(&mut self) -> String {
+    pub(crate) fn drain_jsonl(&mut self) -> String {
         let mut journal = std::mem::take(&mut self.buf);
         journal.shrink_to_fit();
         journal
-    }
-}
-
-/// Shared handle onto a `MemorySink`'s event list (for tests and
-/// in-process inspection).
-#[derive(Debug, Clone, Default)]
-pub struct MemoryHandle {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-}
-
-impl MemoryHandle {
-    /// Snapshot of all recorded events.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-}
-
-/// Stores structured events for inspection instead of rendering them.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-}
-
-impl MemorySink {
-    /// A new sink plus the handle that observes it.
-    pub fn new() -> (Self, MemoryHandle) {
-        let events = Arc::new(Mutex::new(Vec::new()));
-        (
-            MemorySink {
-                events: Arc::clone(&events),
-            },
-            MemoryHandle { events },
-        )
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(ev.clone());
     }
 }
 
@@ -330,8 +232,9 @@ mod tests {
     use crate::json::reference::{escape_json, fmt_f64};
     use proptest::prelude::*;
 
-    /// `TraceEvent::to_jsonl` as it was: a `format!` per event, per field and
-    /// per value over the allocating formatters. The oracle for the writer.
+    /// An event line as the writer once rendered it: a `format!` per event,
+    /// per field and per value over the allocating formatters. The oracle for
+    /// the writer.
     fn to_jsonl_reference(ev: &TraceEvent) -> String {
         let mut s = format!(
             "{{\"t_ns\":{},\"ev\":\"{}\",\"name\":\"{}\"",
@@ -342,10 +245,8 @@ mod tests {
         for (k, v) in &ev.fields {
             let rendered = match v {
                 Value::U64(v) => v.to_string(),
-                Value::I64(v) => v.to_string(),
                 Value::F64(v) => fmt_f64(*v),
                 Value::Str(s) => format!("\"{}\"", escape_json(s)),
-                Value::Bool(b) => b.to_string(),
             };
             s.push_str(&format!(",\"{k}\":{rendered}"));
         }
@@ -378,8 +279,6 @@ mod tests {
         prop_oneof![
             any::<u64>().prop_map(Value::U64),
             prop::sample::select(vec![0, 1, u64::MAX]).prop_map(Value::U64),
-            any::<i64>().prop_map(Value::I64),
-            prop::sample::select(vec![0, -1, i64::MIN, i64::MAX]).prop_map(Value::I64),
             any::<u64>().prop_map(|bits| Value::F64(f64::from_bits(bits))),
             prop::sample::select(vec![
                 0.0,
@@ -395,7 +294,6 @@ mod tests {
             .prop_map(Value::F64),
             text.prop_map(|atoms| Value::from(atoms.concat())),
             colliding_floats().prop_map(Value::F64),
-            any::<bool>().prop_map(Value::Bool),
         ]
     }
 
@@ -483,18 +381,14 @@ mod tests {
                 stream.extend([*a, *b, *a]);
             }
         }
-        let mut sink = JsonlSink::new();
+        let mut sink = JsonlSink::default();
         let mut want = String::new();
         for (t_ns, v) in stream.iter().enumerate() {
             let ev = TraceEvent {
                 t_ns: t_ns as u64,
                 kind: EventKind::Instant,
                 name: "rapl.poll",
-                fields: vec![
-                    ("watts", Value::F64(*v)),
-                    ("bytes", Value::U64(u64::MAX)),
-                    ("delta", Value::I64(i64::MIN)),
-                ],
+                fields: vec![("watts", Value::F64(*v)), ("bytes", Value::U64(u64::MAX))],
             };
             sink.record(&ev);
             want.push_str(&to_jsonl_reference(&ev));
@@ -508,19 +402,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(500))]
 
-        /// What lands in the sink is the old `to_jsonl` plus a newline, event
-        /// after event into one buffer, and `to_jsonl` is that same line.
+        /// What lands in the sink is the reference line plus a newline, event
+        /// after event into one buffer.
         #[test]
         fn sink_bytes_match_the_reference_rendering(
             events in prop::collection::vec(arb_event(), 1..6),
         ) {
-            let mut sink = JsonlSink::new();
+            let mut sink = JsonlSink::default();
             let mut want = String::new();
             for ev in &events {
                 sink.record(ev);
                 want.push_str(&to_jsonl_reference(ev));
                 want.push('\n');
-                prop_assert_eq!(ev.to_jsonl(), to_jsonl_reference(ev));
             }
             prop_assert_eq!(sink.drain_jsonl(), want);
         }

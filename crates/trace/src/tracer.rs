@@ -3,10 +3,11 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::metrics::MetricsRegistry;
-use crate::sink::{EventKind, JsonlSink, MemoryHandle, MemorySink, TraceEvent, TraceSink, Value};
+use crate::sink::{EventKind, JsonlSink, TraceEvent, Value};
 
+#[derive(Default)]
 struct Inner {
-    sink: Box<dyn TraceSink>,
+    sink: JsonlSink,
     metrics: MetricsRegistry,
 }
 
@@ -46,13 +47,10 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// A tracer recording into `sink`.
-    pub fn new(sink: Box<dyn TraceSink>) -> Self {
+    /// A tracer rendering JSONL lines into an in-memory buffer.
+    pub fn jsonl() -> Self {
         Tracer {
-            inner: Some(Arc::new(Mutex::new(Inner {
-                sink,
-                metrics: MetricsRegistry::default(),
-            }))),
+            inner: Some(Arc::new(Mutex::new(Inner::default()))),
             node: None,
         }
     }
@@ -66,17 +64,6 @@ impl Tracer {
             inner: self.inner.clone(),
             node: Some(node as u64),
         }
-    }
-
-    /// A tracer rendering JSONL lines into an in-memory buffer.
-    pub fn jsonl() -> Self {
-        Tracer::new(Box::new(JsonlSink::new()))
-    }
-
-    /// A tracer storing structured events, plus the handle observing them.
-    pub fn memory() -> (Self, MemoryHandle) {
-        let (sink, handle) = MemorySink::new();
-        (Tracer::new(Box::new(sink)), handle)
     }
 
     /// Whether tracing is enabled.

@@ -14,6 +14,7 @@ use greenness_serve::{replay_workload, run_replay, ServiceConfig};
 use greenness_storage::{
     FileSystem, FsConfig, FsError, MemBlockDevice, PolicyKind, TierSpec, TieredStore,
 };
+use greenness_trace::Tracer;
 
 fn fresh_fs() -> (Node, FileSystem<MemBlockDevice>) {
     let node = Node::new(HardwareSpec::table1());
@@ -412,6 +413,15 @@ fn intransit_chaos_sweep_converges_to_fault_free_images() {
     assert!(torn_renders > 0, "no staging render was ever torn");
 }
 
+/// The `fault.injected` instants in the journal `tracer` drained.
+fn injected_instants(tracer: &Tracer) -> u64 {
+    let journal = tracer.drain().expect("tracing is on").journal;
+    journal
+        .lines()
+        .filter(|line| line.contains("\"ev\":\"event\",\"name\":\"fault.injected\""))
+        .count() as u64
+}
+
 /// Regression for the untraced-terminal-drop bug: every injected fabric or
 /// staging fault — drops, delays, torn renders, including the *terminal*
 /// drop that exhausts the retry budget — must land in the journal as a
@@ -419,23 +429,18 @@ fn intransit_chaos_sweep_converges_to_fault_free_images() {
 #[test]
 fn fault_journal_instants_match_the_summary_counters() {
     use greenness_cluster::run_cluster_traced;
-    use greenness_trace::{EventKind, Tracer};
     let cfg = ClusterConfig::small(4, 2);
     let plan = FaultPlan {
         fabric_fault_rate: 0.15,
         staging_render_rate: 0.15,
         ..FaultPlan::with_seed(7)
     };
-    let (tracer, handle) = Tracer::memory();
+    let tracer = Tracer::jsonl();
     let (_, summary) = run_cluster_traced(ClusterKind::InTransit, &cfg, Some(plan), &tracer)
         .expect("degraded run recovers");
     let injected = summary.fabric_drops + summary.fabric_delays + summary.staging_torn_renders;
     assert!(injected > 0, "seed 7 must inject at least one fabric fault");
-    let instants = handle
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::Instant && e.name == "fault.injected")
-        .count() as u64;
+    let instants = injected_instants(&tracer);
     assert_eq!(
         instants, injected,
         "journal fault.injected instants must match the summary counters"
@@ -449,7 +454,6 @@ fn fault_journal_instants_match_the_summary_counters() {
 fn terminal_fabric_drop_still_lands_in_the_journal() {
     use greenness_cluster::{ClusterError, Fabric};
     use greenness_platform::NetModel;
-    use greenness_trace::{EventKind, Tracer};
     let plan = FaultPlan {
         fabric_fault_rate: 1.0,
         max_retries: 0,
@@ -457,7 +461,7 @@ fn terminal_fabric_drop_still_lands_in_the_journal() {
     };
     let mut fabric = Fabric::new(NetModel::ten_gbe());
     fabric.set_fault_injector(Some(plan.injector(Site::FabricTransfer, 0)));
-    let (tracer, handle) = Tracer::memory();
+    let tracer = Tracer::jsonl();
     let mut src = Node::new(HardwareSpec::table1());
     src.set_tracer(tracer.clone());
     let mut dst = Node::new(HardwareSpec::table1());
@@ -476,11 +480,7 @@ fn terminal_fabric_drop_still_lands_in_the_journal() {
     );
     let (drops, delays, _) = fabric.fault_counts();
     assert!(drops > 0, "a drop must have occurred");
-    let instants = handle
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::Instant && e.name == "fault.injected")
-        .count() as u64;
+    let instants = injected_instants(&tracer);
     assert_eq!(
         instants,
         drops + delays,

@@ -22,7 +22,9 @@
 //! each line `greenness fleet` accepts. `crates/platform` charges the node
 //! every run advances, and `crates/power` meters the timeline every
 //! reply's metrics come from. `crates/pool` runs a `sweep` op's grid cells
-//! and every stencil step's row bands on its workers.
+//! and every stencil step's row bands on its workers. `crates/codec`
+//! decodes every in-transit wire slab a cluster run stages and the
+//! compressed variants' read-back of every snapshot they stored.
 
 use std::path::{Path, PathBuf};
 
@@ -74,7 +76,7 @@ fn no_unwrap_or_expect_on_request_reachable_paths() {
     let mut files = Vec::new();
     for name in [
         "core", "serve", "cluster", "trace", "viz", "storage", "steer", "fleet", "platform",
-        "power", "pool",
+        "power", "pool", "codec",
     ] {
         rs_files(&crates.join(name).join("src"), &mut files);
     }

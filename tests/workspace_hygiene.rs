@@ -287,8 +287,8 @@ fn the_journal_has_one_reader_and_one_writer() {
         }
     }
 
-    // One function in `greenness-trace` spells the head of an event line;
-    // the sink and `to_jsonl` both go through it.
+    // One function in `greenness-trace` spells the head of an event line:
+    // `TraceEvent::write_jsonl`, which the tracer's JSONL sink calls.
     let writers: Vec<String> = sources
         .iter()
         .filter(|path| path.starts_with(crates.join("trace")))
@@ -298,6 +298,21 @@ fn the_journal_has_one_reader_and_one_writer() {
         })
         .collect();
     assert_eq!(writers, ["sink.rs"], "event-to-JSONL renderers");
+}
+
+#[test]
+fn the_tracer_writes_its_journal_with_no_trait_object() {
+    // One recording path: the tracer holds the concrete JSONL sink, and
+    // tests read the journal a user gets.
+    let mut sources = Vec::new();
+    rs_files(&repo_root().join("crates/trace/src"), &mut sources);
+    for path in &sources {
+        assert!(
+            !non_test(&read(path)).contains("dyn "),
+            "{}: a trait object in greenness-trace",
+            path.display()
+        );
+    }
 }
 
 #[test]
