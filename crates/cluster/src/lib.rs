@@ -39,7 +39,7 @@ pub use error::{ClusterError, FaultSummary};
 pub use fabric::{barrier, Fabric};
 pub use pfs::ParallelFs;
 pub use pipeline::{
-    run_cluster, run_cluster_traced, run_cluster_with_faults, ClusterConfig, ClusterKind,
-    ClusterReport, StagingConfig, WireCodec,
+    run_cluster, run_cluster_traced, ClusterConfig, ClusterKind, ClusterReport, StagingConfig,
+    WireCodec,
 };
 pub use slab::DecomposedSolver;

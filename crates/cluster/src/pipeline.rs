@@ -369,7 +369,7 @@ fn slab_rows_px(height: usize, ny: usize, j0: usize, rows: usize) -> usize {
 
 /// Run the distributed pipeline described by `cfg`, fault-free.
 pub fn run_cluster(kind: ClusterKind, cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError> {
-    run_cluster_with_faults(kind, cfg, None).map(|(report, _)| report)
+    run_cluster_traced(kind, cfg, None, &Tracer::off()).map(|(report, _)| report)
 }
 
 /// Run the distributed pipeline under an optional seeded fault plan. A
@@ -377,18 +377,11 @@ pub fn run_cluster(kind: ClusterKind, cfg: &ClusterConfig) -> Result<ClusterRepo
 /// static energy in every node's timeline) and reports what it absorbed in
 /// the [`FaultSummary`]; only an exhausted retry budget or a genuinely
 /// undersized PFS aborts the run with a structured [`ClusterError`].
-pub fn run_cluster_with_faults(
-    kind: ClusterKind,
-    cfg: &ClusterConfig,
-    faults: Option<FaultPlan>,
-) -> Result<(ClusterReport, FaultSummary), ClusterError> {
-    run_cluster_traced(kind, cfg, faults, &Tracer::off())
-}
-
-/// [`run_cluster_with_faults`] with a tracer attached to every compute and
-/// staging node: phase spans, `fault.injected` instants, and the staging
-/// vocabulary (`staging.queue.block` / `staging.frame.render` instants,
-/// `staging.bytes.wire` / `staging.bytes.raw` counters) land in `tracer`.
+///
+/// `tracer` is attached to every compute and staging node: phase spans,
+/// `fault.injected` instants, and the staging vocabulary
+/// (`staging.queue.block` / `staging.frame.render` instants,
+/// `staging.bytes.wire` / `staging.bytes.raw` counters) land in it.
 /// Every kind runs the same `Run` stages; only the I/O step differs.
 pub fn run_cluster_traced(
     kind: ClusterKind,
@@ -968,10 +961,11 @@ mod tests {
         // every snapshot read back matches its pre-write checksum.
         let cfg = small();
         let clean = run_cluster(ClusterKind::PostProcessing, &cfg).unwrap();
-        let (faulted, summary) = run_cluster_with_faults(
+        let (faulted, summary) = run_cluster_traced(
             ClusterKind::PostProcessing,
             &cfg,
             Some(FaultPlan::with_seed(42)),
+            &Tracer::off(),
         )
         .unwrap();
         assert!(summary.total_faults() > 0, "seed 42 injected nothing");
@@ -991,8 +985,13 @@ mod tests {
     fn same_fault_seed_is_bit_identical() {
         let cfg = small();
         let run = || {
-            run_cluster_with_faults(ClusterKind::InTransit, &cfg, Some(FaultPlan::with_seed(7)))
-                .unwrap()
+            run_cluster_traced(
+                ClusterKind::InTransit,
+                &cfg,
+                Some(FaultPlan::with_seed(7)),
+                &Tracer::off(),
+            )
+            .unwrap()
         };
         let (a, sa) = run();
         let (b, sb) = run();
@@ -1006,7 +1005,8 @@ mod tests {
     fn no_plan_leaves_the_report_bit_identical() {
         let cfg = small();
         let plain = run_cluster(ClusterKind::InSitu, &cfg).unwrap();
-        let (gated, summary) = run_cluster_with_faults(ClusterKind::InSitu, &cfg, None).unwrap();
+        let (gated, summary) =
+            run_cluster_traced(ClusterKind::InSitu, &cfg, None, &Tracer::off()).unwrap();
         assert_eq!(summary, FaultSummary::default());
         assert_eq!(plain.makespan_s.to_bits(), gated.makespan_s.to_bits());
         assert_eq!(

@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn constant_fields_compress_massively() {
-        let g = Grid::filled(64, 64, 3.25);
+        let g = Grid::from_fn(64, 64, |_, _| 3.25);
         let bytes = g.to_bytes();
         let enc = DeltaVarint.encode(&bytes);
         // One full varint for the first sample, ~1 byte per repeat.
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn truncated_streams_are_rejected() {
-        let g = Grid::filled(8, 8, 1.0);
+        let g = Grid::from_fn(8, 8, |_, _| 1.0);
         let enc = DeltaVarint.encode(&g.to_bytes());
         // Chop inside a multi-byte varint: find a byte with the continuation
         // bit set and cut right after it.

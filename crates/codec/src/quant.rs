@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn constant_and_empty_streams() {
         let codec = Quant16;
-        let g = Grid::filled(8, 8, 42.0);
+        let g = Grid::from_fn(8, 8, |_, _| 42.0);
         let bytes = g.to_bytes();
         let back = codec.decode(&codec.encode(&bytes)).expect("decode");
         assert_eq!(samples_of(&back), samples_of(&bytes));
@@ -309,7 +309,7 @@ mod tests {
     fn malformed_streams_are_rejected() {
         let codec = Quant16;
         assert!(codec.decode(&[0u8; 10]).is_none(), "short header");
-        let g = Grid::filled(8, 8, 1.0);
+        let g = Grid::from_fn(8, 8, |_, _| 1.0);
         let mut enc = codec.encode(&g.to_bytes());
         enc.push(0); // trailing garbage
         assert!(codec.decode(&enc).is_none());

@@ -377,7 +377,7 @@ mod tests {
         let codec = TransposeRle;
         assert!(codec.decode(&[]).is_none());
         assert!(codec.decode(&[0u8; 7]).is_none());
-        let g = Grid::filled(8, 8, 2.0);
+        let g = Grid::from_fn(8, 8, |_, _| 2.0);
         let mut enc = codec.encode(&g.to_bytes());
         enc.push(9); // trailing garbage
         assert!(codec.decode(&enc).is_none());
@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn hostile_plane_lengths_are_rejected_without_allocation_bombs() {
         let codec = TransposeRle;
-        let enc = codec.encode(&Grid::filled(8, 8, 2.0).to_bytes());
+        let enc = codec.encode(&Grid::from_fn(8, 8, |_, _| 2.0).to_bytes());
 
         // Claimed value count far beyond anything the payload could back.
         let mut huge_n = enc.clone();

@@ -68,10 +68,7 @@ fn freq_scale_for_cap(node: &Node, cfg: &PipelineConfig, cap_w: f64) -> Option<f
 /// # Errors
 /// The usual pipeline solver/storage errors — reachable from CLI flags and
 /// serve requests, so reported as values rather than panics.
-pub fn run_capped_insitu(
-    cfg: &PipelineConfig,
-    cap_w: f64,
-) -> Result<Option<CappedRun>, PipelineError> {
+fn run_capped_insitu(cfg: &PipelineConfig, cap_w: f64) -> Result<Option<CappedRun>, PipelineError> {
     let mut node = Node::new(greenness_platform::HardwareSpec::table1());
     let Some(freq_scale) = freq_scale_for_cap(&node, cfg, cap_w) else {
         return Ok(None);

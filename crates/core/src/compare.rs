@@ -17,14 +17,6 @@ pub struct CaseComparison {
 }
 
 impl CaseComparison {
-    /// Run case study `n` end-to-end with both pipelines.
-    ///
-    /// # Errors
-    /// Propagates [`PipelineError`] from either run.
-    pub fn run_case(n: u32, setup: &ExperimentSetup) -> Result<CaseComparison, PipelineError> {
-        Self::run_config(n, &PipelineConfig::case_study(n), setup)
-    }
-
     /// Run both pipelines over an arbitrary workload, sharing their frames.
     /// The pair's one post-processing cell leaves no later cell to share a
     /// field with, so the memo expects none.

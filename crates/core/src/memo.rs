@@ -623,7 +623,7 @@ mod tests {
     #[test]
     fn seeded_fields_show_up_in_the_later_cells_frames() {
         let configs = [2, 8].map(pinned);
-        let stand_in = Grid::filled(64, 64, 0.25);
+        let stand_in = Grid::from_fn(64, 64, |_, _| 0.25);
         let snapshot = Stored::of_grid(&stand_in);
         let expected: Framebuffer = render_field(&stand_in, &configs[0].render);
         let mut hits = 0;

@@ -28,6 +28,7 @@ use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
 use greenness_storage::{FileSystem, FsConfig, StorageError, TierCounters, TierSpec, TieredStore};
 use greenness_trace::{escape_json, MetricsRegistry, Value};
 
+use crate::driver::snapshot_name;
 use crate::experiment::MONITORING_OVERHEAD_W;
 use crate::grid::{self, JobView};
 use crate::sweep::{Progress, SweepError};
@@ -184,7 +185,7 @@ impl PlacementJob {
     /// function of the *workload* (not the policy, not the fault seed, not
     /// the worker count), so every policy sees the identical access
     /// sequence and comparisons isolate the policy effect.
-    pub fn access_seed(&self) -> u64 {
+    fn access_seed(&self) -> u64 {
         splitmix64(fnv1a64(self.workload.label().as_bytes()))
     }
 }
@@ -499,10 +500,6 @@ fn execute(
         journal,
         trace_metrics,
     })
-}
-
-fn snapshot_name(snap: u64) -> String {
-    format!("snap{snap:04}")
 }
 
 /// Run the placement grid on `workers` threads; results come back in

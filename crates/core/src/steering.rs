@@ -123,14 +123,6 @@ pub struct WhatIfDelta {
     pub adjusted_j: f64,
 }
 
-impl WhatIfDelta {
-    /// Signed change in remaining energy, J (negative = the adjustment
-    /// saves energy).
-    pub fn delta_j(&self) -> f64 {
-        self.adjusted_j - self.baseline_j
-    }
-}
-
 /// An in-situ pipeline held open for steering: live solver, live energy
 /// timeline, adjustable parameters.
 #[derive(Debug, Clone)]
@@ -169,11 +161,6 @@ impl SteeringPipeline {
     /// Total steps the run was configured for.
     pub fn timesteps(&self) -> u64 {
         self.cfg.timesteps
-    }
-
-    /// True once the configured timestep budget is exhausted.
-    pub fn finished(&self) -> bool {
-        self.step() >= self.cfg.timesteps
     }
 
     /// Energy spent so far, J.
@@ -381,7 +368,7 @@ mod tests {
         assert!(s.energy_j() > 0.0);
         // Clamped at the configured budget.
         let rest = s.advance(100);
-        assert!(s.finished());
+        assert_eq!(s.step(), s.timesteps());
         assert_eq!(rest.last().map(|f| f.step), Some(10));
     }
 
@@ -414,7 +401,10 @@ mod tests {
                 range: None,
             })
             .expect("valid");
-        assert_eq!(wi.delta_j(), 0.0, "camera is free in the energy model");
+        assert_eq!(
+            wi.adjusted_j, wi.baseline_j,
+            "camera is free in the energy model"
+        );
         s.adjust(&Adjustment::Camera {
             colormap: Colormap::Viridis,
             range: None,
@@ -445,7 +435,7 @@ mod tests {
         );
         assert!((wi.adjusted_j - full_adj).abs() <= 1e-9, "adjusted drifted");
         // Thinning I/O from every 2nd to every 5th step must save energy.
-        assert!(wi.delta_j() < 0.0);
+        assert!(wi.adjusted_j < wi.baseline_j);
     }
 
     #[test]
@@ -460,7 +450,7 @@ mod tests {
         s.render_now();
         s.adjust(&Adjustment::IoInterval(3)).expect("valid");
         s.advance(100);
-        assert!(s.finished());
+        assert_eq!(s.step(), s.timesteps());
         let timeline = s.node.timeline();
         let by_phase: f64 = Phase::ALL
             .iter()

@@ -43,11 +43,6 @@ impl Zipf {
         Zipf { seed, cdf }
     }
 
-    /// Number of ranks.
-    pub fn universe(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// The rank (1-based, 1 = most popular) drawn at request index `i`.
     /// A pure function of `(seed, i)`.
     pub fn rank(&self, i: u64) -> u64 {

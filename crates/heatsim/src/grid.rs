@@ -15,7 +15,7 @@ pub struct Grid {
 
 impl Grid {
     /// A grid of `nx × ny` cells, initialized to `value`.
-    pub fn filled(nx: usize, ny: usize, value: f64) -> Grid {
+    fn filled(nx: usize, ny: usize, value: f64) -> Grid {
         assert!(
             nx >= 3 && ny >= 3,
             "grid must be at least 3x3 (one interior cell)"

@@ -100,24 +100,6 @@ impl Activity {
         }
     }
 
-    /// Buffered sequential write of `bytes`.
-    pub fn write_seq(bytes: u64) -> Activity {
-        Activity::DiskWrite {
-            bytes,
-            pattern: AccessPattern::Sequential,
-            buffered: true,
-        }
-    }
-
-    /// Buffered sequential read of `bytes`.
-    pub fn read_seq(bytes: u64) -> Activity {
-        Activity::DiskRead {
-            bytes,
-            pattern: AccessPattern::Sequential,
-            buffered: true,
-        }
-    }
-
     /// Idle for `secs` seconds.
     pub fn idle_secs(secs: f64) -> Activity {
         Activity::Idle {

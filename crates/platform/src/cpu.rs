@@ -71,7 +71,7 @@ impl CpuModel {
     }
 
     /// Sustained flop rate (peak × efficiency) of `cores` busy cores.
-    pub fn sustained_flops(&self, cores: u32) -> f64 {
+    fn sustained_flops(&self, cores: u32) -> f64 {
         self.peak_flops(cores) * self.compute_efficiency
     }
 

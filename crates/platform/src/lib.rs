@@ -26,7 +26,7 @@
 //!
 //! let mut node = Node::new(HardwareSpec::table1());
 //! // One second of full-tilt compute on all 16 cores.
-//! let flops = node.spec().cpu.sustained_flops(16);
+//! let flops = 1.0 / node.spec().cpu.compute_seconds(1.0, 16);
 //! node.execute(Activity::compute(flops, 16), Phase::Simulation);
 //! let e = node.timeline().total_energy_j();
 //! assert!(e > 100.0); // more than 100 W for one second

@@ -386,7 +386,7 @@ mod tests {
         // Full-tilt 16-core compute at the calibrated DRAM traffic rate draws
         // ≈143 W full-system (the Figure 5 simulation-phase level).
         let mut n = node();
-        let flops = n.spec().cpu.sustained_flops(16) * 1.57; // 1.57 s of work
+        let flops = 1.57 / n.spec().cpu.compute_seconds(1.0, 16); // 1.57 s of work
         let e = n.execute(
             Activity::Compute {
                 flops,
@@ -471,7 +471,14 @@ mod tests {
         let mut n = node();
         n.execute(Activity::idle_secs(2.0), Phase::Idle);
         n.execute(Activity::compute(1e9, 16), Phase::Simulation);
-        n.execute(Activity::write_seq(128 * KIB), Phase::Write);
+        n.execute(
+            Activity::DiskWrite {
+                bytes: 128 * KIB,
+                pattern: AccessPattern::Sequential,
+                buffered: true,
+            },
+            Phase::Write,
+        );
         assert_eq!(n.timeline().end(), n.now());
         assert!(n.now().as_secs_f64() > 2.0);
     }

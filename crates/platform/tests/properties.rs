@@ -232,8 +232,8 @@ proptest! {
         for a in acts {
             let activity = match a {
                 0 => Activity::compute(flops, 16),
-                1 => Activity::write_seq(bytes),
-                2 => Activity::read_seq(bytes),
+                1 => Activity::DiskWrite { bytes, pattern: AccessPattern::Sequential, buffered: true },
+                2 => Activity::DiskRead { bytes, pattern: AccessPattern::Sequential, buffered: true },
                 3 => Activity::DiskRead {
                     bytes,
                     pattern: AccessPattern::Random { op_bytes: 4096, queue_depth: 32 },

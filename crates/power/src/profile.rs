@@ -78,11 +78,6 @@ impl PowerProfile {
         }
     }
 
-    /// Noise-free 1 Hz measurement (regression-friendly).
-    pub fn measure_noiseless(timeline: &Timeline) -> PowerProfile {
-        Self::measure(timeline, &WattsupMeter::noiseless())
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -195,7 +190,7 @@ mod tests {
     #[test]
     fn measure_combines_both_instruments() {
         let tl = two_phase_timeline();
-        let p = PowerProfile::measure_noiseless(&tl);
+        let p = PowerProfile::measure(&tl, &WattsupMeter::noiseless());
         assert_eq!(p.len(), 20);
         let first = &p.samples[0];
         assert!((first.system_w - 143.0).abs() < 1.0);
@@ -208,7 +203,7 @@ mod tests {
     #[test]
     fn profile_sees_the_phase_transition() {
         let tl = two_phase_timeline();
-        let p = PowerProfile::measure_noiseless(&tl);
+        let p = PowerProfile::measure(&tl, &WattsupMeter::noiseless());
         let early = p.samples[4].system_w;
         let late = p.samples[15].system_w;
         assert!(
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn summary_statistics() {
         let tl = two_phase_timeline();
-        let p = PowerProfile::measure_noiseless(&tl);
+        let p = PowerProfile::measure(&tl, &WattsupMeter::noiseless());
         assert!((p.peak_system_w() - 143.0).abs() < 1.0);
         assert!((p.average_system_w() - (143.0 + 119.9) / 2.0).abs() < 1.0);
         assert!((p.energy_j() - tl.total_energy_j()).abs() < 30.0);
@@ -229,7 +224,7 @@ mod tests {
     #[test]
     fn csv_has_header_and_rows() {
         let tl = two_phase_timeline();
-        let csv = PowerProfile::measure_noiseless(&tl).to_csv();
+        let csv = PowerProfile::measure(&tl, &WattsupMeter::noiseless()).to_csv();
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("t_s,system_w,package_w,dram_w,rest_w"));
         assert_eq!(lines.count(), 20);
@@ -238,7 +233,7 @@ mod tests {
     #[test]
     fn sparkline_is_width_bounded_and_shows_contrast() {
         let tl = two_phase_timeline();
-        let p = PowerProfile::measure_noiseless(&tl);
+        let p = PowerProfile::measure(&tl, &WattsupMeter::noiseless());
         let s = p.ascii_sparkline(10);
         assert_eq!(s.chars().count(), 10);
         // High phase then low phase ⇒ first glyph taller than last.
@@ -251,7 +246,7 @@ mod tests {
     #[test]
     fn empty_timeline_gives_empty_profile() {
         let tl = Timeline::new();
-        let p = PowerProfile::measure_noiseless(&tl);
+        let p = PowerProfile::measure(&tl, &WattsupMeter::noiseless());
         assert!(p.is_empty());
         assert_eq!(p.average_system_w(), 0.0);
         assert_eq!(p.energy_j(), 0.0);

@@ -34,12 +34,14 @@ pub struct RaplMsr<'a> {
     /// `(n, energy of the first n segments)` as of the last read: a poller
     /// reads at increasing instants, so the next read resumes the fold here.
     folded: Cell<(usize, EnergyBreakdown)>,
-    /// Energy-status-unit exponent from `MSR_RAPL_POWER_UNIT` bits 12:8.
-    /// Sandy Bridge reports 16 ⇒ quantum `2⁻¹⁶ J`.
-    pub energy_unit_exp: u32,
-    /// Constant uncore power subtracted from the package to model PP0, watts.
-    pub uncore_floor_w: f64,
 }
+
+/// Energy-status-unit exponent from `MSR_RAPL_POWER_UNIT` bits 12:8. Sandy
+/// Bridge reports 16 ⇒ quantum `2⁻¹⁶ J`.
+const ENERGY_UNIT_EXP: i32 = 16;
+
+/// Constant uncore power subtracted from the package to model PP0, watts.
+const UNCORE_FLOOR_W: f64 = 14.0;
 
 impl<'a> RaplMsr<'a> {
     /// RAPL registers for a node run, with the Sandy Bridge default unit.
@@ -47,14 +49,12 @@ impl<'a> RaplMsr<'a> {
         RaplMsr {
             timeline,
             folded: Cell::new((0, EnergyBreakdown::ZERO)),
-            energy_unit_exp: 16,
-            uncore_floor_w: 14.0,
         }
     }
 
     /// The energy quantum in joules (`2^-exp`).
-    pub fn energy_unit_j(&self) -> f64 {
-        (0.5f64).powi(self.energy_unit_exp as i32)
+    fn energy_unit_j(&self) -> f64 {
+        (0.5f64).powi(ENERGY_UNIT_EXP)
     }
 
     /// True (unquantized, unwrapped) energy consumed by `domain` up to `t`,
@@ -63,7 +63,7 @@ impl<'a> RaplMsr<'a> {
     /// is added last on a copy: the order and arithmetic of integrating
     /// afresh (DESIGN.md, `greenness-power`). A read behind the last one
     /// refolds from the first segment.
-    pub fn true_energy_j(&self, domain: RaplDomain, t: SimTime) -> f64 {
+    fn true_energy_j(&self, domain: RaplDomain, t: SimTime) -> f64 {
         let segments = self.timeline.segments();
         let (mut n, mut e) = self.folded.get();
         if n > 0 && segments[n - 1].end() > t {
@@ -79,7 +79,7 @@ impl<'a> RaplMsr<'a> {
         }
         match domain {
             RaplDomain::Package => e.package_j,
-            RaplDomain::Pp0 => (e.package_j - self.uncore_floor_w * t.as_secs_f64()).max(0.0),
+            RaplDomain::Pp0 => (e.package_j - UNCORE_FLOOR_W * t.as_secs_f64()).max(0.0),
             RaplDomain::Dram => e.dram_j,
         }
     }
@@ -119,15 +119,11 @@ impl RaplReader {
     /// an interval boundary a final *partial* interval `(end_s, watts)` is
     /// emitted so the energy tail is not dropped; its power is averaged over
     /// the true remaining width.
-    pub fn poll(&self, msr: &RaplMsr<'_>, domain: RaplDomain) -> Vec<(f64, f64)> {
-        self.poll_traced(msr, domain, &Tracer::off())
-    }
-
-    /// [`Self::poll`] with journal/metrics instrumentation: one `rapl.poll`
-    /// event per interval, plus `rapl.polls` / `rapl.wraps` /
-    /// `rapl.partial_intervals` counters. Poll events happen after the run
-    /// is over, so they carry the end-of-run virtual timestamp and the
-    /// interval time in a `t_s` field.
+    ///
+    /// Instrumentation goes to `tracer`: one `rapl.poll` event per
+    /// interval, plus `rapl.polls` / `rapl.wraps` / `rapl.partial_intervals`
+    /// counters. Poll events happen after the run is over, so they carry the
+    /// end-of-run virtual timestamp and the interval time in a `t_s` field.
     pub fn poll_traced(
         &self,
         msr: &RaplMsr<'_>,
@@ -190,6 +186,7 @@ impl RaplReader {
 mod tests {
     use super::*;
     use greenness_platform::{Phase, PowerDraw, Segment, SimDuration};
+    use proptest::prelude::*;
 
     /// Build a timeline holding `package_w`/`dram_w` constant for `secs`.
     fn constant_timeline(package_w: f64, dram_w: f64, secs: u64) -> Timeline {
@@ -234,12 +231,12 @@ mod tests {
     fn reader_reconstructs_constant_power() {
         let tl = constant_timeline(71.8, 16.3, 20);
         let msr = RaplMsr::new(&tl);
-        let samples = RaplReader::default().poll(&msr, RaplDomain::Package);
+        let samples = RaplReader::default().poll_traced(&msr, RaplDomain::Package, &Tracer::off());
         assert_eq!(samples.len(), 20);
         for (_, w) in &samples {
             assert!((w - 71.8).abs() < 1e-3, "got {w}");
         }
-        let dram = RaplReader::default().poll(&msr, RaplDomain::Dram);
+        let dram = RaplReader::default().poll_traced(&msr, RaplDomain::Dram, &Tracer::off());
         assert!((dram[5].1 - 16.3).abs() < 1e-3);
     }
 
@@ -252,7 +249,7 @@ mod tests {
         // Confirm at least two wraps actually occur.
         let quanta_total = msr.true_energy_j(RaplDomain::Package, tl.end()) / msr.energy_unit_j();
         assert!(quanta_total > 2.0 * 2f64.powi(32));
-        let samples = RaplReader::default().poll(&msr, RaplDomain::Package);
+        let samples = RaplReader::default().poll_traced(&msr, RaplDomain::Package, &Tracer::off());
         assert_eq!(samples.len(), 2000);
         for (t, w) in &samples {
             assert!((w - 100.0).abs() < 1e-3, "at t={t}: got {w}");
@@ -357,7 +354,7 @@ mod tests {
             phase: Phase::Other,
         });
         let msr = RaplMsr::new(&tl);
-        let samples = RaplReader::default().poll(&msr, RaplDomain::Package);
+        let samples = RaplReader::default().poll_traced(&msr, RaplDomain::Package, &Tracer::off());
         assert_eq!(samples.len(), 11);
         let (t, w) = *samples.last().unwrap();
         assert!((t - 10.5).abs() < 1e-9);
@@ -367,7 +364,9 @@ mod tests {
         let exact = constant_timeline(80.0, 10.0, 10);
         let msr = RaplMsr::new(&exact);
         assert_eq!(
-            RaplReader::default().poll(&msr, RaplDomain::Package).len(),
+            RaplReader::default()
+                .poll_traced(&msr, RaplDomain::Package, &Tracer::off())
+                .len(),
             10
         );
     }
@@ -377,11 +376,113 @@ mod tests {
         let tl = constant_timeline(70.0, 10.0, 5);
         let msr = RaplMsr::new(&tl);
         let reader = RaplReader { period_s: 0.001 }; // RAPL updates at ~1 kHz
-        let samples = reader.poll(&msr, RaplDomain::Package);
+        let samples = reader.poll_traced(&msr, RaplDomain::Package, &Tracer::off());
         assert_eq!(samples.len(), 5000);
         // Quantization error at 1 kHz is unit/period = ~15 mW.
         for (_, w) in &samples {
             assert!((w - 70.0).abs() < 0.05, "got {w}");
+        }
+    }
+
+    fn arb_timeline() -> impl Strategy<Value = Timeline> {
+        prop::collection::vec(
+            (
+                1u64..30_000_000_000,
+                20.0..120.0f64,
+                1.0..30.0f64,
+                30.0..80.0f64,
+            ),
+            1..25,
+        )
+        .prop_map(|spans| {
+            let mut tl = Timeline::new();
+            let mut t = SimTime::ZERO;
+            for (ns, package_w, dram_w, board_w) in spans {
+                let duration = SimDuration::from_nanos(ns);
+                tl.push(Segment {
+                    start: t,
+                    duration,
+                    draw: PowerDraw {
+                        package_w,
+                        dram_w,
+                        disk_w: 5.0,
+                        net_w: 0.0,
+                        board_w,
+                    },
+                    phase: Phase::Other,
+                });
+                t += duration;
+            }
+            tl
+        })
+    }
+
+    /// `[0, t]` integrated afresh, every segment from the first, in order: what
+    /// `true_energy_j` did on every read before it kept a running fold.
+    fn energy_until_from_scratch(tl: &Timeline, t: SimTime) -> EnergyBreakdown {
+        let mut e = EnergyBreakdown::ZERO;
+        for seg in tl.segments() {
+            if seg.start >= t {
+                break;
+            }
+            let clipped = seg.end().min(t).duration_since(seg.start);
+            e.accumulate(seg.draw, clipped.as_secs_f64());
+        }
+        e
+    }
+
+    fn bits(e: EnergyBreakdown) -> [u64; 5] {
+        [e.package_j, e.dram_j, e.disk_j, e.net_j, e.board_j].map(f64::to_bits)
+    }
+
+    #[test]
+    fn an_empty_timeline_reads_zero_at_every_instant() {
+        let tl = Timeline::new();
+        let msr = RaplMsr::new(&tl);
+        for ns in [0, 1_000_000_000, 5, u64::MAX] {
+            for domain in [RaplDomain::Package, RaplDomain::Pp0, RaplDomain::Dram] {
+                let e = msr.true_energy_j(domain, SimTime::from_nanos(ns));
+                assert_eq!(e.to_bits(), 0.0f64.to_bits());
+            }
+        }
+    }
+
+    proptest! {
+        /// `true_energy_j` resumes a running fold between reads. Whatever order
+        /// the reads come in (a poll per domain, the same instant twice, an
+        /// earlier instant, one before the first segment or past the end) each
+        /// answers with the exact bits of integrating `[0, t]` afresh.
+        #[test]
+        fn rapl_running_total_is_bit_equal_to_integrating_afresh(
+            tl in arb_timeline(),
+            late_by in prop_oneof![Just(0u64), 1u64..3_000_000_000],
+            fracs in prop::collection::vec(0.0..1.2f64, 1..30),
+        ) {
+            // The same history, possibly beginning mid-run.
+            let mut shifted = Timeline::new();
+            for seg in tl.segments() {
+                shifted.push(Segment { start: seg.start + SimDuration::from_nanos(late_by), ..*seg });
+            }
+            let tl = shifted;
+            let msr = RaplMsr::new(&tl);
+            let instants: Vec<SimTime> = fracs
+                .iter()
+                .map(|f| SimTime::from_nanos((tl.end().as_nanos() as f64 * f) as u64))
+                .collect();
+            let mut monotone = instants.clone();
+            monotone.sort();
+            for &t in monotone.iter().chain(&instants) {
+                let afresh = energy_until_from_scratch(&tl, t);
+                prop_assert_eq!(bits(afresh), bits(tl.energy_between(SimTime::ZERO, t)));
+                for (domain, want) in [
+                    (RaplDomain::Package, afresh.package_j),
+                    (RaplDomain::Dram, afresh.dram_j),
+                    (RaplDomain::Package, afresh.package_j),
+                ] {
+                    prop_assert_eq!(msr.true_energy_j(domain, t).to_bits(), want.to_bits(),
+                        "{:?} at {}", domain, t);
+                }
+            }
         }
     }
 }

@@ -190,16 +190,6 @@ impl TieredStore {
         }
     }
 
-    /// A single-tier store over the node's own disk model — the flat
-    /// baseline expressed in tiered clothing (used by the Table III
-    /// regression oracle).
-    pub fn single(name: &str, model: DiskModel, capacity_bytes: u64) -> Self {
-        TieredStore::new(
-            vec![TierSpec::new(name, model, capacity_bytes)],
-            PolicyKind::Noop,
-        )
-    }
-
     /// Install (or clear) the per-tier fault schedules: `io` drives
     /// transparent transfer retries (`Site::TierIo`), `migration` drives
     /// torn/aborted migrations (`Site::TierMigration`).
@@ -210,11 +200,6 @@ impl TieredStore {
     ) {
         self.io_fault_injector = io;
         self.migration_fault_injector = migration;
-    }
-
-    /// The active policy's label.
-    pub fn policy_label(&self) -> &'static str {
-        self.policy.label()
     }
 
     /// Promotions executed.
@@ -594,6 +579,19 @@ impl CostedDevice for TieredStore {
         let busy = (seeks > 0).then_some((IoDir::Write, 0));
         let draw = node.disk_draw(cost, self.idle_w_above_bottom(), busy);
         node.execute_raw(cost.seconds, draw, phase);
+    }
+}
+
+#[cfg(test)]
+impl TieredStore {
+    /// A single-tier store over the node's own disk model — the flat
+    /// baseline expressed in tiered clothing (used by the Table III
+    /// regression oracle below).
+    fn single(name: &str, model: DiskModel, capacity_bytes: u64) -> Self {
+        TieredStore::new(
+            vec![TierSpec::new(name, model, capacity_bytes)],
+            PolicyKind::Noop,
+        )
     }
 }
 

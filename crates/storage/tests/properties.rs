@@ -177,32 +177,6 @@ proptest! {
         prop_assert_eq!(back, data);
     }
 
-    /// Free-space accounting: allocate-then-delete always restores the free
-    /// block count, regardless of allocation mode.
-    #[test]
-    fn space_accounting_balances(
-        sizes in prop::collection::vec((BLOCK_SIZE as usize)..(100 * BLOCK_SIZE as usize), 1..6),
-        scattered in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let mut node = Node::new(HardwareSpec::table1());
-        let mut fs = FileSystem::format(
-            MemBlockDevice::with_capacity_bytes(64 * 1024 * 1024),
-            FsConfig::default(),
-        );
-        if scattered {
-            fs.set_alloc_mode(AllocMode::Scattered { seed });
-        }
-        let before = fs.free_blocks();
-        for (k, len) in sizes.iter().enumerate() {
-            fs.write(&mut node, &format!("f{k}"), 0, &vec![1u8; *len], Phase::Write).unwrap();
-        }
-        for k in 0..sizes.len() {
-            fs.delete(&format!("f{k}")).unwrap();
-        }
-        prop_assert_eq!(fs.free_blocks(), before);
-    }
-
     /// Device virtual-time cost of an fs read is monotone: reading more bytes
     /// cold never takes less time.
     #[test]

@@ -61,11 +61,6 @@ impl Colormap {
         ];
         TABLES[self as usize].get_or_init(|| StepTable::build(self))
     }
-
-    /// Approximate perceived luminance of a color (Rec. 601 weights).
-    pub fn luminance(c: Rgb) -> f64 {
-        0.299 * c[0] as f64 + 0.587 * c[1] as f64 + 0.114 * c[2] as f64
-    }
 }
 
 fn lerp_u8(a: u8, b: u8, t: f64) -> u8 {
@@ -181,6 +176,15 @@ impl StepTable {
             i += 1;
         }
         self.steps[i].color
+    }
+}
+
+/// What the in-crate tests read a rendered color's brightness with.
+#[cfg(test)]
+impl Colormap {
+    /// Approximate perceived luminance of a color (Rec. 601 weights).
+    pub(crate) fn luminance(c: Rgb) -> f64 {
+        0.299 * c[0] as f64 + 0.587 * c[1] as f64 + 0.114 * c[2] as f64
     }
 }
 

@@ -12,8 +12,8 @@ use greenness_platform::Activity;
 /// Calibrated conversion from pixels shaded to platform compute activities.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderCostModel {
-    /// Flops charged per output pixel (includes field sampling, mapping, and
-    /// contour scanning of the paper's renderer).
+    /// Flops charged per output pixel (field sampling and colormapping,
+    /// calibrated to the paper's renderer).
     pub flops_per_pixel: f64,
     /// DRAM traffic per pixel, bytes.
     pub dram_bytes_per_pixel: f64,

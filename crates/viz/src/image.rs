@@ -1,4 +1,4 @@
-//! Binary PPM (P6) encode/decode.
+//! Binary PPM (P6) encoding.
 //!
 //! The in-situ pipeline's only persistent output is rendered images; they are
 //! written through the simulated filesystem in this format. PPM keeps the
@@ -17,8 +17,16 @@ pub(crate) fn ppm_header(width: usize, height: usize) -> String {
     format!("P6\n{width} {height}\n255\n")
 }
 
+/// Expected encoded size of a `width × height` PPM, bytes — pipelines use
+/// this to budget I/O without encoding first.
+pub fn ppm_size_bytes(width: usize, height: usize) -> u64 {
+    (ppm_header(width, height).len() + width * height * 3) as u64
+}
+
 /// Decode a binary PPM produced by [`encode_ppm`] (P6, maxval 255, single
-/// whitespace separators). Returns `None` on any malformation.
+/// whitespace separators). Returns `None` on any malformation. No run
+/// decodes a frame; the round-trip tests read theirs back with this.
+#[cfg(any(test, feature = "reference"))]
 pub fn decode_ppm(data: &[u8]) -> Option<Framebuffer> {
     let mut pos = 0usize;
     let mut token = || -> Option<&[u8]> {
@@ -42,12 +50,6 @@ pub fn decode_ppm(data: &[u8]) -> Option<Framebuffer> {
     }
     // Exactly one whitespace byte after maxval, then raw pixels.
     Framebuffer::from_bytes(width, height, data.get(pos + 1..)?)
-}
-
-/// Expected encoded size of a `width × height` PPM, bytes — pipelines use
-/// this to budget I/O without encoding first.
-pub fn ppm_size_bytes(width: usize, height: usize) -> u64 {
-    (ppm_header(width, height).len() + width * height * 3) as u64
 }
 
 #[cfg(test)]

@@ -10,24 +10,24 @@
 //! byte-identical).
 //!
 //! Components: perceptual-ish [`colormap`]s, a scalar-field [`raster`]izer,
-//! marching-squares [`contour`] extraction, a [`image`] (PPM) codec whose
-//! output flows through the simulated filesystem, the [`sample`] operator for
-//! the data-sampling optimization the paper cites (refs [21]–[23]), and the
-//! [`cost`] model that charges rendering work to the platform.
+//! a [`image`] (PPM) encoder whose output flows through the simulated
+//! filesystem, the [`sample`] operator for the data-sampling optimization
+//! the paper cites (refs [21]–[23]), and the [`cost`] model that charges
+//! rendering work to the platform.
 
 pub mod colormap;
-pub mod contour;
 pub mod cost;
 pub mod image;
 pub mod raster;
 pub mod sample;
 
 pub use colormap::Colormap;
-pub use contour::contour_lines;
 pub use cost::RenderCostModel;
-pub use image::{decode_ppm, encode_ppm, ppm_size_bytes};
+pub use image::{encode_ppm, ppm_size_bytes};
 pub use raster::{render_field, render_field_hashed, Framebuffer, RenderOptions};
 pub use sample::stride_sample;
 
+#[cfg(any(test, feature = "reference"))]
+pub use image::decode_ppm;
 #[cfg(any(test, feature = "reference"))]
 pub use raster::render_field_reference;

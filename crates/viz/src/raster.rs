@@ -72,19 +72,6 @@ impl Framebuffer {
         }
     }
 
-    /// Draw a line with integer Bresenham stepping, clipped to the image.
-    pub fn draw_line(&mut self, x0: f64, y0: f64, x1: f64, y1: f64, c: Rgb) {
-        let steps = ((x1 - x0).abs().max((y1 - y0).abs()).ceil() as usize).max(1);
-        for k in 0..=steps {
-            let t = k as f64 / steps as f64;
-            let x = x0 + (x1 - x0) * t;
-            let y = y0 + (y1 - y0) * t;
-            if x >= 0.0 && y >= 0.0 {
-                self.set(x.round() as usize, y.round() as usize, c);
-            }
-        }
-    }
-
     /// Construct from raw RGB bytes.
     pub fn from_bytes(width: usize, height: usize, bytes: &[u8]) -> Option<Framebuffer> {
         if width == 0 || height == 0 || bytes.len() != width * height * 3 {
@@ -306,7 +293,7 @@ mod tests {
 
     #[test]
     fn constant_field_renders_uniformly() {
-        let g = Grid::filled(8, 8, 3.0);
+        let g = Grid::from_fn(8, 8, |_, _| 3.0);
         let opts = RenderOptions {
             width: 16,
             height: 16,
@@ -338,7 +325,7 @@ mod tests {
 
     #[test]
     fn autoscale_uses_field_extrema() {
-        let mut g = Grid::filled(8, 8, 5.0);
+        let mut g = Grid::from_fn(8, 8, |_, _| 5.0);
         g.set(0, 0, 1.0);
         g.set(7, 7, 9.0);
         let fb = render_field(
@@ -460,14 +447,6 @@ mod tests {
         let mut fb = Framebuffer::new(4, 4);
         fb.set(100, 100, [255, 0, 0]); // must not panic
         assert_eq!(fb.get(3, 3), [0, 0, 0]);
-    }
-
-    #[test]
-    fn line_drawing_touches_endpoints() {
-        let mut fb = Framebuffer::new(16, 16);
-        fb.draw_line(1.0, 1.0, 12.0, 9.0, [0, 255, 0]);
-        assert_eq!(fb.get(1, 1), [0, 255, 0]);
-        assert_eq!(fb.get(12, 9), [0, 255, 0]);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property-based tests for the renderer.
 
 use greenness_heatsim::Grid;
-use greenness_viz::{
-    contour_lines, decode_ppm, encode_ppm, render_field, stride_sample, Colormap, RenderOptions,
-};
+use greenness_viz::{decode_ppm, encode_ppm, render_field, stride_sample, Colormap, RenderOptions};
 use proptest::prelude::*;
 
 fn arb_grid() -> impl Strategy<Value = Grid> {
@@ -39,21 +37,6 @@ proptest! {
         let a = render_field(&g, &opts);
         let b = render_field(&g, &opts);
         prop_assert_eq!(&a, &b);
-    }
-
-    /// Contour segment endpoints always lie in the unit square, and no
-    /// contour exists outside the field's value range.
-    #[test]
-    fn contours_are_well_formed(g in arb_grid(), t in 0.0..1.0f64) {
-        let level = g.min() + t * (g.max() - g.min());
-        for s in contour_lines(&g, level) {
-            for (x, y) in [s.a, s.b] {
-                prop_assert!((0.0..=1.0).contains(&x) && (0.0..=1.0).contains(&y),
-                    "endpoint ({x},{y}) outside unit square");
-            }
-        }
-        prop_assert!(contour_lines(&g, g.max() + 1.0).is_empty());
-        prop_assert!(contour_lines(&g, g.min() - 1.0).is_empty());
     }
 
     /// Stride sampling never invents values outside the source range, and

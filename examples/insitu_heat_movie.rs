@@ -2,19 +2,17 @@
 //! a real image sequence.
 //!
 //! Runs the in-situ pipeline over a 256×256 plate with two hot sources,
-//! keeps the rendered frames, overlays isocontours, and writes the PPM
-//! sequence to `./heat_movie/` on the *host* filesystem so you can open it
-//! (e.g. `ffmpeg -i heat_movie/frame%04d.ppm movie.mp4`). Also prints the
-//! run's green metrics.
+//! keeps the rendered frames, and writes the PPM sequence to `./heat_movie/`
+//! on the *host* filesystem so you can open it (e.g.
+//! `ffmpeg -i heat_movie/frame%04d.ppm movie.mp4`). Also prints the run's
+//! green metrics.
 //!
 //! ```sh
 //! cargo run --release --example insitu_heat_movie
 //! ```
 
 use greenness_core::{experiment, pipeline::PipelineKind, PipelineConfig};
-use greenness_heatsim::Grid;
-use greenness_viz::contour::{contour_lines, draw_contours, ContourSegment};
-use greenness_viz::{encode_ppm, Colormap, Framebuffer};
+use greenness_viz::encode_ppm;
 
 fn main() -> std::io::Result<()> {
     let mut cfg = PipelineConfig::case_study(1);
@@ -38,12 +36,9 @@ fn main() -> std::io::Result<()> {
     std::fs::create_dir_all("heat_movie")?;
     let mut written = 0usize;
     for frame in &report.output.frames {
-        let mut image = frame.image.clone();
-        let segs = mid_luminance_contours(&image);
-        draw_contours(&mut image, &segs, [255, 255, 255]);
         std::fs::write(
             format!("heat_movie/frame{:04}.ppm", frame.step),
-            encode_ppm(&image),
+            encode_ppm(&frame.image),
         )?;
         written += 1;
     }
@@ -57,16 +52,4 @@ fn main() -> std::io::Result<()> {
     );
     println!("power profile: {}", report.profile.ascii_sparkline(60));
     Ok(())
-}
-
-/// Treat the frame's luminance as a scalar field and extract its
-/// mid-level isocontour — a cheap way to outline the heat plume on the
-/// already-rendered image.
-fn mid_luminance_contours(image: &Framebuffer) -> Vec<ContourSegment> {
-    let g = Grid::from_fn(image.width(), image.height(), |x, y| {
-        let px = ((x * image.width() as f64) as usize).min(image.width() - 1);
-        let py = ((y * image.height() as f64) as usize).min(image.height() - 1);
-        Colormap::luminance(image.get(px, py))
-    });
-    contour_lines(&g, 0.5 * (g.min() + g.max()))
 }

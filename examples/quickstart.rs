@@ -8,7 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use greenness_core::{report, CaseComparison, ExperimentSetup};
+use greenness_core::{report, CaseComparison, ExperimentSetup, PipelineConfig};
 
 fn main() {
     let setup = ExperimentSetup::default();
@@ -17,7 +17,8 @@ fn main() {
     println!();
 
     println!("running case study 1 (50 timesteps, 2 MiB snapshots, I/O every step)...");
-    let cmp = CaseComparison::run_case(1, &setup).expect("case runs");
+    let cmp =
+        CaseComparison::run_config(1, &PipelineConfig::case_study(1), &setup).expect("case runs");
 
     let rows = vec![
         vec![

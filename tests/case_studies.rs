@@ -22,7 +22,12 @@ fn small_cases() -> Vec<CaseComparison> {
 
 #[test]
 fn full_scale_case_study_1_matches_the_paper() {
-    let cmp = CaseComparison::run_case(1, &ExperimentSetup::noiseless()).expect("case runs");
+    let cmp = CaseComparison::run_config(
+        1,
+        &PipelineConfig::case_study(1),
+        &ExperimentSetup::noiseless(),
+    )
+    .expect("case runs");
 
     // Figure 4: time split ≈ 33 / 30 / 27 / 10 % (sim/write/read/viz).
     let sim = cmp.post.time_pct(Phase::Simulation);

@@ -21,11 +21,12 @@
 //! single node has no neighbours). Seconds and joules therefore differ
 //! between the two; bytes and pixels may not.
 
-use greenness_cluster::{run_cluster, run_cluster_with_faults, ClusterConfig, ClusterKind};
+use greenness_cluster::{run_cluster, run_cluster_traced, ClusterConfig, ClusterKind};
 use greenness_core::pipeline::{run, PipelineKind};
 use greenness_core::PipelineConfig;
 use greenness_faults::{fnv1a64, fnv1a64_extend, FaultPlan};
 use greenness_platform::{HardwareSpec, Node};
+use greenness_trace::Tracer;
 use greenness_viz::encode_ppm;
 
 /// A 128×128, 6-step cluster, I/O every step.
@@ -90,7 +91,8 @@ fn node_classes_partition_the_total_on_every_kind() {
     ];
     for kind in kinds {
         for faults in [None, Some(FaultPlan::with_seed(11))] {
-            let (r, _) = run_cluster_with_faults(kind, &cluster(4, 2), faults).expect("runs");
+            let (r, _) =
+                run_cluster_traced(kind, &cluster(4, 2), faults, &Tracer::off()).expect("runs");
             let parts = r.compute_energy_j + r.io_energy_j + r.viz_energy_j;
             let tolerance = 1e-9 + 1e-12 * r.total_energy_j;
             assert!(

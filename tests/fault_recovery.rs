@@ -6,7 +6,7 @@
 //! backoff are real static power) but never changes *what* was computed —
 //! and with no fault plan configured, nothing changes at all.
 
-use greenness_cluster::{run_cluster, run_cluster_with_faults, ClusterConfig, ClusterKind};
+use greenness_cluster::{run_cluster, run_cluster_traced, ClusterConfig, ClusterKind};
 use greenness_core::{experiment, ExperimentSetup, PipelineConfig, PipelineKind};
 use greenness_faults::{FaultPlan, Site};
 use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
@@ -94,7 +94,7 @@ fn faulted_cluster_converges_to_the_fault_free_image() {
     ] {
         let clean = run_cluster(kind, &cfg).expect("fault-free run fits its PFS");
         let (faulted, summary) =
-            run_cluster_with_faults(kind, &cfg, Some(FaultPlan::with_seed(11)))
+            run_cluster_traced(kind, &cfg, Some(FaultPlan::with_seed(11)), &Tracer::off())
                 .expect("degraded run completes within the retry budget");
         assert_eq!(faulted.bytes_out, clean.bytes_out, "{kind:?}");
         assert_eq!(
@@ -113,8 +113,9 @@ fn faulted_cluster_converges_to_the_fault_free_image() {
                 "{kind:?}: degraded I/O is real static energy"
             );
         }
-        let (again, summary2) = run_cluster_with_faults(kind, &cfg, Some(FaultPlan::with_seed(11)))
-            .expect("rerun completes");
+        let (again, summary2) =
+            run_cluster_traced(kind, &cfg, Some(FaultPlan::with_seed(11)), &Tracer::off())
+                .expect("rerun completes");
         assert_eq!(faulted.makespan_s.to_bits(), again.makespan_s.to_bits());
         assert_eq!(
             faulted.total_energy_j.to_bits(),
@@ -136,7 +137,7 @@ fn default_fault_rates_actually_fire_in_the_cluster() {
     ]
     .into_iter()
     .map(|kind| {
-        run_cluster_with_faults(kind, &cfg, Some(FaultPlan::with_seed(11)))
+        run_cluster_traced(kind, &cfg, Some(FaultPlan::with_seed(11)), &Tracer::off())
             .expect("degraded run completes")
             .1
             .total_faults()
@@ -392,8 +393,9 @@ fn intransit_chaos_sweep_converges_to_fault_free_images() {
             staging_render_rate: 0.15,
             ..FaultPlan::with_seed(seed)
         };
-        let (faulted, summary) = run_cluster_with_faults(ClusterKind::InTransit, &cfg, Some(plan))
-            .unwrap_or_else(|e| panic!("seed {seed}: degraded run must recover: {e}"));
+        let (faulted, summary) =
+            run_cluster_traced(ClusterKind::InTransit, &cfg, Some(plan), &Tracer::off())
+                .unwrap_or_else(|e| panic!("seed {seed}: degraded run must recover: {e}"));
         let &(hash, bytes) = &clean_hash[codec.label()];
         assert_eq!(
             faulted.image_hash,

@@ -6,7 +6,7 @@
 //! recalibration, update the pinned value *and* EXPERIMENTS.md together.
 
 use greenness_core::breakdown::case_savings;
-use greenness_core::{probes, CaseComparison, ExperimentSetup};
+use greenness_core::{probes, CaseComparison, ExperimentSetup, PipelineConfig};
 use greenness_platform::Node;
 use greenness_storage::{fio, FioJob, FioKind, NullBlockDevice};
 
@@ -59,7 +59,8 @@ fn golden_section5c_energy_split() {
     // headline, matches exactly. Pin the reproduced values at ±2 % and the
     // share at ±1 point.
     let setup = ExperimentSetup::noiseless();
-    let cmp = CaseComparison::run_case(1, &setup).expect("case runs");
+    let cmp =
+        CaseComparison::run_config(1, &PipelineConfig::case_study(1), &setup).expect("case runs");
     let read = probes::nnread(&setup, 128 * 1024, 50.0).expect("probe ok");
     let write = probes::nnwrite(&setup, 128 * 1024, 50.0).expect("probe ok");
     let b = case_savings(&cmp, &read, &write);
@@ -180,7 +181,12 @@ fn golden_table3_times_and_powers() {
 fn golden_case1_headline_numbers() {
     // Figure 10 / §V-A: case 1 post-processing burns ≈30 kJ and in-situ
     // saves ≈43 % (we reproduce ≈41 %, see EXPERIMENTS.md).
-    let cmp = CaseComparison::run_case(1, &ExperimentSetup::noiseless()).expect("case runs");
+    let cmp = CaseComparison::run_config(
+        1,
+        &PipelineConfig::case_study(1),
+        &ExperimentSetup::noiseless(),
+    )
+    .expect("case runs");
     assert!(
         rel(cmp.post.metrics.energy_j, 30_000.0) < 0.07,
         "post energy {:.1} kJ (paper ≈30)",

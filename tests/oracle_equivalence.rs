@@ -324,14 +324,12 @@ trait Scripted: CostedDevice {
     fn end_epoch(&mut self, _node: &mut Node) {}
 
     /// Per-tier transfer totals and migrations, where the device has them.
-    fn summary(&self) -> String;
-}
-
-impl Scripted for MemBlockDevice {
     fn summary(&self) -> String {
-        "flat".to_string()
+        String::new()
     }
 }
+
+impl Scripted for MemBlockDevice {}
 
 impl Scripted for TieredStore {
     fn end_epoch(&mut self, node: &mut Node) {
@@ -345,8 +343,7 @@ impl Scripted for TieredStore {
             .map(|t| format!("{}/{}/{}", t.bytes_read, t.bytes_written, t.hits))
             .collect();
         format!(
-            "{} [{}] +{} -{}",
-            self.policy_label(),
+            " [{}] +{} -{}",
             per_tier.join(" "),
             self.promotes(),
             self.demotes()
@@ -400,9 +397,11 @@ impl Scripted for KeepDeleted {
 /// Every fsync goes through `fsync_with_retry`, which is one plain `fsync`
 /// unless `faults` installs the plan's fsync schedule. Then the run is
 /// traced, and the second value counts the injected commits that tore and
-/// those that failed clean.
+/// those that failed clean. `label` names the device in each line: `flat`,
+/// or the tiered store's policy.
 fn storage_transcript<D: Scripted>(
     seed: u64,
+    label: &str,
     dev: D,
     faults: Option<FaultPlan>,
 ) -> ([String; 2], [usize; 2]) {
@@ -421,7 +420,7 @@ fn storage_transcript<D: Scripted>(
     let line = |node: &Node, fs: &FileSystem<D>, read_sum: u64| {
         let c = fs.cache_stats();
         format!(
-            "{} {:016x} {}/{}/{}/{} {} {read_sum:016x}",
+            "{} {:016x} {}/{}/{}/{} {label}{} {read_sum:016x}",
             node.now().as_nanos(),
             node.timeline().total_energy_j().to_bits(),
             c.hits,
@@ -518,14 +517,15 @@ fn storage_cost_transcript_matches_the_pre_optimisation_recording() {
     let mut faulted = FAULTED.iter();
     let mut modes = [0, 0];
     for seed in [1u64, 7, 42] {
-        let (lines, _) = storage_transcript(seed, flat(), None);
+        let (lines, _) = storage_transcript(seed, "flat", flat(), None);
         assert_eq!(&lines, recorded.next().expect("a row per device"));
         for policy in PolicyKind::ALL {
             let want = recorded.next().expect("a row per device");
-            let (lines, _) = storage_transcript(seed, KeepDeleted(store(policy)), None);
+            let (lines, _) =
+                storage_transcript(seed, policy.label(), KeepDeleted(store(policy)), None);
             assert_eq!(&lines, want);
             let ([before_deletes, after_deletes], _) =
-                storage_transcript(seed, store(policy), None);
+                storage_transcript(seed, policy.label(), store(policy), None);
             assert_eq!(before_deletes, want[0]);
             assert_eq!(
                 &after_deletes,
@@ -534,8 +534,13 @@ fn storage_cost_transcript_matches_the_pre_optimisation_recording() {
         }
         let plan = Some(FaultPlan::with_seed(seed));
         for (lines, [torn, transient]) in [
-            storage_transcript(seed, flat(), plan),
-            storage_transcript(seed, store(PolicyKind::FreqRecency), plan),
+            storage_transcript(seed, "flat", flat(), plan),
+            storage_transcript(
+                seed,
+                PolicyKind::FreqRecency.label(),
+                store(PolicyKind::FreqRecency),
+                plan,
+            ),
         ] {
             assert_eq!(&lines, faulted.next().expect("a faulted row per device"));
             modes = [modes[0] + torn, modes[1] + transient];

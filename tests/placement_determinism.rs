@@ -124,17 +124,20 @@ fn tracing_does_not_perturb_the_run() {
 /// measures luck instead of placement.
 #[test]
 fn access_seed_is_policy_blind() {
+    let results = placement::run_placement(
+        placement::placement_grid(),
+        &PlacementSetup::default(),
+        1,
+        &sweep::silent_progress(),
+    )
+    .expect("placement grid runs");
     for w in PlacementWorkload::ALL {
-        let seeds: Vec<u64> = PolicyKind::ALL
+        let seeds: Vec<u64> = results
             .iter()
-            .map(|&p| {
-                PlacementJob {
-                    workload: w,
-                    policy: p,
-                }
-                .access_seed()
-            })
+            .filter(|r| r.workload == w.label())
+            .map(|r| r.seed)
             .collect();
+        assert_eq!(seeds.len(), PolicyKind::ALL.len(), "{}", w.label());
         assert!(
             seeds.windows(2).all(|s| s[0] == s[1]),
             "{}: access seed varies by policy",

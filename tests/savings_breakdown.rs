@@ -3,7 +3,7 @@
 
 use greenness_core::breakdown::case_savings;
 use greenness_core::probes;
-use greenness_core::{CaseComparison, ExperimentSetup};
+use greenness_core::{CaseComparison, ExperimentSetup, PipelineConfig};
 
 /// Table II's two probes at the paper's 128 KiB / 50 s.
 fn table2_probes() -> (probes::ProbeResult, probes::ProbeResult) {
@@ -44,7 +44,12 @@ fn table2_probe_powers_match_the_paper() {
 #[test]
 fn case1_savings_are_mostly_static() {
     // §V-C headline: ≈12.8 kJ static vs ≈1.2 kJ dynamic — 91% / 9%.
-    let cmp = CaseComparison::run_case(1, &ExperimentSetup::noiseless()).expect("case runs");
+    let cmp = CaseComparison::run_config(
+        1,
+        &PipelineConfig::case_study(1),
+        &ExperimentSetup::noiseless(),
+    )
+    .expect("case runs");
     let (read, write) = table2_probes();
     let b = case_savings(&cmp, &read, &write);
 
@@ -70,7 +75,10 @@ fn probe_profiles_look_like_figure6() {
     // Figure 6 shows flat ≈115 W traces for both probes over ~50 s.
     let setup = ExperimentSetup::noiseless();
     let read = probes::nnread(&setup, 128 * 1024, 30.0).expect("probe ok");
-    let profile = greenness_power::PowerProfile::measure_noiseless(&read.timeline);
+    let profile = greenness_power::PowerProfile::measure(
+        &read.timeline,
+        &greenness_power::WattsupMeter::noiseless(),
+    );
     assert!(profile.len() >= 29);
     for s in &profile.samples {
         assert!(

@@ -4,7 +4,7 @@
 //! same bits, and every one of them conserves energy phase by phase.
 
 use greenness_core::adaptive::{run_adaptive, AdaptivePolicy};
-use greenness_core::capping::run_capped_insitu;
+use greenness_core::capping::cap_sweep;
 use greenness_core::pipeline::{self, PipelineKind};
 use greenness_core::variants::{run_variant, CodecChoice, Variant};
 use greenness_core::PipelineConfig;
@@ -46,10 +46,11 @@ fn never_switching_adaptive_is_post_processing_bit_for_bit() {
 #[test]
 fn capped_insitu_is_the_dvfs_variant_at_the_governors_clock() {
     let cfg = cfg(1);
-    for cap in [143.0, 135.0, 128.0] {
-        let capped = run_capped_insitu(&cfg, cap)
-            .expect("capped run ok")
-            .expect("feasible cap");
+    let caps = [143.0, 135.0, 128.0];
+    let runs = cap_sweep(&cfg, &caps).expect("capped runs ok");
+    assert_eq!(runs.len(), caps.len(), "every cap is feasible");
+    for capped in runs {
+        let cap = capped.cap_w;
         let dvfs = run_variant(
             Variant::DvfsSim {
                 freq_scale: capped.freq_scale,

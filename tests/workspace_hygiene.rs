@@ -638,39 +638,80 @@ fn names(text: &str, name: &str) -> bool {
         .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + name.len()..].starts_with(ident))
 }
 
+/// The part of a source file a run compiles: above its `#[cfg(test)]`
+/// module and above its retained oracles (see tools/loc.sh).
+fn production(src: &str) -> &str {
+    let code = non_test(src);
+    code.split_once("\n#[cfg(any(test, feature = \"reference\"))]")
+        .map_or(code, |(code, _)| code)
+}
+
+/// `pub` items no run reaches that another file's tests need, each with the
+/// reason. `unreached_pub_fns_stay_deleted` fails when an entry is no longer
+/// declared, gains a production caller, or is no longer named by a test
+/// outside its own file, so the list cannot outlive its reasons.
+const TEST_SUPPORT: [(&str, &str); 10] = [
+    ("full_recompute_remaining_j", "steering what-if oracle"),
+    ("quiet", "chaos tests: a zero-rate plan changes nothing"),
+    ("crash_and_recover", "chaos and tier tests cut the power"),
+    ("set_alloc_mode", "fragmented layouts behind the §V-D claim"),
+    ("delete", "the storage cost transcripts script deletes"),
+    ("to_string_raw", "serve's reference parser echoes ids"),
+    ("KIB", "unit vocabulary for test sizes"),
+    ("MIB", "unit vocabulary for test sizes"),
+    ("from_nanos", "unit vocabulary for test instants"),
+    ("from_secs", "unit vocabulary for test durations"),
+];
+
 #[test]
 fn unreached_pub_fns_stay_deleted() {
-    // Every `pub fn`, `pub const fn` and `pub const` in the non-test code of
-    // `crates/*/src` is named in at least one other `.rs` file under
-    // `crates/`, `benchmark/src`, `examples/` or `tests/`, comments and `use`
-    // statements (re-exports included) stripped. An item only its own file
-    // names is private; one only its own unit tests name is `#[cfg(test)]`;
-    // one nothing names is deleted. The rule is a name match, so it misses a
-    // dead item whose name some other file spells for something else.
+    // Every `pub fn`, `pub const fn` and `pub const` in the production code
+    // of `crates/*/src` is named in the production code of another file: a
+    // library, the `repro`/`greenness` binaries, or `benchmark/src`. Tests
+    // are not callers, and comments and `use` statements (re-exports
+    // included) are stripped. An item only its own file names is private,
+    // where rustc's `dead_code` lint guards it; one only its own unit tests
+    // name is `#[cfg(test)]`; one nothing names is deleted. `TEST_SUPPORT`
+    // holds the exceptions. The rule is a name match, so it misses a dead
+    // item whose name some other file spells for something else.
     let root = repo_root();
     let mut sources = Vec::new();
-    for dir in ["crates", "benchmark/src", "examples", "tests"] {
+    for dir in ["crates", "benchmark/src", "tests"] {
         rs_files(&root.join(dir), &mut sources);
     }
-    let stripped: Vec<String> = sources
+    let rels: Vec<&Path> = sources
         .iter()
-        .map(|path| without_comments_and_uses(&read(path)))
+        .map(|path| path.strip_prefix(&root).expect("under the root"))
+        .collect();
+    // Each file as (what a run compiles, what only tests compile).
+    let texts: Vec<(String, String)> = sources
+        .iter()
+        .zip(&rels)
+        .map(|(path, rel)| {
+            let src = read(path);
+            if rel.ends_with("workspace_hygiene.rs") {
+                // This file spells every `TEST_SUPPORT` name; it calls none.
+                return (String::new(), String::new());
+            }
+            if rel.components().any(|c| c.as_os_str() == "tests") {
+                return (String::new(), without_comments_and_uses(&src));
+            }
+            let code = production(&src);
+            (
+                without_comments_and_uses(code),
+                without_comments_and_uses(&src[code.len()..]),
+            )
+        })
         .collect();
     let mut declared = 0;
     let mut unreached = Vec::new();
-    for (at, path) in sources.iter().enumerate() {
-        let rel = path.strip_prefix(&root).expect("under the root");
+    let mut support_seen = Vec::new();
+    for (at, rel) in rels.iter().enumerate() {
         let parts: Vec<_> = rel.iter().collect();
         if parts.len() < 3 || parts[0] != "crates" || parts[2] != "src" {
             continue;
         }
-        let src = read(path);
-        let code = non_test(&src);
-        // A file's retained oracles sit below this line (see tools/loc.sh).
-        let code = code
-            .split_once("\n#[cfg(any(test, feature = \"reference\"))]")
-            .map_or(code, |(code, _)| code);
-        for line in code.lines() {
+        for line in production(&read(&sources[at])).lines() {
             let decl = line.trim_start();
             let Some(sig) = ["pub fn ", "pub const fn ", "pub const "]
                 .iter()
@@ -680,14 +721,33 @@ fn unreached_pub_fns_stay_deleted() {
             };
             let name = &sig[..sig.find(['(', '<', ':']).expect("a signature")];
             declared += 1;
-            let reached =
-                (0..sources.len()).any(|other| other != at && names(&stripped[other], name));
-            if !reached {
-                unreached.push(format!("{}: {name}", rel.display()));
+            let named_elsewhere = |text: fn(&(String, String)) -> &String| {
+                (0..texts.len()).any(|other| other != at && names(text(&texts[other]), name))
+            };
+            let support = TEST_SUPPORT.iter().any(|(item, _)| *item == name);
+            let why = match (support, named_elsewhere(|(code, _)| code)) {
+                (false, false) => "unreached",
+                (true, true) => "on TEST_SUPPORT, but a run reaches it",
+                (true, false) if !named_elsewhere(|(_, tests)| tests) => {
+                    "on TEST_SUPPORT, but no other file's test names it"
+                }
+                _ => "",
+            };
+            if support {
+                support_seen.push(name.to_string());
+            }
+            if !why.is_empty() {
+                unreached.push(format!("{}: {name}: {why}", rel.display()));
             }
         }
     }
     assert!(declared >= 400, "found {declared} pub fns and consts");
+    for (item, _) in TEST_SUPPORT {
+        assert!(
+            support_seen.iter().any(|seen| seen == item),
+            "TEST_SUPPORT names `{item}`, which no crate declares `pub`"
+        );
+    }
     assert!(
         unreached.is_empty(),
         "unreached pub fns and consts: {unreached:#?}"
