@@ -1,7 +1,7 @@
 //! Oracle-equivalence suite: every optimized hot path must stay
 //! bit-for-bit the retained straight-line reference it replaced.
 //!
-//! Fourteen properties are pinned here:
+//! Fifteen properties are pinned here:
 //!
 //! * the fast stencil path (including the row-parallel step at any `jobs`
 //!   value) is bit-for-bit the naive reference on arbitrary grids,
@@ -54,6 +54,11 @@
 //!   case study 3's in-situ frames and an auto-ranged frame — is what the
 //!   renderer wrote while it filled a framebuffer, copied it into a PPM
 //!   and hashed the copy in three separate passes;
+//! * a steering walk across every boundary of frame reuse (repeated renders
+//!   at one step, renders after each kind of adjustment, renders that
+//!   advance onto an I/O step) and sixteen interleaved `bench-serve`
+//!   sessions write the transcripts they wrote while every render
+//!   rasterised its frame;
 //! * every frame of a three-interval grid (both kinds, `--jobs 1` and `4`,
 //!   plain and under a seeded fsync fault plan) and of a `CaseComparison`
 //!   pair is what the cells wrote while each rendered every frame itself;
@@ -74,6 +79,7 @@ use greenness_core::cluster_sweep::{
     cluster_jobs, cluster_journal, cluster_metrics_json, run_cluster_sweep, ClusterSetup,
 };
 use greenness_core::placement::{self, PlacementSetup};
+use greenness_core::steering::Adjustment;
 use greenness_core::{probes, sweep, CaseComparison, ExperimentSetup, PipelineConfig};
 use greenness_faults::{fnv1a64, fnv1a64_extend, splitmix64, FaultPlan, Rng, Site};
 use greenness_fleet::{fleet_workload, run_fleet_replay, FleetConfig};
@@ -83,6 +89,7 @@ use greenness_platform::{
     DiskModel, HardwareSpec, Node, Phase, PowerDraw, Segment, SimDuration, SimTime, Timeline,
 };
 use greenness_power::WattsupMeter;
+use greenness_steer::{AttachSpec, EngineConfig, SessionEngine};
 use greenness_storage::{
     AllocMode, Block, BlockDevice, CostedDevice, FileSystem, FsConfig, MemBlockDevice, PolicyKind,
     TierSpec, TieredStore,
@@ -1222,7 +1229,10 @@ fn journal_census(journal: &str) -> (usize, usize) {
 /// Run `greenness bench-serve` with `args` plus one `--flag path` per named
 /// output file, then return each file's bytes in `outputs` order.
 fn bench_serve(args: &[&str], outputs: &[&str]) -> Vec<String> {
-    let dir = std::env::temp_dir().join(format!("bench-serve-{}", std::process::id()));
+    // Tests run on parallel threads of one process: one directory per call.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("bench-serve-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let paths: Vec<_> = outputs
         .iter()
@@ -1431,6 +1441,85 @@ const FRAMES_RECORDED: [&str; 4] = [
     "48898eba2ac2ad960c4087fd31a5a252fc4efb308a2a07f4358d7a4a4b7d083b",
     "a10110c158840dfc9bf7f348e1dad5b18b2e31ef4383f9f918aecb8073e763e4",
     "c6b4169f1b72bd93e6f377be890c7bb552929398a30eba09a864770dc9ce3e6f",
+];
+
+/// One steering session through the engine that walks every boundary of
+/// frame reuse: two `steps 0` renders at one step; an I/O-interval adjust,
+/// then a render at the unchanged step; camera and resolution adjusts, each
+/// followed by a render at an unchanged step; a camera adjust back to an
+/// earlier look; a resolution adjust to the live resolution; renders that
+/// advance onto an I/O step and past one. Each reply line carries its
+/// session energy's bits. Then `greenness bench-serve --sessions 16`'s
+/// response log and metrics. Some line must show a scheduled frame whose
+/// hash is that line's own frame: a render at the step a scheduled frame
+/// was just made.
+#[test]
+fn steering_walks_match_the_recording() {
+    let mut engine = SessionEngine::new(EngineConfig::default());
+    let spec = AttachSpec {
+        interval: 2,
+        timesteps: 16,
+    };
+    let camera = |colormap, range| Adjustment::Camera { colormap, range };
+    let resolution = |width, height| Adjustment::Resolution { width, height };
+    let mut lines = vec![engine.attach("w", &spec).expect("attach")];
+    let ops: [(Option<Adjustment>, u64); 13] = [
+        (None, 2),
+        (None, 0),
+        (None, 0),
+        (Some(Adjustment::IoInterval(3)), 0),
+        (Some(camera(Colormap::Viridis, Some((0.0, 0.3)))), 0),
+        (Some(resolution(96, 80)), 0),
+        (None, 1),
+        (Some(camera(Colormap::Viridis, Some((0.0, 0.3)))), 0),
+        (Some(camera(Colormap::CoolWarm, None)), 0),
+        (Some(camera(Colormap::Viridis, Some((0.0, 0.3)))), 0),
+        (Some(resolution(96, 80)), 0),
+        (None, 4),
+        (None, 2),
+    ];
+    let mut seq = 0;
+    for (adj, steps) in &ops {
+        if let Some(adj) = adj {
+            seq += 1;
+            lines.push(engine.adjust("w", seq, adj).expect("adjust"));
+        }
+        seq += 1;
+        lines.push(engine.render("w", seq, *steps).expect("render"));
+    }
+    lines.push(engine.detach("w", seq + 1).expect("detach"));
+    let transcript: String = lines
+        .iter()
+        .map(|(line, j)| format!("{line} energy_j={:016x}\n", j.to_bits()))
+        .collect();
+    let own_frame_scheduled = transcript.lines().filter(|line| {
+        let hash = line.split_whitespace().nth(5).unwrap_or_default();
+        line.starts_with("frame ")
+            && line
+                .split(" scheduled=[")
+                .nth(1)
+                .is_some_and(|rest| rest.contains(hash))
+    });
+    assert!(own_frame_scheduled.count() >= 2, "{transcript}");
+
+    let sessions = bench_serve(&["--sessions", "16"], &["--out", "--metrics-out"]);
+    assert_eq!(sessions[0].lines().count(), 16 * 10);
+    assert!(sessions[0].lines().all(|l| l.contains("\"ok\":true")));
+    let digests = [
+        hex(&blake2s256(transcript.as_bytes())),
+        hex(&blake2s256(sessions[0].as_bytes())),
+        hex(&blake2s256(sessions[1].as_bytes())),
+    ];
+    assert_eq!(digests, STEERING_WALKS_RECORDED);
+}
+
+/// Recorded at commit `28c97cc`, while every render rasterised its frame:
+/// the walk's transcript, then the sixteen sessions' response log and
+/// metrics.
+const STEERING_WALKS_RECORDED: [&str; 3] = [
+    "8fbdeb75ca79b2b488a4d29d25b85a46a1648ccfd735e5ddf4ba265659c2c052",
+    "1a9d946a035768d84fe3675471b5dedd097dc44510d9c434d5219751a40af191",
+    "0e0b7cb75e072cee9b698d9cb4377735e44216488d9a23c1cb52b758d2ffb4c9",
 ];
 
 /// The small config at 50 steps with its frames kept: at 64² consecutive
