@@ -93,13 +93,26 @@ impl Stepper {
     /// [`PipelineError::Config`] for a zero `io_interval` or `chunk_bytes`;
     /// [`PipelineError::Solver`] when the solver rejects its configuration.
     pub(crate) fn new(cfg: &PipelineConfig) -> Result<Stepper, PipelineError> {
+        Stepper::from_initial(cfg, Grid::warm_patch)
+    }
+
+    /// [`new`](Self::new), with the step-0 field made by
+    /// `initial(grid_nx, grid_ny)` once the workload has passed its checks:
+    /// [`Grid::warm_patch`] itself, or a kept copy of it.
+    ///
+    /// # Errors
+    /// As [`new`](Self::new).
+    pub(crate) fn from_initial(
+        cfg: &PipelineConfig,
+        initial: impl FnOnce(usize, usize) -> Grid,
+    ) -> Result<Stepper, PipelineError> {
         check_io_interval(cfg.io_interval)?;
         if cfg.chunk_bytes == 0 {
             return Err(PipelineError::Config(
                 "chunk_bytes must be at least 1".to_string(),
             ));
         }
-        let initial = Grid::warm_patch(cfg.grid_nx, cfg.grid_ny);
+        let initial = initial(cfg.grid_nx, cfg.grid_ny);
         Ok(Stepper {
             solver: HeatSolver::new(initial, cfg.solver.clone())?,
             step: 0,

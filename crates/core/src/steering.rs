@@ -18,6 +18,25 @@
 //! `charge_frame` for the live render, the full recompute and the replay —
 //! no filesystem, so the cost is state-independent), and the replay itself.
 //!
+//! A session makes each frame once. It keeps the stamp of its last frame
+//! with the [`RenderOptions`] that made it, and a render at that step under
+//! `==`-equal options returns the kept stamp instead of rasterising again —
+//! the on-demand render right after a scheduled frame, or a second
+//! `steps 0` render. The reuse is exact: the stepper only moves forward and
+//! its field at a step depends on nothing an adjustment can change, and a
+//! frame's bytes are a function of that field and the options alone (the
+//! only values `==` conflates are signed zeros in the range, which the
+//! rasteriser colours alike; the grid memo keys frames the same way). Any
+//! adjustment to the camera or resolution changes the options and so forces
+//! a fresh frame; an I/O-interval change does not. A reused frame is
+//! charged, counted and written exactly as a fresh one; only a fresh one
+//! counts `steer.frames.rasterised` on the session node's tracer (off
+//! unless a caller attaches one).
+//!
+//! Sessions over one workload start from one field: [`InitialField`] keeps
+//! the step-0 field ([`Grid::warm_patch`]) the first [`SteeringPipeline::open`]
+//! evaluates and hands each later one a copy.
+//!
 //! Everything here is deterministic. Frames are hashed with byte-serial
 //! FNV-1a, folded in by the renderer as it writes the PPM bytes
 //! (`render_field_hashed`; snapshot checksums use the four-lane
@@ -29,8 +48,9 @@ use crate::config::PipelineConfig;
 use crate::driver::{check_io_interval, Stepper};
 use crate::pipeline::PipelineError;
 use greenness_faults::fnv1a64;
+use greenness_heatsim::Grid;
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
-use greenness_viz::{ppm_size_bytes, render_field, render_field_hashed, Colormap};
+use greenness_viz::{ppm_size_bytes, render_field, render_field_hashed, Colormap, RenderOptions};
 
 /// Largest image, in pixels, a [`Adjustment::Resolution`] may ask for
 /// (16 Mpx: a 48 MiB framebuffer, 32x the paper's 512x512 frame).
@@ -123,6 +143,23 @@ pub struct WhatIfDelta {
     pub adjusted_j: f64,
 }
 
+/// The step-0 field sessions open from, evaluated once and copied into each
+/// (see module docs). Empty until the first [`SteeringPipeline::open`];
+/// holds one field, of the last grid size asked for.
+#[derive(Debug, Clone, Default)]
+pub struct InitialField(Option<Grid>);
+
+impl InitialField {
+    /// [`Grid::warm_patch`] at `nx × ny`: a copy of the kept field when it
+    /// has that size, else evaluated and kept.
+    fn at(&mut self, nx: usize, ny: usize) -> Grid {
+        match &self.0 {
+            Some(grid) if (grid.nx(), grid.ny()) == (nx, ny) => grid.clone(),
+            _ => self.0.insert(Grid::warm_patch(nx, ny)).clone(),
+        }
+    }
+}
+
 /// An in-situ pipeline held open for steering: live solver, live energy
 /// timeline, adjustable parameters.
 #[derive(Debug, Clone)]
@@ -132,6 +169,8 @@ pub struct SteeringPipeline {
     stepper: Stepper,
     frames_rendered: u64,
     bytes_written: u64,
+    /// The last frame made and the options that made it (module docs).
+    last_frame: Option<(FrameStamp, RenderOptions)>,
 }
 
 impl SteeringPipeline {
@@ -142,7 +181,20 @@ impl SteeringPipeline {
     /// [`PipelineError::Config`] for a zero `io_interval` or `chunk_bytes`,
     /// and solver validation errors as [`PipelineError::Solver`].
     pub fn new(cfg: &PipelineConfig, jobs: usize) -> Result<SteeringPipeline, PipelineError> {
-        let mut stepper = Stepper::new(cfg)?;
+        SteeringPipeline::open(cfg, jobs, &mut InitialField::default())
+    }
+
+    /// [`new`](Self::new), starting from `initial`'s field instead of
+    /// evaluating it again.
+    ///
+    /// # Errors
+    /// As [`new`](Self::new).
+    pub fn open(
+        cfg: &PipelineConfig,
+        jobs: usize,
+        initial: &mut InitialField,
+    ) -> Result<SteeringPipeline, PipelineError> {
+        let mut stepper = Stepper::from_initial(cfg, |nx, ny| initial.at(nx, ny))?;
         stepper.set_jobs(jobs.max(1));
         Ok(SteeringPipeline {
             cfg: cfg.clone(),
@@ -150,6 +202,7 @@ impl SteeringPipeline {
             stepper,
             frames_rendered: 0,
             bytes_written: 0,
+            last_frame: None,
         })
     }
 
@@ -221,20 +274,31 @@ impl SteeringPipeline {
         self.render_frame()
     }
 
+    /// Make the frame of the current step — or take the last one, when it
+    /// shows this step under equal options — and charge it.
     fn render_frame(&mut self) -> FrameStamp {
-        let (frame, hash) =
-            render_field_hashed(self.stepper.grid(), &self.cfg.render, fnv1a64(&[]));
-        let bytes = frame.ppm().len() as u64;
-        charge_frame(&mut self.node, &self.cfg, bytes);
+        let step = self.step();
+        let stamp = match self.last_frame {
+            Some((stamp, opts)) if stamp.step == step && opts == self.cfg.render => stamp,
+            _ => {
+                let (frame, hash) =
+                    render_field_hashed(self.stepper.grid(), &self.cfg.render, fnv1a64(&[]));
+                self.node.tracer().count("steer.frames.rasterised", 1);
+                let stamp = FrameStamp {
+                    step,
+                    width: self.cfg.render.width,
+                    height: self.cfg.render.height,
+                    hash,
+                    bytes: frame.ppm().len() as u64,
+                };
+                self.last_frame = Some((stamp, self.cfg.render));
+                stamp
+            }
+        };
+        charge_frame(&mut self.node, &self.cfg, stamp.bytes);
         self.frames_rendered += 1;
-        self.bytes_written += bytes;
-        FrameStamp {
-            step: self.step(),
-            width: self.cfg.render.width,
-            height: self.cfg.render.height,
-            hash,
-            bytes,
-        }
+        self.bytes_written += stamp.bytes;
+        stamp
     }
 
     /// Projected energy to finish the run under the live parameters, J.
@@ -350,6 +414,7 @@ fn charge_frame(node: &mut Node, cfg: &PipelineConfig, frame_bytes: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greenness_trace::Tracer;
 
     fn session() -> SteeringPipeline {
         SteeringPipeline::new(&PipelineConfig::small(2), 1).expect("session opens")
@@ -461,6 +526,93 @@ mod tests {
             (by_phase - total).abs() <= 1e-9 + 1e-12 * total,
             "phases sum to {by_phase} J, timeline total {total} J"
         );
+    }
+
+    /// `greenness steer`'s script, as the engine drives it (a re-attach
+    /// leaves the pipeline alone): `(adjustment, steps to advance)` before
+    /// each on-demand render.
+    fn cli_script() -> [(Option<Adjustment>, u64); 4] {
+        [
+            (None, 3),
+            (Some(Adjustment::IoInterval(3)), 3),
+            (
+                Some(Adjustment::Resolution {
+                    width: 96,
+                    height: 96,
+                }),
+                2,
+            ),
+            (
+                Some(Adjustment::Camera {
+                    colormap: Colormap::Viridis,
+                    range: Some((0.0, 0.3)),
+                }),
+                4,
+            ),
+        ]
+    }
+
+    /// Drive a traced session through [`cli_script`], returning every stamp,
+    /// the projection after each on-demand render, and the frames the
+    /// session rasterised. With `forget`, it drops its kept frame before
+    /// every step and render, so each frame is rasterised.
+    fn drive(forget: bool) -> (SteeringPipeline, Vec<FrameStamp>, Vec<u64>, u64) {
+        let mut cfg = PipelineConfig::small(2);
+        cfg.timesteps = 12;
+        let mut s = SteeringPipeline::new(&cfg, 1).expect("opens");
+        s.node.set_tracer(Tracer::jsonl());
+        let (mut stamps, mut proj) = (Vec::new(), Vec::new());
+        for (adj, steps) in cli_script() {
+            if let Some(adj) = &adj {
+                s.adjust(adj).expect("valid");
+            }
+            // One step per call, then the on-demand render.
+            for last in (0..=steps).map(|k| k == steps) {
+                if forget {
+                    s.last_frame = None;
+                }
+                if last {
+                    stamps.push(s.render_now());
+                } else {
+                    stamps.extend(s.advance(1));
+                }
+            }
+            proj.push(s.projected_remaining_j().to_bits());
+        }
+        let rasterised = s.node.tracer().counter("steer.frames.rasterised");
+        (s, stamps, proj, rasterised)
+    }
+
+    #[test]
+    fn a_frame_shown_again_is_charged_but_not_rasterised_again() {
+        let (reusing, stamps, proj, rasterised) = drive(false);
+        let (fresh, fresh_stamps, fresh_proj, fresh_rasterised) = drive(true);
+        assert_eq!((reusing.frames_rendered(), rasterised), (8, 6));
+        assert_eq!((fresh.frames_rendered(), fresh_rasterised), (8, 8));
+        assert_eq!(stamps, fresh_stamps);
+        assert_eq!(proj, fresh_proj);
+        assert_eq!(reusing.bytes_written(), fresh.bytes_written());
+        assert_eq!(reusing.energy_j().to_bits(), fresh.energy_j().to_bits());
+    }
+
+    #[test]
+    fn sessions_opened_from_one_initial_field_match_fresh_ones() {
+        let mut initial = InitialField::default();
+        assert!(matches!(
+            SteeringPipeline::open(&PipelineConfig::small(0), 1, &mut initial),
+            Err(PipelineError::Config(_))
+        ));
+        assert!(initial.0.is_none(), "a refused interval evaluates nothing");
+        let mut wide = PipelineConfig::small(2);
+        wide.grid_nx = 48;
+        for cfg in [PipelineConfig::small(2), PipelineConfig::small(3), wide] {
+            let mut kept = SteeringPipeline::open(&cfg, 1, &mut initial).expect("opens");
+            let mut fresh = SteeringPipeline::new(&cfg, 1).expect("opens");
+            assert_eq!(kept.advance(4), fresh.advance(4));
+            assert_eq!(kept.render_now(), fresh.render_now());
+        }
+        let kept = initial.0.expect("kept");
+        assert_eq!((kept.nx(), kept.ny()), (48, 64));
     }
 
     #[test]

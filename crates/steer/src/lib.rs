@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use greenness_core::pipeline::PipelineError;
-use greenness_core::steering::{Adjustment, SteeringPipeline};
+use greenness_core::steering::{Adjustment, InitialField, SteeringPipeline};
 use greenness_core::PipelineConfig;
 use greenness_trace::hash::{blake2s256, hex};
 
@@ -163,6 +163,10 @@ struct Counters {
 pub struct SessionEngine {
     cfg: EngineConfig,
     sessions: HashMap<String, Session>,
+    /// Sessions attached and not yet detached: what the slot budget bounds.
+    live: usize,
+    /// The workload's step-0 field, evaluated by the first attach.
+    initial: InitialField,
     whatif_cache: HashMap<[u8; 32], (f64, f64)>,
     counters: Counters,
 }
@@ -173,6 +177,8 @@ impl SessionEngine {
         SessionEngine {
             cfg,
             sessions: HashMap::new(),
+            live: 0,
+            initial: InitialField::default(),
             whatif_cache: HashMap::new(),
             counters: Counters::default(),
         }
@@ -233,12 +239,7 @@ impl SessionEngine {
                 }
             };
         }
-        let live = self
-            .sessions
-            .values()
-            .filter(|s| matches!(s.state, SessionState::Live(_)))
-            .count();
-        if live >= self.cfg.session_slots {
+        if self.live >= self.cfg.session_slots {
             return Err(SteerError::Slots {
                 limit: self.cfg.session_slots,
             });
@@ -246,7 +247,7 @@ impl SessionEngine {
         let mut workload = PipelineConfig::small(spec.interval);
         workload.timesteps = spec.timesteps;
         workload.label = format!("steer:{name}");
-        let pipe = SteeringPipeline::new(&workload, self.cfg.jobs)?;
+        let pipe = SteeringPipeline::open(&workload, self.cfg.jobs, &mut self.initial)?;
         let reply = (
             format!(
                 "attached session={name} token={} applied=0 step=0 resumed=false",
@@ -263,6 +264,7 @@ impl SessionEngine {
                 prefix,
             },
         );
+        self.live += 1;
         self.counters.attach += 1;
         Ok(reply)
     }
@@ -380,6 +382,7 @@ impl SessionEngine {
             session.state = SessionState::Detached;
             session.applied = seq;
             session.log.push(reply.clone());
+            self.live -= 1;
         }
         self.counters.detach += 1;
         Ok(reply)
@@ -635,6 +638,33 @@ mod tests {
         ));
         // Replaying the final detach seq still returns the recorded reply.
         assert_eq!(e.detach("s1", 1).expect("replay"), done);
+    }
+
+    #[test]
+    fn only_live_sessions_hold_slots() {
+        let mut e = SessionEngine::new(EngineConfig {
+            session_slots: 2,
+            ..EngineConfig::default()
+        });
+        e.attach("a", &spec()).expect("attach");
+        e.attach("b", &spec()).expect("attach");
+        let full = Err(SteerError::Slots { limit: 2 });
+        assert_eq!(e.attach("c", &spec()), full);
+        // Resuming a live session takes no second slot.
+        e.attach("b", &spec()).expect("re-attach at the limit");
+        e.detach("a", 1).expect("detach");
+        e.attach("c", &spec())
+            .expect("a detached session's slot is free");
+        assert_eq!(e.attach("d", &spec()), full, "a tombstone holds no slot");
+        e.detach("b", 1).expect("detach");
+        e.detach("c", 1).expect("detach");
+        e.attach("d", &spec()).expect("attach");
+        e.attach("e", &spec()).expect("attach");
+        assert_eq!(e.attach("f", &spec()), full);
+        assert_eq!((e.live, e.sessions.len()), (2, 5));
+        // A refused attach and a replayed detach leave the count alone.
+        e.detach("a", 1).expect("replayed detach");
+        assert_eq!(e.live, 2);
     }
 
     #[test]

@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of one benchmark workload: the claim gate.
+
+From the root of a checkout, with two built benchmark binaries (for example
+`cargo build --release --offline --manifest-path benchmark/Cargo.toml` in a
+clone of the parent and in the change, each with its own CARGO_TARGET_DIR):
+
+    python3 tools/ab.py PARENT_BIN CHANGE_BIN --workload W [--seeds 42,7] [--pairs 10]
+
+Each pair runs both binaries once as
+`BIN --workload W --seed S --seconds <run_seconds> --trace 0`, and the side
+that runs first flips from pair to pair. Every run must read `correct` with
+`failed 0`, and the two sides must print the same output digest. For every
+end-to-end metric of BENCHMARK.json it prints, per seed, each side's median,
+the parent's IQR (the distance between its first and third quartile), the
+change's median against the parent's, how many pairs the change won, and the
+metric's bound. A metric is flagged `WORSE` when the change's median is
+worse than the parent's by more than the bound, and `GAIN` when the change
+won at least nine pairs in ten and its median is better by more than the
+parent's IQR. Exit status 1 on a failed run, a digest mismatch or a `WORSE`.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+
+
+def run(binary, workload, seed, seconds):
+    argv = [binary, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=900)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"{binary} {workload} seed {seed}: exit {proc.returncode}\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"] != 0:
+        sys.exit(f"{binary} {workload} seed {seed}: incorrect result {lines[-1][:200]}")
+    digest = next((l.split("output digest ")[1] for l in lines if "output digest " in l), None)
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return values, digest
+
+
+def iqr(values):
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", default="42,7")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
+    ap.add_argument("--out", help="write every run's metrics to this JSON file")
+    args = ap.parse_args()
+
+    bench = json.load(open("BENCHMARK.json"))
+    seconds = args.seconds or bench["run_seconds"]
+    metrics = bench["end_to_end"]
+    bad = False
+    record = {}
+    for seed in [int(s) for s in args.seeds.split(",")]:
+        runs = {"parent": [], "change": []}
+        digests = set()
+        for pair in range(args.pairs):
+            order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+            for side in order:
+                values, digest = run(getattr(args, side), args.workload, seed, seconds)
+                runs[side].append(values)
+                digests.add(digest)
+        record[seed] = runs
+        print(f"{args.workload} seed {seed}: {args.pairs} pairs, output digests "
+              f"{'match' if len(digests) == 1 else 'DIFFER: ' + ' '.join(map(str, digests))}")
+        bad |= len(digests) != 1
+        print(f"  {'metric':<13} {'parent':>12} {'iqr':>10} {'change':>12} {'delta':>8} "
+              f"{'wins':>6} {'bound':>6}")
+        for m in metrics:
+            name, sign = m["name"], (1 if m["better"] == "higher" else -1)
+            before = [r[name] for r in runs["parent"]]
+            after = [r[name] for r in runs["change"]]
+            med_b, med_a = statistics.median(before), statistics.median(after)
+            wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
+            delta = (med_a - med_b) / med_b if med_b else 0.0
+            verdict = ""
+            if -sign * delta > m["bound"]:
+                verdict, bad = "WORSE", True
+            elif wins >= 0.9 * args.pairs and sign * (med_a - med_b) > iqr(before):
+                verdict = "GAIN"
+            print(f"  {name:<13} {med_b:>12.6g} {iqr(before):>10.3g} {med_a:>12.6g} "
+                  f"{delta:>+8.1%} {wins:>3}/{args.pairs:<2} {m['bound']:>6.2f} {verdict}")
+    if args.out:
+        with open(args.out, "w") as f:
+            json.dump(record, f, indent=1)
+    sys.exit(1 if bad else 0)
+
+
+if __name__ == "__main__":
+    main()
