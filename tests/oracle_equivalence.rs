@@ -1,7 +1,7 @@
 //! Oracle-equivalence suite: every optimized hot path must stay
 //! bit-for-bit the retained straight-line reference it replaced.
 //!
-//! Fifteen properties are pinned here:
+//! Sixteen properties are pinned here:
 //!
 //! * the fast stencil path (including the row-parallel step at any `jobs`
 //!   value) is bit-for-bit the naive reference on arbitrary grids,
@@ -59,6 +59,11 @@
 //!   advance onto an I/O step) and sixteen interleaved `bench-serve`
 //!   sessions write the transcripts they wrote while every render
 //!   rasterised its frame;
+//! * eight interleaved steering sessions (one a phase behind, one under
+//!   another camera range, one under another resolution, then a refused
+//!   re-attach and a late session) write, through one engine and through a
+//!   4-shard fleet, the transcripts they wrote while each session made its
+//!   own frames;
 //! * every frame of a three-interval grid (both kinds, `--jobs 1` and `4`,
 //!   plain and under a seeded fsync fault plan) and of a `CaseComparison`
 //!   pair is what the cells wrote while each rendered every frame itself;
@@ -82,7 +87,7 @@ use greenness_core::placement::{self, PlacementSetup};
 use greenness_core::steering::Adjustment;
 use greenness_core::{probes, sweep, CaseComparison, ExperimentSetup, PipelineConfig};
 use greenness_faults::{fnv1a64, fnv1a64_extend, splitmix64, FaultPlan, Rng, Site};
-use greenness_fleet::{fleet_workload, run_fleet_replay, FleetConfig};
+use greenness_fleet::{fleet_workload, run_fleet_replay, Fleet, FleetConfig};
 use greenness_heatsim::{Boundary, Grid, HeatSolver};
 use greenness_platform::disk::IoDir;
 use greenness_platform::{
@@ -1520,6 +1525,188 @@ const STEERING_WALKS_RECORDED: [&str; 3] = [
     "8fbdeb75ca79b2b488a4d29d25b85a46a1648ccfd735e5ddf4ba265659c2c052",
     "1a9d946a035768d84fe3675471b5dedd097dc44510d9c434d5219751a40af191",
     "0e0b7cb75e072cee9b698d9cb4377735e44216488d9a23c1cb52b758d2ffb4c9",
+];
+
+/// One op of the CLI's scripted steering session.
+enum WalkOp {
+    Attach,
+    Render(u64),
+    Adjust(Adjustment),
+    Detach,
+}
+
+/// `greenness steer`'s script as `(seq, op)` phases (attach is seq 0),
+/// with `resolution` and `range` in place of its 96x96 and `0.0..0.3`.
+fn cli_walk(resolution: usize, range: (f64, f64)) -> Vec<(u64, WalkOp)> {
+    vec![
+        (0, WalkOp::Attach),
+        (1, WalkOp::Render(3)),
+        (2, WalkOp::Adjust(Adjustment::IoInterval(3))),
+        (3, WalkOp::Render(3)),
+        (
+            4,
+            WalkOp::Adjust(Adjustment::Resolution {
+                width: resolution,
+                height: resolution,
+            }),
+        ),
+        (5, WalkOp::Render(2)),
+        (
+            6,
+            WalkOp::Adjust(Adjustment::Camera {
+                colormap: Colormap::Viridis,
+                range: Some(range),
+            }),
+        ),
+        (0, WalkOp::Attach),
+        (7, WalkOp::Render(4)),
+        (8, WalkOp::Detach),
+    ]
+}
+
+/// The request line `op` of `session` sends to a service or fleet.
+fn walk_line(session: &str, id: usize, seq: u64, op: &WalkOp) -> String {
+    let body = match op {
+        WalkOp::Attach => {
+            format!(
+                r#""op":"steer.attach","params":{{"session":"{session}","interval":2,"timesteps":12}}"#
+            )
+        }
+        WalkOp::Render(steps) => format!(
+            r#""op":"steer.render","params":{{"session":"{session}","seq":{seq},"steps":{steps}}}"#
+        ),
+        WalkOp::Adjust(Adjustment::IoInterval(n)) => format!(
+            r#""op":"steer.adjust","params":{{"session":"{session}","seq":{seq},"kind":"io_interval","io_interval":{n}}}"#
+        ),
+        WalkOp::Adjust(Adjustment::Resolution { width, height }) => format!(
+            r#""op":"steer.adjust","params":{{"session":"{session}","seq":{seq},"kind":"resolution","width":{width},"height":{height}}}"#
+        ),
+        WalkOp::Adjust(Adjustment::Camera { range, .. }) => {
+            let (lo, hi) = range.expect("the walk fixes its ranges");
+            format!(
+                r#""op":"steer.adjust","params":{{"session":"{session}","seq":{seq},"kind":"camera","colormap":"viridis","range":[{lo:?},{hi:?}]}}"#
+            )
+        }
+        WalkOp::Detach => {
+            format!(r#""op":"steer.detach","params":{{"session":"{session}","seq":{seq}}}"#)
+        }
+    };
+    format!(
+        "{{\"schema\":\"{}\",\"id\":{id},{body}}}",
+        greenness_serve::SCHEMA
+    )
+}
+
+/// The multi-session walk as `(session, phase)` steps: eight CLI sessions
+/// phase by phase, each phase in a seeded shuffled order, with `s7` one
+/// phase behind the rest; then the detached `s0` asks to attach again and
+/// a late `s8` walks the whole script alone.
+fn multi_session_walk() -> Vec<(usize, usize)> {
+    let phases = cli_walk(96, (0.0, 0.3)).len();
+    let mut rng = Rng::seeded(44);
+    let mut order = Vec::new();
+    for round in 0..=phases {
+        let mut due: Vec<(usize, usize)> = (0..7)
+            .filter(|_| round < phases)
+            .map(|s| (s, round))
+            .collect();
+        if round > 0 {
+            due.push((7, round - 1));
+        }
+        for k in (1..due.len()).rev() {
+            due.swap(k, rng.below(k as u64 + 1) as usize);
+        }
+        order.extend(due);
+    }
+    order.push((0, 0));
+    order.extend((0..phases).map(|phase| (8, phase)));
+    order
+}
+
+/// Eight CLI-script sessions interleaved phase by phase in a seeded order,
+/// one of them a phase behind, one under another camera range (`s5`) and
+/// one under another resolution (`s6`); then a refused re-attach of a
+/// detached name and a late session in a freed slot. The whole walk runs
+/// through a bare engine (each reply with its energy's bits) and through a
+/// 4-shard fleet (its reply lines). Sessions showing one step under equal
+/// options show one hash; other options show another.
+#[test]
+fn multi_session_steering_matches_the_recording() {
+    let scripts: Vec<Vec<(u64, WalkOp)>> = (0..9)
+        .map(|s| match s {
+            5 => cli_walk(96, (0.0, 0.5)),
+            6 => cli_walk(80, (0.0, 0.3)),
+            _ => cli_walk(96, (0.0, 0.3)),
+        })
+        .collect();
+    let walk = multi_session_walk();
+    let spec = AttachSpec {
+        interval: 2,
+        timesteps: 12,
+    };
+    let mut engine = SessionEngine::new(EngineConfig {
+        session_slots: 16,
+        ..EngineConfig::default()
+    });
+    let fleet = Fleet::new(FleetConfig {
+        shards: 4,
+        session_slots: 16,
+        ..FleetConfig::default()
+    });
+    let (mut engine_lines, mut fleet_lines) = (Vec::new(), Vec::new());
+    for (id, &(s, phase)) in walk.iter().enumerate() {
+        let name = format!("s{s}");
+        let (seq, op) = &scripts[s][phase];
+        let reply = match op {
+            WalkOp::Attach => engine.attach(&name, &spec),
+            WalkOp::Render(steps) => engine.render(&name, *seq, *steps),
+            WalkOp::Adjust(adj) => engine.adjust(&name, *seq, adj),
+            WalkOp::Detach => engine.detach(&name, *seq),
+        };
+        engine_lines.push(match reply {
+            Ok((line, j)) => format!("{line} energy_j={:016x}", j.to_bits()),
+            Err(e) => format!("refused {e}"),
+        });
+        fleet_lines.push(fleet.handle_line(&walk_line(&name, id + 1, *seq, op)).line);
+    }
+    assert_eq!(engine_lines.len(), 9 * 10 + 1);
+    let refused: Vec<&String> = engine_lines
+        .iter()
+        .filter(|l| l.starts_with("refused"))
+        .collect();
+    assert_eq!(refused.len(), 1, "only the detached s0 is refused");
+    let fleet_ok = fleet_lines.iter().filter(|l| l.contains("\"ok\":true"));
+    assert_eq!(fleet_ok.count(), 9 * 10);
+
+    // The frame hash of session `s`'s reply at `phase`.
+    let hash = |s: usize, phase: usize| {
+        let at = walk
+            .iter()
+            .position(|&step| step == (s, phase))
+            .expect("walked");
+        let line = &engine_lines[at];
+        assert!(line.starts_with("frame "), "{line}");
+        line.split_whitespace().nth(5).expect("hash").to_string()
+    };
+    for (phase, shown_alike, shown_otherwise) in [(5, 2, 6), (8, 7, 5), (8, 8, 6)] {
+        assert_eq!(hash(0, phase), hash(shown_alike, phase), "phase {phase}");
+        assert_ne!(
+            hash(0, phase),
+            hash(shown_otherwise, phase),
+            "phase {phase}"
+        );
+    }
+
+    let digest = |lines: &[String]| hex(&blake2s256(lines.join("\n").as_bytes()));
+    let digests = [digest(&engine_lines), digest(&fleet_lines)];
+    assert_eq!(digests, MULTI_SESSION_RECORDED);
+}
+
+/// Recorded at commit `222a779`, while each session made its own frames:
+/// the engine transcript, then the fleet's reply lines.
+const MULTI_SESSION_RECORDED: [&str; 2] = [
+    "dc7366c7ea944c4284087cc4e8b2a16c17cdbdb2d79aa54407159f30aa5d7eea",
+    "71be405f4ceaf56ccfe7e1411eec3afe2155a33a1d51eaaec0be85e564fe1191",
 ];
 
 /// The small config at 50 steps with its frames kept: at 64² consecutive
