@@ -22,9 +22,9 @@ const RUN_HEADER: usize = std::mem::size_of::<(usize, usize)>();
 /// `(grid_nx, grid_ny, solver)`: all a field depends on but its step, since
 /// every run starts from `Grid::warm_patch` and the stencil gives the same
 /// bits at any `jobs`. A frame depends on its render options too.
-type Trajectory = (usize, usize, SolverConfig);
+pub(crate) type Trajectory = (usize, usize, SolverConfig);
 
-fn trajectory(cfg: &PipelineConfig) -> Trajectory {
+pub(crate) fn trajectory(cfg: &PipelineConfig) -> Trajectory {
     (cfg.grid_nx, cfg.grid_ny, cfg.solver.clone())
 }
 

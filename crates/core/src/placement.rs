@@ -305,14 +305,24 @@ pub fn placement_grid() -> Vec<PlacementJob> {
 /// every chunk is the same 251-byte period entered at a different point.
 const PERIOD: usize = 251;
 
-/// One period, as it runs from byte `within` of chunk `chunk` of `snap`.
-fn period_at(snap: u64, chunk: u64, within: u64) -> [u8; PERIOD] {
-    let mut next = (snap * 131 + chunk * 29 + within * 7) % PERIOD as u64;
-    std::array::from_fn(|_| {
-        let byte = next as u8;
-        next = (next + 7) % PERIOD as u64;
-        byte
-    })
+/// `CYCLE[i] = 7·i mod 251`, twice round: any period is a window of it.
+const CYCLE: [u8; 2 * PERIOD] = {
+    let mut cycle = [0; 2 * PERIOD];
+    let mut i = 0;
+    while i < 2 * PERIOD {
+        cycle[i] = (7 * i % PERIOD) as u8;
+        i += 1;
+    }
+    cycle
+};
+
+/// One period, as it runs from byte `within` of chunk `chunk` of `snap`:
+/// the window of [`CYCLE`] whose first byte is that byte's value `v`,
+/// which starts at `v·36 mod 251` (36 is 7⁻¹ mod 251).
+fn period_at(snap: u64, chunk: u64, within: u64) -> &'static [u8] {
+    let first = (snap * 131 + chunk * 29 + within * 7) % PERIOD as u64;
+    let at = (first * 36 % PERIOD as u64) as usize;
+    &CYCLE[at..at + PERIOD]
 }
 
 /// Fill `out` with the `len` payload bytes of chunk `chunk` of `snap`.

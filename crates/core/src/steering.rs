@@ -18,23 +18,28 @@
 //! `charge_frame` for the live render, the full recompute and the replay —
 //! no filesystem, so the cost is state-independent), and the replay itself.
 //!
-//! A session makes each frame once. It keeps the stamp of its last frame
-//! with the [`RenderOptions`] that made it, and a render at that step under
-//! `==`-equal options returns the kept stamp instead of rasterising again —
-//! the on-demand render right after a scheduled frame, or a second
-//! `steps 0` render. The reuse is exact: the stepper only moves forward and
-//! its field at a step depends on nothing an adjustment can change, and a
-//! frame's bytes are a function of that field and the options alone (the
-//! only values `==` conflates are signed zeros in the range, which the
-//! rasteriser colours alike; the grid memo keys frames the same way). Any
-//! adjustment to the camera or resolution changes the options and so forces
-//! a fresh frame; an I/O-interval change does not. A reused frame is
-//! charged, counted and written exactly as a fresh one; only a fresh one
-//! counts `steer.frames.rasterised` on the session node's tracer (off
-//! unless a caller attaches one).
+//! Sessions over one workload share their frames. A [`StampBook`] holds the
+//! stamps of the frames made most recently, keyed by trajectory (grid size
+//! and solver), step and [`RenderOptions`] and compared with `==`, and a
+//! render whose key it holds returns that stamp instead of rasterising
+//! again — the on-demand render right after a scheduled frame, a second
+//! `steps 0` render, or any render another session of the engine already
+//! made. The stepper is lazy, so a session whose frames all come from the
+//! book never runs the stencil. The sharing is exact: every session starts
+//! from [`Grid::warm_patch`] and the stencil gives the same bits at any
+//! `jobs`, so the field at a step depends on the trajectory alone — nothing
+//! an adjustment changes reaches it — and a frame's bytes are a function of
+//! that field and the options (the only values `==` conflates are signed
+//! zeros in the range, which the rasteriser colours alike; the grid memo
+//! keys frames the same way). A camera or resolution adjust changes the
+//! options and so forces a fresh frame; an I/O-interval change does not. A
+//! frame from the book is charged, counted and written exactly as a fresh
+//! one; only a fresh one counts `steer.frames.rasterised` on the session
+//! node's tracer (off unless a caller attaches one). The book holds at most
+//! `BOOK_FRAMES` stamps, oldest out first, so it stays bounded however
+//! many sessions share it and however long they run.
 //!
-//! Sessions over one workload start from one field: [`InitialField`] keeps
-//! the step-0 field ([`Grid::warm_patch`]) the first [`SteeringPipeline::open`]
+//! The book also keeps the step-0 field the first [`SteeringPipeline::open`]
 //! evaluates and hands each later one a copy.
 //!
 //! Everything here is deterministic. Frames are hashed with byte-serial
@@ -44,8 +49,11 @@
 //! adjustments at the same steps produce byte-identical transcripts for any
 //! solver thread count and across reruns.
 
+use std::collections::VecDeque;
+
 use crate::config::PipelineConfig;
 use crate::driver::{check_io_interval, Stepper};
+use crate::memo::{trajectory, Trajectory};
 use crate::pipeline::PipelineError;
 use greenness_faults::fnv1a64;
 use greenness_heatsim::Grid;
@@ -55,6 +63,10 @@ use greenness_viz::{ppm_size_bytes, render_field, render_field_hashed, Colormap,
 /// Largest image, in pixels, a [`Adjustment::Resolution`] may ask for
 /// (16 Mpx: a 48 MiB framebuffer, 32x the paper's 512x512 frame).
 const MAX_RENDER_PIXELS: usize = 16 << 20;
+
+/// Stamps a [`StampBook`] holds: sessions over one workload show a handful
+/// of distinct frames at a time (the CLI script shows six in all).
+const BOOK_FRAMES: usize = 32;
 
 /// A parameter change a steering client may apply mid-run.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,20 +155,40 @@ pub struct WhatIfDelta {
     pub adjusted_j: f64,
 }
 
-/// The step-0 field sessions open from, evaluated once and copied into each
-/// (see module docs). Empty until the first [`SteeringPipeline::open`];
-/// holds one field, of the last grid size asked for.
-#[derive(Debug, Clone, Default)]
-pub struct InitialField(Option<Grid>);
+/// What a frame depends on: trajectory, step and render options.
+type FrameKey = (Trajectory, u64, RenderOptions);
 
-impl InitialField {
+/// What sessions over one workload share (module docs): the step-0 field
+/// they open from, of the last grid size asked for, and the stamps of the
+/// last `BOOK_FRAMES` frames made.
+#[derive(Debug, Clone, Default)]
+pub struct StampBook {
+    initial: Option<Grid>,
+    frames: VecDeque<(FrameKey, FrameStamp)>,
+}
+
+impl StampBook {
     /// [`Grid::warm_patch`] at `nx × ny`: a copy of the kept field when it
     /// has that size, else evaluated and kept.
-    fn at(&mut self, nx: usize, ny: usize) -> Grid {
-        match &self.0 {
+    fn initial(&mut self, nx: usize, ny: usize) -> Grid {
+        match &self.initial {
             Some(grid) if (grid.nx(), grid.ny()) == (nx, ny) => grid.clone(),
-            _ => self.0.insert(Grid::warm_patch(nx, ny)).clone(),
+            _ => self.initial.insert(Grid::warm_patch(nx, ny)).clone(),
         }
+    }
+
+    /// The stamp held under `key`, newest first.
+    fn stamp(&self, key: &FrameKey) -> Option<FrameStamp> {
+        let mut held = self.frames.iter().rev();
+        held.find(|(k, _)| k == key).map(|&(_, stamp)| stamp)
+    }
+
+    /// Hold `stamp` under `key`, dropping the oldest stamp when full.
+    fn keep(&mut self, key: FrameKey, stamp: FrameStamp) {
+        if self.frames.len() == BOOK_FRAMES {
+            self.frames.pop_front();
+        }
+        self.frames.push_back((key, stamp));
     }
 }
 
@@ -169,8 +201,6 @@ pub struct SteeringPipeline {
     stepper: Stepper,
     frames_rendered: u64,
     bytes_written: u64,
-    /// The last frame made and the options that made it (module docs).
-    last_frame: Option<(FrameStamp, RenderOptions)>,
 }
 
 impl SteeringPipeline {
@@ -181,10 +211,10 @@ impl SteeringPipeline {
     /// [`PipelineError::Config`] for a zero `io_interval` or `chunk_bytes`,
     /// and solver validation errors as [`PipelineError::Solver`].
     pub fn new(cfg: &PipelineConfig, jobs: usize) -> Result<SteeringPipeline, PipelineError> {
-        SteeringPipeline::open(cfg, jobs, &mut InitialField::default())
+        SteeringPipeline::open(cfg, jobs, &mut StampBook::default())
     }
 
-    /// [`new`](Self::new), starting from `initial`'s field instead of
+    /// [`new`](Self::new), starting from `book`'s step-0 field instead of
     /// evaluating it again.
     ///
     /// # Errors
@@ -192,9 +222,9 @@ impl SteeringPipeline {
     pub fn open(
         cfg: &PipelineConfig,
         jobs: usize,
-        initial: &mut InitialField,
+        book: &mut StampBook,
     ) -> Result<SteeringPipeline, PipelineError> {
-        let mut stepper = Stepper::from_initial(cfg, |nx, ny| initial.at(nx, ny))?;
+        let mut stepper = Stepper::from_initial(cfg, |nx, ny| book.initial(nx, ny))?;
         stepper.set_jobs(jobs.max(1));
         Ok(SteeringPipeline {
             cfg: cfg.clone(),
@@ -202,7 +232,6 @@ impl SteeringPipeline {
             stepper,
             frames_rendered: 0,
             bytes_written: 0,
-            last_frame: None,
         })
     }
 
@@ -254,12 +283,19 @@ impl SteeringPipeline {
 
     /// Advance up to `steps` simulation steps (clamped to the configured
     /// budget), rendering at every step divisible by the live `io_interval`.
-    /// Returns the stamps of the frames produced, in step order.
+    /// Returns the stamps of the frames produced, in step order. Each frame
+    /// is rasterised: [`advance_with`](Self::advance_with) shares them.
     pub fn advance(&mut self, steps: u64) -> Vec<FrameStamp> {
+        self.advance_with(steps, &mut StampBook::default())
+    }
+
+    /// [`advance`](Self::advance), rendering each frame through `book` as
+    /// [`render_now`](Self::render_now) does.
+    pub fn advance_with(&mut self, steps: u64, book: &mut StampBook) -> Vec<FrameStamp> {
         let mut frames = Vec::new();
         for _ in 0..steps {
             match self.stepper.tick(&mut self.node, &self.cfg) {
-                Some((_, true)) => frames.push(self.render_frame()),
+                Some((_, true)) => frames.push(self.render_now(book)),
                 Some(_) => {}
                 None => break,
             }
@@ -269,18 +305,14 @@ impl SteeringPipeline {
 
     /// Render the current field immediately — the incremental re-render a
     /// client requests right after an adjustment, without waiting for the
-    /// next scheduled frame.
-    pub fn render_now(&mut self) -> FrameStamp {
-        self.render_frame()
-    }
-
-    /// Make the frame of the current step — or take the last one, when it
-    /// shows this step under equal options — and charge it.
-    fn render_frame(&mut self) -> FrameStamp {
+    /// next scheduled frame. The frame comes from `book` when it holds it,
+    /// and a fresh one is kept there; either is charged alike.
+    pub fn render_now(&mut self, book: &mut StampBook) -> FrameStamp {
         let step = self.step();
-        let stamp = match self.last_frame {
-            Some((stamp, opts)) if stamp.step == step && opts == self.cfg.render => stamp,
-            _ => {
+        let key = (trajectory(&self.cfg), step, self.cfg.render);
+        let stamp = match book.stamp(&key) {
+            Some(stamp) => stamp,
+            None => {
                 let (frame, hash) =
                     render_field_hashed(self.stepper.grid(), &self.cfg.render, fnv1a64(&[]));
                 self.node.tracer().count("steer.frames.rasterised", 1);
@@ -291,7 +323,7 @@ impl SteeringPipeline {
                     hash,
                     bytes: frame.ppm().len() as u64,
                 };
-                self.last_frame = Some((stamp, self.cfg.render));
+                book.keep(key, stamp);
                 stamp
             }
         };
@@ -441,6 +473,7 @@ mod tests {
     fn transcripts_are_identical_across_jobs() {
         let run = |jobs: usize| -> Vec<String> {
             let mut s = SteeringPipeline::new(&PipelineConfig::small(2), jobs).expect("opens");
+            let mut book = StampBook::default();
             let mut lines = Vec::new();
             lines.extend(s.advance(4).iter().map(FrameStamp::transcript_line));
             s.adjust(&Adjustment::Resolution {
@@ -448,7 +481,7 @@ mod tests {
                 height: 96,
             })
             .expect("valid");
-            lines.push(s.render_now().transcript_line());
+            lines.push(s.render_now(&mut book).transcript_line());
             lines.extend(s.advance(6).iter().map(FrameStamp::transcript_line));
             lines
         };
@@ -458,8 +491,9 @@ mod tests {
     #[test]
     fn camera_changes_frame_bytes_but_not_energy_projection() {
         let mut s = session();
+        let mut book = StampBook::default();
         s.advance(2);
-        let before = s.render_now();
+        let before = s.render_now(&mut book);
         let wi = s
             .whatif(&Adjustment::Camera {
                 colormap: Colormap::Viridis,
@@ -475,7 +509,7 @@ mod tests {
             range: None,
         })
         .expect("valid");
-        let after = s.render_now();
+        let after = s.render_now(&mut book);
         assert_eq!(before.bytes, after.bytes);
         assert_ne!(before.hash, after.hash, "colormap must change the pixels");
     }
@@ -512,7 +546,7 @@ mod tests {
             height: 80,
         })
         .expect("valid");
-        s.render_now();
+        s.render_now(&mut StampBook::default());
         s.adjust(&Adjustment::IoInterval(3)).expect("valid");
         s.advance(100);
         assert_eq!(s.step(), s.timesteps());
@@ -554,7 +588,7 @@ mod tests {
 
     /// Drive a traced session through [`cli_script`], returning every stamp,
     /// the projection after each on-demand render, and the frames the
-    /// session rasterised. With `forget`, it drops its kept frame before
+    /// session rasterised. With `forget`, it renders through a fresh book at
     /// every step and render, so each frame is rasterised.
     fn drive(forget: bool) -> (SteeringPipeline, Vec<FrameStamp>, Vec<u64>, u64) {
         let mut cfg = PipelineConfig::small(2);
@@ -562,6 +596,7 @@ mod tests {
         let mut s = SteeringPipeline::new(&cfg, 1).expect("opens");
         s.node.set_tracer(Tracer::jsonl());
         let (mut stamps, mut proj) = (Vec::new(), Vec::new());
+        let mut book = StampBook::default();
         for (adj, steps) in cli_script() {
             if let Some(adj) = &adj {
                 s.adjust(adj).expect("valid");
@@ -569,12 +604,12 @@ mod tests {
             // One step per call, then the on-demand render.
             for last in (0..=steps).map(|k| k == steps) {
                 if forget {
-                    s.last_frame = None;
+                    book = StampBook::default();
                 }
                 if last {
-                    stamps.push(s.render_now());
+                    stamps.push(s.render_now(&mut book));
                 } else {
-                    stamps.extend(s.advance(1));
+                    stamps.extend(s.advance_with(1, &mut book));
                 }
             }
             proj.push(s.projected_remaining_j().to_bits());
@@ -597,21 +632,25 @@ mod tests {
 
     #[test]
     fn sessions_opened_from_one_initial_field_match_fresh_ones() {
-        let mut initial = InitialField::default();
+        let mut book = StampBook::default();
         assert!(matches!(
-            SteeringPipeline::open(&PipelineConfig::small(0), 1, &mut initial),
+            SteeringPipeline::open(&PipelineConfig::small(0), 1, &mut book),
             Err(PipelineError::Config(_))
         ));
-        assert!(initial.0.is_none(), "a refused interval evaluates nothing");
+        assert!(
+            book.initial.is_none(),
+            "a refused interval evaluates nothing"
+        );
         let mut wide = PipelineConfig::small(2);
         wide.grid_nx = 48;
         for cfg in [PipelineConfig::small(2), PipelineConfig::small(3), wide] {
-            let mut kept = SteeringPipeline::open(&cfg, 1, &mut initial).expect("opens");
+            let mut kept = SteeringPipeline::open(&cfg, 1, &mut book).expect("opens");
             let mut fresh = SteeringPipeline::new(&cfg, 1).expect("opens");
-            assert_eq!(kept.advance(4), fresh.advance(4));
-            assert_eq!(kept.render_now(), fresh.render_now());
+            assert_eq!(kept.advance_with(4, &mut book), fresh.advance(4));
+            let alone = &mut StampBook::default();
+            assert_eq!(kept.render_now(&mut book), fresh.render_now(alone));
         }
-        let kept = initial.0.expect("kept");
+        let kept = book.initial.expect("kept");
         assert_eq!((kept.nx(), kept.ny()), (48, 64));
     }
 

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use greenness_core::pipeline::PipelineError;
-use greenness_core::steering::{Adjustment, InitialField, SteeringPipeline};
+use greenness_core::steering::{Adjustment, StampBook, SteeringPipeline};
 use greenness_core::PipelineConfig;
 use greenness_trace::hash::{blake2s256, hex};
 
@@ -165,8 +165,9 @@ pub struct SessionEngine {
     sessions: HashMap<String, Session>,
     /// Sessions attached and not yet detached: what the slot budget bounds.
     live: usize,
-    /// The workload's step-0 field, evaluated by the first attach.
-    initial: InitialField,
+    /// What the sessions share: the workload's step-0 field, evaluated by
+    /// the first attach, and the frames made most recently.
+    book: StampBook,
     whatif_cache: HashMap<[u8; 32], (f64, f64)>,
     counters: Counters,
 }
@@ -178,7 +179,7 @@ impl SessionEngine {
             cfg,
             sessions: HashMap::new(),
             live: 0,
-            initial: InitialField::default(),
+            book: StampBook::default(),
             whatif_cache: HashMap::new(),
             counters: Counters::default(),
         }
@@ -247,7 +248,7 @@ impl SessionEngine {
         let mut workload = PipelineConfig::small(spec.interval);
         workload.timesteps = spec.timesteps;
         workload.label = format!("steer:{name}");
-        let pipe = SteeringPipeline::open(&workload, self.cfg.jobs, &mut self.initial)?;
+        let pipe = SteeringPipeline::open(&workload, self.cfg.jobs, &mut self.book)?;
         let reply = (
             format!(
                 "attached session={name} token={} applied=0 step=0 resumed=false",
@@ -310,7 +311,7 @@ impl SessionEngine {
                 (wi.baseline_j, wi.adjusted_j, false)
             }
         };
-        let pipe = self.live_mut(name)?;
+        let pipe = live_mut(&mut self.sessions, name)?;
         pipe.adjust(adj)?;
         let reply = (
             format!(
@@ -337,9 +338,9 @@ impl SessionEngine {
         if let Some(reply) = self.replay(name, seq)? {
             return Ok(reply);
         }
-        let pipe = self.live_mut(name)?;
-        let scheduled = pipe.advance(steps);
-        let frame = pipe.render_now();
+        let pipe = live_mut(&mut self.sessions, name)?;
+        let scheduled = pipe.advance_with(steps, &mut self.book);
+        let frame = pipe.render_now(&mut self.book);
         let mut line = format!(
             "frame session={name} seq={seq} {} proj_j={}",
             frame.transcript_line(),
@@ -367,7 +368,7 @@ impl SessionEngine {
         if let Some(reply) = self.replay(name, seq)? {
             return Ok(reply);
         }
-        let pipe = self.live_mut(name)?;
+        let pipe = live_mut(&mut self.sessions, name)?;
         let reply = (
             format!(
                 "detached session={name} seq={seq} step={} frames={} solver_steps={} bytes_written={}",
@@ -453,15 +454,6 @@ impl SessionEngine {
         }
     }
 
-    /// [`Self::live`], mutably.
-    fn live_mut(&mut self, name: &str) -> Result<&mut SteeringPipeline, SteerError> {
-        match self.sessions.get_mut(name).map(|s| &mut s.state) {
-            None => Err(SteerError::UnknownSession(name.to_string())),
-            Some(SessionState::Detached) => Err(SteerError::Detached(name.to_string())),
-            Some(SessionState::Live(pipe)) => Ok(pipe),
-        }
-    }
-
     fn record(&mut self, name: &str, seq: u64, op: &str, reply: &SteerReply) {
         let session = self
             .sessions
@@ -470,6 +462,18 @@ impl SessionEngine {
         session.applied = seq;
         session.log.push(reply.clone());
         session.prefix.push_str(&format!(";seq={seq}:{op}"));
+    }
+}
+
+/// [`SessionEngine::live`], mutably, over the engine's `sessions`.
+fn live_mut<'s>(
+    sessions: &'s mut HashMap<String, Session>,
+    name: &str,
+) -> Result<&'s mut SteeringPipeline, SteerError> {
+    match sessions.get_mut(name).map(|s| &mut s.state) {
+        None => Err(SteerError::UnknownSession(name.to_string())),
+        Some(SessionState::Detached) => Err(SteerError::Detached(name.to_string())),
+        Some(SessionState::Live(pipe)) => Ok(pipe),
     }
 }
 
@@ -665,6 +669,97 @@ mod tests {
         // A refused attach and a replayed detach leave the count alone.
         e.detach("a", 1).expect("replayed detach");
         assert_eq!(e.live, 2);
+    }
+
+    /// Phase `phase` of `greenness steer`'s script for session `name`.
+    fn cli_phase(e: &mut SessionEngine, name: &str, phase: usize) -> SteerReply {
+        let spec = AttachSpec {
+            interval: 2,
+            timesteps: 12,
+        };
+        let reply = match phase {
+            0 | 7 => e.attach(name, &spec),
+            1 => e.render(name, 1, 3),
+            2 => e.adjust(name, 2, &Adjustment::IoInterval(3)),
+            3 => e.render(name, 3, 3),
+            4 => e.adjust(
+                name,
+                4,
+                &Adjustment::Resolution {
+                    width: 96,
+                    height: 96,
+                },
+            ),
+            5 => e.render(name, 5, 2),
+            6 => e.adjust(
+                name,
+                6,
+                &Adjustment::Camera {
+                    colormap: Colormap::Viridis,
+                    range: Some((0.0, 0.3)),
+                },
+            ),
+            8 => e.render(name, 7, 4),
+            _ => e.detach(name, 8),
+        };
+        reply.expect("the script runs")
+    }
+
+    /// The stamps `e`'s book holds, read off its `Debug` form: the book
+    /// keeps its entries to itself.
+    fn stamps_held(e: &SessionEngine) -> usize {
+        format!("{:?}", e.book).matches("FrameStamp").count()
+    }
+
+    #[test]
+    fn sessions_over_one_workload_make_each_frame_once() {
+        let mut shared = SessionEngine::new(EngineConfig {
+            session_slots: 16,
+            ..EngineConfig::default()
+        });
+        let names: Vec<String> = (0..16).map(|s| format!("s{s}")).collect();
+        let mut transcripts = vec![Vec::new(); names.len()];
+        for phase in 0..10 {
+            for (name, transcript) in names.iter().zip(&mut transcripts) {
+                transcript.push(cli_phase(&mut shared, name, phase));
+            }
+        }
+        // Nothing was evicted, so every stamp held is a frame made: six,
+        // where sixteen engines of one session each make six.
+        assert_eq!(stamps_held(&shared), 6);
+        let mut made_alone = 0;
+        for (name, transcript) in names.iter().zip(&transcripts) {
+            let mut solo = engine();
+            let alone: Vec<SteerReply> = (0..10).map(|p| cli_phase(&mut solo, name, p)).collect();
+            made_alone += stamps_held(&solo);
+            assert_eq!(transcript.len(), alone.len());
+            for ((line, j), (solo_line, solo_j)) in transcript.iter().zip(&alone) {
+                // The what-if cache shares answers too; only its flag says so.
+                assert_eq!(line.replace("cached=true", "cached=false"), *solo_line);
+                assert_eq!(j.to_bits(), solo_j.to_bits(), "{line}");
+            }
+        }
+        assert_eq!(made_alone, 96);
+    }
+
+    #[test]
+    fn the_book_holds_a_bounded_number_of_frames() {
+        let mut e = engine();
+        let long = AttachSpec {
+            interval: 1,
+            timesteps: 120,
+        };
+        e.attach("long", &long).expect("attach");
+        let (line, _) = e.render("long", 1, 120).expect("render");
+        assert_eq!(line.matches(',').count() + 1, 120, "one frame per step");
+        // 120 distinct frames made; the book keeps `core::steering`'s 32.
+        assert_eq!(stamps_held(&e), 32);
+        // The oldest are gone: a second session makes step 1 again, and
+        // then holds no more than before.
+        e.attach("again", &long).expect("attach");
+        e.render("again", 1, 1).expect("render");
+        assert_eq!(stamps_held(&e), 32);
+        assert_eq!(e.pipeline("again").map(|p| p.frames_rendered()), Some(2));
     }
 
     #[test]

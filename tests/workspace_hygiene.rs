@@ -477,22 +477,64 @@ fn free_runs_are_kept_and_coalesced_only_in_storage_free() {
 #[test]
 fn a_grid_shares_frames_and_fields_through_one_memo() {
     // Frames and fields are keyed by one trajectory, spelled once in
-    // `core::memo`; the frame memo and the field memo used to spell it
-    // each, and were built side by side wherever a grid ran. Only
-    // `run_sweep` and `CaseComparison::run_config` build a memo.
+    // `core::memo::trajectory`; the frame memo and the field memo used to
+    // spell it each, and were built side by side wherever a grid ran, and
+    // steering's stamp book keys its frames by it too. Only `run_sweep` and
+    // `CaseComparison::run_config` build a memo.
     let crates = repo_root().join("crates");
     let core = crates.join("core").join("src");
+    let fields = trajectory_fields(&read(&core.join("memo.rs")));
+    assert_eq!(fields, ["grid_nx", "grid_ny", "solver"]);
     let mut sources = Vec::new();
     rs_files(&crates, &mut sources);
     for path in &sources {
         let src = read(path);
-        let spelled = src.contains("(cfg.grid_nx, cfg.grid_ny, cfg.solver");
+        let spelled = spells_tuple_of(&src, &fields);
         let key = *path == core.join("memo.rs");
         assert_eq!(spelled, key, "{}: the trajectory key", path.display());
         let built = non_test(&src).contains("GridMemo::");
         let grid = [core.join("sweep.rs"), core.join("compare.rs")].contains(path);
         assert_eq!(built, grid, "{}: `GridMemo::`", path.display());
     }
+}
+
+/// The fields `core::memo::trajectory` puts in its key, in order: its body
+/// is one tuple of `receiver.field` items, each maybe with a method call.
+fn trajectory_fields(memo: &str) -> Vec<String> {
+    let (_, body) = memo
+        .split_once("fn trajectory(")
+        .and_then(|(_, rest)| rest.split_once('{'))
+        .expect("memo.rs declares `fn trajectory`");
+    let (tuple, _) = body.split_once('}').expect("a one-tuple body");
+    let tuple = tuple
+        .trim()
+        .strip_prefix('(')
+        .and_then(|t| t.strip_suffix(')'));
+    let items = tuple.expect("a tuple").split(',');
+    let field = |item: &str| {
+        let mut parts = item.trim().split('.').filter(|part| !part.ends_with(')'));
+        parts.next_back().map(str::to_string)
+    };
+    items
+        .map(|item| field(item).expect("a `receiver.field` item"))
+        .collect()
+}
+
+/// Whether `src` holds a tuple whose items read `fields` in order, off any
+/// receiver and whatever the whitespace: `(cfg.grid_nx, cfg.grid_ny, …` as
+/// well as `(self.cfg.grid_nx,\n self.cfg.grid_ny, …`.
+fn spells_tuple_of(src: &str, fields: &[String]) -> bool {
+    let squeezed: String = src.chars().filter(|c| !c.is_whitespace()).collect();
+    let path = |item: &str, field: &str| {
+        item.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+            && item.split('.').skip(1).any(|part| part == field)
+    };
+    squeezed.split('(').skip(1).any(|open| {
+        let mut items = open.split([',', ')']);
+        fields
+            .iter()
+            .all(|field| items.next().is_some_and(|item| path(item, field)))
+    })
 }
 
 #[test]
