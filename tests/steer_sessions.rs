@@ -21,6 +21,8 @@
 //! 5. A shard handed the router's parsed `Request` behaves exactly like a
 //!    shard handed the line — steering ops (fault slot *after* the commit)
 //!    and stateless ops (fault slot before) alike.
+//! 6. A steering op never enters the result cache: it is neither looked up
+//!    nor stored, retried or not.
 
 use greenness_core::steering::Adjustment;
 use greenness_faults::FaultPlan;
@@ -299,4 +301,32 @@ fn a_parsed_request_is_handled_exactly_like_its_line() {
             );
         }
     }
+}
+
+#[test]
+fn steering_ops_never_enter_the_result_cache() {
+    let service = Service::new(ServiceConfig {
+        jobs: 1,
+        ..ServiceConfig::default()
+    });
+    let scripts: Vec<Vec<String>> = ["a", "b", "c", "d"].into_iter().map(script).collect();
+    for phase in 0..10 {
+        for lines in &scripts {
+            // Every op twice: the second is a retry the engine replays.
+            for _ in 0..2 {
+                let reply = service.handle_line(&lines[phase]).line();
+                assert!(reply.contains("\"ok\":true"), "{reply}");
+            }
+        }
+    }
+    let m = service.metrics_clone();
+    assert_eq!(m.counter("serve.requests"), 80);
+    assert_eq!(
+        (
+            m.counter("serve.cache.hits"),
+            m.counter("serve.cache.misses")
+        ),
+        (0, 0)
+    );
+    assert!(service.cache_keys().is_empty());
 }
