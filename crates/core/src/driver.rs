@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use greenness_faults::{checksum64_parts, FaultPlan, Site};
-use greenness_heatsim::{Grid, HeatSolver};
+use greenness_heatsim::{Grid, HeatSolver, SolverConfig};
 use greenness_platform::{Activity, Node, Phase, PowerDraw};
 use greenness_storage::{
     block_from, Block, FileSystem, FsConfig, FsError, MemBlockDevice, BLOCK_SIZE,
@@ -60,6 +60,34 @@ pub(crate) fn open(
     Ok((stepper, store))
 }
 
+/// A [`Stepper`]'s stencil, started only when a stage first asks for the
+/// field: a steering session whose every frame another session already
+/// made never copies the step-0 field it shares.
+#[derive(Debug, Clone)]
+enum Stencil {
+    /// Validated and not yet started: the step-0 field, the solver
+    /// configuration and the thread count to start with.
+    Pending(Arc<Grid>, SolverConfig, usize),
+    Running(HeatSolver),
+}
+
+impl Stencil {
+    /// The solver, started from the step-0 field on first use.
+    fn start(&mut self) -> &mut HeatSolver {
+        if let Stencil::Pending(initial, config, jobs) = self {
+            let started = HeatSolver::new(Grid::clone(initial), config.clone());
+            let mut solver = started
+                .unwrap_or_else(|e| unreachable!("validated by `Stepper::from_initial`: {e}"));
+            solver.set_jobs(*jobs);
+            *self = Stencil::Running(solver);
+        }
+        match self {
+            Stencil::Running(solver) => solver,
+            Stencil::Pending(..) => unreachable!("started above"),
+        }
+    }
+}
+
 /// The one `io_interval` range check (a zero interval divides by zero).
 pub(crate) fn check_io_interval(io_interval: u64) -> Result<(), PipelineError> {
     if io_interval == 0 {
@@ -76,7 +104,7 @@ pub(crate) fn check_io_interval(io_interval: u64) -> Result<(), PipelineError> {
 /// step, and the stencil catches up only when a stage asks for the field.
 #[derive(Debug, Clone)]
 pub(crate) struct Stepper {
-    solver: HeatSolver,
+    stencil: Stencil,
     step: u64,
     sim: Activity,
     /// The `(seconds, draw)` of `sim` on a DVFS-scaled CPU, when re-clocked.
@@ -93,18 +121,20 @@ impl Stepper {
     /// [`PipelineError::Config`] for a zero `io_interval` or `chunk_bytes`;
     /// [`PipelineError::Solver`] when the solver rejects its configuration.
     pub(crate) fn new(cfg: &PipelineConfig) -> Result<Stepper, PipelineError> {
-        Stepper::from_initial(cfg, Grid::warm_patch)
+        Stepper::from_initial(cfg, |nx, ny| Arc::new(Grid::warm_patch(nx, ny)))
     }
 
     /// [`new`](Self::new), with the step-0 field made by
     /// `initial(grid_nx, grid_ny)` once the workload has passed its checks:
-    /// [`Grid::warm_patch`] itself, or a kept copy of it.
+    /// [`Grid::warm_patch`] itself, or a kept field shared with other
+    /// steppers. The stencil starts from it only when a stage first asks for
+    /// the field.
     ///
     /// # Errors
     /// As [`new`](Self::new).
     pub(crate) fn from_initial(
         cfg: &PipelineConfig,
-        initial: impl FnOnce(usize, usize) -> Grid,
+        initial: impl FnOnce(usize, usize) -> Arc<Grid>,
     ) -> Result<Stepper, PipelineError> {
         check_io_interval(cfg.io_interval)?;
         if cfg.chunk_bytes == 0 {
@@ -112,9 +142,10 @@ impl Stepper {
                 "chunk_bytes must be at least 1".to_string(),
             ));
         }
+        cfg.solver.validate(cfg.grid_nx, cfg.grid_ny)?;
         let initial = initial(cfg.grid_nx, cfg.grid_ny);
         Ok(Stepper {
-            solver: HeatSolver::new(initial, cfg.solver.clone())?,
+            stencil: Stencil::Pending(initial, cfg.solver.clone(), 1),
             step: 0,
             sim: cfg.sim_cost.activity((cfg.grid_nx * cfg.grid_ny) as u64),
             reclocked: None,
@@ -133,7 +164,10 @@ impl Stepper {
 
     /// Solver threads: wall-clock speed only, never output bytes.
     pub(crate) fn set_jobs(&mut self, jobs: usize) {
-        self.solver.set_jobs(jobs);
+        match &mut self.stencil {
+            Stencil::Pending(_, _, pending) => *pending = jobs,
+            Stencil::Running(solver) => solver.set_jobs(jobs),
+        }
     }
 
     /// Steps simulated so far: the stencil steps the solver has run or owes.
@@ -143,10 +177,11 @@ impl Stepper {
 
     /// The field at the current step, running the stencil steps owed first.
     pub(crate) fn grid(&mut self) -> &Grid {
-        while self.solver.steps_taken() < self.step {
-            self.solver.step();
+        let solver = self.stencil.start();
+        while solver.steps_taken() < self.step {
+            solver.step();
         }
-        self.solver.grid()
+        solver.grid()
     }
 
     /// Charge one simulation step on `node` without running the stencil —
@@ -409,6 +444,9 @@ pub(crate) fn render_snapshot(
 impl Stepper {
     /// Stencil steps the solver has actually run.
     pub(crate) fn stencil_steps(&self) -> u64 {
-        self.solver.steps_taken()
+        match &self.stencil {
+            Stencil::Pending(..) => 0,
+            Stencil::Running(solver) => solver.steps_taken(),
+        }
     }
 }

@@ -40,7 +40,9 @@
 //! many sessions share it and however long they run.
 //!
 //! The book also keeps the step-0 field the first [`SteeringPipeline::open`]
-//! evaluates and hands each later one a copy.
+//! evaluates and shares it with each later one, which copies it only when
+//! its stencil first runs: a session whose every frame comes from the book
+//! holds no field of its own.
 //!
 //! Everything here is deterministic. Frames are hashed with byte-serial
 //! FNV-1a, folded in by the renderer as it writes the PPM bytes
@@ -50,6 +52,8 @@
 //! solver thread count and across reruns.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::sync::Arc;
 
 use crate::config::PipelineConfig;
 use crate::driver::{check_io_interval, Stepper};
@@ -135,10 +139,11 @@ pub struct FrameStamp {
     pub bytes: u64,
 }
 
-impl FrameStamp {
-    /// One-line transcript form: `step=12 1024x768 5fa3… (786447 B)`.
-    pub fn transcript_line(&self) -> String {
-        format!(
+/// One-line transcript form: `step=12 1024x768 5fa3… (786447 B)`.
+impl fmt::Display for FrameStamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "step={} {}x{} {:016x} ({} B)",
             self.step, self.width, self.height, self.hash, self.bytes
         )
@@ -163,24 +168,31 @@ type FrameKey = (Trajectory, u64, RenderOptions);
 /// last `BOOK_FRAMES` frames made.
 #[derive(Debug, Clone, Default)]
 pub struct StampBook {
-    initial: Option<Grid>,
+    initial: Option<Arc<Grid>>,
     frames: VecDeque<(FrameKey, FrameStamp)>,
 }
 
 impl StampBook {
-    /// [`Grid::warm_patch`] at `nx × ny`: a copy of the kept field when it
+    /// [`Grid::warm_patch`] at `nx × ny`: the kept field, shared, when it
     /// has that size, else evaluated and kept.
-    fn initial(&mut self, nx: usize, ny: usize) -> Grid {
+    fn initial(&mut self, nx: usize, ny: usize) -> Arc<Grid> {
         match &self.initial {
-            Some(grid) if (grid.nx(), grid.ny()) == (nx, ny) => grid.clone(),
-            _ => self.initial.insert(Grid::warm_patch(nx, ny)).clone(),
+            Some(grid) if (grid.nx(), grid.ny()) == (nx, ny) => Arc::clone(grid),
+            _ => Arc::clone(self.initial.insert(Arc::new(Grid::warm_patch(nx, ny)))),
         }
     }
 
-    /// The stamp held under `key`, newest first.
-    fn stamp(&self, key: &FrameKey) -> Option<FrameStamp> {
+    /// The stamp held under the key of `trajectory`, `step` and `options`,
+    /// newest first.
+    fn stamp(
+        &self,
+        trajectory: &Trajectory,
+        step: u64,
+        options: &RenderOptions,
+    ) -> Option<FrameStamp> {
         let mut held = self.frames.iter().rev();
-        held.find(|(k, _)| k == key).map(|&(_, stamp)| stamp)
+        held.find(|((t, s, o), _)| *s == step && o == options && t == trajectory)
+            .map(|&(_, stamp)| stamp)
     }
 
     /// Hold `stamp` under `key`, dropping the oldest stamp when full.
@@ -197,6 +209,8 @@ impl StampBook {
 #[derive(Debug, Clone)]
 pub struct SteeringPipeline {
     cfg: PipelineConfig,
+    /// `cfg`'s trajectory, which no [`Adjustment`] changes.
+    trajectory: Trajectory,
     node: Node,
     stepper: Stepper,
     frames_rendered: u64,
@@ -228,6 +242,7 @@ impl SteeringPipeline {
         stepper.set_jobs(jobs.max(1));
         Ok(SteeringPipeline {
             cfg: cfg.clone(),
+            trajectory: trajectory(cfg),
             node: Node::new(greenness_platform::HardwareSpec::table1()),
             stepper,
             frames_rendered: 0,
@@ -309,8 +324,7 @@ impl SteeringPipeline {
     /// and a fresh one is kept there; either is charged alike.
     pub fn render_now(&mut self, book: &mut StampBook) -> FrameStamp {
         let step = self.step();
-        let key = (trajectory(&self.cfg), step, self.cfg.render);
-        let stamp = match book.stamp(&key) {
+        let stamp = match book.stamp(&self.trajectory, step, &self.cfg.render) {
             Some(stamp) => stamp,
             None => {
                 let (frame, hash) =
@@ -323,7 +337,7 @@ impl SteeringPipeline {
                     hash,
                     bytes: frame.ppm().len() as u64,
                 };
-                book.keep(key, stamp);
+                book.keep((self.trajectory.clone(), step, self.cfg.render), stamp);
                 stamp
             }
         };
@@ -475,14 +489,14 @@ mod tests {
             let mut s = SteeringPipeline::new(&PipelineConfig::small(2), jobs).expect("opens");
             let mut book = StampBook::default();
             let mut lines = Vec::new();
-            lines.extend(s.advance(4).iter().map(FrameStamp::transcript_line));
+            lines.extend(s.advance(4).iter().map(FrameStamp::to_string));
             s.adjust(&Adjustment::Resolution {
                 width: 96,
                 height: 96,
             })
             .expect("valid");
-            lines.push(s.render_now(&mut book).transcript_line());
-            lines.extend(s.advance(6).iter().map(FrameStamp::transcript_line));
+            lines.push(s.render_now(&mut book).to_string());
+            lines.extend(s.advance(6).iter().map(FrameStamp::to_string));
             lines
         };
         assert_eq!(run(1), run(8));

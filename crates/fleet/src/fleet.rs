@@ -19,13 +19,14 @@
 //! and comes back byte-for-byte the same.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use greenness_faults::{FaultInjector, FaultPlan, Site};
 use greenness_serve::protocol::{self, ErrorCode, Request};
 use greenness_serve::{Disposition, LineHandler, Next, Outcome, Service, ServiceConfig};
-use greenness_trace::hash::blake2s256;
+use greenness_trace::hash::Blake2s256;
 use greenness_trace::MetricsRegistry;
 
 use crate::ring::{Ring, DEFAULT_VNODES};
@@ -141,11 +142,31 @@ struct SessionHome {
     /// instance, so a stale pointer means the session must be replayed even
     /// though the shard id is live again.
     service: Arc<Service>,
-    /// Every acked `steer.*` request line, in order. Replaying this log
-    /// into a fresh shard reconstructs the session bit-identically (the
-    /// engine is deterministic and replays duplicate seqs from its own
-    /// record).
-    log: Vec<String>,
+    /// Every acked `steer.*` request line, in order, in one buffer (see
+    /// [`log_line`]). Replaying this log into a fresh shard reconstructs
+    /// the session bit-identically (the engine is deterministic and replays
+    /// duplicate seqs from its own record).
+    log: String,
+}
+
+/// Append `line` to a session log as its byte length, a `:` and the line —
+/// a frame any line fits, whatever bytes it holds.
+fn log_line(log: &mut String, line: &str) {
+    log.reserve(line.len() + 21);
+    // `String`'s `fmt::Write` never fails.
+    let _ = write!(log, "{}:", line.len());
+    log.push_str(line);
+}
+
+/// The lines of a session log, in order.
+fn logged_lines(log: &str) -> impl Iterator<Item = &str> {
+    let mut rest = log;
+    std::iter::from_fn(move || {
+        let (len, tail) = rest.split_once(':')?;
+        let line = tail.get(..len.parse().ok()?)?;
+        rest = &tail[line.len()..];
+        Some(line)
+    })
 }
 
 /// Mutable topology: which shards are live and who owns which arc.
@@ -363,7 +384,7 @@ impl Fleet {
             }
         }
 
-        routed(shard, &outcome, reroutes, events)
+        routed(shard, outcome, reroutes, events)
     }
 
     /// Route one `steer.*` request. Sessions are pinned: every op for a
@@ -383,7 +404,6 @@ impl Fleet {
         let events = self.apply_churn();
         self.count("fleet.requests", 1);
         let session = req.session();
-        let key = blake2s256(format!("fleet.session/{session}").as_bytes());
 
         // Find (or re-establish) the home shard.
         let homed = {
@@ -392,7 +412,7 @@ impl Fleet {
                 drop(state);
                 return self.fail(req, NO_LIVE_SHARDS, 0, events);
             }
-            match state.sessions.get(session) {
+            match state.sessions.get(&*session) {
                 Some(h)
                     if state.live[h.shard as usize]
                         && Arc::ptr_eq(&h.service, &state.services[h.shard as usize]) =>
@@ -409,23 +429,25 @@ impl Fleet {
                 // (Re-)home on the ring's current owner for the session key.
                 let (shard, service) = {
                     let state = lock(&self.state);
-                    let Some(shard) = state.ring.route(&key) else {
+                    let Some(shard) = state.ring.route(&session_key(&session)) else {
                         drop(state);
                         return self.fail(req, NO_LIVE_SHARDS, 0, events);
                     };
                     (shard, Arc::clone(&state.services[shard as usize]))
                 };
                 if let Some(log) = lost_log {
-                    for acked in &log {
+                    let mut replayed = 0;
+                    for acked in logged_lines(&log) {
                         // Replay commits even when the shard's own fault
                         // schedule "drops" the reply: steer ops apply
                         // before their fault slot.
                         let _ = service.handle_line(acked);
+                        replayed += 1;
                     }
                     self.count("fleet.session.rehomed", 1);
-                    self.count("fleet.session.replayed", log.len() as u64);
+                    self.count("fleet.session.replayed", replayed);
                     let mut state = lock(&self.state);
-                    if let Some(h) = state.sessions.get_mut(session) {
+                    if let Some(h) = state.sessions.get_mut(&*session) {
                         h.shard = shard;
                         h.service = Arc::clone(&service);
                     }
@@ -444,24 +466,26 @@ impl Fleet {
 
         if outcome.disposition == Disposition::Session {
             self.count("fleet.ok", 1);
-            // Record the acked line so a future re-home can replay it.
+            // Record the acked line so a future re-home can replay it. A
+            // known session's home is already this one.
             let mut state = lock(&self.state);
-            let entry = state
-                .sessions
-                .entry(session.to_string())
-                .or_insert_with(|| SessionHome {
-                    shard,
-                    service: Arc::clone(&service),
-                    log: Vec::new(),
-                });
-            entry.shard = shard;
-            entry.service = Arc::clone(&service);
-            entry.log.push(line.to_string());
+            match state.sessions.get_mut(&*session) {
+                Some(home) => log_line(&mut home.log, line),
+                None => {
+                    let mut home = SessionHome {
+                        shard,
+                        service,
+                        log: String::new(),
+                    };
+                    log_line(&mut home.log, line);
+                    state.sessions.insert(session.into_owned(), home);
+                }
+            }
         } else {
             self.count("fleet.err", 1);
         }
 
-        routed(shard, &outcome, retries, events)
+        routed(shard, outcome, retries, events)
     }
 
     /// Hand `req` to `services[first]` and, for as long as a shard's injected
@@ -615,14 +639,23 @@ fn shard_config(config: &FleetConfig, shard: u32) -> ServiceConfig {
     }
 }
 
+/// The ring key of steering session `name`: BLAKE2s-256 of
+/// `fleet.session/{name}`, hashed only when the session (re-)homes.
+fn session_key(name: &str) -> [u8; 32] {
+    let mut hasher = Blake2s256::default();
+    hasher.update(b"fleet.session/");
+    hasher.update(name.as_bytes());
+    hasher.finalize()
+}
+
 /// The reply `shard` produced, with what the router did to get it.
-fn routed(shard: u32, outcome: &Outcome, reroutes: u32, events: Vec<ChurnEvent>) -> FleetOutcome {
+fn routed(shard: u32, outcome: Outcome, reroutes: u32, events: Vec<ChurnEvent>) -> FleetOutcome {
     FleetOutcome {
         shard: Some(shard),
         virtual_s: outcome.virtual_s,
         reroutes,
         events,
-        ..router_reply(outcome.line(), outcome.disposition)
+        ..router_reply(outcome.response.into_line(), outcome.disposition)
     }
 }
 
@@ -663,6 +696,26 @@ mod tests {
         assert_eq!(m.counter("fleet.hits"), 1);
         assert_eq!(m.counter("fleet.misses"), 1);
         assert_eq!(m.counter("fleet.ok"), 2);
+    }
+
+    #[test]
+    fn a_session_log_gives_back_every_line_it_was_handed() {
+        let lines = ["", "{}", "12:ab", "a\nb\r\n", "é🔥:", &"x".repeat(300)];
+        let mut log = String::new();
+        for line in lines {
+            log_line(&mut log, line);
+        }
+        assert_eq!(logged_lines(&log).collect::<Vec<_>>(), lines);
+        assert_eq!(logged_lines("").count(), 0);
+    }
+
+    #[test]
+    fn a_session_is_placed_by_the_hash_of_its_prefixed_name() {
+        use greenness_trace::hash::blake2s256;
+        for name in ["s1", "chaos", ""] {
+            let spelled = blake2s256(format!("fleet.session/{name}").as_bytes());
+            assert_eq!(session_key(name), spelled, "{name}");
+        }
     }
 
     #[test]

@@ -4,5 +4,6 @@
 //! lexer; this module only keeps their `greenness_serve::json` path.
 
 pub use greenness_trace::json::{
-    object_spans, string_span, write_canonical_object, write_canonical_spans, Json, SpanMember,
+    object_spans, string_span, write_canonical_object, write_canonical_spans, Json, Span,
+    SpanMember,
 };

@@ -4,7 +4,8 @@
 //! "params":{...},"deadline_ms":2000}`. `id` (null, a number or a string) and
 //! `deadline_ms` are **non-semantic**: they are echoed / enforced but
 //! stripped before the request is canonicalized and hashed, so retries with
-//! fresh ids still hit the cache.
+//! fresh ids still hit the cache. A `steer.*` op is stateful and never
+//! cached, so it is neither canonicalized nor hashed.
 //!
 //! Response envelopes — deliberately WITHOUT any cached/fresh marker, so a
 //! repeated request is answered byte-identically whether it hit the cache
@@ -16,11 +17,12 @@
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
+use std::fmt::Write;
 
 use greenness_trace::escape_json;
 use greenness_trace::hash::blake2s256;
 
-use crate::json::{self, Json, SpanMember};
+use crate::json::{self, Span, SpanMember};
 
 /// The protocol schema tag, required on every request.
 pub const SCHEMA: &str = "greenness-serve/v1";
@@ -54,7 +56,7 @@ impl ErrorCode {
 }
 
 /// A parsed, validated request line, borrowing from it: a warm hit reads
-/// `id`, `op` and `cache_key` and never builds the parameter tree.
+/// `id`, `op` and `cache_key` and never splits the parameter object.
 #[derive(Debug, Clone)]
 pub struct Request<'a> {
     /// The raw JSON of the client's `id`, echoed verbatim (`"null"` when
@@ -64,29 +66,48 @@ pub struct Request<'a> {
     /// The operation name.
     pub op: Cow<'a, str>,
     /// The validated source text of the op's parameter object (`{}` when
-    /// absent), and the tree [`Request::params`] parses from it on first use.
+    /// absent), and its members, which [`Request::params`] splits it into on
+    /// first use.
     params_src: &'a str,
-    params: OnceCell<Json>,
+    params: OnceCell<Vec<SpanMember<'a>>>,
     /// Queueing deadline, milliseconds.
     pub deadline_ms: Option<u64>,
     /// Content address: BLAKE2s-256 of the canonical request minus the
-    /// non-semantic `id` / `deadline_ms` members.
+    /// non-semantic `id` / `deadline_ms` members. All zeros for a `steer.*`
+    /// op, which carries no content address.
     pub cache_key: [u8; 32],
 }
 
 impl Request<'_> {
-    /// The op's parameter object (empty when absent), parsed at most once
-    /// and only when an op executes — a miss or a `steer.*` op.
-    pub fn params(&self) -> &Json {
-        self.params
-            .get_or_init(|| Json::parse(self.params_src).unwrap_or(Json::Obj(Vec::new())))
+    /// The op's parameter object (empty when absent), split into members at
+    /// most once and only when an op executes — a miss or a `steer.*` op.
+    pub fn params(&self) -> Params<'_> {
+        let members = self.params.get_or_init(|| {
+            // `parse_request` validated the object: this cannot fail.
+            json::object_spans(self.params_src)
+                .ok()
+                .flatten()
+                .unwrap_or_default()
+        });
+        Params(members)
     }
 
     /// The steering session a `steer.*` op names in its parameters (`""`
     /// when it names none, which every op refuses).
-    pub fn session(&self) -> &str {
+    pub fn session(&self) -> Cow<'_, str> {
         let named = self.params().get("session");
-        named.and_then(Json::as_str).unwrap_or("")
+        named.and_then(Span::as_str).unwrap_or_default()
+    }
+}
+
+/// A request's parameter object, read member by member in place.
+#[derive(Debug, Clone, Copy)]
+pub struct Params<'r>(&'r [SpanMember<'r>]);
+
+impl<'r> Params<'r> {
+    /// The first member under `key`, as [`crate::json::Json::get`] finds it.
+    pub fn get(self, key: &str) -> Option<Span<'r>> {
+        first(self.0, key).map(Span)
     }
 }
 
@@ -142,35 +163,57 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, (String, String)> {
                 .map_err(|_| err("deadline_ms must be a non-negative integer"))?,
         ),
     };
-    // Canonicalize the semantic members (everything but the non-semantic
-    // `id` / `deadline_ms`) from their source spans into one buffer, and
-    // hash it in one shot.
-    members.retain(|(k, _)| k != "id" && k != "deadline_ms");
-    let mut canonical = String::with_capacity(line.len() + 16);
-    // Infallible: a `String` takes every write and `object_spans` validated
-    // every span — ignore the `fmt::Result` plumbing.
-    let _ = json::write_canonical_spans(&mut members, &mut canonical);
+    let cache_key = if op.starts_with("steer.") {
+        [0; 32]
+    } else {
+        // Canonicalize the semantic members (everything but the
+        // non-semantic `id` / `deadline_ms`) from their source spans into
+        // one buffer, and hash it in one shot.
+        members.retain(|(k, _)| k != "id" && k != "deadline_ms");
+        let mut canonical = String::with_capacity(line.len() + 16);
+        // Infallible: a `String` takes every write and `object_spans`
+        // validated every span — ignore the `fmt::Result` plumbing.
+        let _ = json::write_canonical_spans(&mut members, &mut canonical);
+        blake2s256(canonical.as_bytes())
+    };
     Ok(Request {
         id,
         op,
         params_src,
         params: OnceCell::new(),
         deadline_ms,
-        cache_key: blake2s256(canonical.as_bytes()),
+        cache_key,
     })
 }
 
 /// A success envelope. `result` must already be serialized JSON.
 pub fn ok_line(id: &str, result: &str) -> String {
-    format!("{{\"schema\":\"{SCHEMA}\",\"id\":{id},\"ok\":true,\"result\":{result}}}")
+    ok_line_with(id, result.len(), |line| line.push_str(result))
 }
 
-/// The prefix of a success envelope, up to and including `"result":` — the
-/// payload and the closing `}` follow as separate [`Response`] segments.
+/// [`ok_line`] with the result written straight into the envelope by
+/// `result`, which is expected to write about `len` bytes.
+pub(crate) fn ok_line_with(id: &str, len: usize, result: impl FnOnce(&mut String)) -> String {
+    let mut line = ok_head(id, len + 1);
+    result(&mut line);
+    line.push('}');
+    line
+}
+
+/// The prefix of a success envelope, up to and including `"result":`, with
+/// room for `more` bytes after it — the payload and the closing `}` follow,
+/// as separate [`Response`] segments or written in place.
 /// `ok_head(id) + result + "}"` is byte-identical to [`ok_line`], which the
 /// envelope tests pin.
-fn ok_head(id: &str) -> String {
-    format!("{{\"schema\":\"{SCHEMA}\",\"id\":{id},\"ok\":true,\"result\":")
+fn ok_head(id: &str, more: usize) -> String {
+    const FIXED: usize = "{\"schema\":\"\",\"id\":,\"ok\":true,\"result\":".len() + SCHEMA.len();
+    let mut head = String::with_capacity(FIXED + id.len() + more);
+    // `String`'s `fmt::Write` never fails.
+    let _ = write!(
+        head,
+        "{{\"schema\":\"{SCHEMA}\",\"id\":{id},\"ok\":true,\"result\":"
+    );
+    head
 }
 
 /// A response envelope split into wire segments, so a cached result is
@@ -197,7 +240,7 @@ impl Response {
     /// allocation the cache holds, so hit responses copy nothing.
     pub fn enveloped(id: &str, payload: std::sync::Arc<Vec<u8>>) -> Response {
         Response {
-            head: ok_head(id),
+            head: ok_head(id, 0),
             payload: Some(payload),
         }
     }
@@ -229,6 +272,15 @@ impl Response {
             }
         }
         w.write_all(b"\n")
+    }
+
+    /// [`to_line`](Self::to_line), consuming the response: a whole line is
+    /// handed over as it is, not copied.
+    pub fn into_line(self) -> String {
+        match self.payload {
+            None => self.head,
+            Some(_) => self.to_line(),
+        }
     }
 
     /// Materialize the full line (tests and the replay harness; the server
@@ -332,6 +384,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use proptest::prelude::*;
 
     #[test]
@@ -384,14 +437,45 @@ mod tests {
     fn a_warm_hit_never_builds_the_parameter_tree() {
         let line = r#"{"schema":"greenness-serve/v1","id":"a","op":"run","params":{"case":2}}"#;
         let request = parse_request(line).expect("parses");
-        assert!(request.params.get().is_none(), "parsed before any op ran");
+        assert!(request.params.get().is_none(), "split before any op ran");
         // `id` and `op` are slices of the line, not copies.
         assert!(matches!(request.id, Cow::Borrowed("\"a\"")));
         assert!(matches!(request.op, Cow::Borrowed("run")));
-        assert_eq!(request.params().get("case").and_then(Json::as_u64), Some(2));
-        assert!(std::ptr::eq(request.params(), request.params()), "one tree");
+        assert_eq!(request.params().get("case").and_then(Span::as_u64), Some(2));
+        assert!(
+            std::ptr::eq(request.params().0, request.params().0),
+            "split once"
+        );
         let bare = parse_request(r#"{"schema":"greenness-serve/v1","op":"run"}"#).expect("parses");
-        assert_eq!(bare.params(), &Json::Obj(Vec::new()));
+        assert!(bare.params().0.is_empty());
+    }
+
+    #[test]
+    fn a_steering_op_is_neither_canonicalized_nor_hashed() {
+        let steer = |params: &str| {
+            let line = format!(
+                r#"{{"schema":"greenness-serve/v1","id":3,"op":"steer.render","params":{params}}}"#
+            );
+            let request = parse_request(&line).expect("parses");
+            assert_eq!(request.cache_key, [0; 32], "{line}");
+            (
+                request.session().into_owned(),
+                request.params().get("seq").and_then(Span::as_u64),
+            )
+        };
+        assert_eq!(
+            steer(r#"{"session":"s1","seq":4}"#),
+            ("s1".to_string(), Some(4))
+        );
+        assert_eq!(
+            steer(r#"{"seq":"4","session":"s\u0031"}"#),
+            ("s1".to_string(), None)
+        );
+        assert_eq!(steer(r#"{"session":7}"#), (String::new(), None));
+        // The same parameters under a cached op are addressed as before.
+        let run = parse_request(r#"{"schema":"greenness-serve/v1","op":"run","params":{"seq":4}}"#)
+            .expect("parses");
+        assert_ne!(run.cache_key, [0; 32]);
     }
 
     #[test]
@@ -443,16 +527,27 @@ mod tests {
     }
 
     /// New parser against the retained one on one line: the same request
-    /// (echoed id, op, deadline, cache key, parameter tree) or the same
-    /// refusal (echoed id, message).
+    /// (echoed id, op, deadline, cache key, parameters) or the same refusal
+    /// (echoed id, message). A `steer.*` op has no cache key.
     fn assert_matches_reference(line: &str) {
         match (parse_request(line), reference::parse_request(line)) {
             (Ok(new), Ok(old)) => {
                 assert_eq!(new.id, old.id, "{line:?}");
                 assert_eq!(new.op, old.op, "{line:?}");
                 assert_eq!(new.deadline_ms, old.deadline_ms, "{line:?}");
-                assert_eq!(new.cache_key, old.cache_key, "{line:?}");
-                assert_eq!(new.params(), &old.params, "{line:?}");
+                if new.op.starts_with("steer.") {
+                    assert_eq!(new.cache_key, [0; 32], "{line:?}");
+                } else {
+                    assert_eq!(new.cache_key, old.cache_key, "{line:?}");
+                }
+                let Json::Obj(members) = &old.params else {
+                    panic!("{line:?}: params is an object")
+                };
+                assert_eq!(new.params().0.len(), members.len(), "{line:?}");
+                for (key, _) in members {
+                    let value = new.params().get(key).map(|span| Json::parse(span.0));
+                    assert_eq!(value, old.params.get(key).cloned().map(Ok), "{line:?}");
+                }
             }
             (Err(new), Err(old)) => assert_eq!(new, old, "{line:?}"),
             (new, old) => panic!("{line:?}: {new:?} vs {old:?}"),

@@ -12,6 +12,7 @@
 //! computed or replayed from cache; hits are visible only in the
 //! `serve.cache.*` counters.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -23,14 +24,13 @@ use greenness_core::{CaseComparison, ExperimentSetup, PipelineConfig, PipelineKi
 use greenness_faults::{FaultInjector, FaultPlan, Site};
 use greenness_platform::DiskModel;
 use greenness_power::GreenMetrics;
-use greenness_steer::{AttachSpec, EngineConfig, SessionEngine, SteerError};
-use greenness_trace::fmt_f64;
-use greenness_trace::MetricsRegistry;
+use greenness_steer::{AttachSpec, EngineConfig, SessionEngine, SteerError, SteerReply};
+use greenness_trace::{fmt_f64, push_escaped, push_f64, MetricsRegistry};
 
 use crate::admission::{Denial, Gate};
 use crate::cache::ResultCache;
-use crate::json::Json;
-use crate::protocol::{self, ErrorCode, Request, Response};
+use crate::json::Span;
+use crate::protocol::{self, ErrorCode, Params, Request, Response};
 
 /// How long an injected slow-handler fault stalls the worker. Wall-clock
 /// only — it never enters any response or metric, so replay output stays
@@ -374,16 +374,20 @@ impl Service {
     /// 1. **Drain check first.** A draining server refuses the op *before*
     ///    touching the session, so no frame is ever torn mid-render; the
     ///    refusal embeds the session's deterministic resume token.
-    /// 2. **Execute under the engine lock**, mirroring the engine's counter
-    ///    movement into the service metrics registry.
+    /// 2. **Execute under the engine lock**, noting the engine's counter
+    ///    movement to mirror into the service metrics registry.
     /// 3. **Fault slot last.** An injected connection drop fires only after
     ///    the op committed (drop-after-apply), so the client's retry of the
     ///    same seq exercises the byte-identical replay path instead of
     ///    double-applying.
+    ///
+    /// The op's counters, the engine's and `serve.ok` / `serve.err` move
+    /// under one lock of the registry, and the reply is written once, in
+    /// its envelope.
     fn handle_steer(&self, req: &Request) -> Outcome {
         let session = req.session();
         if self.gate.is_draining() {
-            let token = lock(&self.steer).resume_token(session);
+            let token = lock(&self.steer).resume_token(&session);
             self.count("serve.shed.shutting_down");
             let message = format!(
                 "server is draining; re-attach session '{session}' elsewhere and resume with token {token}"
@@ -394,72 +398,47 @@ impl Service {
                 &message,
             ));
         }
-        self.count("serve.requests");
-        let executed = self.execute_steer(req, session);
-        if self.fault_drops() {
-            return Outcome::new(Response::whole(String::new()), Disposition::Dropped, 0.0);
-        }
-        self.settle(req, executed, Disposition::Session, |result| {
-            Response::whole(protocol::ok_line(&req.id, &result))
-        })
-    }
-
-    /// Parse and apply one steering op against the session engine.
-    fn execute_steer(&self, req: &Request, session: &str) -> OpResult {
-        if session.is_empty() {
-            return Err(bad("session must be a non-empty string"));
-        }
-        let params = req.params();
-        let integer = |key| opt(params, key, Json::as_u64, "be an integer");
-        let mut engine = lock(&self.steer);
-        let before = engine.counters();
-        let result = match req.op.as_ref() {
-            "steer.attach" => {
-                let mut spec = AttachSpec::default();
-                if let Some(n) = integer("interval")? {
-                    spec.interval = n;
-                }
-                if let Some(n) = integer("timesteps")? {
-                    spec.timesteps = n;
-                }
-                engine.attach(session, &spec)
-            }
-            "steer.adjust" => {
-                let seq = steer_seq(params)?;
-                let adj = parse_adjustment(params)?;
-                engine.adjust(session, seq, &adj)
-            }
-            "steer.render" => {
-                let seq = steer_seq(params)?;
-                engine.render(session, seq, integer("steps")?.unwrap_or(1))
-            }
-            "steer.detach" => engine.detach(session, steer_seq(params)?),
-            other => {
-                return Err(bad(format!(
-                    "unknown steer op '{other}' (expected steer.attach|steer.adjust|steer.render|steer.detach)"
-                )))
-            }
+        let (executed, before, after) = {
+            let mut engine = lock(&self.steer);
+            let before = engine.counters();
+            let executed = steer_op(&mut engine, req, &session);
+            (executed, before, engine.counters())
         };
-        let after = engine.counters();
-        drop(engine);
+        let dropped = self.fault_drops();
         {
             let mut m = lock(&self.metrics);
-            for ((name, was), (_, now)) in before.iter().zip(after) {
-                if now > *was {
+            m.incr("serve.requests", 1);
+            for ((name, was), (_, now)) in before.into_iter().zip(after) {
+                if now > was {
                     m.incr(name, now - was);
                 }
             }
+            if !dropped {
+                let settled = if executed.is_ok() {
+                    "serve.ok"
+                } else {
+                    "serve.err"
+                };
+                m.incr(settled, 1);
+            }
         }
-        match result {
-            Ok((line, energy_j)) => Ok((
-                format!(
-                    "{{\"steer\":\"{}\",\"energy_j\":{}}}",
-                    greenness_trace::escape_json(&line),
-                    fmt_f64(energy_j)
-                ),
-                0.0,
-            )),
-            Err(e) => Err(steer_err(e)),
+        if dropped {
+            return Outcome::new(Response::whole(String::new()), Disposition::Dropped, 0.0);
+        }
+        match executed {
+            Ok((line, energy_j)) => {
+                // `{"steer":"<line>","energy_j":<energy_j>}`, in place.
+                let reply = protocol::ok_line_with(&req.id, line.len() + 48, |out| {
+                    out.push_str("{\"steer\":\"");
+                    let _ = push_escaped(out, &line);
+                    out.push_str("\",\"energy_j\":");
+                    // `String`'s `fmt::Write` never fails.
+                    let _ = push_f64(out, energy_j);
+                    out.push('}');
+                });
+                Outcome::new(Response::whole(reply), Disposition::Session, 0.0)
+            }
+            Err((code, msg)) => Outcome::reply(protocol::error_line(&req.id, code, &msg)),
         }
     }
 
@@ -523,9 +502,9 @@ fn bad(msg: impl Into<String>) -> OpError {
 /// The member `key` of `params`, read through `read`; one that is absent, or
 /// that `read` turns away, is refused as "`key` must `must`".
 fn required<'a, T>(
-    params: &'a Json,
+    params: Params<'a>,
     key: &str,
-    read: impl FnOnce(&'a Json) -> Option<T>,
+    read: impl FnOnce(Span<'a>) -> Option<T>,
     must: &str,
 ) -> Result<T, OpError> {
     let member = params.get(key).and_then(read);
@@ -535,9 +514,9 @@ fn required<'a, T>(
 /// [`required`] for an optional member: absence is `None`, and the default
 /// stays with the caller.
 fn opt<'a, T>(
-    params: &'a Json,
+    params: Params<'a>,
     key: &str,
-    read: impl FnOnce(&'a Json) -> Option<T>,
+    read: impl FnOnce(Span<'a>) -> Option<T>,
     must: &str,
 ) -> Result<Option<T>, OpError> {
     match params.get(key) {
@@ -546,11 +525,11 @@ fn opt<'a, T>(
     }
 }
 
-fn positive(v: &Json) -> Option<u64> {
+fn positive(v: Span) -> Option<u64> {
     v.as_u64().filter(|n| *n > 0)
 }
 
-fn case_number(v: &Json) -> Option<u32> {
+fn case_number(v: Span) -> Option<u32> {
     v.as_u64().filter(|n| (1..=3).contains(n)).map(|n| n as u32)
 }
 
@@ -580,21 +559,62 @@ fn steer_err(e: SteerError) -> OpError {
     }
 }
 
+/// Parse one steering op and apply it to `engine`.
+fn steer_op(
+    engine: &mut SessionEngine,
+    req: &Request,
+    session: &str,
+) -> Result<SteerReply, OpError> {
+    if session.is_empty() {
+        return Err(bad("session must be a non-empty string"));
+    }
+    let params = req.params();
+    let integer = |key| opt(params, key, Span::as_u64, "be an integer");
+    let result = match req.op.as_ref() {
+        "steer.attach" => {
+            let mut spec = AttachSpec::default();
+            if let Some(n) = integer("interval")? {
+                spec.interval = n;
+            }
+            if let Some(n) = integer("timesteps")? {
+                spec.timesteps = n;
+            }
+            engine.attach(session, &spec)
+        }
+        "steer.adjust" => {
+            let seq = steer_seq(params)?;
+            let adj = parse_adjustment(params)?;
+            engine.adjust(session, seq, &adj)
+        }
+        "steer.render" => {
+            let seq = steer_seq(params)?;
+            engine.render(session, seq, integer("steps")?.unwrap_or(1))
+        }
+        "steer.detach" => engine.detach(session, steer_seq(params)?),
+        other => {
+            return Err(bad(format!(
+                "unknown steer op '{other}' (expected steer.attach|steer.adjust|steer.render|steer.detach)"
+            )))
+        }
+    };
+    result.map_err(steer_err)
+}
+
 /// The mandatory per-op sequence number (attach is seq 0; ops start at 1).
-fn steer_seq(params: &Json) -> Result<u64, OpError> {
+fn steer_seq(params: Params) -> Result<u64, OpError> {
     required(params, "seq", positive, "be an integer >= 1")
 }
 
 /// Parse the `steer.adjust` payload into a typed [`Adjustment`].
-fn parse_adjustment(params: &Json) -> Result<Adjustment, OpError> {
-    let integer = |key| required(params, key, Json::as_u64, "be an integer");
+fn parse_adjustment(params: Params) -> Result<Adjustment, OpError> {
+    let integer = |key| required(params, key, Span::as_u64, "be an integer");
     let kind = required(
         params,
         "kind",
-        Json::as_str,
+        Span::as_str,
         "be io_interval|resolution|camera",
     )?;
-    match kind {
+    match &*kind {
         "io_interval" => Ok(Adjustment::IoInterval(integer("io_interval")?)),
         "resolution" => Ok(Adjustment::Resolution {
             width: integer("width")? as usize,
@@ -603,7 +623,8 @@ fn parse_adjustment(params: &Json) -> Result<Adjustment, OpError> {
         "camera" => {
             let colormap = match params
                 .get("colormap")
-                .and_then(Json::as_str)
+                .and_then(Span::as_str)
+                .as_deref()
                 .unwrap_or("hot")
             {
                 "viridis" => greenness_viz::Colormap::Viridis,
@@ -616,12 +637,12 @@ fn parse_adjustment(params: &Json) -> Result<Adjustment, OpError> {
                     )))
                 }
             };
-            let range = match opt(params, "range", Json::as_arr, "be a [lo, hi] array")? {
+            let range = match opt(params, "range", Span::items, "be a [lo, hi] array")? {
                 None => None,
                 Some(arr) => {
                     let (Some(lo), Some(hi)) = (
-                        arr.first().and_then(Json::as_f64),
-                        arr.get(1).and_then(Json::as_f64),
+                        arr.first().and_then(|v| v.as_f64()),
+                        arr.get(1).and_then(|v| v.as_f64()),
                     ) else {
                         return Err(bad("range must be a [lo, hi] array of numbers"));
                     };
@@ -642,8 +663,8 @@ fn parse_adjustment(params: &Json) -> Result<Adjustment, OpError> {
 }
 
 /// The `scale` a request asks for; `"small"` when it names none.
-fn scale_of(params: &Json) -> Result<&str, OpError> {
-    Ok(opt(params, "scale", Json::as_str, "be a string")?.unwrap_or("small"))
+fn scale_of(params: Params) -> Result<Cow<str>, OpError> {
+    Ok(opt(params, "scale", Span::as_str, "be a string")?.unwrap_or(Cow::Borrowed("small")))
 }
 
 /// Case study `case` at `scale`: `"small"` is the millisecond-scale 64×64
@@ -665,9 +686,9 @@ fn config_at(scale: &str, case: u32) -> Result<PipelineConfig, OpError> {
 
 /// The case-study workload a request names: `case` (default 1) at
 /// [`scale_of`] the request.
-fn workload(params: &Json) -> Result<(u32, PipelineConfig), OpError> {
+fn workload(params: Params) -> Result<(u32, PipelineConfig), OpError> {
     let case = opt(params, "case", case_number, "be 1, 2, or 3")?.unwrap_or(1);
-    Ok((case, config_at(scale_of(params)?, case)?))
+    Ok((case, config_at(&scale_of(params)?, case)?))
 }
 
 fn metrics_json(m: &GreenMetrics) -> String {
@@ -680,8 +701,8 @@ fn metrics_json(m: &GreenMetrics) -> String {
     )
 }
 
-fn op_run(params: &Json) -> OpResult {
-    let kind: PipelineKind = match opt(params, "pipeline", Json::as_str, "be a string")? {
+fn op_run(params: Params) -> OpResult {
+    let kind: PipelineKind = match opt(params, "pipeline", Span::as_str, "be a string")? {
         None => PipelineKind::InSitu,
         Some(name) => name.parse().map_err(bad)?,
     };
@@ -714,7 +735,7 @@ fn comparison_virtual_s(c: &CaseComparison) -> f64 {
     c.post.metrics.execution_time_s + c.insitu.metrics.execution_time_s
 }
 
-fn op_compare(params: &Json) -> OpResult {
+fn op_compare(params: Params) -> OpResult {
     let (case, cfg) = workload(params)?;
     let c = CaseComparison::run_config(case, &cfg, &ExperimentSetup::default())
         .map_err(pipeline_err)?;
@@ -725,9 +746,9 @@ fn op_compare(params: &Json) -> OpResult {
 /// re-runs as if the node's disk were that device (the serving-layer view
 /// of the tiered-storage question — "would this workload still need
 /// reorganizing on an NVMe tier?").
-fn device_param(params: &Json) -> Result<(ExperimentSetup, String), OpError> {
+fn device_param(params: Params) -> Result<(ExperimentSetup, String), OpError> {
     let mut setup = ExperimentSetup::default();
-    let Some(name) = opt(params, "device", Json::as_str, "be a string")? else {
+    let Some(name) = opt(params, "device", Span::as_str, "be a string")? else {
         return Ok((setup, "hdd".to_string()));
     };
     let zoo = DiskModel::device_zoo();
@@ -742,7 +763,7 @@ fn device_param(params: &Json) -> Result<(ExperimentSetup, String), OpError> {
     Ok((setup, name.to_string()))
 }
 
-fn op_whatif(params: &Json) -> OpResult {
+fn op_whatif(params: Params) -> OpResult {
     let bytes = opt(params, "bytes", positive, "be a positive integer")?.unwrap_or(4 << 30);
     let (setup, device) = device_param(params)?;
     let w = WhatIfAnalysis::run(&setup, bytes)
@@ -772,11 +793,11 @@ fn op_whatif(params: &Json) -> OpResult {
     Ok((result, virtual_s))
 }
 
-fn op_advisor(params: &Json) -> OpResult {
-    let pass_bytes = opt(params, "pass_bytes", Json::as_u64, "be an integer")?.unwrap_or(1 << 30);
-    let as_u32 = |v: &Json| v.as_u64().and_then(|p| u32::try_from(p).ok());
+fn op_advisor(params: Params) -> OpResult {
+    let pass_bytes = opt(params, "pass_bytes", Span::as_u64, "be an integer")?.unwrap_or(1 << 30);
+    let as_u32 = |v: Span| v.as_u64().and_then(|p| u32::try_from(p).ok());
     let passes = opt(params, "passes", as_u32, "be an integer")?.unwrap_or(1);
-    let behavior = match opt(params, "pattern", Json::as_str, "be a string")? {
+    let behavior = match opt(params, "pattern", Span::as_str, "be a string")?.as_deref() {
         None | Some("random") => IoBehavior::Random {
             op_bytes: opt(params, "op_bytes", positive, "be a positive integer")?.unwrap_or(4096),
         },
@@ -788,9 +809,9 @@ fn op_advisor(params: &Json) -> OpResult {
         }
     };
     let needs_exploration =
-        opt(params, "needs_exploration", Json::as_bool, "be a bool")?.unwrap_or(true);
+        opt(params, "needs_exploration", Span::as_bool, "be a bool")?.unwrap_or(true);
     let min_keep_fraction =
-        opt(params, "min_keep_fraction", Json::as_f64, "be a number")?.unwrap_or(1.0);
+        opt(params, "min_keep_fraction", Span::as_f64, "be a number")?.unwrap_or(1.0);
     // `recommend` asserts on this; validate here so a bad request cannot
     // panic a worker.
     if !(min_keep_fraction > 0.0 && min_keep_fraction <= 1.0) {
@@ -828,19 +849,19 @@ fn op_advisor(params: &Json) -> OpResult {
     Ok((result, 0.0))
 }
 
-fn op_sweep(params: &Json, jobs: usize) -> OpResult {
-    let cases: Vec<u32> = match opt(params, "cases", Json::as_arr, "be an array")? {
+fn op_sweep(params: Params, jobs: usize) -> OpResult {
+    let cases: Vec<u32> = match opt(params, "cases", Span::items, "be an array")? {
         None => vec![1, 2, 3],
-        Some([]) => return Err(bad("cases must be non-empty")),
+        Some(items) if items.is_empty() => return Err(bad("cases must be non-empty")),
         Some(items) => items
-            .iter()
+            .into_iter()
             .map(|item| case_number(item).ok_or_else(|| bad("cases entries must be 1, 2, or 3")))
             .collect::<Result<_, _>>()?,
     };
     let scale = scale_of(params)?;
     let configs: Vec<(u32, PipelineConfig)> = cases
         .iter()
-        .map(|&n| Ok((n, config_at(scale, n)?)))
+        .map(|&n| Ok((n, config_at(&scale, n)?)))
         .collect::<Result<_, OpError>>()?;
     let grid = sweep::config_grid(&ExperimentSetup::default(), &configs);
     let results = sweep::run_sweep(grid, jobs, &sweep::silent_progress()).map_err(|e| match e {
@@ -860,6 +881,7 @@ fn op_sweep(params: &Json, jobs: usize) -> OpResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn svc() -> Service {
         Service::new(ServiceConfig::default())

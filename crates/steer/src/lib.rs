@@ -23,12 +23,12 @@
 //! transcripts for any solver thread count and across reruns.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 use greenness_core::pipeline::PipelineError;
 use greenness_core::steering::{Adjustment, StampBook, SteeringPipeline};
 use greenness_core::PipelineConfig;
-use greenness_trace::hash::{blake2s256, hex};
+use greenness_trace::hash::Blake2s256;
 
 /// Engine-wide limits and execution knobs.
 #[derive(Debug, Clone)]
@@ -137,14 +137,16 @@ enum SessionState {
 
 struct Session {
     state: SessionState,
+    /// What the session attached with; a re-attach must repeat it.
+    spec: AttachSpec,
     /// Highest op seq applied (attach is seq 0).
     applied: u64,
     /// Recorded replies, indexed by `seq - 1`, replayed byte-for-byte.
     log: Vec<SteerReply>,
-    /// Canonical step-prefix: workload + every applied op, in order. The
-    /// BLAKE2s of this string (plus a proposed adjustment) keys the
-    /// what-if cache.
-    prefix: String,
+    /// The canonical step-prefix absorbed so far: workload + every applied
+    /// op, in order (see [`history`]). A copy of it that goes on to absorb a
+    /// proposed adjustment keys the what-if cache.
+    history: Blake2s256,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -211,12 +213,11 @@ impl SessionEngine {
                 spec.timesteps
             )));
         }
-        let prefix = session_prefix(name, spec);
         if let Some(session) = self.sessions.get(name) {
             return match &session.state {
                 SessionState::Detached => Err(SteerError::Detached(name.to_string())),
                 SessionState::Live(pipe) => {
-                    if !session.prefix.starts_with(&prefix) {
+                    if session.spec != *spec {
                         return Err(SteerError::BadParam(format!(
                             "re-attach spec disagrees with session '{name}'"
                         )));
@@ -260,9 +261,10 @@ impl SessionEngine {
             name.to_string(),
             Session {
                 state: SessionState::Live(Box::new(pipe)),
+                spec: spec.clone(),
                 applied: 0,
                 log: Vec::new(),
-                prefix,
+                history: history(spec),
             },
         );
         self.live += 1;
@@ -285,18 +287,19 @@ impl SessionEngine {
         if let Some(reply) = self.replay(name, seq)? {
             return Ok(reply);
         }
+        let canonical = adj.canonical();
         let cache_key = {
             let Some(session) = self.sessions.get(name) else {
                 return Err(SteerError::UnknownSession(name.to_string()));
             };
             // Content-addressed: the session *name* is identity, not
-            // content, so it is stripped before hashing — two sessions with
+            // content, so the history never holds it — two sessions with
             // identical workloads and op histories asking the same question
             // share one cache entry.
-            let mut key = session.prefix.replacen(&format!("session={name};"), "", 1);
-            key.push_str(";whatif=");
-            key.push_str(&adj.canonical());
-            blake2s256(key.as_bytes())
+            let mut key = session.history.clone();
+            key.update(b";whatif=");
+            key.update(canonical.as_bytes());
+            key.finalize()
         };
         let (baseline_j, adjusted_j, cached) = match self.whatif_cache.get(&cache_key) {
             Some(&(b, a)) => {
@@ -315,15 +318,14 @@ impl SessionEngine {
         pipe.adjust(adj)?;
         let reply = (
             format!(
-                "adjusted session={name} seq={seq} {} delta_j={} baseline_j={} adjusted_j={} cached={cached}",
-                adj.canonical(),
+                "adjusted session={name} seq={seq} {canonical} delta_j={} baseline_j={} adjusted_j={} cached={cached}",
                 adjusted_j - baseline_j,
                 baseline_j,
                 adjusted_j,
             ),
             pipe.energy_j(),
         );
-        self.record(name, seq, &format!("adjust({})", adj.canonical()), &reply);
+        self.record(name, seq, format_args!("adjust({canonical})"), &reply);
         self.counters.adjust += 1;
         Ok(reply)
     }
@@ -342,19 +344,19 @@ impl SessionEngine {
         let scheduled = pipe.advance_with(steps, &mut self.book);
         let frame = pipe.render_now(&mut self.book);
         let mut line = format!(
-            "frame session={name} seq={seq} {} proj_j={}",
-            frame.transcript_line(),
+            "frame session={name} seq={seq} {frame} proj_j={}",
             pipe.projected_remaining_j(),
         );
+        // `String`'s `fmt::Write` never fails.
+        for (i, f) in scheduled.iter().enumerate() {
+            let open = if i == 0 { " scheduled=[" } else { "," };
+            let _ = write!(line, "{open}{:016x}", f.hash);
+        }
         if !scheduled.is_empty() {
-            let hashes: Vec<String> = scheduled
-                .iter()
-                .map(|f| format!("{:016x}", f.hash))
-                .collect();
-            line.push_str(&format!(" scheduled=[{}]", hashes.join(",")));
+            line.push(']');
         }
         let reply = (line, pipe.energy_j());
-        self.record(name, seq, &format!("render({steps})"), &reply);
+        self.record(name, seq, format_args!("render({steps})"), &reply);
         self.counters.render += 1;
         Ok(reply)
     }
@@ -395,13 +397,13 @@ impl SessionEngine {
     /// reruns; defined even for never-attached names (applied = 0).
     pub fn resume_token(&self, name: &str) -> String {
         let applied = self.sessions.get(name).map_or(0, |s| s.applied);
-        resume_token(name, applied)
+        resume_token(name, applied).to_string()
     }
 
     /// Counter snapshot: every counter's name and value, in a fixed order.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
         let c = &self.counters;
-        vec![
+        [
             ("steer.attach", c.attach),
             ("steer.adjust", c.adjust),
             ("steer.render.incremental", c.render),
@@ -454,14 +456,15 @@ impl SessionEngine {
         }
     }
 
-    fn record(&mut self, name: &str, seq: u64, op: &str, reply: &SteerReply) {
+    fn record(&mut self, name: &str, seq: u64, op: fmt::Arguments, reply: &SteerReply) {
         let session = self
             .sessions
             .get_mut(name)
             .unwrap_or_else(|| unreachable!("record() follows a successful live_mut()"));
         session.applied = seq;
         session.log.push(reply.clone());
-        session.prefix.push_str(&format!(";seq={seq}:{op}"));
+        // The hasher's `fmt::Write` never fails.
+        let _ = write!(session.history, ";seq={seq}:{op}");
     }
 }
 
@@ -492,16 +495,37 @@ fn validate_name(name: &str) -> Result<(), SteerError> {
     }
 }
 
-fn session_prefix(name: &str, spec: &AttachSpec) -> String {
-    format!(
-        "steer/v1;session={name};interval={};timesteps={}",
+/// A fresh session's history: the BLAKE2s state of its canonical
+/// step-prefix, `steer/v1;interval=2;timesteps=12`, to which each applied op
+/// appends `;seq=1:render(3)`, `;seq=2:adjust(io_interval=3)` and so on.
+fn history(spec: &AttachSpec) -> Blake2s256 {
+    let mut history = Blake2s256::default();
+    // The hasher's `fmt::Write` never fails.
+    let _ = write!(
+        history,
+        "steer/v1;interval={};timesteps={}",
         spec.interval, spec.timesteps
-    )
+    );
+    history
 }
 
-fn resume_token(name: &str, applied: u64) -> String {
-    let digest = blake2s256(format!("steer/v1;{name};applied={applied}").as_bytes());
-    hex(&digest)[..16].to_string()
+/// The resume token of `name` at `applied`: the first eight bytes of the
+/// BLAKE2s of `steer/v1;{name};applied={applied}`, in hex.
+struct ResumeToken([u8; 8]);
+
+impl fmt::Display for ResumeToken {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.iter().try_for_each(|b| write!(f, "{b:02x}"))
+    }
+}
+
+fn resume_token(name: &str, applied: u64) -> ResumeToken {
+    let mut hasher = Blake2s256::default();
+    // The hasher's `fmt::Write` never fails.
+    let _ = write!(hasher, "steer/v1;{name};applied={applied}");
+    let mut token = [0; 8];
+    token.copy_from_slice(&hasher.finalize()[..8]);
+    ResumeToken(token)
 }
 
 #[cfg(test)]
@@ -569,14 +593,27 @@ mod tests {
             "{}",
             resumed.0
         );
-        let wrong = AttachSpec {
-            interval: 5,
-            ..spec()
-        };
-        assert!(matches!(
-            e.attach("s1", &wrong),
-            Err(SteerError::BadParam(_))
-        ));
+        // The spec is compared whole: a step budget spelled as a prefix of
+        // the original's (`1` of `10`) is refused like any other.
+        for wrong in [
+            AttachSpec {
+                interval: 5,
+                ..spec()
+            },
+            AttachSpec {
+                timesteps: 1,
+                ..spec()
+            },
+            AttachSpec {
+                timesteps: 100,
+                ..spec()
+            },
+        ] {
+            assert!(
+                matches!(e.attach("s1", &wrong), Err(SteerError::BadParam(_))),
+                "{wrong:?}"
+            );
+        }
     }
 
     #[test]

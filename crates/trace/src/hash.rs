@@ -28,7 +28,9 @@ const SIGMA: [[usize; 16]; 10] = [
     [10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0],
 ];
 
-/// Incremental BLAKE2s-256 hasher.
+/// Incremental BLAKE2s-256 hasher. A clone carries on from the same input,
+/// so a common prefix is absorbed once for any number of digests.
+#[derive(Clone)]
 pub struct Blake2s256 {
     h: [u32; 8],
     t: u64,

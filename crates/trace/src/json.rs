@@ -27,7 +27,7 @@ use std::fmt::{self, Write};
 
 /// Append `s` to `out`, escaped for a JSON string literal; stretches that
 /// need no escape (every label, kind and state in a journal) are copied whole.
-pub(crate) fn push_escaped<W: Write>(out: &mut W, s: &str) -> fmt::Result {
+pub fn push_escaped<W: Write>(out: &mut W, s: &str) -> fmt::Result {
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
@@ -62,7 +62,7 @@ pub fn escape_json(s: &str) -> String {
 
 /// Append `v` in round-trippable float formatting; non-finite values become
 /// `null`.
-pub(crate) fn push_f64<W: Write>(out: &mut W, v: f64) -> fmt::Result {
+pub fn push_f64<W: Write>(out: &mut W, v: f64) -> fmt::Result {
     if v.is_finite() {
         write!(out, "{v:?}")
     } else {
@@ -497,6 +497,59 @@ pub fn object_spans(text: &str) -> Result<Option<Vec<SpanMember<'_>>>, String> {
 pub fn string_span(span: &str) -> Option<Cow<'_, str>> {
     let (s, next) = span.starts_with('"').then(|| scan_string(span, 0))?.ok()?;
     (next == span.len()).then_some(s)
+}
+
+/// A validated JSON value read in place: the slice of source that spells it,
+/// as [`object_spans`] hands each member out. Each reader answers what the
+/// reader of the same name on [`Json`] answers for the parsed value, and
+/// builds no tree; on a slice that is not one valid value the answers are
+/// unspecified.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span<'a>(pub &'a str);
+
+impl<'a> Span<'a> {
+    /// String contents, if this is a string: a slice of the source unless
+    /// the literal holds an escape.
+    pub fn as_str(self) -> Option<Cow<'a, str>> {
+        string_span(self.0)
+    }
+
+    /// Number as `u64` (integral tokens only).
+    pub fn as_u64(self) -> Option<u64> {
+        self.number()?.parse().ok()
+    }
+
+    /// Number as `f64`.
+    pub fn as_f64(self) -> Option<f64> {
+        self.number()?.parse().ok()
+    }
+
+    /// Boolean value, if this is a bool.
+    pub fn as_bool(self) -> Option<bool> {
+        match self.0 {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        }
+    }
+
+    /// Array elements, if this is an array.
+    pub fn items(self) -> Option<Vec<Span<'a>>> {
+        let text = self.0;
+        if !text.starts_with('[') {
+            return None;
+        }
+        let mut items = Vec::new();
+        let spanned = |at| skip_value(text, at, 1).map(|next| (Span(&text[at..next]), next));
+        scan_items(text, 0, spanned, |item| items.push(item)).ok()?;
+        Some(items)
+    }
+
+    /// The raw token, if this is a number: the text [`Json::Num`] keeps.
+    fn number(self) -> Option<&'a str> {
+        let first = self.0.bytes().next()?;
+        (first == b'-' || first.is_ascii_digit()).then_some(self.0)
+    }
 }
 
 /// The string literal opening at byte `i`, and the byte after its closing
@@ -1542,7 +1595,7 @@ mod tests {
         for ((k, span), (tree_k, tree_v)) in spans.iter().zip(members) {
             assert_eq!(k, tree_k, "{text:?}");
             assert_eq!(Json::parse(span).as_ref(), Ok(tree_v), "{text:?}: {span:?}");
-            assert_eq!(string_span(span).as_deref(), tree_v.as_str(), "{text:?}");
+            assert_reads_like_the_tree(Span(span), tree_v);
         }
         // Minus a key, as the request path filters `id` out.
         let semantic: Vec<&(String, Json)> = members.iter().filter(|(k, _)| k != "a").collect();
@@ -1552,6 +1605,26 @@ mod tests {
         let mut from_spans = String::new();
         write_canonical_spans(&mut spans, &mut from_spans).expect("validated spans");
         assert_eq!(from_spans, from_tree, "{text:?}");
+    }
+
+    /// Every reader of `span` answers what the same reader of `tree`, the
+    /// value parsed from it, answers — into arrays, element by element.
+    fn assert_reads_like_the_tree(span: Span, tree: &Json) {
+        assert_eq!(span.as_str().as_deref(), tree.as_str(), "{span:?}");
+        assert_eq!(span.as_u64(), tree.as_u64(), "{span:?}");
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        assert_eq!(bits(span.as_f64()), bits(tree.as_f64()), "{span:?}");
+        assert_eq!(span.as_bool(), tree.as_bool(), "{span:?}");
+        match (span.items(), tree.as_arr()) {
+            (Some(items), Some(tree_items)) => {
+                assert_eq!(items.len(), tree_items.len(), "{span:?}");
+                for (item, tree_item) in items.into_iter().zip(tree_items) {
+                    assert_reads_like_the_tree(item, tree_item);
+                }
+            }
+            (None, None) => {}
+            (items, tree_items) => panic!("{span:?}: {items:?} vs {tree_items:?}"),
+        }
     }
 
     #[test]

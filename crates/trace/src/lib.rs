@@ -37,7 +37,7 @@ mod sink;
 pub mod summarize;
 mod tracer;
 
-pub use json::{escape_json, fmt_f64};
+pub use json::{escape_json, fmt_f64, push_escaped, push_f64};
 pub use metrics::{percentile_nearest_rank, Histogram, MetricsRegistry};
 pub use sink::Value;
 pub use tracer::{TraceOutput, Tracer};

@@ -692,13 +692,14 @@ fn production(src: &str) -> &str {
 /// reason. `unreached_pub_fns_stay_deleted` fails when an entry is no longer
 /// declared, gains a production caller, or is no longer named by a test
 /// outside its own file, so the list cannot outlive its reasons.
-const TEST_SUPPORT: [(&str, &str); 10] = [
+const TEST_SUPPORT: [(&str, &str); 11] = [
     ("full_recompute_remaining_j", "steering what-if oracle"),
     ("quiet", "chaos tests: a zero-rate plan changes nothing"),
     ("crash_and_recover", "chaos and tier tests cut the power"),
     ("set_alloc_mode", "fragmented layouts behind the §V-D claim"),
     ("delete", "the storage cost transcripts script deletes"),
     ("to_string_raw", "serve's reference parser echoes ids"),
+    ("as_arr", "the benchmark's contract test reads its lists"),
     ("KIB", "unit vocabulary for test sizes"),
     ("MIB", "unit vocabulary for test sizes"),
     ("from_nanos", "unit vocabulary for test instants"),

@@ -15,9 +15,11 @@ end-to-end metric of BENCHMARK.json it prints, per seed, each side's median,
 the parent's IQR (the distance between its first and third quartile), the
 change's median against the parent's, how many pairs the change won, and the
 metric's bound. A metric is flagged `WORSE` when the change's median is
-worse than the parent's by more than the bound, and `GAIN` when the change
-won at least nine pairs in ten and its median is better by more than the
-parent's IQR. Exit status 1 on a failed run, a digest mismatch or a `WORSE`.
+worse than the parent's by more than the bound. It is flagged `GAIN` when
+the change won at least nine pairs in ten and its median is better by more
+than the parent's IQR and by more than the bound: only such a gain can be
+claimed. One that clears the IQR but not the bound reads `below bound`.
+Exit status 1 on a failed run, a digest mismatch or a `WORSE`.
 """
 
 import argparse
@@ -89,7 +91,7 @@ def main():
             if -sign * delta > m["bound"]:
                 verdict, bad = "WORSE", True
             elif wins >= 0.9 * args.pairs and sign * (med_a - med_b) > iqr(before):
-                verdict = "GAIN"
+                verdict = "GAIN" if sign * delta > m["bound"] else "below bound"
             print(f"  {name:<13} {med_b:>12.6g} {iqr(before):>10.3g} {med_a:>12.6g} "
                   f"{delta:>+8.1%} {wins:>3}/{args.pairs:<2} {m['bound']:>6.2f} {verdict}")
     if args.out:
