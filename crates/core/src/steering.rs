@@ -42,7 +42,17 @@
 //! The book also keeps the step-0 field the first [`SteeringPipeline::open`]
 //! evaluates and shares it with each later one, which copies it only when
 //! its stencil first runs: a session whose every frame comes from the book
-//! holds no field of its own.
+//! holds no field of its own. And it keeps the last `BOOK_PROJECTIONS`
+//! answers of [`SteeringPipeline::projected_remaining_j`], keyed by all the
+//! schedule replay reads: trajectory, step, step budget, I/O interval,
+//! resolution, chunk size and both cost models (every session runs on Table
+//! I's node). A projection from the book is the replay's own bits.
+//!
+//! A book is a handle: its clones share one book behind one lock, so every
+//! engine of a fleet can render through the same frames. The lock is held
+//! only to look a key up and to put an entry in, never across the stencil,
+//! the rasteriser or a replay; two sessions that miss at once both make the
+//! entry, and the bytes are the same. A poisoned lock is a miss.
 //!
 //! Everything here is deterministic. Frames are hashed with byte-serial
 //! FNV-1a, folded in by the renderer as it writes the PPM bytes
@@ -53,16 +63,18 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::config::PipelineConfig;
 use crate::driver::{check_io_interval, Stepper};
 use crate::memo::{trajectory, Trajectory};
 use crate::pipeline::PipelineError;
 use greenness_faults::fnv1a64;
-use greenness_heatsim::Grid;
+use greenness_heatsim::{Grid, SimCostModel};
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
-use greenness_viz::{ppm_size_bytes, render_field, render_field_hashed, Colormap, RenderOptions};
+use greenness_viz::{
+    ppm_size_bytes, render_field, render_field_hashed, Colormap, RenderCostModel, RenderOptions,
+};
 
 /// Largest image, in pixels, a [`Adjustment::Resolution`] may ask for
 /// (16 Mpx: a 48 MiB framebuffer, 32x the paper's 512x512 frame).
@@ -71,6 +83,10 @@ const MAX_RENDER_PIXELS: usize = 16 << 20;
 /// Stamps a [`StampBook`] holds: sessions over one workload show a handful
 /// of distinct frames at a time (the CLI script shows six in all).
 const BOOK_FRAMES: usize = 32;
+
+/// Projections a [`StampBook`] holds: a step of a workload under one
+/// schedule is one projection, whichever session asks.
+const BOOK_PROJECTIONS: usize = 32;
 
 /// A parameter change a steering client may apply mid-run.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,23 +179,68 @@ pub struct WhatIfDelta {
 /// What a frame depends on: trajectory, step and render options.
 type FrameKey = (Trajectory, u64, RenderOptions);
 
-/// What sessions over one workload share (module docs): the step-0 field
-/// they open from, of the last grid size asked for, and the stamps of the
-/// last `BOOK_FRAMES` frames made.
-#[derive(Debug, Clone, Default)]
-pub struct StampBook {
-    initial: Option<Arc<Grid>>,
-    frames: VecDeque<(FrameKey, FrameStamp)>,
+/// What a projection depends on besides the trajectory: the step it starts
+/// after and every value of the live configuration the replay reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Schedule {
+    step: u64,
+    timesteps: u64,
+    io_interval: u64,
+    width: usize,
+    height: usize,
+    chunk_bytes: usize,
+    sim_cost: SimCostModel,
+    render_cost: RenderCostModel,
 }
 
+impl Schedule {
+    fn of(cfg: &PipelineConfig, step: u64) -> Schedule {
+        Schedule {
+            step,
+            timesteps: cfg.timesteps,
+            io_interval: cfg.io_interval,
+            width: cfg.render.width,
+            height: cfg.render.height,
+            chunk_bytes: cfg.chunk_bytes,
+            sim_cost: cfg.sim_cost,
+            render_cost: cfg.render_cost,
+        }
+    }
+}
+
+/// What a [`StampBook`] holds: the step-0 field of the last grid size asked
+/// for, and the last `BOOK_FRAMES` stamps and `BOOK_PROJECTIONS`
+/// projections made, each list oldest first.
+#[derive(Debug, Default)]
+struct Held {
+    initial: Option<Arc<Grid>>,
+    frames: VecDeque<(FrameKey, FrameStamp)>,
+    projections: VecDeque<((Trajectory, Schedule), f64)>,
+}
+
+/// What sessions over one workload share (module docs): a handle whose
+/// clones share one book.
+#[derive(Debug, Clone, Default)]
+pub struct StampBook(Arc<Mutex<Held>>);
+
 impl StampBook {
+    /// The book, or `None` when a panic poisoned its lock.
+    fn held(&self) -> Option<MutexGuard<'_, Held>> {
+        self.0.lock().ok()
+    }
+
     /// [`Grid::warm_patch`] at `nx × ny`: the kept field, shared, when it
     /// has that size, else evaluated and kept.
-    fn initial(&mut self, nx: usize, ny: usize) -> Arc<Grid> {
-        match &self.initial {
-            Some(grid) if (grid.nx(), grid.ny()) == (nx, ny) => Arc::clone(grid),
-            _ => Arc::clone(self.initial.insert(Arc::new(Grid::warm_patch(nx, ny)))),
+    fn initial(&self, nx: usize, ny: usize) -> Arc<Grid> {
+        let kept = self.held().and_then(|held| held.initial.clone());
+        if let Some(grid) = kept.filter(|grid| (grid.nx(), grid.ny()) == (nx, ny)) {
+            return grid;
         }
+        let grid = Arc::new(Grid::warm_patch(nx, ny));
+        if let Some(mut held) = self.held() {
+            held.initial = Some(Arc::clone(&grid));
+        }
+        grid
     }
 
     /// The stamp held under the key of `trajectory`, `step` and `options`,
@@ -190,18 +251,43 @@ impl StampBook {
         step: u64,
         options: &RenderOptions,
     ) -> Option<FrameStamp> {
-        let mut held = self.frames.iter().rev();
-        held.find(|((t, s, o), _)| *s == step && o == options && t == trajectory)
+        let held = self.held()?;
+        let mut frames = held.frames.iter().rev();
+        frames
+            .find(|((t, s, o), _)| *s == step && o == options && t == trajectory)
             .map(|&(_, stamp)| stamp)
     }
 
     /// Hold `stamp` under `key`, dropping the oldest stamp when full.
-    fn keep(&mut self, key: FrameKey, stamp: FrameStamp) {
-        if self.frames.len() == BOOK_FRAMES {
-            self.frames.pop_front();
+    fn keep(&self, key: FrameKey, stamp: FrameStamp) {
+        if let Some(mut held) = self.held() {
+            push_bounded(&mut held.frames, BOOK_FRAMES, (key, stamp));
         }
-        self.frames.push_back((key, stamp));
     }
+
+    /// The projection held under `trajectory` and `schedule`, newest first.
+    fn projection(&self, trajectory: &Trajectory, schedule: &Schedule) -> Option<f64> {
+        let held = self.held()?;
+        let mut projections = held.projections.iter().rev();
+        projections
+            .find(|((t, s), _)| s == schedule && t == trajectory)
+            .map(|&(_, joules)| joules)
+    }
+
+    /// Hold `joules` under `key`, dropping the oldest projection when full.
+    fn keep_projection(&self, key: (Trajectory, Schedule), joules: f64) {
+        if let Some(mut held) = self.held() {
+            push_bounded(&mut held.projections, BOOK_PROJECTIONS, (key, joules));
+        }
+    }
+}
+
+/// Append `entry` to `fifo`, first dropping its oldest when it holds `bound`.
+fn push_bounded<T>(fifo: &mut VecDeque<T>, bound: usize, entry: T) {
+    if fifo.len() == bound {
+        fifo.pop_front();
+    }
+    fifo.push_back(entry);
 }
 
 /// An in-situ pipeline held open for steering: live solver, live energy
@@ -225,7 +311,7 @@ impl SteeringPipeline {
     /// [`PipelineError::Config`] for a zero `io_interval` or `chunk_bytes`,
     /// and solver validation errors as [`PipelineError::Solver`].
     pub fn new(cfg: &PipelineConfig, jobs: usize) -> Result<SteeringPipeline, PipelineError> {
-        SteeringPipeline::open(cfg, jobs, &mut StampBook::default())
+        SteeringPipeline::open(cfg, jobs, &StampBook::default())
     }
 
     /// [`new`](Self::new), starting from `book`'s step-0 field instead of
@@ -236,7 +322,7 @@ impl SteeringPipeline {
     pub fn open(
         cfg: &PipelineConfig,
         jobs: usize,
-        book: &mut StampBook,
+        book: &StampBook,
     ) -> Result<SteeringPipeline, PipelineError> {
         let mut stepper = Stepper::from_initial(cfg, |nx, ny| book.initial(nx, ny))?;
         stepper.set_jobs(jobs.max(1));
@@ -301,12 +387,12 @@ impl SteeringPipeline {
     /// Returns the stamps of the frames produced, in step order. Each frame
     /// is rasterised: [`advance_with`](Self::advance_with) shares them.
     pub fn advance(&mut self, steps: u64) -> Vec<FrameStamp> {
-        self.advance_with(steps, &mut StampBook::default())
+        self.advance_with(steps, &StampBook::default())
     }
 
     /// [`advance`](Self::advance), rendering each frame through `book` as
     /// [`render_now`](Self::render_now) does.
-    pub fn advance_with(&mut self, steps: u64, book: &mut StampBook) -> Vec<FrameStamp> {
+    pub fn advance_with(&mut self, steps: u64, book: &StampBook) -> Vec<FrameStamp> {
         let mut frames = Vec::new();
         for _ in 0..steps {
             match self.stepper.tick(&mut self.node, &self.cfg) {
@@ -322,7 +408,7 @@ impl SteeringPipeline {
     /// client requests right after an adjustment, without waiting for the
     /// next scheduled frame. The frame comes from `book` when it holds it,
     /// and a fresh one is kept there; either is charged alike.
-    pub fn render_now(&mut self, book: &mut StampBook) -> FrameStamp {
+    pub fn render_now(&mut self, book: &StampBook) -> FrameStamp {
         let step = self.step();
         let stamp = match book.stamp(&self.trajectory, step, &self.cfg.render) {
             Some(stamp) => stamp,
@@ -348,9 +434,16 @@ impl SteeringPipeline {
     }
 
     /// Projected energy to finish the run under the live parameters, J.
-    /// Pure schedule replay: no solver or renderer work.
-    pub fn projected_remaining_j(&self) -> f64 {
-        self.replay_remaining(&self.cfg)
+    /// Pure schedule replay, no solver or renderer work, made once per key
+    /// of `book` (module docs) while the book holds it.
+    pub fn projected_remaining_j(&self, book: &StampBook) -> f64 {
+        let schedule = Schedule::of(&self.cfg, self.step());
+        if let Some(joules) = book.projection(&self.trajectory, &schedule) {
+            return joules;
+        }
+        let joules = self.replay_remaining(&self.cfg);
+        book.keep_projection((self.trajectory.clone(), schedule), joules);
+        joules
     }
 
     /// What-if: projected remaining energy before/after `adj`, without
@@ -487,7 +580,7 @@ mod tests {
     fn transcripts_are_identical_across_jobs() {
         let run = |jobs: usize| -> Vec<String> {
             let mut s = SteeringPipeline::new(&PipelineConfig::small(2), jobs).expect("opens");
-            let mut book = StampBook::default();
+            let book = StampBook::default();
             let mut lines = Vec::new();
             lines.extend(s.advance(4).iter().map(FrameStamp::to_string));
             s.adjust(&Adjustment::Resolution {
@@ -495,7 +588,7 @@ mod tests {
                 height: 96,
             })
             .expect("valid");
-            lines.push(s.render_now(&mut book).to_string());
+            lines.push(s.render_now(&book).to_string());
             lines.extend(s.advance(6).iter().map(FrameStamp::to_string));
             lines
         };
@@ -505,9 +598,9 @@ mod tests {
     #[test]
     fn camera_changes_frame_bytes_but_not_energy_projection() {
         let mut s = session();
-        let mut book = StampBook::default();
+        let book = StampBook::default();
         s.advance(2);
-        let before = s.render_now(&mut book);
+        let before = s.render_now(&book);
         let wi = s
             .whatif(&Adjustment::Camera {
                 colormap: Colormap::Viridis,
@@ -523,7 +616,7 @@ mod tests {
             range: None,
         })
         .expect("valid");
-        let after = s.render_now(&mut book);
+        let after = s.render_now(&book);
         assert_eq!(before.bytes, after.bytes);
         assert_ne!(before.hash, after.hash, "colormap must change the pixels");
     }
@@ -560,7 +653,7 @@ mod tests {
             height: 80,
         })
         .expect("valid");
-        s.render_now(&mut StampBook::default());
+        s.render_now(&StampBook::default());
         s.adjust(&Adjustment::IoInterval(3)).expect("valid");
         s.advance(100);
         assert_eq!(s.step(), s.timesteps());
@@ -621,12 +714,12 @@ mod tests {
                     book = StampBook::default();
                 }
                 if last {
-                    stamps.push(s.render_now(&mut book));
+                    stamps.push(s.render_now(&book));
                 } else {
-                    stamps.extend(s.advance_with(1, &mut book));
+                    stamps.extend(s.advance_with(1, &book));
                 }
             }
-            proj.push(s.projected_remaining_j().to_bits());
+            proj.push(s.projected_remaining_j(&book).to_bits());
         }
         let rasterised = s.node.tracer().counter("steer.frames.rasterised");
         (s, stamps, proj, rasterised)
@@ -646,26 +739,135 @@ mod tests {
 
     #[test]
     fn sessions_opened_from_one_initial_field_match_fresh_ones() {
-        let mut book = StampBook::default();
+        let book = StampBook::default();
         assert!(matches!(
-            SteeringPipeline::open(&PipelineConfig::small(0), 1, &mut book),
+            SteeringPipeline::open(&PipelineConfig::small(0), 1, &book),
             Err(PipelineError::Config(_))
         ));
         assert!(
-            book.initial.is_none(),
+            book.held().expect("unpoisoned").initial.is_none(),
             "a refused interval evaluates nothing"
         );
         let mut wide = PipelineConfig::small(2);
         wide.grid_nx = 48;
         for cfg in [PipelineConfig::small(2), PipelineConfig::small(3), wide] {
-            let mut kept = SteeringPipeline::open(&cfg, 1, &mut book).expect("opens");
+            let mut kept = SteeringPipeline::open(&cfg, 1, &book).expect("opens");
             let mut fresh = SteeringPipeline::new(&cfg, 1).expect("opens");
-            assert_eq!(kept.advance_with(4, &mut book), fresh.advance(4));
-            let alone = &mut StampBook::default();
-            assert_eq!(kept.render_now(&mut book), fresh.render_now(alone));
+            assert_eq!(kept.advance_with(4, &book), fresh.advance(4));
+            let alone = &StampBook::default();
+            assert_eq!(kept.render_now(&book), fresh.render_now(alone));
         }
-        let kept = book.initial.expect("kept");
+        let kept = book.held().expect("unpoisoned").initial.clone();
+        let kept = kept.expect("kept");
         assert_eq!((kept.nx(), kept.ny()), (48, 64));
+    }
+
+    /// `(frames, projections)` `book` holds.
+    fn held_counts(book: &StampBook) -> (usize, usize) {
+        let held = book.held().expect("unpoisoned");
+        (held.frames.len(), held.projections.len())
+    }
+
+    #[test]
+    fn projections_from_the_book_are_the_replays_own_bits() {
+        let mut cfg = PipelineConfig::small(2);
+        cfg.timesteps = 12;
+        let book = StampBook::default();
+        let mut walks = Vec::new();
+        // The second session asks every question the first asked.
+        for _ in 0..2 {
+            let mut s = SteeringPipeline::open(&cfg, 1, &book).expect("opens");
+            let mut walk = Vec::new();
+            for (adj, steps) in cli_script() {
+                if let Some(adj) = &adj {
+                    s.adjust(adj).expect("valid");
+                }
+                s.advance_with(steps, &book);
+                s.render_now(&book);
+                let read = s.projected_remaining_j(&book).to_bits();
+                assert_eq!(read, s.replay_remaining(s.config()).to_bits());
+                walk.push(read);
+            }
+            walks.push(walk);
+            assert_eq!(held_counts(&book), (6, 4), "the second made nothing");
+        }
+        assert_eq!(walks[0], walks[1]);
+        // Each step of the script sits under another schedule.
+        let (a, b, c) = (walks[0][0], walks[0][1], walks[0][2]);
+        assert!(a != b && b != c && a != c);
+    }
+
+    #[test]
+    fn projections_differing_in_any_key_are_not_shared() {
+        let book = StampBook::default();
+        let base = {
+            let mut cfg = PipelineConfig::small(2);
+            cfg.timesteps = 12;
+            cfg
+        };
+        let variant = |change: fn(&mut PipelineConfig)| {
+            let mut cfg = base.clone();
+            change(&mut cfg);
+            cfg
+        };
+        let sessions = [
+            (base.clone(), 3),
+            (base.clone(), 4),
+            (variant(|c| c.timesteps = 13), 3),
+            (variant(|c| c.render.width = 96), 3),
+            (variant(|c| c.render.height = 80), 3),
+            (variant(|c| c.io_interval = 3), 3),
+            (variant(|c| c.chunk_bytes *= 2), 3),
+            (variant(|c| c.render_cost.flops_per_pixel *= 2.0), 3),
+            (variant(|c| c.sim_cost.flops_per_cell_update *= 2.0), 3),
+        ];
+        let mut seen = Vec::new();
+        for (cfg, steps) in &sessions {
+            let mut s = SteeringPipeline::open(cfg, 1, &book).expect("opens");
+            s.advance_with(*steps, &book);
+            let read = s.projected_remaining_j(&book).to_bits();
+            assert_eq!(read, s.replay_remaining(cfg).to_bits(), "{cfg:?}");
+            assert!(!seen.contains(&read), "{cfg:?} shares a projection");
+            seen.push(read);
+        }
+        assert_eq!(held_counts(&book).1, sessions.len());
+    }
+
+    #[test]
+    fn the_book_holds_a_bounded_number_of_projections() {
+        let mut cfg = PipelineConfig::small(1);
+        cfg.timesteps = 120;
+        let book = StampBook::default();
+        let mut s = SteeringPipeline::open(&cfg, 1, &book).expect("opens");
+        for _ in 0..120 {
+            s.advance_with(1, &book);
+            s.projected_remaining_j(&book);
+        }
+        assert_eq!(held_counts(&book), (BOOK_FRAMES, BOOK_PROJECTIONS));
+        // Oldest out first: the last `BOOK_PROJECTIONS` steps are held.
+        let held = book.held().expect("unpoisoned");
+        let steps: Vec<u64> = held.projections.iter().map(|((_, s), _)| s.step).collect();
+        let last = 120 - BOOK_PROJECTIONS as u64 + 1;
+        assert_eq!(steps, (last..=120).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_poisoned_book_is_a_miss() {
+        let book = StampBook::default();
+        let poisoner = book.clone();
+        let _ = std::thread::spawn(move || {
+            let _held = poisoner.0.lock();
+            panic!("poison the book");
+        })
+        .join();
+        let mut s = SteeringPipeline::open(&PipelineConfig::small(2), 1, &book).expect("opens");
+        let mut fresh = session();
+        assert_eq!(s.advance_with(4, &book), fresh.advance(4));
+        assert_eq!(
+            s.projected_remaining_j(&book).to_bits(),
+            fresh.projected_remaining_j(&StampBook::default()).to_bits()
+        );
+        assert!(book.held().is_none());
     }
 
     #[test]

@@ -25,7 +25,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use greenness_faults::{FaultInjector, FaultPlan, Site};
 use greenness_serve::protocol::{self, ErrorCode, Request};
-use greenness_serve::{Disposition, LineHandler, Next, Outcome, Service, ServiceConfig};
+use greenness_serve::{
+    Disposition, LineHandler, Next, Outcome, Service, ServiceConfig, SteeringMemo,
+};
 use greenness_trace::hash::Blake2s256;
 use greenness_trace::MetricsRegistry;
 
@@ -199,13 +201,17 @@ pub struct Fleet {
     state: Mutex<FleetState>,
     metrics: Mutex<MetricsRegistry>,
     churn: Option<Mutex<FaultInjector>>,
+    /// The steering memo every shard's sessions share, a rejoined shard's
+    /// too: each frame, step-0 field and projection is made once per fleet.
+    memo: SteeringMemo,
 }
 
 impl Fleet {
     /// Boot a fleet of `config.shards` fresh shards.
     pub fn new(config: FleetConfig) -> Fleet {
+        let memo = SteeringMemo::default();
         let services = (0..config.shards)
-            .map(|i| Arc::new(Service::new(shard_config(&config, i))))
+            .map(|i| Arc::new(boot_shard(&config, i, &memo)))
             .collect();
         Fleet {
             state: Mutex::new(FleetState {
@@ -220,6 +226,7 @@ impl Fleet {
                 .faults
                 .map(|plan| Mutex::new(plan.injector(Site::FleetChurn, 0))),
             config,
+            memo,
         }
     }
 
@@ -568,7 +575,7 @@ impl Fleet {
                 return Vec::new();
             }
             let joiner = dead[(pick % dead.len() as u64) as usize];
-            let fresh = Arc::new(Service::new(shard_config(&self.config, joiner)));
+            let fresh = Arc::new(boot_shard(&self.config, joiner, &self.memo));
             state.services[joiner as usize] = Arc::clone(&fresh);
             state.live[joiner as usize] = true;
             state.ring.add(joiner);
@@ -624,8 +631,9 @@ impl LineHandler for Fleet {
     }
 }
 
-fn shard_config(config: &FleetConfig, shard: u32) -> ServiceConfig {
-    ServiceConfig {
+/// A fresh service for shard `shard` of a fleet of `config`, sharing `memo`.
+fn boot_shard(config: &FleetConfig, shard: u32, memo: &SteeringMemo) -> Service {
+    let config = ServiceConfig {
         jobs: config.jobs,
         cache_bytes: config.cache_bytes,
         slots: config.slots,
@@ -636,7 +644,8 @@ fn shard_config(config: &FleetConfig, shard: u32) -> ServiceConfig {
         faults: config
             .faults
             .map(|plan| plan.derive(&format!("fleet.shard/{shard}"))),
-    }
+    };
+    Service::with_memo(config, memo.clone())
 }
 
 /// The ring key of steering session `name`: BLAKE2s-256 of
@@ -873,6 +882,67 @@ mod tests {
         // between steering ops.
         let interleaved: Vec<String> = script(&faulted);
         assert_eq!(clean, interleaved, "churned session diverged");
+    }
+
+    /// The frame stamps `fleet`'s steering memo holds, read off its `Debug`
+    /// form: the memo keeps its entries to itself.
+    fn stamps_held(fleet: &Fleet) -> usize {
+        format!("{:?}", fleet.memo).matches("FrameStamp").count()
+    }
+
+    #[test]
+    fn a_rejoined_shard_renders_through_the_fleets_memo() {
+        let mut fleet = Fleet::new(FleetConfig {
+            session_slots: 64,
+            faults: Some(FaultPlan {
+                fleet_churn_rate: 1.0,
+                ..FaultPlan::quiet(5)
+            }),
+            ..FleetConfig::default()
+        });
+        let joined = (0..64).find_map(|i| {
+            let out = fleet.handle_line(&line(&format!(
+                r#""id":{i},"op":"advisor","params":{{"passes":{}}}"#,
+                i % 5
+            )));
+            out.events.into_iter().find_map(|e| match e {
+                ChurnEvent::Joined { shard, .. } => Some(shard),
+                ChurnEvent::Lost(_) => None,
+            })
+        });
+        let joined = joined.expect("a shard rejoins");
+        fleet.churn = None;
+        // A session homed on the rejoined shard, and one on another shard.
+        let (mut on_joined, mut elsewhere) = (None, None);
+        for k in 0..64 {
+            let name = format!("r{k}");
+            let out = fleet.handle_line(&line(&format!(
+                r#""id":1,"op":"steer.attach","params":{{"session":"{name}","interval":2}}"#
+            )));
+            assert!(out.line.contains("\"ok\":true"), "{}", out.line);
+            let slot = if out.shard == Some(joined) {
+                &mut on_joined
+            } else {
+                &mut elsewhere
+            };
+            slot.get_or_insert(name);
+            if on_joined.is_some() && elsewhere.is_some() {
+                break;
+            }
+        }
+        let render = |name: &str| {
+            let out = fleet.handle_line(&line(&format!(
+                r#""id":2,"op":"steer.render","params":{{"session":"{name}","seq":1,"steps":3}}"#
+            )));
+            assert!(out.line.contains("\"ok\":true"), "{}", out.line);
+            out.line.replace(name, "_")
+        };
+        assert_eq!(stamps_held(&fleet), 0);
+        let made = render(&on_joined.expect("a session on the rejoined shard"));
+        assert_eq!(stamps_held(&fleet), 2, "frames at steps 2 and 3");
+        let read = render(&elsewhere.expect("a session on another shard"));
+        assert_eq!(stamps_held(&fleet), 2, "both read from the memo");
+        assert_eq!(made, read);
     }
 
     #[test]

@@ -24,7 +24,9 @@ use greenness_core::{CaseComparison, ExperimentSetup, PipelineConfig, PipelineKi
 use greenness_faults::{FaultInjector, FaultPlan, Site};
 use greenness_platform::DiskModel;
 use greenness_power::GreenMetrics;
-use greenness_steer::{AttachSpec, EngineConfig, SessionEngine, SteerError, SteerReply};
+use greenness_steer::{
+    AttachSpec, EngineConfig, SessionEngine, SteerError, SteerReply, SteeringMemo,
+};
 use greenness_trace::{fmt_f64, push_escaped, push_f64, MetricsRegistry};
 
 use crate::admission::{Denial, Gate};
@@ -155,8 +157,14 @@ pub struct Service {
 }
 
 impl Service {
-    /// A fresh service.
+    /// A fresh service, its steering memo its own.
     pub fn new(config: ServiceConfig) -> Service {
+        Service::with_memo(config, SteeringMemo::default())
+    }
+
+    /// A fresh service whose steering sessions share `memo` with every
+    /// other holder of it (a fleet's shards).
+    pub fn with_memo(config: ServiceConfig, memo: SteeringMemo) -> Service {
         Service {
             cache: Mutex::new(ResultCache::new(config.cache_bytes)),
             gate: Gate::new(config.slots, config.queue_depth),
@@ -167,10 +175,13 @@ impl Service {
                     handler: plan.injector(Site::ServeHandler, 1),
                 })
             }),
-            steer: Mutex::new(SessionEngine::new(EngineConfig {
-                session_slots: config.session_slots,
-                jobs: config.jobs,
-            })),
+            steer: Mutex::new(SessionEngine::with_memo(
+                EngineConfig {
+                    session_slots: config.session_slots,
+                    jobs: config.jobs,
+                },
+                memo,
+            )),
             config,
         }
     }
