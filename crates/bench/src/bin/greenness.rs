@@ -61,7 +61,8 @@ fn usage() -> ! {
          bench-serve accepts --requests N --jobs J --out FILE --metrics-out FILE;\n\
          --shards N runs the open-loop fleet replay instead (--replicas K --rate R\n\
          --ring-seed S --universe U --zipf S --report-out FILE --shard-metrics-out\n\
-         FILE), and --sessions N interleaves N scripted steering sessions\n\
+         FILE), and --sessions N interleaves N scripted steering sessions (through\n\
+         a fleet of --shards N shards, when given: the same response log)\n\
          placement, cluster, serve, fleet, steer and bench-serve accept\n\
          --fault-seed N (seeded fault injection with retry/recovery; deterministic\n\
          per seed — for fleet this includes shard churn)\n\
@@ -639,10 +640,6 @@ fn cmd_bench_serve(mut args: Args) {
             _ => usage(),
         }
     }
-    if sessions > 0 && shards.is_some() {
-        eprintln!("--sessions cannot be combined with --shards");
-        std::process::exit(2);
-    }
     let faults = fault_seed.map(FaultPlan::with_seed);
     // Every replay's response log goes to --out (stdout without it) and its
     // metrics to --metrics-out.
@@ -661,22 +658,40 @@ fn cmd_bench_serve(mut args: Args) {
     };
     if sessions > 0 {
         // Steering-session harness: N scripted sessions interleaved
-        // round-robin against one in-process service. Injected connection
-        // drops are retried like the stateless replay harness — the drop
-        // fires *after* the op commits, so the retry hits the engine's
-        // sequence-replay path and the transcript stays byte-identical.
-        let config = ServiceConfig {
-            jobs,
-            session_slots: sessions.max(8),
-            faults,
-            ..ServiceConfig::default()
-        };
+        // round-robin against one in-process service, or a fleet of
+        // `--shards` shards. Injected connection drops are retried like the
+        // stateless replay harness — the drop fires *after* the op commits,
+        // so the retry hits the engine's sequence-replay path — and the
+        // fleet's router absorbs drops and churn itself, so the response log
+        // is byte-identical either way.
         let scripts: Vec<Vec<String>> = (0..sessions)
             .map(|s| steer_script(&format!("s{s}"), (s as u64) * 100))
             .collect();
         let interleaved: Vec<&String> = (0..scripts[0].len())
             .flat_map(|phase| scripts.iter().map(move |script| &script[phase]))
             .collect();
+        if let Some(shards) = shards {
+            bench_fleet_sessions(
+                FleetConfig {
+                    shards,
+                    replicas,
+                    ring_seed,
+                    jobs,
+                    session_slots: sessions.max(8),
+                    faults,
+                    ..FleetConfig::default()
+                },
+                &interleaved,
+                emit,
+            );
+            return;
+        }
+        let config = ServiceConfig {
+            jobs,
+            session_slots: sessions.max(8),
+            faults,
+            ..ServiceConfig::default()
+        };
         let result = greenness_serve::run_replay(config, &interleaved);
         let (responses, retries, m) = (result.responses, result.retries, result.registry);
         let failed = interleaved
@@ -755,6 +770,37 @@ fn cmd_bench_serve(mut args: Args) {
         }
         emit(&result.responses, &result.metrics);
     }
+}
+
+/// `bench-serve --sessions N --shards M`: the interleaved session scripts
+/// through a fleet, one line at a time. Emits the response log and the
+/// router's metrics; exits 1 on the first reply that is not ok.
+fn bench_fleet_sessions(config: FleetConfig, lines: &[&String], emit: impl Fn(&str, &str)) {
+    let fleet = Fleet::new(config);
+    let mut responses = String::new();
+    for line in lines {
+        let reply = fleet.handle_line(line).line;
+        if !reply.contains("\"ok\":true") {
+            eprintln!("session harness failed on: {line}\n  reply: {reply}");
+            std::process::exit(1);
+        }
+        responses.push_str(&reply);
+        responses.push('\n');
+    }
+    let m = fleet.metrics_clone();
+    emit(
+        &responses,
+        &greenness_trace::metrics_file_json(&[("fleet".to_string(), m.clone())]),
+    );
+    eprintln!(
+        "{} session op(s) through {} shard(s): {} ok, {} re-home(s), {} op(s) replayed, {} drop-resume retr(ies)",
+        lines.len(),
+        config.shards,
+        m.counter("fleet.ok"),
+        m.counter("fleet.session.rehomed"),
+        m.counter("fleet.session.replayed"),
+        m.counter("retries.fleet.session.resume"),
+    );
 }
 
 fn main() {

@@ -5,9 +5,11 @@ From the root of a checkout, with two built benchmark binaries (for example
 `cargo build --release --offline --manifest-path benchmark/Cargo.toml` in a
 clone of the parent and in the change, each with its own CARGO_TARGET_DIR):
 
-    python3 tools/ab.py PARENT_BIN CHANGE_BIN --workload W [--seeds 42,7] [--pairs 10]
+    python3 tools/ab.py PARENT_BIN CHANGE_BIN --workload W[,W...|all] [--seeds 42,7] [--pairs 10]
 
-Each pair runs both binaries once as
+`--workload` takes one workload, a comma list, or `all` (every workload of
+BENCHMARK.json, in its order): the no-regression sweep. Each workload gets
+its own table per seed. Each pair runs both binaries once as
 `BIN --workload W --seed S --seconds <run_seconds> --trace 0`, and the side
 that runs first flips from pair to pair. Every run must read `correct` with
 `failed 0`, and the two sides must print the same output digest. For every
@@ -19,7 +21,8 @@ worse than the parent's by more than the bound. It is flagged `GAIN` when
 the change won at least nine pairs in ten and its median is better by more
 than the parent's IQR and by more than the bound: only such a gain can be
 claimed. One that clears the IQR but not the bound reads `below bound`.
-Exit status 1 on a failed run, a digest mismatch or a `WORSE`.
+Exit status 1 on a failed run, a digest mismatch or a `WORSE` on any
+workload.
 """
 
 import argparse
@@ -53,7 +56,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="W, W1,W2,... or all")
     ap.add_argument("--seeds", default="42,7")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
@@ -63,41 +66,64 @@ def main():
     bench = json.load(open("BENCHMARK.json"))
     seconds = args.seconds or bench["run_seconds"]
     metrics = bench["end_to_end"]
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = known if args.workload == "all" else args.workload.split(",")
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        sys.exit(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json has {', '.join(known)}")
     bad = False
     record = {}
-    for seed in [int(s) for s in args.seeds.split(",")]:
-        runs = {"parent": [], "change": []}
-        digests = set()
-        for pair in range(args.pairs):
-            order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
-            for side in order:
-                values, digest = run(getattr(args, side), args.workload, seed, seconds)
-                runs[side].append(values)
-                digests.add(digest)
-        record[seed] = runs
-        print(f"{args.workload} seed {seed}: {args.pairs} pairs, output digests "
-              f"{'match' if len(digests) == 1 else 'DIFFER: ' + ' '.join(map(str, digests))}")
-        bad |= len(digests) != 1
-        print(f"  {'metric':<13} {'parent':>12} {'iqr':>10} {'change':>12} {'delta':>8} "
-              f"{'wins':>6} {'bound':>6}")
-        for m in metrics:
-            name, sign = m["name"], (1 if m["better"] == "higher" else -1)
-            before = [r[name] for r in runs["parent"]]
-            after = [r[name] for r in runs["change"]]
-            med_b, med_a = statistics.median(before), statistics.median(after)
-            wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
-            delta = (med_a - med_b) / med_b if med_b else 0.0
-            verdict = ""
-            if -sign * delta > m["bound"]:
-                verdict, bad = "WORSE", True
-            elif wins >= 0.9 * args.pairs and sign * (med_a - med_b) > iqr(before):
-                verdict = "GAIN" if sign * delta > m["bound"] else "below bound"
-            print(f"  {name:<13} {med_b:>12.6g} {iqr(before):>10.3g} {med_a:>12.6g} "
-                  f"{delta:>+8.1%} {wins:>3}/{args.pairs:<2} {m['bound']:>6.2f} {verdict}")
+    for workload in workloads:
+        record[workload] = {}
+        for seed in [int(s) for s in args.seeds.split(",")]:
+            runs = compare(args, workload, seed, seconds)
+            record[workload][seed] = runs
+            bad |= report(args, workload, seed, runs, metrics)
     if args.out:
         with open(args.out, "w") as f:
             json.dump(record, f, indent=1)
     sys.exit(1 if bad else 0)
+
+
+def compare(args, workload, seed, seconds):
+    """`args.pairs` alternating runs of both sides: each side's metrics, and
+    the output digests seen."""
+    runs = {"parent": [], "change": [], "digests": set()}
+    for pair in range(args.pairs):
+        order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+        for side in order:
+            values, digest = run(getattr(args, side), workload, seed, seconds)
+            runs[side].append(values)
+            runs["digests"].add(digest)
+    runs["digests"] = sorted(map(str, runs["digests"]))
+    return runs
+
+
+def report(args, workload, seed, runs, metrics):
+    """Print one workload's table for one seed; whether it holds a digest
+    mismatch or a `WORSE`."""
+    digests = runs["digests"]
+    print(f"{workload} seed {seed}: {args.pairs} pairs, output digests "
+          f"{'match' if len(digests) == 1 else 'DIFFER: ' + ' '.join(digests)}")
+    bad = len(digests) != 1
+    print(f"  {'metric':<13} {'parent':>12} {'iqr':>10} {'change':>12} {'delta':>8} "
+          f"{'wins':>6} {'bound':>6}")
+    for m in metrics:
+        name, sign = m["name"], (1 if m["better"] == "higher" else -1)
+        before = [r[name] for r in runs["parent"]]
+        after = [r[name] for r in runs["change"]]
+        med_b, med_a = statistics.median(before), statistics.median(after)
+        wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
+        delta = (med_a - med_b) / med_b if med_b else 0.0
+        verdict = ""
+        if -sign * delta > m["bound"]:
+            verdict, bad = "WORSE", True
+        elif wins >= 0.9 * args.pairs and sign * (med_a - med_b) > iqr(before):
+            verdict = "GAIN" if sign * delta > m["bound"] else "below bound"
+        print(f"  {name:<13} {med_b:>12.6g} {iqr(before):>10.3g} {med_a:>12.6g} "
+              f"{delta:>+8.1%} {wins:>3}/{args.pairs:<2} {m['bound']:>6.2f} {verdict}")
+    sys.stdout.flush()
+    return bad
 
 
 if __name__ == "__main__":
