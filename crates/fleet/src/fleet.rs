@@ -24,7 +24,7 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use greenness_faults::{FaultInjector, FaultPlan, Site};
-use greenness_serve::protocol::{self, ErrorCode, Request};
+use greenness_serve::protocol::{self, ErrorCode, KeyMemo, Request};
 use greenness_serve::{
     Disposition, LineHandler, Next, Outcome, Service, ServiceConfig, SteeringMemo,
 };
@@ -204,6 +204,9 @@ pub struct Fleet {
     /// The steering memo every shard's sessions share, a rejoined shard's
     /// too: each frame, step-0 field and projection is made once per fleet.
     memo: SteeringMemo,
+    /// Every line is parsed through this: a repeated request is routed by
+    /// its remembered content address, not canonicalized and hashed again.
+    keys: KeyMemo,
 }
 
 impl Fleet {
@@ -227,6 +230,7 @@ impl Fleet {
                 .map(|plan| Mutex::new(plan.injector(Site::FleetChurn, 0))),
             config,
             memo,
+            keys: KeyMemo::default(),
         }
     }
 
@@ -280,7 +284,7 @@ impl Fleet {
 
     /// Route one request line through the fleet and produce one response.
     pub fn handle_line(&self, line: &str) -> FleetOutcome {
-        let req = match protocol::parse_request(line) {
+        let req = match self.keys.parse(line) {
             Ok(req) => req,
             Err((id, msg)) => {
                 return router_reply(self.bad_request(&id, &msg), Disposition::Error);
@@ -447,8 +451,10 @@ impl Fleet {
                     for acked in logged_lines(&log) {
                         // Replay commits even when the shard's own fault
                         // schedule "drops" the reply: steer ops apply
-                        // before their fault slot.
-                        let _ = service.handle_line(acked);
+                        // before their fault slot. An acked line parses.
+                        if let Ok(op) = self.keys.parse(acked) {
+                            let _ = service.handle(&op);
+                        }
                         replayed += 1;
                     }
                     self.count("fleet.session.rehomed", 1);
@@ -882,6 +888,39 @@ mod tests {
         // between steering ops.
         let interleaved: Vec<String> = script(&faulted);
         assert_eq!(clean, interleaved, "churned session diverged");
+    }
+
+    #[test]
+    fn a_rehomed_session_answers_a_resent_seq_with_its_original_reply() {
+        // Under churn the session's home shard is lost, and the fresh shard
+        // replays the acked ops against a fleet memo that already holds the
+        // adjust's what-if: a re-sent seq must still get its original ack,
+        // `cached=false` included, not the replay's own reply.
+        let fleet = Fleet::new(FleetConfig {
+            faults: Some(FaultPlan {
+                fleet_churn_rate: 0.5,
+                ..FaultPlan::quiet(1)
+            }),
+            ..FleetConfig::default()
+        });
+        let attach = fleet.handle_line(&line(
+            r#""id":1,"op":"steer.attach","params":{"session":"r","interval":2}"#,
+        ));
+        assert!(attach.line.contains("\"ok\":true"), "{}", attach.line);
+        let adjust = line(
+            r#""id":2,"op":"steer.adjust","params":{"session":"r","seq":1,"kind":"io_interval","io_interval":4}"#,
+        );
+        let acked = fleet.handle_line(&adjust).line;
+        assert!(acked.contains("cached=false"), "{acked}");
+        let rehomed = || fleet.metrics_clone().counter("fleet.session.rehomed");
+        assert_eq!(rehomed(), 0);
+        for _ in 0..64 {
+            assert_eq!(fleet.handle_line(&adjust).line, acked);
+            if rehomed() > 1 {
+                return;
+            }
+        }
+        panic!("the session re-homed {} time(s) in 64 ops", rehomed());
     }
 
     /// The frame stamps `fleet`'s steering memo holds, read off its `Debug`

@@ -7,6 +7,10 @@
 //! fresh ids still hit the cache. A `steer.*` op is stateful and never
 //! cached, so it is neither canonicalized nor hashed.
 //!
+//! A router that sees the same requests again and again parses through a
+//! [`KeyMemo`]: a repeated request, byte for byte in its semantic members,
+//! gets its content address back without being canonicalized or hashed.
+//!
 //! Response envelopes — deliberately WITHOUT any cached/fresh marker, so a
 //! repeated request is answered byte-identically whether it hit the cache
 //! or not (hits are observable only through the metrics counters):
@@ -17,8 +21,11 @@
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write;
+use std::sync::Mutex;
 
+use greenness_faults::{checksum64, splitmix64};
 use greenness_trace::escape_json;
 use greenness_trace::hash::blake2s256;
 
@@ -122,6 +129,11 @@ fn first<'a>(members: &[SpanMember<'a>], key: &str) -> Option<&'a str> {
 /// Parse one request line. On error, returns the best-effort echoed id and
 /// a message for a `bad_request` reply.
 pub fn parse_request(line: &str) -> Result<Request<'_>, (String, String)> {
+    parse(line, None)
+}
+
+/// [`parse_request`], with the content address looked up in `memo` first.
+fn parse<'a>(line: &'a str, memo: Option<&KeyMemo>) -> Result<Request<'a>, (String, String)> {
     let no_id = || "null".to_string();
     let mut members = match json::object_spans(line) {
         Ok(Some(members)) => members,
@@ -170,11 +182,17 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, (String, String)> {
         // non-semantic `id` / `deadline_ms`) from their source spans into
         // one buffer, and hash it in one shot.
         members.retain(|(k, _)| k != "id" && k != "deadline_ms");
-        let mut canonical = String::with_capacity(line.len() + 16);
-        // Infallible: a `String` takes every write and `object_spans`
-        // validated every span — ignore the `fmt::Result` plumbing.
-        let _ = json::write_canonical_spans(&mut members, &mut canonical);
-        blake2s256(canonical.as_bytes())
+        let address = |members: &mut [SpanMember]| {
+            let mut canonical = String::with_capacity(line.len() + 16);
+            // Infallible: a `String` takes every write and `object_spans`
+            // validated every span — ignore the `fmt::Result` plumbing.
+            let _ = json::write_canonical_spans(members, &mut canonical);
+            blake2s256(canonical.as_bytes())
+        };
+        match memo {
+            Some(memo) => memo.address(&mut members, address),
+            None => address(&mut members),
+        }
     };
     Ok(Request {
         id,
@@ -184,6 +202,132 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, (String, String)> {
         deadline_ms,
         cache_key,
     })
+}
+
+/// The most a [`KeyMemo`] holds: member bytes plus [`MEMO_ENTRY_COST`] per
+/// entry, about 6,000 requests of the size the benchmark's fleet sends.
+const MEMO_BUDGET: usize = 1 << 20;
+
+/// The longest semantic member list, in memo bytes, a [`KeyMemo`] stores: a
+/// longer request is canonicalized every time it comes, so the line cap never
+/// becomes an entry.
+const MEMO_ENTRY_CAP: usize = 1 << 10;
+
+/// What an entry costs beside its member bytes: its content address, its
+/// lookup hash, and its map and queue slots.
+const MEMO_ENTRY_COST: usize = 64;
+
+/// Ends each key and value in a memo entry. UTF-8 never holds the byte
+/// `0xFF`, so no key or value can spell it, and the entry of one member list
+/// spells no other.
+const MEMO_SEP: u8 = 0xFF;
+
+/// A bounded content-address memo: a request's semantic members (what
+/// [`parse_request`] canonicalizes: each decoded key and the source span of
+/// its value, in source order) to the content address the canonical path
+/// computed for them. Equal member lists have equal canonical forms, so a
+/// hit is exact by construction; a 64-bit hash only picks the candidate, and
+/// a hit also compares the stored bytes, so a forged collision costs a miss,
+/// never another request's address. Entries leave in insertion order to keep
+/// within [`MEMO_BUDGET`]; an unused memo holds no heap. The lock is taken to
+/// look up and to insert, never across a canonicalization, and a poisoned
+/// lock is a miss.
+#[derive(Default)]
+pub struct KeyMemo(Mutex<Memo>);
+
+#[derive(Default)]
+struct Memo {
+    /// Member bytes and content address, by lookup hash.
+    entries: HashMap<u64, (Box<[u8]>, [u8; 32])>,
+    /// Lookup hashes in insertion order, oldest first.
+    order: VecDeque<u64>,
+    /// What the entries cost, [`MEMO_ENTRY_COST`] each included.
+    bytes: usize,
+}
+
+impl KeyMemo {
+    /// [`parse_request`], answering a repeated request's content address from
+    /// the memo. Every check runs as there, and the result is the same.
+    pub fn parse<'a>(&self, line: &'a str) -> Result<Request<'a>, (String, String)> {
+        parse(line, Some(self))
+    }
+
+    /// The content address of `members`: the stored one when the memo holds
+    /// exactly these members, else `canonical(members)`, stored when it fits.
+    fn address(
+        &self,
+        members: &mut [SpanMember],
+        canonical: impl FnOnce(&mut [SpanMember]) -> [u8; 32],
+    ) -> [u8; 32] {
+        let len: usize = parts(members).map(|part| part.len() + 1).sum();
+        if len > MEMO_ENTRY_CAP {
+            return canonical(members);
+        }
+        let hash = parts(members).fold(0, |h, part| splitmix64(h ^ checksum64(part)));
+        if let Ok(memo) = self.0.lock().as_deref() {
+            if let Some((spelled, key)) = memo.entries.get(&hash) {
+                if spells(spelled, members) {
+                    return *key;
+                }
+            }
+        }
+        // Spelled before `canonical` sorts `members` in place.
+        let mut spelled = Vec::with_capacity(len);
+        for part in parts(members) {
+            spelled.extend_from_slice(part);
+            spelled.push(MEMO_SEP);
+        }
+        let key = canonical(members);
+        if let Ok(memo) = self.0.lock().as_deref_mut() {
+            memo.insert(hash, spelled.into_boxed_slice(), key);
+        }
+        key
+    }
+}
+
+impl Memo {
+    /// Store `spelled` under `hash`, evicting the oldest entries until it
+    /// fits. A hash already taken keeps its entry: a colliding request stays
+    /// a miss.
+    fn insert(&mut self, hash: u64, spelled: Box<[u8]>, key: [u8; 32]) {
+        if self.entries.contains_key(&hash) {
+            return;
+        }
+        let cost = spelled.len() + MEMO_ENTRY_COST;
+        while self.bytes + cost > MEMO_BUDGET {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            if let Some((gone, _)) = self.entries.remove(&oldest) {
+                self.bytes -= gone.len() + MEMO_ENTRY_COST;
+            }
+        }
+        self.bytes += cost;
+        self.order.push_back(hash);
+        self.entries.insert(hash, (spelled, key));
+    }
+}
+
+/// Each member's key and then its value, as bytes.
+fn parts<'m>(members: &'m [SpanMember]) -> impl Iterator<Item = &'m [u8]> {
+    members
+        .iter()
+        .flat_map(|(k, v)| [k.as_bytes(), v.as_bytes()])
+}
+
+/// Whether the memo entry `spelled` holds exactly `members`.
+fn spells(spelled: &[u8], members: &[SpanMember]) -> bool {
+    let mut rest = spelled;
+    for part in parts(members) {
+        match rest
+            .strip_prefix(part)
+            .and_then(|r| r.strip_prefix(&[MEMO_SEP]))
+        {
+            Some(tail) => rest = tail,
+            None => return false,
+        }
+    }
+    rest.is_empty()
 }
 
 /// A success envelope. `result` must already be serialized JSON.
@@ -664,8 +808,79 @@ mod tests {
         )
     }
 
+    /// `line` parsed through `memo`, twice, against [`parse_request`] (and so,
+    /// through [`assert_matches_reference`], against the owned reference):
+    /// the same request, parameters included, or the same refusal. Returns
+    /// whether the memo now answers `line` from an entry, as the second
+    /// parse was answered.
+    fn assert_memo_parses_alike(memo: &KeyMemo, line: &str) -> bool {
+        assert_matches_reference(line);
+        for _ in 0..2 {
+            match (memo.parse(line), parse_request(line)) {
+                (Ok(memo), Ok(plain)) => {
+                    assert_eq!(memo.id, plain.id, "{line:?}");
+                    assert_eq!(memo.op, plain.op, "{line:?}");
+                    assert_eq!(memo.deadline_ms, plain.deadline_ms, "{line:?}");
+                    assert_eq!(memo.cache_key, plain.cache_key, "{line:?}");
+                    assert_eq!(memo.params().0, plain.params().0, "{line:?}");
+                }
+                (Err(memo), Err(plain)) => assert_eq!(memo, plain, "{line:?}"),
+                (memo, plain) => panic!("{line:?}: {memo:?} vs {plain:?}"),
+            }
+        }
+        answers_from_an_entry(memo, line)
+    }
+
+    /// Whether `memo` answers `line` with a stored content address: every
+    /// stored address is swapped for a marker while `line` is parsed (a
+    /// miss stores it, as any miss does), and only a hit can hand the
+    /// marker back.
+    fn answers_from_an_entry(memo: &KeyMemo, line: &str) -> bool {
+        const MARKER: [u8; 32] = [0xA5; 32];
+        let stored: HashMap<u64, [u8; 32]> = {
+            let mut held = memo.0.lock().expect("not poisoned");
+            let entries = held.entries.iter_mut();
+            entries
+                .map(|(hash, (_, key))| (*hash, std::mem::replace(key, MARKER)))
+                .collect()
+        };
+        let hit = memo.parse(line).is_ok_and(|r| r.cache_key == MARKER);
+        let mut held = memo.0.lock().expect("not poisoned");
+        for (hash, (_, key)) in held.entries.iter_mut() {
+            if let Some(was) = stored.get(hash) {
+                *key = *was;
+            }
+        }
+        hit
+    }
+
+    /// What a memo holds: entries and the bytes they are charged.
+    struct Stats {
+        entries: usize,
+        bytes: usize,
+    }
+
+    fn stats(memo: &KeyMemo) -> Stats {
+        let memo = memo.0.lock().expect("not poisoned");
+        let charged = memo
+            .entries
+            .values()
+            .map(|(b, _)| b.len() + MEMO_ENTRY_COST);
+        assert_eq!(charged.sum::<usize>(), memo.bytes, "the charge adds up");
+        assert_eq!(memo.order.len(), memo.entries.len());
+        Stats {
+            entries: memo.entries.len(),
+            bytes: memo.bytes,
+        }
+    }
+
     #[test]
     fn hostile_lines_are_refused_like_the_reference_refuses_them() {
+        // Every line below also goes through one memo.
+        let memo = KeyMemo::default();
+        let assert_matches_reference = |line: &str| {
+            assert_memo_parses_alike(&memo, line);
+        };
         let line = |params: &str| {
             format!(r#"{{"schema":"greenness-serve/v1","id":1,"op":"run","params":{params}}}"#)
         };
@@ -708,6 +923,98 @@ mod tests {
             let elapsed = start.elapsed();
             assert!(elapsed.as_secs() < 5, "5 MiB took {elapsed:?}");
         }
+    }
+
+    /// A `compare` line with the given id and `params`.
+    fn compare(id: u64, params: &str) -> String {
+        format!(r#"{{"schema":"greenness-serve/v1","id":{id},"op":"compare","params":{params}}}"#)
+    }
+
+    #[test]
+    fn a_lookup_hash_collision_is_a_miss() {
+        let (a, b) = (compare(1, r#"{"case":1}"#), compare(2, r#"{"case":2}"#));
+        // `a`'s lookup hash, from a memo that holds only `a`.
+        let alone = KeyMemo::default();
+        alone.parse(&a).expect("parses");
+        let hash_a = *alone.0.lock().expect("lock").order.front().expect("stored");
+        // File `b`'s entry under `a`'s hash, as a forged collision would.
+        let memo = KeyMemo::default();
+        let key_b = memo.parse(&b).expect("parses").cache_key;
+        {
+            let mut held = memo.0.lock().expect("lock");
+            let hash_b = held.order.pop_front().expect("stored");
+            let entry = held.entries.remove(&hash_b).expect("stored");
+            held.entries.insert(hash_a, entry);
+            held.order.push_back(hash_a);
+        }
+        let key_a = memo.parse(&a).expect("parses").cache_key;
+        assert_eq!(key_a, parse_request(&a).expect("parses").cache_key);
+        assert_ne!(key_a, key_b);
+        // The colliding request is not stored over the entry it met: it
+        // stays a miss.
+        assert_eq!(stats(&memo).entries, 1);
+        assert!(!answers_from_an_entry(&memo, &a));
+        assert_eq!(memo.parse(&a).expect("parses").cache_key, key_a);
+    }
+
+    #[test]
+    fn a_stream_of_distinct_requests_stays_within_the_budget() {
+        let memo = KeyMemo::default();
+        let pad = "x".repeat(800);
+        let lines: Vec<String> = (0..3000)
+            .map(|i| compare(i, &format!(r#"{{"case":{i},"pad":"{pad}"}}"#)))
+            .collect();
+        let mut most = 0;
+        for line in &lines {
+            memo.parse(line).expect("parses");
+            let held = stats(&memo);
+            assert!(held.bytes <= MEMO_BUDGET, "{} bytes", held.bytes);
+            most = most.max(held.entries);
+        }
+        assert!(most > 1000, "the budget was reached: {most} entries");
+        assert!(most < lines.len(), "old entries left");
+        // Oldest out first: the newest request hits, the first one misses.
+        assert!(answers_from_an_entry(&memo, &lines[2999]));
+        assert!(!answers_from_an_entry(&memo, &lines[0]));
+        assert!(assert_memo_parses_alike(&memo, &lines[0]), "stored again");
+    }
+
+    #[test]
+    fn an_oversized_request_is_never_stored() {
+        let memo = KeyMemo::default();
+        let pad = "x".repeat(MEMO_ENTRY_CAP);
+        let long = compare(1, &format!(r#"{{"pad":"{pad}"}}"#));
+        assert!(!assert_memo_parses_alike(&memo, &long));
+        let held = stats(&memo);
+        assert_eq!((held.entries, held.bytes), (0, 0));
+        let unused = KeyMemo::default();
+        assert_eq!(unused.0.lock().expect("lock").entries.capacity(), 0);
+    }
+
+    #[test]
+    fn respellings_miss_and_still_share_a_key() {
+        let memo = KeyMemo::default();
+        let spellings = [
+            compare(1, r#"{"case":2,"pipeline":"insitu"}"#),
+            compare(2, r#"{"pipeline":"insitu","case":2}"#),
+            compare(3, r#"{"case":2.0,"pipeline":"insitu"}"#),
+            compare(4, r#"{ "case" : 2 , "pipeline" : "insitu" }"#),
+            format!(
+                r#"{{ "params":{{"pipeline":"insitu","case":2.0}}, "op":"compare", "id":5, "schema":"{SCHEMA}" }}"#
+            ),
+        ];
+        let key = parse_request(&spellings[0]).expect("parses").cache_key;
+        for line in &spellings {
+            // Each spelling is new to the memo: a miss, then a hit.
+            assert!(!answers_from_an_entry(&memo, line), "{line}");
+            assert!(assert_memo_parses_alike(&memo, line), "{line}");
+            assert_eq!(memo.parse(line).expect("parses").cache_key, key, "{line}");
+        }
+        assert_eq!(stats(&memo).entries, spellings.len());
+        // Only the id differs: the same entry.
+        let again = compare(99, r#"{"case":2,"pipeline":"insitu"}"#);
+        assert!(answers_from_an_entry(&memo, &again));
+        assert_eq!(stats(&memo).entries, spellings.len());
     }
 
     /// Build a request JSON string with the given member order.
@@ -759,6 +1066,17 @@ mod tests {
             assert_matches_reference(&chars[..at].iter().collect::<String>());
             chars[at] = garble;
             assert_matches_reference(&chars.into_iter().collect::<String>());
+        }
+
+        /// Through a fresh memo each generated line parses as
+        /// `parse_request` parses it, a miss and then, when it has a
+        /// content address to keep, a hit.
+        #[test]
+        fn a_memo_parses_like_parse_request(line in arb_line()) {
+            let memo = KeyMemo::default();
+            let hit = assert_memo_parses_alike(&memo, &line);
+            let kept = parse_request(&line).is_ok_and(|r| !r.op.starts_with("steer."));
+            prop_assert_eq!(hit, kept);
         }
 
         #[test]

@@ -143,29 +143,40 @@ pub struct SteeringMemo {
 }
 
 /// `(baseline_j, adjusted_j)` by content address (see
-/// [`SessionEngine::adjust`]). Unbounded.
-type WhatIfCache = HashMap<[u8; 32], (f64, f64)>;
+/// [`SessionEngine::adjust`]), with the op that computed it: its session's
+/// name and its seq. A name is one session among the engines sharing a memo
+/// (a fleet places each session by name). Unbounded.
+type WhatIfCache = HashMap<[u8; 32], (f64, f64, String, u64)>;
+
+/// A what-if answer: `(baseline_j, adjusted_j)`, whether it was held, and
+/// whether another op computed it (the reply's `cached=`).
+type WhatIfAnswer = (f64, f64, bool, bool);
 
 impl SteeringMemo {
-    /// The answer held under `key`, or `ask`'s, then held under it:
-    /// `(baseline_j, adjusted_j, cached)`. The lock is held across `ask`, a
+    /// The answer held under `key`, or `ask`'s, then held under it as made
+    /// by op `seq` of session `name`. The lock is held across `ask`, a
     /// schedule replay that takes no other lock, so the first session of
     /// the memo's engines to ask a question is the one that computes it,
-    /// as in one engine. A poisoned lock answers every question afresh.
+    /// as in one engine. An op replayed into a fresh engine (a fleet
+    /// session re-homed after its shard was lost) finds the answer it
+    /// computed itself, and so says `cached=false` as it did the first
+    /// time. A poisoned lock answers every question afresh.
     fn whatif(
         &self,
         key: [u8; 32],
+        (name, seq): (&str, u64),
         ask: impl FnOnce() -> Result<WhatIfDelta, PipelineError>,
-    ) -> Result<(f64, f64, bool), PipelineError> {
+    ) -> Result<WhatIfAnswer, PipelineError> {
         let mut held = self.whatif.lock().ok();
-        if let Some(&(baseline_j, adjusted_j)) = held.as_ref().and_then(|h| h.get(&key)) {
-            return Ok((baseline_j, adjusted_j, true));
+        if let Some((baseline_j, adjusted_j, by, at)) = held.as_ref().and_then(|h| h.get(&key)) {
+            let another = (by.as_str(), *at) != (name, seq);
+            return Ok((*baseline_j, *adjusted_j, true, another));
         }
         let wi = ask()?;
         if let Some(held) = held.as_mut() {
-            held.insert(key, (wi.baseline_j, wi.adjusted_j));
+            held.insert(key, (wi.baseline_j, wi.adjusted_j, name.to_string(), seq));
         }
-        Ok((wi.baseline_j, wi.adjusted_j, false))
+        Ok((wi.baseline_j, wi.adjusted_j, false, false))
     }
 }
 
@@ -348,8 +359,10 @@ impl SessionEngine {
             key.finalize()
         };
         let pipe = self.live(name)?;
-        let (baseline_j, adjusted_j, cached) = self.memo.whatif(cache_key, || pipe.whatif(adj))?;
-        if cached {
+        let (baseline_j, adjusted_j, held, cached) =
+            self.memo
+                .whatif(cache_key, (name, seq), || pipe.whatif(adj))?;
+        if held {
             self.counters.delta_cached += 1;
         } else {
             self.counters.delta_computed += 1;
@@ -621,6 +634,30 @@ mod tests {
                 got: 4
             })
         );
+    }
+
+    #[test]
+    fn an_op_replayed_into_a_fresh_engine_answers_as_it_first_did() {
+        let memo = SteeringMemo::default();
+        let sharing = || SessionEngine::with_memo(EngineConfig::default(), memo.clone());
+        let adj = Adjustment::IoInterval(4);
+        let mut first = sharing();
+        first.attach("a", &spec()).expect("attach");
+        let acked = first.adjust("a", 1, &adj).expect("adjust");
+        assert!(acked.0.ends_with(" cached=false"), "{}", acked.0);
+        // The session rebuilt from its ops on another engine over the same
+        // memo, as a fleet re-homes it: the answer is held, and was made by
+        // this very op.
+        let mut fresh = sharing();
+        fresh.attach("a", &spec()).expect("attach");
+        assert_eq!(fresh.adjust("a", 1, &adj).expect("adjust"), acked);
+        // Another session asking the same question was not the one to make it.
+        fresh.attach("b", &spec()).expect("attach");
+        let other = fresh.adjust("b", 1, &adj).expect("adjust");
+        assert!(other.0.ends_with(" cached=true"), "{}", other.0);
+        let counted: HashMap<_, _> = fresh.counters().into_iter().collect();
+        assert_eq!(counted["steer.delta.cached"], 2, "both were held");
+        assert_eq!(counted["steer.delta.computed"], 0);
     }
 
     #[test]

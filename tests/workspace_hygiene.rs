@@ -345,22 +345,79 @@ fn json_has_one_lexer_and_a_request_line_one_parse() {
         "a JSON function is back in serve"
     );
 
-    // A line is parsed where it enters, a front end each; the fleet's shards
-    // get the router's `Request`, bar the acked-op replay of a re-homed
-    // session.
+    // A line is parsed where it enters, a front end each: a `Service`
+    // through `parse_request`, the fleet router only through its content
+    // address memo (each line as it arrives, and a re-homed session's acked
+    // ops). The fleet's shards get the router's `Request`, the replay
+    // included.
+    assert_eq!(sites("protocol::parse_request("), ["serve/src/service.rs"]);
+    assert_eq!(sites("parse_request(").len(), 2, "the one call and the fn");
+    assert_eq!(sites("KeyMemo::default()"), ["fleet/src/fleet.rs"]);
     assert_eq!(
-        sites("protocol::parse_request("),
-        ["fleet/src/fleet.rs", "serve/src/service.rs"]
+        sites("self.keys.parse("),
+        ["fleet/src/fleet.rs", "fleet/src/fleet.rs"]
     );
-    assert_eq!(sites("parse_request(").len(), 3, "the two calls and the fn");
     let fleet = read(&crates.join("fleet/src/fleet.rs"));
     let fleet = non_test(&fleet);
     let on_a_shard =
         fleet.matches(".handle_line(").count() - fleet.matches("self.handle_line(").count();
-    assert!(
-        on_a_shard <= 1,
-        "{on_a_shard} shard-side `handle_line` calls"
-    );
+    assert_eq!(on_a_shard, 0, "shard-side `handle_line` calls");
+
+    // The memo is invisible in artifacts: the `serve` and `fleet` crates
+    // name the metrics (and the two seed labels) they named before it.
+    let mut named = std::collections::BTreeSet::new();
+    for path in &sources {
+        let rel = path.strip_prefix(&crates).expect("under crates/");
+        if !(rel.starts_with("serve") || rel.starts_with("fleet")) {
+            continue;
+        }
+        let src = read(path);
+        let code = non_test(&src);
+        for layer in ["\"serve.", "\"fleet.", "\"retries."] {
+            for (at, _) in code.match_indices(layer) {
+                let quoted = code[at + 1..].split('"').next().unwrap_or_default();
+                let name = |b: u8| b.is_ascii_lowercase() || b"._0123456789".contains(&b);
+                if quoted.bytes().all(name) {
+                    named.insert(quoted.to_string());
+                }
+            }
+        }
+    }
+    let want = [
+        "fleet.bad_request",
+        "fleet.control",
+        "fleet.err",
+        "fleet.hits",
+        "fleet.misses",
+        "fleet.ok",
+        "fleet.rebalance.moved",
+        "fleet.replica.fills",
+        "fleet.replica.reads",
+        "fleet.requests",
+        "fleet.ring",
+        "fleet.session.rehomed",
+        "fleet.session.replayed",
+        "fleet.shard.joined",
+        "fleet.shard.lost",
+        "fleet.virtual_s",
+        "fleet.zipf",
+        "retries.fleet.reroute",
+        "retries.fleet.session.resume",
+        "serve.bad_request",
+        "serve.cache.corrupt",
+        "serve.cache.evictions",
+        "serve.cache.hits",
+        "serve.cache.misses",
+        "serve.cache.rejected",
+        "serve.err",
+        "serve.ok",
+        "serve.requests",
+        "serve.shed.deadline",
+        "serve.shed.overloaded",
+        "serve.shed.shutting_down",
+        "serve.virtual_s",
+    ];
+    assert_eq!(named.iter().map(String::as_str).collect::<Vec<_>>(), want);
 
     // The request view validates through the lexer's own `skip_value`, not a
     // private copy of the walk, and the cache's recency queue stays retired
