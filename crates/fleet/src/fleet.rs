@@ -23,11 +23,10 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use greenness_core::steering::StampBook;
 use greenness_faults::{FaultInjector, FaultPlan, Site};
 use greenness_serve::protocol::{self, ErrorCode, KeyMemo, Request};
-use greenness_serve::{
-    Disposition, LineHandler, Next, Outcome, Service, ServiceConfig, SteeringMemo,
-};
+use greenness_serve::{Disposition, LineHandler, Next, Outcome, Service, ServiceConfig};
 use greenness_trace::hash::Blake2s256;
 use greenness_trace::MetricsRegistry;
 
@@ -201,9 +200,9 @@ pub struct Fleet {
     state: Mutex<FleetState>,
     metrics: Mutex<MetricsRegistry>,
     churn: Option<Mutex<FaultInjector>>,
-    /// The steering memo every shard's sessions share, a rejoined shard's
+    /// The steering book every shard's sessions share, a rejoined shard's
     /// too: each frame, step-0 field and projection is made once per fleet.
-    memo: SteeringMemo,
+    book: StampBook,
     /// Every line is parsed through this: a repeated request is routed by
     /// its remembered content address, not canonicalized and hashed again.
     keys: KeyMemo,
@@ -212,9 +211,9 @@ pub struct Fleet {
 impl Fleet {
     /// Boot a fleet of `config.shards` fresh shards.
     pub fn new(config: FleetConfig) -> Fleet {
-        let memo = SteeringMemo::default();
+        let book = StampBook::default();
         let services = (0..config.shards)
-            .map(|i| Arc::new(boot_shard(&config, i, &memo)))
+            .map(|i| Arc::new(boot_shard(&config, i, &book)))
             .collect();
         Fleet {
             state: Mutex::new(FleetState {
@@ -229,7 +228,7 @@ impl Fleet {
                 .faults
                 .map(|plan| Mutex::new(plan.injector(Site::FleetChurn, 0))),
             config,
-            memo,
+            book,
             keys: KeyMemo::default(),
         }
     }
@@ -581,7 +580,7 @@ impl Fleet {
                 return Vec::new();
             }
             let joiner = dead[(pick % dead.len() as u64) as usize];
-            let fresh = Arc::new(boot_shard(&self.config, joiner, &self.memo));
+            let fresh = Arc::new(boot_shard(&self.config, joiner, &self.book));
             state.services[joiner as usize] = Arc::clone(&fresh);
             state.live[joiner as usize] = true;
             state.ring.add(joiner);
@@ -637,8 +636,8 @@ impl LineHandler for Fleet {
     }
 }
 
-/// A fresh service for shard `shard` of a fleet of `config`, sharing `memo`.
-fn boot_shard(config: &FleetConfig, shard: u32, memo: &SteeringMemo) -> Service {
+/// A fresh service for shard `shard` of a fleet of `config`, sharing `book`.
+fn boot_shard(config: &FleetConfig, shard: u32, book: &StampBook) -> Service {
     let config = ServiceConfig {
         jobs: config.jobs,
         cache_bytes: config.cache_bytes,
@@ -651,7 +650,7 @@ fn boot_shard(config: &FleetConfig, shard: u32, memo: &SteeringMemo) -> Service 
             .faults
             .map(|plan| plan.derive(&format!("fleet.shard/{shard}"))),
     };
-    Service::with_memo(config, memo.clone())
+    Service::with_book(config, book.clone())
 }
 
 /// The ring key of steering session `name`: BLAKE2s-256 of
@@ -893,9 +892,9 @@ mod tests {
     #[test]
     fn a_rehomed_session_answers_a_resent_seq_with_its_original_reply() {
         // Under churn the session's home shard is lost, and the fresh shard
-        // replays the acked ops against a fleet memo that already holds the
-        // adjust's what-if: a re-sent seq must still get its original ack,
-        // `cached=false` included, not the replay's own reply.
+        // replays the acked ops against a fleet book that already holds the
+        // adjust's projections: a re-sent seq must still get its original
+        // ack.
         let fleet = Fleet::new(FleetConfig {
             faults: Some(FaultPlan {
                 fleet_churn_rate: 0.5,
@@ -911,7 +910,7 @@ mod tests {
             r#""id":2,"op":"steer.adjust","params":{"session":"r","seq":1,"kind":"io_interval","io_interval":4}"#,
         );
         let acked = fleet.handle_line(&adjust).line;
-        assert!(acked.contains("cached=false"), "{acked}");
+        assert!(acked.contains("adjusted session=r seq=1"), "{acked}");
         let rehomed = || fleet.metrics_clone().counter("fleet.session.rehomed");
         assert_eq!(rehomed(), 0);
         for _ in 0..64 {
@@ -923,10 +922,10 @@ mod tests {
         panic!("the session re-homed {} time(s) in 64 ops", rehomed());
     }
 
-    /// The frame stamps `fleet`'s steering memo holds, read off its `Debug`
-    /// form: the memo keeps its entries to itself.
+    /// The frame stamps `fleet`'s steering book holds, read off its `Debug`
+    /// form: the book keeps its entries to itself.
     fn stamps_held(fleet: &Fleet) -> usize {
-        format!("{:?}", fleet.memo).matches("FrameStamp").count()
+        format!("{:?}", fleet.book).matches("FrameStamp").count()
     }
 
     #[test]
@@ -980,7 +979,7 @@ mod tests {
         let made = render(&on_joined.expect("a session on the rejoined shard"));
         assert_eq!(stamps_held(&fleet), 2, "frames at steps 2 and 3");
         let read = render(&elsewhere.expect("a session on another shard"));
-        assert_eq!(stamps_held(&fleet), 2, "both read from the memo");
+        assert_eq!(stamps_held(&fleet), 2, "both read from the book");
         assert_eq!(made, read);
     }
 

@@ -39,7 +39,6 @@ pub mod service;
 
 pub use cache::ResultCache;
 pub use client::{query, Client};
-pub use greenness_steer::SteeringMemo;
 pub use harness::{replay_workload, run_replay, ReplayOutput};
 pub use protocol::{ErrorCode, SCHEMA};
 pub use server::{LineHandler, Next, Server};

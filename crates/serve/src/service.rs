@@ -17,16 +17,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use greenness_core::advisor::{self, IoBehavior, WorkloadProfile};
-use greenness_core::steering::Adjustment;
+use greenness_core::steering::{Adjustment, StampBook};
 use greenness_core::sweep;
 use greenness_core::whatif::WhatIfAnalysis;
 use greenness_core::{CaseComparison, ExperimentSetup, PipelineConfig, PipelineKind};
 use greenness_faults::{FaultInjector, FaultPlan, Site};
 use greenness_platform::DiskModel;
 use greenness_power::GreenMetrics;
-use greenness_steer::{
-    AttachSpec, EngineConfig, SessionEngine, SteerError, SteerReply, SteeringMemo,
-};
+use greenness_steer::{AttachSpec, EngineConfig, SessionEngine, SteerError, SteerReply};
 use greenness_trace::{fmt_f64, push_escaped, push_f64, MetricsRegistry};
 
 use crate::admission::{Denial, Gate};
@@ -157,14 +155,14 @@ pub struct Service {
 }
 
 impl Service {
-    /// A fresh service, its steering memo its own.
+    /// A fresh service, its steering book its own.
     pub fn new(config: ServiceConfig) -> Service {
-        Service::with_memo(config, SteeringMemo::default())
+        Service::with_book(config, StampBook::default())
     }
 
-    /// A fresh service whose steering sessions share `memo` with every
+    /// A fresh service whose steering sessions share `book` with every
     /// other holder of it (a fleet's shards).
-    pub fn with_memo(config: ServiceConfig, memo: SteeringMemo) -> Service {
+    pub fn with_book(config: ServiceConfig, book: StampBook) -> Service {
         Service {
             cache: Mutex::new(ResultCache::new(config.cache_bytes)),
             gate: Gate::new(config.slots, config.queue_depth),
@@ -175,12 +173,12 @@ impl Service {
                     handler: plan.injector(Site::ServeHandler, 1),
                 })
             }),
-            steer: Mutex::new(SessionEngine::with_memo(
+            steer: Mutex::new(SessionEngine::with_book(
                 EngineConfig {
                     session_slots: config.session_slots,
                     jobs: config.jobs,
                 },
-                memo,
+                book,
             )),
             config,
         }

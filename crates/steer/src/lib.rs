@@ -11,29 +11,24 @@
 //!   be exactly `applied + 1`; a replayed `seq ≤ applied` returns the
 //!   recorded reply byte-for-byte (this is how clients resume after a
 //!   dropped connection without double-applying), and a gap is rejected.
-//!   The session name is identity, not content: it never enters the
-//!   what-if cache key, so identical sessions share cached deltas.
-//! * **What-if deltas** come from [`SteeringPipeline::whatif`] schedule
-//!   replay and are memoized in a BLAKE2s content-addressed cache keyed by
-//!   the canonical step-prefix of the session (workload, every applied op,
-//!   and the proposed adjustment), so repeated questions cost nothing at
-//!   all and fresh ones cost no solver or renderer work.
-//! * **The memo** ([`SteeringMemo`]) is what engines share: the stamp book
-//!   with the step-0 field, the frames and the projections, and the what-if
-//!   cache. An engine made by [`SessionEngine::new`] has one of its own; the
-//!   engines of a fleet's shards share the fleet's, so each view is made
-//!   once per fleet and a reply's `cached=` does not depend on which shard
-//!   a session lives on.
+//! * **What-if deltas** come from [`SteeringPipeline::whatif_with`]: two
+//!   schedule replays, no solver or renderer work, each made once while
+//!   the book holds it.
+//! * **The book** ([`StampBook`]) is all engines share: the step-0 field,
+//!   the frames and the projections. An engine made by
+//!   [`SessionEngine::new`] has one of its own; the engines of a fleet's
+//!   shards share the fleet's, so each view and projection is made once per
+//!   fleet.
 //!
-//! Everything is deterministic: identical op sequences produce identical
-//! transcripts for any solver thread count and across reruns.
+//! Everything is deterministic: a reply is a function of its session's
+//! workload and ops alone, for any solver thread count, whichever session
+//! or shard made a frame or projection first, and across reruns.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write};
-use std::sync::{Arc, Mutex};
 
 use greenness_core::pipeline::PipelineError;
-use greenness_core::steering::{Adjustment, StampBook, SteeringPipeline, WhatIfDelta};
+use greenness_core::steering::{Adjustment, StampBook, SteeringPipeline};
 use greenness_core::PipelineConfig;
 use greenness_trace::hash::Blake2s256;
 
@@ -133,53 +128,6 @@ impl From<PipelineError> for SteerError {
     }
 }
 
-/// What the engines holding it share: their sessions' step-0 field, frames
-/// and projections (`core::steering`'s book), and the what-if cache. A
-/// handle: its clones share one memo.
-#[derive(Debug, Clone, Default)]
-pub struct SteeringMemo {
-    book: StampBook,
-    whatif: Arc<Mutex<WhatIfCache>>,
-}
-
-/// `(baseline_j, adjusted_j)` by content address (see
-/// [`SessionEngine::adjust`]), with the op that computed it: its session's
-/// name and its seq. A name is one session among the engines sharing a memo
-/// (a fleet places each session by name). Unbounded.
-type WhatIfCache = HashMap<[u8; 32], (f64, f64, String, u64)>;
-
-/// A what-if answer: `(baseline_j, adjusted_j)`, whether it was held, and
-/// whether another op computed it (the reply's `cached=`).
-type WhatIfAnswer = (f64, f64, bool, bool);
-
-impl SteeringMemo {
-    /// The answer held under `key`, or `ask`'s, then held under it as made
-    /// by op `seq` of session `name`. The lock is held across `ask`, a
-    /// schedule replay that takes no other lock, so the first session of
-    /// the memo's engines to ask a question is the one that computes it,
-    /// as in one engine. An op replayed into a fresh engine (a fleet
-    /// session re-homed after its shard was lost) finds the answer it
-    /// computed itself, and so says `cached=false` as it did the first
-    /// time. A poisoned lock answers every question afresh.
-    fn whatif(
-        &self,
-        key: [u8; 32],
-        (name, seq): (&str, u64),
-        ask: impl FnOnce() -> Result<WhatIfDelta, PipelineError>,
-    ) -> Result<WhatIfAnswer, PipelineError> {
-        let mut held = self.whatif.lock().ok();
-        if let Some((baseline_j, adjusted_j, by, at)) = held.as_ref().and_then(|h| h.get(&key)) {
-            let another = (by.as_str(), *at) != (name, seq);
-            return Ok((*baseline_j, *adjusted_j, true, another));
-        }
-        let wi = ask()?;
-        if let Some(held) = held.as_mut() {
-            held.insert(key, (wi.baseline_j, wi.adjusted_j, name.to_string(), seq));
-        }
-        Ok((wi.baseline_j, wi.adjusted_j, false, false))
-    }
-}
-
 /// A session reply: the transcript line plus the session's cumulative
 /// energy after the op (the serve tier's `(result, energy_j)` envelope).
 pub type SteerReply = (String, f64);
@@ -197,10 +145,6 @@ struct Session {
     applied: u64,
     /// Recorded replies, indexed by `seq - 1`, replayed byte-for-byte.
     log: Vec<SteerReply>,
-    /// The canonical step-prefix absorbed so far: workload + every applied
-    /// op, in order (see [`history`]). A copy of it that goes on to absorb a
-    /// proposed adjustment keys the what-if cache.
-    history: Blake2s256,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -215,31 +159,31 @@ struct Counters {
 }
 
 /// The steering session engine: session table and sequence/replay
-/// protocol, over a memo it may share.
+/// protocol, over a book it may share.
 pub struct SessionEngine {
     cfg: EngineConfig,
     sessions: HashMap<String, Session>,
     /// Sessions attached and not yet detached: what the slot budget bounds.
     live: usize,
     /// What the sessions share with each other and with the other engines
-    /// holding the memo.
-    memo: SteeringMemo,
+    /// holding the book.
+    book: StampBook,
     counters: Counters,
 }
 
 impl SessionEngine {
-    /// A fresh engine with no sessions and a memo of its own.
+    /// A fresh engine with no sessions and a book of its own.
     pub fn new(cfg: EngineConfig) -> SessionEngine {
-        SessionEngine::with_memo(cfg, SteeringMemo::default())
+        SessionEngine::with_book(cfg, StampBook::default())
     }
 
-    /// A fresh engine with no sessions, sharing `memo`.
-    pub fn with_memo(cfg: EngineConfig, memo: SteeringMemo) -> SessionEngine {
+    /// A fresh engine with no sessions, sharing `book`.
+    pub fn with_book(cfg: EngineConfig, book: StampBook) -> SessionEngine {
         SessionEngine {
             cfg,
             sessions: HashMap::new(),
             live: 0,
-            memo,
+            book,
             counters: Counters::default(),
         }
     }
@@ -306,7 +250,7 @@ impl SessionEngine {
         let mut workload = PipelineConfig::small(spec.interval);
         workload.timesteps = spec.timesteps;
         workload.label = format!("steer:{name}");
-        let pipe = SteeringPipeline::open(&workload, self.cfg.jobs, &self.memo.book)?;
+        let pipe = SteeringPipeline::open(&workload, self.cfg.jobs, &self.book)?;
         let reply = (
             format!(
                 "attached session={name} token={} applied=0 step=0 resumed=false",
@@ -321,7 +265,6 @@ impl SessionEngine {
                 spec: spec.clone(),
                 applied: 0,
                 log: Vec::new(),
-                history: history(spec),
             },
         );
         self.live += 1;
@@ -330,7 +273,9 @@ impl SessionEngine {
     }
 
     /// Answer the what-if for `adj`, then apply it. Op `seq` must be
-    /// `applied + 1`; earlier seqs replay their recorded reply.
+    /// `applied + 1`; earlier seqs replay their recorded reply. The answer
+    /// counts `steer.delta.cached` when the book held both of its
+    /// projections, else `steer.delta.computed`.
     ///
     /// # Errors
     /// Sequence and session errors as in [`attach`](Self::attach); invalid
@@ -344,24 +289,7 @@ impl SessionEngine {
         if let Some(reply) = self.replay(name, seq)? {
             return Ok(reply);
         }
-        let canonical = adj.canonical();
-        let cache_key = {
-            let Some(session) = self.sessions.get(name) else {
-                return Err(SteerError::UnknownSession(name.to_string()));
-            };
-            // Content-addressed: the session *name* is identity, not
-            // content, so the history never holds it — two sessions with
-            // identical workloads and op histories asking the same question
-            // share one cache entry.
-            let mut key = session.history.clone();
-            key.update(b";whatif=");
-            key.update(canonical.as_bytes());
-            key.finalize()
-        };
-        let pipe = self.live(name)?;
-        let (baseline_j, adjusted_j, held, cached) =
-            self.memo
-                .whatif(cache_key, (name, seq), || pipe.whatif(adj))?;
+        let (delta, held) = self.live(name)?.whatif_with(adj, &self.book)?;
         if held {
             self.counters.delta_cached += 1;
         } else {
@@ -371,14 +299,15 @@ impl SessionEngine {
         pipe.adjust(adj)?;
         let reply = (
             format!(
-                "adjusted session={name} seq={seq} {canonical} delta_j={} baseline_j={} adjusted_j={} cached={cached}",
-                adjusted_j - baseline_j,
-                baseline_j,
-                adjusted_j,
+                "adjusted session={name} seq={seq} {} delta_j={} baseline_j={} adjusted_j={}",
+                adj.canonical(),
+                delta.adjusted_j - delta.baseline_j,
+                delta.baseline_j,
+                delta.adjusted_j,
             ),
             pipe.energy_j(),
         );
-        self.record(name, seq, format_args!("adjust({canonical})"), &reply);
+        self.record(name, seq, &reply);
         self.counters.adjust += 1;
         Ok(reply)
     }
@@ -394,7 +323,7 @@ impl SessionEngine {
             return Ok(reply);
         }
         let pipe = live_mut(&mut self.sessions, name)?;
-        let book = &self.memo.book;
+        let book = &self.book;
         let scheduled = pipe.advance_with(steps, book);
         let frame = pipe.render_now(book);
         let mut line = format!(
@@ -410,7 +339,7 @@ impl SessionEngine {
             line.push(']');
         }
         let reply = (line, pipe.energy_j());
-        self.record(name, seq, format_args!("render({steps})"), &reply);
+        self.record(name, seq, &reply);
         self.counters.render += 1;
         Ok(reply)
     }
@@ -510,15 +439,13 @@ impl SessionEngine {
         }
     }
 
-    fn record(&mut self, name: &str, seq: u64, op: fmt::Arguments, reply: &SteerReply) {
+    fn record(&mut self, name: &str, seq: u64, reply: &SteerReply) {
         let session = self
             .sessions
             .get_mut(name)
             .unwrap_or_else(|| unreachable!("record() follows a successful live_mut()"));
         session.applied = seq;
         session.log.push(reply.clone());
-        // The hasher's `fmt::Write` never fails.
-        let _ = write!(session.history, ";seq={seq}:{op}");
     }
 }
 
@@ -547,20 +474,6 @@ fn validate_name(name: &str) -> Result<(), SteerError> {
             "session name must be 1-64 chars of [A-Za-z0-9._-], got '{name}'"
         )))
     }
-}
-
-/// A fresh session's history: the BLAKE2s state of its canonical
-/// step-prefix, `steer/v1;interval=2;timesteps=12`, to which each applied op
-/// appends `;seq=1:render(3)`, `;seq=2:adjust(io_interval=3)` and so on.
-fn history(spec: &AttachSpec) -> Blake2s256 {
-    let mut history = Blake2s256::default();
-    // The hasher's `fmt::Write` never fails.
-    let _ = write!(
-        history,
-        "steer/v1;interval={};timesteps={}",
-        spec.interval, spec.timesteps
-    );
-    history
 }
 
 /// The resume token of `name` at `applied`: the first eight bytes of the
@@ -636,28 +549,100 @@ mod tests {
         );
     }
 
+    /// `e`'s counter `name`.
+    fn count(e: &SessionEngine, name: &str) -> u64 {
+        let counters = e.counters();
+        let found = counters.iter().find(|(n, _)| *n == name);
+        found.expect("known counter").1
+    }
+
     #[test]
     fn an_op_replayed_into_a_fresh_engine_answers_as_it_first_did() {
-        let memo = SteeringMemo::default();
-        let sharing = || SessionEngine::with_memo(EngineConfig::default(), memo.clone());
+        let book = StampBook::default();
+        let sharing = || SessionEngine::with_book(EngineConfig::default(), book.clone());
         let adj = Adjustment::IoInterval(4);
         let mut first = sharing();
         first.attach("a", &spec()).expect("attach");
         let acked = first.adjust("a", 1, &adj).expect("adjust");
-        assert!(acked.0.ends_with(" cached=false"), "{}", acked.0);
         // The session rebuilt from its ops on another engine over the same
-        // memo, as a fleet re-homes it: the answer is held, and was made by
-        // this very op.
+        // book, as a fleet re-homes it: the answer is held.
         let mut fresh = sharing();
         fresh.attach("a", &spec()).expect("attach");
         assert_eq!(fresh.adjust("a", 1, &adj).expect("adjust"), acked);
-        // Another session asking the same question was not the one to make it.
         fresh.attach("b", &spec()).expect("attach");
-        let other = fresh.adjust("b", 1, &adj).expect("adjust");
-        assert!(other.0.ends_with(" cached=true"), "{}", other.0);
-        let counted: HashMap<_, _> = fresh.counters().into_iter().collect();
-        assert_eq!(counted["steer.delta.cached"], 2, "both were held");
-        assert_eq!(counted["steer.delta.computed"], 0);
+        let (other, j) = fresh.adjust("b", 1, &adj).expect("adjust");
+        assert_eq!((other.replace("=b ", "=a "), j), acked);
+        assert_eq!(count(&first, "steer.delta.computed"), 1);
+        assert_eq!(count(&fresh, "steer.delta.cached"), 2, "both were held");
+        assert_eq!(count(&fresh, "steer.delta.computed"), 0);
+    }
+
+    /// `(baseline_j, adjusted_j)` of an adjust reply, as their bits.
+    fn whatif_bits(line: &str) -> (u64, u64) {
+        let field = |key: &str| {
+            let rest = line.split(&format!(" {key}=")).nth(1).expect(key);
+            let text = rest.split(' ').next().unwrap_or(rest);
+            text.parse::<f64>().expect("a float").to_bits()
+        };
+        (field("baseline_j"), field("adjusted_j"))
+    }
+
+    #[test]
+    fn sessions_reaching_one_schedule_by_other_histories_share_a_whatif() {
+        let mut e = engine();
+        e.attach("a", &spec()).expect("attach");
+        e.attach("b", &spec()).expect("attach");
+        // `a` goes to every third step and back; `b` stays put.
+        e.adjust("a", 1, &Adjustment::IoInterval(3))
+            .expect("adjust");
+        e.adjust("a", 2, &Adjustment::IoInterval(2))
+            .expect("adjust");
+        let adj = Adjustment::IoInterval(4);
+        let asked = e.adjust("a", 3, &adj).expect("adjust");
+        let reference = e.pipeline("b").expect("live").whatif(&adj).expect("valid");
+        let cached = count(&e, "steer.delta.cached");
+        let computed = count(&e, "steer.delta.computed");
+        let (line, _) = e.adjust("b", 1, &adj).expect("adjust");
+        assert_eq!(count(&e, "steer.delta.cached"), cached + 1);
+        assert_eq!(count(&e, "steer.delta.computed"), computed);
+        let bits = (
+            reference.baseline_j.to_bits(),
+            reference.adjusted_j.to_bits(),
+        );
+        assert_eq!(whatif_bits(&line), bits);
+        assert_eq!(whatif_bits(&asked.0), bits);
+        let mut solo = engine();
+        solo.attach("b", &spec()).expect("attach");
+        assert_eq!(solo.adjust("b", 1, &adj).expect("adjust").0, line);
+    }
+
+    #[test]
+    fn the_book_bounds_the_whatif_answers_it_holds() {
+        let resolution = |k: usize| Adjustment::Resolution {
+            width: 40 + k,
+            height: 40,
+        };
+        let mut e = engine();
+        e.attach("long", &spec()).expect("attach");
+        for k in 1..=40 {
+            e.adjust("long", k as u64, &resolution(k)).expect("adjust");
+        }
+        // 41 schedules asked about; the book keeps `core::steering`'s 32.
+        let projections = |e: &SessionEngine| format!("{:?}", e.book).matches("Schedule {").count();
+        assert_eq!(projections(&e), 32);
+        // The first question's projections are gone: asked again, it is
+        // replayed, and answers as a session alone does.
+        e.attach("again", &spec()).expect("attach");
+        let computed = count(&e, "steer.delta.computed");
+        let again = e.adjust("again", 1, &resolution(1)).expect("adjust");
+        assert_eq!(count(&e, "steer.delta.computed"), computed + 1);
+        assert_eq!(projections(&e), 32);
+        let mut solo = engine();
+        solo.attach("again", &spec()).expect("attach");
+        assert_eq!(
+            solo.adjust("again", 1, &resolution(1)).expect("adjust"),
+            again
+        );
     }
 
     #[test]
@@ -706,32 +691,16 @@ mod tests {
             height: 96,
         };
         let first = e.adjust("a", 2, &adj).expect("adjust");
-        assert!(first.0.contains("cached=false"), "{}", first.0);
-        // Session `b` has the same workload and op history — the name is
-        // identity, not content, so the same question is a cache hit with
-        // the exact same numbers.
-        let second = e.adjust("b", 2, &adj).expect("adjust");
-        assert!(second.0.contains("cached=true"), "{}", second.0);
-        let delta_of = |line: &str| {
-            line.split(" delta_j=")
-                .nth(1)
-                .and_then(|rest| rest.split(' ').next())
-                .expect("delta field")
-                .to_string()
-        };
-        assert_eq!(delta_of(&first.0), delta_of(&second.0));
-        // A replayed seq hits the recorded log, not the cache:
+        // Session `b` has the same workload and op history, so the book
+        // holds both projections of the same question: the same reply.
+        let (second, j) = e.adjust("b", 2, &adj).expect("adjust");
+        assert_eq!((second.replace("=b ", "=a "), j), first);
+        // A replayed seq hits the recorded log, not the book:
         let replay = e.adjust("a", 2, &adj).expect("replay");
         assert_eq!(replay, first);
-        let count = |name: &str| {
-            e.counters()
-                .iter()
-                .find(|(n, _)| *n == name)
-                .expect("known counter")
-                .1
-        };
-        let (attaches, adjusts) = (count("steer.attach"), count("steer.adjust"));
-        let (cached, computed) = (count("steer.delta.cached"), count("steer.delta.computed"));
+        let (attaches, adjusts) = (count(&e, "steer.attach"), count(&e, "steer.adjust"));
+        let cached = count(&e, "steer.delta.cached");
+        let computed = count(&e, "steer.delta.computed");
         assert_eq!((attaches, adjusts), (2, 2));
         assert_eq!((cached, computed), (1, 1));
     }
@@ -823,7 +792,7 @@ mod tests {
     /// The stamps `e`'s book holds, read off its `Debug` form: the book
     /// keeps its entries to itself.
     fn stamps_held(e: &SessionEngine) -> usize {
-        format!("{:?}", e.memo).matches("FrameStamp").count()
+        format!("{:?}", e.book).matches("FrameStamp").count()
     }
 
     #[test]
@@ -849,8 +818,7 @@ mod tests {
             made_alone += stamps_held(&solo);
             assert_eq!(transcript.len(), alone.len());
             for ((line, j), (solo_line, solo_j)) in transcript.iter().zip(&alone) {
-                // The what-if cache shares answers too; only its flag says so.
-                assert_eq!(line.replace("cached=true", "cached=false"), *solo_line);
+                assert_eq!(line, solo_line);
                 assert_eq!(j.to_bits(), solo_j.to_bits(), "{line}");
             }
         }

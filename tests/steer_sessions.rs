@@ -8,7 +8,7 @@
 //!    fleet converges to bit-identical reply bytes under connection drops
 //!    and shard churn, for every fault seed — the client never observes a
 //!    fault, only the clean transcript.
-//! 2. What-if deltas answered from the content-addressed cache (or from
+//! 2. What-if deltas answered from the stamp book's projections (or from
 //!    schedule replay) match a full recompute — real stencil, real
 //!    renderer — to within 1e-9 J, while doing zero additional solver
 //!    work.
@@ -25,8 +25,8 @@
 //!    nor stored, retried or not.
 //! 7. Sixteen interleaved sessions through a 4-shard fleet, clean and under
 //!    every fault seed of the sweep, answer what one service answers, byte
-//!    for byte: the shards share one what-if cache, so no `cached=` token
-//!    depends on where a session lives.
+//!    for byte: a reply depends on its session's ops alone, not on where
+//!    the session lives.
 
 use greenness_core::steering::Adjustment;
 use greenness_faults::FaultPlan;
@@ -133,10 +133,16 @@ fn cached_deltas_match_full_recompute_within_1e9_joules() {
         pipe.full_recompute_remaining_j(trial.config())
     };
 
+    let deltas = |engine: &SessionEngine| {
+        let counters = engine.counters();
+        let count = |name| counters.iter().find(|(n, _)| *n == name).map(|c| c.1);
+        (count("steer.delta.cached"), count("steer.delta.computed"))
+    };
+    // `a` replays the adjusted schedule; `b` finds both projections held.
     let computed = engine.adjust("a", 2, &adj).expect("adjust a");
+    assert_eq!(deltas(&engine), (Some(0), Some(1)));
     let cached = engine.adjust("b", 2, &adj).expect("adjust b");
-    assert!(computed.0.contains("cached=false"), "{}", computed.0);
-    assert!(cached.0.contains("cached=true"), "{}", cached.0);
+    assert_eq!(deltas(&engine), (Some(1), Some(1)));
 
     let field = |line: &str, key: &str| -> f64 {
         line.split(&format!(" {key}="))
@@ -160,16 +166,6 @@ fn cached_deltas_match_full_recompute_within_1e9_joules() {
     // advanced a single step for either what-if.
     let after = engine.pipeline("b").expect("live session").solver_steps();
     assert_eq!(solver_steps_before, after, "what-if ran the solver");
-    let count = |name: &str| {
-        engine
-            .counters()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .expect("known counter")
-            .1
-    };
-    assert_eq!(count("steer.delta.computed"), 1);
-    assert_eq!(count("steer.delta.cached"), 1);
 }
 
 #[test]
