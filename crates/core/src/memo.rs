@@ -243,30 +243,6 @@ pub(crate) fn recall<E>(
 }
 
 #[cfg(test)]
-impl GridMemo {
-    /// `(step, snapshot, checksum)` of every field held.
-    fn held(&self) -> Vec<(u64, Stored, u64)> {
-        let steps = self.fields.lock().expect("unpoisoned");
-        let fields = steps
-            .iter()
-            .flat_map(|(&step, fields)| fields.iter().map(move |f| (step, f)));
-        fields
-            .filter_map(|(step, f)| f.held.clone().map(|(snapshot, sum)| (step, snapshot, sum)))
-            .collect()
-    }
-
-    /// Fields still expected to be read, held or not.
-    fn expected(&self) -> usize {
-        self.fields
-            .lock()
-            .expect("unpoisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use std::collections::HashMap;
 
@@ -279,6 +255,29 @@ mod tests {
     use super::*;
     use crate::driver;
     use crate::pipeline::{drive, run, PipelineOutput};
+
+    impl GridMemo {
+        /// `(step, snapshot, checksum)` of every field held.
+        fn held(&self) -> Vec<(u64, Stored, u64)> {
+            let steps = self.fields.lock().expect("unpoisoned");
+            let fields = steps
+                .iter()
+                .flat_map(|(&step, fields)| fields.iter().map(move |f| (step, f)));
+            fields
+                .filter_map(|(step, f)| f.held.clone().map(|(snapshot, sum)| (step, snapshot, sum)))
+                .collect()
+        }
+
+        /// Fields still expected to be read, held or not.
+        fn expected(&self) -> usize {
+            self.fields
+                .lock()
+                .expect("unpoisoned")
+                .values()
+                .map(Vec::len)
+                .sum()
+        }
+    }
 
     const KINDS: [PipelineKind; 2] = [PipelineKind::PostProcessing, PipelineKind::InSitu];
 

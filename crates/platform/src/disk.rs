@@ -344,20 +344,19 @@ impl DiskModel {
 }
 
 #[cfg(test)]
-impl DiskModel {
-    /// A copy with the write cache (and elevator reordering) disabled.
-    fn without_write_cache(&self) -> Self {
-        DiskModel {
-            write_cache: false,
-            ..self.clone()
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::units::{GIB, KIB};
+
+    impl DiskModel {
+        /// A copy with the write cache (and elevator reordering) disabled.
+        fn without_write_cache(&self) -> Self {
+            DiskModel {
+                write_cache: false,
+                ..self.clone()
+            }
+        }
+    }
 
     fn hdd() -> DiskModel {
         DiskModel::seagate_7200rpm_500gb()

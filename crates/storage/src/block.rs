@@ -152,16 +152,15 @@ impl BlockDevice for NullBlockDevice {
 }
 
 #[cfg(test)]
-impl MemBlockDevice {
-    /// Number of blocks actually materialized (written and not discarded).
-    pub(crate) fn materialized_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemBlockDevice {
+        /// Number of blocks actually materialized (written and not discarded).
+        pub(crate) fn materialized_blocks(&self) -> usize {
+            self.blocks.len()
+        }
+    }
 
     #[test]
     fn mem_device_round_trips_blocks() {

@@ -120,19 +120,18 @@ impl BurstBuffer {
 }
 
 #[cfg(test)]
-impl BurstBuffer {
-    /// Bytes currently staged.
-    fn staged_bytes(&self) -> u64 {
-        self.staged_bytes
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::MemBlockDevice;
     use crate::fs::FsConfig;
     use greenness_platform::HardwareSpec;
+
+    impl BurstBuffer {
+        /// Bytes currently staged.
+        fn staged_bytes(&self) -> u64 {
+            self.staged_bytes
+        }
+    }
 
     fn setup(buffer_bytes: u64) -> (Node, FileSystem<MemBlockDevice>, BurstBuffer) {
         (

@@ -212,30 +212,29 @@ impl PageCache {
 }
 
 #[cfg(test)]
-impl PageCache {
-    /// Write back *all* dirty pages (the `sync` syscall).
-    fn sync(&mut self, dev: &mut impl BlockDevice) -> u64 {
-        let dirty = self.dirty_blocks();
-        let n = dirty.len() as u64;
-        self.flush_blocks(dev, &dirty);
-        n
-    }
-
-    /// Number of resident pages.
-    fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// True if block `idx` is resident and dirty.
-    fn is_dirty(&self, idx: u64) -> bool {
-        self.pages.get(&idx).is_some_and(|p| p.dirty)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::MemBlockDevice;
+
+    impl PageCache {
+        /// Write back *all* dirty pages (the `sync` syscall).
+        fn sync(&mut self, dev: &mut impl BlockDevice) -> u64 {
+            let dirty = self.dirty_blocks();
+            let n = dirty.len() as u64;
+            self.flush_blocks(dev, &dirty);
+            n
+        }
+
+        /// Number of resident pages.
+        fn resident_pages(&self) -> usize {
+            self.pages.len()
+        }
+
+        /// True if block `idx` is resident and dirty.
+        fn is_dirty(&self, idx: u64) -> bool {
+            self.pages.get(&idx).is_some_and(|p| p.dirty)
+        }
+    }
 
     fn filled(b: u8) -> Vec<u8> {
         vec![b; BLOCK_SIZE as usize]

@@ -583,23 +583,22 @@ impl CostedDevice for TieredStore {
 }
 
 #[cfg(test)]
-impl TieredStore {
-    /// A single-tier store over the node's own disk model — the flat
-    /// baseline expressed in tiered clothing (used by the Table III
-    /// regression oracle below).
-    fn single(name: &str, model: DiskModel, capacity_bytes: u64) -> Self {
-        TieredStore::new(
-            vec![TierSpec::new(name, model, capacity_bytes)],
-            PolicyKind::Noop,
-        )
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fs::{FileSystem, FsConfig};
     use greenness_platform::HardwareSpec;
+
+    impl TieredStore {
+        /// A single-tier store over the node's own disk model — the flat
+        /// baseline expressed in tiered clothing (used by the Table III
+        /// regression oracle below).
+        fn single(name: &str, model: DiskModel, capacity_bytes: u64) -> Self {
+            TieredStore::new(
+                vec![TierSpec::new(name, model, capacity_bytes)],
+                PolicyKind::Noop,
+            )
+        }
+    }
 
     fn dram_hdd() -> TieredStore {
         TieredStore::new(

@@ -321,17 +321,16 @@ impl MetricsRegistry {
 }
 
 #[cfg(test)]
-impl MetricsRegistry {
-    /// Snapshots in recording order.
-    pub(crate) fn snapshots(&self) -> &[MetricsSnapshot] {
-        &self.snapshots
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl MetricsRegistry {
+        /// Snapshots in recording order.
+        pub(crate) fn snapshots(&self) -> &[MetricsSnapshot] {
+            &self.snapshots
+        }
+    }
 
     /// `Histogram::observe`'s bucket search as it was: try every bound in
     /// turn. The oracle for [`bucket_index`].

@@ -179,27 +179,26 @@ impl StepTable {
     }
 }
 
-/// What the in-crate tests read a rendered color's brightness with.
-#[cfg(test)]
-impl Colormap {
-    /// Approximate perceived luminance of a color (Rec. 601 weights).
-    pub(crate) fn luminance(c: Rgb) -> f64 {
-        0.299 * c[0] as f64 + 0.587 * c[1] as f64 + 0.114 * c[2] as f64
-    }
-}
-
-/// Every colormap, for the in-crate tests that run once per map.
-#[cfg(test)]
-pub(crate) const ALL: [Colormap; 4] = [
-    Colormap::Viridis,
-    Colormap::Hot,
-    Colormap::CoolWarm,
-    Colormap::Gray,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the in-crate tests run once per map and read a rendered
+    /// color's brightness with.
+    impl Colormap {
+        /// Every colormap.
+        pub(crate) const ALL: [Colormap; 4] = [
+            Colormap::Viridis,
+            Colormap::Hot,
+            Colormap::CoolWarm,
+            Colormap::Gray,
+        ];
+
+        /// Approximate perceived luminance of a color (Rec. 601 weights).
+        pub(crate) fn luminance(c: Rgb) -> f64 {
+            0.299 * c[0] as f64 + 0.587 * c[1] as f64 + 0.114 * c[2] as f64
+        }
+    }
 
     #[test]
     fn endpoints_hit_the_extreme_stops() {
@@ -248,7 +247,7 @@ mod tests {
     #[test]
     fn step_table_equals_map_on_a_dense_sweep_of_the_unit_interval() {
         const POINTS: u64 = 2_100_000;
-        for cm in ALL {
+        for cm in Colormap::ALL {
             for k in 0..=POINTS {
                 assert_table_matches_oracle(cm, k as f64 / POINTS as f64);
             }
@@ -273,7 +272,7 @@ mod tests {
             f64::MAX,
             f64::MIN,
         ];
-        for cm in ALL {
+        for cm in Colormap::ALL {
             for t in specials {
                 assert_table_matches_oracle(cm, t);
             }
@@ -282,7 +281,7 @@ mod tests {
 
     #[test]
     fn step_table_equals_map_within_two_ulps_of_every_colour_change() {
-        for cm in ALL {
+        for cm in Colormap::ALL {
             let table = cm.table();
             let changes = &table.steps[1..table.steps.len() - 1];
             // Gray alone has 255 changes; no map can have more than one per

@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn a_paper_sized_frame_matches_the_reference_under_every_colormap() {
         let g = Grid::from_fn(512, 512, |x, y| (9.0 * x).sin() * (7.0 * y).cos());
-        for colormap in crate::colormap::ALL {
+        for colormap in Colormap::ALL {
             let opts = RenderOptions {
                 colormap,
                 ..RenderOptions::default()

@@ -184,6 +184,70 @@ fn non_test(src: &str) -> &str {
     src.split_once("#[cfg(test)]").map_or(src, |(code, _)| code)
 }
 
+/// The top-level lines of `src`, from its first `#[cfg(test)]` on, that are
+/// neither a `#[cfg(test)]` nor a module it gates (blank lines, comments,
+/// attributes and closing braces aside).
+fn stray_test_tail(src: &str) -> Vec<&str> {
+    let Some(start) = src.find("#[cfg(test)]") else {
+        return Vec::new();
+    };
+    let mut gated = false;
+    let mut stray = Vec::new();
+    for line in src[start..].lines() {
+        if line == "#[cfg(test)]" {
+            gated = true;
+        } else if line.starts_with("#[") {
+            // Another attribute on the same item.
+        } else if !(line.is_empty() || line.starts_with([' ', '}']) || line.starts_with("//")) {
+            let item = line.strip_prefix("pub(crate) ").unwrap_or(line);
+            if !(gated && item.starts_with("mod ")) {
+                stray.push(line);
+            }
+            gated = false;
+        }
+    }
+    stray
+}
+
+#[test]
+fn a_files_first_cfg_test_opens_its_test_code() {
+    // `non_test`, `production` and tools/loc.sh cut each file at its first
+    // `#[cfg(test)]`. That is right only when everything from there on is
+    // test code: so the first one opens a module, and every top-level item
+    // after it is a `#[cfg(test)]` module. A test-only impl, const or field
+    // above the tests goes inside a test module instead.
+    let mut sources = Vec::new();
+    rs_files(&repo_root().join("crates"), &mut sources);
+    let mut gated = 0;
+    for path in &sources {
+        let src = read(path);
+        gated += usize::from(src.contains("#[cfg(test)]"));
+        let stray = stray_test_tail(&src);
+        assert!(stray.is_empty(), "{}: {stray:?}", path.display());
+    }
+    assert!(gated >= 80, "{gated} files hold tests");
+}
+
+#[test]
+fn steering_sessions_share_only_the_stamp_book() {
+    // A what-if is two projections through `core::steering`'s book, which
+    // holds everything engines share. The steer crate kept a second,
+    // unbounded what-if cache keyed by a BLAKE2s of each session's history,
+    // behind a `Mutex` of its own; neither may grow back.
+    let mut sources = Vec::new();
+    rs_files(
+        &repo_root().join("crates").join("steer").join("src"),
+        &mut sources,
+    );
+    assert!(!sources.is_empty());
+    for path in &sources {
+        let src = read(path);
+        for needle in ["Mutex", "HashMap<[u8; 32]"] {
+            assert!(!src.contains(needle), "{}: `{needle}`", path.display());
+        }
+    }
+}
+
 #[test]
 fn the_single_node_loop_lives_only_in_the_core_driver() {
     let crates = repo_root().join("crates");
