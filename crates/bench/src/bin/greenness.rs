@@ -656,6 +656,13 @@ fn cmd_bench_serve(mut args: Args) {
             eprintln!("wrote {path}");
         }
     };
+    // Each shard's metrics, from either fleet replay, to --shard-metrics-out.
+    let emit_shards = |shard_metrics: &str| {
+        if let Some(path) = &shard_metrics_out {
+            std::fs::write(path, shard_metrics).expect("write shard metrics");
+            eprintln!("wrote {path}");
+        }
+    };
     if sessions > 0 {
         // Steering-session harness: N scripted sessions interleaved
         // round-robin against one in-process service, or a fleet of
@@ -683,6 +690,7 @@ fn cmd_bench_serve(mut args: Args) {
                 },
                 &interleaved,
                 emit,
+                emit_shards,
             );
             return;
         }
@@ -741,10 +749,7 @@ fn cmd_bench_serve(mut args: Args) {
             );
         }
         emit(&result.responses, &result.fleet_metrics);
-        if let Some(path) = &shard_metrics_out {
-            std::fs::write(path, &result.shard_metrics).expect("write shard metrics");
-            eprintln!("wrote {path}");
-        }
+        emit_shards(&result.shard_metrics);
         match &report_out {
             Some(path) => {
                 std::fs::write(path, &result.report).expect("write fleet report");
@@ -774,8 +779,14 @@ fn cmd_bench_serve(mut args: Args) {
 
 /// `bench-serve --sessions N --shards M`: the interleaved session scripts
 /// through a fleet, one line at a time. Emits the response log and the
-/// router's metrics; exits 1 on the first reply that is not ok.
-fn bench_fleet_sessions(config: FleetConfig, lines: &[&String], emit: impl Fn(&str, &str)) {
+/// router's metrics, then each shard's; exits 1 on the first reply that is
+/// not ok.
+fn bench_fleet_sessions(
+    config: FleetConfig,
+    lines: &[&String],
+    emit: impl Fn(&str, &str),
+    emit_shards: impl Fn(&str),
+) {
     let fleet = Fleet::new(config);
     let mut responses = String::new();
     for line in lines {
@@ -792,6 +803,7 @@ fn bench_fleet_sessions(config: FleetConfig, lines: &[&String], emit: impl Fn(&s
         &responses,
         &greenness_trace::metrics_file_json(&[("fleet".to_string(), m.clone())]),
     );
+    emit_shards(&greenness_trace::metrics_file_json(&fleet.shard_metrics()));
     eprintln!(
         "{} session op(s) through {} shard(s): {} ok, {} re-home(s), {} op(s) replayed, {} drop-resume retr(ies)",
         lines.len(),

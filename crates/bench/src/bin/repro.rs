@@ -514,7 +514,8 @@ fn main() {
 /// Future-work extension studies (not in the paper's evaluation): storage
 /// technologies, distributed pipelines, data-reduction variants and DVFS.
 fn print_extensions(setup: &ExperimentSetup, jobs: usize) {
-    use greenness_cluster::{run_cluster, ClusterConfig, ClusterKind};
+    use greenness_cluster::{ClusterConfig, ClusterKind};
+    use greenness_core::pipeline::cluster::run_cluster;
     use greenness_core::variants::{run_variant, CodecChoice, Variant};
     use greenness_core::PipelineConfig;
     use greenness_platform::Node;

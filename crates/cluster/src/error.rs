@@ -110,8 +110,7 @@ impl std::error::Error for ClusterError {}
 
 /// Degraded-mode accounting for one faulted run: everything the fault layer
 /// injected and everything the retry layers absorbed. Reported next to the
-/// [`crate::ClusterReport`] (not inside it, so fault-free report bytes stay
-/// identical).
+/// run's report (not inside it, so fault-free report bytes stay identical).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Injected fsync faults across all I/O servers.

@@ -17,29 +17,23 @@
 //! * [`pfs`] — a striped parallel filesystem over dedicated I/O server
 //!   nodes, each running the full single-node storage stack (page cache,
 //!   extents, journal barriers);
-//! * [`pipeline`] — the distributed pipelines: post-processing writes slabs
-//!   to the PFS and a visualization node reads them back; in-situ renders on
-//!   the compute nodes and ships only images; in-transit stages slabs —
-//!   optionally compressed on the wire — into dedicated staging nodes
-//!   through bounded send queues, genuinely overlapping simulation with
-//!   transfer and rendering (Bennett et al., the paper's ref [10]).
+//! * [`config`] — what a run is asked to do, checked up front.
 //!
-//! Cluster-level accounting sums every node's timeline (compute + I/O
-//! servers + viz/staging node); makespan is the latest clock. Load imbalance
-//! and barrier waits therefore show up as *real static energy*, which is
-//! exactly the effect the paper's single-node study could not see.
+//! This crate moves and stores bytes; it renders nothing and runs no
+//! pipeline. The distributed pipelines are `greenness_core::pipeline::cluster`,
+//! as `greenness-storage` is the substrate under `greenness_core::pipeline`.
+//! A node that waits on a barrier, a transfer or a server idles forward at
+//! real static power, so load imbalance and barrier waits show up as
+//! energy — exactly the effect the paper's single-node study could not see.
 
+pub mod config;
 pub mod error;
 pub mod fabric;
 pub mod pfs;
-pub mod pipeline;
 pub mod slab;
 
+pub use config::{ClusterConfig, ClusterKind, StagingConfig, WireCodec};
 pub use error::{ClusterError, FaultSummary};
 pub use fabric::{barrier, Fabric};
 pub use pfs::ParallelFs;
-pub use pipeline::{
-    run_cluster, run_cluster_traced, ClusterConfig, ClusterKind, ClusterReport, StagingConfig,
-    WireCodec,
-};
 pub use slab::DecomposedSolver;

@@ -88,7 +88,7 @@ impl ParallelFs {
     }
 
     /// Bytes durably written so far, across all servers.
-    pub(crate) fn written_bytes(&self) -> u64 {
+    pub fn written_bytes(&self) -> u64 {
         self.written_bytes
     }
 

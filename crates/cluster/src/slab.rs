@@ -49,6 +49,14 @@ pub(crate) fn row_slabs(ny: usize, parts: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// Exact pixel-row partition for slab renders: slab rows `[j0, j0+rows)` of
+/// a `ny`-row grid own pixel rows `[height*j0/ny, height*(j0+rows)/ny)`.
+/// The boundaries telescope, so per-slab heights (and pixel charges) sum to
+/// exactly the full frame — no truncation bias on odd grids.
+pub fn slab_rows_px(height: usize, ny: usize, j0: usize, rows: usize) -> usize {
+    height * (j0 + rows) / ny - height * j0 / ny
+}
+
 /// A row-slab view over one [`HeatSolver`]: the same physics, with the
 /// field's rows owned by `parts` slabs.
 #[derive(Debug, Clone)]

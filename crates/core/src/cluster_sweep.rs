@@ -17,14 +17,13 @@
 //! `tests/determinism.rs`). There is no per-job meter seed, so the journal's
 //! `job` begin event carries none.
 
-use greenness_cluster::{
-    run_cluster_traced, ClusterConfig, ClusterKind, ClusterReport, FaultSummary, StagingConfig,
-};
+use greenness_cluster::{ClusterConfig, ClusterKind, FaultSummary, StagingConfig};
 use greenness_faults::FaultPlan;
 use greenness_platform::SimTime;
 use greenness_trace::{escape_json, MetricsRegistry, Tracer, Value};
 
 use crate::grid::{self, JobView};
+use crate::pipeline::cluster::{run_cluster_traced, ClusterReport};
 use crate::sweep::{Progress, SweepError};
 
 /// The paper's case-study numbers, grid order.

@@ -33,7 +33,7 @@ use greenness_storage::{
     block_from, Block, FileSystem, FsConfig, FsError, MemBlockDevice, BLOCK_SIZE,
 };
 use greenness_trace::Value;
-use greenness_viz::{render_field, Framebuffer, RenderOptions};
+use greenness_viz::{render_field, Framebuffer, RenderCostModel, RenderOptions};
 
 use crate::config::PipelineConfig;
 use crate::memo::{recall, Reader};
@@ -392,10 +392,11 @@ pub(crate) fn frame_name(step: u64) -> String {
     format!("frame{step:04}.ppm")
 }
 
-/// Charge one frame's rasterisation (at `cfg`'s resolution).
-fn charge_frame(node: &mut Node, cfg: &PipelineConfig) {
-    let pixels = (cfg.render.width * cfg.render.height) as u64;
-    node.execute(cfg.render_cost.activity(pixels), Phase::Visualization);
+/// Charge `node` for rasterising one `width × height` frame under `cost`:
+/// the one render charge of every pipeline, on one node or on a cluster.
+pub(crate) fn charge_render(node: &mut Node, cost: &RenderCostModel, width: usize, height: usize) {
+    let pixels = (width * height) as u64;
+    node.execute(cost.activity(pixels), Phase::Visualization);
 }
 
 /// Charge one frame and recall it through `memo` (the run's reader and the
@@ -408,7 +409,7 @@ pub(crate) fn render(
     opts: &RenderOptions,
     memo: Option<(&mut Reader<'_>, u64)>,
 ) -> Framebuffer {
-    charge_frame(node, cfg);
+    charge_render(node, &cfg.render_cost, cfg.render.width, cfg.render.height);
     let frame = recall::<std::convert::Infallible>(memo, || Ok(render_field(stepper.grid(), opts)));
     frame.unwrap_or_else(|never| match never {})
 }
@@ -436,7 +437,7 @@ pub(crate) fn render_snapshot(
         })?;
         Ok(render_field(&grid, &cfg.render))
     })?;
-    charge_frame(node, cfg);
+    charge_render(node, &cfg.render_cost, cfg.render.width, cfg.render.height);
     Ok((frame, matched != Some(false)))
 }
 

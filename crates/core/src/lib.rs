@@ -10,7 +10,8 @@
 //!   snapshots → read back → visualize, Figure 2a) and the **in-situ**
 //!   pipeline (simulate → visualize in memory → write only images,
 //!   Figure 2b), plus an **in-transit** extension (ship snapshots to a
-//!   staging node over the NIC) from the paper's future-work list.
+//!   staging node over the NIC) from the paper's future-work list; and
+//!   [`pipeline::cluster`], all three on a cluster (§VI-A).
 //! * [`config`] — the §IV-C application configurations: 50 timesteps,
 //!   128 KiB chunks, I/O every 1 / 2 / 8 iterations (case studies 1–3).
 //! * [`experiment`] — runs a pipeline on a fresh instrumented node (Wattsup +

@@ -27,6 +27,8 @@
 //! pipeline re-renders from the bytes it reads back from the simulated disk
 //! and *verifies* them against a checksum taken at write time, so any
 //! storage-stack corruption fails loudly.
+//! The same pipelines at cluster scale are [`cluster`]; the tests below
+//! cover both.
 
 use greenness_heatsim::SolverError;
 use greenness_platform::{Activity, Node, Phase};
@@ -36,6 +38,8 @@ use greenness_viz::Framebuffer;
 use crate::config::PipelineConfig;
 use crate::driver::{self, Stepper, Store, Stored};
 use crate::memo::{GridMemo, Reader};
+
+pub mod cluster;
 
 /// Why a pipeline run could not complete. All of these are reachable from
 /// caller-supplied configuration (and, through the serve layer, from network
@@ -260,7 +264,11 @@ pub(crate) fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster::{run_cluster, run_cluster_traced};
+    use greenness_cluster::{ClusterConfig, ClusterError, ClusterKind, FaultSummary, WireCodec};
+    use greenness_faults::{fnv1a64, FaultPlan};
     use greenness_platform::HardwareSpec;
+    use greenness_trace::Tracer;
 
     fn run_small(kind: PipelineKind, interval: u64) -> (Node, PipelineOutput) {
         let mut node = Node::new(HardwareSpec::table1());
@@ -449,5 +457,313 @@ mod tests {
         let sim_post = post_node.timeline().phase_duration(Phase::Simulation);
         let sim_insitu = insitu_node.timeline().phase_duration(Phase::Simulation);
         assert_eq!(sim_post, sim_insitu);
+    }
+
+    // ---- The distributed pipelines (`cluster`) ----
+
+    fn small() -> ClusterConfig {
+        ClusterConfig {
+            timesteps: 6,
+            ..ClusterConfig::small(4, 2)
+        }
+    }
+
+    #[test]
+    fn post_processing_round_trips_and_verifies() {
+        let r = run_cluster(ClusterKind::PostProcessing, &small()).unwrap();
+        assert!(r.verified, "PFS corrupted a snapshot");
+        assert!(r.makespan_s > 0.0);
+        // Byte channels are split: post-processing ships nothing over the
+        // staging fabric; the PFS holds every raw snapshot.
+        assert_eq!(r.fabric_bytes, 0);
+        assert_eq!(r.pfs_bytes, 6 * 128 * 128 * 8);
+        assert_eq!(r.bytes_out, r.fabric_bytes + r.pfs_bytes);
+        assert!(r.viz_energy_j > 0.0, "viz node never worked");
+        assert_ne!(r.image_hash, fnv1a64(&[]), "no frames were rendered");
+    }
+
+    #[test]
+    fn insitu_beats_post_processing_on_cluster_energy_too() {
+        let cfg = small();
+        let post = run_cluster(ClusterKind::PostProcessing, &cfg).unwrap();
+        let insitu = run_cluster(ClusterKind::InSitu, &cfg).unwrap();
+        assert!(
+            insitu.total_energy_j < post.total_energy_j,
+            "in-situ {} J vs post {} J",
+            insitu.total_energy_j,
+            post.total_energy_j
+        );
+        assert!(insitu.makespan_s < post.makespan_s);
+        let per_joule = |r: &cluster::ClusterReport| r.work_units / r.total_energy_j;
+        assert!(per_joule(&insitu) > per_joule(&post));
+    }
+
+    #[test]
+    fn intransit_also_beats_post_processing() {
+        // Staging avoids writing raw data to disk: far cheaper than
+        // post-processing. Against in-situ the comparison is close and can
+        // go either way — staging consolidates image output into one
+        // full-frame write while per-node in-situ pays N smaller fsync'd
+        // writes — so we only pin the robust ordering and the rough parity.
+        let cfg = small();
+        let post = run_cluster(ClusterKind::PostProcessing, &cfg).unwrap();
+        let transit = run_cluster(ClusterKind::InTransit, &cfg).unwrap();
+        let insitu = run_cluster(ClusterKind::InSitu, &cfg).unwrap();
+        assert!(transit.total_energy_j < post.total_energy_j);
+        assert!(insitu.total_energy_j < post.total_energy_j);
+        let ratio = transit.total_energy_j / insitu.total_energy_j;
+        assert!((0.7..=1.3).contains(&ratio), "transit/insitu ratio {ratio}");
+    }
+
+    #[test]
+    fn overlap_beats_synchronous_staging() {
+        // queue_depth 0 is the serialized legacy organization: every sender
+        // waits out the stager's render. Any real queue must beat it.
+        let overlapped = small();
+        let mut synchronous = small();
+        synchronous.staging.queue_depth = 0;
+        let fast = run_cluster(ClusterKind::InTransit, &overlapped).unwrap();
+        let slow = run_cluster(ClusterKind::InTransit, &synchronous).unwrap();
+        assert!(
+            fast.makespan_s < slow.makespan_s,
+            "overlap {} s vs synchronous {} s",
+            fast.makespan_s,
+            slow.makespan_s
+        );
+        // Same images either way: flow control never touches content.
+        assert_eq!(fast.image_hash, slow.image_hash);
+    }
+
+    #[test]
+    fn backpressure_blocks_are_traced() {
+        let tracer = Tracer::jsonl();
+        let mut cfg = small();
+        cfg.staging.queue_depth = 1;
+        run_cluster_traced(ClusterKind::InTransit, &cfg, None, &tracer).unwrap();
+        assert!(
+            tracer.counter("staging.queue.blocks") > 0,
+            "a depth-1 queue against a render-bound stager must block"
+        );
+        assert!(tracer.counter("staging.bytes.wire") > 0);
+        assert_eq!(
+            tracer.counter("staging.bytes.raw"),
+            6 * 128 * 128 * 8,
+            "raw staged bytes are the full snapshot stream"
+        );
+    }
+
+    #[test]
+    fn lossless_wire_codec_preserves_images_and_verifies() {
+        let raw = small();
+        let mut coded = small();
+        coded.staging.wire_codec = WireCodec::DeltaRle;
+        let a = run_cluster(ClusterKind::InTransit, &raw).unwrap();
+        let b = run_cluster(ClusterKind::InTransit, &coded).unwrap();
+        assert!(b.verified, "lossless wire failed checksum verification");
+        assert_eq!(a.image_hash, b.image_hash, "lossless wire changed pixels");
+        assert_eq!(a.staging_raw_bytes, b.staging_raw_bytes);
+        assert_ne!(
+            a.fabric_bytes, b.fabric_bytes,
+            "codec did not touch the wire"
+        );
+    }
+
+    #[test]
+    fn extra_stagers_share_frames_without_changing_them() {
+        let one = small();
+        let mut two = small();
+        two.staging.staging_nodes = 2;
+        let a = run_cluster(ClusterKind::InTransit, &one).unwrap();
+        let b = run_cluster(ClusterKind::InTransit, &two).unwrap();
+        assert_eq!(a.image_hash, b.image_hash, "round-robin changed content");
+        assert!(
+            b.makespan_s <= a.makespan_s,
+            "a second stager should never slow the pipeline: {} vs {}",
+            b.makespan_s,
+            a.makespan_s
+        );
+    }
+
+    #[test]
+    fn insitu_partition_is_exact_on_odd_grids() {
+        // 130 rows over 4 slabs: 33+33+32+32. The pixel-row partition must
+        // telescope to the full frame height with no truncation bias.
+        let heights = [(130usize, 130usize), (100, 130), (64, 30)];
+        for (height, ny) in heights {
+            let base = ny / 4;
+            let extra = ny % 4;
+            let mut j0 = 0usize;
+            let mut total = 0usize;
+            for k in 0..4 {
+                let rows = base + usize::from(k < extra);
+                total += greenness_cluster::slab::slab_rows_px(height, ny, j0, rows);
+                j0 += rows;
+            }
+            assert_eq!(total, height, "height {height} over ny {ny}");
+        }
+
+        // And end to end: an odd grid renders and accounts cleanly.
+        let mut cfg = ClusterConfig::small(4, 2);
+        cfg.grid_nx = 130;
+        cfg.grid_ny = 130;
+        cfg.solver = PipelineConfig::default_solver(130, 130);
+        cfg.render.width = 130;
+        cfg.render.height = 130;
+        cfg.timesteps = 2;
+        let r = run_cluster(ClusterKind::InSitu, &cfg).unwrap();
+        // 4 PPM slab images per step, heights summing to 130 rows exactly:
+        // payload bytes are 3*w*h, headers are "P6\n130 H\n255\n".
+        let payload = 2 * 3 * 130 * 130;
+        let headers: usize = [33, 33, 32, 32]
+            .iter()
+            .map(|h| format!("P6\n130 {h}\n255\n").len())
+            .sum::<usize>()
+            * 2;
+        assert_eq!(r.pfs_bytes, (payload + headers) as u64);
+    }
+
+    #[test]
+    fn energy_partition_sums() {
+        let r = run_cluster(ClusterKind::PostProcessing, &small()).unwrap();
+        let sum = r.compute_energy_j + r.io_energy_j + r.viz_energy_j;
+        assert!((sum - r.total_energy_j).abs() < 1e-6);
+    }
+
+    #[test]
+    fn faulted_run_converges_and_pays_static_energy() {
+        // Same physics, same data — the degraded run just takes longer and
+        // burns more (idle) energy. `verified` attests the final images:
+        // every snapshot read back matches its pre-write checksum.
+        let cfg = small();
+        let clean = run_cluster(ClusterKind::PostProcessing, &cfg).unwrap();
+        let (faulted, summary) = run_cluster_traced(
+            ClusterKind::PostProcessing,
+            &cfg,
+            Some(FaultPlan::with_seed(42)),
+            &Tracer::off(),
+        )
+        .unwrap();
+        assert!(summary.total_faults() > 0, "seed 42 injected nothing");
+        assert!(faulted.verified, "faults corrupted data");
+        assert_eq!(faulted.bytes_out, clean.bytes_out);
+        assert_eq!(faulted.image_hash, clean.image_hash);
+        assert!(
+            faulted.makespan_s > clean.makespan_s,
+            "degraded run should be slower: {} vs {}",
+            faulted.makespan_s,
+            clean.makespan_s
+        );
+        assert!(faulted.total_energy_j > clean.total_energy_j);
+    }
+
+    #[test]
+    fn same_fault_seed_is_bit_identical() {
+        let cfg = small();
+        let run = || {
+            run_cluster_traced(
+                ClusterKind::InTransit,
+                &cfg,
+                Some(FaultPlan::with_seed(7)),
+                &Tracer::off(),
+            )
+            .unwrap()
+        };
+        let (a, sa) = run();
+        let (b, sb) = run();
+        assert_eq!(sa, sb);
+        assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits());
+        assert_eq!(a.total_energy_j.to_bits(), b.total_energy_j.to_bits());
+        assert_eq!(a.image_hash, b.image_hash);
+    }
+
+    #[test]
+    fn no_plan_leaves_the_report_bit_identical() {
+        let cfg = small();
+        let plain = run_cluster(ClusterKind::InSitu, &cfg).unwrap();
+        let (gated, summary) =
+            run_cluster_traced(ClusterKind::InSitu, &cfg, None, &Tracer::off()).unwrap();
+        assert_eq!(summary, FaultSummary::default());
+        assert_eq!(plain.makespan_s.to_bits(), gated.makespan_s.to_bits());
+        assert_eq!(
+            plain.total_energy_j.to_bits(),
+            gated.total_energy_j.to_bits()
+        );
+    }
+
+    /// Every `ClusterConfig` that used to divide by zero, trip a constructor
+    /// or framebuffer `assert!` mid-run, or run with other nodes than it
+    /// reports is refused up front, by field name, on each kind it breaks.
+    #[test]
+    fn a_bad_config_is_an_error_naming_the_field_not_a_panic() {
+        use ClusterKind::{InSitu, InTransit, PostProcessing};
+        type Break = fn(&mut ClusterConfig);
+        const ALL: &[ClusterKind] = &[PostProcessing, InSitu, InTransit];
+        let rows: [(&[ClusterKind], &str, Break); 12] = [
+            (ALL, "io_interval must be at least 1, got 0", |c| {
+                c.io_interval = 0
+            }),
+            (ALL, "compute_nodes", |c| c.compute_nodes = 0),
+            (ALL, "io_servers", |c| c.io_servers = 0),
+            (ALL, "stripe_bytes", |c| c.stripe_bytes = 0),
+            (ALL, "grid_nx", |c| c.grid_nx = 2),
+            // An 8-row grid over 4 nodes: 2 rows per slab.
+            (ALL, "grid_ny / compute_nodes", |c| c.grid_ny = 8),
+            (ALL, "solver: FTCS unstable", |c| c.solver.dt *= 2.0),
+            (ALL, "solver: source (128, 42) outside 128x128", |c| {
+                c.solver.sources[0].i = 128
+            }),
+            // Used to run one stager while reporting none.
+            (ALL, "staging_nodes must be at least 1, got 0", |c| {
+                c.staging.staging_nodes = 0
+            }),
+            // Used to panic in `Framebuffer::new`.
+            (ALL, "render.width must be at least 1, got 0", |c| {
+                c.render.width = 0
+            }),
+            (ALL, "render.height must be at least 1, got 0", |c| {
+                c.render.height = 0
+            }),
+            // Two pixel rows over four 32-row slabs: slabs 0 and 2 get none.
+            (&[InSitu], "render.height: pixel rows of slab 0", |c| {
+                c.render.height = 2
+            }),
+        ];
+        for (kinds, needle, break_it) in rows {
+            let mut cfg = small();
+            break_it(&mut cfg);
+            for &kind in kinds {
+                match run_cluster(kind, &cfg) {
+                    Err(ClusterError::Config(msg)) => {
+                        assert!(msg.contains(needle), "{kind:?} {needle}: {msg}")
+                    }
+                    other => panic!("{kind:?} {needle}: expected Config, got {other:?}"),
+                }
+            }
+        }
+        // A two-row frame is fine where one node renders it whole.
+        let mut short = small();
+        short.render.height = 2;
+        assert!(run_cluster(InTransit, &short).is_ok());
+        let err = ClusterError::Config("io_interval must be at least 1, got 0".to_string());
+        assert_eq!(
+            err.to_string(),
+            "bad cluster parameter: io_interval must be at least 1, got 0"
+        );
+    }
+
+    #[test]
+    fn more_io_servers_speed_up_the_write_phase() {
+        let mut one = small();
+        one.io_servers = 1;
+        let mut four = small();
+        four.io_servers = 4;
+        let slow = run_cluster(ClusterKind::PostProcessing, &one).unwrap();
+        let fast = run_cluster(ClusterKind::PostProcessing, &four).unwrap();
+        assert!(
+            fast.makespan_s < slow.makespan_s,
+            "{} vs {}",
+            fast.makespan_s,
+            slow.makespan_s
+        );
     }
 }

@@ -68,7 +68,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::config::PipelineConfig;
-use crate::driver::{check_io_interval, Stepper};
+use crate::driver::{charge_render, check_io_interval, Stepper};
 use crate::memo::{trajectory, Trajectory};
 use crate::pipeline::PipelineError;
 use greenness_faults::fnv1a64;
@@ -573,14 +573,13 @@ fn apply(
 /// [`greenness_storage::FileSystem`]) precisely so that per-frame cost is
 /// independent of filesystem state and the schedule replay stays exact.
 fn charge_frame(node: &mut Node, schedule: &Schedule, frame_bytes: u64) {
-    let pixels = (schedule.width * schedule.height) as u64;
     node.execute(
         Activity::MemTraffic {
             bytes: schedule.snapshot_bytes,
         },
         Phase::Visualization,
     );
-    node.execute(schedule.render_cost.activity(pixels), Phase::Visualization);
+    charge_render(node, &schedule.render_cost, schedule.width, schedule.height);
     node.execute(
         Activity::DiskWrite {
             bytes: frame_bytes,

@@ -41,12 +41,6 @@ impl PowerDraw {
         self.package_w + self.dram_w + self.disk_w + self.net_w + self.board_w
     }
 
-    /// The paper's "rest of system" channel: `system - package - dram`.
-    #[inline]
-    pub fn rest_w(&self) -> f64 {
-        self.disk_w + self.net_w + self.board_w
-    }
-
     /// True if every channel is finite and non-negative.
     pub fn is_physical(&self) -> bool {
         [
@@ -167,6 +161,13 @@ impl Sum for EnergyBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PowerDraw {
+        /// The paper's "rest of system" channel: `system - package - dram`.
+        fn rest_w(&self) -> f64 {
+            self.disk_w + self.net_w + self.board_w
+        }
+    }
 
     fn draw() -> PowerDraw {
         PowerDraw {

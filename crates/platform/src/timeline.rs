@@ -32,7 +32,7 @@ impl Segment {
     }
 
     /// Energy consumed during the span, per subsystem.
-    pub fn energy(&self) -> EnergyBreakdown {
+    fn energy(&self) -> EnergyBreakdown {
         let mut e = EnergyBreakdown::ZERO;
         e.accumulate(self.draw, self.duration.as_secs_f64());
         e
@@ -110,7 +110,7 @@ impl Timeline {
     }
 
     /// Exact per-subsystem energy of the whole run.
-    pub fn energy(&self) -> EnergyBreakdown {
+    fn energy(&self) -> EnergyBreakdown {
         self.segments.iter().map(Segment::energy).sum()
     }
 

@@ -39,7 +39,7 @@ impl GreenMetrics {
     }
 
     /// Energy efficiency: useful work per joule.
-    pub fn efficiency(&self) -> f64 {
+    fn efficiency(&self) -> f64 {
         if self.energy_j <= 0.0 {
             0.0
         } else {

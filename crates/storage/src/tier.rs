@@ -236,11 +236,6 @@ impl TieredStore {
             .collect()
     }
 
-    /// Occupancy snapshot, fastest first.
-    pub fn usage(&self) -> &[TierUsage] {
-        &self.usage
-    }
-
     /// Combined idle draw of every tier *above* the bottom one, watts. The
     /// bottom tier is assumed to be the node's `spec.disk` (already part of
     /// `idle_draw`); the faster tiers' idle power is charged on top during
@@ -587,6 +582,13 @@ mod tests {
     use super::*;
     use crate::fs::{FileSystem, FsConfig};
     use greenness_platform::HardwareSpec;
+
+    impl TieredStore {
+        /// Occupancy snapshot, fastest first.
+        fn usage(&self) -> &[TierUsage] {
+            &self.usage
+        }
+    }
 
     impl TieredStore {
         /// A single-tier store over the node's own disk model — the flat

@@ -85,15 +85,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// Estimate the `q`-quantile (`q` in `[0, 1]`) by rank-walking the
     /// buckets and interpolating linearly inside the owning bucket. Returns
     /// 0 for an empty histogram.
@@ -324,6 +315,17 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Histogram {
+        /// Mean observation (0 when empty).
+        fn mean(&self) -> f64 {
+            if self.count == 0 {
+                0.0
+            } else {
+                self.sum / self.count as f64
+            }
+        }
+    }
 
     impl MetricsRegistry {
         /// Snapshots in recording order.

@@ -64,14 +64,6 @@ impl Framebuffer {
         [p[o], p[o + 1], p[o + 2]]
     }
 
-    /// Set pixel `(x, y)`; out-of-bounds coordinates are ignored (clip).
-    pub fn set(&mut self, x: usize, y: usize, c: Rgb) {
-        if x < self.width && y < self.height {
-            let o = (y * self.width + x) * 3;
-            self.pixels_mut()[o..o + 3].copy_from_slice(&c);
-        }
-    }
-
     /// Construct from raw RGB bytes.
     pub fn from_bytes(width: usize, height: usize, bytes: &[u8]) -> Option<Framebuffer> {
         if width == 0 || height == 0 || bytes.len() != width * height * 3 {
@@ -290,6 +282,16 @@ pub fn bilinear(field: &Grid, u: f64, v: f64) -> f64 {
 mod tests {
     use super::*;
     use greenness_heatsim::Grid;
+
+    impl Framebuffer {
+        /// Set pixel `(x, y)`; out-of-bounds coordinates are ignored (clip).
+        fn set(&mut self, x: usize, y: usize, c: Rgb) {
+            if x < self.width && y < self.height {
+                let o = (y * self.width + x) * 3;
+                self.pixels_mut()[o..o + 3].copy_from_slice(&c);
+            }
+        }
+    }
 
     #[test]
     fn constant_field_renders_uniformly() {

@@ -6,7 +6,8 @@
 //! cargo run --release --example cluster_study
 //! ```
 
-use greenness_cluster::{run_cluster, ClusterConfig, ClusterKind};
+use greenness_cluster::{ClusterConfig, ClusterKind};
+use greenness_core::pipeline::cluster::run_cluster;
 use greenness_core::report;
 
 fn main() {
@@ -60,7 +61,7 @@ fn main() {
             format!("{nodes} nodes"),
             report::f(r.makespan_s, 2),
             report::f(r.total_energy_j / 1000.0, 2),
-            report::f(r.efficiency() * 1000.0, 2),
+            report::f(r.work_units / r.total_energy_j * 1000.0, 2),
         ]);
     }
     print!(

@@ -21,7 +21,8 @@
 //! single node has no neighbours). Seconds and joules therefore differ
 //! between the two; bytes and pixels may not.
 
-use greenness_cluster::{run_cluster, run_cluster_traced, ClusterConfig, ClusterKind};
+use greenness_cluster::{ClusterConfig, ClusterKind};
+use greenness_core::pipeline::cluster::{run_cluster, run_cluster_traced};
 use greenness_core::pipeline::{run, PipelineKind};
 use greenness_core::PipelineConfig;
 use greenness_faults::{fnv1a64, fnv1a64_extend, FaultPlan};

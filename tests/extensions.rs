@@ -1,7 +1,8 @@
 //! End-to-end tests of the future-work extensions: cluster pipelines,
 //! pipeline variants, storage technologies and RAID.
 
-use greenness_cluster::{run_cluster, ClusterConfig, ClusterKind};
+use greenness_cluster::{ClusterConfig, ClusterKind};
+use greenness_core::pipeline::cluster::run_cluster;
 use greenness_core::variants::{run_variant, CodecChoice, Variant};
 use greenness_core::{experiment, pipeline::PipelineKind, ExperimentSetup, PipelineConfig};
 use greenness_platform::{AccessPattern, Activity, HardwareSpec, Node};

@@ -6,7 +6,8 @@
 //! backoff are real static power) but never changes *what* was computed —
 //! and with no fault plan configured, nothing changes at all.
 
-use greenness_cluster::{run_cluster, run_cluster_traced, ClusterConfig, ClusterKind};
+use greenness_cluster::{ClusterConfig, ClusterKind};
+use greenness_core::pipeline::cluster::{run_cluster, run_cluster_traced};
 use greenness_core::{experiment, ExperimentSetup, PipelineConfig, PipelineKind};
 use greenness_faults::{FaultPlan, Site};
 use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
@@ -430,7 +431,6 @@ fn injected_instants(tracer: &Tracer) -> u64 {
 /// `fault.injected` instant, in lockstep with the summary counters.
 #[test]
 fn fault_journal_instants_match_the_summary_counters() {
-    use greenness_cluster::run_cluster_traced;
     let cfg = ClusterConfig::small(4, 2);
     let plan = FaultPlan {
         fabric_fault_rate: 0.15,

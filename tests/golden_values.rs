@@ -316,10 +316,10 @@ fn cluster_case(
     kind: greenness_cluster::ClusterKind,
     case: u32,
     tweak: impl FnOnce(&mut greenness_cluster::ClusterConfig),
-) -> greenness_cluster::ClusterReport {
+) -> greenness_core::pipeline::cluster::ClusterReport {
     let mut cfg = greenness_cluster::ClusterConfig::case_study(case);
     tweak(&mut cfg);
-    greenness_cluster::run_cluster(kind, &cfg).expect("case study runs")
+    greenness_core::pipeline::cluster::run_cluster(kind, &cfg).expect("case study runs")
 }
 
 #[test]

@@ -1379,6 +1379,25 @@ const BENCH_SERVE_RECORDED: [&str; 5] = [
     "01e9a637b87328450a2ea62ba492d8f96023171d06f53fde08f940f7028353ec",
 ];
 
+/// `bench-serve --sessions N --shards M --shard-metrics-out F` writes each
+/// shard's registry, as the fleet replay does: every session's three
+/// adjusts are counted on exactly one shard.
+#[test]
+fn fleet_sessions_write_every_shards_steering_counters() {
+    let sessions = 16;
+    let n = sessions.to_string();
+    let args = ["--sessions", n.as_str(), "--shards", "4"];
+    let files = bench_serve(&args, &["--out", "--shard-metrics-out"]);
+    let shards = &files[1];
+    assert_eq!(shards.matches("\"label\": \"shard/").count(), 4, "{shards}");
+    let adjusts: u64 = shards
+        .lines()
+        .filter(|line| line.contains("\"label\": \"shard/"))
+        .map(|section| counter(section, "steer.adjust"))
+        .sum();
+    assert_eq!(adjusts, sessions * 3, "{shards}");
+}
+
 /// Table II's two probes at the paper's 128 KiB / 50 s on the noiseless
 /// setup, and the §V-C split they give the small case-1 comparison.
 #[test]

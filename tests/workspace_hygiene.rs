@@ -21,6 +21,8 @@
 //! The frame memo and the field memo became one `core::memo`.
 //! The tier-placement policies became one `PolicyKind` enum in
 //! `greenness-storage`, which alone spells their labels.
+//! The cluster's run moved into `core::pipeline::cluster`, on the driver's
+//! one render charge, and `greenness-cluster` kept only the substrate.
 //! This test walks the tree and fails if any of them grows back, so "add a
 //! quick local copy" shows up in review instead of in the next inventory.
 
@@ -255,7 +257,9 @@ fn the_single_node_loop_lives_only_in_the_core_driver() {
 
     // One solver and one run device, both built by the driver.
     let built_once = ["HeatSolver::new(", "with_capacity_bytes(cfg.device_bytes)"];
-    for path in sorted_entries(&core) {
+    let mut sources = Vec::new();
+    rs_files(&core, &mut sources);
+    for path in sources {
         let src = read(&path);
         for needle in built_once {
             let hits = non_test(&src).matches(needle).count();
@@ -307,7 +311,9 @@ fn the_grid_runner_lives_only_in_core_grid() {
 
     // One pool call and one `job` span frame in core: grid.rs.
     let core = root.join("crates").join("core").join("src");
-    for path in sorted_entries(&core) {
+    let mut sources = Vec::new();
+    rs_files(&core, &mut sources);
+    for path in sources {
         let src = read(&path);
         for needle in ["run_pool(", r#"\"ev\":\"begin\",\"name\":\"job\""#] {
             let found = non_test(&src).contains(needle);
@@ -753,7 +759,7 @@ fn fn_lengths(src: &str) -> Vec<(&str, usize)> {
 fn the_cluster_driver_is_a_short_composition_of_stages() {
     // `run_cluster_traced` was one 381-line function with an inline arm per
     // kind; each stage is now a `Run` method and each kind a composition.
-    let pipeline = read(&repo_root().join("crates/cluster/src/pipeline.rs"));
+    let pipeline = read(&repo_root().join("crates/core/src/pipeline/cluster.rs"));
     let fns = fn_lengths(&pipeline);
     assert!(fns.len() >= 15, "found {} fns", fns.len());
     for (decl, len) in &fns {
@@ -769,6 +775,44 @@ fn the_cluster_driver_is_a_short_composition_of_stages() {
     for needle in ["from_byte_parts(", "render_field_hashed("] {
         assert_eq!(non_test(&pipeline).matches(needle).count(), 1, "`{needle}`");
     }
+}
+
+#[test]
+fn the_cluster_substrate_moves_and_stores_bytes_and_renders_nothing() {
+    // `greenness-cluster` holds the fabric, the parallel filesystem, the row
+    // slabs and the run's configuration; the distributed pipelines are
+    // `core::pipeline::cluster`, on the engine's one render charge. A render
+    // or a visualization charge back in the substrate is a second engine.
+    let crates = repo_root().join("crates");
+    let mut substrate = Vec::new();
+    rs_files(&crates.join("cluster/src"), &mut substrate);
+    assert!(substrate.len() >= 5, "found {} sources", substrate.len());
+    for path in &substrate {
+        let src = read(path);
+        for needle in ["render_field", "Phase::Visualization"] {
+            assert!(
+                !production(&src).contains(needle),
+                "{}: `{needle}` belongs in the core engine",
+                path.display()
+            );
+        }
+    }
+    // Every pipeline, on one node or many, charges a frame through
+    // `driver::charge_render`.
+    let mut sources = Vec::new();
+    rs_files(&crates, &mut sources);
+    let charges: Vec<String> = sources
+        .iter()
+        .flat_map(|path| {
+            let src = read(path);
+            let hits = production(&src)
+                .lines()
+                .filter(|line| line.contains(".activity(") && line.contains("Phase::Visualization"))
+                .count();
+            std::iter::repeat(file_name(path)).take(hits)
+        })
+        .collect();
+    assert_eq!(charges, ["driver.rs"], "render charges");
 }
 
 /// `src` with comments and `use` statements dropped: what is left is what
@@ -801,6 +845,17 @@ fn names(text: &str, name: &str) -> bool {
         .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + name.len()..].starts_with(ident))
 }
 
+/// True if `text` names `name` the way a method or associated function is
+/// named: `.name` or `::name`, as a whole identifier.
+fn names_method(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(name).any(|(at, _)| {
+        let before = &text[..at];
+        (before.ends_with('.') || before.ends_with("::"))
+            && !text[at + name.len()..].starts_with(ident)
+    })
+}
+
 /// The part of a source file a run compiles: above its `#[cfg(test)]`
 /// module and above its retained oracles (see tools/loc.sh).
 fn production(src: &str) -> &str {
@@ -809,22 +864,29 @@ fn production(src: &str) -> &str {
         .map_or(code, |(code, _)| code)
 }
 
-/// `pub` items no run reaches that another file's tests need, each with the
-/// reason. `unreached_pub_fns_stay_deleted` fails when an entry is no longer
-/// declared, gains a production caller, or is no longer named by a test
-/// outside its own file, so the list cannot outlive its reasons.
-const TEST_SUPPORT: [(&str, &str); 11] = [
-    ("full_recompute_remaining_j", "steering what-if oracle"),
-    ("quiet", "chaos tests: a zero-rate plan changes nothing"),
-    ("crash_and_recover", "chaos and tier tests cut the power"),
-    ("set_alloc_mode", "fragmented layouts behind the §V-D claim"),
-    ("delete", "the storage cost transcripts script deletes"),
-    ("to_string_raw", "serve's reference parser echoes ids"),
-    ("as_arr", "the benchmark's contract test reads its lists"),
-    ("KIB", "unit vocabulary for test sizes"),
-    ("MIB", "unit vocabulary for test sizes"),
-    ("from_nanos", "unit vocabulary for test instants"),
-    ("from_secs", "unit vocabulary for test durations"),
+/// `pub` items no run reaches that another file's tests need, each as
+/// `file: name` (the file under `crates/` that declares it) with the reason.
+/// `unreached_pub_fns_stay_deleted` fails when an entry is no longer
+/// declared there, gains a production caller, or is no longer named by a
+/// test outside its own file, so the list cannot outlive its reasons.
+const TEST_SUPPORT: [&str; 17] = [
+    "core/src/steering.rs: full_recompute_remaining_j", // steering what-if oracle
+    "faults/src/lib.rs: quiet", // chaos tests: a zero-rate plan changes nothing
+    "storage/src/fs.rs: crash_and_recover", // chaos and tier tests cut the power
+    "storage/src/fs.rs: set_alloc_mode", // fragmented layouts behind the §V-D claim
+    "storage/src/fs.rs: delete", // the storage cost transcripts script deletes
+    "storage/src/fs.rs: list",  // storage and placement tests list a volume
+    "trace/src/json.rs: to_string_raw", // serve's reference parser echoes ids
+    "trace/src/json.rs: as_arr", // the benchmark's contract test reads its lists
+    "platform/src/units.rs: KIB", // unit vocabulary for test sizes
+    "platform/src/units.rs: MIB", // unit vocabulary for test sizes
+    "platform/src/time.rs: from_nanos", // unit vocabulary for test instants
+    "platform/src/time.rs: from_secs", // unit vocabulary for test durations
+    "platform/src/timeline.rs: draw_at", // timeline properties read one instant
+    "power/src/profile.rs: rest_w", // power properties check the rest channel
+    "power/src/wattsup.rs: sample", // meter tests sample without a tracer
+    "core/src/config.rs: default_solver", // tests size a solver to other grids
+    "core/src/experiment.rs: noiseless", // tests pin energies free of meter noise
 ];
 
 #[test]
@@ -836,8 +898,10 @@ fn unreached_pub_fns_stay_deleted() {
     // included) are stripped. An item only its own file names is private,
     // where rustc's `dead_code` lint guards it; one only its own unit tests
     // name is `#[cfg(test)]`; one nothing names is deleted. `TEST_SUPPORT`
-    // holds the exceptions. The rule is a name match, so it misses a dead
-    // item whose name some other file spells for something else.
+    // holds the exceptions. The rule is a name match: an indented `pub fn`
+    // (a method or associated function) counts only where it is named as
+    // `.name` or `::name`, and it still misses a dead item whose name some
+    // other file spells that way for something else.
     let root = repo_root();
     let mut sources = Vec::new();
     for dir in ["crates", "benchmark/src", "tests"] {
@@ -885,10 +949,18 @@ fn unreached_pub_fns_stay_deleted() {
             };
             let name = &sig[..sig.find(['(', '<', ':']).expect("a signature")];
             declared += 1;
+            // A method is named through a receiver or a path, so a free
+            // function or a local that shares its name does not reach it.
+            let method = line.starts_with(' ') && !decl.starts_with("pub const ");
+            let matches = if method { names_method } else { names };
             let named_elsewhere = |text: fn(&(String, String)) -> &String| {
-                (0..texts.len()).any(|other| other != at && names(text(&texts[other]), name))
+                (0..texts.len()).any(|other| other != at && matches(text(&texts[other]), name))
             };
-            let support = TEST_SUPPORT.iter().any(|(item, _)| *item == name);
+            let key = format!(
+                "{}: {name}",
+                rel.strip_prefix("crates").unwrap_or(rel).display()
+            );
+            let support = TEST_SUPPORT.contains(&key.as_str());
             let why = match (support, named_elsewhere(|(code, _)| code)) {
                 (false, false) => "unreached",
                 (true, true) => "on TEST_SUPPORT, but a run reaches it",
@@ -898,7 +970,7 @@ fn unreached_pub_fns_stay_deleted() {
                 _ => "",
             };
             if support {
-                support_seen.push(name.to_string());
+                support_seen.push(key);
             }
             if !why.is_empty() {
                 unreached.push(format!("{}: {name}: {why}", rel.display()));
@@ -906,10 +978,10 @@ fn unreached_pub_fns_stay_deleted() {
         }
     }
     assert!(declared >= 400, "found {declared} pub fns and consts");
-    for (item, _) in TEST_SUPPORT {
+    for item in TEST_SUPPORT {
         assert!(
             support_seen.iter().any(|seen| seen == item),
-            "TEST_SUPPORT names `{item}`, which no crate declares `pub`"
+            "TEST_SUPPORT names `{item}`, which that file does not declare `pub`"
         );
     }
     assert!(

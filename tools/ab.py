@@ -99,15 +99,15 @@ def compare(args, workload, seed, seconds):
     return runs
 
 
-def report(args, workload, seed, runs, metrics):
-    """Print one workload's table for one seed; whether it holds a digest
-    mismatch or a `WORSE`."""
-    digests = runs["digests"]
-    print(f"{workload} seed {seed}: {args.pairs} pairs, output digests "
-          f"{'match' if len(digests) == 1 else 'DIFFER: ' + ' '.join(digests)}")
-    bad = len(digests) != 1
-    print(f"  {'metric':<13} {'parent':>12} {'iqr':>10} {'change':>12} {'delta':>8} "
-          f"{'wins':>6} {'bound':>6}")
+def judge(runs, metrics, pairs):
+    """The gate's verdict on one workload's runs for one seed, as data: per
+    end-to-end metric, the row `(name, parent median, parent IQR, change
+    median, delta, wins, bound, verdict)`, where the verdict is `WORSE`,
+    `GAIN`, `below bound` or empty; and whether the table fails the gate (a
+    digest mismatch or a `WORSE`). Pure: `tools/test_ab.py` feeds it
+    synthetic runs."""
+    bad = len(runs["digests"]) != 1
+    rows = []
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
         before = [r[name] for r in runs["parent"]]
@@ -118,10 +118,24 @@ def report(args, workload, seed, runs, metrics):
         verdict = ""
         if -sign * delta > m["bound"]:
             verdict, bad = "WORSE", True
-        elif wins >= 0.9 * args.pairs and sign * (med_a - med_b) > iqr(before):
+        elif wins >= 0.9 * pairs and sign * (med_a - med_b) > iqr(before):
             verdict = "GAIN" if sign * delta > m["bound"] else "below bound"
-        print(f"  {name:<13} {med_b:>12.6g} {iqr(before):>10.3g} {med_a:>12.6g} "
-              f"{delta:>+8.1%} {wins:>3}/{args.pairs:<2} {m['bound']:>6.2f} {verdict}")
+        rows.append((name, med_b, iqr(before), med_a, delta, wins, m["bound"], verdict))
+    return rows, bad
+
+
+def report(args, workload, seed, runs, metrics):
+    """Print one workload's table for one seed; whether it holds a digest
+    mismatch or a `WORSE`."""
+    digests = runs["digests"]
+    print(f"{workload} seed {seed}: {args.pairs} pairs, output digests "
+          f"{'match' if len(digests) == 1 else 'DIFFER: ' + ' '.join(digests)}")
+    print(f"  {'metric':<13} {'parent':>12} {'iqr':>10} {'change':>12} {'delta':>8} "
+          f"{'wins':>6} {'bound':>6}")
+    rows, bad = judge(runs, metrics, args.pairs)
+    for name, med_b, spread, med_a, delta, wins, bound, verdict in rows:
+        print(f"  {name:<13} {med_b:>12.6g} {spread:>10.3g} {med_a:>12.6g} "
+              f"{delta:>+8.1%} {wins:>3}/{args.pairs:<2} {bound:>6.2f} {verdict}")
     sys.stdout.flush()
     return bad
 
